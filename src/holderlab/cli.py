@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -88,6 +87,8 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
     if "system" not in doc or "command" not in doc:
         raise CliError("config needs 'system' and 'command'")
 
+    if not isinstance(doc["system"], dict):
+        raise CliError("'system' must be an object")
     sysdoc = dict(doc["system"])
     if mode is not None:
         sysdoc["mode"] = mode
@@ -107,16 +108,39 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
     if extra:
         raise CliError(f"unknown {command} parameters {sorted(extra)}")
     for key in _TOL_KEYS & set(params):
-        if not (float(params[key]) > 0):
+        if not (_num(float, params[key], key) > 0):
             raise CliError(f"parameter {key} must be positive")
 
     out_dir = out if out is not None else doc.get("out")
     if out_dir is None:
         raise CliError("output directory missing: set 'out' or pass --out")
-    eff_seed = seed if seed is not None else int(params.get("seed", 0))
+    eff_seed = seed if seed is not None else _num(int, params.get("seed", 0),
+                                                  "seed")
     return RunConfig(system=system, p=p, mode=eff_mode, command=command,
                      params=params, out=Path(out_dir), seed=eff_seed,
                      threads=max(1, int(threads)))
+
+
+def _num(cast, value, name: str):
+    """value read through int or float; a value the cast rejects is a
+    configuration error, not a numeric failure."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        kind = "an integer" if cast is int else "a number"
+        raise CliError(f"parameter {name} must be {kind}, got {value!r}") \
+            from exc
+
+
+def _nums(cast, values, name: str) -> list:
+    """Each entry of a list parameter read through _num."""
+    if not isinstance(values, (list, tuple)):
+        raise CliError(f"parameter {name} must be a list, got {values!r}")
+    return [_num(cast, v, name) for v in values]
+
+
+def _param(cfg: RunConfig, cast, key: str, default):
+    return _num(cast, cfg.params.get(key, default), key)
 
 
 def _grid(cfg: RunConfig, size: int, margin: float):
@@ -179,9 +203,9 @@ def _thermo_summary(cfg: RunConfig, rigidity_tol: float) -> bytes:
 
 
 def _cmd_eval_t(cfg: RunConfig):
-    size = int(cfg.params.get("grid_size", 4097))
-    margin = float(cfg.params.get("margin", 0.25))
-    tol = float(cfg.params.get("tol", 1e-12))
+    size = _param(cfg, int, "grid_size", 4097)
+    margin = _param(cfg, float, "margin", 0.25)
+    tol = _param(cfg, float, "tol", 1e-12)
     resolved = {"grid_size": size, "margin": margin, "tol": tol,
                 "mode": cfg.mode}
 
@@ -201,14 +225,14 @@ def _cmd_eval_t(cfg: RunConfig):
 def _cmd_eval_c(cfg: RunConfig):
     if "order" not in cfg.params:
         raise CliError("eval-c needs 'order', e.g. [1] or [0, 2]")
-    order = tuple(int(v) for v in cfg.params["order"])
+    order = tuple(_nums(int, cfg.params["order"], "order"))
     if not order or any(v < 0 for v in order) or sum(order) < 1:
         raise CliError("'order' must be nonnegative with positive total")
-    size = int(cfg.params.get("grid_size", 1025))
-    margin = float(cfg.params.get("margin", 0.25))
-    terms = int(cfg.params.get("terms", 80))
-    tol = float(cfg.params.get("tol", 1e-12))
-    depth = int(cfg.params.get("depth", 80))
+    size = _param(cfg, int, "grid_size", 1025)
+    margin = _param(cfg, float, "margin", 0.25)
+    terms = _param(cfg, int, "terms", 80)
+    tol = _param(cfg, float, "tol", 1e-12)
+    depth = _param(cfg, int, "depth", 80)
     resolved = {"order": list(order), "grid_size": size, "margin": margin,
                 "terms": terms, "tol": tol, "depth": depth, "mode": cfg.mode}
 
@@ -235,8 +259,10 @@ def _cmd_eval_c(cfg: RunConfig):
 def _alpha_grid(cfg: RunConfig, curve: PressureCurve):
     layout = cfg.params.get("alpha_grid", {"count": 201})
     if isinstance(layout, list):
-        return [float(a) for a in layout]
-    count = int(layout.get("count", 201))
+        return _nums(float, layout, "alpha_grid")
+    if not isinstance(layout, dict):
+        raise CliError("'alpha_grid' must be a list or an object")
+    count = _num(int, layout.get("count", 201), "alpha_grid.count")
     extra = set(layout) - {"count"}
     if extra:
         raise CliError(f"unknown alpha_grid keys {sorted(extra)}")
@@ -245,7 +271,7 @@ def _alpha_grid(cfg: RunConfig, curve: PressureCurve):
 
 
 def _cmd_spectrum(cfg: RunConfig):
-    rigidity_tol = float(cfg.params.get("rigidity_tol", 1e-9))
+    rigidity_tol = _param(cfg, float, "rigidity_tol", 1e-9)
     curve = PressureCurve(cfg.system, cfg.p)
     alphas = _alpha_grid(cfg, curve)
     resolved = {"alpha_grid": alphas, "rigidity_tol": rigidity_tol}
@@ -270,17 +296,20 @@ def _cmd_spectrum(cfg: RunConfig):
 def _beta_grid(cfg: RunConfig):
     layout = cfg.params.get("beta_grid", {"lo": -10.0, "hi": 10.0, "count": 81})
     if isinstance(layout, list):
-        return [float(b) for b in layout]
+        return _nums(float, layout, "beta_grid")
+    if not isinstance(layout, dict):
+        raise CliError("'beta_grid' must be a list or an object")
     extra = set(layout) - {"lo", "hi", "count"}
     if extra:
         raise CliError(f"unknown beta_grid keys {sorted(extra)}")
-    return list(np.linspace(float(layout.get("lo", -10.0)),
-                            float(layout.get("hi", 10.0)),
-                            int(layout.get("count", 81))))
+    lo = _num(float, layout.get("lo", -10.0), "beta_grid.lo")
+    hi = _num(float, layout.get("hi", 10.0), "beta_grid.hi")
+    count = _num(int, layout.get("count", 81), "beta_grid.count")
+    return list(np.linspace(lo, hi, count))
 
 
 def _cmd_pressure(cfg: RunConfig):
-    rigidity_tol = float(cfg.params.get("rigidity_tol", 1e-9))
+    rigidity_tol = _param(cfg, float, "rigidity_tol", 1e-9)
     betas = _beta_grid(cfg)
     resolved = {"beta_grid": betas, "rigidity_tol": rigidity_tol}
 
@@ -297,13 +326,15 @@ def _cmd_pressure(cfg: RunConfig):
 def _cmd_gap(cfg: RunConfig):
     if "alpha" not in cfg.params:
         raise CliError("gap needs 'alpha'")
-    alpha = float(cfg.params["alpha"])
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise CliError("'alpha' must be positive and finite")
-    n_max = int(cfg.params.get("n_max", 60))
-    size = int(cfg.params.get("grid_size", 8193))
-    margin = float(cfg.params.get("margin", 0.25))
-    words = int(cfg.params.get("probe_words", 64))
+    alpha = _num(float, cfg.params["alpha"], "alpha")
+    if not 0 < alpha <= 1:
+        raise CliError("'alpha' must lie in (0, 1]")
+    n_max = _param(cfg, int, "n_max", 60)
+    if n_max < 3:
+        raise CliError("'n_max' must be at least 3")
+    size = _param(cfg, int, "grid_size", 8193)
+    margin = _param(cfg, float, "margin", 0.25)
+    words = _param(cfg, int, "probe_words", 64)
     resolved = {"alpha": alpha, "n_max": n_max, "grid_size": size,
                 "margin": margin, "probe_words": words, "seed": cfg.seed}
 
@@ -317,20 +348,19 @@ def _cmd_gap(cfg: RunConfig):
         "verdict": report.verdict,
         "slope": report.slope,
         "slope_stderr": report.slope_stderr,
-        "alpha_minus_hint": report.alpha_minus_hint,
     })
     return [("gap.csv", body, resolved), ("gap.json", verdict, resolved)]
 
 
 def _cmd_exponent(cfg: RunConfig):
-    betas = [float(b) for b in cfg.params.get("betas",
-                                              list(np.linspace(-4, 4, 9)))]
-    word_len = int(cfg.params.get("word_len", 60))
-    count = int(cfg.params.get("count", 32))
+    betas = _nums(float, cfg.params.get("betas", list(np.linspace(-4, 4, 9))),
+                  "betas")
+    word_len = _param(cfg, int, "word_len", 60)
+    count = _param(cfg, int, "count", 32)
     with_emp = bool(cfg.params.get("with_empirical", False))
     scales = cfg.params.get("scales")
     if scales is not None:
-        scales = [float(r) for r in scales]
+        scales = _nums(float, scales, "scales")
     resolved = {"betas": betas, "word_len": word_len, "count": count,
                 "with_empirical": with_emp, "scales": scales,
                 "seed": cfg.seed}
@@ -360,9 +390,9 @@ def _cmd_exponent(cfg: RunConfig):
 
 
 def _cmd_conjugacy(cfg: RunConfig):
-    count = int(cfg.params.get("sample_count", 1000))
-    tol = float(cfg.params.get("tol", 1e-10))
-    exclusion = float(cfg.params.get("exclusion", 1e-6))
+    count = _param(cfg, int, "sample_count", 1000)
+    tol = _param(cfg, float, "tol", 1e-10)
+    exclusion = _param(cfg, float, "exclusion", 1e-6)
     resolved = {"sample_count": count, "tol": tol, "exclusion": exclusion,
                 "seed": cfg.seed}
 
@@ -378,10 +408,10 @@ def _cmd_conjugacy(cfg: RunConfig):
 
 
 def _cmd_report(cfg: RunConfig):
-    tol = float(cfg.params.get("tol", 1e-9))
-    count = int(cfg.params.get("sample_count", 256))
-    sizes = tuple(int(v) for v in cfg.params.get("grid_sizes",
-                                                 (1025, 2049, 4097)))
+    tol = _param(cfg, float, "tol", 1e-9)
+    count = _param(cfg, int, "sample_count", 256)
+    sizes = tuple(_nums(int, cfg.params.get("grid_sizes", (1025, 2049, 4097)),
+                        "grid_sizes"))
     resolved = {"tol": tol, "sample_count": count, "grid_sizes": list(sizes),
                 "seed": cfg.seed}
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 Word = tuple  # tuple of 1-based branch symbols
 
 
@@ -38,7 +40,14 @@ class OutsideHullError(ValueError):
 
 
 def compactify(x):
-    """Homeomorphism from the extended line onto [-1, 1], x -> x/(1+|x|)."""
+    """Homeomorphism from the extended line onto [-1, 1], x -> x/(1+|x|).
+
+    Takes a scalar or a numpy array; plus and minus infinity map to 1 and -1.
+    """
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(x), np.sign(x), x / (1.0 + np.abs(x)))
     if x == math.inf:
         return 1.0
     if x == -math.inf:
@@ -54,18 +63,18 @@ def compactified_distance(x, y):
 def compactified_gap_factor(a, b):
     """Ratio compactified_distance(a, b) / (b - a) for a < b, stable for tiny gaps.
 
-    Uses the closed forms 1/((1+|a|)(1+|b|)) on either side of 0 so the ratio
-    survives b - a shrinking below float resolution of the endpoints.
+    Uses the closed form 1/((1+|a|)(1+|b|)) when a and b lie on one side of 0
+    so the ratio survives b - a shrinking below float resolution of the
+    endpoints.  Takes scalars or arrays of endpoints.
     """
-    if a > b:
-        a, b = b, a
-    if a >= 0:
-        return 1.0 / ((1.0 + a) * (1.0 + b))
-    if b <= 0:
-        return 1.0 / ((1.0 - a) * (1.0 - b))
-    if b == a:
-        return 1.0
-    return (b / (1.0 + b) - a / (1.0 - a)) / (b - a)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    factor = 1.0 / ((1.0 + np.abs(lo)) * (1.0 + np.abs(hi)))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        across = (hi / (1.0 + hi) - lo / (1.0 - lo)) / (hi - lo)
+    factor = np.where((lo < 0) & (hi > 0), across, factor)
+    return float(factor) if factor.ndim == 0 else factor
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +545,15 @@ def system_from_json(doc: dict):
         extra = set(doc) - {"branches", "open_set", "p", "mode"}
         if extra:
             raise ConfigurationError(f"unknown system keys {sorted(extra)}")
+        system = validated(affine_system(slopes, intercepts, open_set))
+        p = ProbVector.of(*weights)
+    except ConfigurationError:
+        raise
     except KeyError as exc:
         raise ConfigurationError(f"missing system key {exc}") from exc
-    system = validated(affine_system(slopes, intercepts, open_set))
-    return system, ProbVector.of(*weights), mode
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed system: {exc}") from exc
+    return system, p, mode
 
 
 def system_to_json(system: IFSystem, p: ProbVector, mode: str = "float") -> dict:

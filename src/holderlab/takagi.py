@@ -15,6 +15,7 @@ every step matrix lower triangular with the bare weight on the diagonal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -261,25 +262,23 @@ def _parked_tail(step_last, cols, s, rational):
     return w
 
 
-_GROWTH_CACHE: dict = {}
-
-
 def growth_constant(system: IFSystem, p: ProbVector, n_max: Sequence[int],
                     words: int = 64, length: int = 64, seed: int = 11) -> float:
     """Measured constant K with |normalized product entries| <= K * k^|row|
     over an ensemble of random words of each length k.
 
     The polynomial envelope is a structural property of the normalized
-    products; the constant itself is empirical and cached per system and
-    weight vector.
+    products; the constant itself is empirical.  The step matrices depend on
+    the weights and n_max alone, not on the branches of the system, so the
+    constant is memoised on the float weights, n_max and the ensemble.
     """
-    key = (tuple(float(w) for w in p.weights), tuple(n_max),
-           tuple((float(b.slope), float(b.intercept)) if b.is_affine else id(b)
-                 for b in system.branches))
-    if key in _GROWTH_CACHE:
-        return _GROWTH_CACHE[key]
+    return _growth_constant(p.as_floats(), tuple(n_max), words, length, seed)
+
+
+@functools.lru_cache(maxsize=256)
+def _growth_constant(pf: ProbVector, n_max: tuple, words: int, length: int,
+                     seed: int) -> float:
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    pf = p.as_floats()
     indices = index_set(n_max)
     weights = np.array([sum(m) for m in indices])
     s = len(n_max)
@@ -294,7 +293,6 @@ def growth_constant(system: IFSystem, p: ProbVector, n_max: Sequence[int],
             prod = np.dot(prod, steps[int(w[k])])
         ratios = np.abs(prod) / (length ** weights)[:, None]
         best = max(best, float(ratios.max()))
-    _GROWTH_CACHE[key] = best
     return best
 
 

@@ -1,5 +1,8 @@
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,7 @@ def test_gap_outputs(tmp_path):
     assert lines[0] == "n,sup_residual,holder_seminorm"
     verdict = json.loads((tmp_path / "out" / "gap.json").read_text())
     assert verdict["verdict"] == "growing"
+    assert sorted(verdict) == ["alpha", "slope", "slope_stderr", "verdict"]
 
 
 def test_exponent_csv_header(tmp_path):
@@ -193,6 +197,54 @@ def test_exit_code_config_errors(tmp_path):
     bad.write_text("{not json")
     assert cli.main(["--config", str(bad)]) == 1
     assert cli.main(["--nope"]) == 1
+
+
+MALFORMED = {
+    "null-system": ("eval-t", {}, None),
+    "scalar-branches": ("eval-t", {}, dict(DYADIC, branches=5)),
+    "text-slope": ("eval-t", {}, dict(DYADIC, branches=[
+        {"slope": "steep", "intercept": 0.0}, DYADIC["branches"][1]])),
+    "text-weight": ("eval-t", {}, dict(DYADIC, p=["heavy"])),
+    "null-weight": ("eval-t", {}, dict(DYADIC, p=[None])),
+    "text-grid-size": ("eval-t", {"grid_size": "x"}, DYADIC),
+    "text-tol": ("eval-t", {"tol": "small"}, DYADIC),
+    "text-seed": ("conjugacy", {"seed": "x"}, DYADIC),
+    "list-margin": ("eval-c", {"order": [1], "margin": [0.2]}, DYADIC),
+    "text-beta-count": ("pressure", {"beta_grid": {"count": "many"}}, DYADIC),
+    "scalar-order": ("eval-c", {"order": 1}, DYADIC),
+    "scalar-betas": ("exponent", {"betas": 0.5}, DYADIC),
+    "text-alpha-grid": ("spectrum", {"alpha_grid": "fine"}, DYADIC),
+    "gap-alpha-above-one": ("gap", {"alpha": 1.5}, DYADIC),
+    "gap-n-max-one": ("gap", {"alpha": 0.5, "n_max": 1}, DYADIC),
+}
+
+
+def write_raw_config(tmp_path, command, params, system):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": system, "command": command,
+                                "params": params,
+                                "out": str(tmp_path / "out")}))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_config_exits_1(tmp_path, capsys, name):
+    cfg = write_raw_config(tmp_path, *MALFORMED[name])
+    assert run_cli(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("holderlab: config error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_system_no_traceback_in_fresh_process(tmp_path):
+    cfg = write_raw_config(tmp_path, "eval-t", {}, None)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "holderlab.cli",
+                           "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_exit_code_numeric_failure(tmp_path):

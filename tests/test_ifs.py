@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,10 @@ def test_compactified_metric():
     assert compactify(0.0) == 0.0
     assert compactify(float("inf")) == 1.0
     assert compactify(-3.0) == -0.75
+    xs = np.array([-math.inf, -3.0, -1e-300, 0.0, 0.1, 1e300, math.inf])
+    got = compactify(xs)
+    assert got.tolist() == [compactify(float(x)) for x in xs]
+    assert got[0] == -1.0 and got[-1] == 1.0
     assert compactified_distance(1.0, 1.0) == 0.0
     d = compactified_distance(0.0, 1.0)
     assert 0 < d < 1.0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holderlab import (
     GridFunction,
@@ -11,6 +13,7 @@ from holderlab import (
     apply_transition,
     cdf_grid,
     cdf_values,
+    compactify,
     eval_cdf,
     gap_probe,
     holder_seminorm,
@@ -18,6 +21,8 @@ from holderlab import (
     seminorm_refinement_sweep,
     uniform_grid,
 )
+from holderlab.ifs import compactified_gap_factor, cylinder
+from holderlab.transition import _cylinder_probe_max
 
 
 def rational_dyadic():
@@ -116,6 +121,106 @@ def test_holder_seminorm_modes():
     assert 0 < adj <= pairs
     with pytest.raises(ValueError):
         holder_seminorm(h, 1.0, mode="bogus")
+    with pytest.raises(ValueError):
+        holder_seminorm(h, 1.0, block=0)
+
+
+def brute_seminorm(h, alpha, include_boundary):
+    """All-pairs scan: the reference the pruned "pairs" mode must equal."""
+    pos = np.array([compactify(float(x)) for x in h.nodes])
+    vals = h.values
+    if include_boundary:
+        pos = np.concatenate([[-1.0], pos, [1.0]])
+        vals = np.concatenate([[h.boundary_left], h.values, [h.boundary_right]])
+    best = 0.0
+    for i in range(pos.size - 1):
+        dd = pos[i + 1:] - pos[i]
+        dv = np.abs(vals[i + 1:] - vals[i])
+        keep = dd > 0
+        if keep.any():
+            best = max(best, float((dv[keep] / dd[keep] ** alpha).max()))
+    return best
+
+
+def random_grid(n, seed, node_kind, value_kind):
+    rng = np.random.default_rng(seed)
+    if node_kind == "uniform":
+        nodes = np.linspace(-0.25, 1.25, n)
+    elif node_kind == "random":
+        nodes = np.cumsum(rng.exponential(size=n)) - n / 2
+    else:
+        # magnitudes whose compactified positions tie in float arithmetic
+        nodes = np.unique(rng.choice([-1.0, 1.0], n)
+                          * 10.0 ** rng.uniform(-3, 18, n))
+    n = nodes.size
+    if value_kind == "monotone":
+        values = np.cumsum(rng.exponential(size=n)) / n
+    elif value_kind == "constant":
+        values = np.full(n, rng.uniform())
+    elif value_kind == "tied":
+        values = rng.integers(0, 3, n) * 0.5
+    else:
+        values = rng.standard_normal(n)
+    return GridFunction(nodes, values, float(rng.uniform()), float(rng.uniform()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
+       node_kind=st.sampled_from(["uniform", "random", "huge"]),
+       value_kind=st.sampled_from(["monotone", "constant", "tied", "wild"]),
+       alpha=st.floats(0.0, 1.0, exclude_min=True),
+       include_boundary=st.booleans(),
+       block=st.sampled_from([1, 3, 64, 1000]))
+def test_pairs_seminorm_equals_brute_force(n, seed, node_kind, value_kind,
+                                           alpha, include_boundary, block):
+    h = random_grid(n, seed, node_kind, value_kind)
+    got = holder_seminorm(h, alpha, "pairs", include_boundary, block)
+    assert got == brute_seminorm(h, alpha, include_boundary)
+
+
+SYSTEMS = {
+    "dyadic": (affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0)),
+               ProbVector.of(0.25)),
+    "middle_third": (affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0)),
+                     ProbVector.of(0.3)),
+    "three_branch": (affine_system((4.0, 4.0, 4.0), (0.0, -1.5, -3.0),
+                                   (-0.5, 1.0)),
+                     ProbVector.of(0.2, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_cylinder_probe_table_matches_scalar_cylinders(name):
+    system, p = SYSTEMS[name]
+    n_max, alpha = 60, 0.6
+    s_count = system.branch_count
+    rng = np.random.default_rng(7)
+    words = np.vstack([np.repeat(np.arange(1, s_count + 1)[:, None], n_max, 1),
+                       rng.integers(1, s_count + 1, size=(24, n_max))])
+    table = _cylinder_probe_max(system, p, alpha, words)
+    log_w = np.log([float(w) for w in p.weights])
+    log_s = np.log([float(br.slope) for br in system.branches])
+    diam_o = math.log(system.open_set[1] - system.open_set[0])
+    for n in (1, 2, 5, 17, 40, 60):
+        best = -math.inf
+        for w in words[:, :n]:
+            lo, hi = cylinder(system, w.tolist())
+            log_diam = -float(log_s[w - 1].sum()) + diam_o
+            factor = compactified_gap_factor(float(lo), float(hi))
+            best = max(best, float(log_w[w - 1].sum())
+                       - alpha * (log_diam + math.log(factor)))
+        assert table[n - 1] == pytest.approx(math.exp(best), rel=1e-12)
+
+
+def test_gap_probe_rejects_bad_inputs(dyadic, quarter):
+    for alpha in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            gap_probe(dyadic, quarter, alpha, n_max=10, grid_size=129)
+    for n_max in (0, 1, 2):
+        with pytest.raises(ValueError):
+            gap_probe(dyadic, quarter, 0.5, n_max=n_max, grid_size=129)
+    report = gap_probe(dyadic, quarter, 0.5, n_max=3, grid_size=129)
+    assert math.isfinite(report.slope)
 
 
 def test_gap_probe_dichotomy(dyadic, quarter):

@@ -31,7 +31,7 @@ from .exponents import spectrum_experiment
 from .ifs import ConfigurationError, IFSystem, ProbVector, attractor_hull, \
     system_from_json, system_to_json
 from .takagi import derivative_grids, eval_derivative_point
-from .thermo import PressureCurve, spectrum_point
+from .thermo import PressureCurve, spectrum
 from .transition import cdf_values, eval_cdf, gap_probe
 
 
@@ -277,14 +277,8 @@ def _cmd_spectrum(cfg: RunConfig):
     resolved = {"alpha_grid": alphas, "rigidity_tol": rigidity_tol}
 
     def produce():
-        def at(a):
-            pt = spectrum_point(curve, a)
-            return (pt.alpha, pt.g, pt.beta_argmin)
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(cfg.threads) as pool:
-                rows = list(pool.map(at, alphas))
-        else:
-            rows = [at(a) for a in alphas]
+        rows = [(pt.alpha, pt.g, pt.beta_argmin)
+                for pt in spectrum(cfg.system, cfg.p, alphas, curve=curve)]
         return _csv("alpha,g,beta_argmin", rows)
 
     body = cached_bytes(_request(cfg, **resolved), produce)
@@ -357,6 +351,8 @@ def _cmd_exponent(cfg: RunConfig):
                   "betas")
     word_len = _param(cfg, int, "word_len", 60)
     count = _param(cfg, int, "count", 32)
+    if count < 1 or word_len < 1:
+        raise CliError("'count' and 'word_len' must be at least 1")
     with_emp = bool(cfg.params.get("with_empirical", False))
     scales = cfg.params.get("scales")
     if scales is not None:
@@ -370,17 +366,19 @@ def _cmd_exponent(cfg: RunConfig):
         if with_emp:
             evaluate = lambda xs: cdf_values(cfg.system, cfg.p, xs, tol=1e-14)
 
-        def rows_for(chunk):
-            return spectrum_experiment(cfg.system, cfg.p, chunk,
+        # beta number i is seeded with seed + i on every thread count, so
+        # each row is computed the same way whichever thread computes it
+        def rows_for(i):
+            return spectrum_experiment(cfg.system, cfg.p, [betas[i]],
                                        word_len=word_len, count=count,
-                                       seed=cfg.seed + betas.index(chunk[0]),
-                                       evaluate=evaluate, scales=scales)
+                                       seed=cfg.seed + i, evaluate=evaluate,
+                                       scales=scales)
         if cfg.threads > 1:
             with ThreadPoolExecutor(cfg.threads) as pool:
-                parts = list(pool.map(rows_for, [[b] for b in betas]))
-            rows = [r for part in parts for r in part]
+                parts = list(pool.map(rows_for, range(len(betas))))
         else:
-            rows = rows_for(betas)
+            parts = [rows_for(i) for i in range(len(betas))]
+        rows = [r for part in parts for r in part]
         header = "beta,alpha_pred,g,dyn_mean,dyn_sigma,emp_mean,emp_sigma,count,seed"
         return _csv(header, [tuple(r[k] for k in header.split(","))
                              for r in rows])
@@ -482,7 +480,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("float", "rational"),
                         help="arithmetic mode override")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for row-parallel commands")
+                        help="worker threads for the betas of 'exponent'")
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, out=args.out, seed=args.seed,

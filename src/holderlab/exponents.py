@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, compactified_distance, cylinder, \
+from .ifs import IFSystem, ProbVector, compactified_distance, \
     ergodic_sums, pi_approx
 from .thermo import PressureCurve, gibbs_weights, spectrum_point
 
@@ -46,13 +46,16 @@ def dyn_exponent(system: IFSystem, p: ProbVector, word) -> ExponentTrace:
     s_phi, s_psi = ergodic_sums(system, p, word)
     ratios = tuple(sp / sf for sf, sp in zip(s_phi, s_psi))
 
-    lo, hi = system.open_set
-    dists = []
-    for k in range(n):
-        tail = word[k:]
-        y, _ = pi_approx(system, tail)
-        dists.append(min(compactified_distance(y, lo),
-                         compactified_distance(y, hi)))
+    # cylinder(word[k:]) applies the preimages of word[n-1], ..., word[k] in
+    # turn, so one backward pass yields every tail cylinder
+    o_lo, o_hi = system.open_set
+    lo, hi = o_lo, o_hi
+    dists = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        lo, hi = system.branch(word[k]).preimage_interval(lo, hi)
+        y = lo + (hi - lo) / 2
+        dists[k] = min(compactified_distance(y, o_lo),
+                       compactified_distance(y, o_hi))
 
     back = range(max(1, math.ceil(n / 2)), n + 1)
     liminf = min(ratios[k - 1] for k in back)
@@ -72,45 +75,64 @@ class EmpiricalExponent:
     dropped: tuple      # scales whose oscillation fell at or below the floor
 
 
+_POINTS_PER_SCALE = 33
+_FLOOR = 1e-13
+
+
 def emp_exponent(evaluate: Callable, x: float, scales: Sequence[float],
-                 points_per_scale: int = 33,
-                 floor: float = 1e-13) -> EmpiricalExponent:
+                 points_per_scale: int = _POINTS_PER_SCALE,
+                 floor: float = _FLOOR) -> EmpiricalExponent:
     """Empirical exponent from oscillations of `evaluate` near x.
 
     Each ball of radius r is probed with a two-sided geometric cloud of at
     least `points_per_scale` points spanning three decades below r; the
     oscillation is the largest deviation from the centre value.  Scales
     whose oscillation cannot be distinguished from the evaluator's error
-    floor are dropped before fitting.
+    floor are dropped before fitting.  The centre and all clouds go to
+    `evaluate` in one call, so it must be pointwise (see
+    `spectrum_experiment`).
     """
+    return _empirical(evaluate, [x], scales, points_per_scale, floor)[0]
+
+
+def _empirical(evaluate, xs, scales, points_per_scale, floor) -> list:
+    """emp_exponent at every point of xs, from one call of evaluate."""
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
         raise ValueError("no scales given")
     m = max(2, points_per_scale // 2)
-    fx = float(np.asarray(evaluate(np.array([x])))[0])
+    offs = np.array([np.geomspace(r * 1e-3, r, m) for r in scales])
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    centres = xs[:, None, None]
+    clouds = np.concatenate((centres - offs, centres + offs), axis=2)
+    vals = np.asarray(evaluate(np.concatenate((xs, clouds.ravel()))),
+                      dtype=float)
+    fx = vals[:xs.size, None, None]
+    oscs = np.max(np.abs(vals[xs.size:].reshape(clouds.shape) - fx), axis=2)
+    return [_fit(x, scales, row, floor) for x, row in zip(xs, oscs)]
 
-    used, oscs, dropped = [], [], []
-    for r in scales:
-        offs = np.geomspace(r * 1e-3, r, m)
-        cloud = np.concatenate((x - offs, x + offs))
-        vals = np.asarray(evaluate(cloud), dtype=float)
-        osc = float(np.max(np.abs(vals - fx)))
+
+def _fit(x, scales, oscs, floor) -> EmpiricalExponent:
+    """Log-log fit of one point's oscillations, one per scale."""
+    used, kept, dropped = [], [], []
+    for r, osc in zip(scales, oscs):
+        osc = float(osc)
         if osc <= floor:
             dropped.append(r)
             continue
         used.append(r)
-        oscs.append(osc)
+        kept.append(osc)
 
     if len(used) < 2:
         raise ValueError("fewer than two scales survive the error floor; "
                          "raise the scales or lower the floor")
     logs_r = np.log(used)
-    logs_o = np.log(oscs)
+    logs_o = np.log(kept)
     slope = float(np.polyfit(logs_r, logs_o, 1)[0])
     ratios = tuple(lo / lr for lr, lo in zip(logs_r, logs_o))
     fine = ratios[len(ratios) // 2:]
     return EmpiricalExponent(x=float(x), scales=tuple(used),
-                             oscillations=tuple(oscs), ratios=ratios,
+                             oscillations=tuple(kept), ratios=ratios,
                              slope=slope, window_min=min(fine),
                              dropped=tuple(dropped))
 
@@ -155,8 +177,18 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     Returns one row per beta with the Legendre prediction, dynamical
     statistics over the sampled codings, and (when an evaluator is given)
     empirical statistics at the sampled points.  Rows are plain dicts ready
-    for CSV serialisation.
+    for CSV serialisation.  Beta number i draws its codings with seed
+    seed + i.
+
+    `evaluate` maps an array of points to the array of values there.  It
+    is called once per beta, on the centres and scale clouds of all of
+    that beta's sampled points together, so it must be pointwise: the value
+    at a point may not depend on which other points share the call.
+    `cdf_values` is, because every point walks its own coding.  Raises
+    ValueError unless count and word_len are at least 1.
     """
+    if count < 1 or word_len < 1:
+        raise ValueError("count and word_len must be at least 1")
     if curve is None:
         curve = PressureCurve(system, p)
     if scales is None:
@@ -168,8 +200,8 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
         dyn = np.array([dyn_exponent(system, p, w).liminf_estimate
                         for w in samples.words])
         if evaluate is not None:
-            emp = np.array([emp_exponent(evaluate, x, scales).slope
-                            for x in samples.points])
+            emp = np.array([e.slope for e in _empirical(
+                evaluate, samples.points, scales, _POINTS_PER_SCALE, _FLOOR)])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
         else:
             emp_mean = emp_sigma = float("nan")

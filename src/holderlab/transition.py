@@ -298,7 +298,8 @@ def holder_seminorm(h: GridFunction, alpha: float, mode: str = "pairs",
     scans each block against itself, then scans block pairs in descending
     order of a certified bound on their ratios until the bound falls below
     the running best.  Every ratio it computes is the one an all-pairs scan
-    computes, so the maximum is bit-identical to that scan.
+    computes, so the maximum is bit-identical to that scan.  Raises
+    ValueError if a scanned value is not finite.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -307,6 +308,8 @@ def holder_seminorm(h: GridFunction, alpha: float, mode: str = "pairs",
     if include_boundary:
         pos = np.concatenate([[-1.0], pos, [1.0]])
         vals = np.concatenate([[h.boundary_left], h.values, [h.boundary_right]])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("holder_seminorm needs finite values")
     if mode == "adjacent":
         dv = np.abs(np.diff(vals))
         dd = np.diff(pos)
@@ -328,8 +331,12 @@ _CHUNK_PAIRS = 1 << 18
 
 def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
                block: int) -> float:
-    """Exact max of |vals_j - vals_i| / (pos_j - pos_i)^alpha over pos_j > pos_i
-    for nondecreasing pos, by certified pruning of block pairs."""
+    """Exact max of |vals_j - vals_i| / (pos_j - pos_i)^alpha over index pairs
+    i < j with pos_j > pos_i, by certified pruning of block pairs.
+
+    pos is nondecreasing up to rounding: compactify can put a huge node one
+    ulp below its left neighbour, so the bounds take each block's extreme
+    positions rather than its first and last."""
     n = pos.size
     if n < 2:
         return 0.0
@@ -344,15 +351,17 @@ def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
     diag = np.arange(nb)
     for s in range(0, nb, step):
         best = _block_pairs_max(bpos, bval, diag[s:s + step],
-                                diag[s:s + step], alpha, best)
+                                diag[s:s + step], alpha, best, same=True)
 
     # blocks I < J: every pair gains at most the widest value spread across
-    # them and lies at least the gap between them apart
+    # them and lies at least the gap between them apart; blocks that touch
+    # or overlap have no gap and are always scanned
     bi, bj = np.triu_indices(nb, k=1)
     vmin, vmax = bval.min(axis=1), bval.max(axis=1)
     spread = np.maximum(vmax[bj] - vmin[bi], vmax[bi] - vmin[bj])
+    gap = bpos.min(axis=1)[bj] - bpos.max(axis=1)[bi]
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = spread / (bpos[bj, 0] - bpos[bi, -1]) ** alpha
+        bound = spread / np.maximum(gap, 0.0) ** alpha
     bound[spread == 0] = 0.0
     cand = np.flatnonzero(bound > best * (1 - _PRUNE_SLACK))
     cand = cand[np.argsort(-bound[cand], kind="stable")]
@@ -364,12 +373,14 @@ def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
     return best
 
 
-def _block_pairs_max(bpos, bval, bi, bj, alpha, best):
-    """Running max over the node pairs of block pairs (bi[k], bj[k]), bi <= bj,
-    with the ratio expression of an all-pairs scan."""
+def _block_pairs_max(bpos, bval, bi, bj, alpha, best, same=False):
+    """Running max over the node pairs of block pairs (bi[k], bj[k]), bi < bj,
+    or bi == bj when `same`, with the ratio expression of an all-pairs scan."""
     dd = bpos[bj][:, None, :] - bpos[bi][:, :, None]
     dv = np.abs(bval[bj][:, None, :] - bval[bi][:, :, None])
     keep = dd > 0
+    if same:
+        keep &= np.triu(np.ones(dd.shape[1:], dtype=bool), k=1)
     if keep.any():
         best = max(best, float((dv[keep] / dd[keep] ** alpha).max()))
     return best

@@ -216,6 +216,8 @@ MALFORMED = {
     "text-alpha-grid": ("spectrum", {"alpha_grid": "fine"}, DYADIC),
     "gap-alpha-above-one": ("gap", {"alpha": 1.5}, DYADIC),
     "gap-n-max-one": ("gap", {"alpha": 0.5, "n_max": 1}, DYADIC),
+    "exponent-count-zero": ("exponent", {"count": 0}, DYADIC),
+    "exponent-word-len-zero": ("exponent", {"word_len": 0}, DYADIC),
 }
 
 
@@ -272,11 +274,30 @@ def test_mode_flag_overrides(tmp_path):
     assert "/" in text.splitlines()[2]
 
 
-def test_threads_deterministic(tmp_path):
-    cfg = write_config(tmp_path, "exponent",
-                       {"betas": [0.0, 1.0], "word_len": 30, "count": 4})
-    assert run_cli(cfg) == 0
-    single = (tmp_path / "out" / "exponent.csv").read_bytes()
-    other = tmp_path / "out2"
-    assert run_cli(cfg, "--out", str(other), "--threads", "4") == 0
-    assert (other / "exponent.csv").read_bytes() == single
+def test_threads_deterministic(tmp_path, monkeypatch):
+    for k, betas in enumerate([[0.0, 1.0], [0.5, 0.5]]):
+        run = tmp_path / str(k)
+        run.mkdir()
+        cfg = write_config(run, "exponent",
+                           {"betas": betas, "word_len": 30, "count": 4})
+        monkeypatch.setenv("HOLDERLAB_CACHE", str(run / "cache1"))
+        assert run_cli(cfg) == 0
+        single = (run / "out" / "exponent.csv").read_bytes()
+        # the cache key leaves out --threads, so recompute in a fresh cache
+        monkeypatch.setenv("HOLDERLAB_CACHE", str(run / "cache2"))
+        other = run / "out2"
+        assert run_cli(cfg, "--out", str(other), "--threads", "4") == 0
+        assert (other / "exponent.csv").read_bytes() == single
+        # beta number i is seeded with seed + i, repeated betas included
+        rows = single.decode().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["0", "1"]
+
+
+def test_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import holderlab.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -82,6 +82,12 @@ def test_spectrum_experiment_rows(dyadic, quarter):
     assert rows[0]["seed"] == 9 and rows[1]["seed"] == 10
 
 
+@pytest.mark.parametrize("sizes", [{"count": 0}, {"word_len": 0}])
+def test_spectrum_experiment_rejects_empty_samples(dyadic, quarter, sizes):
+    with pytest.raises(ValueError):
+        spectrum_experiment(dyadic, quarter, [0.0], **sizes)
+
+
 def test_spectrum_experiment_with_evaluator(dyadic, half):
     evaluate = lambda xs: cdf_values(dyadic, half, xs, tol=1e-14)
     rows = spectrum_experiment(dyadic, half, [0.0], word_len=60, count=4,

@@ -18,6 +18,7 @@ from holderlab import (
     spectrum,
     spectrum_point,
 )
+from holderlab.thermo import _brentq
 
 LOG43_LOG2 = 0.4150374992788437      # log(4/3)/log 2
 LOG2_LOG3 = 0.6309297535714574       # log 2 / log 3
@@ -138,3 +139,88 @@ def test_sandwich_matches_affine_closed_form(quarter):
     assert hi == pytest.approx(exact, abs=1e-12)
     root = solve_pressure_root(system, quarter, 0.0, level=6)
     assert root == pytest.approx(1.0, abs=1e-9)
+
+
+def random_affine(k, seed):
+    """k full branches of slopes in [k, k + 4] laid side by side on (0, 1),
+    with seeded weights of at least about 0.01."""
+    rng = np.random.default_rng(seed)
+    slopes = rng.uniform(k, k + 4, k)
+    starts = np.concatenate([[0.0], np.cumsum(1 / slopes)[:-1]])
+    system = affine_system(tuple(slopes), tuple(-slopes * starts), (0.0, 1.0))
+    raw = rng.uniform(0.05, 1.0, k)
+    return system, ProbVector.of(tuple(raw[:-1] / raw.sum()))
+
+
+@given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       beta=st.floats(-60.0, 60.0))
+@settings(max_examples=60, deadline=None)
+def test_array_roots_and_spectrum_properties(k, seed, beta):
+    system, p = random_affine(k, seed)
+    curve = PressureCurve(system, p)
+    h = 1e-4
+    (_, t, tp), (_, t_lo, _), (_, t_hi, _) = curve.samples(
+        [beta, beta - h, beta + h])
+    lo, hi = pressure(system, p, t, beta)
+    assert abs(lo) <= 1e-13
+    assert t == pytest.approx(solve_pressure_root(system, p, beta),
+                              abs=1e-13)
+    assert tp == pytest.approx((t_hi - t_lo) / (2 * h), abs=1e-6)
+
+    ep = curve.endpoints
+    out_tol = 1e-9
+    # the slopes at 0 and at the bracket ends decide the markers
+    (_, t0, tp0), (_, t_neg, tp_neg), (_, t_pos, tp_pos) = curve.samples(
+        [0.0, -60.0, 60.0])
+    alphas = np.concatenate([np.linspace(ep.alpha_minus - 0.05,
+                                         ep.alpha_plus + 0.05, 41),
+                             [ep.alpha_minus, ep.alpha_plus, ep.alpha_zero,
+                              -tp]])
+    pts = spectrum(system, p, alphas, curve=curve)
+    for a, pt in zip(alphas, pts):
+        assert pt.alpha == a
+        empty = a < ep.alpha_minus - out_tol or a > ep.alpha_plus + out_tol
+        assert pt.empty == empty
+        if empty:
+            assert math.isnan(pt.g) and math.isnan(pt.beta_argmin)
+            assert not pt.clamped
+            continue
+        tie = abs(tp0 + a) <= 1e-13
+        at_pos = not tie and tp_pos + a <= 0
+        at_neg = not tie and not at_pos and tp_neg + a >= 0
+        assert pt.clamped == (at_pos or at_neg)
+        b = pt.beta_argmin
+        if tie:
+            assert b == 0.0 and pt.g == t0
+        elif at_pos:
+            assert b == 60.0 and pt.g == t_pos + 60.0 * a
+        elif at_neg:
+            assert b == -60.0 and pt.g == t_neg - 60.0 * a
+        else:
+            assert -60.0 < b < 60.0
+            assert abs(curve.t_prime(b) + a) <= 1e-12
+            assert pt.g == pytest.approx(curve.t(b) + b * a, abs=1e-12)
+    # spectrum_point is the one-exponent case of the same solve
+    for a, pt in zip(alphas[-4:], pts[-4:]):
+        one = spectrum_point(curve, a)
+        assert (one.empty, one.clamped) == (pt.empty, pt.clamped)
+        assert one.g == pytest.approx(pt.g, abs=1e-12)
+
+
+def test_brentq_known_roots():
+    assert _brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-15) == \
+        pytest.approx(0.7390851332151607, abs=1e-15)
+    assert _brentq(lambda x: x ** 3 - 2, -4.0, 4.0, xtol=1e-15) == \
+        pytest.approx(2 ** (1 / 3), abs=1e-15)
+    assert _brentq(lambda x: 3 * x - 1, 0.0, 1.0, xtol=2e-12) == \
+        pytest.approx(1 / 3, abs=2e-12)
+    # a root at either end is returned without iterating
+    assert _brentq(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-12) == 2.0
+    assert _brentq(lambda x: x - 5.0, 2.0, 5.0, xtol=1e-12) == 5.0
+
+
+def test_brentq_rejects_unbracketed_interval():
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-12)
+    with pytest.raises(ValueError):
+        _brentq(lambda x: x, -1.0, 1.0, xtol=0.0)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holderlab import (
@@ -123,6 +123,15 @@ def test_holder_seminorm_modes():
         holder_seminorm(h, 1.0, mode="bogus")
     with pytest.raises(ValueError):
         holder_seminorm(h, 1.0, block=0)
+    # a non-finite value is an error in both modes, not a skipped node
+    nodes = np.linspace(0.0, 1.0, 200)
+    values = nodes.copy()
+    values[77] = np.nan
+    for mode in ("pairs", "adjacent"):
+        with pytest.raises(ValueError):
+            holder_seminorm(GridFunction(nodes, values), 0.5, mode=mode)
+    with pytest.raises(ValueError):
+        holder_seminorm(GridFunction(nodes, nodes, 0.0, np.inf), 0.5)
 
 
 def brute_seminorm(h, alpha, include_boundary):
@@ -165,6 +174,11 @@ def random_grid(n, seed, node_kind, value_kind):
 
 
 @settings(max_examples=150, deadline=None)
+# compactify puts some huge nodes one ulp below their left neighbour
+@example(n=479, seed=1, node_kind="huge", value_kind="wild", alpha=1.0,
+         include_boundary=True, block=3)
+@example(n=122, seed=3681911326, node_kind="huge", value_kind="tied",
+         alpha=1.0, include_boundary=True, block=1000)
 @given(n=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
        node_kind=st.sampled_from(["uniform", "random", "huge"]),
        value_kind=st.sampled_from(["monotone", "constant", "tied", "wild"]),

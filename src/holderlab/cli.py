@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -108,8 +109,8 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
     if extra:
         raise CliError(f"unknown {command} parameters {sorted(extra)}")
     for key in _TOL_KEYS & set(params):
-        if not (_num(float, params[key], key) > 0):
-            raise CliError(f"parameter {key} must be positive")
+        if not 0 < _num(float, params[key], key) < math.inf:
+            raise CliError(f"parameter {key} must be positive and finite")
 
     out_dir = out if out is not None else doc.get("out")
     if out_dir is None:
@@ -144,6 +145,10 @@ def _param(cfg: RunConfig, cast, key: str, default):
 
 
 def _grid(cfg: RunConfig, size: int, margin: float):
+    if size < 2:
+        raise CliError("'grid_size' must be at least 2")
+    if not math.isfinite(margin):
+        raise CliError("'margin' must be finite")
     a, b = attractor_hull(cfg.system)
     if cfg.mode == "rational":
         a, b = Fraction(a), Fraction(b)
@@ -389,6 +394,8 @@ def _cmd_exponent(cfg: RunConfig):
 
 def _cmd_conjugacy(cfg: RunConfig):
     count = _param(cfg, int, "sample_count", 1000)
+    if count < 1:
+        raise CliError("'sample_count' must be at least 1")
     tol = _param(cfg, float, "tol", 1e-10)
     exclusion = _param(cfg, float, "exclusion", 1e-6)
     resolved = {"sample_count": count, "tol": tol, "exclusion": exclusion,
@@ -408,6 +415,8 @@ def _cmd_conjugacy(cfg: RunConfig):
 def _cmd_report(cfg: RunConfig):
     tol = _param(cfg, float, "tol", 1e-9)
     count = _param(cfg, int, "sample_count", 256)
+    if count < 1:
+        raise CliError("'sample_count' must be at least 1")
     sizes = tuple(_nums(int, cfg.params.get("grid_sizes", (1025, 2049, 4097)),
                         "grid_sizes"))
     resolved = {"tol": tol, "sample_count": count, "grid_sizes": list(sizes),

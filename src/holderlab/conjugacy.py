@@ -4,7 +4,7 @@ Every weight vector induces a full-branch linear system whose branch i has
 slope 1/p_i and maps [sum_{j<i} p_j, sum_{j<=i} p_j] onto [0, 1].  The limit
 cdf of the original system, restricted to its attractor, conjugates the
 original dynamics to this model.  The coordinate map is computed through
-the symbolic coding (a code path independent of the cdf evaluator), the
+the symbolic coding, on the coding walk that the cdf evaluator shares, the
 conjugacy identity is checked on sampled points, and the rigidity dichotomy
 is decided by comparing the extremal exponents.
 """
@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, affine_system, attractor_hull, \
-    cylinder, encode, hull_preimages
+from .ifs import IFSystem, OutsideHullError, ProbVector, _walk, \
+    affine_system, attractor_hull, hull_preimages, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, cdf_values, holder_seminorm
 
@@ -43,25 +43,25 @@ def linear_model(p: ProbVector) -> IFSystem:
 def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     """Linear-model coordinate of a point, via its symbolic coding.
 
-    The point is coded deep enough that the coding cylinder in the linear
-    model has diameter at most tol, and the cylinder midpoint is returned.
-    A point inside an attractor gap gets the exact common value of the two
-    bracketing codings.  Exact inputs (rational weights and coordinate)
-    return exact rationals.
+    The cdf walk codes the point deep enough that its coding cylinder in
+    the linear model, [acc, acc + mass], has diameter at most tol, and the
+    cylinder midpoint is returned.  A point inside an attractor gap gets
+    the exact common value of the two bracketing codings.  Exact inputs
+    (rational weights and coordinate) return exact rationals.
     """
     pmax = max(float(w) for w in p.weights)
     depth = max(8, math.ceil(math.log(tol) / math.log(pmax)))
-    enc = encode(system, x, depth)
-    lin = linear_model(p)
-    if enc.gap:
-        y = x
-        for s in enc.word:
-            y = system.branch(s)(y)
-        pre = hull_preimages(system)
-        after = min(i for i, (u, _) in enumerate(pre, start=1) if u > y)
-        return cylinder(lin, enc.word + (after,))[0]
-    lo, hi = cylinder(lin, enc.word)
-    return lo + (hi - lo) / 2
+    a, b = attractor_hull(system)
+    if x < a or x > b:
+        raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
+    left = [p.left_mass(sym) for sym in range(1, len(p) + 2)]
+    acc, mass = (Fraction(0), Fraction(1)) if p.is_rational else (0.0, 1.0)
+    for _, sym, gap in _walk(system, x, depth, hull_preimages(system)):
+        acc += mass * left[sym - 1]
+        if gap:
+            return acc
+        mass *= p[sym]
+    return acc + mass / 2
 
 
 def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
@@ -83,29 +83,27 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     syms = system.symbols()
     word_len = 48
 
-    def boundary_close(x):
-        y = x
-        for _ in range(12):
-            sym = next((i for i, (u, v) in enumerate(pre, start=1)
-                        if u <= y <= v), None)
-            if sym is None:
-                return False  # entered a gap; no endpoint collision ahead
+    def first_symbol(x):
+        """The first coding symbol of x, or None for a rejected point."""
+        first = None
+        for y, sym, gap in _walk(system, x, 12, pre):
+            if gap:
+                break  # no endpoint collision ahead
             u, v = pre[sym - 1]
             if min(y - u, v - y) < exclusion:
-                return True
-            y = system.branch(sym)(y)
-        return False
+                return None
+            first = first or sym
+        return first
 
     worst = 0.0
     produced = 0
     while produced < sample_count:
         word = tuple(int(s) for s in rng.choice(syms, size=word_len))
-        lo, hi = cylinder(system, word)
-        x = lo + (hi - lo) / 2
-        if boundary_close(x):
+        x = pi_approx(system, word)[0]
+        sym = first_symbol(x)
+        if sym is None:
             continue
         produced += 1
-        sym = next(i for i, (u, v) in enumerate(pre, start=1) if u <= x <= v)
         fx = system.branch(sym)(x)
         lhs = phi(system, p, fx, tol=tol)
         rhs = lin.branch(sym)(phi(system, p, x, tol=tol))

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, compactified_distance, \
-    ergodic_sums, pi_approx
+from .ifs import IFSystem, ProbVector, _tail_midpoints, \
+    compactified_distance, ergodic_sums, pi_approx
 from .thermo import PressureCurve, gibbs_weights, spectrum_point
 
 
@@ -46,16 +46,9 @@ def dyn_exponent(system: IFSystem, p: ProbVector, word) -> ExponentTrace:
     s_phi, s_psi = ergodic_sums(system, p, word)
     ratios = tuple(sp / sf for sf, sp in zip(s_phi, s_psi))
 
-    # cylinder(word[k:]) applies the preimages of word[n-1], ..., word[k] in
-    # turn, so one backward pass yields every tail cylinder
     o_lo, o_hi = system.open_set
-    lo, hi = o_lo, o_hi
-    dists = [0.0] * n
-    for k in range(n - 1, -1, -1):
-        lo, hi = system.branch(word[k]).preimage_interval(lo, hi)
-        y = lo + (hi - lo) / 2
-        dists[k] = min(compactified_distance(y, o_lo),
-                       compactified_distance(y, o_hi))
+    dists = [min(compactified_distance(y, o_lo), compactified_distance(y, o_hi))
+             for y in _tail_midpoints(system, word)]
 
     back = range(max(1, math.ceil(n / 2)), n + 1)
     liminf = min(ratios[k - 1] for k in back)

@@ -417,20 +417,34 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     a, b = attractor_hull(system)
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
-    pre = hull_preimages(system)
     word = []
-    y = x
-    for _ in range(depth):
-        sym = None
-        for i, (u, v) in enumerate(pre, start=1):
-            if u <= y <= v:
-                sym = i
-                break
-        if sym is None:
+    for _, sym, gap in _walk(system, x, depth, hull_preimages(system)):
+        if gap:
             return EncodeResult(word=tuple(word), gap=True)
         word.append(sym)
-        y = system.branch(sym)(y)
     return EncodeResult(word=tuple(word), gap=False)
+
+
+def _walk(system: IFSystem, x, depth: int, pre):
+    """Coding walk of x: yields (y, sym, gap) for at most depth steps.
+
+    y is the orbit point before the step and sym the smallest index whose
+    window in pre = hull_preimages(system) holds it; the walk then applies
+    that branch.  In a gap, sym is the first window right of y (len(pre)
+    + 1 right of them all), gap is True and the walk stops.
+    """
+    y = x
+    for _ in range(depth):
+        for sym, (u, v) in enumerate(pre, start=1):
+            if y <= v:
+                break
+        else:
+            sym += 1
+        if not u <= y <= v:
+            yield y, sym, True
+            return
+        yield y, sym, False
+        y = system.branch(sym)(y)
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):
@@ -449,21 +463,27 @@ def ergodic_sums(system: IFSystem, p: ProbVector, word: Sequence[int]):
     controlled by the distortion of the system.
     """
     word = tuple(word)
-    n = len(word)
+    mids = None if system.is_affine else _tail_midpoints(system, word)
     s_phi, s_psi = [], []
     tphi = tpsi = 0.0
-    for k in range(n):
-        br = system.branch(word[k])
-        if br.is_affine:
-            deriv = float(br.slope)
-        else:
-            point, _ = pi_approx(system, word[k:])
-            deriv = br.derivative(point)
+    for k, sym in enumerate(word):
+        br = system.branch(sym)
+        deriv = float(br.slope) if br.is_affine else br.derivative(mids[k])
         tphi -= math.log(deriv)
-        tpsi += math.log(float(p[word[k]]))
+        tpsi += math.log(float(p[sym]))
         s_phi.append(tphi)
         s_psi.append(tpsi)
     return s_phi, s_psi
+
+
+def _tail_midpoints(system: IFSystem, word: Sequence[int]) -> list:
+    """pi_approx(system, word[k:])[0] for every k, by one backward pass."""
+    lo, hi = system.open_set
+    mids = [None] * len(word)
+    for k in range(len(word) - 1, -1, -1):
+        lo, hi = system.branch(word[k]).preimage_interval(lo, hi)
+        mids[k] = lo + (hi - lo) / 2
+    return mids
 
 
 def distortion_constant(system: IFSystem, depth: int, samples: int = 5,

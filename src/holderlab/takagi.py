@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, attractor_hull, hull_preimages
-from .transition import GridFunction, apply_transition, cdf_values, eval_cdf
+from .ifs import IFSystem, ProbVector, _walk, attractor_hull, hull_preimages
+from .transition import GridFunction, apply_transition, cdf_values
 
 # ---------------------------------------------------------------------------
 # multi-index bookkeeping
@@ -193,45 +192,30 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
 
     a, b = attractor_hull(system)
     rational = p.is_rational and system.is_rational
-    zero = Fraction(0) if rational else 0.0
+    zero, one = (Fraction(0), Fraction(1)) if rational else (0.0, 1.0)
     if x <= a or x >= b:
         return zero, 0.0
 
-    indices = index_set(order)
-    pos = _positions(indices)
-    row = pos[order]
-    d = len(indices)
     steps = {i: step_matrix(i, p, order) for i in range(1, s + 2)}
     cols = {i: steps[i][:, 0].copy() for i in range(1, s + 2)}
-    pre = hull_preimages(system)
-
-    prefix = np.zeros((d, d), dtype=object if rational else float)
-    for i in range(d):
-        prefix[i, i] = Fraction(1) if rational else 1.0
-    value = zero
-    mass = Fraction(1) if rational else 1.0
-    y = x
-    for _ in range(depth):
+    # row `order` of the prefix step product, the only row read; `order`
+    # sorts last in its index box
+    r = np.zeros(len(cols[1]), dtype=object if rational else float)
+    r[-1] = one
+    value, mass = zero, one
+    for y, sym, gap in _walk(system, x, depth, hull_preimages(system)):
         if y == a:
             return value, 0.0
         if y == b:
-            tail = _parked_tail(steps[s + 1], cols, s, rational)
-            return value + np.dot(prefix, tail)[row], 0.0
-        sym = None
-        for i, (u, v) in enumerate(pre, start=1):
-            if u <= y <= v:
-                sym = i
-                break
-        if sym is None:
-            for i, (_, v) in enumerate(pre, start=1):
-                if v < y:
-                    value = value + np.dot(prefix, cols[i])[row]
-            return value, 0.0
+            return value + np.dot(r, _parked_tail(steps[s + 1], cols, s,
+                                                  rational)), 0.0
+        # left siblings; in a gap, the windows left of y
         for j in range(1, sym):
-            value = value + np.dot(prefix, cols[j])[row]
-        prefix = np.dot(prefix, steps[sym])
+            value = value + np.dot(r, cols[j])
+        if gap:
+            return value, 0.0
+        r = np.dot(r, steps[sym])
         mass *= p[sym]
-        y = system.branch(sym)(y)
         if tol and float(mass) <= tol:
             break
     if growth_bound is None:
@@ -245,9 +229,7 @@ def _parked_tail(step_last, cols, s, rational):
     step; the remaining contribution of an orbit parked on the right hull
     endpoint is prefix @ w."""
     d = step_last.shape[0]
-    c = np.zeros(d, dtype=object if rational else float)
-    for j in range(1, s + 1):
-        c = c + cols[j]
+    c = sum(cols[j] for j in range(1, s + 1))
     m = -step_last.copy()
     for i in range(d):
         m[i, i] = m[i, i] + (Fraction(1) if rational else 1.0)

@@ -25,6 +25,7 @@ from .ifs import (
     compactify,
     compactified_gap_factor,
     hull_preimages,
+    _walk,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,45 +99,50 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    return _cdf_walk(system, p, [x], tol, max_depth)[0]
+
+
+def _cdf_walk(system: IFSystem, p: ProbVector, xs, tol: float,
+              max_depth: int) -> list:
+    """eval_cdf at every point of xs, from one hull and weight table; tol
+    may be 0, which walks until decided or max_depth."""
     a, b = attractor_hull(system)
-    if x <= a:
-        return (Fraction(0) if p.is_rational else 0.0), 0.0
-    if x >= b:
-        return (Fraction(1) if p.is_rational else 1.0), 0.0
     pre = hull_preimages(system)
     exact = p.is_rational and system.is_rational
-    acc = Fraction(0) if exact else 0.0
-    mass = Fraction(1) if exact else 1.0
-    y = x
-    depth = 0
-    while float(mass) > tol and depth < max_depth:
-        if y == a:
-            return acc, 0.0
-        if y == b:
-            return acc + mass, 0.0
-        sym = None
-        for i, (u, v) in enumerate(pre, start=1):
-            if u <= y <= v:
-                sym = i
+    acc0, mass0 = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    lo_val, hi_val = (Fraction(0), Fraction(1)) if p.is_rational else (0.0, 1.0)
+    left = [p.left_mass(sym) for sym in range(1, len(p) + 2)]
+
+    def point(x):
+        if x <= a:
+            return lo_val, 0.0
+        if x >= b:
+            return hi_val, 0.0
+        acc, mass = acc0, mass0
+        for y, sym, gap in _walk(system, x, max_depth, pre):
+            if float(mass) <= tol:
                 break
-        if sym is None:
-            # gap: branches whose preimage window lies left of y escape up
-            up = sum(p[i] for i, (_, v) in enumerate(pre, start=1) if v < y)
-            return acc + mass * up, 0.0
-        acc += mass * p.left_mass(sym)
-        mass *= p[sym]
-        y = system.branch(sym)(y)
-        depth += 1
-    return acc, float(mass)
+            if y == a:
+                return acc, 0.0
+            if y == b:
+                return acc + mass, 0.0
+            # in a gap, the branches whose windows lie left of y escape up
+            acc += mass * left[sym - 1]
+            if gap:
+                return acc, 0.0
+            mass *= p[sym]
+        return acc, float(mass)
+
+    return [point(x) for x in xs]
 
 
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
-    """Vectorised eval_cdf over an array of points (affine fast path)."""
+    """Vectorised eval_cdf over an array of points; tol may be 0."""
     xs = np.asarray(xs, dtype=float)
     if not system.is_affine:
-        return np.array([float(eval_cdf(system, p, float(x), tol)[0])
-                         for x in xs.ravel()]).reshape(xs.shape)
+        pts = _cdf_walk(system, p, xs.ravel().tolist(), tol, max_depth)
+        return np.array([float(v) for v, _ in pts]).reshape(xs.shape)
     out, _, _, _ = _orbit_tables(system, p, xs.ravel(), tol=tol,
                                  max_depth=max_depth, keep_steps=False)
     return out.reshape(xs.shape)
@@ -161,12 +167,11 @@ def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
     u = np.array([float(lo) for lo, _ in pre])
     v = np.array([float(hi) for _, hi in pre])
     weights = np.array([float(w) for w in p.weights])
-    left_mass = np.concatenate([[0.0], np.cumsum(weights)[:-1]])
+    cum = np.concatenate([[0.0], np.cumsum(weights)])
 
     y = xs.astype(float).copy()
     acc = np.zeros_like(y)
     mass = np.ones_like(y)
-    acc[y <= a] = 0.0
     mass[y <= a] = 0.0
     acc[y >= b] = 1.0
     mass[y >= b] = 0.0
@@ -195,8 +200,8 @@ def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
             sym = np.argmax(inside, axis=0)  # min index wins at ties
             escaped_up = (v[:, None] < ya).sum(axis=0)
 
-            add = np.where(has, left_mass[sym], np.cumsum(weights)[
-                np.maximum(escaped_up - 1, 0)] * (escaped_up > 0))
+            # in a gap, the branches whose windows lie left of y escape up
+            add = cum[np.where(has, sym, escaped_up)]
             acc_a = acc[active] + mass[active] * add
             mass_a = mass[active] * np.where(has, weights[sym], 0.0)
             y_a = np.where(has, slopes[sym] * ya + intercepts[sym], ya)

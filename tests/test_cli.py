@@ -17,6 +17,10 @@ DYADIC = {
     "p": [0.25],
     "mode": "float",
 }
+RATIONAL = dict(DYADIC, mode="rational",
+                branches=[{"slope": 2, "intercept": 0},
+                          {"slope": 2, "intercept": -1}],
+                open_set=[0, 1], p=["1/4"])
 
 
 @pytest.fixture(autouse=True)
@@ -218,6 +222,19 @@ MALFORMED = {
     "gap-n-max-one": ("gap", {"alpha": 0.5, "n_max": 1}, DYADIC),
     "exponent-count-zero": ("exponent", {"count": 0}, DYADIC),
     "exponent-word-len-zero": ("exponent", {"word_len": 0}, DYADIC),
+    "eval-t-tol-inf": ("eval-t", {"tol": "inf"}, DYADIC),
+    "conjugacy-tol-inf": ("conjugacy", {"tol": "inf"}, DYADIC),
+    "conjugacy-exclusion-inf": ("conjugacy", {"exclusion": "inf"}, DYADIC),
+    "spectrum-rigidity-tol-inf": ("spectrum", {"rigidity_tol": "inf"}, DYADIC),
+    "eval-t-margin-nan": ("eval-t", {"margin": "nan"}, DYADIC),
+    "eval-t-margin-nan-rational": ("eval-t", {"margin": "nan"}, RATIONAL),
+    "eval-t-grid-size-one": ("eval-t", {"grid_size": 1}, DYADIC),
+    "eval-t-grid-size-one-rational": ("eval-t", {"grid_size": 1}, RATIONAL),
+    "eval-t-grid-size-negative": ("eval-t", {"grid_size": -5}, DYADIC),
+    "eval-t-grid-size-negative-rational": ("eval-t", {"grid_size": -5},
+                                           RATIONAL),
+    "conjugacy-sample-count-zero": ("conjugacy", {"sample_count": 0}, DYADIC),
+    "report-sample-count-negative": ("report", {"sample_count": -3}, DYADIC),
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holderlab import (
+    OutsideHullError,
     ProbVector,
     affine_system,
     cdf_values,
@@ -47,6 +48,9 @@ def test_phi_examples(dyadic, cantor, quarter):
     assert phi(dyadic, quarter, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert phi(dyadic, quarter, 0.5) == pytest.approx(0.25, abs=1e-12)
     assert phi(cantor, ProbVector.of(0.5), 1.0) == pytest.approx(1.0, abs=1e-12)
+    for x in (-0.1, 1.5):
+        with pytest.raises(OutsideHullError):
+            phi(dyadic, quarter, x)
 
 
 def test_phi_gap_point_exact(cantor, quarter):

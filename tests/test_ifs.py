@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from holderlab import (
     Branch,
     ConfigurationError,
+    EncodeResult,
+    IFSystem,
     OutsideHullError,
     ProbVector,
     affine_system,
@@ -19,6 +21,9 @@ from holderlab import (
     distortion_constant,
     encode,
     ergodic_sums,
+    eval_cdf,
+    eval_derivative_point,
+    phi,
     pi_approx,
     system_from_json,
     system_to_json,
@@ -80,8 +85,28 @@ def test_encode_examples(dyadic, cantor):
     assert encode(dyadic, 1.0, 3).word == (2, 2, 2)
     enc = encode(cantor, 0.5, 5)
     assert enc.gap and enc.word == ()
+    assert encode(dyadic, 0.3, 0) == EncodeResult(word=(), gap=False)
     with pytest.raises(OutsideHullError):
         encode(dyadic, 1.5, 3)
+
+
+def test_walk_one_branch_at_ties_and_gaps(dyadic, cantor, quarter):
+    # at shared endpoints every walk takes the smaller branch: its
+    # linear-model cylinder lies left of the cdf value there, which
+    # telescopes no left sibling into the derivative
+    for x, depth, value in ((0.25, 2, 1 / 16), (0.5, 1, 1 / 4)):
+        assert encode(dyadic, x, depth) == EncodeResult((1,) * depth, False)
+        assert eval_cdf(dyadic, quarter, x, max_depth=depth) == \
+            (0.0, 0.25 ** depth)
+        assert eval_derivative_point(dyadic, quarter, (1,), x, depth=depth,
+                                     growth_bound=1.0)[0] == 0.0
+        assert value - 1e-6 < phi(dyadic, quarter, x, tol=1e-6) < value
+    # in a gap every walk stops with the first branch left of the point
+    for x in (0.4, 0.65):
+        assert encode(cantor, x, 5) == EncodeResult((), True)
+        assert eval_cdf(cantor, quarter, x) == (0.25, 0.0)
+        assert phi(cantor, quarter, x) == 0.25
+        assert eval_derivative_point(cantor, quarter, (1,), x) == (1.0, 0.0)
 
 
 def test_encode_pi_roundtrip(dyadic):
@@ -160,6 +185,29 @@ def test_ergodic_sums_affine(dyadic, quarter):
     s_phi, s_psi = ergodic_sums(dyadic, quarter, (1, 2, 2))
     assert s_phi[2] == pytest.approx(-3 * math.log(2))
     assert s_psi[2] == pytest.approx(math.log(0.25) + 2 * math.log(0.75))
+
+
+def test_ergodic_sums_match_suffix_cylinders(quarter):
+    # a quadratic left branch: derivatives at the midpoint of each suffix
+    # cylinder, as pi_approx defines it
+    system = IFSystem(branches=(
+        Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
+                      dfn=lambda x: 2.5 - x,
+                      inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y)),
+        Branch.custom(fn=lambda x: 2 * x - 1, dfn=lambda x: 2.0,
+                      inv=lambda y: (y + 1) / 2)),
+        open_set=(0.0, 1.0), expansion=1.5)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 50):
+        word = tuple(int(s) for s in rng.integers(1, 3, size=n))
+        s_phi, s_psi, tphi, tpsi = [], [], 0.0, 0.0
+        for k, sym in enumerate(word):
+            mid = pi_approx(system, word[k:])[0]
+            tphi -= math.log(system.branch(sym).derivative(mid))
+            tpsi += math.log(quarter[sym])
+            s_phi.append(tphi)
+            s_psi.append(tpsi)
+        assert ergodic_sums(system, quarter, word) == (s_phi, s_psi)
 
 
 def test_distortion_constant_affine(dyadic):

@@ -75,6 +75,25 @@ def test_cdf_values_matches_scalar(dyadic, quarter):
         assert eval_cdf(dyadic, quarter, x, tol=1e-13)[0] == pytest.approx(v, abs=1e-13)
 
 
+def test_cdf_values_custom_branches_match_affine(dyadic, quarter):
+    # the scalar walk for callable branches honours tol and max_depth as
+    # the array walk does, tol=0 included
+    from holderlab import Branch, IFSystem
+    twin = IFSystem(branches=(
+        Branch.custom(fn=lambda x: 2 * x, dfn=lambda x: 2.0,
+                      inv=lambda y: y / 2),
+        Branch.custom(fn=lambda x: 2 * x - 1, dfn=lambda x: 2.0,
+                      inv=lambda y: (y + 1) / 2)),
+        open_set=(0.0, 1.0), expansion=2.0)
+    xs = np.concatenate([np.linspace(-0.25, 1.25, 97),
+                         np.random.default_rng(0).uniform(0, 1, 64)])
+    for kwargs in ({}, {"tol": 0.0, "max_depth": 50},
+                   {"tol": 1e-6, "max_depth": 10}):
+        np.testing.assert_allclose(cdf_values(twin, quarter, xs, **kwargs),
+                                   cdf_values(dyadic, quarter, xs, **kwargs),
+                                   rtol=0, atol=1e-12)
+
+
 def test_functional_equation_on_aligned_grid(dyadic, quarter):
     # dyadic nodes map to dyadic nodes, so interpolation is exact and the
     # fixed-point residual is pure roundoff

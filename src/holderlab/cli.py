@@ -4,7 +4,8 @@ A single JSON config names the system, the weights, one command, and its
 parameters.  Outputs are CSV/JSON files written atomically into the output
 directory together with a manifest listing every artifact.  Heavy results
 are memoised in a content-addressed cache keyed by the full request, so a
-repeated run returns byte-identical files without recomputation.
+repeated run returns byte-identical files without recomputation.  Every
+command's parameters are declared once, in `PARAMS`.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -40,22 +42,53 @@ class CliError(Exception):
     """Configuration-level problem; maps to exit code 1."""
 
 
-COMMANDS = ("eval-t", "eval-c", "spectrum", "pressure", "gap", "exponent",
-            "conjugacy", "report")
+_REQUIRED = object()     # default of a parameter the config must give
+_SEED = ("int", 0, ">= 0")
+_MARGIN = ("num", 0.25, "> -0.5")   # keeps the grid nodes increasing
 
-# Per-command parameter whitelists; unknown keys are configuration errors.
-_PARAM_KEYS = {
-    "eval-t": {"grid_size", "margin", "tol"},
-    "eval-c": {"order", "grid_size", "margin", "terms", "tol", "depth"},
-    "spectrum": {"alpha_grid", "rigidity_tol"},
-    "pressure": {"beta_grid", "rigidity_tol"},
-    "gap": {"alpha", "n_max", "grid_size", "margin", "probe_words", "seed"},
-    "exponent": {"betas", "word_len", "count", "seed", "with_empirical",
-                 "scales"},
-    "conjugacy": {"sample_count", "tol", "exclusion", "seed"},
-    "report": {"tol", "sample_count", "seed", "grid_sizes"},
+# Every command's parameters as {name: (kind, default, range)}; any other
+# key, or a value of another kind or outside its range, is a configuration
+# error.  Kinds: "int" (a JSON integer, an integral number or an integer
+# string, never a boolean), "num" (a finite JSON number or numeric string),
+# "bool" (JSON true or false), "int[]" and "num[]" (non-empty lists, the
+# range applying to each entry), and a table of its own for a grid layout:
+# an object with those keys, or an explicit "num[]" list.  A range is a
+# comma-separated list of "op bound" conditions.  A None default leaves
+# the choice to the library.  The filled-in parameters go into the
+# manifest and the cache key as they are.
+PARAMS = {
+    "eval-t": {"grid_size": ("int", 4097, ">= 2"), "margin": _MARGIN,
+               "tol": ("num", 1e-12, "> 0")},
+    "eval-c": {"order": ("int[]", _REQUIRED, ">= 0"),
+               "grid_size": ("int", 1025, ">= 2"), "margin": _MARGIN,
+               "terms": ("int", 80, ">= 1"), "tol": ("num", 1e-12, "> 0"),
+               "depth": ("int", 80, ">= 1")},
+    "spectrum": {"alpha_grid": ({"count": ("int", 201, ">= 1")}, {}, ""),
+                 "rigidity_tol": ("num", 1e-9, "> 0")},
+    "pressure": {"beta_grid": ({"lo": ("num", -10.0, ""),
+                                "hi": ("num", 10.0, ""),
+                                "count": ("int", 81, ">= 1")}, {}, ""),
+                 "rigidity_tol": ("num", 1e-9, "> 0")},
+    "gap": {"alpha": ("num", _REQUIRED, "> 0, <= 1"),
+            "n_max": ("int", 60, ">= 3"), "grid_size": ("int", 8193, ">= 2"),
+            "margin": _MARGIN, "probe_words": ("int", 64, ">= 0"),
+            "seed": _SEED},
+    "exponent": {"betas": ("num[]", [float(b) for b in range(-4, 5)], ""),
+                 "word_len": ("int", 60, ">= 1"),
+                 "count": ("int", 32, ">= 1"), "seed": _SEED,
+                 "with_empirical": ("bool", False, ""),
+                 "scales": ("num[]", None, "> 0")},
+    "conjugacy": {"sample_count": ("int", 1000, ">= 1"),
+                  "tol": ("num", 1e-10, "> 0"),
+                  "exclusion": ("num", 1e-6, "> 0"), "seed": _SEED},
+    "report": {"tol": ("num", 1e-9, "> 0"),
+               "sample_count": ("int", 256, ">= 1"), "seed": _SEED,
+               "grid_sizes": ("int[]", [1025, 2049, 4097], ">= 2")},
 }
-_TOL_KEYS = {"tol", "rigidity_tol", "exclusion"}
+_FLAGS = {"seed": _SEED, "threads": ("int", 1, ">= 1")}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_NOUNS = {"int": "an integer", "num": "a finite number",
+          "bool": "true or false"}
 
 
 @dataclass
@@ -99,56 +132,76 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
         raise CliError(str(exc)) from exc
 
     command = doc["command"]
-    if command not in COMMANDS:
+    if command not in PARAMS:
         raise CliError(f"unknown command {command!r}; expected one of "
-                       f"{', '.join(COMMANDS)}")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise CliError("'params' must be an object")
-    extra = set(params) - _PARAM_KEYS[command]
-    if extra:
-        raise CliError(f"unknown {command} parameters {sorted(extra)}")
-    for key in _TOL_KEYS & set(params):
-        if not 0 < _num(float, params[key], key) < math.inf:
-            raise CliError(f"parameter {key} must be positive and finite")
+                       f"{', '.join(PARAMS)}")
+    params = _resolve(PARAMS[command], doc.get("params", {}))
+    given = {"threads": threads} if seed is None else \
+        {"threads": threads, "seed": seed}
+    flags = _resolve(_FLAGS, given, "--")
+    if seed is not None and "seed" in params:
+        params["seed"] = flags["seed"]
 
     out_dir = out if out is not None else doc.get("out")
     if out_dir is None:
         raise CliError("output directory missing: set 'out' or pass --out")
-    eff_seed = seed if seed is not None else _num(int, params.get("seed", 0),
-                                                  "seed")
     return RunConfig(system=system, p=p, mode=eff_mode, command=command,
-                     params=params, out=Path(out_dir), seed=eff_seed,
-                     threads=max(1, int(threads)))
+                     params=params, out=Path(out_dir),
+                     seed=params.get("seed", flags["seed"]),
+                     threads=flags["threads"])
 
 
-def _num(cast, value, name: str):
-    """value read through int or float; a value the cast rejects is a
-    configuration error, not a numeric failure."""
+def _resolve(table: dict, given, prefix: str = "") -> dict:
+    """`given` checked against `table` and filled in with its defaults."""
+    if not isinstance(given, dict):
+        raise CliError("'params' must be an object")
+    extra = set(given) - set(table)
+    if extra:
+        raise CliError("unknown parameters "
+                       f"{[prefix + k for k in sorted(extra)]}")
+    out = {}
+    for name, (kind, default, rng) in table.items():
+        value = given.get(name, default)
+        if value is _REQUIRED:
+            raise CliError(f"parameter {prefix}{name} is required")
+        out[name] = None if value is default is None else \
+            _value(kind, value, rng, prefix + name)
+    return out
+
+
+def _value(kind, value, rng: str, name: str):
+    """value read as `kind` and checked against `rng`; else a CliError."""
+    if isinstance(kind, dict):          # a grid layout, or an explicit list
+        if isinstance(value, dict):
+            return _resolve(kind, value, name + ".")
+        kind = "num[]"
+    if kind.endswith("[]"):
+        if not isinstance(value, list) or not value:
+            raise CliError(f"parameter {name} must be a non-empty list, "
+                           f"got {value!r}")
+        return [_value(kind[:-2], v, rng, name) for v in value]
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        kind = "an integer" if cast is int else "a number"
-        raise CliError(f"parameter {name} must be {kind}, got {value!r}") \
-            from exc
+        if isinstance(value, bool) != (kind == "bool") or \
+                not isinstance(value, (int, float, str)):
+            raise ValueError
+        if kind == "int" and (not isinstance(value, float)
+                              or value.is_integer()):
+            value = int(value)
+        elif kind == "num" and math.isfinite(float(value)):
+            value = float(value)
+        elif kind != "bool":
+            raise ValueError
+    except (ValueError, OverflowError):
+        raise CliError(f"parameter {name} must be {_NOUNS[kind]}, "
+                       f"got {value!r}") from None
+    for op, bound in (cond.split() for cond in rng.split(",") if cond):
+        if not _OPS[op](value, float(bound)):
+            raise CliError(f"parameter {name} must be {rng}, got {value!r}")
+    return value
 
 
-def _nums(cast, values, name: str) -> list:
-    """Each entry of a list parameter read through _num."""
-    if not isinstance(values, (list, tuple)):
-        raise CliError(f"parameter {name} must be a list, got {values!r}")
-    return [_num(cast, v, name) for v in values]
-
-
-def _param(cfg: RunConfig, cast, key: str, default):
-    return _num(cast, cfg.params.get(key, default), key)
-
-
-def _grid(cfg: RunConfig, size: int, margin: float):
-    if size < 2:
-        raise CliError("'grid_size' must be at least 2")
-    if not math.isfinite(margin):
-        raise CliError("'margin' must be finite")
+def _grid(cfg: RunConfig):
+    size, margin = cfg.params["grid_size"], cfg.params["margin"]
     a, b = attractor_hull(cfg.system)
     if cfg.mode == "rational":
         a, b = Fraction(a), Fraction(b)
@@ -160,6 +213,8 @@ def _grid(cfg: RunConfig, size: int, margin: float):
 
 
 def _cell(v) -> str:
+    if v is None:                       # a missing value
+        return ""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (int, np.integer)):
@@ -186,36 +241,33 @@ def _json_bytes(obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _request(cfg: RunConfig, **resolved) -> str:
+def _request(cfg: RunConfig, params: dict) -> str:
     return cache_key({
         "version": __version__,
         "op": cfg.command,
         "system": system_to_json(cfg.system, cfg.p, cfg.mode),
-        "params": {k: resolved[k] for k in sorted(resolved)},
+        "params": params,
     })
 
 
-def _thermo_summary(cfg: RunConfig, rigidity_tol: float) -> bytes:
-    curve = PressureCurve(cfg.system, cfg.p)
-    ep = curve.endpoints
-    return _json_bytes({
+def _thermo_summary(cfg: RunConfig):
+    rigidity_tol = cfg.params["rigidity_tol"]
+    ep = PressureCurve(cfg.system, cfg.p).endpoints
+    return ("summary.json", _json_bytes({
         "alpha_minus": ep.alpha_minus,
         "alpha_plus": ep.alpha_plus,
         "alpha_zero": ep.alpha_zero,
         "delta": ep.delta,
         "rigidity": bool(ep.alpha_plus - ep.alpha_minus <= rigidity_tol),
-    })
+    }), {"rigidity_tol": rigidity_tol})
 
 
 def _cmd_eval_t(cfg: RunConfig):
-    size = _param(cfg, int, "grid_size", 4097)
-    margin = _param(cfg, float, "margin", 0.25)
-    tol = _param(cfg, float, "tol", 1e-12)
-    resolved = {"grid_size": size, "margin": margin, "tol": tol,
-                "mode": cfg.mode}
+    params = dict(cfg.params, mode=cfg.mode)
+    tol = params["tol"]
 
     def produce():
-        nodes = _grid(cfg, size, margin)
+        nodes = _grid(cfg)
         if cfg.mode == "rational":
             rows = [(x, eval_cdf(cfg.system, cfg.p, x, tol=tol)[0])
                     for x in nodes]
@@ -223,122 +275,72 @@ def _cmd_eval_t(cfg: RunConfig):
             rows = zip(nodes, cdf_values(cfg.system, cfg.p, nodes, tol=tol))
         return _csv("x,value", rows)
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    return [("T.csv", body, resolved)]
+    return [("T.csv", cached_bytes(_request(cfg, params), produce), params)]
 
 
 def _cmd_eval_c(cfg: RunConfig):
-    if "order" not in cfg.params:
-        raise CliError("eval-c needs 'order', e.g. [1] or [0, 2]")
-    order = tuple(_nums(int, cfg.params["order"], "order"))
-    if not order or any(v < 0 for v in order) or sum(order) < 1:
-        raise CliError("'order' must be nonnegative with positive total")
-    size = _param(cfg, int, "grid_size", 1025)
-    margin = _param(cfg, float, "margin", 0.25)
-    terms = _param(cfg, int, "terms", 80)
-    tol = _param(cfg, float, "tol", 1e-12)
-    depth = _param(cfg, int, "depth", 80)
-    resolved = {"order": list(order), "grid_size": size, "margin": margin,
-                "terms": terms, "tol": tol, "depth": depth, "mode": cfg.mode}
+    params = dict(cfg.params, mode=cfg.mode)
+    order, free = tuple(params["order"]), cfg.system.branch_count - 1
+    if len(order) != free or sum(order) < 1:
+        raise CliError(f"parameter order needs {free} entries with positive "
+                       f"total, got {list(order)}")
 
     def produce():
-        nodes = _grid(cfg, size, margin)
+        nodes = _grid(cfg)
         if cfg.mode == "rational":
             rows = []
             for x in nodes:
                 val, err = eval_derivative_point(cfg.system, cfg.p, order, x,
-                                                 depth=depth)
+                                                 depth=params["depth"])
                 rows.append((x, val, err))
         else:
             grids = derivative_grids(cfg.system, cfg.p, order,
-                                     np.asarray(nodes), terms=terms, tol=tol)
+                                     np.asarray(nodes), terms=params["terms"],
+                                     tol=params["tol"])
             dg = grids[order]
             rows = [(x, v, dg.tail_estimate)
                     for x, v in zip(dg.grid.nodes, dg.grid.values)]
         return _csv("x,C_value,err_bound", rows)
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    return [("C.csv", body, resolved)]
-
-
-def _alpha_grid(cfg: RunConfig, curve: PressureCurve):
-    layout = cfg.params.get("alpha_grid", {"count": 201})
-    if isinstance(layout, list):
-        return _nums(float, layout, "alpha_grid")
-    if not isinstance(layout, dict):
-        raise CliError("'alpha_grid' must be a list or an object")
-    count = _num(int, layout.get("count", 201), "alpha_grid.count")
-    extra = set(layout) - {"count"}
-    if extra:
-        raise CliError(f"unknown alpha_grid keys {sorted(extra)}")
-    ep = curve.endpoints
-    return list(np.linspace(ep.alpha_minus, ep.alpha_plus, count))
+    return [("C.csv", cached_bytes(_request(cfg, params), produce), params)]
 
 
 def _cmd_spectrum(cfg: RunConfig):
-    rigidity_tol = _param(cfg, float, "rigidity_tol", 1e-9)
     curve = PressureCurve(cfg.system, cfg.p)
-    alphas = _alpha_grid(cfg, curve)
-    resolved = {"alpha_grid": alphas, "rigidity_tol": rigidity_tol}
+    alphas = cfg.params["alpha_grid"]
+    if isinstance(alphas, dict):
+        ep = curve.endpoints
+        alphas = list(np.linspace(ep.alpha_minus, ep.alpha_plus,
+                                  alphas["count"]))
+    params = dict(cfg.params, alpha_grid=alphas)
 
     def produce():
-        rows = [(pt.alpha, pt.g, pt.beta_argmin)
+        # an empty level set has no g and no argmin: empty cells
+        rows = [(pt.alpha, *((None, None) if pt.empty
+                             else (pt.g, pt.beta_argmin)))
                 for pt in spectrum(cfg.system, cfg.p, alphas, curve=curve)]
         return _csv("alpha,g,beta_argmin", rows)
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    summary = _thermo_summary(cfg, rigidity_tol)
-    return [("spectrum.csv", body, resolved),
-            ("summary.json", summary, {"rigidity_tol": rigidity_tol})]
-
-
-def _beta_grid(cfg: RunConfig):
-    layout = cfg.params.get("beta_grid", {"lo": -10.0, "hi": 10.0, "count": 81})
-    if isinstance(layout, list):
-        return _nums(float, layout, "beta_grid")
-    if not isinstance(layout, dict):
-        raise CliError("'beta_grid' must be a list or an object")
-    extra = set(layout) - {"lo", "hi", "count"}
-    if extra:
-        raise CliError(f"unknown beta_grid keys {sorted(extra)}")
-    lo = _num(float, layout.get("lo", -10.0), "beta_grid.lo")
-    hi = _num(float, layout.get("hi", 10.0), "beta_grid.hi")
-    count = _num(int, layout.get("count", 81), "beta_grid.count")
-    return list(np.linspace(lo, hi, count))
+    body = cached_bytes(_request(cfg, params), produce)
+    return [("spectrum.csv", body, params), _thermo_summary(cfg)]
 
 
 def _cmd_pressure(cfg: RunConfig):
-    rigidity_tol = _param(cfg, float, "rigidity_tol", 1e-9)
-    betas = _beta_grid(cfg)
-    resolved = {"beta_grid": betas, "rigidity_tol": rigidity_tol}
+    betas = cfg.params["beta_grid"]
+    if isinstance(betas, dict):
+        betas = list(np.linspace(betas["lo"], betas["hi"], betas["count"]))
+    params = dict(cfg.params, beta_grid=betas)
 
     def produce():
         curve = PressureCurve(cfg.system, cfg.p)
         return _csv("beta,t,t_prime", curve.samples(betas))
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    summary = _thermo_summary(cfg, rigidity_tol)
-    return [("pressure.csv", body, resolved),
-            ("summary.json", summary, {"rigidity_tol": rigidity_tol})]
+    body = cached_bytes(_request(cfg, params), produce)
+    return [("pressure.csv", body, params), _thermo_summary(cfg)]
 
 
 def _cmd_gap(cfg: RunConfig):
-    if "alpha" not in cfg.params:
-        raise CliError("gap needs 'alpha'")
-    alpha = _num(float, cfg.params["alpha"], "alpha")
-    if not 0 < alpha <= 1:
-        raise CliError("'alpha' must lie in (0, 1]")
-    n_max = _param(cfg, int, "n_max", 60)
-    if n_max < 3:
-        raise CliError("'n_max' must be at least 3")
-    size = _param(cfg, int, "grid_size", 8193)
-    margin = _param(cfg, float, "margin", 0.25)
-    words = _param(cfg, int, "probe_words", 64)
-    resolved = {"alpha": alpha, "n_max": n_max, "grid_size": size,
-                "margin": margin, "probe_words": words, "seed": cfg.seed}
-
-    report = gap_probe(cfg.system, cfg.p, alpha, n_max=n_max, grid_size=size,
-                       margin=margin, probe_words=words, seed=cfg.seed)
+    report = gap_probe(cfg.system, cfg.p, **cfg.params)
     rows = [(n, s, v) for n, (s, v) in
             enumerate(zip(report.sup_norms, report.norms))]
     body = _csv("n,sup_residual,holder_seminorm", rows)
@@ -348,23 +350,12 @@ def _cmd_gap(cfg: RunConfig):
         "slope": report.slope,
         "slope_stderr": report.slope_stderr,
     })
-    return [("gap.csv", body, resolved), ("gap.json", verdict, resolved)]
+    return [("gap.csv", body, cfg.params), ("gap.json", verdict, cfg.params)]
 
 
 def _cmd_exponent(cfg: RunConfig):
-    betas = _nums(float, cfg.params.get("betas", list(np.linspace(-4, 4, 9))),
-                  "betas")
-    word_len = _param(cfg, int, "word_len", 60)
-    count = _param(cfg, int, "count", 32)
-    if count < 1 or word_len < 1:
-        raise CliError("'count' and 'word_len' must be at least 1")
-    with_emp = bool(cfg.params.get("with_empirical", False))
-    scales = cfg.params.get("scales")
-    if scales is not None:
-        scales = _nums(float, scales, "scales")
-    resolved = {"betas": betas, "word_len": word_len, "count": count,
-                "with_empirical": with_emp, "scales": scales,
-                "seed": cfg.seed}
+    params = cfg.params
+    betas, with_emp = params["betas"], params["with_empirical"]
 
     def produce():
         evaluate = None
@@ -375,9 +366,11 @@ def _cmd_exponent(cfg: RunConfig):
         # each row is computed the same way whichever thread computes it
         def rows_for(i):
             return spectrum_experiment(cfg.system, cfg.p, [betas[i]],
-                                       word_len=word_len, count=count,
-                                       seed=cfg.seed + i, evaluate=evaluate,
-                                       scales=scales)
+                                       word_len=params["word_len"],
+                                       count=params["count"],
+                                       seed=params["seed"] + i,
+                                       evaluate=evaluate,
+                                       scales=params["scales"])
         if cfg.threads > 1:
             with ThreadPoolExecutor(cfg.threads) as pool:
                 parts = list(pool.map(rows_for, range(len(betas))))
@@ -385,50 +378,33 @@ def _cmd_exponent(cfg: RunConfig):
             parts = [rows_for(i) for i in range(len(betas))]
         rows = [r for part in parts for r in part]
         header = "beta,alpha_pred,g,dyn_mean,dyn_sigma,emp_mean,emp_sigma,count,seed"
-        return _csv(header, [tuple(r[k] for k in header.split(","))
-                             for r in rows])
+        # without the empirical estimate its columns are empty cells
+        blank = set() if with_emp else {"emp_mean", "emp_sigma"}
+        return _csv(header, [tuple(None if k in blank else r[k]
+                                   for k in header.split(",")) for r in rows])
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    return [("exponent.csv", body, resolved)]
+    return [("exponent.csv", cached_bytes(_request(cfg, params), produce),
+             params)]
 
 
 def _cmd_conjugacy(cfg: RunConfig):
-    count = _param(cfg, int, "sample_count", 1000)
-    if count < 1:
-        raise CliError("'sample_count' must be at least 1")
-    tol = _param(cfg, float, "tol", 1e-10)
-    exclusion = _param(cfg, float, "exclusion", 1e-6)
-    resolved = {"sample_count": count, "tol": tol, "exclusion": exclusion,
-                "seed": cfg.seed}
-
     def produce():
-        worst = conjugacy_residual(cfg.system, cfg.p, count, seed=cfg.seed,
-                                   tol=tol, exclusion=exclusion)
+        worst = conjugacy_residual(cfg.system, cfg.p, **cfg.params)
         return _json_bytes({"max_conjugacy_residual": worst,
-                            "sample_count": count, "tol": tol,
-                            "seed": cfg.seed})
+                            **{k: cfg.params[k]
+                               for k in ("sample_count", "tol", "seed")}})
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    return [("conjugacy.json", body, resolved)]
+    body = cached_bytes(_request(cfg, cfg.params), produce)
+    return [("conjugacy.json", body, cfg.params)]
 
 
 def _cmd_report(cfg: RunConfig):
-    tol = _param(cfg, float, "tol", 1e-9)
-    count = _param(cfg, int, "sample_count", 256)
-    if count < 1:
-        raise CliError("'sample_count' must be at least 1")
-    sizes = tuple(_nums(int, cfg.params.get("grid_sizes", (1025, 2049, 4097)),
-                        "grid_sizes"))
-    resolved = {"tol": tol, "sample_count": count, "grid_sizes": list(sizes),
-                "seed": cfg.seed}
-
     def produce():
-        rep = rigidity_report(cfg.system, cfg.p, tol=tol, sample_count=count,
-                              seed=cfg.seed, grid_sizes=sizes)
-        return _json_bytes(rep.to_json())
+        return _json_bytes(rigidity_report(cfg.system, cfg.p,
+                                           **cfg.params).to_json())
 
-    body = cached_bytes(_request(cfg, **resolved), produce)
-    return [("rigidity.json", body, resolved)]
+    body = cached_bytes(_request(cfg, cfg.params), produce)
+    return [("rigidity.json", body, cfg.params)]
 
 
 _DISPATCH = {

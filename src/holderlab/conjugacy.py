@@ -22,6 +22,10 @@ from .ifs import IFSystem, OutsideHullError, ProbVector, _walk, \
 from .thermo import alpha_endpoints
 from .transition import GridFunction, cdf_values, holder_seminorm
 
+# rejected draws conjugacy_residual allows per requested sample, plus a
+# fixed allowance
+REJECTS_PER_SAMPLE, REJECTS_ALLOWED = 10, 100
+
 
 def linear_model(p: ProbVector) -> IFSystem:
     """Full-branch linear system with branch slopes 1/p_i on (0, 1).
@@ -75,7 +79,9 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     the linear branch applied to the coordinate of the point.  Points whose
     first twelve orbit steps pass within `exclusion` of a preimage-interval
     endpoint are rejected: there two codings collide and the identity only
-    holds off that countable set.
+    holds off that countable set.  An `exclusion` too wide for the system
+    rejects (nearly) every draw, so the sampler raises ValueError once it
+    has rejected more than 10 * sample_count + 100 draws.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     lin = linear_model(p)
@@ -96,12 +102,16 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
         return first
 
     worst = 0.0
-    produced = 0
+    produced = rejected = 0
     while produced < sample_count:
         word = tuple(int(s) for s in rng.choice(syms, size=word_len))
         x = pi_approx(system, word)[0]
         sym = first_symbol(x)
         if sym is None:
+            rejected += 1
+            if rejected > REJECTS_PER_SAMPLE * sample_count + REJECTS_ALLOWED:
+                raise ValueError(f"exclusion {exclusion} rejected {rejected} "
+                                 f"draws for {produced} samples")
             continue
         produced += 1
         fx = system.branch(sym)(x)

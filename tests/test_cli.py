@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from holderlab import cache, cli
 
@@ -21,6 +26,8 @@ RATIONAL = dict(DYADIC, mode="rational",
                 branches=[{"slope": 2, "intercept": 0},
                           {"slope": 2, "intercept": -1}],
                 open_set=[0, 1], p=["1/4"])
+THREE = dict(DYADIC, branches=[{"slope": 3.0, "intercept": -k}
+                               for k in (0.0, 1.0, 2.0)], p=[0.25, 0.25])
 
 
 @pytest.fixture(autouse=True)
@@ -235,6 +242,40 @@ MALFORMED = {
                                            RATIONAL),
     "conjugacy-sample-count-zero": ("conjugacy", {"sample_count": 0}, DYADIC),
     "report-sample-count-negative": ("report", {"sample_count": -3}, DYADIC),
+    "gap-probe-words-negative": ("gap", {"alpha": 0.5, "probe_words": -1},
+                                 DYADIC),
+    "gap-grid-size-one": ("gap", {"alpha": 0.5, "grid_size": 1}, DYADIC),
+    "gap-margin-nan": ("gap", {"alpha": 0.5, "margin": "nan"}, DYADIC),
+    "gap-margin-reverses-grid": ("gap", {"alpha": 0.5, "margin": -0.6},
+                                 DYADIC),
+    "eval-c-terms-zero": ("eval-c", {"order": [1], "terms": 0}, DYADIC),
+    "eval-c-depth-negative-rational": ("eval-c", {"order": [1], "depth": -1},
+                                       RATIONAL),
+    "eval-c-order-too-short": ("eval-c", {"order": [1]}, THREE),
+    "eval-c-order-too-long": ("eval-c", {"order": [1, 0, 0]}, THREE),
+    "spectrum-count-zero": ("spectrum", {"alpha_grid": {"count": 0}}, DYADIC),
+    "spectrum-count-negative": ("spectrum", {"alpha_grid": {"count": -2}},
+                                DYADIC),
+    "spectrum-alpha-grid-empty": ("spectrum", {"alpha_grid": []}, DYADIC),
+    "spectrum-alpha-grid-nan": ("spectrum", {"alpha_grid": ["nan", 1.0]},
+                                DYADIC),
+    "pressure-beta-grid-empty": ("pressure", {"beta_grid": []}, DYADIC),
+    "pressure-count-negative": ("pressure", {"beta_grid": {"count": -1}},
+                                DYADIC),
+    "pressure-lo-nan": ("pressure", {"beta_grid": {"lo": "nan"}}, DYADIC),
+    "report-grid-sizes-empty": ("report", {"grid_sizes": []}, DYADIC),
+    "report-grid-size-one": ("report", {"grid_sizes": [1]}, DYADIC),
+    "exponent-with-empirical-text": ("exponent", {"with_empirical": "false"},
+                                     DYADIC),
+    "exponent-betas-empty": ("exponent", {"betas": []}, DYADIC),
+    "exponent-betas-nan": ("exponent", {"betas": ["nan"]}, DYADIC),
+    "exponent-scales-empty": ("exponent", {"scales": []}, DYADIC),
+    "exponent-seed-negative": ("exponent", {"seed": -1}, DYADIC),
+    "conjugacy-seed-fractional": ("conjugacy", {"seed": 1.7}, DYADIC),
+    "eval-t-grid-size-fractional": ("eval-t", {"grid_size": 33.9}, DYADIC),
+    "flag-seed-negative-eval-t": ("eval-t", {}, DYADIC, "--seed", "-4"),
+    "flag-seed-negative-gap": ("gap", {"alpha": 0.5}, DYADIC, "--seed", "-4"),
+    "flag-threads-zero": ("exponent", {}, DYADIC, "--threads", "0"),
 }
 
 
@@ -248,8 +289,9 @@ def write_raw_config(tmp_path, command, params, system):
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_config_exits_1(tmp_path, capsys, name):
-    cfg = write_raw_config(tmp_path, *MALFORMED[name])
-    assert run_cli(cfg) == 1
+    command, params, system, *flags = MALFORMED[name]
+    cfg = write_raw_config(tmp_path, command, params, system)
+    assert run_cli(cfg, *flags) == 1
     err = capsys.readouterr().err
     assert err.startswith("holderlab: config error:")
     assert not (tmp_path / "out").exists()
@@ -272,6 +314,36 @@ def test_exit_code_numeric_failure(tmp_path):
                        {"betas": [0.0], "word_len": 20, "count": 2,
                         "with_empirical": True, "scales": [1e-30, 1e-31]})
     assert run_cli(cfg) == 2
+
+
+def test_conjugacy_wide_exclusion_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "conjugacy",
+                       {"sample_count": 4, "exclusion": 0.5})
+    assert run_cli(cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("holderlab: ValueError:")
+    assert "Traceback" not in err
+
+
+def test_spectrum_empty_level_set_is_empty_cells(tmp_path):
+    # 3.0 lies outside [alpha_minus, alpha_plus] = [0.415, 2]: empty level set
+    cfg = write_config(tmp_path, "spectrum", {"alpha_grid": [1.0, 3.0]})
+    assert run_cli(cfg) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert rows[2] == "3.0,,"
+    assert "" not in rows[1].split(",")
+    # a NaN that is not a missing value still shows
+    assert cli._csv("a,b", [(None, float("nan"))]) == b"a,b\n,nan\n"
+
+
+def test_exponent_without_empirical_is_empty_cells(tmp_path):
+    cfg = write_config(tmp_path, "exponent",
+                       {"betas": [0.0], "word_len": 20, "count": 2})
+    assert run_cli(cfg) == 0
+    rows = (tmp_path / "out" / "exponent.csv").read_text().splitlines()
+    cells = dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert cells["emp_mean"] == cells["emp_sigma"] == ""
+    assert "nan" not in rows[1]
 
 
 def test_out_flag_overrides(tmp_path):
@@ -310,6 +382,19 @@ def test_threads_deterministic(tmp_path, monkeypatch):
         assert [row.split(",")[-1] for row in rows] == ["0", "1"]
 
 
+def test_readme_lists_every_parameter():
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| command | parameter | type | range | default |")
+    listed = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        command, name = (c.strip(" `") for c in line.split("|")[1:3])
+        listed.setdefault(command, set()).add(name)
+    assert listed == {c: set(t) for c, t in cli.PARAMS.items()}
+
+
 def test_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -318,3 +403,84 @@ def test_import_loads_no_scipy():
          "import holderlab.cli, sys; assert 'scipy' not in sys.modules"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# small valid values for every parameter of cli.PARAMS but `order`, whose
+# length depends on the system
+VALID = {
+    "grid_size": st.integers(2, 33),
+    "margin": st.floats(-0.49, 2.0),
+    "tol": st.floats(1e-12, 1.0),
+    "terms": st.integers(1, 40),
+    "depth": st.integers(1, 40),
+    "alpha_grid": st.one_of(
+        st.fixed_dictionaries({"count": st.integers(1, 9)}),
+        st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5)),
+    "rigidity_tol": st.floats(1e-12, 1.0),
+    "beta_grid": st.one_of(
+        st.fixed_dictionaries({"count": st.integers(1, 9)}, optional={
+            "lo": st.floats(-10.0, 10.0), "hi": st.floats(-10.0, 10.0)}),
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5)),
+    "alpha": st.floats(0.0, 1.0, exclude_min=True),
+    "n_max": st.integers(3, 8),
+    "probe_words": st.integers(0, 4),
+    "seed": st.integers(0, 2 ** 32),
+    "betas": st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+    "word_len": st.integers(1, 30),
+    "count": st.integers(1, 4),
+    "with_empirical": st.booleans(),
+    "scales": st.lists(st.floats(1e-6, 1e-2), min_size=1, max_size=3),
+    "sample_count": st.integers(1, 8),
+    "exclusion": st.floats(1e-9, 1.0),
+    "grid_sizes": st.lists(st.integers(2, 65), min_size=1, max_size=2),
+}
+# always given: the required keys, and the cost-bearing ones kept small
+PINNED = {"order", "alpha", "grid_size", "n_max", "sample_count", "count",
+          "alpha_grid", "grid_sizes"}
+BROKEN = st.sampled_from(["nan", "inf", "-inf", "x", "", -1, 0, 1, -0.6,
+                          1.5, 33.9, True, False, None, [], [None], ["nan"],
+                          [0], {}, {"count": 0}, {"bogus": 1}])
+FLAGS = st.sampled_from([[], ["--seed", "3"], ["--threads", "2"],
+                         ["--mode", "rational"]])
+BROKEN_FLAGS = st.sampled_from([["--seed", "-1"], ["--seed", "x"],
+                                ["--threads", "0"], ["--mode", "exact"]])
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config with valid parameters, or one broken parameter or flag."""
+    command = draw(st.sampled_from(sorted(cli.PARAMS)))
+    system = draw(st.sampled_from([DYADIC, RATIONAL, THREE]))
+    free = len(system["branches"]) - 1
+    valid = dict(VALID, order=st.lists(st.integers(0, 2), min_size=free,
+                                       max_size=free).filter(any))
+    names = sorted(cli.PARAMS[command])
+    params = {k: draw(valid[k]) for k in names
+              if k in PINNED or draw(st.booleans())}
+    flags = draw(FLAGS)
+    broken = draw(st.sampled_from(["", "param", "flag"]))
+    if broken == "param":
+        params[draw(st.sampled_from(names + ["bogus"]))] = draw(BROKEN)
+    elif broken == "flag":
+        flags = draw(BROKEN_FLAGS)
+    return command, params, system, flags
+
+
+@given(fuzz_configs())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_configs_keep_the_exit_contract(case):
+    command, params, system, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_raw_config(Path(tmp), command, params, system)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(cfg, *flags)
+        out = Path(tmp) / "out"
+        event(f"{command} exit {code}")
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert not out.exists()
+        if code == 0:
+            for f in out.iterdir():
+                assert b"nan" not in f.read_bytes().lower(), f.name

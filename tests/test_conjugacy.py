@@ -89,6 +89,16 @@ def test_conjugacy_residuals(dyadic, cantor, quarter, half):
     assert conjugacy_residual(cantor, quarter, 200, seed=3) <= 1e-9
 
 
+def test_conjugacy_residual_gives_up_on_wide_exclusion(dyadic, cantor,
+                                                      quarter):
+    # every dyadic point lies within 0.5 of a preimage endpoint; on the
+    # Cantor system 0.05 rejects nearly every draw
+    with pytest.raises(ValueError, match="rejected"):
+        conjugacy_residual(dyadic, quarter, 4, exclusion=0.5)
+    with pytest.raises(ValueError, match="rejected"):
+        conjugacy_residual(cantor, quarter, 50, exclusion=0.05)
+
+
 def test_rigidity_verdicts(dyadic, quarter, half):
     rigid = rigidity_report(dyadic, half, sample_count=64,
                             grid_sizes=(257, 513, 1025))

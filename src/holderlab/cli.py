@@ -19,7 +19,6 @@ import operator
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +34,7 @@ from .ifs import ConfigurationError, IFSystem, ProbVector, attractor_hull, \
     system_from_json, system_to_json
 from .takagi import derivative_grids, eval_derivative_point
 from .thermo import PressureCurve, spectrum
-from .transition import cdf_values, eval_cdf, gap_probe
+from .transition import cdf_values, eval_cdf, gap_probe, uniform_grid
 
 
 class CliError(Exception):
@@ -53,9 +52,10 @@ _MARGIN = ("num", 0.25, "> -0.5")   # keeps the grid nodes increasing
 # "bool" (JSON true or false), "int[]" and "num[]" (non-empty lists, the
 # range applying to each entry), and a table of its own for a grid layout:
 # an object with those keys, or an explicit "num[]" list.  A range is a
-# comma-separated list of "op bound" conditions.  A None default leaves
-# the choice to the library.  The filled-in parameters go into the
-# manifest and the cache key as they are.
+# comma-separated list of "op bound" conditions; a bound such as "2**128"
+# stands for that power, and Python compares an integer with a float bound
+# exactly.  A None default leaves the choice to the library.  The filled-in
+# parameters go into the manifest and the cache key as they are.
 PARAMS = {
     "eval-t": {"grid_size": ("int", 4097, ">= 2"), "margin": _MARGIN,
                "tol": ("num", 1e-12, "> 0")},
@@ -72,7 +72,7 @@ PARAMS = {
     "gap": {"alpha": ("num", _REQUIRED, "> 0, <= 1"),
             "n_max": ("int", 60, ">= 3"), "grid_size": ("int", 8193, ">= 2"),
             "margin": _MARGIN, "probe_words": ("int", 64, ">= 0"),
-            "seed": _SEED},
+            "seed": ("int", 0, ">= 0, < 2**128")},     # a Philox key
     "exponent": {"betas": ("num[]", [float(b) for b in range(-4, 5)], ""),
                  "word_len": ("int", 60, ">= 1"),
                  "count": ("int", 32, ">= 1"), "seed": _SEED,
@@ -86,7 +86,8 @@ PARAMS = {
                "grid_sizes": ("int[]", [1025, 2049, 4097], ">= 2")},
 }
 _FLAGS = {"seed": _SEED, "threads": ("int", 1, ">= 1")}
-_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+        "<=": operator.le}
 _NOUNS = {"int": "an integer", "num": "a finite number",
           "bool": "true or false"}
 
@@ -100,12 +101,15 @@ class RunConfig:
     params: dict
     out: Path
     seed: int
-    threads: int
 
 
 def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None,
                 mode: Optional[str] = None, threads: int = 1) -> RunConfig:
-    """Parse and validate the JSON config, applying CLI overrides."""
+    """Parse and validate the JSON config, applying CLI overrides.
+
+    `threads` is checked but has no effect: every command runs on one
+    thread.
+    """
     cfg_path = Path(path)
     if not cfg_path.is_file():
         raise CliError(f"config file not found: {path}")
@@ -135,10 +139,12 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
     if command not in PARAMS:
         raise CliError(f"unknown command {command!r}; expected one of "
                        f"{', '.join(PARAMS)}")
-    params = _resolve(PARAMS[command], doc.get("params", {}))
+    table = PARAMS[command]
+    params = _resolve(table, doc.get("params", {}))
     given = {"threads": threads} if seed is None else \
         {"threads": threads, "seed": seed}
-    flags = _resolve(_FLAGS, given, "--")
+    # --seed meets the command's own seed range
+    flags = _resolve(dict(_FLAGS, seed=table.get("seed", _SEED)), given, "--")
     if seed is not None and "seed" in params:
         params["seed"] = flags["seed"]
 
@@ -147,8 +153,7 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
         raise CliError("output directory missing: set 'out' or pass --out")
     return RunConfig(system=system, p=p, mode=eff_mode, command=command,
                      params=params, out=Path(out_dir),
-                     seed=params.get("seed", flags["seed"]),
-                     threads=flags["threads"])
+                     seed=params.get("seed", flags["seed"]))
 
 
 def _resolve(table: dict, given, prefix: str = "") -> dict:
@@ -195,21 +200,20 @@ def _value(kind, value, rng: str, name: str):
         raise CliError(f"parameter {name} must be {_NOUNS[kind]}, "
                        f"got {value!r}") from None
     for op, bound in (cond.split() for cond in rng.split(",") if cond):
-        if not _OPS[op](value, float(bound)):
+        base, _, power = bound.partition("**")
+        if not _OPS[op](value, float(base) ** int(power or 1)):
             raise CliError(f"parameter {name} must be {rng}, got {value!r}")
     return value
 
 
 def _grid(cfg: RunConfig):
     size, margin = cfg.params["grid_size"], cfg.params["margin"]
-    a, b = attractor_hull(cfg.system)
-    if cfg.mode == "rational":
-        a, b = Fraction(a), Fraction(b)
-        pad = Fraction(margin).limit_denominator(10**6) * (b - a)
-        lo, span = a - pad, (b - a) + 2 * pad
-        return [lo + span * Fraction(i, size - 1) for i in range(size)]
-    pad = margin * (b - a)
-    return np.linspace(a - pad, b + pad, size)
+    if cfg.mode != "rational":
+        return uniform_grid(cfg.system, size, margin)
+    a, b = (Fraction(v) for v in attractor_hull(cfg.system))
+    pad = Fraction(margin).limit_denominator(10**6) * (b - a)
+    lo, span = a - pad, (b - a) + 2 * pad
+    return [lo + span * Fraction(i, size - 1) for i in range(size)]
 
 
 def _cell(v) -> str:
@@ -328,6 +332,9 @@ def _cmd_spectrum(cfg: RunConfig):
 def _cmd_pressure(cfg: RunConfig):
     betas = cfg.params["beta_grid"]
     if isinstance(betas, dict):
+        if not math.isfinite(betas["hi"] - betas["lo"]):
+            raise CliError("parameter beta_grid spans more than a double "
+                           f"holds: {betas['lo']!r} to {betas['hi']!r}")
         betas = list(np.linspace(betas["lo"], betas["hi"], betas["count"]))
     params = dict(cfg.params, beta_grid=betas)
 
@@ -362,21 +369,14 @@ def _cmd_exponent(cfg: RunConfig):
         if with_emp:
             evaluate = lambda xs: cdf_values(cfg.system, cfg.p, xs, tol=1e-14)
 
-        # beta number i is seeded with seed + i on every thread count, so
-        # each row is computed the same way whichever thread computes it
-        def rows_for(i):
-            return spectrum_experiment(cfg.system, cfg.p, [betas[i]],
-                                       word_len=params["word_len"],
-                                       count=params["count"],
-                                       seed=params["seed"] + i,
-                                       evaluate=evaluate,
-                                       scales=params["scales"])
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(cfg.threads) as pool:
-                parts = list(pool.map(rows_for, range(len(betas))))
-        else:
-            parts = [rows_for(i) for i in range(len(betas))]
-        rows = [r for part in parts for r in part]
+        rows = []
+        for i, beta in enumerate(betas):    # beta number i draws with seed + i
+            rows += spectrum_experiment(cfg.system, cfg.p, [beta],
+                                        word_len=params["word_len"],
+                                        count=params["count"],
+                                        seed=params["seed"] + i,
+                                        evaluate=evaluate,
+                                        scales=params["scales"])
         header = "beta,alpha_pred,g,dyn_mean,dyn_sigma,emp_mean,emp_sigma,count,seed"
         # without the empirical estimate its columns are empty cells
         blank = set() if with_emp else {"emp_mean", "emp_sigma"}
@@ -442,7 +442,6 @@ def run(cfg: RunConfig) -> int:
         "command": cfg.command,
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "system": system_to_json(cfg.system, cfg.p, cfg.mode),
         "outputs": [{"file": name, "params": params}
                     for name, _, params in outputs],
@@ -465,7 +464,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("float", "rational"),
                         help="arithmetic mode override")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the betas of 'exponent'")
+                        help="accepted for compatibility (>= 1); no effect")
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config, out=args.out, seed=args.seed,

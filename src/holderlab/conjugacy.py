@@ -20,7 +20,8 @@ import numpy as np
 from .ifs import IFSystem, OutsideHullError, ProbVector, _walk, \
     affine_system, attractor_hull, hull_preimages, pi_approx
 from .thermo import alpha_endpoints
-from .transition import GridFunction, cdf_values, holder_seminorm
+from .transition import GridFunction, cdf_values, holder_seminorm, \
+    uniform_grid
 
 # rejected draws conjugacy_residual allows per requested sample, plus a
 # fixed allowance
@@ -163,11 +164,9 @@ def rigidity_report(system: IFSystem, p: ProbVector, tol: float = 1e-9,
     rigid = (ep.alpha_plus - ep.alpha_minus) <= tol
     residual = conjugacy_residual(system, p, sample_count, seed=seed)
 
-    a, b = attractor_hull(system)
-    pad = 0.25 * (b - a)
     sweep = []
     for size in grid_sizes:
-        nodes = np.linspace(a - pad, b + pad, size)
+        nodes = uniform_grid(system, size)
         vals = cdf_values(system, p, nodes, tol=1e-14)
         h = GridFunction(nodes, vals, boundary_left=0.0, boundary_right=1.0)
         sweep.append(holder_seminorm(h, ep.delta, mode="adjacent"))

@@ -15,7 +15,6 @@ every step matrix lower triangular with the bare weight on the diagonal.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,23 +107,13 @@ def cocycle_matrix(word: Sequence[int], p: ProbVector, n_max: Sequence[int],
     for sym in set(word):
         m = step_matrix(sym, p, n_max)
         if normalized:
-            w = p[sym] if p.is_rational else float(p[sym])
-            m = m / w if not p.is_rational else _divide_object(m, w)
+            m = m / (p[sym] if p.is_rational else float(p[sym]))
         steps[sym] = m
     out = steps[word[0]]
     for sym in word[1:]:
         out = np.dot(out, steps[sym])
     return Cocycle(indices=tuple(index_set(n_max)), matrix=out, word=word,
                    normalized=normalized)
-
-
-def _divide_object(mat, w):
-    out = mat.copy()
-    for i in range(out.shape[0]):
-        for j in range(out.shape[1]):
-            if out[i, j]:
-                out[i, j] = out[i, j] / w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +167,11 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
 
     Telescopes cylinder rises of all same-depth siblings left of the coding
     of x; the tail over the unresolved cylinder is bounded through the
-    measured polynomial growth of normalized step products.  Points that
-    land in a gap or park on a hull endpoint resolve exactly (the remaining
-    contribution has closed form); otherwise the walk stops at ``depth`` or
-    when the undecided mass falls below ``tol``.
+    certified polynomial growth of normalized step products
+    (`growth_constant`).  Points that land in a gap or park on a hull
+    endpoint resolve exactly (the remaining contribution has closed form);
+    otherwise the walk stops at ``depth`` or when the undecided mass falls
+    below ``tol``.
     """
     order = tuple(int(v) for v in order)
     s = system.branch_count - 1
@@ -244,38 +234,28 @@ def _parked_tail(step_last, cols, s, rational):
     return w
 
 
-def growth_constant(system: IFSystem, p: ProbVector, n_max: Sequence[int],
-                    words: int = 64, length: int = 64, seed: int = 11) -> float:
-    """Measured constant K with |normalized product entries| <= K * k^|row|
-    over an ensemble of random words of each length k.
+def growth_constant(system: IFSystem, p: ProbVector,
+                    n_max: Sequence[int]) -> float:
+    """Constant K with |normalized product entries| <= K * k^|row| for every
+    word of every length k >= 1.
 
-    The polynomial envelope is a structural property of the normalized
-    products; the constant itself is empirical.  The step matrices depend on
-    the weights and n_max alone, not on the branches of the system, so the
-    constant is memoised on the float weights, n_max and the ensemble.
+    Each normalized step is I + N_i, N_i nilpotent and lowering the total
+    order by one.  With A the entrywise maximum of |N_i| over the symbols,
+    every product of k steps is bounded entrywise by
+    (I + A)^k = sum_r C(k, r) A^r, and C(k, r) <= k^|row| / r!, so K is the
+    largest entry of the finite sum over r <= |n_max| of A^r / r!.  The step
+    matrices depend on the weights and n_max alone, not on the branches.
     """
-    return _growth_constant(p.as_floats(), tuple(n_max), words, length, seed)
-
-
-@functools.lru_cache(maxsize=256)
-def _growth_constant(pf: ProbVector, n_max: tuple, words: int, length: int,
-                     seed: int) -> float:
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    indices = index_set(n_max)
-    weights = np.array([sum(m) for m in indices])
+    pf = p.as_floats()
     s = len(n_max)
-    steps = {i: step_matrix(i, pf, n_max) / float(pf[i]) for i in range(1, s + 2)}
-    best = 1.0
-    draws = rng.integers(1, s + 2, size=(words, length))
-    for w in draws:
-        prod = steps[int(w[0])]
-        for k in range(1, length):
-            ratios = np.abs(prod) / (k ** weights)[:, None]
-            best = max(best, float(ratios.max()))
-            prod = np.dot(prod, steps[int(w[k])])
-        ratios = np.abs(prod) / (length ** weights)[:, None]
-        best = max(best, float(ratios.max()))
-    return best
+    eye = np.eye(len(index_set(n_max)))
+    a = np.max([np.abs(step_matrix(i, pf, n_max) / float(pf[i]) - eye)
+                for i in range(1, s + 2)], axis=0)
+    term = total = eye
+    for r in range(1, sum(n_max) + 1):
+        term = term @ a / r
+        total = total + term
+    return float(total.max())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ regularity exponents of the limit cdf.
 Affine systems evaluate the pressure in closed form (the potentials depend
 only on the first symbol) and solve for roots and Legendre points over whole
 arrays of beta and alpha at once; other systems fall back to a cylinder
-sandwich and a bracketed scalar root.
+sandwich, whose midpoint is also convex and decreasing in t, and the same
+Newton climb to its root.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ from .ifs import IFSystem, ProbVector
 
 _BETA_BRACKET = 60.0
 _MAX_LEVEL = 18
-_EPS = float(np.finfo(float).eps)
 # Newton in t climbs monotonically and stops once a step no longer moves t;
 # Newton in beta is kept inside a shrinking bracket.  Both take a few dozen
 # steps at most, so the cap only stops a solve fed with garbage.
 _NEWTON_MAX = 200
-_BRENT_MAX = 100
 # Newton in beta stops at the first step shorter than this and takes it; a
 # step from within 1e-12 of the root leaves only rounding error behind
 _BETA_XTOL = 1e-12
@@ -55,24 +54,29 @@ def pressure(system: IFSystem, p: ProbVector, t: float, beta: float,
     """
     if system.is_affine:
         lw, ls = _log_weights_slopes(system, p)
-        val = _logsumexp(beta * lw - t * ls)
+        val = _logsumexp(beta * lw - t * ls, ls)[0]
         return val, val
-    return _sandwich(system, p, level)(t, beta)
+    (dn, _), (up, _) = _sandwich(system, p, level)(t, beta)
+    return min(dn, up), max(dn, up)
 
 
-def _logsumexp(v):
+def _logsumexp(v, x):
+    """log sum exp(v), and the average of x under the weights exp(v)."""
     m = float(np.max(v))
-    return m + math.log(float(np.sum(np.exp(v - m))))
+    e = np.exp(v - m)
+    total = float(np.sum(e))
+    return m + math.log(total), float(np.dot(e, x)) / total
 
 
 def _sandwich(system, p, level):
-    """Pressure bounds (t, beta) -> (lower, upper) from all cylinders of
-    length `level` (capped at 18).
+    """Pressure bounds (t, beta) -> ((value, slope in t), (value, slope))
+    from all cylinders of length `level` (capped at 18).
 
     Each word carries three sums along its prefixes: -log of the largest and
     of the smallest branch derivative over the cylinder (sampled at its ends
     and midpoint), and the log weights.  None depends on t or beta, so they
     are built once and every evaluation is two log-sum-exps over arrays.
+    The slope of each bound is the Gibbs average of its derivative sum.
     Words are in lexicographic order, and the cylinder of (j,) + u is the
     j-th preimage of the cylinder of u: the same preimages, in the same
     order, that `cylinder` applies.
@@ -98,71 +102,12 @@ def _sandwich(system, p, level):
 
     def bounds(t, beta):
         # phi < 0, so t >= 0 widens one way and t < 0 the other; the sums
-        # already fold the sign in, so just aggregate
-        up = _logsumexp(t * hi_sum + beta * psi_sum) / level
-        dn = _logsumexp(t * lo_sum + beta * psi_sum) / level
-        return min(dn, up), max(dn, up)
+        # already fold the sign in, so which bound is lower is left open
+        return [tuple(v / level for v in
+                      _logsumexp(t * d_sum + beta * psi_sum, d_sum))
+                for d_sum in (lo_sum, hi_sum)]
 
     return bounds
-
-
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """Root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    Brent's (1973) method, step for step as scipy's brentq runs it: the
-    bracket [xcur, xblk] keeps the smaller |f| at xcur; a step interpolates
-    (secant, or inverse quadratic through three points) when that shrinks
-    the bracket fast enough and bisects otherwise.  Stops once half the
-    bracket is below (xtol + 4*eps*|xcur|)/2.
-    """
-    if not xtol > 0:
-        raise ValueError("xtol must be positive")
-    rtol = 4 * _EPS
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX):
-        if fpre != 0 and fcur != 0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"no convergence in {_BRENT_MAX} iterations")
 
 
 def _gibbs(lw, ls, betas, t=None):
@@ -174,7 +119,8 @@ def _gibbs(lw, ls, betas, t=None):
     term is >= 0, so the pressure there is >= 0 and Newton from t0 climbs
     monotonically to the root.  With q the Gibbs weights at the root,
     t' = <log p>_q / <log a>_q and t'' = Var_q(log p - t' log a) / <log a>_q.
-    Returns (t, t', t'', q); pass t to skip the root solve.
+    Returns (t, t', t'', q); pass t to skip the root solve.  A beta so
+    large that the root overflows a double raises ValueError.
     """
     b = np.asarray(betas, dtype=float).reshape(-1, 1)
     if not np.all(np.isfinite(b)):
@@ -195,6 +141,8 @@ def _gibbs(lw, ls, betas, t=None):
             t = np.where(move, nt, t)
     else:
         t = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("pressure root overflows a double")
     logq = bl - t[:, None] * ls
     m = logq.max(axis=1, keepdims=True)
     logq -= m + np.log(np.exp(logq - m).sum(axis=1, keepdims=True))
@@ -209,24 +157,33 @@ def _gibbs(lw, ls, betas, t=None):
 
 
 def solve_pressure_root(system: IFSystem, p: ProbVector, beta: float,
-                        tol: float = 1e-15, level: int = 12) -> float:
+                        level: int = 12) -> float:
     """The unique t with zero pressure at this beta.
 
     Affine systems run Newton from the left end of the root's bracket to
-    float resolution.  Others find the root of the sandwich midpoint by a
-    bracketed Brent solve to absolute tolerance `tol`.
+    float resolution.  Others run the same Newton climb on the sandwich
+    midpoint, also convex and decreasing in t, from the first t = -64 * 2^k
+    where it is >= 0, until a step no longer moves t.
     """
     if system.is_affine:
         lw, ls = _log_weights_slopes(system, p)
         return float(_gibbs(lw, ls, [beta])[0][0])
     bounds = _sandwich(system, p, level)
-    f = lambda t: 0.5 * sum(bounds(t, beta))
-    lo, hi = -64.0, 64.0
-    while f(lo) < 0:
-        lo *= 2
-    while f(hi) > 0:
-        hi *= 2
-    return _brentq(f, lo, hi, xtol=tol)
+
+    def mid(t):
+        (dn, ddn), (up, dup) = bounds(t, beta)
+        return 0.5 * (dn + up), 0.5 * (ddn + dup)
+
+    t = -64.0
+    while mid(t)[0] < 0:
+        t *= 2
+    for _ in range(_NEWTON_MAX):
+        val, slope = mid(t)
+        step = -val / slope
+        if not (step > 0 and t + step != t):
+            break
+        t += step
+    return t
 
 
 def gibbs_weights(system: IFSystem, p: ProbVector, beta: float,
@@ -269,11 +226,7 @@ def alpha_endpoints(system: IFSystem, p: ProbVector) -> Endpoints:
 
 
 class PressureCurve:
-    """Memoising wrapper around the pressure root and its slope.
-
-    The cache is append-only; concurrent readers are safe under the usual
-    single-interpreter dict guarantees.
-    """
+    """Memoising wrapper around the pressure root and its slope."""
 
     def __init__(self, system: IFSystem, p: ProbVector):
         self.system = system

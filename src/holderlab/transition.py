@@ -59,10 +59,6 @@ class GridFunction:
         return np.interp(x, self.nodes, self.values,
                          left=self.boundary_left, right=self.boundary_right)
 
-    def sup_norm(self) -> float:
-        return float(max(np.max(np.abs(self.values)),
-                         abs(self.boundary_left), abs(self.boundary_right)))
-
     def cell_oscillation(self) -> float:
         """Max jump between adjacent nodes; a bound scale for interpolation
         error of monotone-structured data read through this grid."""

@@ -276,6 +276,16 @@ MALFORMED = {
     "flag-seed-negative-eval-t": ("eval-t", {}, DYADIC, "--seed", "-4"),
     "flag-seed-negative-gap": ("gap", {"alpha": 0.5}, DYADIC, "--seed", "-4"),
     "flag-threads-zero": ("exponent", {}, DYADIC, "--threads", "0"),
+    "gap-seed-too-big": ("gap", {"alpha": 0.5, "seed": 10 ** 40}, DYADIC),
+    "gap-seed-2-128": ("gap", {"alpha": 0.5, "seed": 2 ** 128}, DYADIC),
+    "flag-seed-too-big-gap": ("gap", {"alpha": 0.5}, DYADIC,
+                              "--seed", str(2 ** 128)),
+    "pressure-beta-span-overflow": (
+        "pressure", {"beta_grid": {"lo": -1e308, "hi": 1e308, "count": 3}},
+        DYADIC),
+    "pressure-beta-span-overflow-rational": (
+        "pressure", {"beta_grid": {"lo": -1e308, "hi": 1e308, "count": 3}},
+        RATIONAL),
 }
 
 
@@ -314,6 +324,14 @@ def test_exit_code_numeric_failure(tmp_path):
                        {"betas": [0.0], "word_len": 20, "count": 2,
                         "with_empirical": True, "scales": [1e-30, 1e-31]})
     assert run_cli(cfg) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's overflow
+def test_overflowing_pressure_root_exits_2(tmp_path, capsys):
+    # a finite beta whose root t(beta) lies beyond the largest double
+    cfg = write_config(tmp_path, "pressure", {"beta_grid": [1e308]})
+    assert run_cli(cfg) == 2
+    assert capsys.readouterr().err.count("overflows a double") == 1
 
 
 def test_conjugacy_wide_exclusion_exits_2(tmp_path, capsys):
@@ -363,6 +381,26 @@ def test_mode_flag_overrides(tmp_path):
     assert "/" in text.splitlines()[2]
 
 
+def test_large_seeds(tmp_path):
+    # gap keys a Philox generator, which takes keys below 2**128; the
+    # other commands seed generators that take any size
+    small = {"alpha": 0.5, "n_max": 4, "grid_size": 9, "probe_words": 2}
+    big = 2 ** 128 - 1
+    cases = [("gap", dict(small, seed=big), (), big),
+             ("gap", small, ("--seed", str(big)), big),
+             ("exponent", {"betas": [0.0], "word_len": 10, "count": 2,
+                           "seed": 10 ** 40}, (), 10 ** 40),
+             ("conjugacy", {"sample_count": 4}, ("--seed", str(2 ** 128)),
+              2 ** 128)]
+    for k, (command, params, flags, seed) in enumerate(cases):
+        out = tmp_path / str(k)
+        assert run_cli(write_config(tmp_path, command, params, out=out),
+                       *flags) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == seed
+        assert "threads" not in manifest
+
+
 def test_threads_deterministic(tmp_path, monkeypatch):
     for k, betas in enumerate([[0.0, 1.0], [0.5, 0.5]]):
         run = tmp_path / str(k)
@@ -372,7 +410,8 @@ def test_threads_deterministic(tmp_path, monkeypatch):
         monkeypatch.setenv("HOLDERLAB_CACHE", str(run / "cache1"))
         assert run_cli(cfg) == 0
         single = (run / "out" / "exponent.csv").read_bytes()
-        # the cache key leaves out --threads, so recompute in a fresh cache
+        # --threads has no effect and stays out of the cache key and the
+        # manifest; recompute in a fresh cache
         monkeypatch.setenv("HOLDERLAB_CACHE", str(run / "cache2"))
         other = run / "out2"
         assert run_cli(cfg, "--out", str(other), "--threads", "4") == 0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holderlab import (
     ProbVector,
@@ -133,6 +135,54 @@ def test_eval_derivative_grid_wrapper(dyadic, quarter):
 def test_growth_constant_positive(dyadic, quarter):
     k = growth_constant(dyadic, quarter, (2,))
     assert k > 0
+
+
+def full_branches(k):
+    return affine_system((float(k),) * k, tuple(-float(j) for j in range(k)),
+                         (0.0, 1.0))
+
+
+@st.composite
+def growth_cases(draw):
+    """Free weights of 2 or 3 branches, an order with |n| <= 3, and a
+    random or constant word of length 1 to 200."""
+    s = draw(st.integers(1, 2))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=s + 1,
+                        max_size=s + 1))
+    free = tuple(r / sum(raw) for r in raw[:s])
+    order = draw(st.lists(st.integers(0, 3), min_size=s, max_size=s).filter(
+        lambda n: 1 <= sum(n) <= 3))
+    length = draw(st.integers(1, 200))
+    symbol = st.integers(1, s + 1)
+    word = draw(st.one_of(symbol.map(lambda i: (i,) * length),
+                          st.lists(symbol, min_size=length,
+                                   max_size=length).map(tuple)))
+    return free, tuple(order), word
+
+
+@given(growth_cases())
+@example(((0.25,), (2,), (1,) * 64))    # 15.75, above a sampled 12.8
+@settings(max_examples=150, deadline=None)
+def test_growth_constant_bounds_every_word(case):
+    free, order, word = case
+    p = ProbVector.of(*free)
+    bound = growth_constant(full_branches(len(free) + 1), p, order)
+    coc = cocycle_matrix(word, p, order, normalized=True)
+    rows = np.array([sum(m) for m in coc.indices])
+    ratios = np.abs(coc.matrix) / (len(word) ** rows)[:, None]
+    assert ratios.max() <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("free", [(0.25,), (0.3,), (0.9,), (0.2, 0.5),
+                                  (0.6, 0.1)])
+def test_growth_constant_first_order(free):
+    # order e_j: A holds n_j / p_i for symbol j and the last symbol only
+    p = ProbVector.of(*free)
+    pf, s = p.as_floats(), len(free)
+    for j in range(s):
+        order = tuple(int(i == j) for i in range(s))
+        k = growth_constant(full_branches(s + 1), p, order)
+        assert k == max(1.0, 1.0 / float(pf[j + 1]), 1.0 / float(pf[s + 1]))
 
 
 def test_classical_takagi_proportionality(dyadic, half):

@@ -18,7 +18,6 @@ from holderlab import (
     spectrum,
     spectrum_point,
 )
-from holderlab.thermo import _brentq
 
 LOG43_LOG2 = 0.4150374992788437      # log(4/3)/log 2
 LOG2_LOG3 = 0.6309297535714574       # log 2 / log 3
@@ -207,20 +206,28 @@ def test_array_roots_and_spectrum_properties(k, seed, beta):
         assert one.g == pytest.approx(pt.g, abs=1e-12)
 
 
-def test_brentq_known_roots():
-    assert _brentq(lambda x: math.cos(x) - x, 0.0, 1.0, xtol=1e-15) == \
-        pytest.approx(0.7390851332151607, abs=1e-15)
-    assert _brentq(lambda x: x ** 3 - 2, -4.0, 4.0, xtol=1e-15) == \
-        pytest.approx(2 ** (1 / 3), abs=1e-15)
-    assert _brentq(lambda x: 3 * x - 1, 0.0, 1.0, xtol=2e-12) == \
-        pytest.approx(1 / 3, abs=2e-12)
-    # a root at either end is returned without iterating
-    assert _brentq(lambda x: x - 2.0, 2.0, 5.0, xtol=1e-12) == 2.0
-    assert _brentq(lambda x: x - 5.0, 2.0, 5.0, xtol=1e-12) == 5.0
+def bent_system():
+    """A quadratic left branch (slope 1.5 to 2.5) beside the branch 2x - 1,
+    both as callables, so the pressure takes the cylinder sandwich."""
+    left = Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
+                         dfn=lambda x: 2.5 - x,
+                         inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y))
+    right = Branch.custom(fn=lambda x: 2.0 * x - 1.0, dfn=lambda x: 2.0,
+                          inv=lambda y: (y + 1.0) / 2.0)
+    return IFSystem(branches=(left, right), open_set=(0.0, 1.0),
+                    expansion=1.5)
 
 
-def test_brentq_rejects_unbracketed_interval():
-    with pytest.raises(ValueError):
-        _brentq(lambda x: x * x + 1, -1.0, 1.0, xtol=1e-12)
-    with pytest.raises(ValueError):
-        _brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
+@pytest.mark.parametrize("w", [0.2, 0.55, 0.8])
+def test_nonaffine_root_matches_bisection(w):
+    system, p, level = bent_system(), ProbVector.of(w), 5
+    for beta in (-2.0, 0.0, 1.0, 2.5):
+        def mid(t):
+            return 0.5 * sum(pressure(system, p, t, beta, level=level))
+        lo, hi = -64.0, 64.0
+        assert mid(lo) >= 0 > mid(hi)
+        for _ in range(200):
+            m = 0.5 * (lo + hi)
+            lo, hi = (m, hi) if mid(m) >= 0 else (lo, m)
+        root = solve_pressure_root(system, p, beta, level=level)
+        assert root == pytest.approx(lo, abs=1e-13)

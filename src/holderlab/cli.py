@@ -3,9 +3,10 @@
 A single JSON config names the system, the weights, one command, and its
 parameters.  Outputs are CSV/JSON files written atomically into the output
 directory together with a manifest listing every artifact.  Heavy results
-are memoised in a content-addressed cache keyed by the full request, so a
-repeated run returns byte-identical files without recomputation.  Every
-command's parameters are declared once, in `PARAMS`.
+are memoised in a content-addressed cache keyed by the full request and a
+digest of the package's source, so a repeated run returns byte-identical
+files without recomputation and changed code never reads old results.
+Every command's parameters are declared once, in `PARAMS`.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 """
@@ -13,6 +14,8 @@ Exit codes: 0 success, 1 configuration error, 2 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import math
 import operator
@@ -245,9 +248,20 @@ def _json_bytes(obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+@functools.cache
+def _code_digest() -> str:
+    """sha256 over the names and bytes of the package's modules, read once
+    per process on the first cached command, not at import."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def _request(cfg: RunConfig, params: dict) -> str:
     return cache_key({
         "version": __version__,
+        "code": _code_digest(),
         "op": cfg.command,
         "system": system_to_json(cfg.system, cfg.p, cfg.mode),
         "params": params,

@@ -17,15 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ifs import IFSystem, OutsideHullError, ProbVector, _walk, \
-    affine_system, attractor_hull, hull_preimages, pi_approx
+from .ifs import IFSystem, OutsideHullError, ProbVector, _branch_arrays, \
+    _cylinder_maps, _walk, affine_system, attractor_hull, hull_preimages, \
+    pi_approx
 from .thermo import alpha_endpoints
-from .transition import GridFunction, cdf_values, holder_seminorm, \
-    uniform_grid
+from .transition import GridFunction, _cdf_walk, _orbit_tables, cdf_values, \
+    holder_seminorm, uniform_grid
 
 # rejected draws conjugacy_residual allows per requested sample, plus a
 # fixed allowance
 REJECTS_PER_SAMPLE, REJECTS_ALLOWED = 10, 100
+# symbols per sampled word, orbit steps checked against the exclusion
+# radius, and the most words drawn and coded in one array pass, which keeps
+# memory flat for any sample count
+WORD_LEN, EXCLUSION_STEPS, SAMPLE_CHUNK = 48, 12, 4096
 
 
 def linear_model(p: ProbVector) -> IFSystem:
@@ -45,6 +50,12 @@ def linear_model(p: ProbVector) -> IFSystem:
     return affine_system(tuple(slopes), tuple(intercepts), (0, 1))
 
 
+def _phi_depth(p: ProbVector, tol: float) -> int:
+    """Coding depth at which every linear-model cylinder is at most tol wide."""
+    pmax = max(float(w) for w in p.weights)
+    return max(8, math.ceil(math.log(tol) / math.log(pmax)))
+
+
 def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     """Linear-model coordinate of a point, via its symbolic coding.
 
@@ -54,8 +65,7 @@ def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     the exact common value of the two bracketing codings.  Exact inputs
     (rational weights and coordinate) return exact rationals.
     """
-    pmax = max(float(w) for w in p.weights)
-    depth = max(8, math.ceil(math.log(tol) / math.log(pmax)))
+    depth = _phi_depth(p, tol)
     a, b = attractor_hull(system)
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
@@ -74,52 +84,134 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
                        exclusion: float = 1e-6) -> float:
     """Largest violation of the conjugacy identity over sampled points.
 
-    Points come from codings drawn uniformly at random; the expanding map
-    applies the branch of smallest index whose preimage interval contains
-    the point, and the identity compares the coordinate of the image with
-    the linear branch applied to the coordinate of the point.  Points whose
-    first twelve orbit steps pass within `exclusion` of a preimage-interval
-    endpoint are rejected: there two codings collide and the identity only
-    holds off that countable set.  An `exclusion` too wide for the system
-    rejects (nearly) every draw, so the sampler raises ValueError once it
-    has rejected more than 10 * sample_count + 100 draws.
+    Points are the cylinder midpoints of words of 48 symbols drawn
+    uniformly at random.  The expanding map f applies the branch of the
+    point's first coding symbol, and the identity compares phi_{d-1}(f x)
+    with the linear branch applied to phi_d(x), where phi_d is the midpoint
+    of the depth-d coding cylinder in the linear model and tol sets d as in
+    `phi`.  The two sides are equal in exact arithmetic whenever the coding
+    of f x is the coding of x shifted by one symbol, so the residual
+    measures that agreement plus rounding (a few units in the last place);
+    it is not the truncation error of phi, whatever depth tol sets.  Points
+    whose first twelve orbit steps pass within `exclusion` of a
+    preimage-interval endpoint are rejected: there two codings collide and
+    the identity only holds off that countable set.  An `exclusion` too
+    wide for the system rejects (nearly) every draw, so the sampler raises
+    ValueError once it has rejected more than 10 * sample_count + 100
+    draws.  All arithmetic is in float, rational systems and weights
+    included.  Words are drawn, coded and compared as arrays of at most
+    SAMPLE_CHUNK words at a time; non-affine branches are applied point by
+    point inside the same pipeline.
+    """
+    depth = _phi_depth(p, tol)
+    weights = np.array([float(w) for w in p.weights])
+    left = np.concatenate([[0.0], np.cumsum(weights)])
+    worst = 0.0
+    for x, sym in _samples(system, sample_count, seed, exclusion):
+        if not x.size:
+            continue
+        lhs = _coordinates(system, p, _apply_branches(system, sym, x),
+                           depth - 1)
+        rhs = (_coordinates(system, p, x, depth) - left[sym - 1]) \
+            / weights[sym - 1]
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _samples(system: IFSystem, sample_count: int, seed: int,
+             exclusion: float):
+    """Accepted sample points of conjugacy_residual and their first coding
+    symbols, as (x, sym) array chunks in draw order.
+
+    One call draws a chunk of words; Philox gives the same words, in the
+    same order, as one word per call.  A chunk never holds more words than
+    samples still missing, so every accepted point in it is used.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    lin = linear_model(p)
-    pre = hull_preimages(system)
-    syms = system.symbols()
-    word_len = 48
-
-    def first_symbol(x):
-        """The first coding symbol of x, or None for a rejected point."""
-        first = None
-        for y, sym, gap in _walk(system, x, 12, pre):
-            if gap:
-                break  # no endpoint collision ahead
-            u, v = pre[sym - 1]
-            if min(y - u, v - y) < exclusion:
-                return None
-            first = first or sym
-        return first
-
-    worst = 0.0
+    allowed = REJECTS_PER_SAMPLE * sample_count + REJECTS_ALLOWED
     produced = rejected = 0
     while produced < sample_count:
-        word = tuple(int(s) for s in rng.choice(syms, size=word_len))
-        x = pi_approx(system, word)[0]
-        sym = first_symbol(x)
-        if sym is None:
-            rejected += 1
-            if rejected > REJECTS_PER_SAMPLE * sample_count + REJECTS_ALLOWED:
-                raise ValueError(f"exclusion {exclusion} rejected {rejected} "
-                                 f"draws for {produced} samples")
-            continue
-        produced += 1
-        fx = system.branch(sym)(x)
-        lhs = phi(system, p, fx, tol=tol)
-        rhs = lin.branch(sym)(phi(system, p, x, tol=tol))
-        worst = max(worst, abs(float(lhs) - float(rhs)))
-    return worst
+        m = min(SAMPLE_CHUNK, sample_count - produced)
+        words = rng.choice(system.symbols(), size=(m, WORD_LEN))
+        x = _midpoints(system, words)
+        sym = _first_symbols(system, x, exclusion)
+        ok = sym > 0
+        bad = rejected + np.cumsum(~ok)
+        if bad[-1] > allowed:
+            k = int(np.argmax(bad > allowed))  # the draw that went over
+            raise ValueError(f"exclusion {exclusion} rejected {bad[k]} draws "
+                             f"for {produced + np.count_nonzero(ok[:k])} "
+                             f"samples")
+        rejected = int(bad[-1])
+        produced += int(np.count_nonzero(ok))
+        yield x[ok], sym[ok]
+
+
+def _midpoints(system: IFSystem, words: np.ndarray) -> np.ndarray:
+    """pi_approx midpoints of an (m, n) array of words, in float."""
+    if not system.is_affine:
+        return np.array([float(pi_approx(system, w)[0])
+                         for w in words.tolist()])
+    c, d = _cylinder_maps(system, words)
+    c, d = c[:, -1], d[:, -1]
+    lo, hi = (c * float(v) + d for v in system.open_set)
+    return lo + (hi - lo) / 2
+
+
+def _first_symbols(system: IFSystem, x: np.ndarray,
+                   exclusion: float) -> np.ndarray:
+    """First coding symbol of every point, 0 where the point is rejected.
+
+    The walk follows `_walk`: the window is the first one whose right edge
+    is at or right of y, and y lies in a gap when it is left of that window
+    or right of them all.  A point is rejected when it starts in a gap or
+    when an orbit point of its first EXCLUSION_STEPS lies within `exclusion`
+    of its window's edges; a gap later on ends its walk, as no collision
+    lies ahead.
+    """
+    pre = hull_preimages(system)
+    u = np.array([float(lo) for lo, _ in pre])
+    v = np.array([float(hi) for _, hi in pre])
+    first = np.zeros(x.size, dtype=int)
+    live, y = np.arange(x.size), x
+    for step in range(EXCLUSION_STEPS):
+        k = np.minimum((v[:, None] < y).sum(axis=0), v.size - 1)
+        window = (u[k] <= y) & (y <= v[k])
+        clear = window & ~(np.minimum(y - u[k], v[k] - y) < exclusion)
+        if step == 0:
+            first[live[clear]] = k[clear] + 1
+        else:
+            first[live[window & ~clear]] = 0
+        live, y, k = live[clear], y[clear], k[clear]
+        if not live.size:
+            break
+        y = _apply_branches(system, k + 1, y)
+    return first
+
+
+def _apply_branches(system: IFSystem, sym: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """f_sym(y) for arrays of 1-based symbols and points, with the rounding
+    of the coding walks: one array step for affine branches, else one call
+    per point."""
+    if not system.is_affine:
+        return np.array([system.branch(s)(t)
+                         for s, t in zip(sym.tolist(), y.tolist())])
+    slopes, intercepts = _branch_arrays(system)
+    return slopes[sym - 1] * y + intercepts[sym - 1]
+
+
+def _coordinates(system: IFSystem, p: ProbVector, xs: np.ndarray,
+                 depth: int) -> np.ndarray:
+    """phi_depth at every point of xs in float: the walk's acc + mass/2
+    after depth steps, or fewer where a gap or hull endpoint decides it."""
+    if system.is_affine:
+        acc, mass, _, _ = _orbit_tables(system, p, xs, tol=0.0,
+                                        max_depth=depth, keep_steps=False)
+    else:
+        acc, mass = np.array(_cdf_walk(system, p, xs.tolist(), 0.0, depth),
+                             dtype=float).reshape(-1, 2).T
+    return acc + mass / 2
 
 
 @dataclass(frozen=True)

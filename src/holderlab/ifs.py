@@ -401,6 +401,28 @@ def cylinder(system: IFSystem, word: Sequence[int]):
     return lo, hi
 
 
+def _branch_arrays(system: IFSystem):
+    """Float arrays of the slopes and intercepts of an affine system."""
+    return (np.array([float(br.slope) for br in system.branches]),
+            np.array([float(br.intercept) for br in system.branches]))
+
+
+def _cylinder_maps(system: IFSystem, words: np.ndarray):
+    """Prefix cylinder maps of many words of an affine system at once.
+
+    words is an (m, n) array of 1-based symbols.  The inverse-branch
+    composition f_{w_1}^{-1} o ... o f_{w_k}^{-1} is affine, x -> c x + d,
+    and entry (i, k - 1) of the returned (c, d) belongs to the prefix of
+    length k of word i: c_k = c_{k-1} / a and d_k = d_{k-1} - c_k b for the
+    branch (a, b) of w_k, so every word extends by one symbol per column.
+    """
+    idx = words - 1
+    slopes, intercepts = _branch_arrays(system)
+    c = np.cumprod(1.0 / slopes[idx], axis=1)
+    d = -np.cumsum(c * intercepts[idx], axis=1)
+    return c, d
+
+
 @dataclass(frozen=True)
 class EncodeResult:
     word: Word

@@ -127,18 +127,21 @@ def _gibbs(lw, ls, betas, t=None):
         raise ValueError("beta must be finite")
     bl = b * lw
     if t is None:
-        t = np.min(bl / ls, axis=1)
-        for _ in range(_NEWTON_MAX):
-            v = bl - t[:, None] * ls
-            m = v.max(axis=1)
-            e = np.exp(v - m[:, None])
-            s = e.sum(axis=1)
-            step = (m + np.log(s)) * s / (e * ls).sum(axis=1)
-            nt = t + step
-            move = (step > 0) & (nt != t)
-            if not move.any():
-                break
-            t = np.where(move, nt, t)
+        # a root beyond the largest double overflows here; the finite check
+        # below turns that into the one ValueError
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.min(bl / ls, axis=1)
+            for _ in range(_NEWTON_MAX):
+                v = bl - t[:, None] * ls
+                m = v.max(axis=1)
+                e = np.exp(v - m[:, None])
+                s = e.sum(axis=1)
+                step = (m + np.log(s)) * s / (e * ls).sum(axis=1)
+                nt = t + step
+                move = (step > 0) & (nt != t)
+                if not move.any():
+                    break
+                t = np.where(move, nt, t)
     else:
         t = np.asarray(t, dtype=float).reshape(-1)
     if not np.all(np.isfinite(t)):

@@ -25,6 +25,8 @@ from .ifs import (
     compactify,
     compactified_gap_factor,
     hull_preimages,
+    _branch_arrays,
+    _cylinder_maps,
     _walk,
 )
 
@@ -157,8 +159,7 @@ def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
     """
     a, b = attractor_hull(system)
     a, b = float(a), float(b)
-    slopes = np.array([float(br.slope) for br in system.branches])
-    intercepts = np.array([float(br.intercept) for br in system.branches])
+    slopes, intercepts = _branch_arrays(system)
     pre = hull_preimages(system)
     u = np.array([float(lo) for lo, _ in pre])
     v = np.array([float(hi) for _, hi in pre])
@@ -499,20 +500,17 @@ def _cylinder_probe_max(system, p, alpha, words):
 
     The operator iterate changes across the cylinder of a depth-n word by
     exactly the word's mass, so each prefix gives a certified pair ratio.
-    The inverse-branch composition along a word is affine, x -> c x + d, so
-    all words extend by one symbol per step at once.  Logs keep deep
-    cylinders alive long after their endpoints collide in float arithmetic.
+    The cylinders of all prefixes come from `_cylinder_maps`.  Logs keep
+    deep cylinders alive long after their endpoints collide in float
+    arithmetic.
     """
     idx = words - 1
-    slopes = np.array([float(br.slope) for br in system.branches])
-    intercepts = np.array([float(br.intercept) for br in system.branches])
+    slopes, _ = _branch_arrays(system)
     weights = np.array([float(w) for w in p.weights])
     lo_o, hi_o = (float(v) for v in system.open_set)
     log_mass = np.cumsum(np.log(weights)[idx], axis=1)
     log_diam = math.log(hi_o - lo_o) - np.cumsum(np.log(slopes)[idx], axis=1)
-    # c_n = c_{n-1} / a and d_n = d_{n-1} - c_n b for the branch (a, b) of w_n
-    c = np.cumprod(1.0 / slopes[idx], axis=1)
-    d = -np.cumsum(c * intercepts[idx], axis=1)
+    c, d = _cylinder_maps(system, words)
     factor = compactified_gap_factor(c * lo_o + d, c * hi_o + d)
     log_ratio = log_mass - alpha * (log_diam + np.log(factor))
     return np.exp(log_ratio.max(axis=0))

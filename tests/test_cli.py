@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -168,6 +169,26 @@ def test_cache_round_trip_byte_identical(tmp_path):
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == first
 
 
+def test_cache_entry_of_other_code_not_served(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, "spectrum", {"alpha_grid": {"count": 7}})
+    out = tmp_path / "out" / "spectrum.csv"
+    real = cli._code_digest()
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+    assert run_cli(cfg) == 0
+    fresh = out.read_bytes()
+    # replace the one entry, written under the other digest, by a valid one
+    # holding a stale body
+    (entry,) = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+    stale = b"x,stale\n"
+    entry.write_bytes(hashlib.sha256(stale).hexdigest().encode() + b"\n"
+                      + stale)
+    assert run_cli(cfg) == 0
+    assert out.read_bytes() == stale
+    monkeypatch.setattr(cli, "_code_digest", lambda: real)
+    assert run_cli(cfg) == 0
+    assert out.read_bytes() == fresh
+
+
 def test_changed_weights_change_key():
     a = cache.cache_key({"op": "spectrum", "p": [0.25]})
     b = cache.cache_key({"op": "spectrum", "p": [0.26]})
@@ -326,12 +347,23 @@ def test_exit_code_numeric_failure(tmp_path):
     assert run_cli(cfg) == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # numpy's overflow
 def test_overflowing_pressure_root_exits_2(tmp_path, capsys):
     # a finite beta whose root t(beta) lies beyond the largest double
     cfg = write_config(tmp_path, "pressure", {"beta_grid": [1e308]})
     assert run_cli(cfg) == 2
     assert capsys.readouterr().err.count("overflows a double") == 1
+
+
+def test_overflowing_pressure_root_prints_one_line(tmp_path):
+    cfg = write_config(tmp_path, "pressure", {"beta_grid": [1e308]})
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "holderlab.cli",
+                           "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == ("holderlab: ValueError: pressure root overflows "
+                           "a double\n")
 
 
 def test_conjugacy_wide_exclusion_exits_2(tmp_path, capsys):

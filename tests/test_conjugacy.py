@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from holderlab import (
+    Branch,
+    IFSystem,
     OutsideHullError,
     ProbVector,
     affine_system,
@@ -14,7 +16,10 @@ from holderlab import (
     phi,
     rigidity_report,
     validate,
+    validated,
 )
+from holderlab import conjugacy
+from holderlab.ifs import _walk, hull_preimages, pi_approx
 
 
 def test_linear_model_halves():
@@ -97,6 +102,90 @@ def test_conjugacy_residual_gives_up_on_wide_exclusion(dyadic, cantor,
         conjugacy_residual(dyadic, quarter, 4, exclusion=0.5)
     with pytest.raises(ValueError, match="rejected"):
         conjugacy_residual(cantor, quarter, 50, exclusion=0.05)
+
+
+THREE = affine_system((3.0, 3.0, 3.0), (0.0, -1.0, -2.0), (0.0, 1.0))
+
+
+def _one_word_at_a_time(system, count, seed, exclusion):
+    """Sample points and first symbols drawn one word per call, each point
+    its word's pi_approx and checked on the scalar coding walk."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    pre = hull_preimages(system)
+    xs, syms = [], []
+    while len(xs) < count:
+        word = tuple(int(s) for s in rng.choice(system.symbols(), size=48))
+        x = pi_approx(system, word)[0]
+        first = None
+        for y, sym, gap in _walk(system, x, 12, pre):
+            if gap:
+                break
+            u, v = pre[sym - 1]
+            if min(y - u, v - y) < exclusion:
+                first = None
+                break
+            first = first or sym
+        if first is not None:
+            xs.append(x)
+            syms.append(first)
+    return np.array(xs), np.array(syms)
+
+
+@pytest.mark.parametrize("exclusion", [1e-6, 0.02])
+@pytest.mark.parametrize("name", ["dyadic", "cantor", "three"])
+def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
+                                              name, exclusion):
+    system = {"dyadic": dyadic, "cantor": cantor, "three": THREE}[name]
+    ref_x, ref_sym = _one_word_at_a_time(system, 60, 11, exclusion)
+    # small chunks split the draws across many rng calls
+    monkeypatch.setattr(conjugacy, "SAMPLE_CHUNK", 7)
+    chunks = list(conjugacy._samples(system, 60, 11, exclusion))
+    assert all(x.size <= 7 for x, _ in chunks)
+    x = np.concatenate([c[0] for c in chunks])
+    sym = np.concatenate([c[1] for c in chunks])
+    assert np.array_equal(sym, ref_sym)
+    np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-15)
+
+
+def test_residual_does_not_depend_on_chunk_size(monkeypatch, cantor,
+                                                 quarter):
+    whole = conjugacy_residual(cantor, quarter, 300, seed=5)
+    monkeypatch.setattr(conjugacy, "SAMPLE_CHUNK", 16)
+    assert conjugacy_residual(cantor, quarter, 300, seed=5) == whole
+
+
+def test_residual_is_coding_agreement_not_truncation(dyadic, half):
+    # phi's depth at the default tol is below the 48 symbols of a sample
+    # word; comparing phi_{d-1}(f x) with L(phi_d(x)) leaves rounding only
+    assert conjugacy_residual(dyadic, half, 400, seed=3) <= 1e-14
+    assert conjugacy_residual(THREE, ProbVector.of(0.25, 0.375), 400,
+                              seed=3) <= 1e-14
+
+
+def test_residual_rational_system():
+    system = affine_system((Fraction(2), Fraction(2)),
+                           (Fraction(0), Fraction(-1)),
+                           (Fraction(0), Fraction(1)))
+    p = ProbVector((Fraction(1, 4), Fraction(3, 4)))
+    assert conjugacy_residual(system, p, 400, seed=3) <= 1e-14
+
+
+def _quadratic_system():
+    # left branch 2.5x - 0.5x^2 (slope 1.5 to 2.5 on (0, 1)), right 2x - 1
+    quad = Branch.custom(lambda x: 2.5 * x - 0.5 * x * x,
+                         lambda x: 2.5 - x,
+                         lambda y: (5.0 - math.sqrt(25.0 - 8.0 * y)) / 2.0)
+    right = Branch.custom(lambda x: 2.0 * x - 1.0, lambda x: 2.0,
+                          lambda y: (y + 1.0) / 2.0)
+    return validated(IFSystem(branches=(quad, right), open_set=(0.0, 1.0),
+                              expansion=1.5))
+
+
+def test_residual_custom_branches():
+    system = _quadratic_system()
+    assert not system.is_affine
+    assert conjugacy_residual(system, ProbVector.of(0.3), 200,
+                              seed=2) <= 1e-12
 
 
 def test_rigidity_verdicts(dyadic, quarter, half):

@@ -17,11 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ifs import IFSystem, OutsideHullError, ProbVector, _branch_arrays, \
-    _cylinder_maps, _walk, affine_system, attractor_hull, hull_preimages, \
-    pi_approx
+from .ifs import IFSystem, OutsideHullError, ProbVector, _apply_branches, \
+    _coding_for, _cylinder_maps, _walk, affine_system, pi_approx
 from .thermo import alpha_endpoints
-from .transition import GridFunction, _cdf_walk, _orbit_tables, cdf_values, \
+from .transition import GridFunction, _orbit_tables, cdf_values, \
     holder_seminorm, uniform_grid
 
 # rejected draws conjugacy_residual allows per requested sample, plus a
@@ -66,12 +65,12 @@ def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     (rational weights and coordinate) return exact rationals.
     """
     depth = _phi_depth(p, tol)
-    a, b = attractor_hull(system)
+    a, b = system._coding.hull
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
-    left = [p.left_mass(sym) for sym in range(1, len(p) + 2)]
+    left = p._left
     acc, mass = (Fraction(0), Fraction(1)) if p.is_rational else (0.0, 1.0)
-    for _, sym, gap in _walk(system, x, depth, hull_preimages(system)):
+    for _, sym, gap in _walk(*_coding_for(system, x), depth):
         acc += mass * left[sym - 1]
         if gap:
             return acc
@@ -100,8 +99,7 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     ValueError once it has rejected more than 10 * sample_count + 100
     draws.  All arithmetic is in float, rational systems and weights
     included.  Words are drawn, coded and compared as arrays of at most
-    SAMPLE_CHUNK words at a time; non-affine branches are applied point by
-    point inside the same pipeline.
+    SAMPLE_CHUNK words at a time, non-affine branches included.
     """
     depth = _phi_depth(p, tol)
     weights = np.array([float(w) for w in p.weights])
@@ -110,7 +108,7 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     for x, sym in _samples(system, sample_count, seed, exclusion):
         if not x.size:
             continue
-        lhs = _coordinates(system, p, _apply_branches(system, sym, x),
+        lhs = _coordinates(system, p, _apply_branches(system, sym - 1, x),
                            depth - 1)
         rhs = (_coordinates(system, p, x, depth) - left[sym - 1]) \
             / weights[sym - 1]
@@ -169,9 +167,9 @@ def _first_symbols(system: IFSystem, x: np.ndarray,
     of its window's edges; a gap later on ends its walk, as no collision
     lies ahead.
     """
-    pre = hull_preimages(system)
-    u = np.array([float(lo) for lo, _ in pre])
-    v = np.array([float(hi) for _, hi in pre])
+    windows = system._coding.windows
+    u = np.array([float(lo) for lo, _ in windows])
+    v = np.array([float(hi) for _, hi in windows])
     first = np.zeros(x.size, dtype=int)
     live, y = np.arange(x.size), x
     for step in range(EXCLUSION_STEPS):
@@ -185,32 +183,16 @@ def _first_symbols(system: IFSystem, x: np.ndarray,
         live, y, k = live[clear], y[clear], k[clear]
         if not live.size:
             break
-        y = _apply_branches(system, k + 1, y)
+        y = _apply_branches(system, k, y)
     return first
-
-
-def _apply_branches(system: IFSystem, sym: np.ndarray,
-                    y: np.ndarray) -> np.ndarray:
-    """f_sym(y) for arrays of 1-based symbols and points, with the rounding
-    of the coding walks: one array step for affine branches, else one call
-    per point."""
-    if not system.is_affine:
-        return np.array([system.branch(s)(t)
-                         for s, t in zip(sym.tolist(), y.tolist())])
-    slopes, intercepts = _branch_arrays(system)
-    return slopes[sym - 1] * y + intercepts[sym - 1]
 
 
 def _coordinates(system: IFSystem, p: ProbVector, xs: np.ndarray,
                  depth: int) -> np.ndarray:
     """phi_depth at every point of xs in float: the walk's acc + mass/2
     after depth steps, or fewer where a gap or hull endpoint decides it."""
-    if system.is_affine:
-        acc, mass, _, _ = _orbit_tables(system, p, xs, tol=0.0,
-                                        max_depth=depth, keep_steps=False)
-    else:
-        acc, mass = np.array(_cdf_walk(system, p, xs.tolist(), 0.0, depth),
-                             dtype=float).reshape(-1, 2).T
+    acc, mass, _, _ = _orbit_tables(system, p, xs, tol=0.0, max_depth=depth,
+                                    keep_steps=False)
     return acc + mass / 2
 
 

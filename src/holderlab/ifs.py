@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -33,6 +34,9 @@ class ConfigurationError(ValueError):
 
 class OutsideHullError(ValueError):
     """Raised when a point that must lie in the attractor hull does not."""
+
+
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,14 @@ class Branch:
 
     @staticmethod
     def custom(fn, dfn, inv):
+        """Non-affine branch from its map, derivative and inverse.
+
+        The array coding walk (`cdf_values`, `conjugacy_residual`,
+        `apply_transition`) calls fn once on a float array of points; when
+        fn does not return a float array of that shape (it uses math.sqrt or
+        a Python `if`, say), fn is called once per point instead.  dfn and
+        inv are only called on scalars.
+        """
         return Branch(fn=fn, dfn=dfn, inv=inv)
 
     @property
@@ -189,6 +201,30 @@ class ProbVector:
     def is_rational(self) -> bool:
         return any(isinstance(w, Fraction) for w in self.weights)
 
+    # Derived tables live on the instance, never in a table keyed by the
+    # weights: a float vector and its exact twin compare equal and hash
+    # alike, and must not share an entry.
+
+    @cached_property
+    def _left(self) -> tuple:
+        """left_mass of the symbols 1 .. len + 1."""
+        return tuple(self.left_mass(sym) for sym in range(1, len(self) + 2))
+
+    @cached_property
+    def _numerators(self):
+        """(d, weights * d, left masses * d) as integers, d the least common
+        denominator of the weights; None unless every weight is a Fraction."""
+        if not all(isinstance(w, Fraction) for w in self.weights):
+            return None
+        d = math.lcm(*(w.denominator for w in self.weights))
+        return (d, tuple(int(w * d) for w in self.weights),
+                tuple(int(v * d) for v in self._left))
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Tables other modules derive from these weights, by plain keys."""
+        return {}
+
     def as_floats(self) -> "ProbVector":
         if not self.is_rational:
             return self
@@ -221,11 +257,11 @@ class IFSystem:
     def branch(self, symbol: int) -> Branch:
         return self.branches[symbol - 1]
 
-    @property
+    @cached_property
     def is_affine(self) -> bool:
         return all(b.is_affine for b in self.branches)
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         return self.is_affine and all(
             isinstance(b.slope, Fraction) and isinstance(b.intercept, Fraction)
@@ -234,6 +270,25 @@ class IFSystem:
 
     def symbols(self):
         return range(1, len(self.branches) + 1)
+
+    @cached_property
+    def _coding(self) -> "_Coding":
+        """The coding table, built on first use; a degenerate hull raises
+        ConfigurationError on every access, as nothing is cached then."""
+        return _coding_table(self)
+
+    @cached_property
+    def _float_maps(self) -> tuple:
+        """Read-only float arrays of the slopes and intercepts, if affine."""
+        slopes = np.array([float(br.slope) for br in self.branches])
+        intercepts = np.array([float(br.intercept) for br in self.branches])
+        slopes.flags.writeable = intercepts.flags.writeable = False
+        return slopes, intercepts
+
+    @cached_property
+    def _lattice_codings(self) -> dict:
+        """Integer coding tables of a rational system, by lattice scale."""
+        return {}
 
 
 def affine_system(slopes, intercepts, open_set) -> IFSystem:
@@ -245,11 +300,7 @@ def affine_system(slopes, intercepts, open_set) -> IFSystem:
 def attractor_hull(system: IFSystem):
     """Smallest interval containing the attractor: between the fixed points
     of the first and the last branch."""
-    lo = _branch_fixed_point(system.branch(1), system.open_set)
-    hi = _branch_fixed_point(system.branch(system.branch_count), system.open_set)
-    if not lo < hi:
-        raise ConfigurationError("degenerate attractor hull")
-    return lo, hi
+    return system._coding.hull
 
 
 def _branch_fixed_point(branch: Branch, open_set):
@@ -278,8 +329,80 @@ def _branch_fixed_point(branch: Branch, open_set):
 
 def hull_preimages(system: IFSystem):
     """Per-branch preimage intervals of the attractor hull, in branch order."""
-    a, b = attractor_hull(system)
-    return [br.preimage_interval(a, b) for br in system.branches]
+    return list(system._coding.windows)
+
+
+@dataclass(frozen=True)
+class _Coding:
+    """What the coding walk reads, in the coordinates it walks in.
+
+    hull is (a, b), windows the hull preimages (u, v) in branch order, and
+    maps the (slope, intercept) pair of every branch of an affine system
+    (None otherwise: the walk then calls the branches).  lattice is set on
+    a rational system with integer slopes: the least common denominator of
+    its intercepts.
+    """
+
+    hull: tuple
+    windows: tuple
+    maps: Optional[tuple]
+    branches: tuple
+    lattice: Optional[int] = None
+
+
+def _coding_table(system: IFSystem) -> _Coding:
+    lo = _branch_fixed_point(system.branch(1), system.open_set)
+    hi = _branch_fixed_point(system.branch(system.branch_count), system.open_set)
+    if not lo < hi:
+        raise ConfigurationError("degenerate attractor hull")
+    maps = lattice = None
+    if system.is_affine:
+        maps = tuple((br.slope, br.intercept) for br in system.branches)
+        if system.is_rational and all(a.denominator == 1 for a, _ in maps):
+            lattice = math.lcm(*(b.denominator for _, b in maps))
+    return _Coding(hull=(lo, hi),
+                   windows=tuple(br.preimage_interval(lo, hi)
+                                 for br in system.branches),
+                   maps=maps, branches=system.branches, lattice=lattice)
+
+
+# integer tables kept per system; more scales than this start the memo over
+_LATTICE_TABLES = 64
+
+
+def _coding_for(system: IFSystem, x):
+    """The table to walk x on, and x in its coordinates.
+
+    A rational x on a rational system with integer slopes has its orbit on
+    the lattice (1/Q)Z, Q the least common multiple of the denominators of
+    x and of the intercepts.  Its walk runs on the integers N = y Q: windows
+    [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and hull endpoints a Q
+    (a non-integer one is never met).  Every other x walks on the system's
+    own table.
+    """
+    coding = system._coding
+    if coding.lattice is None or not isinstance(x, (int, Fraction)):
+        return coding, x
+    q = math.lcm(coding.lattice, x.denominator)
+    memo = system._lattice_codings
+    table = memo.get(q)
+    if table is None:
+        if len(memo) >= _LATTICE_TABLES:
+            memo.clear()
+        table = memo[q] = _scaled_coding(coding, q)
+    return table, x.numerator * (q // x.denominator)
+
+
+def _scaled_coding(coding: _Coding, q: int) -> _Coding:
+    def scaled(t):
+        t = t * q
+        return t.numerator if t.denominator == 1 else t
+
+    return _Coding(hull=tuple(scaled(t) for t in coding.hull),
+                   windows=tuple((math.ceil(u * q), math.floor(v * q))
+                                 for u, v in coding.windows),
+                   maps=tuple((int(a), int(b * q)) for a, b in coding.maps),
+                   branches=coding.branches)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +425,12 @@ def validate(system: IFSystem, p: Optional[ProbVector] = None,
     """Check monotonicity, expansion, inverse consistency and the ordering
     and disjointness of branch preimages.  Structural impossibilities raise
     ConfigurationError; the disjointness grade is reported, not raised.
+
+    Preimages with Fraction endpoints are compared exactly.  Float ones get
+    a slack of 1e-12 of the width of O plus four units of rounding at the
+    magnitude of O's endpoints, which the inverse round trip of non-affine
+    branches also gets: so an overlap is told from a touch at any scale of
+    O, and rounding far from the origin is not an overlap.
     """
     lo, hi = system.open_set
     if not lo < hi:
@@ -309,6 +438,8 @@ def validate(system: IFSystem, p: Optional[ProbVector] = None,
     if system.branch_count < 2:
         raise ConfigurationError("need at least two branches")
     checks = []
+    slack = 1e-12 * float(hi - lo) + 4 * _EPS * max(abs(float(lo)),
+                                                    abs(float(hi)))
 
     pts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
     lam = system.expansion if system.expansion else 1.0
@@ -328,13 +459,15 @@ def validate(system: IFSystem, p: Optional[ProbVector] = None,
                 raise ConfigurationError(
                     f"branch {i} derivative sample {dmin} below expansion bound {lam}")
             rt = max(abs(br.inverse(br(x)) - x) for x in pts)
-            if rt > 1e-12:
+            if rt > slack:
                 raise ConfigurationError(
                     f"branch {i} inverse round-trip error {rt:.2e}")
             checks.append((f"branch {i} increasing", True, f"min derivative {dmin:.6g}"))
 
     pre = [br.preimage_interval(lo, hi) for br in system.branches]
-    inside = all(u >= lo - 1e-12 and v <= hi + 1e-12 for u, v in pre)
+    if all(isinstance(t, Fraction) for pair in pre for t in pair):
+        slack = 0
+    inside = all(u >= lo - slack and v <= hi + slack for u, v in pre)
     checks.append(("preimages inside O", inside,
                    "; ".join(f"[{float(u):.6g}, {float(v):.6g}]" for u, v in pre)))
 
@@ -346,12 +479,12 @@ def validate(system: IFSystem, p: Optional[ProbVector] = None,
     separating = True
     for i in range(len(pre) - 1):
         gap = pre[i + 1][0] - pre[i][1]
-        if gap < -1e-12:
+        if gap < -slack:
             osc = False
             separating = False
             checks.append((f"preimages {i + 1},{i + 2} disjoint", False,
                            f"overlap of width {float(-gap):.6g}"))
-        elif gap <= 1e-12:
+        elif gap <= slack:
             separating = False
             checks.append((f"preimages {i + 1},{i + 2} touch", True,
                            f"shared endpoint near {float(pre[i][1]):.6g}"))
@@ -401,12 +534,6 @@ def cylinder(system: IFSystem, word: Sequence[int]):
     return lo, hi
 
 
-def _branch_arrays(system: IFSystem):
-    """Float arrays of the slopes and intercepts of an affine system."""
-    return (np.array([float(br.slope) for br in system.branches]),
-            np.array([float(br.intercept) for br in system.branches]))
-
-
 def _cylinder_maps(system: IFSystem, words: np.ndarray):
     """Prefix cylinder maps of many words of an affine system at once.
 
@@ -417,7 +544,7 @@ def _cylinder_maps(system: IFSystem, words: np.ndarray):
     branch (a, b) of w_k, so every word extends by one symbol per column.
     """
     idx = words - 1
-    slopes, intercepts = _branch_arrays(system)
+    slopes, intercepts = system._float_maps
     c = np.cumprod(1.0 / slopes[idx], axis=1)
     d = -np.cumsum(c * intercepts[idx], axis=1)
     return c, d
@@ -436,26 +563,27 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     A point inside a gap of the attractor gets the word of the deepest
     cylinder containing it and gap=True.
     """
-    a, b = attractor_hull(system)
+    a, b = system._coding.hull
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
     word = []
-    for _, sym, gap in _walk(system, x, depth, hull_preimages(system)):
+    for _, sym, gap in _walk(*_coding_for(system, x), depth):
         if gap:
             return EncodeResult(word=tuple(word), gap=True)
         word.append(sym)
     return EncodeResult(word=tuple(word), gap=False)
 
 
-def _walk(system: IFSystem, x, depth: int, pre):
-    """Coding walk of x: yields (y, sym, gap) for at most depth steps.
+def _walk(coding: _Coding, y, depth: int):
+    """Coding walk of y on a table of `_coding_for`: yields (y, sym, gap)
+    for at most depth steps.
 
-    y is the orbit point before the step and sym the smallest index whose
-    window in pre = hull_preimages(system) holds it; the walk then applies
-    that branch.  In a gap, sym is the first window right of y (len(pre)
+    y is the orbit point before the step, in the table's coordinates, and
+    sym the smallest index whose window holds it; the walk then applies
+    that branch.  In a gap, sym is the first window right of y (len(windows)
     + 1 right of them all), gap is True and the walk stops.
     """
-    y = x
+    pre, maps, branches = coding.windows, coding.maps, coding.branches
     for _ in range(depth):
         for sym, (u, v) in enumerate(pre, start=1):
             if y <= v:
@@ -466,7 +594,44 @@ def _walk(system: IFSystem, x, depth: int, pre):
             yield y, sym, True
             return
         yield y, sym, False
-        y = system.branch(sym)(y)
+        if maps is None:
+            y = branches[sym - 1](y)
+        else:
+            slope, intercept = maps[sym - 1]
+            y = slope * y + intercept
+
+
+def _branch_on_array(br: Branch, y: np.ndarray) -> np.ndarray:
+    """br applied to a float array: one call, or one call per point when the
+    callable does not return a float array of y's shape."""
+    if br.is_affine:
+        return float(br.slope) * y + float(br.intercept)
+    try:
+        fy = br.fn(y)
+    except (TypeError, ValueError, AttributeError):
+        # what float-only code raises on an array: math.sqrt, a Python
+        # `if`, a float method; a real fault raises again point by point
+        fy = None
+    if (isinstance(fy, np.ndarray) and fy.dtype == np.float64
+            and fy.shape == y.shape):
+        return fy
+    return np.array([br.fn(t) for t in y.tolist()], dtype=float)
+
+
+def _apply_branches(system: IFSystem, idx: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """f_{idx + 1}(y) for arrays of 0-based branch indices and float points,
+    with the rounding of the scalar walk: one array step for an affine
+    system, else one `_branch_on_array` call per branch on its points."""
+    if system.is_affine:
+        slopes, intercepts = system._float_maps
+        return slopes[idx] * y + intercepts[idx]
+    out = np.empty_like(y)
+    for k, br in enumerate(system.branches):
+        sel = idx == k
+        if sel.any():
+            out[sel] = _branch_on_array(br, y[sel])
+    return out
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _walk, attractor_hull, hull_preimages
+from .ifs import IFSystem, ProbVector, _branch_on_array, _coding_for, _walk
 from .transition import GridFunction, apply_transition, cdf_values
 
 # ---------------------------------------------------------------------------
@@ -180,20 +180,22 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
     if sum(order) == 0:
         raise ValueError("zero order is the cdf itself; use eval_cdf")
 
-    a, b = attractor_hull(system)
+    a, b = system._coding.hull
     rational = p.is_rational and system.is_rational
     zero, one = (Fraction(0), Fraction(1)) if rational else (0.0, 1.0)
     if x <= a or x >= b:
         return zero, 0.0
 
-    steps = {i: step_matrix(i, p, order) for i in range(1, s + 2)}
-    cols = {i: steps[i][:, 0].copy() for i in range(1, s + 2)}
+    tables = _derivative_tables(p, order)
+    steps, cols = tables["steps"], tables["cols"]
     # row `order` of the prefix step product, the only row read; `order`
     # sorts last in its index box
     r = np.zeros(len(cols[1]), dtype=object if rational else float)
     r[-1] = one
     value, mass = zero, one
-    for y, sym, gap in _walk(system, x, depth, hull_preimages(system)):
+    coding, y0 = _coding_for(system, x)
+    a, b = coding.hull
+    for y, sym, gap in _walk(coding, y0, depth):
         if y == a:
             return value, 0.0
         if y == b:
@@ -209,9 +211,27 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
         if tol and float(mass) <= tol:
             break
     if growth_bound is None:
-        growth_bound = growth_constant(system, p, order)
+        if "growth" not in tables:
+            tables["growth"] = growth_constant(system, p, order)
+        growth_bound = tables["growth"]
     err = growth_bound * float(mass) * max(depth, 1) ** sum(order)
     return value, err
+
+
+def _derivative_tables(p: ProbVector, order: tuple) -> dict:
+    """Step matrices ("steps") and their zero columns ("cols") of one weight
+    vector and order, built once per ProbVector instance; "growth" joins
+    them at the first call that needs `growth_constant`, which depends on
+    the weights and the order alone."""
+    key = ("derivative", order)
+    tables = p._memo.get(key)
+    if tables is None:
+        steps = {i: step_matrix(i, p, order) for i in range(1, len(order) + 2)}
+        cols = {i: m[:, 0].copy() for i, m in steps.items()}
+        for m in (*steps.values(), *cols.values()):
+            m.flags.writeable = False
+        tables = p._memo[key] = {"steps": steps, "cols": cols}
+    return tables
 
 
 def _parked_tail(step_last, cols, s, rational):
@@ -334,13 +354,8 @@ def _source_grid(system, p, m, grids) -> GridFunction:
         if m[j] == 0:
             continue
         below = grids[m[:j] + (m[j] - 1,) + m[j + 1:]].grid
-        bj = system.branch(j + 1)
-        if bj.is_affine:
-            fj = float(bj.slope) * nodes + float(bj.intercept)
-            fl = float(last.slope) * nodes + float(last.intercept)
-        else:
-            fj = np.array([bj(t) for t in nodes])
-            fl = np.array([last(t) for t in nodes])
+        fj = _branch_on_array(system.branch(j + 1), nodes)
+        fl = _branch_on_array(last, nodes)
         vals += m[j] * (below(fj) - below(fl))
     return GridFunction(nodes, vals, 0.0, 0.0)
 

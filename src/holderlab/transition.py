@@ -24,8 +24,9 @@ from .ifs import (
     attractor_hull,
     compactify,
     compactified_gap_factor,
-    hull_preimages,
-    _branch_arrays,
+    _apply_branches,
+    _branch_on_array,
+    _coding_for,
     _cylinder_maps,
     _walk,
 )
@@ -93,54 +94,52 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     orbit escapes to plus infinity before the orbit of x leaves resolution.
     Stops once the undecided cylinder mass drops to tol, or exactly when the
     orbit parks on a hull endpoint, which happens at every cylinder endpoint
-    in rational arithmetic.  Returns (value, error_bound).
+    in rational arithmetic.  Returns (value, error_bound).  With a rational
+    system and weights, the accumulated and the undecided mass after k steps
+    are kept as integer numerators over d^k, d the common denominator of
+    the weights, and the value is one Fraction at the end.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _cdf_walk(system, p, [x], tol, max_depth)[0]
-
-
-def _cdf_walk(system: IFSystem, p: ProbVector, xs, tol: float,
-              max_depth: int) -> list:
-    """eval_cdf at every point of xs, from one hull and weight table; tol
-    may be 0, which walks until decided or max_depth."""
-    a, b = attractor_hull(system)
-    pre = hull_preimages(system)
+    a, b = system._coding.hull
+    if x <= a:
+        return (Fraction(0) if p.is_rational else 0.0), 0.0
+    if x >= b:
+        return (Fraction(1) if p.is_rational else 1.0), 0.0
     exact = p.is_rational and system.is_rational
-    acc0, mass0 = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    lo_val, hi_val = (Fraction(0), Fraction(1)) if p.is_rational else (0.0, 1.0)
-    left = [p.left_mass(sym) for sym in range(1, len(p) + 2)]
-
-    def point(x):
-        if x <= a:
-            return lo_val, 0.0
-        if x >= b:
-            return hi_val, 0.0
-        acc, mass = acc0, mass0
-        for y, sym, gap in _walk(system, x, max_depth, pre):
-            if float(mass) <= tol:
-                break
-            if y == a:
-                return acc, 0.0
-            if y == b:
-                return acc + mass, 0.0
-            # in a gap, the branches whose windows lie left of y escape up
-            acc += mass * left[sym - 1]
-            if gap:
-                return acc, 0.0
-            mass *= p[sym]
-        return acc, float(mass)
-
-    return [point(x) for x in xs]
+    num = p._numerators if exact else None
+    # acc and mass are numerators over scale = d^k, which stays 1 unless num
+    d, weights, left = num or (1, p.weights, p._left)
+    if num:
+        acc, mass = 0, 1
+    else:
+        acc, mass = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    scale = 1
+    coding, y0 = _coding_for(system, x)
+    a, b = coding.hull
+    for y, sym, gap in _walk(coding, y0, max_depth):
+        if float(mass / scale) <= tol:
+            break
+        if y == a:
+            mass = 0
+            break
+        if y == b:
+            acc, mass = acc + mass, 0
+            break
+        # in a gap, the branches whose windows lie left of y escape up
+        acc = acc * d + mass * left[sym - 1]
+        scale *= d
+        if gap:
+            mass = 0
+            break
+        mass *= weights[sym - 1]
+    return (Fraction(acc, scale) if num else acc), float(mass / scale)
 
 
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
     """Vectorised eval_cdf over an array of points; tol may be 0."""
     xs = np.asarray(xs, dtype=float)
-    if not system.is_affine:
-        pts = _cdf_walk(system, p, xs.ravel().tolist(), tol, max_depth)
-        return np.array([float(v) for v, _ in pts]).reshape(xs.shape)
     out, _, _, _ = _orbit_tables(system, p, xs.ravel(), tol=tol,
                                  max_depth=max_depth, keep_steps=False)
     return out.reshape(xs.shape)
@@ -149,20 +148,19 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
 def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
                   tol: float, max_depth: int, keep_steps: bool,
                   n_steps: Optional[int] = None):
-    """Shared vectorised coding walk for affine systems.
+    """Shared vectorised coding walk, for every system.
 
     Returns (acc, mass, y, snapshots); acc accumulates the escaping-up mass,
     mass the undecided cylinder mass, y the current orbit positions.  With
     keep_steps=True, snapshots is a list of (acc, mass, y) copies after each
     of n_steps steps, which lets callers reconstruct every operator iterate
-    of a ramp function exactly.
+    of a ramp function exactly.  Each step applies every branch to the
+    points of its window at once (`_apply_branches`).
     """
-    a, b = attractor_hull(system)
-    a, b = float(a), float(b)
-    slopes, intercepts = _branch_arrays(system)
-    pre = hull_preimages(system)
-    u = np.array([float(lo) for lo, _ in pre])
-    v = np.array([float(hi) for _, hi in pre])
+    coding = system._coding
+    a, b = (float(t) for t in coding.hull)
+    u = np.array([float(lo) for lo, _ in coding.windows])
+    v = np.array([float(hi) for _, hi in coding.windows])
     weights = np.array([float(w) for w in p.weights])
     cum = np.concatenate([[0.0], np.cumsum(weights)])
 
@@ -201,7 +199,7 @@ def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
             add = cum[np.where(has, sym, escaped_up)]
             acc_a = acc[active] + mass[active] * add
             mass_a = mass[active] * np.where(has, weights[sym], 0.0)
-            y_a = np.where(has, slopes[sym] * ya + intercepts[sym], ya)
+            y_a = np.where(has, _apply_branches(system, sym, ya), ya)
             acc[active] = acc_a
             mass[active] = mass_a
             y[active] = y_a
@@ -228,12 +226,7 @@ def apply_transition(system: IFSystem, p: ProbVector,
     """One averaging step (M h)(x) = sum_i p_i h(f_i(x)) on the grid."""
     new = np.zeros_like(h.values)
     for i in system.symbols():
-        br = system.branch(i)
-        if br.is_affine:
-            fx = float(br.slope) * h.nodes + float(br.intercept)
-        else:
-            fx = np.array([br(x) for x in h.nodes])
-        new += float(p[i]) * h(fx)
+        new += float(p[i]) * h(_branch_on_array(system.branch(i), h.nodes))
     return h.with_values(new)
 
 
@@ -505,7 +498,7 @@ def _cylinder_probe_max(system, p, alpha, words):
     arithmetic.
     """
     idx = words - 1
-    slopes, _ = _branch_arrays(system)
+    slopes, _ = system._float_maps
     weights = np.array([float(w) for w in p.weights])
     lo_o, hi_o = (float(v) for v in system.open_set)
     log_mass = np.cumsum(np.log(weights)[idx], axis=1)

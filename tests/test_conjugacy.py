@@ -117,7 +117,7 @@ def _one_word_at_a_time(system, count, seed, exclusion):
         word = tuple(int(s) for s in rng.choice(system.symbols(), size=48))
         x = pi_approx(system, word)[0]
         first = None
-        for y, sym, gap in _walk(system, x, 12, pre):
+        for y, sym, gap in _walk(system._coding, x, 12):
             if gap:
                 break
             u, v = pre[sym - 1]

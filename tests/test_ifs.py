@@ -28,6 +28,7 @@ from holderlab import (
     system_from_json,
     system_to_json,
     validate,
+    validated,
 )
 
 
@@ -141,6 +142,46 @@ def test_validate_grades(dyadic, cantor, quarter):
     assert not validate(overlap).osc
     with pytest.raises(ConfigurationError):
         validate(affine_system((2.0,), (0.0,), (0.0, 1.0)))
+
+
+def test_validate_far_from_the_origin():
+    """Preimages of (c, c + 1) at c = 1e6 + 0.3 overshoot O by one unit of
+    rounding (1.16e-10), which is not an escape from O."""
+    c = 1e6 + 0.3
+    system = affine_system((3.0, 3.0, 3.0), (-2 * c, -2 * c - 1, -2 * c - 2),
+                           (c, c + 1))
+    rep = validate(system)
+    assert rep.ok and rep.osc and not rep.separating
+    assert validated(system).osc
+
+
+def test_validate_tiny_open_set_overlap():
+    """On (0, 1e-9), 2x and 2x - 0.999e-9 overlap by 5e-13, 0.05% of O."""
+    system = affine_system((2.0, 2.0), (0.0, -0.999e-9), (0.0, 1e-9))
+    rep = validate(system)
+    assert not rep.osc and not rep.ok
+    assert [name for name, _, _ in rep.failures()] == ["preimages 1,2 disjoint"]
+    with pytest.raises(ConfigurationError, match="disjoint"):
+        validated(system)
+    # the same pair scaled by 1e-9 from (0, 1) touches
+    assert validate(affine_system((2.0, 2.0), (0.0, -1e-9),
+                                  (0.0, 1e-9))).osc
+
+
+def test_validate_rational_is_exact():
+    """Fraction preimages are compared exactly: a gap or an overlap of
+    1e-15 is one, not a touch."""
+    def grade(shift):
+        system = affine_system((Fraction(2), Fraction(2)),
+                               (Fraction(0), Fraction(-1) + shift),
+                               (Fraction(0), Fraction(1)))
+        return [name for name, _, _ in validate(system).checks
+                if name.startswith("preimages 1,2")]
+
+    tiny = Fraction(1, 10 ** 15)
+    assert grade(Fraction(0)) == ["preimages 1,2 touch"]
+    assert grade(-tiny) == ["preimages 1,2 separated"]
+    assert grade(tiny) == ["preimages 1,2 disjoint"]
 
 
 def test_validate_flags_bad_weights(dyadic):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ifs import IFSystem, OutsideHullError, ProbVector, _apply_branches, \
-    _coding_for, _cylinder_maps, _walk, affine_system, pi_approx
+    _coding_for, _cylinder_maps, _walk, _windows_of, affine_system, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, _orbit_tables, cdf_values, \
     holder_seminorm, uniform_grid
@@ -102,8 +102,7 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     SAMPLE_CHUNK words at a time, non-affine branches included.
     """
     depth = _phi_depth(p, tol)
-    weights = np.array([float(w) for w in p.weights])
-    left = np.concatenate([[0.0], np.cumsum(weights)])
+    weights, left = p._float_weights
     worst = 0.0
     for x, sym in _samples(system, sample_count, seed, exclusion):
         if not x.size:
@@ -160,21 +159,17 @@ def _first_symbols(system: IFSystem, x: np.ndarray,
                    exclusion: float) -> np.ndarray:
     """First coding symbol of every point, 0 where the point is rejected.
 
-    The walk follows `_walk`: the window is the first one whose right edge
-    is at or right of y, and y lies in a gap when it is left of that window
-    or right of them all.  A point is rejected when it starts in a gap or
-    when an orbit point of its first EXCLUSION_STEPS lies within `exclusion`
-    of its window's edges; a gap later on ends its walk, as no collision
-    lies ahead.
+    The walk takes its windows from `_windows_of`, the rule of `_walk`.  A
+    point is rejected when it starts in a gap or when an orbit point of its
+    first EXCLUSION_STEPS lies within `exclusion` of its window's edges; a
+    gap later on ends its walk, as no collision lies ahead.
     """
-    windows = system._coding.windows
-    u = np.array([float(lo) for lo, _ in windows])
-    v = np.array([float(hi) for _, hi in windows])
+    u, v = system._float_windows
     first = np.zeros(x.size, dtype=int)
     live, y = np.arange(x.size), x
     for step in range(EXCLUSION_STEPS):
-        k = np.minimum((v[:, None] < y).sum(axis=0), v.size - 1)
-        window = (u[k] <= y) & (y <= v[k])
+        k, window = _windows_of(system, y)
+        k = np.minimum(k, v.size - 1)
         clear = window & ~(np.minimum(y - u[k], v[k] - y) < exclusion)
         if step == 0:
             first[live[clear]] = k[clear] + 1

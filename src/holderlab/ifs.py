@@ -221,6 +221,15 @@ class ProbVector:
                 tuple(int(v * d) for v in self._left))
 
     @cached_property
+    def _float_weights(self) -> tuple:
+        """Read-only float arrays of the weights and of their cumulative sums
+        from 0, whose entry k is the mass of the symbols left of symbol k + 1."""
+        weights = np.array([float(w) for w in self.weights])
+        cum = np.concatenate([[0.0], np.cumsum(weights)])
+        weights.flags.writeable = cum.flags.writeable = False
+        return weights, cum
+
+    @cached_property
     def _memo(self) -> dict:
         """Tables other modules derive from these weights, by plain keys."""
         return {}
@@ -284,6 +293,17 @@ class IFSystem:
         intercepts = np.array([float(br.intercept) for br in self.branches])
         slopes.flags.writeable = intercepts.flags.writeable = False
         return slopes, intercepts
+
+    @cached_property
+    def _float_windows(self) -> tuple:
+        """Read-only float arrays of the left and right edges of the hull
+        windows.  The left edges end in a NaN, one past the last window, so
+        that `u[k] <= y` is False right of every window."""
+        windows = self._coding.windows
+        u = np.array([float(lo) for lo, _ in windows] + [math.nan])
+        v = np.array([float(hi) for _, hi in windows])
+        u.flags.writeable = v.flags.writeable = False
+        return u, v
 
     @cached_property
     def _lattice_codings(self) -> dict:
@@ -599,6 +619,21 @@ def _walk(coding: _Coding, y, depth: int):
         else:
             slope, intercept = maps[sym - 1]
             y = slope * y + intercept
+
+
+def _windows_of(system: IFSystem, y: np.ndarray):
+    """`_walk`'s window rule on a float array of points: (k, inside).
+
+    k is the 0-based index of the first hull window whose right edge is at
+    or right of y, found by one `searchsorted` on the right edges, and inside
+    tells whether y lies in that window.  Inside, k is the point's branch
+    (the smaller index at a shared edge); in a gap, k counts the windows left
+    of y, which escape up.  `searchsorted` needs nondecreasing right edges,
+    which `validate` checks ("preimages ordered by branch index").
+    """
+    u, v = system._float_windows
+    k = np.searchsorted(v, y)
+    return k, u[k] <= y
 
 
 def _branch_on_array(br: Branch, y: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .ifs import (
     _coding_for,
     _cylinder_maps,
     _walk,
+    _windows_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -154,60 +155,75 @@ def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
     mass the undecided cylinder mass, y the current orbit positions.  With
     keep_steps=True, snapshots is a list of (acc, mass, y) copies after each
     of n_steps steps, which lets callers reconstruct every operator iterate
-    of a ramp function exactly.  Each step applies every branch to the
-    points of its window at once (`_apply_branches`).
+    of a ramp function exactly.
+
+    Each step decides every undecided point by `_walk`'s window rule
+    (`_windows_of`: one `searchsorted` on the hull windows' right edges),
+    and applies every branch to the points of its window at once
+    (`_apply_branches`).  The walk carries only the points whose mass is
+    still above tol (above 0 with keep_steps) and writes each point out
+    once, when a hull endpoint, a gap or its mass decides it, or after the
+    last step.  A point is never stepped or parked after that, as in
+    `eval_cdf`, so its values do not depend on the other points of the
+    batch.
     """
-    coding = system._coding
-    a, b = (float(t) for t in coding.hull)
-    u = np.array([float(lo) for lo, _ in coding.windows])
-    v = np.array([float(hi) for _, hi in coding.windows])
-    weights = np.array([float(w) for w in p.weights])
-    cum = np.concatenate([[0.0], np.cumsum(weights)])
+    a, b = (float(t) for t in system._coding.hull)
+    weights, cum = p._float_weights
+    y_out = xs.astype(float)
+    acc_out = np.zeros_like(y_out)
+    mass_out = np.ones_like(y_out)
+    mass_out[y_out <= a] = 0.0
+    acc_out[y_out >= b] = 1.0
+    mass_out[y_out >= b] = 0.0
+    out = (y_out, acc_out, mass_out)
 
-    y = xs.astype(float).copy()
-    acc = np.zeros_like(y)
-    mass = np.ones_like(y)
-    mass[y <= a] = 0.0
-    acc[y >= b] = 1.0
-    mass[y >= b] = 0.0
-
+    floor = 0.0 if keep_steps else tol
+    idx = np.flatnonzero(mass_out > floor)
+    y, acc, mass = (o[idx] for o in out)
     snapshots = []
-    steps = n_steps if n_steps is not None else max_depth
-    for _ in range(steps):
-        # orbits parked on a hull endpoint are fully decided: everything
-        # below a drifts down, everything at b drifts up with the remaining
-        # mass (ramp values there are exactly 0 and 1, so snapshots agree)
-        park_lo = mass > 0
-        np.logical_and(park_lo, y == a, out=park_lo)
-        mass[park_lo] = 0.0
-        park_hi = mass > 0
-        np.logical_and(park_hi, y == b, out=park_hi)
-        acc[park_hi] += mass[park_hi]
-        mass[park_hi] = 0.0
-
-        active = mass > (0.0 if keep_steps else tol)
-        if not active.any() and not keep_steps:
+    for _ in range(max_depth if n_steps is None else n_steps):
+        if not idx.size and not keep_steps:
             break
-        ya = y[active]
-        if ya.size:
-            inside = (u[:, None] <= ya) & (ya <= v[:, None])
-            has = inside.any(axis=0)
-            sym = np.argmax(inside, axis=0)  # min index wins at ties
-            escaped_up = (v[:, None] < ya).sum(axis=0)
-
-            # in a gap, the branches whose windows lie left of y escape up
-            add = cum[np.where(has, sym, escaped_up)]
-            acc_a = acc[active] + mass[active] * add
-            mass_a = mass[active] * np.where(has, weights[sym], 0.0)
-            y_a = np.where(has, _apply_branches(system, sym, ya), ya)
-            acc[active] = acc_a
-            mass[active] = mass_a
-            y[active] = y_a
+        # an orbit parked on a hull endpoint is decided: at a all of its
+        # mass drifts down, at b all of it drifts up (ramp values there are
+        # exactly 0 and 1, so snapshots agree); count_nonzero asks "any?"
+        # at a third of the fixed cost of any() on small arrays
+        at_b = y == b
+        parked = at_b | (y == a)
+        if np.count_nonzero(parked):
+            acc[at_b] += mass[at_b]
+            mass[parked] = 0.0
+            idx, (y, acc, mass) = _settle(parked, idx, (y, acc, mass), out)
+        k, inside = _windows_of(system, y)
+        # in a gap, the branches whose windows lie left of y escape up
+        acc = acc + mass * cum[k]
+        if np.count_nonzero(inside) < inside.size:
+            gap = ~inside
+            mass[gap] = 0.0
+            idx, (y, acc, mass) = _settle(gap, idx, (y, acc, mass), out)
+            k = k[inside]
+        mass = mass * weights[k]
+        y = _apply_branches(system, k, y)
+        done = mass <= floor
+        if np.count_nonzero(done):
+            idx, (y, acc, mass) = _settle(done, idx, (y, acc, mass), out)
         if keep_steps:
-            snapshots.append((acc.copy(), mass.copy(), y.copy()))
-        if not keep_steps and not (mass > tol).any():
-            break
-    return acc, mass, y, snapshots
+            for o, c in zip(out, (y, acc, mass)):
+                o[idx] = c
+            snapshots.append((acc_out.copy(), mass_out.copy(), y_out.copy()))
+    for o, c in zip(out, (y, acc, mass)):
+        o[idx] = c
+    return acc_out, mass_out, y_out, snapshots
+
+
+def _settle(done, idx, carried, out):
+    """Write the carried points marked done to the full arrays out, at their
+    indices idx, and return the indices and arrays of the points carried on."""
+    gone = idx[done]
+    for o, c in zip(out, carried):
+        o[gone] = c[done]
+    keep = ~done
+    return idx[keep], tuple(c[keep] for c in carried)
 
 
 def cdf_grid(system: IFSystem, p: ProbVector, size: int = 4097,
@@ -343,8 +359,11 @@ def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
     step = max(1, _CHUNK_PAIRS // (block * block))
 
     best = 0.0
-    diag = np.arange(nb)
-    for s in range(0, nb, step):
+    vmin, vmax = bval.min(axis=1), bval.max(axis=1)
+    # every ratio inside a block of equal values is 0 (outside the hull, in
+    # a gap), which cannot raise the best
+    diag = np.flatnonzero(vmax > vmin)
+    for s in range(0, diag.size, step):
         best = _block_pairs_max(bpos, bval, diag[s:s + step],
                                 diag[s:s + step], alpha, best, same=True)
 
@@ -352,7 +371,6 @@ def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
     # them and lies at least the gap between them apart; blocks that touch
     # or overlap have no gap and are always scanned
     bi, bj = np.triu_indices(nb, k=1)
-    vmin, vmax = bval.min(axis=1), bval.max(axis=1)
     spread = np.maximum(vmax[bj] - vmin[bi], vmax[bi] - vmin[bj])
     gap = bpos.min(axis=1)[bj] - bpos.max(axis=1)[bi]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -436,8 +454,8 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
         system, p, nodes, tol=0.0, max_depth=n_max, keep_steps=True,
         n_steps=n_max)
 
-    pos = compactify(nodes)
-    sub = np.linspace(0, nodes.size - 1, 257).astype(int)
+    pair_scan = _pair_scan(compactify(nodes), alpha,
+                           np.linspace(0, nodes.size - 1, 257).astype(int))
     s_count = system.branch_count
     words = np.repeat(np.arange(1, s_count + 1)[:, None], n_max, axis=1)
     if probe_words > 0:
@@ -451,8 +469,7 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
         acc, mass, y = snaps[n - 1]
         vals = acc + mass * _ramp(y, a, b)
         sups[n - 1] = float(np.max(np.abs(vals)))
-        norms[n - 1] = max(_pair_scan(pos, vals, alpha, sub),
-                           float(cylinder_best[n - 1]))
+        norms[n - 1] = max(pair_scan(vals), float(cylinder_best[n - 1]))
 
     half = n_max // 2
     ns = np.arange(half + 1, n_max + 1)
@@ -469,22 +486,32 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
                           verdict=verdict)
 
 
-def _pair_scan(pos, vals, alpha, sub):
-    dv = np.abs(np.diff(vals))
+def _pair_scan(pos, alpha, sub):
+    """The grid part of a gap probe's seminorm, as a function of the node
+    values: the largest ratio over adjacent node pairs, over the pairs of
+    the subsample `sub`, and against the virtual boundary points at minus
+    and plus infinity (values 0 and 1).  The `** alpha` denominators depend
+    on the nodes alone, so they are paid once per probe, not once per step.
+    """
     dd = np.diff(pos)
-    good = dd > 0
-    best = float(np.max(dv[good] / dd[good] ** alpha)) if good.any() else 0.0
-    ps, vs = pos[sub], vals[sub]
-    dd = ps[None, :] - ps[:, None]
-    dv = np.abs(vs[None, :] - vs[:, None])
-    mask = dd > 0
-    if mask.any():
-        best = max(best, float((dv[mask] / dd[mask] ** alpha).max()))
-    # virtual boundary points at minus/plus infinity
-    left = np.abs(vs - 0.0) / (ps + 1.0) ** alpha
-    right = np.abs(1.0 - vs) / (1.0 - ps) ** alpha
-    best = max(best, float(left.max()), float(right.max()))
-    return best
+    adjacent = np.flatnonzero(dd > 0)
+    adjacent_den = dd[adjacent] ** alpha
+    ps = pos[sub]
+    i, j = np.nonzero(ps[None, :] - ps[:, None] > 0)
+    sub_den = (ps[j] - ps[i]) ** alpha
+    left_den = (ps + 1.0) ** alpha
+    right_den = (1.0 - ps) ** alpha
+
+    def scan(vals):
+        dv = np.abs(np.diff(vals))[adjacent]
+        best = float(np.max(dv / adjacent_den)) if adjacent.size else 0.0
+        vs = vals[sub]
+        if i.size:
+            best = max(best, float((np.abs(vs[j] - vs[i]) / sub_den).max()))
+        return max(best, float((np.abs(vs) / left_den).max()),
+                   float((np.abs(1.0 - vs) / right_den).max()))
+
+    return scan
 
 
 def _cylinder_probe_max(system, p, alpha, words):
@@ -499,7 +526,7 @@ def _cylinder_probe_max(system, p, alpha, words):
     """
     idx = words - 1
     slopes, _ = system._float_maps
-    weights = np.array([float(w) for w in p.weights])
+    weights, _ = p._float_weights
     lo_o, hi_o = (float(v) for v in system.open_set)
     log_mass = np.cumsum(np.log(weights)[idx], axis=1)
     log_diam = math.log(hi_o - lo_o) - np.cumsum(np.log(slopes)[idx], axis=1)

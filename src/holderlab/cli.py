@@ -383,14 +383,12 @@ def _cmd_exponent(cfg: RunConfig):
         if with_emp:
             evaluate = lambda xs: cdf_values(cfg.system, cfg.p, xs, tol=1e-14)
 
-        rows = []
-        for i, beta in enumerate(betas):    # beta number i draws with seed + i
-            rows += spectrum_experiment(cfg.system, cfg.p, [beta],
-                                        word_len=params["word_len"],
-                                        count=params["count"],
-                                        seed=params["seed"] + i,
-                                        evaluate=evaluate,
-                                        scales=params["scales"])
+        # beta number i draws with seed + i
+        rows = spectrum_experiment(cfg.system, cfg.p, betas,
+                                   word_len=params["word_len"],
+                                   count=params["count"],
+                                   seed=params["seed"], evaluate=evaluate,
+                                   scales=params["scales"])
         header = "beta,alpha_pred,g,dyn_mean,dyn_sigma,emp_mean,emp_sigma,count,seed"
         # without the empirical estimate its columns are empty cells
         blank = set() if with_emp else {"emp_mean", "emp_sigma"}

@@ -62,7 +62,8 @@ def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     the linear model, [acc, acc + mass], has diameter at most tol, and the
     cylinder midpoint is returned.  A point inside an attractor gap gets
     the exact common value of the two bracketing codings.  Exact inputs
-    (rational weights and coordinate) return exact rationals.
+    (rational weights and coordinate) return exact rationals.  A NaN x
+    raises ValueError.
     """
     depth = _phi_depth(p, tol)
     a, b = system._coding.hull
@@ -145,7 +146,13 @@ def _samples(system: IFSystem, sample_count: int, seed: int,
 
 
 def _midpoints(system: IFSystem, words: np.ndarray) -> np.ndarray:
-    """pi_approx midpoints of an (m, n) array of words, in float."""
+    """Cylinder midpoints of an (m, n) array of words, in float.
+
+    For an affine system they come from the composed prefix maps
+    x -> c x + d of `_cylinder_maps`, which round differently from the
+    interval-by-interval steps of `pi_approx`, so the two can differ in the
+    last bits.  Other systems take `pi_approx` word by word.
+    """
     if not system.is_affine:
         return np.array([float(pi_approx(system, w)[0])
                          for w in words.tolist()])

@@ -5,7 +5,10 @@ a ratio of Birkhoff sums along the coding (exact for affine branches), and
 the empirical one, a log-log oscillation fit over shrinking balls around
 the point.  A sampler draws codings from an equilibrium weight vector so
 the two estimators can be compared against the Legendre prediction across
-inverse temperatures.
+inverse temperatures.  The sampler and the experiment driver work on the
+(count, word_len) array of drawn symbols: one cumulative sum per potential
+gives every Birkhoff sum, and one backward pass over the columns gives
+every sampled point.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _tail_midpoints, \
-    compactified_distance, ergodic_sums, pi_approx
-from .thermo import PressureCurve, gibbs_weights, spectrum_point
+from .ifs import IFSystem, ProbVector, _cylinder_midpoints, \
+    _tail_midpoints, compactified_distance, ergodic_sums
+from .thermo import PressureCurve, _gibbs, _log_weights_slopes, \
+    gibbs_weights, spectrum
 
 
 @dataclass(frozen=True)
@@ -40,18 +44,15 @@ def dyn_exponent(system: IFSystem, p: ProbVector, word) -> ExponentTrace:
     as an overlap diagnostic.
     """
     word = tuple(int(w) for w in word)
-    n = len(word)
-    if n == 0:
+    if not word:
         raise ValueError("empty coding")
     s_phi, s_psi = ergodic_sums(system, p, word)
     ratios = tuple(sp / sf for sf, sp in zip(s_phi, s_psi))
+    liminf = min(ratios[math.ceil(len(word) / 2) - 1:])
 
     o_lo, o_hi = system.open_set
     dists = [min(compactified_distance(y, o_lo), compactified_distance(y, o_hi))
              for y in _tail_midpoints(system, word)]
-
-    back = range(max(1, math.ceil(n / 2)), n + 1)
-    liminf = min(ratios[k - 1] for k in back)
     return ExponentTrace(word=word, ratios=ratios,
                          boundary_distances=tuple(dists),
                          liminf_estimate=liminf)
@@ -147,16 +148,25 @@ def sample_typical(system: IFSystem, p: ProbVector, beta: float,
     Symbols are iid under the Gibbs branch weights, so the drawn points are
     typical for the corresponding exponent level set; the predicted
     exponent is the negated pressure slope.  The generator is a counter
-    based Philox keyed by `seed`, echoed back for reproducibility.
+    based Philox keyed by `seed`, echoed back for reproducibility.  The
+    words are drawn as one (count, word_len) array, and the points, the
+    `pi_approx` midpoints of their cylinders, come from one pass over its
+    columns.
     """
     q, t_prime = gibbs_weights(system, p, beta)
-    rng = np.random.Generator(np.random.Philox(seed))
-    syms = np.array(system.symbols())
-    draws = rng.choice(syms, size=(count, word_len), p=q)
-    words = tuple(tuple(int(s) for s in row) for row in draws)
-    points = tuple(pi_approx(system, w)[0] for w in words)
+    draws = _draw(system, q, word_len, count, seed)
     return TypicalSamples(beta=float(beta), alpha_predicted=-t_prime,
-                          words=words, points=points, seed=int(seed))
+                          words=tuple(map(tuple, draws.tolist())),
+                          points=tuple(_cylinder_midpoints(system, draws)),
+                          seed=int(seed))
+
+
+def _draw(system: IFSystem, q, word_len: int, count: int,
+          seed: int) -> np.ndarray:
+    """(count, word_len) array of 1-based symbols, iid under the weights q,
+    from a Philox generator keyed by seed."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.choice(np.array(system.symbols()), size=(count, word_len), p=q)
 
 
 def spectrum_experiment(system: IFSystem, p: ProbVector,
@@ -171,7 +181,14 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     statistics over the sampled codings, and (when an evaluator is given)
     empirical statistics at the sampled points.  Rows are plain dicts ready
     for CSV serialisation.  Beta number i draws its codings with seed
-    seed + i.
+    seed + i, exactly as `sample_typical` does.
+
+    Affine systems only, as the Gibbs weights are.  One array solve gives
+    every beta's Gibbs weights and pressure slope, and one `spectrum` call
+    every g.  Each beta's codings stay one (count, word_len) symbol array:
+    its Birkhoff sums are two cumulative sums over it and the liminf a row
+    minimum, bit for bit the values of `dyn_exponent` word by word.  The
+    sampled points are computed only for an evaluator.
 
     `evaluate` maps an array of points to the array of values there.  It
     is called once per beta, on the centres and scale clouds of all of
@@ -182,27 +199,39 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     """
     if count < 1 or word_len < 1:
         raise ValueError("count and word_len must be at least 1")
+    betas = [float(b) for b in betas]
+    if not betas:
+        return []
     if curve is None:
         curve = PressureCurve(system, p)
     if scales is None:
         scales = np.geomspace(1e-6, 1e-2, 9)
+    lw, ls = _log_weights_slopes(system, p)
+    _, t_prime, _, q = _gibbs(lw, ls, betas)
+    alphas = (-t_prime).tolist()
+    legendre = spectrum(system, p, alphas, curve=curve)
+    back = math.ceil(word_len / 2) - 1
     rows = []
     for i, beta in enumerate(betas):
-        samples = sample_typical(system, p, float(beta), word_len=word_len,
-                                 count=count, seed=seed + i)
-        dyn = np.array([dyn_exponent(system, p, w).liminf_estimate
-                        for w in samples.words])
+        draws = _draw(system, q[i], word_len, count, seed + i)
+        idx = draws - 1
+        # dyn_exponent's liminf estimate of every word: the terms are the
+        # math.log tables ergodic_sums adds, and cumsum adds them in its
+        # order, so the ratios are its ratios to the bit (numpy's own log
+        # may differ from math.log in the last place, hence the tables)
+        ratios = np.cumsum(lw[idx], axis=1) / np.cumsum(-ls[idx], axis=1)
+        dyn = ratios[:, back:].min(axis=1)
         if evaluate is not None:
             emp = np.array([e.slope for e in _empirical(
-                evaluate, samples.points, scales, _POINTS_PER_SCALE, _FLOOR)])
+                evaluate, _cylinder_midpoints(system, draws), scales,
+                _POINTS_PER_SCALE, _FLOOR)])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
         else:
             emp_mean = emp_sigma = float("nan")
-        g = spectrum_point(curve, samples.alpha_predicted).g
         rows.append({
-            "beta": float(beta),
-            "alpha_pred": samples.alpha_predicted,
-            "g": g,
+            "beta": beta,
+            "alpha_pred": alphas[i],
+            "g": legendre[i].g,
             "dyn_mean": float(dyn.mean()),
             "dyn_sigma": float(dyn.std()),
             "emp_mean": emp_mean,

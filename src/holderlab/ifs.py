@@ -398,10 +398,15 @@ def _coding_for(system: IFSystem, x):
     x and of the intercepts.  Its walk runs on the integers N = y Q: windows
     [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and hull endpoints a Q
     (a non-integer one is never met).  Every other x walks on the system's
-    own table.
+    own table.  A NaN x raises ValueError: it passes every hull test and
+    would walk right of every window.
     """
     coding = system._coding
-    if coding.lattice is None or not isinstance(x, (int, Fraction)):
+    if not isinstance(x, (int, Fraction)):
+        if x != x:
+            raise ValueError("x must not be NaN")
+        return coding, x
+    if coding.lattice is None:
         return coding, x
     q = math.lcm(coding.lattice, x.denominator)
     memo = system._lattice_codings
@@ -581,7 +586,7 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
 
     Ties at shared cylinder endpoints resolve to the smaller branch index.
     A point inside a gap of the attractor gets the word of the deepest
-    cylinder containing it and gap=True.
+    cylinder containing it and gap=True.  A NaN x raises ValueError.
     """
     a, b = system._coding.hull
     if x < a or x > b:
@@ -706,6 +711,26 @@ def _tail_midpoints(system: IFSystem, word: Sequence[int]) -> list:
         lo, hi = system.branch(word[k]).preimage_interval(lo, hi)
         mids[k] = lo + (hi - lo) / 2
     return mids
+
+
+def _cylinder_midpoints(system: IFSystem, words: np.ndarray) -> list:
+    """pi_approx(system, w)[0] for every row w of an array of words.
+
+    A system whose open set has float endpoints computes in float whatever
+    its slopes and intercepts are, so its cylinders take `cylinder`'s
+    steps (lo, hi) <- ((lo - b) / a, (hi - b) / a) on whole columns, last
+    symbol first, with the same roundings.  (The composed maps of
+    `_cylinder_maps` round differently.)  Other systems keep their own
+    arithmetic, exact for Fractions, one word at a time.
+    """
+    if not all(isinstance(v, float) for v in system.open_set):
+        return [pi_approx(system, w)[0] for w in words.tolist()]
+    slopes, intercepts = system._float_maps
+    lo, hi = (np.full(len(words), v) for v in system.open_set)
+    for col in (words - 1).T[::-1]:
+        a, b = slopes[col], intercepts[col]
+        lo, hi = (lo - b) / a, (hi - b) / a
+    return (lo + (hi - lo) / 2).tolist()
 
 
 def distortion_constant(system: IFSystem, depth: int, samples: int = 5,

@@ -171,7 +171,7 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
     (`growth_constant`).  Points that land in a gap or park on a hull
     endpoint resolve exactly (the remaining contribution has closed form);
     otherwise the walk stops at ``depth`` or when the undecided mass falls
-    below ``tol``.
+    below ``tol``.  A NaN x raises ValueError.
     """
     order = tuple(int(v) for v in order)
     s = system.branch_count - 1

@@ -95,10 +95,11 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     orbit escapes to plus infinity before the orbit of x leaves resolution.
     Stops once the undecided cylinder mass drops to tol, or exactly when the
     orbit parks on a hull endpoint, which happens at every cylinder endpoint
-    in rational arithmetic.  Returns (value, error_bound).  With a rational
-    system and weights, the accumulated and the undecided mass after k steps
-    are kept as integer numerators over d^k, d the common denominator of
-    the weights, and the value is one Fraction at the end.
+    in rational arithmetic.  Returns (value, error_bound); a NaN x raises
+    ValueError.  With a rational system and weights, the accumulated and
+    the undecided mass after k steps are kept as integer numerators over
+    d^k, d the common denominator of the weights, and the value is one
+    Fraction at the end.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -139,8 +140,11 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
 
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
-    """Vectorised eval_cdf over an array of points; tol may be 0."""
+    """Vectorised eval_cdf over an array of points; tol may be 0.  A NaN
+    point raises ValueError, as in `eval_cdf`."""
     xs = np.asarray(xs, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("x must not be NaN")
     out, _, _, _ = _orbit_tables(system, p, xs.ravel(), tol=tol,
                                  max_depth=max_depth, keep_steps=False)
     return out.reshape(xs.shape)

@@ -1,17 +1,27 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holderlab import (
+    PressureCurve,
     ProbVector,
+    affine_system,
     cdf_values,
     dyn_exponent,
     emp_exponent,
+    ergodic_sums,
+    gibbs_weights,
     pi_approx,
     sample_typical,
     spectrum_experiment,
+    spectrum_point,
 )
+from holderlab.exponents import _empirical
 
 
 def test_dyn_exponent_periodic_exact(cantor, quarter):
@@ -96,3 +106,113 @@ def test_spectrum_experiment_with_evaluator(dyadic, half):
     # the identity cdf has empirical exponent 1 everywhere
     assert rows[0]["emp_mean"] == pytest.approx(1.0, abs=1e-2)
     assert rows[0]["emp_sigma"] < 1e-2
+
+
+@st.composite
+def affine_inputs(draw):
+    """2 to 4 branches of integer or half-integer slopes laid left to right
+    on (0, 1), with drawn gaps, and drawn weights; exact or float."""
+    k = draw(st.integers(2, 4))
+    slopes = [Fraction(draw(st.integers(2 * k, 2 * k + 8)), 2)
+              for _ in range(k)]
+    gaps = [draw(st.integers(0, 3)) for _ in range(k)]
+    unit = (1 - sum(1 / a for a in slopes)) / (sum(gaps) + 1)
+    starts, edge = [], Fraction(0)
+    for a, g in zip(slopes, gaps):
+        starts.append(edge + g * unit)
+        edge = starts[-1] + 1 / a
+    raw = [draw(st.integers(1, 20)) for _ in range(k)]
+    free = [Fraction(r, sum(raw)) for r in raw[:-1]]
+    intercepts = [-a * s for a, s in zip(slopes, starts)]
+    open_set = (Fraction(0), Fraction(1))
+    if not draw(st.booleans()):
+        slopes, intercepts, open_set, free = (
+            [float(v) for v in vs]
+            for vs in (slopes, intercepts, open_set, free))
+    return affine_system(slopes, intercepts, open_set), ProbVector.of(*free)
+
+
+def reference_words(system, p, beta, word_len, count, seed):
+    """The parent's sampler: words drawn from the Gibbs weights at beta."""
+    q, t_prime = gibbs_weights(system, p, beta)
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = rng.choice(np.array(system.symbols()), size=(count, word_len),
+                       p=q)
+    return [tuple(int(s) for s in row) for row in draws], -t_prime
+
+
+def reference_ratios(system, p, word):
+    s_phi, s_psi = ergodic_sums(system, p, word)
+    return [sp / sf for sf, sp in zip(s_phi, s_psi)]
+
+
+def reference_rows(system, p, betas, word_len, count, seed, evaluate):
+    """spectrum_experiment as the parent computed it: per beta one Gibbs
+    solve and one spectrum_point, per word pi_approx and ergodic_sums."""
+    curve = PressureCurve(system, p)
+    rows = []
+    for i, beta in enumerate(betas):
+        words, alpha = reference_words(system, p, beta, word_len, count,
+                                       seed + i)
+        dyn = np.array([min(reference_ratios(system, p, w)
+                            [math.ceil(word_len / 2) - 1:]) for w in words])
+        emp_mean = emp_sigma = math.nan
+        if evaluate is not None:
+            emp = np.array([e.slope for e in _empirical(
+                evaluate, [pi_approx(system, w)[0] for w in words],
+                np.geomspace(1e-6, 1e-2, 9), 33, 1e-13)])
+            emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
+        rows.append({"beta": beta, "alpha_pred": alpha,
+                     "g": spectrum_point(curve, alpha).g,
+                     "dyn_mean": float(dyn.mean()),
+                     "dyn_sigma": float(dyn.std()),
+                     "emp_mean": emp_mean, "emp_sigma": emp_sigma,
+                     "count": count, "seed": seed + i})
+    return rows
+
+
+@given(inputs=affine_inputs(),
+       betas=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+       word_len=st.integers(1, 80), count=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 31), empirical=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_spectrum_experiment_matches_word_by_word(inputs, betas, word_len,
+                                                  count, seed, empirical):
+    system, p = inputs
+    betas = betas + [0.0, betas[0]]
+    evaluate = None
+    if empirical:
+        evaluate = lambda xs: cdf_values(system, p, xs, tol=1e-12)
+    run = lambda: spectrum_experiment(system, p, betas, word_len=word_len,
+                                      count=count, seed=seed,
+                                      evaluate=evaluate)
+    try:
+        expect = reference_rows(system, p, betas, word_len, count, seed,
+                                evaluate)
+    except ValueError as exc:   # every scale of a point below the floor
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            run()
+        return
+    rows = run()
+    assert len(rows) == len(expect)
+    for row, want in zip(rows, expect):
+        assert row.keys() == want.keys()
+        for key, value in want.items():
+            if key.startswith("emp_") and math.isnan(value):
+                assert math.isnan(row[key])
+            else:
+                assert row[key] == value, key
+
+    # the public per-word functions give the same bits
+    samples = sample_typical(system, p, betas[0], word_len=word_len,
+                             count=count, seed=seed)
+    words, alpha = reference_words(system, p, betas[0], word_len, count, seed)
+    assert samples.words == tuple(words)
+    assert samples.alpha_predicted == alpha
+    assert samples.points == tuple(pi_approx(system, w)[0] for w in words)
+    for w in words[:3]:
+        trace = dyn_exponent(system, p, w)
+        ratios = reference_ratios(system, p, w)
+        assert trace.ratios == tuple(ratios)
+        assert trace.liminf_estimate == min(ratios[math.ceil(word_len / 2)
+                                                   - 1:])

@@ -15,6 +15,7 @@ from holderlab import (
     ProbVector,
     affine_system,
     attractor_hull,
+    cdf_values,
     compactified_distance,
     compactify,
     cylinder,
@@ -89,6 +90,28 @@ def test_encode_examples(dyadic, cantor):
     assert encode(dyadic, 0.3, 0) == EncodeResult(word=(), gap=False)
     with pytest.raises(OutsideHullError):
         encode(dyadic, 1.5, 3)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda s, p, x: eval_cdf(s, p, x),
+    lambda s, p, x: cdf_values(s, p, [0.25, x]),
+    lambda s, p, x: encode(s, x, 5),
+    lambda s, p, x: phi(s, p, x),
+    lambda s, p, x: eval_derivative_point(s, p, (1,), x),
+], ids=["eval_cdf", "cdf_values", "encode", "phi", "eval_derivative_point"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_nan_point_raises(evaluate, exact):
+    # NaN passes every hull test and lies right of every window, so a walk
+    # would give the mass of every branch (1.0 with bound 0) or an empty word
+    system = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+    p = ProbVector.of(0.25)
+    if exact:
+        system = affine_system((Fraction(2), Fraction(2)),
+                               (Fraction(0), Fraction(-1)),
+                               (Fraction(0), Fraction(1)))
+        p = ProbVector.of(Fraction(1, 4))
+    with pytest.raises(ValueError, match="NaN"):
+        evaluate(system, p, math.nan)
 
 
 def test_walk_one_branch_at_ties_and_gaps(dyadic, cantor, quarter):

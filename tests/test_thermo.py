@@ -18,6 +18,7 @@ from holderlab import (
     spectrum,
     spectrum_point,
 )
+from holderlab.thermo import _gibbs, _log_weights_slopes
 
 LOG43_LOG2 = 0.4150374992788437      # log(4/3)/log 2
 LOG2_LOG3 = 0.6309297535714574       # log 2 / log 3
@@ -204,6 +205,41 @@ def test_array_roots_and_spectrum_properties(k, seed, beta):
         one = spectrum_point(curve, a)
         assert (one.empty, one.clamped) == (pt.empty, pt.clamped)
         assert one.g == pytest.approx(pt.g, abs=1e-12)
+
+
+
+def same(x, y):
+    """x == y, with NaN equal to NaN."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+@given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       betas=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=6),
+       spread=st.lists(st.floats(-0.1, 1.1), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_batched_solves_are_row_independent(k, seed, betas, spread):
+    # both solvers iterate every row on its own, so a batch gives every row
+    # the bits it gets alone: spectrum_experiment solves all betas at once
+    system, p = random_affine(k, seed)
+    lw, ls = _log_weights_slopes(system, p)
+    betas = betas + [0.0, betas[0]]
+    batch = _gibbs(lw, ls, betas)
+    for i, beta in enumerate(betas):
+        alone = _gibbs(lw, ls, [beta])
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[i], want[0])
+
+    curve = PressureCurve(system, p)
+    ep = curve.endpoints
+    alphas = [ep.alpha_minus + u * (ep.alpha_plus - ep.alpha_minus)
+              for u in spread] + [ep.alpha_minus, ep.alpha_zero]
+    alphas.append(alphas[0])
+    for pt, a in zip(spectrum(system, p, alphas, curve), alphas):
+        one = spectrum_point(curve, a)
+        assert (pt.empty, pt.clamped) == (one.empty, one.clamped)
+        assert all(same(x, y) for x, y in
+                   zip((pt.alpha, pt.g, pt.beta_argmin),
+                       (one.alpha, one.g, one.beta_argmin)))
 
 
 def bent_system():

@@ -60,14 +60,19 @@ def cached_bytes(key: str, producer: Callable[[], bytes],
         log.warning("corrupt cache entry %s; recomputing", path)
 
     body = producer()
+    _write_atomic(path, _checksum(body) + b"\n" + body)
+    return body
+
+
+def _write_atomic(path: Path, body: bytes):
+    """Write `body` to `path` through a temp file and an atomic rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_checksum(body) + b"\n" + body)
+            fh.write(body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return body

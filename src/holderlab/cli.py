@@ -2,10 +2,11 @@
 
 A single JSON config names the system, the weights, one command, and its
 parameters.  Outputs are CSV/JSON files written atomically into the output
-directory together with a manifest listing every artifact.  Heavy results
-are memoised in a content-addressed cache keyed by the full request and a
-digest of the package's source, so a repeated run returns byte-identical
-files without recomputation and changed code never reads old results.
+directory together with a manifest listing every artifact.  Each run is
+memoised as one content-addressed cache entry that holds all of its
+artifacts, keyed by the full request and a digest of the package's source,
+so a repeated run writes byte-identical files without recomputation and
+changed code never reads old results.  The manifest is written fresh.
 Every command's parameters are declared once, in `PARAMS`.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric failure.
@@ -19,9 +20,7 @@ import hashlib
 import json
 import math
 import operator
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cache import cache_key, cached_bytes
+from .cache import _write_atomic, cache_key, cached_bytes
 from .conjugacy import conjugacy_residual, rigidity_report
 from .exponents import spectrum_experiment
 from .ifs import ConfigurationError, IFSystem, ProbVector, attractor_hull, \
@@ -152,10 +151,17 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
         params["seed"] = flags["seed"]
 
     out_dir = out if out is not None else doc.get("out")
-    if out_dir is None:
-        raise CliError("output directory missing: set 'out' or pass --out")
+    if not isinstance(out_dir, str):
+        raise CliError("output directory missing: set 'out' to a path string "
+                       "or pass --out")
+    out_dir = Path(out_dir)
+    # the nearest existing path must be a directory to make `out` under it
+    near = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not near.is_dir():
+        raise CliError(f"output directory {out_dir} cannot be made: "
+                       f"{near} is not a directory")
     return RunConfig(system=system, p=p, mode=eff_mode, command=command,
-                     params=params, out=Path(out_dir),
+                     params=params, out=out_dir,
                      seed=params.get("seed", flags["seed"]))
 
 
@@ -258,19 +264,8 @@ def _code_digest() -> str:
     return h.hexdigest()
 
 
-def _request(cfg: RunConfig, params: dict) -> str:
-    return cache_key({
-        "version": __version__,
-        "code": _code_digest(),
-        "op": cfg.command,
-        "system": system_to_json(cfg.system, cfg.p, cfg.mode),
-        "params": params,
-    })
-
-
-def _thermo_summary(cfg: RunConfig):
+def _thermo_summary(cfg: RunConfig, ep):
     rigidity_tol = cfg.params["rigidity_tol"]
-    ep = PressureCurve(cfg.system, cfg.p).endpoints
     return ("summary.json", _json_bytes({
         "alpha_minus": ep.alpha_minus,
         "alpha_plus": ep.alpha_plus,
@@ -282,18 +277,12 @@ def _thermo_summary(cfg: RunConfig):
 
 def _cmd_eval_t(cfg: RunConfig):
     params = dict(cfg.params, mode=cfg.mode)
-    tol = params["tol"]
-
-    def produce():
-        nodes = _grid(cfg)
-        if cfg.mode == "rational":
-            rows = [(x, eval_cdf(cfg.system, cfg.p, x, tol=tol)[0])
-                    for x in nodes]
-        else:
-            rows = zip(nodes, cdf_values(cfg.system, cfg.p, nodes, tol=tol))
-        return _csv("x,value", rows)
-
-    return [("T.csv", cached_bytes(_request(cfg, params), produce), params)]
+    tol, nodes = params["tol"], _grid(cfg)
+    if cfg.mode == "rational":
+        rows = [(x, eval_cdf(cfg.system, cfg.p, x, tol=tol)[0]) for x in nodes]
+    else:
+        rows = zip(nodes, cdf_values(cfg.system, cfg.p, nodes, tol=tol))
+    return [("T.csv", _csv("x,value", rows), params)]
 
 
 def _cmd_eval_c(cfg: RunConfig):
@@ -302,45 +291,36 @@ def _cmd_eval_c(cfg: RunConfig):
     if len(order) != free or sum(order) < 1:
         raise CliError(f"parameter order needs {free} entries with positive "
                        f"total, got {list(order)}")
-
-    def produce():
-        nodes = _grid(cfg)
-        if cfg.mode == "rational":
-            rows = []
-            for x in nodes:
-                val, err = eval_derivative_point(cfg.system, cfg.p, order, x,
-                                                 depth=params["depth"])
-                rows.append((x, val, err))
-        else:
-            grids = derivative_grids(cfg.system, cfg.p, order,
-                                     np.asarray(nodes), terms=params["terms"],
-                                     tol=params["tol"])
-            dg = grids[order]
-            rows = [(x, v, dg.tail_estimate)
-                    for x, v in zip(dg.grid.nodes, dg.grid.values)]
-        return _csv("x,C_value,err_bound", rows)
-
-    return [("C.csv", cached_bytes(_request(cfg, params), produce), params)]
+    nodes = _grid(cfg)
+    if cfg.mode == "rational":
+        rows = []
+        for x in nodes:
+            val, err = eval_derivative_point(cfg.system, cfg.p, order, x,
+                                             depth=params["depth"])
+            rows.append((x, val, err))
+    else:
+        grids = derivative_grids(cfg.system, cfg.p, order, np.asarray(nodes),
+                                 terms=params["terms"], tol=params["tol"])
+        dg = grids[order]
+        rows = [(x, v, dg.tail_estimate)
+                for x, v in zip(dg.grid.nodes, dg.grid.values)]
+    return [("C.csv", _csv("x,C_value,err_bound", rows), params)]
 
 
 def _cmd_spectrum(cfg: RunConfig):
     curve = PressureCurve(cfg.system, cfg.p)
+    ep = curve.endpoints
     alphas = cfg.params["alpha_grid"]
     if isinstance(alphas, dict):
-        ep = curve.endpoints
         alphas = list(np.linspace(ep.alpha_minus, ep.alpha_plus,
                                   alphas["count"]))
     params = dict(cfg.params, alpha_grid=alphas)
-
-    def produce():
-        # an empty level set has no g and no argmin: empty cells
-        rows = [(pt.alpha, *((None, None) if pt.empty
-                             else (pt.g, pt.beta_argmin)))
-                for pt in spectrum(cfg.system, cfg.p, alphas, curve=curve)]
-        return _csv("alpha,g,beta_argmin", rows)
-
-    body = cached_bytes(_request(cfg, params), produce)
-    return [("spectrum.csv", body, params), _thermo_summary(cfg)]
+    # an empty level set has no g and no argmin: empty cells
+    rows = [(pt.alpha, *((None, None) if pt.empty
+                         else (pt.g, pt.beta_argmin)))
+            for pt in spectrum(cfg.system, cfg.p, alphas, curve=curve)]
+    return [("spectrum.csv", _csv("alpha,g,beta_argmin", rows), params),
+            _thermo_summary(cfg, ep)]
 
 
 def _cmd_pressure(cfg: RunConfig):
@@ -351,13 +331,9 @@ def _cmd_pressure(cfg: RunConfig):
                            f"holds: {betas['lo']!r} to {betas['hi']!r}")
         betas = list(np.linspace(betas["lo"], betas["hi"], betas["count"]))
     params = dict(cfg.params, beta_grid=betas)
-
-    def produce():
-        curve = PressureCurve(cfg.system, cfg.p)
-        return _csv("beta,t,t_prime", curve.samples(betas))
-
-    body = cached_bytes(_request(cfg, params), produce)
-    return [("pressure.csv", body, params), _thermo_summary(cfg)]
+    curve = PressureCurve(cfg.system, cfg.p)
+    return [("pressure.csv", _csv("beta,t,t_prime", curve.samples(betas)),
+             params), _thermo_summary(cfg, curve.endpoints)]
 
 
 def _cmd_gap(cfg: RunConfig):
@@ -365,58 +341,40 @@ def _cmd_gap(cfg: RunConfig):
     rows = [(n, s, v) for n, (s, v) in
             enumerate(zip(report.sup_norms, report.norms))]
     body = _csv("n,sup_residual,holder_seminorm", rows)
-    verdict = _json_bytes({
-        "alpha": report.alpha,
-        "verdict": report.verdict,
-        "slope": report.slope,
-        "slope_stderr": report.slope_stderr,
-    })
+    verdict = _json_bytes({k: getattr(report, k) for k in
+                           ("alpha", "verdict", "slope", "slope_stderr")})
     return [("gap.csv", body, cfg.params), ("gap.json", verdict, cfg.params)]
 
 
 def _cmd_exponent(cfg: RunConfig):
     params = cfg.params
-    betas, with_emp = params["betas"], params["with_empirical"]
-
-    def produce():
-        evaluate = None
-        if with_emp:
-            evaluate = lambda xs: cdf_values(cfg.system, cfg.p, xs, tol=1e-14)
-
-        # beta number i draws with seed + i
-        rows = spectrum_experiment(cfg.system, cfg.p, betas,
-                                   word_len=params["word_len"],
-                                   count=params["count"],
-                                   seed=params["seed"], evaluate=evaluate,
-                                   scales=params["scales"])
-        header = "beta,alpha_pred,g,dyn_mean,dyn_sigma,emp_mean,emp_sigma,count,seed"
-        # without the empirical estimate its columns are empty cells
-        blank = set() if with_emp else {"emp_mean", "emp_sigma"}
-        return _csv(header, [tuple(None if k in blank else r[k]
-                                   for k in header.split(",")) for r in rows])
-
-    return [("exponent.csv", cached_bytes(_request(cfg, params), produce),
-             params)]
+    evaluate = None
+    if params["with_empirical"]:
+        evaluate = lambda xs: cdf_values(cfg.system, cfg.p, xs, tol=1e-14)
+    # beta number i draws with seed + i
+    rows = spectrum_experiment(cfg.system, cfg.p, params["betas"],
+                               word_len=params["word_len"],
+                               count=params["count"], seed=params["seed"],
+                               evaluate=evaluate, scales=params["scales"])
+    header = "beta,alpha_pred,g,dyn_mean,dyn_sigma,emp_mean,emp_sigma,count,seed"
+    # without the empirical estimate its columns are empty cells
+    blank = {"emp_mean", "emp_sigma"} if evaluate is None else set()
+    return [("exponent.csv", _csv(header, [
+        tuple(None if k in blank else r[k] for k in header.split(","))
+        for r in rows]), params)]
 
 
 def _cmd_conjugacy(cfg: RunConfig):
-    def produce():
-        worst = conjugacy_residual(cfg.system, cfg.p, **cfg.params)
-        return _json_bytes({"max_conjugacy_residual": worst,
-                            **{k: cfg.params[k]
-                               for k in ("sample_count", "tol", "seed")}})
-
-    body = cached_bytes(_request(cfg, cfg.params), produce)
-    return [("conjugacy.json", body, cfg.params)]
+    worst = conjugacy_residual(cfg.system, cfg.p, **cfg.params)
+    return [("conjugacy.json", _json_bytes({
+        "max_conjugacy_residual": worst,
+        **{k: cfg.params[k] for k in ("sample_count", "tol", "seed")}}),
+        cfg.params)]
 
 
 def _cmd_report(cfg: RunConfig):
-    def produce():
-        return _json_bytes(rigidity_report(cfg.system, cfg.p,
-                                           **cfg.params).to_json())
-
-    body = cached_bytes(_request(cfg, cfg.params), produce)
-    return [("rigidity.json", body, cfg.params)]
+    report = rigidity_report(cfg.system, cfg.p, **cfg.params)
+    return [("rigidity.json", _json_bytes(report.to_json()), cfg.params)]
 
 
 _DISPATCH = {
@@ -431,30 +389,27 @@ _DISPATCH = {
 }
 
 
-def _write_atomic(path: Path, body: bytes):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def run(cfg: RunConfig) -> int:
-    """Execute one command and write its artifacts plus the manifest."""
-    outputs = _DISPATCH[cfg.command](cfg)
+    """Execute one command, or serve it from the cache, and write its
+    artifacts plus the manifest."""
+    system = system_to_json(cfg.system, cfg.p, cfg.mode)
+    key = cache_key({"version": __version__, "code": _code_digest(),
+                     "op": cfg.command, "system": system,
+                     "params": cfg.params})
+
+    def produce():                      # every body is UTF-8 text
+        return _json_bytes([(name, body.decode("utf-8"), params) for
+                            name, body, params in _DISPATCH[cfg.command](cfg)])
+
+    outputs = json.loads(cached_bytes(key, produce))
     for name, body, _ in outputs:
-        _write_atomic(cfg.out / name, body)
+        _write_atomic(cfg.out / name, body.encode("utf-8"))
     manifest = {
         "version": __version__,
         "command": cfg.command,
         "mode": cfg.mode,
         "seed": cfg.seed,
-        "system": system_to_json(cfg.system, cfg.p, cfg.mode),
+        "system": system,
         "outputs": [{"file": name, "params": params}
                     for name, _, params in outputs],
     }

@@ -189,9 +189,6 @@ class ProbVector:
             m *= self[sym]
         return m
 
-    def log_mass(self, word: Sequence[int]) -> float:
-        return sum(math.log(float(self[sym])) for sym in word)
-
     def left_mass(self, symbol: int):
         """Total weight of symbols strictly below the given one."""
         zero = Fraction(0) if self.is_rational else 0.0

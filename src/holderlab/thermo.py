@@ -17,6 +17,7 @@ Newton climb to its root.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -229,33 +230,23 @@ def alpha_endpoints(system: IFSystem, p: ProbVector) -> Endpoints:
 
 
 class PressureCurve:
-    """Memoising wrapper around the pressure root and its slope."""
+    """The pressure root t(beta), its slope t'(beta) and the endpoints of
+    one system, with the endpoints computed once."""
 
     def __init__(self, system: IFSystem, p: ProbVector):
         self.system = system
         self.p = p
-        self._t: dict = {}
-        self._tp: dict = {}
-        self._endpoints: Optional[Endpoints] = None
 
     def t(self, beta: float) -> float:
-        b = float(beta)
-        if b not in self._t:
-            self._t[b] = solve_pressure_root(self.system, self.p, b)
-        return self._t[b]
+        return solve_pressure_root(self.system, self.p, float(beta))
 
     def t_prime(self, beta: float) -> float:
         b = float(beta)
-        if b not in self._tp:
-            _, tp = gibbs_weights(self.system, self.p, b, t=self.t(b))
-            self._tp[b] = tp
-        return self._tp[b]
+        return gibbs_weights(self.system, self.p, b, t=self.t(b))[1]
 
-    @property
+    @functools.cached_property
     def endpoints(self) -> Endpoints:
-        if self._endpoints is None:
-            self._endpoints = alpha_endpoints(self.system, self.p)
-        return self._endpoints
+        return alpha_endpoints(self.system, self.p)
 
     def samples(self, betas: Sequence[float]):
         """(beta, t, t') rows, solved in one array call (affine only)."""

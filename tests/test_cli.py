@@ -177,11 +177,15 @@ def test_cache_entry_of_other_code_not_served(tmp_path, monkeypatch):
     assert run_cli(cfg) == 0
     fresh = out.read_bytes()
     # replace the one entry, written under the other digest, by a valid one
-    # holding a stale body
+    # holding a stale spectrum.csv body
     (entry,) = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
     stale = b"x,stale\n"
-    entry.write_bytes(hashlib.sha256(stale).hexdigest().encode() + b"\n"
-                      + stale)
+    outputs = json.loads(entry.read_bytes().partition(b"\n")[2])
+    assert outputs[0][0] == "spectrum.csv"
+    outputs[0][1] = stale.decode()
+    payload = cli._json_bytes(outputs)
+    entry.write_bytes(hashlib.sha256(payload).hexdigest().encode() + b"\n"
+                      + payload)
     assert run_cli(cfg) == 0
     assert out.read_bytes() == stale
     monkeypatch.setattr(cli, "_code_digest", lambda: real)
@@ -401,6 +405,66 @@ def test_out_flag_overrides(tmp_path):
     other = tmp_path / "elsewhere"
     assert run_cli(cfg, "--out", str(other)) == 0
     assert (other / "T.csv").exists()
+
+
+def _refuse(cfg):
+    raise AssertionError("the command ran")
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub", 5])
+def test_out_that_cannot_be_a_directory_exits_1(tmp_path, monkeypatch,
+                                                capsys, out):
+    (tmp_path / "afile").write_text("not a directory")
+    monkeypatch.setitem(cli._DISPATCH, "eval-t", _refuse)
+    doc = {"system": DYADIC, "command": "eval-t", "params": {},
+           "out": out if isinstance(out, int) else str(tmp_path / out)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_cli(cfg) == 1
+    assert capsys.readouterr().err.startswith("holderlab: config error:")
+    assert (tmp_path / "afile").read_text() == "not a directory"
+    assert not (tmp_path / "cache").exists()
+
+
+# small parameters for every command
+SMALL = {
+    "eval-t": {"grid_size": 17},
+    "eval-c": {"order": [1], "grid_size": 9, "depth": 20, "terms": 20},
+    "spectrum": {"alpha_grid": {"count": 5}},
+    "pressure": {"beta_grid": {"lo": -2.0, "hi": 2.0, "count": 5}},
+    "gap": {"alpha": 0.5, "n_max": 4, "grid_size": 17, "probe_words": 2},
+    "exponent": {"betas": [0.0, 1.0], "word_len": 10, "count": 2},
+    "conjugacy": {"sample_count": 8},
+    "report": {"sample_count": 8, "grid_sizes": [33, 65]},
+}
+
+
+def _files(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("system", [DYADIC, RATIONAL],
+                         ids=["float", "rational"])
+@pytest.mark.parametrize("command", sorted(SMALL))
+def test_warm_run_served_from_cache(tmp_path, monkeypatch, command, system):
+    assert sorted(SMALL) == sorted(cli.PARAMS)
+    cfg = write_config(tmp_path, command, SMALL[command], system=system)
+    assert run_cli(cfg, "--out", str(tmp_path / "cold")) == 0
+    monkeypatch.setitem(cli._DISPATCH, command, _refuse)
+    assert run_cli(cfg, "--out", str(tmp_path / "warm")) == 0
+    assert _files(tmp_path / "warm") == _files(tmp_path / "cold")
+
+
+def test_warm_run_records_its_own_seed(tmp_path, monkeypatch):
+    # eval-t holds no seed, so --seed is not in the key but is in the manifest
+    cfg = write_config(tmp_path, "eval-t", SMALL["eval-t"])
+    assert run_cli(cfg, "--out", str(tmp_path / "cold")) == 0
+    monkeypatch.setitem(cli._DISPATCH, "eval-t", _refuse)
+    assert run_cli(cfg, "--out", str(tmp_path / "warm"), "--seed", "7") == 0
+    cold, warm = _files(tmp_path / "cold"), _files(tmp_path / "warm")
+    assert warm["T.csv"] == cold["T.csv"]
+    assert json.loads(cold["manifest.json"])["seed"] == 0
+    assert json.loads(warm["manifest.json"])["seed"] == 7
 
 
 def test_mode_flag_overrides(tmp_path):

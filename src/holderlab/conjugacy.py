@@ -20,8 +20,8 @@ import numpy as np
 from .ifs import IFSystem, OutsideHullError, ProbVector, _apply_branches, \
     _coding_for, _cylinder_maps, _walk, _windows_of, affine_system, pi_approx
 from .thermo import alpha_endpoints
-from .transition import GridFunction, _orbit_tables, cdf_values, \
-    holder_seminorm, uniform_grid
+from .transition import GridFunction, _orbit_start, _orbit_tables, \
+    cdf_values, holder_seminorm, uniform_grid
 
 # rejected draws conjugacy_residual allows per requested sample, plus a
 # fixed allowance
@@ -193,8 +193,8 @@ def _coordinates(system: IFSystem, p: ProbVector, xs: np.ndarray,
                  depth: int) -> np.ndarray:
     """phi_depth at every point of xs in float: the walk's acc + mass/2
     after depth steps, or fewer where a gap or hull endpoint decides it."""
-    acc, mass, _, _ = _orbit_tables(system, p, xs, tol=0.0, max_depth=depth,
-                                    keep_steps=False)
+    _, acc, mass = state = _orbit_start(system, xs)
+    _orbit_tables(system, p, state, tol=0.0, max_depth=depth)
     return acc + mass / 2
 
 

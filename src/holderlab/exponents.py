@@ -6,9 +6,8 @@ the empirical one, a log-log oscillation fit over shrinking balls around
 the point.  A sampler draws codings from an equilibrium weight vector so
 the two estimators can be compared against the Legendre prediction across
 inverse temperatures.  The sampler and the experiment driver work on the
-(count, word_len) array of drawn symbols: one cumulative sum per potential
-gives every Birkhoff sum, and one backward pass over the columns gives
-every sampled point.
+(count, word_len) array of drawn symbols: `ifs._birkhoff` gives every
+Birkhoff sum and `ifs._suffix_midpoints` every sampled point.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _cylinder_midpoints, \
-    _tail_midpoints, compactified_distance, ergodic_sums
+from .ifs import IFSystem, ProbVector, _birkhoff, _checked_word, \
+    _suffix_midpoints, compactified_distance
 from .thermo import PressureCurve, _gibbs, _log_weights_slopes, \
     gibbs_weights, spectrum
 
@@ -41,21 +40,28 @@ def dyn_exponent(system: IFSystem, p: ProbVector, word) -> ExponentTrace:
     lengths in [n/2, n].  Orbit points are recovered from tail cylinders
     (stable under the contractions) rather than by iterating the expanding
     map forward, and their distances to the open-set boundary are reported
-    as an overlap diagnostic.
+    as an overlap diagnostic.  ValueError unless every symbol is an integer
+    in 1..branch_count.
     """
-    word = tuple(int(w) for w in word)
+    word = _checked_word(word, system.branch_count)
     if not word:
         raise ValueError("empty coding")
-    s_phi, s_psi = ergodic_sums(system, p, word)
-    ratios = tuple(sp / sf for sf, sp in zip(s_phi, s_psi))
-    liminf = min(ratios[math.ceil(len(word) / 2) - 1:])
-
+    words = np.array([word])
+    mids = _suffix_midpoints(system, words)
+    s_phi, s_psi = _birkhoff(system, p, words, mids)
+    ratios = s_psi[0] / s_phi[0]
     o_lo, o_hi = system.open_set
     dists = [min(compactified_distance(y, o_lo), compactified_distance(y, o_hi))
-             for y in _tail_midpoints(system, word)]
-    return ExponentTrace(word=word, ratios=ratios,
+             for y in mids[0].tolist()]
+    return ExponentTrace(word=word, ratios=tuple(ratios.tolist()),
                          boundary_distances=tuple(dists),
-                         liminf_estimate=liminf)
+                         liminf_estimate=float(_liminf(ratios)))
+
+
+def _liminf(ratios: np.ndarray):
+    """Smallest Birkhoff ratio over the back half [n/2, n] of the prefix
+    lengths n, along the last axis."""
+    return ratios[..., math.ceil(ratios.shape[-1] / 2) - 1:].min(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -150,14 +156,17 @@ def sample_typical(system: IFSystem, p: ProbVector, beta: float,
     exponent is the negated pressure slope.  The generator is a counter
     based Philox keyed by `seed`, echoed back for reproducibility.  The
     words are drawn as one (count, word_len) array, and the points, the
-    `pi_approx` midpoints of their cylinders, come from one pass over its
-    columns.
+    `pi_approx` midpoints of their cylinders, come from `_suffix_midpoints`.
+    Raises ValueError unless word_len is at least 1.
     """
+    if word_len < 1:
+        raise ValueError("word_len must be at least 1")
     q, t_prime = gibbs_weights(system, p, beta)
     draws = _draw(system, q, word_len, count, seed)
     return TypicalSamples(beta=float(beta), alpha_predicted=-t_prime,
                           words=tuple(map(tuple, draws.tolist())),
-                          points=tuple(_cylinder_midpoints(system, draws)),
+                          points=tuple(_suffix_midpoints(system, draws)[:, 0]
+                                       .tolist()),
                           seed=int(seed))
 
 
@@ -185,10 +194,10 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
 
     Affine systems only, as the Gibbs weights are.  One array solve gives
     every beta's Gibbs weights and pressure slope, and one `spectrum` call
-    every g.  Each beta's codings stay one (count, word_len) symbol array:
-    its Birkhoff sums are two cumulative sums over it and the liminf a row
-    minimum, bit for bit the values of `dyn_exponent` word by word.  The
-    sampled points are computed only for an evaluator.
+    every g.  Each beta's codings stay one (count, word_len) symbol array,
+    read by `dyn_exponent`'s own kernels, `_birkhoff` and `_liminf`, so the
+    values are its values word by word.  The sampled points are computed
+    only for an evaluator.
 
     `evaluate` maps an array of points to the array of values there.  It
     is called once per beta, on the centres and scale clouds of all of
@@ -206,24 +215,17 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
         curve = PressureCurve(system, p)
     if scales is None:
         scales = np.geomspace(1e-6, 1e-2, 9)
-    lw, ls = _log_weights_slopes(system, p)
-    _, t_prime, _, q = _gibbs(lw, ls, betas)
+    _, t_prime, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
     alphas = (-t_prime).tolist()
     legendre = spectrum(system, p, alphas, curve=curve)
-    back = math.ceil(word_len / 2) - 1
     rows = []
     for i, beta in enumerate(betas):
         draws = _draw(system, q[i], word_len, count, seed + i)
-        idx = draws - 1
-        # dyn_exponent's liminf estimate of every word: the terms are the
-        # math.log tables ergodic_sums adds, and cumsum adds them in its
-        # order, so the ratios are its ratios to the bit (numpy's own log
-        # may differ from math.log in the last place, hence the tables)
-        ratios = np.cumsum(lw[idx], axis=1) / np.cumsum(-ls[idx], axis=1)
-        dyn = ratios[:, back:].min(axis=1)
+        s_phi, s_psi = _birkhoff(system, p, draws)
+        dyn = _liminf(s_psi / s_phi)
         if evaluate is not None:
             emp = np.array([e.slope for e in _empirical(
-                evaluate, _cylinder_midpoints(system, draws), scales,
+                evaluate, _suffix_midpoints(system, draws)[:, 0], scales,
                 _POINTS_PER_SCALE, _FLOOR)])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
         else:

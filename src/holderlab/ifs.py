@@ -18,6 +18,7 @@ the hull.  Words use 1-based symbols.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -183,9 +184,10 @@ class ProbVector:
         return self.weights[:-1]
 
     def mass(self, word: Sequence[int]):
-        """Product of weights along a word (the cylinder mass)."""
+        """Product of weights along a word (the cylinder mass).  ValueError
+        unless every symbol is an integer in 1..len(self)."""
         m = Fraction(1) if self.is_rational else 1.0
-        for sym in word:
+        for sym in _checked_word(word, len(self)):
             m *= self[sym]
         return m
 
@@ -548,10 +550,23 @@ def validated(system: IFSystem, p: Optional[ProbVector] = None) -> IFSystem:
 # cylinders and coding
 
 
+def _checked_word(word, count: int) -> tuple:
+    """The word as a tuple of ints; ValueError unless every symbol is an
+    integer in 1..count."""
+    try:
+        word = tuple(map(operator.index, word))
+    except TypeError:
+        raise ValueError(f"symbols must be integers: {word!r}") from None
+    if not all(1 <= sym <= count for sym in word):
+        raise ValueError(f"symbols must lie in 1..{count}: {word!r}")
+    return word
+
+
 def cylinder(system: IFSystem, word: Sequence[int]):
-    """Closed interval f_{w_1}^{-1} o ... o f_{w_n}^{-1}(closure of O)."""
+    """Closed interval f_{w_1}^{-1} o ... o f_{w_n}^{-1}(closure of O).
+    ValueError unless every symbol is an integer in 1..branch_count."""
     lo, hi = system.open_set
-    for sym in reversed(tuple(word)):
+    for sym in reversed(_checked_word(word, system.branch_count)):
         lo, hi = system.branch(sym).preimage_interval(lo, hi)
     return lo, hi
 
@@ -672,62 +687,72 @@ def _apply_branches(system: IFSystem, idx: np.ndarray,
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):
-    """Midpoint of the cylinder of the word and half its diameter as error."""
+    """Midpoint of the cylinder of the word and half its diameter as error;
+    a symbol outside 1..branch_count raises ValueError, as in `cylinder`."""
     lo, hi = cylinder(system, word)
     half = (hi - lo) / 2
     return lo + half, half
 
 
 def ergodic_sums(system: IFSystem, p: ProbVector, word: Sequence[int]):
-    """Arrays of partial sums (S_k phi, S_k psi) for k = 1 .. len(word).
+    """Lists of partial sums (S_k phi, S_k psi) for k = 1 .. len(word).
 
     phi is minus the log branch derivative along the orbit, psi the log
-    branch weight.  Affine systems are exact; otherwise the derivative is
-    taken at the midpoint of the remaining suffix cylinder, with an error
-    controlled by the distortion of the system.
+    branch weight (`_birkhoff`).  Affine systems are exact; otherwise the
+    derivative is taken at the midpoint of the remaining suffix cylinder,
+    with an error controlled by the distortion of the system.  ValueError
+    unless every symbol is an integer in 1..branch_count.
     """
-    word = tuple(word)
-    mids = None if system.is_affine else _tail_midpoints(system, word)
-    s_phi, s_psi = [], []
-    tphi = tpsi = 0.0
-    for k, sym in enumerate(word):
-        br = system.branch(sym)
-        deriv = float(br.slope) if br.is_affine else br.derivative(mids[k])
-        tphi -= math.log(deriv)
-        tpsi += math.log(float(p[sym]))
-        s_phi.append(tphi)
-        s_psi.append(tpsi)
-    return s_phi, s_psi
+    words = np.array([_checked_word(word, system.branch_count)], dtype=int)
+    s_phi, s_psi = _birkhoff(system, p, words)
+    return s_phi[0].tolist(), s_psi[0].tolist()
 
 
-def _tail_midpoints(system: IFSystem, word: Sequence[int]) -> list:
-    """pi_approx(system, word[k:])[0] for every k, by one backward pass."""
-    lo, hi = system.open_set
-    mids = [None] * len(word)
-    for k in range(len(word) - 1, -1, -1):
-        lo, hi = system.branch(word[k]).preimage_interval(lo, hi)
-        mids[k] = lo + (hi - lo) / 2
-    return mids
+def _birkhoff(system: IFSystem, p: ProbVector, words: np.ndarray, mids=None):
+    """(S_k phi, S_k psi) for k = 1 .. n, at entry (i, k - 1), for every row
+    of an (m, n) array of words: `math.log` terms summed left to right by
+    one `cumsum`.  A non-affine branch's derivative is taken at the suffix
+    midpoints `mids` of `_suffix_midpoints`, computed if not given."""
+    idx = words - 1
+    log_p = np.array([math.log(float(w)) for w in p.weights])
+    if system.is_affine:
+        phi = np.array([-math.log(float(br.slope))
+                        for br in system.branches])[idx]
+    else:
+        mids = _suffix_midpoints(system, words) if mids is None else mids
+        phi = np.array([[-math.log(system.branch(sym).derivative(x))
+                         for sym, x in zip(w, row)] for w, row in
+                        zip(words.tolist(), mids.tolist())]).reshape(idx.shape)
+    return np.cumsum(phi, axis=1), np.cumsum(log_p[idx], axis=1)
 
 
-def _cylinder_midpoints(system: IFSystem, words: np.ndarray) -> list:
-    """pi_approx(system, w)[0] for every row w of an array of words.
+def _suffix_midpoints(system: IFSystem, words: np.ndarray) -> np.ndarray:
+    """pi_approx(system, w[k:])[0] at entry (i, k) for every row w of an
+    (m, n) array of words, by one backward pass.
 
-    A system whose open set has float endpoints computes in float whatever
-    its slopes and intercepts are, so its cylinders take `cylinder`'s
-    steps (lo, hi) <- ((lo - b) / a, (hi - b) / a) on whole columns, last
-    symbol first, with the same roundings.  (The composed maps of
-    `_cylinder_maps` round differently.)  Other systems keep their own
-    arithmetic, exact for Fractions, one word at a time.
+    A float affine system (float open set, whatever the branch types) takes
+    `cylinder`'s steps (lo, hi) <- ((lo - b) / a, (hi - b) / a) on whole
+    columns with the same roundings, which `_cylinder_maps` does not have.
+    Other systems go word by word in their own arithmetic, exact for
+    Fractions, into an object array.
     """
-    if not all(isinstance(v, float) for v in system.open_set):
-        return [pi_approx(system, w)[0] for w in words.tolist()]
+    if not (system.is_affine
+            and all(isinstance(v, float) for v in system.open_set)):
+        rows = []
+        for w in words.tolist():
+            ends = [system.open_set]
+            for sym in reversed(w):
+                ends.append(system.branch(sym).preimage_interval(*ends[-1]))
+            rows.append([lo + (hi - lo) / 2 for lo, hi in ends[:0:-1]])
+        return np.array(rows, dtype=object).reshape(words.shape)
     slopes, intercepts = system._float_maps
-    lo, hi = (np.full(len(words), v) for v in system.open_set)
-    for col in (words - 1).T[::-1]:
-        a, b = slopes[col], intercepts[col]
-        lo, hi = (lo - b) / a, (hi - b) / a
-    return (lo + (hi - lo) / 2).tolist()
+    idx = (words - 1).T
+    ends = np.empty((len(idx), 2, len(words)))
+    lo_hi = np.array(system.open_set)[:, None]
+    for k in range(len(idx) - 1, -1, -1):
+        lo_hi = ends[k] = (lo_hi - intercepts[idx[k]]) / slopes[idx[k]]
+    lo, hi = ends.transpose(1, 2, 0)
+    return lo + (hi - lo) / 2
 
 
 def distortion_constant(system: IFSystem, depth: int, samples: int = 5,

@@ -241,8 +241,8 @@ class PressureCurve:
         return solve_pressure_root(self.system, self.p, float(beta))
 
     def t_prime(self, beta: float) -> float:
-        b = float(beta)
-        return gibbs_weights(self.system, self.p, b, t=self.t(b))[1]
+        lw, ls = _log_weights_slopes(self.system, self.p)
+        return float(_gibbs(lw, ls, [float(beta)])[1][0])
 
     @functools.cached_property
     def endpoints(self) -> Endpoints:

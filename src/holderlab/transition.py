@@ -25,6 +25,7 @@ from .ifs import (
     compactify,
     compactified_gap_factor,
     _apply_branches,
+    _birkhoff,
     _branch_on_array,
     _coding_for,
     _cylinder_maps,
@@ -145,79 +146,68 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
     xs = np.asarray(xs, dtype=float)
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
-    out, _, _, _ = _orbit_tables(system, p, xs.ravel(), tol=tol,
-                                 max_depth=max_depth, keep_steps=False)
-    return out.reshape(xs.shape)
+    state = _orbit_start(system, xs.ravel())
+    _orbit_tables(system, p, state, tol=tol, max_depth=max_depth)
+    return state[1].reshape(xs.shape)
 
 
-def _orbit_tables(system: IFSystem, p: ProbVector, xs: np.ndarray,
-                  tol: float, max_depth: int, keep_steps: bool,
-                  n_steps: Optional[int] = None):
-    """Shared vectorised coding walk, for every system.
+def _orbit_start(system: IFSystem, xs: np.ndarray):
+    """Walk state (y, acc, mass) of float points before their first step:
+    y the orbit points, acc the escaped-up mass, mass the undecided mass.
+    A point at or left of the hull is decided at 0, at or right of it at 1.
+    """
+    a, b = (float(t) for t in system._coding.hull)
+    y = xs.astype(float)
+    return (y, np.where(y >= b, 1.0, 0.0),
+            np.where((y <= a) | (y >= b), 0.0, 1.0))
 
-    Returns (acc, mass, y, snapshots); acc accumulates the escaping-up mass,
-    mass the undecided cylinder mass, y the current orbit positions.  With
-    keep_steps=True, snapshots is a list of (acc, mass, y) copies after each
-    of n_steps steps, which lets callers reconstruct every operator iterate
-    of a ramp function exactly.
+
+def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
+                  max_depth: int) -> None:
+    """Shared vectorised coding walk, for every system: advances the state
+    of `_orbit_start` in place by at most max_depth steps.
 
     Each step decides every undecided point by `_walk`'s window rule
     (`_windows_of`: one `searchsorted` on the hull windows' right edges),
     and applies every branch to the points of its window at once
     (`_apply_branches`).  The walk carries only the points whose mass is
-    still above tol (above 0 with keep_steps) and writes each point out
-    once, when a hull endpoint, a gap or its mass decides it, or after the
-    last step.  A point is never stepped or parked after that, as in
-    `eval_cdf`, so its values do not depend on the other points of the
-    batch.
+    above tol and writes each point back once, when a hull endpoint, a gap
+    or its mass decides it, or after the last step.  A decided point is
+    never stepped again, here or in a later call, as in `eval_cdf`.  So a
+    point's values do not depend on the other points of the batch, and at
+    tol 0, n calls of one step give the bits of one call of n steps.
     """
     a, b = (float(t) for t in system._coding.hull)
     weights, cum = p._float_weights
-    y_out = xs.astype(float)
-    acc_out = np.zeros_like(y_out)
-    mass_out = np.ones_like(y_out)
-    mass_out[y_out <= a] = 0.0
-    acc_out[y_out >= b] = 1.0
-    mass_out[y_out >= b] = 0.0
-    out = (y_out, acc_out, mass_out)
-
-    floor = 0.0 if keep_steps else tol
-    idx = np.flatnonzero(mass_out > floor)
-    y, acc, mass = (o[idx] for o in out)
-    snapshots = []
-    for _ in range(max_depth if n_steps is None else n_steps):
-        if not idx.size and not keep_steps:
+    idx = np.flatnonzero(state[2] > tol)
+    y, acc, mass = (o[idx] for o in state)
+    for _ in range(max_depth):
+        if not idx.size:
             break
         # an orbit parked on a hull endpoint is decided: at a all of its
-        # mass drifts down, at b all of it drifts up (ramp values there are
-        # exactly 0 and 1, so snapshots agree); count_nonzero asks "any?"
-        # at a third of the fixed cost of any() on small arrays
+        # mass drifts down, at b all of it drifts up; count_nonzero asks
+        # "any?" at a third of the fixed cost of any() on small arrays
         at_b = y == b
         parked = at_b | (y == a)
         if np.count_nonzero(parked):
             acc[at_b] += mass[at_b]
             mass[parked] = 0.0
-            idx, (y, acc, mass) = _settle(parked, idx, (y, acc, mass), out)
+            idx, (y, acc, mass) = _settle(parked, idx, (y, acc, mass), state)
         k, inside = _windows_of(system, y)
         # in a gap, the branches whose windows lie left of y escape up
         acc = acc + mass * cum[k]
         if np.count_nonzero(inside) < inside.size:
             gap = ~inside
             mass[gap] = 0.0
-            idx, (y, acc, mass) = _settle(gap, idx, (y, acc, mass), out)
+            idx, (y, acc, mass) = _settle(gap, idx, (y, acc, mass), state)
             k = k[inside]
         mass = mass * weights[k]
         y = _apply_branches(system, k, y)
-        done = mass <= floor
+        done = mass <= tol
         if np.count_nonzero(done):
-            idx, (y, acc, mass) = _settle(done, idx, (y, acc, mass), out)
-        if keep_steps:
-            for o, c in zip(out, (y, acc, mass)):
-                o[idx] = c
-            snapshots.append((acc_out.copy(), mass_out.copy(), y_out.copy()))
-    for o, c in zip(out, (y, acc, mass)):
+            idx, (y, acc, mass) = _settle(done, idx, (y, acc, mass), state)
+    for o, c in zip(state, (y, acc, mass)):
         o[idx] = c
-    return acc_out, mass_out, y_out, snapshots
 
 
 def _settle(done, idx, carried, out):
@@ -448,16 +438,8 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     if not system.is_affine:
         raise NotImplementedError("gap probe requires affine branches")
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    a, b = attractor_hull(system)
-    a, b = float(a), float(b)
+    a, b = (float(t) for t in attractor_hull(system))
     nodes = uniform_grid(system, grid_size, margin)
-    ramp0 = _ramp(nodes, a, b)
-
-    # exact iterate values at the nodes via the coding walk
-    acc0, mass0, y0, snaps = _orbit_tables(
-        system, p, nodes, tol=0.0, max_depth=n_max, keep_steps=True,
-        n_steps=n_max)
-
     pair_scan = _pair_scan(compactify(nodes), alpha,
                            np.linspace(0, nodes.size - 1, 257).astype(int))
     s_count = system.branch_count
@@ -467,13 +449,16 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
                                                size=(probe_words, n_max))])
     cylinder_best = _cylinder_probe_max(system, p, alpha, words)
 
+    # exact iterate values at the nodes, one step of the coding walk each
+    state = _orbit_start(system, nodes)
     norms = np.zeros(n_max)
     sups = np.zeros(n_max)
-    for n in range(1, n_max + 1):
-        acc, mass, y = snaps[n - 1]
+    for n in range(n_max):
+        _orbit_tables(system, p, state, tol=0.0, max_depth=1)
+        y, acc, mass = state
         vals = acc + mass * _ramp(y, a, b)
-        sups[n - 1] = float(np.max(np.abs(vals)))
-        norms[n - 1] = max(pair_scan(vals), float(cylinder_best[n - 1]))
+        sups[n] = float(np.max(np.abs(vals)))
+        norms[n] = max(pair_scan(vals), float(cylinder_best[n]))
 
     half = n_max // 2
     ns = np.arange(half + 1, n_max + 1)
@@ -524,18 +509,15 @@ def _cylinder_probe_max(system, p, alpha, words):
 
     The operator iterate changes across the cylinder of a depth-n word by
     exactly the word's mass, so each prefix gives a certified pair ratio.
-    The cylinders of all prefixes come from `_cylinder_maps`.  Logs keep
-    deep cylinders alive long after their endpoints collide in float
-    arithmetic.
+    Masses and diameters come in logs from `_birkhoff`, which keeps deep
+    cylinders alive long after their endpoints collide in float
+    arithmetic; the compactification factors from `_cylinder_maps`.
     """
-    idx = words - 1
-    slopes, _ = system._float_maps
-    weights, _ = p._float_weights
+    s_phi, log_mass = _birkhoff(system, p, words)
     lo_o, hi_o = (float(v) for v in system.open_set)
-    log_mass = np.cumsum(np.log(weights)[idx], axis=1)
-    log_diam = math.log(hi_o - lo_o) - np.cumsum(np.log(slopes)[idx], axis=1)
     c, d = _cylinder_maps(system, words)
     factor = compactified_gap_factor(c * lo_o + d, c * hi_o + d)
+    log_diam = math.log(hi_o - lo_o) + s_phi
     log_ratio = log_mass - alpha * (log_diam + np.log(factor))
     return np.exp(log_ratio.max(axis=0))
 

@@ -1,6 +1,7 @@
 """The array coding walk behind `cdf_values`, `gap_probe` and the
-conjugacy residual: values that do not depend on the batch, agreement with
-the scalar walk of `eval_cdf`, and outputs pinned to recorded bits."""
+conjugacy residual: values that do not depend on the batch or on how the
+steps are split between calls, agreement with the scalar walk of
+`eval_cdf`, and outputs pinned to recorded bits."""
 
 import math
 
@@ -21,6 +22,7 @@ from holderlab import (
 )
 from holderlab.conjugacy import conjugacy_residual
 from holderlab.ifs import hull_preimages
+from holderlab.transition import _orbit_start, _orbit_tables
 
 
 def _bent_system():
@@ -106,6 +108,26 @@ def test_cdf_values_do_not_depend_on_the_batch(case, tol, depth):
         want, bound = eval_cdf(system, p, x, tol=scalar_tol,
                                max_depth=scalar_depth)
         assert abs(v - want) <= bound + tol, (x, v, want, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=batches(), steps=st.integers(1, 40))
+def test_one_step_calls_match_one_walk(case, steps):
+    # gap_probe steps the walk one symbol per call; at tol 0 that must give
+    # the bits of one call of all the steps, after every step count
+    system = SYSTEMS[case["name"]]
+    p = ProbVector.of(*case["free"])
+    xs = list(case["points"])
+    if case["grid"] is not None:
+        xs += np.linspace(*case["grid"]).tolist()
+    xs = np.array(xs + _special_points(system), dtype=float)
+    stepped = _orbit_start(system, xs)
+    for n in range(1, steps + 1):
+        _orbit_tables(system, p, stepped, tol=0.0, max_depth=1)
+        whole = _orbit_start(system, xs)
+        _orbit_tables(system, p, whole, tol=0.0, max_depth=n)
+        for got, want in zip(stepped, whole):
+            assert got.tobytes() == want.tobytes(), n
 
 
 # gap_probe and conjugacy_residual outputs recorded, as float.hex(), before

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from holderlab import (
     compactify,
     cylinder,
     distortion_constant,
+    dyn_exponent,
     encode,
     ergodic_sums,
     eval_cdf,
@@ -31,6 +33,7 @@ from holderlab import (
     validate,
     validated,
 )
+from holderlab.ifs import _suffix_midpoints
 
 
 def test_affine_branch_roundtrip():
@@ -251,27 +254,85 @@ def test_ergodic_sums_affine(dyadic, quarter):
     assert s_psi[2] == pytest.approx(math.log(0.25) + 2 * math.log(0.75))
 
 
-def test_ergodic_sums_match_suffix_cylinders(quarter):
-    # a quadratic left branch: derivatives at the midpoint of each suffix
-    # cylinder, as pi_approx defines it
-    system = IFSystem(branches=(
+def _bent():
+    """A quadratic left branch 2.5x - 0.5x^2 and the affine 2x - 1, both as
+    callables."""
+    return IFSystem(branches=(
         Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
                       dfn=lambda x: 2.5 - x,
                       inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y)),
         Branch.custom(fn=lambda x: 2 * x - 1, dfn=lambda x: 2.0,
                       inv=lambda y: (y + 1) / 2)),
         open_set=(0.0, 1.0), expansion=1.5)
+
+
+def _gaps3(num):
+    return affine_system((num(4), num(3), num(4)), (num(0), num(-1), num(-3)),
+                         (num(0), num(1)))
+
+
+# the three kinds of arithmetic of the word kernels: float columns, exact
+# Fractions word by word, and float calls of non-affine branches
+WORD_SYSTEMS = {
+    "float": (_gaps3(float), ProbVector.of(0.25, 0.5)),
+    "fraction": (_gaps3(Fraction),
+                 ProbVector.of(Fraction(1, 4), Fraction(1, 2))),
+    "bent": (_bent(), ProbVector.of(0.25)),
+}
+
+
+def test_ergodic_sums_match_suffix_cylinders(quarter):
+    # a quadratic left branch: derivatives at the midpoint of each suffix
+    # cylinder, as pi_approx defines it; affine systems take their slopes
+    cases = [(_bent(), quarter)] + [WORD_SYSTEMS[k] for k in ("float",
+                                                              "fraction")]
     rng = np.random.default_rng(3)
-    for n in (1, 2, 50):
-        word = tuple(int(s) for s in rng.integers(1, 3, size=n))
+    for (system, p), n in itertools.product(cases, (1, 2, 50)):
+        word = tuple(int(s) for s in
+                     rng.integers(1, system.branch_count + 1, size=n))
         s_phi, s_psi, tphi, tpsi = [], [], 0.0, 0.0
         for k, sym in enumerate(word):
             mid = pi_approx(system, word[k:])[0]
             tphi -= math.log(system.branch(sym).derivative(mid))
-            tpsi += math.log(quarter[sym])
+            tpsi += math.log(p[sym])
             s_phi.append(tphi)
             s_psi.append(tpsi)
-        assert ergodic_sums(system, quarter, word) == (s_phi, s_psi)
+        assert ergodic_sums(system, p, word) == (s_phi, s_psi)
+
+
+@pytest.mark.parametrize("name", sorted(WORD_SYSTEMS))
+def test_suffix_midpoints_are_suffix_cylinder_midpoints(name):
+    system, _ = WORD_SYSTEMS[name]
+    rng = np.random.default_rng(11)
+    for m, n in ((1, 1), (3, 2), (5, 40), (0, 4), (2, 0)):
+        words = rng.integers(1, system.branch_count + 1, size=(m, n))
+        mids = _suffix_midpoints(system, words)
+        assert mids.shape == (m, n)
+        for w, row in zip(words.tolist(), mids.tolist()):
+            for k, mid in enumerate(row):
+                want = pi_approx(system, w[k:])[0]
+                assert type(mid) is type(want) and mid == want, (w, k)
+
+
+WORD_FUNCTIONS = {
+    "cylinder": lambda system, p, word: cylinder(system, word),
+    "pi_approx": lambda system, p, word: pi_approx(system, word),
+    "mass": lambda system, p, word: p.mass(word),
+    "ergodic_sums": ergodic_sums,
+    "dyn_exponent": dyn_exponent,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_FUNCTIONS))
+@pytest.mark.parametrize("bad", [0, -1, 3, 1.5])
+def test_out_of_range_symbols_raise(name, bad):
+    # symbol 0 and -1 used to index from the end, 1.5 to truncate to 1
+    system = affine_system((2.0, 3.0), (0.0, -2.0), (0.0, 1.0))
+    p = ProbVector.of(0.3)
+    call = WORD_FUNCTIONS[name]
+    call(system, p, (1, np.int64(2), 2))
+    with pytest.raises(ValueError, match="symbols must"):
+        call(system, p, (1, bad, 2))
 
 
 def test_distortion_constant_affine(dyadic):

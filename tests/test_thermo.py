@@ -18,7 +18,7 @@ from holderlab import (
     spectrum,
     spectrum_point,
 )
-from holderlab.thermo import _gibbs, _log_weights_slopes
+from holderlab.thermo import _gibbs, _log_weights_slopes, _sandwich
 
 LOG43_LOG2 = 0.4150374992788437      # log(4/3)/log 2
 LOG2_LOG3 = 0.6309297535714574       # log 2 / log 3
@@ -267,3 +267,28 @@ def test_nonaffine_root_matches_bisection(w):
             lo, hi = (m, hi) if mid(m) >= 0 else (lo, m)
         root = solve_pressure_root(system, p, beta, level=level)
         assert root == pytest.approx(lo, abs=1e-13)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the sandwich takes "
+                   "each symbol's derivative on the cylinder of the whole "
+                   "word, not of its suffix, so its bounds do not nest "
+                   "(ROADMAP, known defects)")
+def test_nonaffine_pressure_bounds_nest():
+    # the attractor of bent_system has a gap, (0.4384, 0.5), so its
+    # dimension t(0) lies below 1, and true bounds on the root of the
+    # pressure nest as the level grows
+    system, p = bent_system(), ProbVector.of(0.3)
+    roots = []
+    for level in (4, 7, 10):
+        bounds = _sandwich(system, p, level)
+        ends = []
+        for j in (0, 1):
+            lo, hi = 0.0, 2.0
+            for _ in range(60):
+                m = 0.5 * (lo + hi)
+                lo, hi = (m, hi) if bounds(m, 0.0)[j][0] >= 0 else (lo, m)
+            ends.append(lo)
+        roots.append(sorted(ends))
+    for (lo, hi), (inner_lo, inner_hi) in zip(roots, roots[1:]):
+        assert lo <= inner_lo <= inner_hi <= hi, roots
+    assert solve_pressure_root(system, p, 0.0) < 1

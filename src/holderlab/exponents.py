@@ -12,6 +12,7 @@ Birkhoff sum and `ifs._suffix_midpoints` every sampled point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,7 +22,7 @@ import numpy as np
 from .ifs import IFSystem, ProbVector, _birkhoff, _checked_word, \
     _suffix_midpoints, compactified_distance
 from .thermo import PressureCurve, _gibbs, _log_weights_slopes, \
-    gibbs_weights, spectrum
+    gibbs_weights
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ def _empirical(evaluate, xs, scales, points_per_scale, floor) -> list:
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
         raise ValueError("no scales given")
-    m = max(2, points_per_scale // 2)
-    offs = np.array([np.geomspace(r * 1e-3, r, m) for r in scales])
+    offs = _offsets(tuple(scales), max(2, points_per_scale // 2))
     xs = np.asarray(xs, dtype=float).reshape(-1)
     centres = xs[:, None, None]
     clouds = np.concatenate((centres - offs, centres + offs), axis=2)
@@ -110,6 +110,15 @@ def _empirical(evaluate, xs, scales, points_per_scale, floor) -> list:
     fx = vals[:xs.size, None, None]
     oscs = np.max(np.abs(vals[xs.size:].reshape(clouds.shape) - fx), axis=2)
     return [_fit(x, scales, row, floor) for x, row in zip(xs, oscs)]
+
+
+@functools.lru_cache(maxsize=16)
+def _offsets(scales: tuple, m: int) -> np.ndarray:
+    """Read-only (scales, m) array of the cloud offsets, m geometric steps
+    over the three decades below each radius."""
+    offs = np.array([np.geomspace(r * 1e-3, r, m) for r in scales])
+    offs.flags.writeable = False
+    return offs
 
 
 def _fit(x, scales, oscs, floor) -> EmpiricalExponent:
@@ -193,8 +202,10 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     seed + i, exactly as `sample_typical` does.
 
     Affine systems only, as the Gibbs weights are.  One array solve gives
-    every beta's Gibbs weights and pressure slope, and one `spectrum` call
-    every g.  Each beta's codings stay one (count, word_len) symbol array,
+    every beta's pressure root t, slope t' and Gibbs weights.  beta itself
+    minimises t(b) + b*alpha at alpha = -t'(beta), so the Legendre value
+    there is g = t - beta*t', for any beta, with no spectrum solve and no
+    bracket.  Each beta's codings stay one (count, word_len) symbol array,
     read by `dyn_exponent`'s own kernels, `_birkhoff` and `_liminf`, so the
     values are its values word by word.  The sampled points are computed
     only for an evaluator.
@@ -203,21 +214,20 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     is called once per beta, on the centres and scale clouds of all of
     that beta's sampled points together, so it must be pointwise: the value
     at a point may not depend on which other points share the call.
-    `cdf_values` is, because every point walks its own coding.  Raises
-    ValueError unless count and word_len are at least 1.
+    `cdf_values` is, because every point walks its own coding.  `curve` is
+    ignored: g needs no pressure curve.  Raises ValueError unless count and
+    word_len are at least 1.
     """
     if count < 1 or word_len < 1:
         raise ValueError("count and word_len must be at least 1")
     betas = [float(b) for b in betas]
     if not betas:
         return []
-    if curve is None:
-        curve = PressureCurve(system, p)
     if scales is None:
         scales = np.geomspace(1e-6, 1e-2, 9)
-    _, t_prime, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
+    t, t_prime, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
     alphas = (-t_prime).tolist()
-    legendre = spectrum(system, p, alphas, curve=curve)
+    gs = (t - np.array(betas) * t_prime).tolist()
     rows = []
     for i, beta in enumerate(betas):
         draws = _draw(system, q[i], word_len, count, seed + i)
@@ -233,7 +243,7 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
         rows.append({
             "beta": beta,
             "alpha_pred": alphas[i],
-            "g": legendre[i].g,
+            "g": gs[i],
             "dyn_mean": float(dyn.mean()),
             "dyn_sigma": float(dyn.std()),
             "emp_mean": emp_mean,

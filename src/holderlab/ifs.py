@@ -309,6 +309,12 @@ class IFSystem:
         """Integer coding tables of a rational system, by lattice scale."""
         return {}
 
+    @cached_property
+    def _sandwich_sums(self) -> dict:
+        """Derivative sums of the pressure sandwich (`thermo._sandwich`),
+        by cylinder level."""
+        return {}
+
 
 def affine_system(slopes, intercepts, open_set) -> IFSystem:
     branches = tuple(Branch.affine(a, b) for a, b in zip(slopes, intercepts))

@@ -9,10 +9,12 @@ transform of its negative gives the dimension spectrum of pointwise
 regularity exponents of the limit cdf.
 
 Affine systems evaluate the pressure in closed form (the potentials depend
-only on the first symbol) and solve for roots and Legendre points over whole
-arrays of beta and alpha at once; other systems fall back to a cylinder
-sandwich, whose midpoint is also convex and decreasing in t, and the same
-Newton climb to its root.
+only on the first symbol) and solve over whole arrays of beta and alpha at
+once: a Newton climb in t for the roots, and for the Legendre points one
+Newton in the pair (beta, g), which finds the minimiser and its root
+together.  Other systems fall back to a cylinder sandwich, whose midpoint is
+also convex and decreasing in t, and the same Newton climb to its root; the
+sandwich's derivative sums are built once per system and level.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from .ifs import IFSystem, ProbVector
 _BETA_BRACKET = 60.0
 _MAX_LEVEL = 18
 # Newton in t climbs monotonically and stops once a step no longer moves t;
-# Newton in beta is kept inside a shrinking bracket.  Both take a few dozen
-# steps at most, so the cap only stops a solve fed with garbage.
+# the Legendre Newton in (beta, g) is kept inside a shrinking bracket.  Both
+# take a few dozen steps at most, so the cap only stops a solve fed with
+# garbage.
 _NEWTON_MAX = 200
-# Newton in beta stops at the first step shorter than this and takes it; a
-# step from within 1e-12 of the root leaves only rounding error behind
-_BETA_XTOL = 1e-12
+# the Legendre Newton stops at the first step that moves beta and g by at
+# most this and takes it; a step from within 1e-12 of the root leaves only
+# rounding error behind
+_STEP_TOL = 1e-12
 
 
 def _log_weights_slopes(system: IFSystem, p: ProbVector):
@@ -77,17 +81,41 @@ def _sandwich(system, p, level):
     of the smallest branch derivative over the cylinder (sampled at its ends
     and midpoint), and the log weights.  None depends on t or beta, so they
     are built once and every evaluation is two log-sum-exps over arrays.
+    The derivative sums depend on the system alone and are kept on it, one
+    pair per level; the weight sums are rebuilt from p on every call.
     The slope of each bound is the Gibbs average of its derivative sum.
-    Words are in lexicographic order, and the cylinder of (j,) + u is the
-    j-th preimage of the cylinder of u: the same preimages, in the same
-    order, that `cylinder` applies.
     """
     level = min(int(level), _MAX_LEVEL)
+    memo = system._sandwich_sums
+    if level not in memo:
+        memo[level] = _derivative_sums(system, level)
+    lo_sum, hi_sum = memo[level]
     syms = system.symbols()
     s = len(syms)
     logp = np.array([math.log(float(p[i])) for i in syms])
+    psi_sum = np.zeros(1)
+    for k in range(level):
+        psi_sum = np.repeat(psi_sum, s) + np.tile(logp, s ** k)
+
+    def bounds(t, beta):
+        # phi < 0, so t >= 0 widens one way and t < 0 the other; the sums
+        # already fold the sign in, so which bound is lower is left open
+        return [tuple(v / level for v in
+                      _logsumexp(t * d_sum + beta * psi_sum, d_sum))
+                for d_sum in (lo_sum, hi_sum)]
+
+    return bounds
+
+
+def _derivative_sums(system, level):
+    """Read-only arrays of the two derivative sums of every word of length
+    `level`, in lexicographic order: the cylinder of (j,) + u is the j-th
+    preimage of the cylinder of u, the same preimages, in the same order,
+    that `cylinder` applies."""
+    syms = system.symbols()
+    s = len(syms)
     cyls = [system.open_set]
-    lo_sum = hi_sum = psi_sum = np.zeros(1)
+    lo_sum = hi_sum = np.zeros(1)
     for _ in range(level):
         cyls = [system.branch(j).preimage_interval(lo, hi)
                 for j in syms for lo, hi in cyls]
@@ -99,16 +127,8 @@ def _sandwich(system, p, level):
             log_dmin.append(math.log(min(br.derivative(x) for x in pts)))
         lo_sum = np.repeat(lo_sum, s) - np.array(log_dmax)
         hi_sum = np.repeat(hi_sum, s) - np.array(log_dmin)
-        psi_sum = np.repeat(psi_sum, s) + np.tile(logp, len(cyls) // s)
-
-    def bounds(t, beta):
-        # phi < 0, so t >= 0 widens one way and t < 0 the other; the sums
-        # already fold the sign in, so which bound is lower is left open
-        return [tuple(v / level for v in
-                      _logsumexp(t * d_sum + beta * psi_sum, d_sum))
-                for d_sum in (lo_sum, hi_sum)]
-
-    return bounds
+    lo_sum.flags.writeable = hi_sum.flags.writeable = False
+    return lo_sum, hi_sum
 
 
 def _gibbs(lw, ls, betas, t=None):
@@ -310,40 +330,76 @@ def _legendre(curve: PressureCurve, alphas, out_tol: float) -> list:
     beta[tie], g[tie] = 0.0, t0
     beta[at_hi], g[at_hi] = B, thi + B * a[at_hi]
     beta[at_lo], g[at_lo] = -B, tlo - B * a[at_lo]
-    beta[inner], g[inner] = _argmin(lw, ls, a[inner])
+    beta[inner], g[inner] = _argmin(lw, ls, a[inner], t0, tp0)
     clamped = at_hi | at_lo
     return [SpectrumPoint(alpha=float(x), g=float(y), beta_argmin=float(z),
                           empty=bool(e), clamped=bool(c))
             for x, y, z, e, c in zip(a, g, beta, empty, clamped)]
 
 
-def _argmin(lw, ls, a):
+def _argmin(lw, ls, a, t0, tp0):
     """beta* with t'(beta*) = -alpha and g = t(beta*) + beta* alpha for each
-    alpha whose root lies strictly inside (-60, 60).
+    alpha whose beta* lies strictly inside (-60, 60), given the root t0 and
+    slope tp0 at beta = 0.
 
-    Newton in beta (t'' >= 0 is the slope of t') from beta = 0, kept inside
-    the bracket: every evaluation moves one bracket end, and a step that
-    leaves the bracket is replaced by bisection.  Each exponent iterates on
-    its own until a step is below _BETA_XTOL; that last step is taken.
+    With c = log p + alpha log a, the pair (beta*, g) solves
+    F1 = log sum exp(beta c - g log a) = 0, which makes g - beta alpha the
+    pressure root, and F2 = <c>_q = 0, which makes t' = -alpha, where q are
+    the normalised terms of F1.  One Newton in (beta, g) solves both, from
+    (0, t0) on the root, with the Jacobian read off the same q:
+    ((<c>, -<log a>), (Var_q c, -Cov_q(c, log a))).
+
+    beta stays in a bracket around beta*: [-60, 60], cut at 0 by the sign
+    of tp0 + alpha.  On the root, F2 has the sign of t' + alpha.  Off it,
+    the root's g lies within |F1| / min(log a), and moving g that far moves
+    F2 by at most that times range(c) range(log a) / 4; a larger |F2| moves
+    a bracket end.  A step that leaves the bracket goes to its midpoint
+    instead, put on the root by `_gibbs`, whose slope moves a bracket end,
+    so a row that keeps leaving halves its bracket.  Each exponent iterates
+    on its own until its Newton step is at most _STEP_TOL in beta and in g;
+    that step is taken, clipped to the bracket.
     """
+    B = _BETA_BRACKET
+    c = lw + a[:, None] * ls
+    margin = np.ptp(c, axis=1) * np.ptp(ls) / (4 * ls.min())
     beta = np.zeros(a.shape)
-    lo = np.full(a.shape, -_BETA_BRACKET)
-    hi = np.full(a.shape, _BETA_BRACKET)
+    g = np.full(a.shape, t0)
+    lo = np.where(tp0 + a < 0, 0.0, -B)
+    hi = np.where(tp0 + a > 0, 0.0, B)
     todo = np.arange(a.size)
     for _ in range(_NEWTON_MAX):
         if not todo.size:
             break
-        b = beta[todo]
-        _, tp, tpp, _ = _gibbs(lw, ls, b)
-        f = tp + a[todo]
-        lo[todo] = np.where(f < 0, b, lo[todo])
-        hi[todo] = np.where(f > 0, b, hi[todo])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nb = b - f / tpp
-        inside = (nb > lo[todo]) & (nb < hi[todo])
-        nb = np.where(inside, nb, 0.5 * (lo[todo] + hi[todo]))
-        nb[f == 0] = b[f == 0]
-        beta[todo] = nb
-        todo = todo[np.abs(nb - b) > _BETA_XTOL]
-    t = _gibbs(lw, ls, beta)[0]
-    return beta, t + beta * a
+        b, h, cc = beta[todo], g[todo], c[todo]
+        v = b[:, None] * cc - h[:, None] * ls
+        m = v.max(axis=1)
+        e = np.exp(v - m[:, None])
+        s = e.sum(axis=1)
+        q = e / s[:, None]
+        f1 = m + np.log(s)
+        f2 = (q * cc).sum(axis=1)
+        dc = cc - f2[:, None]
+        var = (q * dc * dc).sum(axis=1)
+        cov = (q * dc * ls).sum(axis=1)
+        mls = (q * ls).sum(axis=1)
+        sure = np.abs(f2) > np.abs(f1) * margin[todo]
+        lo[todo] = np.where(sure & (f2 < 0), b, lo[todo])
+        hi[todo] = np.where(sure & (f2 > 0), b, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = mls * var - f2 * cov
+            db = (f1 * cov - mls * f2) / det
+            dh = (var * f1 - f2 * f2) / det
+        nb, nh = b + db, h + dh
+        last = (np.abs(db) <= _STEP_TOL) & (np.abs(dh) <= _STEP_TOL)
+        nb[last] = np.clip(nb[last], lo[todo[last]], hi[todo[last]])
+        inside = last | ((nb > lo[todo]) & (nb < hi[todo]) & np.isfinite(nh))
+        out = todo[~inside]
+        if out.size:
+            mid = 0.5 * (lo[out] + hi[out])
+            t, tp, _, _ = _gibbs(lw, ls, mid)
+            lo[out] = np.where(tp + a[out] < 0, mid, lo[out])
+            hi[out] = np.where(tp + a[out] > 0, mid, hi[out])
+            nb[~inside], nh[~inside] = mid, t + mid * a[out]
+        beta[todo], g[todo] = nb, nh
+        todo = todo[~last]
+    return beta, g

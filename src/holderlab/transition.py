@@ -330,8 +330,9 @@ def holder_seminorm(h: GridFunction, alpha: float, mode: str = "pairs",
 # a block pair is skipped only when its bound lies below the running best by
 # this relative margin, since libm pow is not monotone to the last bit
 _PRUNE_SLACK = 1e-12
-# node pairs compared per vectorised call
-_CHUNK_PAIRS = 1 << 18
+# node pairs compared per vectorised call; each temporary of a chunk takes
+# 8 bytes a pair, and 256 KB ones ran `holder_seminorm` faster than 2 MB ones
+_CHUNK_PAIRS = 1 << 15
 
 
 def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,

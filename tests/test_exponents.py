@@ -147,8 +147,10 @@ def reference_ratios(system, p, word):
 
 
 def reference_rows(system, p, betas, word_len, count, seed, evaluate):
-    """spectrum_experiment as the parent computed it: per beta one Gibbs
-    solve and one spectrum_point, per word pi_approx and ergodic_sums."""
+    """spectrum_experiment word by word: per beta one Gibbs solve and the
+    Legendre value t - beta t' at the known minimiser beta, per word
+    pi_approx and ergodic_sums.  That g is also the one spectrum_point
+    finds at alpha = -t'(beta)."""
     curve = PressureCurve(system, p)
     rows = []
     for i, beta in enumerate(betas):
@@ -162,8 +164,9 @@ def reference_rows(system, p, betas, word_len, count, seed, evaluate):
                 evaluate, [pi_approx(system, w)[0] for w in words],
                 np.geomspace(1e-6, 1e-2, 9), 33, 1e-13)])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
-        rows.append({"beta": beta, "alpha_pred": alpha,
-                     "g": spectrum_point(curve, alpha).g,
+        g = curve.t(beta) - beta * curve.t_prime(beta)
+        assert g == pytest.approx(spectrum_point(curve, alpha).g, abs=1e-12)
+        rows.append({"beta": beta, "alpha_pred": alpha, "g": g,
                      "dyn_mean": float(dyn.mean()),
                      "dyn_sigma": float(dyn.std()),
                      "emp_mean": emp_mean, "emp_sigma": emp_sigma,

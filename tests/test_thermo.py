@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holderlab import (
@@ -16,6 +16,7 @@ from holderlab import (
     pressure,
     solve_pressure_root,
     spectrum,
+    spectrum_experiment,
     spectrum_point,
 )
 from holderlab.thermo import _gibbs, _log_weights_slopes, _sandwich
@@ -240,6 +241,173 @@ def test_batched_solves_are_row_independent(k, seed, betas, spread):
         assert all(same(x, y) for x, y in
                    zip((pt.alpha, pt.g, pt.beta_argmin),
                        (one.alpha, one.g, one.beta_argmin)))
+
+
+def bernoulli_g(system, p, alpha):
+    """Two branches: the Legendre point's equilibrium state is the
+    Bernoulli measure (q, 1 - q) with <log p + alpha log a>_q = 0, and g is
+    its entropy over its Lyapunov exponent."""
+    (lp1, lp2), (la1, la2) = _log_weights_slopes(system, p)
+    q = -(lp2 + alpha * la2) / ((lp1 - lp2) + alpha * (la1 - la2))
+    entropy = -q * math.log(q) - (1 - q) * math.log1p(-q)
+    return entropy / (q * la1 + (1 - q) * la2)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_two_branch_spectrum_matches_closed_form(seed, spread):
+    system, p = random_affine(2, seed)
+    ep = alpha_endpoints(system, p)
+    alphas = [ep.alpha_minus + u * (ep.alpha_plus - ep.alpha_minus)
+              for u in spread] + [ep.alpha_zero]
+    for a, pt in zip(alphas, spectrum(system, p, alphas)):
+        if pt.clamped:
+            continue
+        assert pt.g == pytest.approx(bernoulli_g(system, p, a), abs=1e-12)
+
+
+def legacy_spectrum(system, p, alphas):
+    """The nested Legendre solve, kept as a reference: Newton in beta on
+    t'(beta) = -alpha inside a bisection bracket, re-solving every root
+    from the cold start.  Returns (g, beta, empty, tie, clamped) per alpha."""
+    lw, ls = _log_weights_slopes(system, p)
+    ep = alpha_endpoints(system, p)
+    a = np.asarray(alphas, dtype=float)
+    (t0, tlo, thi), (tp0, tplo, tphi), _, _ = _gibbs(lw, ls, [0.0, -60.0,
+                                                              60.0])
+    empty = (a < ep.alpha_minus - 1e-9) | (a > ep.alpha_plus + 1e-9)
+    tie = ~empty & (np.abs(tp0 + a) <= 1e-13)
+    at_hi = ~empty & ~tie & (tphi + a <= 0)
+    at_lo = ~empty & ~tie & ~at_hi & (tplo + a >= 0)
+    inner = ~(empty | tie | at_hi | at_lo)
+    beta, g = np.full(a.shape, np.nan), np.full(a.shape, np.nan)
+    beta[tie], g[tie] = 0.0, t0
+    beta[at_hi], g[at_hi] = 60.0, thi + 60.0 * a[at_hi]
+    beta[at_lo], g[at_lo] = -60.0, tlo - 60.0 * a[at_lo]
+    ai = a[inner]
+    b = np.zeros(ai.shape)
+    lo, hi = np.full(ai.shape, -60.0), np.full(ai.shape, 60.0)
+    todo = np.arange(ai.size)
+    for _ in range(200):
+        if not todo.size:
+            break
+        bt = b[todo]
+        _, tp, tpp, _ = _gibbs(lw, ls, bt)
+        f = tp + ai[todo]
+        lo[todo] = np.where(f < 0, bt, lo[todo])
+        hi[todo] = np.where(f > 0, bt, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nb = bt - f / tpp
+        ok = (nb > lo[todo]) & (nb < hi[todo])
+        nb = np.where(ok, nb, 0.5 * (lo[todo] + hi[todo]))
+        nb[f == 0] = bt[f == 0]
+        b[todo] = nb
+        todo = todo[np.abs(nb - bt) > 1e-12]
+    beta[inner] = b
+    g[inner] = _gibbs(lw, ls, b)[0] + b * ai
+    return list(zip(g, beta, empty, tie, at_hi | at_lo))
+
+
+def skewed_affine(k, seed):
+    """k full branches of slopes from 1.05 to 200 on (0, 1), weights from
+    about 6e-6 up: the Legendre Newton leaves its bracket on such systems
+    and falls back to bisection."""
+    rng = np.random.default_rng(seed)
+    slopes = np.exp(rng.uniform(math.log(1.05), math.log(200.0), k))
+    starts = np.concatenate([[0.0], np.cumsum(1 / slopes)[:-1]])
+    starts /= max(1.0, float(np.sum(1 / slopes)))
+    system = affine_system(tuple(slopes), tuple(-slopes * starts), (0.0, 1.0))
+    raw = np.exp(rng.uniform(-12.0, 0.0, k))
+    return system, ProbVector.of(tuple(raw[:-1] / raw.sum()))
+
+
+@given(k=st.integers(3, 4), seed=st.integers(0, 2 ** 32 - 1),
+       skewed=st.booleans(),
+       spread=st.lists(st.floats(-0.05, 1.05), min_size=1, max_size=12),
+       near=st.lists(st.floats(1e-12, 1e-3), max_size=4))
+@settings(max_examples=80, deadline=None)
+# Newton steps that leave the bracket: without the bisection fallback beta
+# runs off to about 1e279 at some of these exponents
+@example(k=4, seed=0, skewed=True, spread=[u / 20 for u in range(21)],
+         near=[])
+@example(k=3, seed=178, skewed=True, spread=[u / 20 for u in range(21)],
+         near=[])
+def test_spectrum_matches_nested_solve(k, seed, skewed, spread, near):
+    system, p = (skewed_affine if skewed else random_affine)(k, seed)
+    ep = alpha_endpoints(system, p)
+    width = ep.alpha_plus - ep.alpha_minus
+    alphas = ([ep.alpha_minus + u * width for u in spread]
+              + [ep.alpha_minus + d for d in near]
+              + [ep.alpha_plus - d for d in near] + [ep.alpha_zero])
+    t0 = _gibbs(*_log_weights_slopes(system, p), [0.0])[0][0]
+    for pt, (g, beta, empty, tie, clamped) in zip(
+            spectrum(system, p, alphas), legacy_spectrum(system, p, alphas)):
+        assert (pt.empty, pt.clamped) == (empty, clamped)
+        assert (pt.beta_argmin == 0.0 and pt.g == t0) == tie
+        if empty:
+            assert math.isnan(pt.g) and math.isnan(pt.beta_argmin)
+        else:
+            assert pt.g == pytest.approx(g, abs=1e-12)
+            assert -60.0 <= pt.beta_argmin <= 60.0
+
+
+@given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       betas=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_spectrum_experiment_g_is_the_legendre_value(k, seed, betas):
+    # beta minimises t(b) + b alpha at alpha = -t'(beta), so no bracket
+    # clamps g, not even beyond +-60
+    system, p = random_affine(k, seed)
+    betas = betas + [75.0, -90.0]
+    t, tp, _, _ = _gibbs(*_log_weights_slopes(system, p), betas)
+    rows = spectrum_experiment(system, p, betas, word_len=2, count=1)
+    for row, beta, tb, tpb in zip(rows, betas, t, tp):
+        assert row["alpha_pred"] == -tpb
+        assert row["g"] == tb - beta * tpb
+
+
+def counting_bent_system():
+    """bent_system, with a count of its derivative calls."""
+    calls = [0]
+    system = bent_system()
+
+    def counted(br):
+        def dfn(x):
+            calls[0] += 1
+            return br.dfn(x)
+        return Branch.custom(fn=br.fn, dfn=dfn, inv=br.inv)
+
+    system = IFSystem(branches=tuple(map(counted, system.branches)),
+                      open_set=system.open_set, expansion=system.expansion)
+    return system, calls
+
+
+def test_sandwich_builds_each_level_once():
+    system, calls = counting_bent_system()
+    per_level = {}
+    for level in (3, 5):
+        before = calls[0]
+        _sandwich(system, ProbVector.of(0.3), level)
+        per_level[level] = calls[0] - before
+        assert per_level[level] > 0
+    # other weights, betas and root solves reuse the derivative sums
+    before = calls[0]
+    for level in (3, 5):
+        _sandwich(system, ProbVector.of(0.7), level)
+        for beta in (0.0, 1.0, 2.5):
+            solve_pressure_root(system, ProbVector.of(0.7), beta, level=level)
+        pressure(system, ProbVector.of(0.7), 0.5, 1.0, level=level)
+    assert calls[0] == before
+    # and give the bits of a fresh build
+    for level in (3, 5):
+        fresh, fresh_calls = counting_bent_system()
+        for w in (0.3, 0.7):
+            kept = _sandwich(system, ProbVector.of(w), level)
+            new = _sandwich(fresh, ProbVector.of(w), level)
+            for t, beta in ((0.0, 0.0), (0.9, 1.0), (-1.5, 2.5)):
+                assert kept(t, beta) == new(t, beta)
+        assert fresh_calls[0] == per_level[level]
 
 
 def bent_system():

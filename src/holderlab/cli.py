@@ -34,7 +34,7 @@ from .conjugacy import conjugacy_residual, rigidity_report
 from .exponents import spectrum_experiment
 from .ifs import ConfigurationError, IFSystem, ProbVector, attractor_hull, \
     system_from_json, system_to_json
-from .takagi import derivative_grids, eval_derivative_point
+from .takagi import eval_derivative_point
 from .thermo import PressureCurve, spectrum
 from .transition import cdf_values, eval_cdf, gap_probe, uniform_grid
 
@@ -63,7 +63,6 @@ PARAMS = {
                "tol": ("num", 1e-12, "> 0")},
     "eval-c": {"order": ("int[]", _REQUIRED, ">= 0"),
                "grid_size": ("int", 1025, ">= 2"), "margin": _MARGIN,
-               "terms": ("int", 80, ">= 1"), "tol": ("num", 1e-12, "> 0"),
                "depth": ("int", 80, ">= 1")},
     "spectrum": {"alpha_grid": ({"count": ("int", 201, ">= 1")}, {}, ""),
                  "rigidity_tol": ("num", 1e-9, "> 0")},
@@ -291,19 +290,10 @@ def _cmd_eval_c(cfg: RunConfig):
     if len(order) != free or sum(order) < 1:
         raise CliError(f"parameter order needs {free} entries with positive "
                        f"total, got {list(order)}")
-    nodes = _grid(cfg)
-    if cfg.mode == "rational":
-        rows = []
-        for x in nodes:
-            val, err = eval_derivative_point(cfg.system, cfg.p, order, x,
-                                             depth=params["depth"])
-            rows.append((x, val, err))
-    else:
-        grids = derivative_grids(cfg.system, cfg.p, order, np.asarray(nodes),
-                                 terms=params["terms"], tol=params["tol"])
-        dg = grids[order]
-        rows = [(x, v, dg.tail_estimate)
-                for x, v in zip(dg.grid.nodes, dg.grid.values)]
+    # every node walks its own coding, exact or float as the inputs are
+    rows = [(x, *eval_derivative_point(cfg.system, cfg.p, order, x,
+                                       depth=params["depth"]))
+            for x in _grid(cfg)]
     return [("C.csv", _csv("x,C_value,err_bound", rows), params)]
 
 

@@ -62,15 +62,16 @@ def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     the linear model, [acc, acc + mass], has diameter at most tol, and the
     cylinder midpoint is returned.  A point inside an attractor gap gets
     the exact common value of the two bracketing codings.  Exact inputs
-    (rational weights and coordinate) return exact rationals.  A NaN x
-    raises ValueError.
+    (a rational system and rational weights) return exact rationals, as in
+    `eval_cdf`.  A NaN x raises ValueError.
     """
     depth = _phi_depth(p, tol)
     a, b = system._coding.hull
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
     left = p._left
-    acc, mass = (Fraction(0), Fraction(1)) if p.is_rational else (0.0, 1.0)
+    exact = p.is_rational and system.is_rational
+    acc, mass = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     for _, sym, gap in _walk(*_coding_for(system, x), depth):
         acc += mass * left[sym - 1]
         if gap:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .ifs import IFSystem, ProbVector, _birkhoff, _checked_word, \
     _suffix_midpoints, compactified_distance
-from .thermo import PressureCurve, _gibbs, _log_weights_slopes, \
-    gibbs_weights
+from .thermo import _gibbs, _log_weights_slopes, gibbs_weights
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ def _draw(system: IFSystem, q, word_len: int, count: int,
 def spectrum_experiment(system: IFSystem, p: ProbVector,
                         betas: Sequence[float], word_len: int = 60,
                         count: int = 32, seed: int = 0,
-                        curve: Optional[PressureCurve] = None,
                         evaluate: Optional[Callable] = None,
                         scales: Optional[Sequence[float]] = None) -> list:
     """Compare predicted exponents with sampled estimates per temperature.
@@ -214,9 +212,8 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     is called once per beta, on the centres and scale clouds of all of
     that beta's sampled points together, so it must be pointwise: the value
     at a point may not depend on which other points share the call.
-    `cdf_values` is, because every point walks its own coding.  `curve` is
-    ignored: g needs no pressure curve.  Raises ValueError unless count and
-    word_len are at least 1.
+    `cdf_values` is, because every point walks its own coding.  Raises
+    ValueError unless count and word_len are at least 1.
     """
     if count < 1 or word_len < 1:
         raise ValueError("count and word_len must be at least 1")

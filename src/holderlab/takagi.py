@@ -301,7 +301,10 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
     compositions with the branches.  The Neumann series of that equation is
     summed on the grid until terms die below tol or the budget runs out; the
     tail estimate extrapolates the last term geometrically.  Non-decaying
-    terms mark the result as not converged.
+    terms mark the result as not converged.  The tail estimate is not an
+    error bound at nodes that the branches do not map onto nodes, where
+    the series interpolates (ROADMAP item 2); the CLI evaluates with
+    `eval_derivative_point` instead.
     """
     order = tuple(int(v) for v in order)
     s = system.branch_count - 1

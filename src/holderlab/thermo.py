@@ -131,7 +131,7 @@ def _derivative_sums(system, level):
     return lo_sum, hi_sum
 
 
-def _gibbs(lw, ls, betas, t=None):
+def _gibbs(lw, ls, betas):
     """Pressure roots, their first two derivatives and the equilibrium
     weights over a vector of beta (affine systems).
 
@@ -140,31 +140,28 @@ def _gibbs(lw, ls, betas, t=None):
     term is >= 0, so the pressure there is >= 0 and Newton from t0 climbs
     monotonically to the root.  With q the Gibbs weights at the root,
     t' = <log p>_q / <log a>_q and t'' = Var_q(log p - t' log a) / <log a>_q.
-    Returns (t, t', t'', q); pass t to skip the root solve.  A beta so
-    large that the root overflows a double raises ValueError.
+    Returns (t, t', t'', q).  A beta so large that the root overflows a
+    double raises ValueError.
     """
     b = np.asarray(betas, dtype=float).reshape(-1, 1)
     if not np.all(np.isfinite(b)):
         raise ValueError("beta must be finite")
     bl = b * lw
-    if t is None:
-        # a root beyond the largest double overflows here; the finite check
-        # below turns that into the one ValueError
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = np.min(bl / ls, axis=1)
-            for _ in range(_NEWTON_MAX):
-                v = bl - t[:, None] * ls
-                m = v.max(axis=1)
-                e = np.exp(v - m[:, None])
-                s = e.sum(axis=1)
-                step = (m + np.log(s)) * s / (e * ls).sum(axis=1)
-                nt = t + step
-                move = (step > 0) & (nt != t)
-                if not move.any():
-                    break
-                t = np.where(move, nt, t)
-    else:
-        t = np.asarray(t, dtype=float).reshape(-1)
+    # a root beyond the largest double overflows here; the finite check
+    # below turns that into the one ValueError
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.min(bl / ls, axis=1)
+        for _ in range(_NEWTON_MAX):
+            v = bl - t[:, None] * ls
+            m = v.max(axis=1)
+            e = np.exp(v - m[:, None])
+            s = e.sum(axis=1)
+            step = (m + np.log(s)) * s / (e * ls).sum(axis=1)
+            nt = t + step
+            move = (step > 0) & (nt != t)
+            if not move.any():
+                break
+            t = np.where(move, nt, t)
     if not np.all(np.isfinite(t)):
         raise ValueError("pressure root overflows a double")
     logq = bl - t[:, None] * ls
@@ -210,8 +207,7 @@ def solve_pressure_root(system: IFSystem, p: ProbVector, beta: float,
     return t
 
 
-def gibbs_weights(system: IFSystem, p: ProbVector, beta: float,
-                  t: Optional[float] = None):
+def gibbs_weights(system: IFSystem, p: ProbVector, beta: float):
     """Equilibrium branch weights at beta and the slope t'(beta).
 
     Affine only: the equilibrium state is the Bernoulli measure with weights
@@ -219,7 +215,7 @@ def gibbs_weights(system: IFSystem, p: ProbVector, beta: float,
     pressure root is the ratio of the potential averages under it.
     """
     lw, ls = _log_weights_slopes(system, p)
-    _, tp, _, q = _gibbs(lw, ls, [beta], t=None if t is None else [t])
+    _, tp, _, q = _gibbs(lw, ls, [beta])
     return q[0], float(tp[0])
 
 

@@ -105,11 +105,11 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = system._coding.hull
-    if x <= a:
-        return (Fraction(0) if p.is_rational else 0.0), 0.0
-    if x >= b:
-        return (Fraction(1) if p.is_rational else 1.0), 0.0
     exact = p.is_rational and system.is_rational
+    if x <= a:
+        return (Fraction(0) if exact else 0.0), 0.0
+    if x >= b:
+        return (Fraction(1) if exact else 1.0), 0.0
     num = p._numerators if exact else None
     # acc and mass are numerators over scale = d^k, which stays 1 unless num
     d, weights, left = num or (1, p.weights, p._left)

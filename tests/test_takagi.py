@@ -199,3 +199,21 @@ def test_classical_takagi_proportionality(dyadic, half):
     mask = tau > 0.05
     ratio = dg.grid.values[mask] / tau[mask]
     assert ratio.max() - ratio.min() < 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason="known defect, ROADMAP item 1: the "
+                   "float product 3x rounds x = float(1/3) onto the hull "
+                   "endpoint 1, and the float walk parks there with bound 0")
+def test_float_derivative_walk_within_its_bound_near_cylinder_endpoint():
+    # x lies about 2e-17 below 1/3; the exact twin walks the same float
+    floats = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0))
+    exact = affine_system((Fraction(3), Fraction(3)),
+                          (Fraction(0), Fraction(-2)),
+                          (Fraction(0), Fraction(1)))
+    x = float(Fraction(1, 3))
+    value, bound = eval_derivative_point(floats, ProbVector.of(17 / 64),
+                                         (1,), x)
+    ref, ref_bound = eval_derivative_point(
+        exact, ProbVector.of(Fraction(17, 64)), (1,), Fraction(x))
+    assert ref_bound == 0.0
+    assert abs(value - ref) <= bound

@@ -176,6 +176,13 @@ def test_float_and_exact_twins_keep_their_types():
             assert type(value) is F
         assert type(attractor_hull(fs)[0]) is float
         assert type(attractor_hull(rs)[0]) is F
+    # a float system with exact weights is not exact: floats everywhere,
+    # the hull returns included
+    dyadic = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+    for x in (-0.5, 0.3, 1.5):
+        value, _ = eval_cdf(dyadic, rp, x)
+        assert type(value) is float
+    assert type(phi(dyadic, rp, 0.3)) is float
 
 
 def test_hull_preimages_returns_a_fresh_list(cantor):

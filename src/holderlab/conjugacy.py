@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .ifs import IFSystem, OutsideHullError, ProbVector, _apply_branches, \
-    _coding_for, _cylinder_maps, _walk, _windows_of, affine_system, pi_approx
+    _coding_for, _cylinder_maps, _walk, _walk_weights, _windows_of, \
+    affine_system, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, _orbit_start, _orbit_tables, \
     cdf_values, holder_seminorm, uniform_grid
@@ -39,9 +39,8 @@ def linear_model(p: ProbVector) -> IFSystem:
     branch preimage intervals tile [0, 1] and touch at shared endpoints.
     Rational weights give exact rational branches.
     """
-    one = Fraction(1) if p.is_rational else 1.0
+    left, one = p._unit
     slopes, intercepts = [], []
-    left = one * 0
     for w in p.weights:
         slopes.append(one / w)
         intercepts.append(-left / w)
@@ -69,14 +68,14 @@ def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
     a, b = system._coding.hull
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
-    left = p._left
-    exact = p.is_rational and system.is_rational
-    acc, mass = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    q = _walk_weights(system, p)
+    left = q._left
+    acc, mass = q._unit
     for _, sym, gap in _walk(*_coding_for(system, x), depth):
         acc += mass * left[sym - 1]
         if gap:
             return acc
-        mass *= p[sym]
+        mass *= q[sym]
     return acc + mass / 2
 
 

@@ -186,23 +186,27 @@ class ProbVector:
     def mass(self, word: Sequence[int]):
         """Product of weights along a word (the cylinder mass).  ValueError
         unless every symbol is an integer in 1..len(self)."""
-        m = Fraction(1) if self.is_rational else 1.0
+        m = self._unit[1]
         for sym in _checked_word(word, len(self)):
             m *= self[sym]
         return m
 
     def left_mass(self, symbol: int):
         """Total weight of symbols strictly below the given one."""
-        zero = Fraction(0) if self.is_rational else 0.0
-        return sum(self.weights[: symbol - 1], zero)
+        return sum(self.weights[: symbol - 1], self._unit[0])
 
-    @property
+    @cached_property
     def is_rational(self) -> bool:
         return any(isinstance(w, Fraction) for w in self.weights)
 
     # Derived tables live on the instance, never in a table keyed by the
     # weights: a float vector and its exact twin compare equal and hash
     # alike, and must not share an entry.
+
+    @cached_property
+    def _unit(self) -> tuple:
+        """0 and 1 in the weights' arithmetic."""
+        return (Fraction(0), Fraction(1)) if self.is_rational else (0.0, 1.0)
 
     @cached_property
     def _left(self) -> tuple:
@@ -234,8 +238,11 @@ class ProbVector:
         return {}
 
     def as_floats(self) -> "ProbVector":
-        if not self.is_rational:
-            return self
+        """This vector in floats: itself, or its float twin, built once."""
+        return self._float_twin if self.is_rational else self
+
+    @cached_property
+    def _float_twin(self) -> "ProbVector":
         return ProbVector.of(*[float(w) for w in self.weights[:-1]])
 
 
@@ -389,6 +396,12 @@ def _coding_table(system: IFSystem) -> _Coding:
                    windows=tuple(br.preimage_interval(lo, hi)
                                  for br in system.branches),
                    maps=maps, branches=system.branches, lattice=lattice)
+
+
+def _walk_weights(system: IFSystem, p: ProbVector) -> ProbVector:
+    """The weights in a coding walk's arithmetic: p when the system and the
+    weights are both rational (the walk is exact), else p's float twin."""
+    return p if system.is_rational and p.is_rational else p.as_floats()
 
 
 # integer tables kept per system; more scales than this start the memo over

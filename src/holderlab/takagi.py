@@ -16,13 +16,14 @@ every step matrix lower triangular with the bare weight on the diagonal.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _branch_on_array, _coding_for, _walk
+from .ifs import IFSystem, ProbVector, _branch_on_array, _checked_word, \
+    _coding_for, _walk, _walk_weights
 from .transition import GridFunction, apply_transition, cdf_values
 
 # ---------------------------------------------------------------------------
@@ -71,24 +72,17 @@ def step_matrix(symbol: int, p: ProbVector, n_max: Sequence[int]) -> np.ndarray:
         raise ValueError(f"symbol {symbol} out of range for {s} free weights")
     indices = index_set(n_max)
     pos = _positions(indices)
-    rational = p.is_rational
+    one = p._unit[1]
     d = len(indices)
-    mat = np.zeros((d, d), dtype=object if rational else float)
-    w = p[symbol] if rational else float(p[symbol])
+    mat = np.zeros((d, d), dtype=object if p.is_rational else float)
+    sign, moved = (1, [symbol - 1]) if symbol <= s else (-1, range(s))
     for n in indices:
         i = pos[n]
-        mat[i, i] = w
-        if symbol <= s:
-            j = symbol - 1
+        mat[i, i] = p[symbol] * one
+        for j in moved:
             if n[j] >= 1:
                 below = n[:j] + (n[j] - 1,) + n[j + 1:]
-                mat[i, pos[below]] = (Fraction(n[j]) if rational else float(n[j]))
-        else:
-            for j in range(s):
-                if n[j] >= 1:
-                    below = n[:j] + (n[j] - 1,) + n[j + 1:]
-                    mat[i, pos[below]] = (-Fraction(n[j]) if rational
-                                          else -float(n[j]))
+                mat[i, pos[below]] = sign * n[j] * one
     return mat
 
 
@@ -100,16 +94,14 @@ def cocycle_matrix(word: Sequence[int], p: ProbVector, n_max: Sequence[int],
     diagonal; entries then grow only polynomially in the word length, so
     long products stay finite where the raw product would underflow.
     """
-    word = tuple(word)
+    n_max = tuple(int(v) for v in n_max)
+    word = _checked_word(word, len(n_max) + 1)
     if not word:
         raise ValueError("empty word")
-    steps = {}
-    for sym in set(word):
-        m = step_matrix(sym, p, n_max)
-        if normalized:
-            m = m / (p[sym] if p.is_rational else float(p[sym]))
-        steps[sym] = m
-    out = steps[word[0]]
+    steps = _derivative_tables(p, n_max)["steps"]
+    if normalized:
+        steps = {sym: steps[sym] / p[sym] for sym in set(word)}
+    out = steps[word[0]].copy()
     for sym in word[1:]:
         out = np.dot(out, steps[sym])
     return Cocycle(indices=tuple(index_set(n_max)), matrix=out, word=word,
@@ -160,7 +152,7 @@ def cylinder_increment(system: IFSystem, p: ProbVector, word: Sequence[int],
 
 
 def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
-                          x, depth: int = 80, tol: float = 0.0,
+                          x, depth: int = 80,
                           growth_bound: Optional[float] = None):
     """Value of the order-n weight derivative of the cdf at x, with an error
     bound.
@@ -170,27 +162,23 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
     certified polynomial growth of normalized step products
     (`growth_constant`).  Points that land in a gap or park on a hull
     endpoint resolve exactly (the remaining contribution has closed form);
-    otherwise the walk stops at ``depth`` or when the undecided mass falls
-    below ``tol``.  A NaN x raises ValueError.
+    otherwise the walk stops at ``depth``.  A NaN x raises ValueError.
     """
-    order = tuple(int(v) for v in order)
-    s = system.branch_count - 1
-    if len(order) != s:
-        raise ValueError(f"order needs {s} components, got {len(order)}")
+    order = _checked_order(system, order)
     if sum(order) == 0:
         raise ValueError("zero order is the cdf itself; use eval_cdf")
 
+    q = _walk_weights(system, p)
+    zero, one = q._unit
     a, b = system._coding.hull
-    rational = p.is_rational and system.is_rational
-    zero, one = (Fraction(0), Fraction(1)) if rational else (0.0, 1.0)
     if x <= a or x >= b:
         return zero, 0.0
 
-    tables = _derivative_tables(p, order)
-    steps, cols = tables["steps"], tables["cols"]
+    table = _derivative_tables(q, order)
+    steps, cols = table["steps"], table["cols"]
     # row `order` of the prefix step product, the only row read; `order`
     # sorts last in its index box
-    r = np.zeros(len(cols[1]), dtype=object if rational else float)
+    r = np.zeros(len(cols[1]), dtype=cols[1].dtype)
     r[-1] = one
     value, mass = zero, one
     coding, y0 = _coding_for(system, x)
@@ -199,52 +187,60 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
         if y == a:
             return value, 0.0
         if y == b:
-            return value + np.dot(r, _parked_tail(steps[s + 1], cols, s,
-                                                  rational)), 0.0
+            return value + np.dot(r, table["tail"]), 0.0
         # left siblings; in a gap, the windows left of y
         for j in range(1, sym):
             value = value + np.dot(r, cols[j])
         if gap:
             return value, 0.0
         r = np.dot(r, steps[sym])
-        mass *= p[sym]
-        if tol and float(mass) <= tol:
-            break
+        mass *= q[sym]
     if growth_bound is None:
-        if "growth" not in tables:
-            tables["growth"] = growth_constant(system, p, order)
-        growth_bound = tables["growth"]
+        growth_bound = table["growth"]
     err = growth_bound * float(mass) * max(depth, 1) ** sum(order)
     return value, err
 
 
-def _derivative_tables(p: ProbVector, order: tuple) -> dict:
-    """Step matrices ("steps") and their zero columns ("cols") of one weight
-    vector and order, built once per ProbVector instance; "growth" joins
-    them at the first call that needs `growth_constant`, which depends on
-    the weights and the order alone."""
-    key = ("derivative", order)
-    tables = p._memo.get(key)
-    if tables is None:
-        steps = {i: step_matrix(i, p, order) for i in range(1, len(order) + 2)}
+def _derivative_tables(q: ProbVector, n_max: tuple) -> dict:
+    """Everything the coding walk reads about one weight vector and index
+    box, built once per ProbVector instance, in read-only arrays: the step
+    matrices ("steps") and their zero columns ("cols") in q's own
+    arithmetic, the parked-endpoint tail ("tail") and the growth constant
+    ("growth"), which is a float and comes from q's float twin."""
+    key = ("derivative", n_max)
+    table = q._memo.get(key)
+    if table is None:
+        s = len(n_max)
+        steps = {i: step_matrix(i, q, n_max) for i in range(1, s + 2)}
         cols = {i: m[:, 0].copy() for i, m in steps.items()}
-        for m in (*steps.values(), *cols.values()):
+        tail = _parked_tail(steps[s + 1], sum(cols[j] for j in range(1, s + 1)))
+        for m in (*steps.values(), *cols.values(), tail):
             m.flags.writeable = False
-        tables = p._memo[key] = {"steps": steps, "cols": cols}
-    return tables
+        if q.is_rational:
+            growth = _derivative_tables(q.as_floats(), n_max)["growth"]
+        else:
+            # see growth_constant
+            eye = np.eye(len(tail))
+            a = np.max([np.abs(m / float(q[i]) - eye)
+                        for i, m in steps.items()], axis=0)
+            term = growth = eye
+            for r in range(1, sum(n_max) + 1):
+                term = term @ a / r
+                growth = growth + term
+            growth = float(growth.max())
+        table = q._memo[key] = {"steps": steps, "cols": cols, "tail": tail,
+                                "growth": growth}
+    return table
 
 
-def _parked_tail(step_last, cols, s, rational):
-    """Solve (I - S) w = sum of free-symbol zero columns, S the last-symbol
-    step; the remaining contribution of an orbit parked on the right hull
-    endpoint is prefix @ w."""
+def _parked_tail(step_last, c):
+    """Solve (I - S) w = c, S the last-symbol step and c the sum of the
+    free-symbol zero columns; the remaining contribution of an orbit parked
+    on the right hull endpoint is prefix @ w.  Runs in the dtype of S."""
     d = step_last.shape[0]
-    c = sum(cols[j] for j in range(1, s + 1))
-    m = -step_last.copy()
-    for i in range(d):
-        m[i, i] = m[i, i] + (Fraction(1) if rational else 1.0)
+    m = np.eye(d, dtype=step_last.dtype) - step_last
     # lower triangular in the sorted index order: forward substitution
-    w = np.zeros(d, dtype=object if rational else float)
+    w = np.zeros_like(c)
     for i in range(d):
         acc = c[i]
         for j in range(i):
@@ -264,18 +260,11 @@ def growth_constant(system: IFSystem, p: ProbVector,
     every product of k steps is bounded entrywise by
     (I + A)^k = sum_r C(k, r) A^r, and C(k, r) <= k^|row| / r!, so K is the
     largest entry of the finite sum over r <= |n_max| of A^r / r!.  The step
-    matrices depend on the weights and n_max alone, not on the branches.
+    matrices depend on the weights and n_max alone, not on the branches,
+    and K is read from the table of p's float twin.
     """
-    pf = p.as_floats()
-    s = len(n_max)
-    eye = np.eye(len(index_set(n_max)))
-    a = np.max([np.abs(step_matrix(i, pf, n_max) / float(pf[i]) - eye)
-                for i in range(1, s + 2)], axis=0)
-    term = total = eye
-    for r in range(1, sum(n_max) + 1):
-        term = term @ a / r
-        total = total + term
-    return float(total.max())
+    n_max = tuple(int(v) for v in n_max)
+    return _derivative_tables(p.as_floats(), n_max)["growth"]
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +295,14 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
     the series interpolates (ROADMAP item 2); the CLI evaluates with
     `eval_derivative_point` instead.
     """
-    order = tuple(int(v) for v in order)
-    s = system.branch_count - 1
-    if len(order) != s:
-        raise ValueError(f"order needs {s} components, got {len(order)}")
+    order = _checked_order(system, order)
     nodes = np.asarray(nodes, dtype=float)
     pf = p.as_floats()
 
     out = {}
     base = GridFunction(nodes, cdf_values(system, pf, nodes, tol=cdf_tol),
                         boundary_left=0.0, boundary_right=1.0)
-    zero_order = (0,) * s
+    zero_order = (0,) * len(order)
     out[zero_order] = DerivativeGrid(grid=base, order=zero_order, terms=0,
                                      tail_estimate=0.0, converged=True)
     for m in index_set(order):
@@ -381,39 +367,39 @@ def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
                   h: float = 1e-4, tol: Optional[float] = None):
     """Central finite differences of the cdf in the free weights.
 
-    Supports total order one and two (including mixed).  The evaluation
-    tolerance defaults to a small multiple of h^(|order|+1) so stencil
-    cancellation keeps clear of evaluator noise.
+    Supports total order one and two (including mixed): the stencil is the
+    product over the free weights of the integer central stencils of their
+    orders, divided by 2^(number of first orders) h^|order|.  The
+    evaluation tolerance defaults to a small multiple of h^(|order|+1) so
+    stencil cancellation keeps clear of evaluator noise.
     """
-    order = tuple(int(v) for v in order)
-    s = system.branch_count - 1
-    if len(order) != s:
-        raise ValueError(f"order needs {s} components, got {len(order)}")
+    order = _checked_order(system, order)
     total = sum(order)
+    if total not in (1, 2):
+        raise NotImplementedError("finite differences cover total order <= 2")
     if tol is None:
         tol = min(1e-13, h ** (total + 1) * 1e-3)
     xs = np.asarray(xs, dtype=float)
     free = [float(w) for w in p.free]
 
-    def T(shift):
-        moved = [f + d for f, d in zip(free, shift)]
-        return cdf_values(system, ProbVector.of(*moved), xs, tol=tol)
+    def term(stencil):
+        moved = [f + k * h for f, (k, _) in zip(free, stencil)]
+        return math.prod(c for _, c in stencil) * cdf_values(
+            system, ProbVector.of(*moved), xs, tol=tol)
 
-    if total == 1:
-        k = order.index(1)
-        e = [h if i == k else 0.0 for i in range(s)]
-        ne = [-v for v in e]
-        return (T(e) - T(ne)) / (2 * h)
-    if total == 2 and 2 in order:
-        k = order.index(2)
-        e = [h if i == k else 0.0 for i in range(s)]
-        ne = [-v for v in e]
-        return (T(e) - 2 * T([0.0] * s) + T(ne)) / h ** 2
-    if total == 2:
-        k, l = [i for i, v in enumerate(order) if v == 1]
-        def shift(sk, sl):
-            return [sk * h if i == k else (sl * h if i == l else 0.0)
-                    for i in range(s)]
-        return (T(shift(1, 1)) - T(shift(1, -1))
-                - T(shift(-1, 1)) + T(shift(-1, -1))) / (4 * h ** 2)
-    raise NotImplementedError("finite differences cover total order <= 2")
+    stencils = itertools.product(*(_STENCILS[n] for n in order))
+    return sum(map(term, stencils)) / (2 ** order.count(1) * h ** total)
+
+
+# (offset in steps of h, integer weight) of the central stencil per order
+_STENCILS = {0: ((0, 1),), 1: ((1, 1), (-1, -1)), 2: ((1, 1), (0, -2), (-1, 1))}
+
+
+def _checked_order(system: IFSystem, order: Sequence[int]) -> tuple:
+    """The multi-index as a tuple of ints, one per free weight; ValueError
+    on a wrong length."""
+    order = tuple(int(v) for v in order)
+    s = system.branch_count - 1
+    if len(order) != s:
+        raise ValueError(f"order needs {s} components, got {len(order)}")
+    return order

@@ -30,6 +30,7 @@ from .ifs import (
     _coding_for,
     _cylinder_maps,
     _walk,
+    _walk_weights,
     _windows_of,
 )
 
@@ -105,18 +106,16 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = system._coding.hull
-    exact = p.is_rational and system.is_rational
+    q = _walk_weights(system, p)
+    zero, one = q._unit
     if x <= a:
-        return (Fraction(0) if exact else 0.0), 0.0
+        return zero, 0.0
     if x >= b:
-        return (Fraction(1) if exact else 1.0), 0.0
-    num = p._numerators if exact else None
+        return one, 0.0
+    num = q._numerators
     # acc and mass are numerators over scale = d^k, which stays 1 unless num
-    d, weights, left = num or (1, p.weights, p._left)
-    if num:
-        acc, mass = 0, 1
-    else:
-        acc, mass = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    d, weights, left = num or (1, q.weights, q._left)
+    acc, mass = (0, 1) if num else (zero, one)
     scale = 1
     coding, y0 = _coding_for(system, x)
     a, b = coding.hull

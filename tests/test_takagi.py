@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import holderlab.takagi
 from holderlab import (
     ProbVector,
     affine_system,
+    cdf_values,
     cocycle_matrix,
     cylinder_increment,
     derivative_grids,
@@ -130,6 +133,122 @@ def test_eval_derivative_grid_wrapper(dyadic, quarter):
     dg = eval_derivative_grid(dyadic, quarter, (1,), nodes, terms=50)
     assert dg.order == (1,)
     assert dg.grid.values.shape == nodes.shape
+
+
+def counting_step_matrix(monkeypatch):
+    """Patch takagi.step_matrix to count its calls per (weights, order)."""
+    calls = Counter()
+    build = holderlab.takagi.step_matrix
+
+    def counted(symbol, p, n_max):
+        calls[id(p), tuple(n_max)] += 1
+        return build(symbol, p, n_max)
+
+    monkeypatch.setattr(holderlab.takagi, "step_matrix", counted)
+    return calls
+
+
+def test_derivative_table_built_once_per_weights_and_order(dyadic,
+                                                           monkeypatch):
+    calls = counting_step_matrix(monkeypatch)
+    p = ProbVector.of(0.5)
+    # 0.75 parks on the right hull endpoint, 0.3 and 1/3 run to depth
+    xs = (0.75, 0.3, 1 / 3)
+    for _ in range(3):
+        for order in ((1,), (2,)):
+            for x in xs:
+                eval_derivative_point(dyadic, p, order, x)
+            growth_constant(dyadic, p, order)
+            cocycle_matrix((1, 2, 2), p, order)
+            cocycle_matrix((2,), p, order, normalized=True)
+        cylinder_increment(dyadic, p, (2, 1, 1))
+    assert calls == {(id(p), (1,)): 2, (id(p), (2,)): 2}
+    # an exact walk reads the exact table, and the growth constant comes
+    # from the table of the float twin
+    calls.clear()
+    exact = affine_system((Fraction(2), Fraction(2)),
+                          (Fraction(0), Fraction(-1)),
+                          (Fraction(0), Fraction(1)))
+    rp = ProbVector.of(Fraction(1, 2))
+    for _ in range(3):
+        for x in (Fraction(3, 4), Fraction(1, 3)):
+            eval_derivative_point(exact, rp, (1,), x, depth=20)
+        growth_constant(exact, rp, (1,))
+        cocycle_matrix((1, 2), rp, (1,))
+    assert calls == {(id(rp), (1,)): 2, (id(rp.as_floats()), (1,)): 2}
+
+
+def test_derivative_table_never_handed_out(dyadic):
+    p = ProbVector.of(0.5)
+    xs = (0.75, 0.3, 1 / 3)
+    before = [eval_derivative_point(dyadic, p, (1,), x) for x in xs]
+    fresh = step_matrix(1, p, (1,))
+    for mat in (cocycle_matrix((1,), p, (1,)).matrix,
+                cocycle_matrix((1,), p, (1,), normalized=True).matrix,
+                cocycle_matrix((2, 1), p, (1,)).matrix,
+                cylinder_increment(dyadic, p, (1,), (1,)).entries,
+                step_matrix(1, p, (1,))):
+        assert mat.flags.writeable
+        mat[...] = 7.0
+    assert np.array_equal(cocycle_matrix((1,), p, (1,)).matrix, fresh)
+    assert np.array_equal(step_matrix(1, p, (1,)), fresh)
+    assert [eval_derivative_point(dyadic, p, (1,), x) for x in xs] == before
+
+
+def legacy_fd_derivative(system, p, order, xs, h=1e-4):
+    """fd_derivative's three per-order formulas before they became one
+    stencil product, kept as a reference."""
+    s = len(order)
+    total = sum(order)
+    tol = min(1e-13, h ** (total + 1) * 1e-3)
+    xs = np.asarray(xs, dtype=float)
+    free = [float(w) for w in p.free]
+
+    def T(shift):
+        moved = [f + d for f, d in zip(free, shift)]
+        return cdf_values(system, ProbVector.of(*moved), xs, tol=tol)
+
+    if total == 1:
+        k = order.index(1)
+        e = [h if i == k else 0.0 for i in range(s)]
+        ne = [-v for v in e]
+        return (T(e) - T(ne)) / (2 * h)
+    if 2 in order:
+        k = order.index(2)
+        e = [h if i == k else 0.0 for i in range(s)]
+        ne = [-v for v in e]
+        return (T(e) - 2 * T([0.0] * s) + T(ne)) / h ** 2
+    k, l = [i for i, v in enumerate(order) if v == 1]
+
+    def shift(sk, sl):
+        return [sk * h if i == k else (sl * h if i == l else 0.0)
+                for i in range(s)]
+    return (T(shift(1, 1)) - T(shift(1, -1))
+            - T(shift(-1, 1)) + T(shift(-1, -1))) / (4 * h ** 2)
+
+
+DYADIC = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+THREE = affine_system((3.0, 3.0, 3.0), (0.0, -1.0, -2.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("system, free, orders", [
+    (DYADIC, (0.3,), ((1,), (2,))),
+    (DYADIC, (19 / 64,), ((1,), (2,))),
+    (THREE, (0.3, 0.3), ((1, 1), (1, 0), (0, 2), (0, 1), (2, 0))),
+    (THREE, (0.2, 0.45), ((1, 1), (1, 0), (0, 2), (0, 1))),
+])
+def test_fd_derivative_matches_the_per_order_formulas(system, free, orders):
+    p = ProbVector.of(*free)
+    xs = np.linspace(-0.1, 1.1, 97)
+    for order in orders:
+        for h in (1e-4, 1e-3):
+            assert np.array_equal(
+                fd_derivative(system, p, order, xs, h=h),
+                legacy_fd_derivative(system, p, order, xs, h=h))
+    for order in ((3,), (2, 1), (0, 3), (0, 0), (0,)):
+        if len(order) == len(free):
+            with pytest.raises(NotImplementedError):
+                fd_derivative(system, p, order, xs)
 
 
 def test_growth_constant_positive(dyadic, quarter):

@@ -249,12 +249,17 @@ def bernoulli_g(system, p, alpha):
     its entropy over its Lyapunov exponent."""
     (lp1, lp2), (la1, la2) = _log_weights_slopes(system, p)
     q = -(lp2 + alpha * la2) / ((lp1 - lp2) + alpha * (la1 - la2))
-    entropy = -q * math.log(q) - (1 - q) * math.log1p(-q)
+    # the clamp only undoes rounding at the spectrum's endpoints, where q
+    # can come out as -0.0 or a hair past 1; there 0 log 0 = 0
+    q = min(max(q, 0.0), 1.0)
+    entropy = ((-q * math.log(q) if q > 0 else 0.0)
+               - ((1 - q) * math.log1p(-q) if q < 1 else 0.0))
     return entropy / (q * la1 + (1 - q) * la2)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1),
        spread=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+@example(seed=4447, spread=[0.9999999999999999])  # alpha_plus: q = -0.0
 @settings(max_examples=60, deadline=None)
 def test_two_branch_spectrum_matches_closed_form(seed, spread):
     system, p = random_affine(2, seed)

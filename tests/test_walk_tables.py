@@ -183,6 +183,13 @@ def test_float_and_exact_twins_keep_their_types():
         value, _ = eval_cdf(dyadic, rp, x)
         assert type(value) is float
     assert type(phi(dyadic, rp, 0.3)) is float
+    # and its derivative walk runs on the float twin of the weights
+    for x in (0.3, 0.75, 1 / 3):
+        exact_weights = eval_derivative_point(dyadic, rp, (1,), x)
+        float_weights = eval_derivative_point(dyadic, fp, (1,), x)
+        assert exact_weights == float_weights
+        assert [type(v) for v in exact_weights] == \
+            [type(v) for v in float_weights]
 
 
 def test_hull_preimages_returns_a_fresh_list(cantor):

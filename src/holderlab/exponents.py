@@ -79,20 +79,18 @@ _POINTS_PER_SCALE = 33
 _FLOOR = 1e-13
 
 
-def emp_exponent(evaluate: Callable, x: float, scales: Sequence[float],
-                 points_per_scale: int = _POINTS_PER_SCALE,
-                 floor: float = _FLOOR) -> EmpiricalExponent:
+def emp_exponent(evaluate: Callable, x: float,
+                 scales: Sequence[float]) -> EmpiricalExponent:
     """Empirical exponent from oscillations of `evaluate` near x.
 
-    Each ball of radius r is probed with a two-sided geometric cloud of at
-    least `points_per_scale` points spanning three decades below r; the
+    Each ball of radius r is probed at 33 points, the centre and 16
+    geometric offsets on each side spanning three decades below r; the
     oscillation is the largest deviation from the centre value.  Scales
-    whose oscillation cannot be distinguished from the evaluator's error
-    floor are dropped before fitting.  The centre and all clouds go to
-    `evaluate` in one call, so it must be pointwise (see
-    `spectrum_experiment`).
+    whose oscillation is at or below the floor 1e-13 are dropped before
+    fitting.  The centre and all clouds go to `evaluate` in one call, so it
+    must be pointwise (see `spectrum_experiment`).
     """
-    return _empirical(evaluate, [x], scales, points_per_scale, floor)[0]
+    return _empirical(evaluate, [x], scales, _POINTS_PER_SCALE, _FLOOR)[0]
 
 
 def _empirical(evaluate, xs, scales, points_per_scale, floor) -> list:

@@ -463,11 +463,12 @@ class ValidationReport:
         return [c for c in self.checks if not c[1]]
 
 
-def validate(system: IFSystem, p: Optional[ProbVector] = None,
-             samples: int = 33) -> ValidationReport:
+def validate(system: IFSystem,
+             p: Optional[ProbVector] = None) -> ValidationReport:
     """Check monotonicity, expansion, inverse consistency and the ordering
     and disjointness of branch preimages.  Structural impossibilities raise
     ConfigurationError; the disjointness grade is reported, not raised.
+    Non-affine branches are sampled at 33 equally spaced points of O.
 
     Preimages with Fraction endpoints are compared exactly.  Float ones get
     a slack of 1e-12 of the width of O plus four units of rounding at the
@@ -484,7 +485,7 @@ def validate(system: IFSystem, p: Optional[ProbVector] = None,
     slack = 1e-12 * float(hi - lo) + 4 * _EPS * max(abs(float(lo)),
                                                     abs(float(hi)))
 
-    pts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    pts = [lo + (hi - lo) * k / 32 for k in range(33)]
     lam = system.expansion if system.expansion else 1.0
     for i, br in enumerate(system.branches, start=1):
         if br.is_affine:
@@ -553,9 +554,9 @@ def validate(system: IFSystem, p: Optional[ProbVector] = None,
                             ok=ok)
 
 
-def validated(system: IFSystem, p: Optional[ProbVector] = None) -> IFSystem:
+def validated(system: IFSystem) -> IFSystem:
     """Return a copy of the system with disjointness flags set by validation."""
-    report = validate(system, p)
+    report = validate(system)
     if not report.ok:
         raise ConfigurationError(
             "system failed validation: "
@@ -774,32 +775,31 @@ def _suffix_midpoints(system: IFSystem, words: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) / 2
 
 
-def distortion_constant(system: IFSystem, depth: int, samples: int = 5,
-                        max_words: int = 4096, seed: int = 7) -> float:
+def distortion_constant(system: IFSystem, depth: int) -> float:
     """Supremum of f_w'(x)/f_w'(y) over words up to the given depth.
 
     Equals 1.0 exactly for affine systems.  For others the supremum is taken
-    over sampled point pairs in each cylinder, enumerating all words when
-    feasible and falling back to a seeded sample otherwise.
+    over 5 equally spaced points of each cylinder, enumerating all words of
+    a length when there are at most 4096 of them and otherwise drawing 4096
+    words from `random.Random(7)`.
     """
     if system.is_affine or depth == 0:
         return 1.0
     import itertools
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(7)
     syms = list(system.symbols())
     worst = 1.0
     for n in range(1, depth + 1):
-        count = len(syms) ** n
-        if count <= max_words:
+        if len(syms) ** n <= 4096:
             words = itertools.product(syms, repeat=n)
         else:
             words = (tuple(rng.choice(syms) for _ in range(n))
-                     for _ in range(max_words))
+                     for _ in range(4096))
         for w in words:
             lo, hi = cylinder(system, w)
-            pts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+            pts = [lo + (hi - lo) * k / 4 for k in range(5)]
             derivs = [_word_derivative(system, w, x) for x in pts]
             ratio = max(derivs) / min(derivs)
             worst = max(worst, ratio)

@@ -67,6 +67,7 @@ def step_matrix(symbol: int, p: ProbVector, n_max: Sequence[int]) -> np.ndarray:
     the last symbol gets diag(p_last) minus n_j in every column n - e_j,
     reflecting that the last weight moves opposite to each free one.
     """
+    n_max = _checked_box(n_max)
     s = len(n_max)
     if not 1 <= symbol <= s + 1:
         raise ValueError(f"symbol {symbol} out of range for {s} free weights")
@@ -94,7 +95,7 @@ def cocycle_matrix(word: Sequence[int], p: ProbVector, n_max: Sequence[int],
     diagonal; entries then grow only polynomially in the word length, so
     long products stay finite where the raw product would underflow.
     """
-    n_max = tuple(int(v) for v in n_max)
+    n_max = _checked_box(n_max)
     word = _checked_word(word, len(n_max) + 1)
     if not word:
         raise ValueError("empty word")
@@ -138,11 +139,12 @@ def cylinder_increment(system: IFSystem, p: ProbVector, word: Sequence[int],
 
     The base difference vector at the hull endpoints has -1 in the zero
     slot and 0 elsewhere (cdf drops from 1 to 0 going left), so the cylinder
-    vector is minus the zero column of the word's step-matrix product.
+    vector is minus the zero column of the word's step-matrix product, in
+    the arithmetic that `eval_derivative_point` walks in.
     """
     if n_max is None:
         n_max = (2,) * (system.branch_count - 1)
-    coc = cocycle_matrix(word, p, n_max, normalized=False)
+    coc = cocycle_matrix(word, _walk_weights(system, p), n_max)
     return IncrementVector(indices=coc.indices, entries=-coc.matrix[:, 0],
                            word=tuple(word))
 
@@ -263,8 +265,7 @@ def growth_constant(system: IFSystem, p: ProbVector,
     matrices depend on the weights and n_max alone, not on the branches,
     and K is read from the table of p's float twin.
     """
-    n_max = tuple(int(v) for v in n_max)
-    return _derivative_tables(p.as_floats(), n_max)["growth"]
+    return _derivative_tables(p.as_floats(), _checked_box(n_max))["growth"]
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +282,18 @@ class DerivativeGrid:
 
 
 def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
-                     nodes: np.ndarray, terms: int = 80, tol: float = 1e-12,
-                     cdf_tol: float = 1e-14) -> dict:
+                     nodes: np.ndarray, terms: int = 80) -> dict:
     """Grids of every derivative up to ``order`` via the averaged series.
 
     Each order-n profile solves profile = M profile + source, where M is the
     branch-averaging operator and the source couples one order lower through
-    compositions with the branches.  The Neumann series of that equation is
-    summed on the grid until terms die below tol or the budget runs out; the
-    tail estimate extrapolates the last term geometrically.  Non-decaying
-    terms mark the result as not converged.  The tail estimate is not an
-    error bound at nodes that the branches do not map onto nodes, where
-    the series interpolates (ROADMAP item 2); the CLI evaluates with
+    compositions with the branches; the cdf itself is evaluated at tol 1e-14.
+    The Neumann series of that equation is summed on the grid until a
+    term's sup falls below 1e-12 or the budget of terms runs out; the tail
+    estimate extrapolates the last term geometrically.  Non-decaying terms
+    mark the result as not converged.  The tail estimate is not an error
+    bound at nodes that the branches do not map onto nodes, where the
+    series interpolates (ROADMAP item 2); the CLI evaluates with
     `eval_derivative_point` instead.
     """
     order = _checked_order(system, order)
@@ -300,7 +301,7 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
     pf = p.as_floats()
 
     out = {}
-    base = GridFunction(nodes, cdf_values(system, pf, nodes, tol=cdf_tol),
+    base = GridFunction(nodes, cdf_values(system, pf, nodes, tol=1e-14),
                         boundary_left=0.0, boundary_right=1.0)
     zero_order = (0,) * len(order)
     out[zero_order] = DerivativeGrid(grid=base, order=zero_order, terms=0,
@@ -318,9 +319,9 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
             total += term.values
             sups.append(float(np.max(np.abs(term.values))))
             used += 1
-            if sups[-1] < tol:
+            if sups[-1] < 1e-12:
                 break
-        tail, converged = _tail_estimate(sups, tol)
+        tail, converged = _tail_estimate(sups)
         out[m] = DerivativeGrid(
             grid=GridFunction(nodes, total, 0.0, 0.0), order=m, terms=used,
             tail_estimate=tail, converged=converged)
@@ -328,9 +329,9 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
 
 
 def eval_derivative_grid(system: IFSystem, p: ProbVector, order, nodes,
-                         terms: int = 80, tol: float = 1e-12) -> DerivativeGrid:
+                         terms: int = 80) -> DerivativeGrid:
     """Grid of the order-n weight derivative of the cdf (averaged series)."""
-    return derivative_grids(system, p, order, nodes, terms, tol)[
+    return derivative_grids(system, p, order, nodes, terms)[
         tuple(int(v) for v in order)]
 
 
@@ -349,7 +350,7 @@ def _source_grid(system, p, m, grids) -> GridFunction:
     return GridFunction(nodes, vals, 0.0, 0.0)
 
 
-def _tail_estimate(sups, tol):
+def _tail_estimate(sups):
     if len(sups) < 3:
         return float("inf"), False
     r = max(sups[-1] / sups[-2] if sups[-2] > 0 else 0.0,
@@ -364,21 +365,20 @@ def _tail_estimate(sups, tol):
 
 
 def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
-                  h: float = 1e-4, tol: Optional[float] = None):
+                  h: float = 1e-4):
     """Central finite differences of the cdf in the free weights.
 
     Supports total order one and two (including mixed): the stencil is the
     product over the free weights of the integer central stencils of their
-    orders, divided by 2^(number of first orders) h^|order|.  The
-    evaluation tolerance defaults to a small multiple of h^(|order|+1) so
+    orders, divided by 2^(number of first orders) h^|order|.  The cdf is
+    evaluated at the fixed tolerance min(1e-13, 1e-3 h^(|order|+1)), so
     stencil cancellation keeps clear of evaluator noise.
     """
     order = _checked_order(system, order)
     total = sum(order)
     if total not in (1, 2):
         raise NotImplementedError("finite differences cover total order <= 2")
-    if tol is None:
-        tol = min(1e-13, h ** (total + 1) * 1e-3)
+    tol = min(1e-13, h ** (total + 1) * 1e-3)
     xs = np.asarray(xs, dtype=float)
     free = [float(w) for w in p.free]
 
@@ -397,9 +397,17 @@ _STENCILS = {0: ((0, 1),), 1: ((1, 1), (-1, -1)), 2: ((1, 1), (0, -2), (-1, 1))}
 
 def _checked_order(system: IFSystem, order: Sequence[int]) -> tuple:
     """The multi-index as a tuple of ints, one per free weight; ValueError
-    on a wrong length."""
-    order = tuple(int(v) for v in order)
+    on a wrong length or a negative component."""
+    order = _checked_box(order)
     s = system.branch_count - 1
     if len(order) != s:
         raise ValueError(f"order needs {s} components, got {len(order)}")
     return order
+
+
+def _checked_box(n_max: Sequence[int]) -> tuple:
+    """n_max as a tuple of ints; ValueError on a negative component."""
+    n_max = tuple(int(v) for v in n_max)
+    if any(v < 0 for v in n_max):
+        raise ValueError(f"orders must be non-negative: {n_max}")
+    return n_max

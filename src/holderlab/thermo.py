@@ -281,17 +281,16 @@ class SpectrumPoint:
     clamped: bool = False     # solver hit the beta bracket
 
 
-def spectrum_point(curve: PressureCurve, alpha: float,
-                   out_tol: float = 1e-9) -> SpectrumPoint:
+def spectrum_point(curve: PressureCurve, alpha: float) -> SpectrumPoint:
     """One Legendre point g(alpha) = inf over beta of t(beta) + beta*alpha.
 
     The minimiser solves t'(beta) = -alpha; t' increases with beta, so the
     root is bracketed in [-60, 60] and clamped to the bracket when alpha
-    sits within out_tol of an endpoint.  Exponents strictly outside the
+    sits within 1e-9 of an endpoint.  Exponents more than 1e-9 outside the
     attainable band give an empty-level-set marker.  Rigid systems (t'
     constant) tie-break to beta = 0.  This is `spectrum` at one exponent.
     """
-    return _legendre(curve, [alpha], out_tol)[0]
+    return spectrum(curve.system, curve.p, [alpha], curve)[0]
 
 
 def spectrum(system: IFSystem, p: ProbVector, alphas: Sequence[float],
@@ -302,10 +301,6 @@ def spectrum(system: IFSystem, p: ProbVector, alphas: Sequence[float],
     """
     if curve is None:
         curve = PressureCurve(system, p)
-    return _legendre(curve, alphas, 1e-9)
-
-
-def _legendre(curve: PressureCurve, alphas, out_tol: float) -> list:
     ep = curve.endpoints
     lw, ls = _log_weights_slopes(curve.system, curve.p)
     a = np.asarray(alphas, dtype=float).reshape(-1)
@@ -314,7 +309,7 @@ def _legendre(curve: PressureCurve, alphas, out_tol: float) -> list:
     B = _BETA_BRACKET
     (t0, tlo, thi), (tp0, tplo, tphi), _, _ = _gibbs(lw, ls, [0.0, -B, B])
 
-    empty = (a < ep.alpha_minus - out_tol) | (a > ep.alpha_plus + out_tol)
+    empty = (a < ep.alpha_minus - 1e-9) | (a > ep.alpha_plus + 1e-9)
     tie = ~empty & (np.abs(tp0 + a) <= 1e-13)
     # alpha at or below the slope reachable at +B, or at or above the one at -B
     at_hi = ~empty & ~tie & (tphi + a <= 0)

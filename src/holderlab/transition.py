@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -219,10 +218,10 @@ def _settle(done, idx, carried, out):
     return idx[keep], tuple(c[keep] for c in carried)
 
 
-def cdf_grid(system: IFSystem, p: ProbVector, size: int = 4097,
-             margin: float = 0.25, tol: float = 1e-13) -> GridFunction:
-    nodes = uniform_grid(system, size, margin)
-    return GridFunction(nodes, cdf_values(system, p, nodes, tol=tol),
+def cdf_grid(system: IFSystem, p: ProbVector, size: int = 4097) -> GridFunction:
+    """The cdf at tol 1e-13 on `uniform_grid`'s nodes (margin 0.25)."""
+    nodes = uniform_grid(system, size)
+    return GridFunction(nodes, cdf_values(system, p, nodes, tol=1e-13),
                         boundary_left=0.0, boundary_right=1.0)
 
 
@@ -250,19 +249,15 @@ class ConvergenceDiagnostics:
 
 
 def iterate_transition(system: IFSystem, p: ProbVector, h0: GridFunction,
-                       n_max: int = 80,
-                       limit: Optional[GridFunction] = None) -> ConvergenceDiagnostics:
+                       n_max: int = 80) -> ConvergenceDiagnostics:
     """Iterate the operator from h0 and compare against the predicted limit
-    (h0(+inf) - h0(-inf)) * cdf + h0(-inf).
+    (h0(+inf) - h0(-inf)) * cdf + h0(-inf), the cdf at tol 1e-14.
 
     The residual sequence decays geometrically until it hits the resolution
     floor of the grid; the decay factor is fitted on the pre-floor segment.
     """
-    if limit is None:
-        limit = GridFunction(h0.nodes, cdf_values(system, p, h0.nodes, tol=1e-14),
-                             boundary_left=0.0, boundary_right=1.0)
-    lim_vals = (h0.boundary_right - h0.boundary_left) * limit.values \
-        + h0.boundary_left
+    lim_vals = (h0.boundary_right - h0.boundary_left) \
+        * cdf_values(system, p, h0.nodes, tol=1e-14) + h0.boundary_left
     h = h0
     residuals = []
     for _ in range(n_max):

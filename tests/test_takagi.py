@@ -336,3 +336,34 @@ def test_float_derivative_walk_within_its_bound_near_cylinder_endpoint():
         exact, ProbVector.of(Fraction(17, 64)), (1,), Fraction(x))
     assert ref_bound == 0.0
     assert abs(value - ref) <= bound
+
+
+THREE = affine_system((3.0, 3.0, 3.0), (0.0, -1.0, -2.0), (0.0, 1.0))
+DYADIC = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(eval_derivative_point,
+                 (DYADIC, ProbVector.of(0.3), (-1,), 0.5), id="point"),
+    pytest.param(eval_derivative_point,
+                 (THREE, ProbVector.of(0.3, 0.3), (1, -1), 0.4),
+                 id="point-zero-sum"),
+    pytest.param(fd_derivative,
+                 (THREE, ProbVector.of(0.3, 0.3), (2, -1), [0.4]), id="fd"),
+    pytest.param(derivative_grids,
+                 (DYADIC, ProbVector.of(0.3), (-1,), np.linspace(0, 1, 9)),
+                 id="grids"),
+    pytest.param(eval_derivative_grid,
+                 (DYADIC, ProbVector.of(0.3), (-1,), np.linspace(0, 1, 9)),
+                 id="grid"),
+    pytest.param(step_matrix, (1, ProbVector.of(0.3), (-1,)), id="step"),
+    pytest.param(cocycle_matrix, ((1, 2), ProbVector.of(0.3), (-1,)),
+                 id="cocycle"),
+    pytest.param(cylinder_increment,
+                 (DYADIC, ProbVector.of(0.3), (1, 2), (-1,)), id="increment"),
+    pytest.param(growth_constant, (DYADIC, ProbVector.of(0.3), (-1,)),
+                 id="growth"),
+])
+def test_negative_orders_raise_value_error(call, args):
+    with pytest.raises(ValueError, match="non-negative"):
+        call(*args)

@@ -18,6 +18,7 @@ from holderlab import (
     affine_system,
     attractor_hull,
     cdf_values,
+    cylinder_increment,
     encode,
     eval_cdf,
     eval_derivative_point,
@@ -190,6 +191,12 @@ def test_float_and_exact_twins_keep_their_types():
         assert exact_weights == float_weights
         assert [type(v) for v in exact_weights] == \
             [type(v) for v in float_weights]
+    # as do its cylinder increments
+    for word in ((1, 2), (2, 1, 1)):
+        exact_weights = cylinder_increment(dyadic, rp, word).entries
+        float_weights = cylinder_increment(dyadic, fp, word).entries
+        assert exact_weights.dtype == float_weights.dtype == float
+        assert np.array_equal(exact_weights, float_weights)
 
 
 def test_hull_preimages_returns_a_fresh_list(cantor):

@@ -35,7 +35,7 @@ from .exponents import spectrum_experiment
 from .ifs import ConfigurationError, IFSystem, ProbVector, attractor_hull, \
     system_from_json, system_to_json
 from .takagi import eval_derivative_point
-from .thermo import PressureCurve, spectrum
+from .thermo import PressureCurve, alpha_endpoints, spectrum
 from .transition import cdf_values, eval_cdf, gap_probe, uniform_grid
 
 
@@ -240,16 +240,8 @@ def _csv(header: str, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _json_default(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    raise TypeError(f"not JSON-serialisable: {type(v).__name__}")
-
-
 def _json_bytes(obj) -> bytes:
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(obj, indent=2, sort_keys=True)
     return (text + "\n").encode("utf-8")
 
 
@@ -298,8 +290,7 @@ def _cmd_eval_c(cfg: RunConfig):
 
 
 def _cmd_spectrum(cfg: RunConfig):
-    curve = PressureCurve(cfg.system, cfg.p)
-    ep = curve.endpoints
+    ep = alpha_endpoints(cfg.system, cfg.p)
     alphas = cfg.params["alpha_grid"]
     if isinstance(alphas, dict):
         alphas = list(np.linspace(ep.alpha_minus, ep.alpha_plus,
@@ -308,7 +299,7 @@ def _cmd_spectrum(cfg: RunConfig):
     # an empty level set has no g and no argmin: empty cells
     rows = [(pt.alpha, *((None, None) if pt.empty
                          else (pt.g, pt.beta_argmin)))
-            for pt in spectrum(cfg.system, cfg.p, alphas, curve=curve)]
+            for pt in spectrum(cfg.system, cfg.p, alphas)]
     return [("spectrum.csv", _csv("alpha,g,beta_argmin", rows), params),
             _thermo_summary(cfg, ep)]
 

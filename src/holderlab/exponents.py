@@ -90,15 +90,15 @@ def emp_exponent(evaluate: Callable, x: float,
     fitting.  The centre and all clouds go to `evaluate` in one call, so it
     must be pointwise (see `spectrum_experiment`).
     """
-    return _empirical(evaluate, [x], scales, _POINTS_PER_SCALE, _FLOOR)[0]
+    return _empirical(evaluate, [x], scales)[0]
 
 
-def _empirical(evaluate, xs, scales, points_per_scale, floor) -> list:
+def _empirical(evaluate, xs, scales) -> list:
     """emp_exponent at every point of xs, from one call of evaluate."""
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
         raise ValueError("no scales given")
-    offs = _offsets(tuple(scales), max(2, points_per_scale // 2))
+    offs = _offsets(tuple(scales))
     xs = np.asarray(xs, dtype=float).reshape(-1)
     centres = xs[:, None, None]
     clouds = np.concatenate((centres - offs, centres + offs), axis=2)
@@ -106,24 +106,26 @@ def _empirical(evaluate, xs, scales, points_per_scale, floor) -> list:
                       dtype=float)
     fx = vals[:xs.size, None, None]
     oscs = np.max(np.abs(vals[xs.size:].reshape(clouds.shape) - fx), axis=2)
-    return [_fit(x, scales, row, floor) for x, row in zip(xs, oscs)]
+    return [_fit(x, scales, row) for x, row in zip(xs, oscs)]
 
 
 @functools.lru_cache(maxsize=16)
-def _offsets(scales: tuple, m: int) -> np.ndarray:
+def _offsets(scales: tuple) -> np.ndarray:
     """Read-only (scales, m) array of the cloud offsets, m geometric steps
-    over the three decades below each radius."""
+    over the three decades below each radius, m = _POINTS_PER_SCALE // 2."""
+    m = _POINTS_PER_SCALE // 2
     offs = np.array([np.geomspace(r * 1e-3, r, m) for r in scales])
     offs.flags.writeable = False
     return offs
 
 
-def _fit(x, scales, oscs, floor) -> EmpiricalExponent:
-    """Log-log fit of one point's oscillations, one per scale."""
+def _fit(x, scales, oscs) -> EmpiricalExponent:
+    """Log-log fit of one point's oscillations, one per scale; the ones at
+    or below _FLOOR are dropped."""
     used, kept, dropped = [], [], []
     for r, osc in zip(scales, oscs):
         osc = float(osc)
-        if osc <= floor:
+        if osc <= _FLOOR:
             dropped.append(r)
             continue
         used.append(r)
@@ -230,8 +232,7 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
         dyn = _liminf(s_psi / s_phi)
         if evaluate is not None:
             emp = np.array([e.slope for e in _empirical(
-                evaluate, _suffix_midpoints(system, draws)[:, 0], scales,
-                _POINTS_PER_SCALE, _FLOOR)])
+                evaluate, _suffix_midpoints(system, draws)[:, 0], scales)])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
         else:
             emp_mean = emp_sigma = float("nan")

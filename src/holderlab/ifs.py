@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -254,16 +254,12 @@ class ProbVector:
 class IFSystem:
     """An ordered family of expanding branches with a separating open interval.
 
-    ``flags`` records which disjointness condition the branch preimages were
-    verified to satisfy: "osc" means the open preimages are pairwise disjoint
-    inside O, "separating" means even the closures are disjoint.
+    How disjoint the branch preimages are is graded by `validate`.
     """
 
     branches: tuple
     open_set: tuple
-    expansion: float = field(default=0.0)
-    osc: bool = field(default=False)
-    separating: bool = field(default=False)
+    expansion: float = 0.0
 
     @property
     def branch_count(self) -> int:
@@ -455,8 +451,8 @@ def _scaled_coding(coding: _Coding, q: int) -> _Coding:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple            # (name, passed, witness) triples
-    osc: bool
-    separating: bool
+    osc: bool                # open preimages pairwise disjoint inside O
+    separating: bool         # even their closures disjoint
     ok: bool
 
     def failures(self):
@@ -555,15 +551,14 @@ def validate(system: IFSystem,
 
 
 def validated(system: IFSystem) -> IFSystem:
-    """Return a copy of the system with disjointness flags set by validation."""
+    """The system itself, once `validate` passes it; ConfigurationError
+    naming the failed checks otherwise."""
     report = validate(system)
     if not report.ok:
         raise ConfigurationError(
             "system failed validation: "
             + "; ".join(name for name, passed, _ in report.checks if not passed))
-    return IFSystem(branches=system.branches, open_set=system.open_set,
-                    expansion=system.expansion, osc=report.osc,
-                    separating=report.separating)
+    return system
 
 
 # ---------------------------------------------------------------------------

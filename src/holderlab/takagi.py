@@ -31,8 +31,9 @@ from .transition import GridFunction, apply_transition, cdf_values
 
 
 def index_set(n_max: Sequence[int]) -> list:
-    """Downward-closed box of multi-indices below n_max, sorted by weight."""
-    ranges = [range(int(v) + 1) for v in n_max]
+    """Downward-closed box of multi-indices below n_max, sorted by weight;
+    ValueError on a negative component."""
+    ranges = [range(v + 1) for v in _checked_box(n_max)]
     idx = [tuple(t) for t in itertools.product(*ranges)]
     idx.sort(key=lambda t: (sum(t), t))
     return idx
@@ -154,15 +155,15 @@ def cylinder_increment(system: IFSystem, p: ProbVector, word: Sequence[int],
 
 
 def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
-                          x, depth: int = 80,
-                          growth_bound: Optional[float] = None):
+                          x, depth: int = 80):
     """Value of the order-n weight derivative of the cdf at x, with an error
     bound.
 
     Telescopes cylinder rises of all same-depth siblings left of the coding
-    of x; the tail over the unresolved cylinder is bounded through the
-    certified polynomial growth of normalized step products
-    (`growth_constant`).  Points that land in a gap or park on a hull
+    of x; the tail over the unresolved cylinder is bounded by
+    K * mass * depth^|n|, with K the certified polynomial growth constant
+    of normalized step products (`growth_constant`) and mass the weight of
+    that cylinder.  Points that land in a gap or park on a hull
     endpoint resolve exactly (the remaining contribution has closed form);
     otherwise the walk stops at ``depth``.  A NaN x raises ValueError.
     """
@@ -197,9 +198,7 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
             return value, 0.0
         r = np.dot(r, steps[sym])
         mass *= q[sym]
-    if growth_bound is None:
-        growth_bound = table["growth"]
-    err = growth_bound * float(mass) * max(depth, 1) ** sum(order)
+    err = table["growth"] * float(mass) * max(depth, 1) ** sum(order)
     return value, err
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -282,34 +282,34 @@ class SpectrumPoint:
 
 
 def spectrum_point(curve: PressureCurve, alpha: float) -> SpectrumPoint:
-    """One Legendre point g(alpha) = inf over beta of t(beta) + beta*alpha.
+    """One Legendre point g(alpha) of the curve's system and weights: this
+    is `spectrum` at one exponent."""
+    return spectrum(curve.system, curve.p, [alpha])[0]
+
+
+def spectrum(system: IFSystem, p: ProbVector,
+             alphas: Sequence[float]) -> list:
+    """Legendre points g(alpha) = inf over beta of t(beta) + beta*alpha over
+    a grid of exponents, solved for all at once.
 
     The minimiser solves t'(beta) = -alpha; t' increases with beta, so the
-    root is bracketed in [-60, 60] and clamped to the bracket when alpha
-    sits within 1e-9 of an endpoint.  Exponents more than 1e-9 outside the
-    attainable band give an empty-level-set marker.  Rigid systems (t'
-    constant) tie-break to beta = 0.  This is `spectrum` at one exponent.
+    root is bracketed in [-60, 60].  Exponents more than 1e-9 outside the
+    attainable band [min, max] of -log p_i / log a_i get an empty-level-set
+    marker, with NaN for g and beta_argmin.  Rigid systems (t' constant)
+    tie-break to beta = 0.  An exponent whose minimiser lies at or beyond
+    the bracket is marked clamped: beta_argmin is b = +-60 and g is
+    t(b) + b*alpha, an upper bound on the Legendre value, not the value.
+    A NaN exponent raises ValueError.
     """
-    return spectrum(curve.system, curve.p, [alpha], curve)[0]
-
-
-def spectrum(system: IFSystem, p: ProbVector, alphas: Sequence[float],
-             curve: Optional[PressureCurve] = None) -> list:
-    """Legendre spectrum over a grid of exponents, solved for all at once.
-
-    Each point follows the rules of `spectrum_point`.
-    """
-    if curve is None:
-        curve = PressureCurve(system, p)
-    ep = curve.endpoints
-    lw, ls = _log_weights_slopes(curve.system, curve.p)
+    lw, ls = _log_weights_slopes(system, p)
     a = np.asarray(alphas, dtype=float).reshape(-1)
     if np.isnan(a).any():
         raise ValueError("alpha must not be NaN")
     B = _BETA_BRACKET
     (t0, tlo, thi), (tp0, tplo, tphi), _, _ = _gibbs(lw, ls, [0.0, -B, B])
 
-    empty = (a < ep.alpha_minus - 1e-9) | (a > ep.alpha_plus + 1e-9)
+    ratios = -lw / ls
+    empty = (a < ratios.min() - 1e-9) | (a > ratios.max() + 1e-9)
     tie = ~empty & (np.abs(tp0 + a) <= 1e-13)
     # alpha at or below the slope reachable at +B, or at or above the one at -B
     at_hi = ~empty & ~tie & (tphi + a <= 0)

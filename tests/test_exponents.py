@@ -162,7 +162,7 @@ def reference_rows(system, p, betas, word_len, count, seed, evaluate):
         if evaluate is not None:
             emp = np.array([e.slope for e in _empirical(
                 evaluate, [pi_approx(system, w)[0] for w in words],
-                np.geomspace(1e-6, 1e-2, 9), 33, 1e-13)])
+                np.geomspace(1e-6, 1e-2, 9))])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
         g = curve.t(beta) - beta * curve.t_prime(beta)
         assert g == pytest.approx(spectrum_point(curve, alpha).g, abs=1e-12)

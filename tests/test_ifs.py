@@ -13,6 +13,7 @@ from holderlab import (
     EncodeResult,
     IFSystem,
     OutsideHullError,
+    PressureCurve,
     ProbVector,
     affine_system,
     attractor_hull,
@@ -28,6 +29,7 @@ from holderlab import (
     eval_derivative_point,
     phi,
     pi_approx,
+    spectrum,
     system_from_json,
     system_to_json,
     validate,
@@ -125,8 +127,8 @@ def test_walk_one_branch_at_ties_and_gaps(dyadic, cantor, quarter):
         assert encode(dyadic, x, depth) == EncodeResult((1,) * depth, False)
         assert eval_cdf(dyadic, quarter, x, max_depth=depth) == \
             (0.0, 0.25 ** depth)
-        assert eval_derivative_point(dyadic, quarter, (1,), x, depth=depth,
-                                     growth_bound=1.0)[0] == 0.0
+        assert eval_derivative_point(dyadic, quarter, (1,), x,
+                                     depth=depth)[0] == 0.0
         assert value - 1e-6 < phi(dyadic, quarter, x, tol=1e-6) < value
     # in a gap every walk stops with the first branch left of the point
     for x in (0.4, 0.65):
@@ -178,7 +180,7 @@ def test_validate_far_from_the_origin():
                            (c, c + 1))
     rep = validate(system)
     assert rep.ok and rep.osc and not rep.separating
-    assert validated(system).osc
+    assert validated(system) is system
 
 
 def test_validate_tiny_open_set_overlap():
@@ -192,6 +194,25 @@ def test_validate_tiny_open_set_overlap():
     # the same pair scaled by 1e-9 from (0, 1) touches
     assert validate(affine_system((2.0, 2.0), (0.0, -1e-9),
                                   (0.0, 1e-9))).osc
+
+
+def test_derived_facts_are_not_inputs(dyadic, quarter):
+    """The spectrum, the derivative bound and the disjointness grades are
+    derived from the system and the weights; none can be passed in."""
+    with pytest.raises(TypeError):
+        spectrum(dyadic, quarter, [1.0],
+                 curve=PressureCurve(dyadic, ProbVector.of(0.4)))
+    with pytest.raises(TypeError):
+        eval_derivative_point(dyadic, quarter, (1,), 0.3, growth_bound=1.0)
+    for flag in ("osc", "separating"):
+        with pytest.raises(TypeError):
+            IFSystem(branches=dyadic.branches, open_set=dyadic.open_set,
+                     **{flag: True})
+    assert validated(dyadic) is dyadic
+    with pytest.raises(ConfigurationError):
+        validated(affine_system((2.0, 2.0), (0.0, -0.5), (0.0, 1.0)))
+    # the weights 0.25 give their own spectrum, not that of another curve
+    assert spectrum(dyadic, quarter, [1.0])[0].g == 0.9499555271883307
 
 
 def test_validate_rational_is_exact():

@@ -363,6 +363,8 @@ DYADIC = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
                  (DYADIC, ProbVector.of(0.3), (1, 2), (-1,)), id="increment"),
     pytest.param(growth_constant, (DYADIC, ProbVector.of(0.3), (-1,)),
                  id="growth"),
+    pytest.param(index_set, ((-1,),), id="index-set"),
+    pytest.param(index_set, ((2, -1),), id="index-set-2d"),
 ])
 def test_negative_orders_raise_value_error(call, args):
     with pytest.raises(ValueError, match="non-negative"):

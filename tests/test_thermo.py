@@ -91,8 +91,7 @@ def test_rigid_golden_system():
 def test_spectrum_shape(dyadic, quarter):
     curve = PressureCurve(dyadic, quarter)
     ep = curve.endpoints
-    pts = spectrum(dyadic, quarter, np.linspace(ep.alpha_minus, ep.alpha_plus, 33),
-                   curve=curve)
+    pts = spectrum(dyadic, quarter, np.linspace(ep.alpha_minus, ep.alpha_plus, 33))
     gs = np.array([pt.g for pt in pts])
     assert gs.max() <= ep.delta + 1e-12
     assert np.diff(gs, 2).max() <= 1e-8  # concave
@@ -177,7 +176,7 @@ def test_array_roots_and_spectrum_properties(k, seed, beta):
                                          ep.alpha_plus + 0.05, 41),
                              [ep.alpha_minus, ep.alpha_plus, ep.alpha_zero,
                               -tp]])
-    pts = spectrum(system, p, alphas, curve=curve)
+    pts = spectrum(system, p, alphas)
     for a, pt in zip(alphas, pts):
         assert pt.alpha == a
         empty = a < ep.alpha_minus - out_tol or a > ep.alpha_plus + out_tol
@@ -235,7 +234,7 @@ def test_batched_solves_are_row_independent(k, seed, betas, spread):
     alphas = [ep.alpha_minus + u * (ep.alpha_plus - ep.alpha_minus)
               for u in spread] + [ep.alpha_minus, ep.alpha_zero]
     alphas.append(alphas[0])
-    for pt, a in zip(spectrum(system, p, alphas, curve), alphas):
+    for pt, a in zip(spectrum(system, p, alphas), alphas):
         one = spectrum_point(curve, a)
         assert (pt.empty, pt.clamped) == (one.empty, one.clamped)
         assert all(same(x, y) for x, y in

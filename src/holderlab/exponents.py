@@ -22,6 +22,7 @@ import numpy as np
 from .ifs import IFSystem, ProbVector, _birkhoff, _checked_word, \
     _suffix_midpoints, compactified_distance
 from .thermo import _gibbs, _log_weights_slopes, gibbs_weights
+from .transition import _ls_slope
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,10 @@ def emp_exponent(evaluate: Callable, x: float,
     Each ball of radius r is probed at 33 points, the centre and 16
     geometric offsets on each side spanning three decades below r; the
     oscillation is the largest deviation from the centre value.  Scales
-    whose oscillation is at or below the floor 1e-13 are dropped before
-    fitting.  The centre and all clouds go to `evaluate` in one call, so it
-    must be pointwise (see `spectrum_experiment`).
+    whose oscillation is at or below the floor 1e-13 are dropped before the
+    `transition._ls_slope` fit of log oscillation against log r.  The centre
+    and all clouds go to `evaluate` in one call, so it must be pointwise
+    (see `spectrum_experiment`).
     """
     return _empirical(evaluate, [x], scales)[0]
 
@@ -120,8 +122,8 @@ def _offsets(scales: tuple) -> np.ndarray:
 
 
 def _fit(x, scales, oscs) -> EmpiricalExponent:
-    """Log-log fit of one point's oscillations, one per scale; the ones at
-    or below _FLOOR are dropped."""
+    """Log-log `_ls_slope` fit of one point's oscillations, one per scale;
+    the ones at or below _FLOOR are dropped."""
     used, kept, dropped = [], [], []
     for r, osc in zip(scales, oscs):
         osc = float(osc)
@@ -134,14 +136,12 @@ def _fit(x, scales, oscs) -> EmpiricalExponent:
     if len(used) < 2:
         raise ValueError("fewer than two scales survive the error floor; "
                          "raise the scales or lower the floor")
-    logs_r = np.log(used)
-    logs_o = np.log(kept)
-    slope = float(np.polyfit(logs_r, logs_o, 1)[0])
+    logs_r, logs_o = np.log(used), np.log(kept)
     ratios = tuple(lo / lr for lr, lo in zip(logs_r, logs_o))
-    fine = ratios[len(ratios) // 2:]
     return EmpiricalExponent(x=float(x), scales=tuple(used),
                              oscillations=tuple(kept), ratios=ratios,
-                             slope=slope, window_min=min(fine),
+                             slope=_ls_slope(logs_r, logs_o)[0],
+                             window_min=min(ratios[len(ratios) // 2:]),
                              dropped=tuple(dropped))
 
 

@@ -462,7 +462,8 @@ class ValidationReport:
 def validate(system: IFSystem,
              p: Optional[ProbVector] = None) -> ValidationReport:
     """Check monotonicity, expansion, inverse consistency and the ordering
-    and disjointness of branch preimages.  Structural impossibilities raise
+    and disjointness of branch preimages.  Structural impossibilities, a
+    NaN or infinite open-set end, slope or intercept among them, raise
     ConfigurationError; the disjointness grade is reported, not raised.
     Non-affine branches are sampled at 33 equally spaced points of O.
 
@@ -473,6 +474,10 @@ def validate(system: IFSystem,
     O, and rounding far from the origin is not an overlap.
     """
     lo, hi = system.open_set
+    numbers = [lo, hi] + [t for br in system.branches if br.is_affine
+                          for t in (br.slope, br.intercept)]
+    if not all(-math.inf < t < math.inf for t in numbers):
+        raise ConfigurationError("system numbers must be finite")
     if not lo < hi:
         raise ConfigurationError("open interval is empty")
     if system.branch_count < 2:
@@ -822,14 +827,21 @@ def system_from_json(doc: dict):
     Layout: {"branches": [{"slope": a, "intercept": b}, ...],
              "open_set": [lo, hi], "p": [p_1, ..., p_s],
              "mode": "float" | "rational"}.
-    The last weight is derived, never stored.  Rational mode parses numbers
-    through Fraction (strings like "1/3" are accepted).
+    The last weight is derived, never stored.  Every number is read as
+    Fraction(v) (an int, a float, or a string like "1/3"), kept in rational
+    mode, where a JSON float is the double it denotes (write "3/10" for
+    three tenths, not 0.3), and made a float in float mode; NaN, inf, "1/0"
+    or a number past the float range is a ConfigurationError in either mode.
     """
     try:
         mode = doc.get("mode", "float")
         if mode not in ("float", "rational"):
             raise ConfigurationError(f"unknown mode {mode!r}")
-        conv = _as_fraction if mode == "rational" else _as_float
+
+        def conv(v):
+            v = Fraction(v)     # ValueError on NaN, OverflowError on inf
+            f = float(v)        # OverflowError past the float range
+            return v if mode == "rational" else f
         branches = doc["branches"]
         slopes = [conv(b["slope"]) for b in branches]
         intercepts = [conv(b["intercept"]) for b in branches]
@@ -854,7 +866,7 @@ def system_from_json(doc: dict):
         raise
     except KeyError as exc:
         raise ConfigurationError(f"missing system key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ConfigurationError(f"malformed system: {exc}") from exc
     return system, p, mode
 
@@ -871,20 +883,3 @@ def system_to_json(system: IFSystem, p: ProbVector, mode: str = "float") -> dict
         "mode": mode,
     }
 
-
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v).limit_denominator(10 ** 12)
-    raise ConfigurationError(f"cannot read {v!r} as a rational")
-
-
-def _as_float(v):
-    if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)

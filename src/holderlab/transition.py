@@ -254,30 +254,30 @@ def iterate_transition(system: IFSystem, p: ProbVector, h0: GridFunction,
     (h0(+inf) - h0(-inf)) * cdf + h0(-inf), the cdf at tol 1e-14.
 
     The residual sequence decays geometrically until it hits the resolution
-    floor of the grid; the decay factor is fitted on the pre-floor segment.
+    floor of the grid; the decay factor is fitted by `_ls_slope` on the
+    pre-floor segment (at least two steps, so n_max >= 2).  A zero residual
+    there means the iterates reached the limit: rate 0.0 and R^2 1.0.
     """
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     lim_vals = (h0.boundary_right - h0.boundary_left) \
         * cdf_values(system, p, h0.nodes, tol=1e-14) + h0.boundary_left
     h = h0
-    residuals = []
-    for _ in range(n_max):
+    residuals = np.empty(n_max)
+    for n in range(n_max):
         h = apply_transition(system, p, h)
-        residuals.append(float(np.max(np.abs(h.values - lim_vals))))
-    residuals = np.array(residuals)
+        residuals[n] = np.max(np.abs(h.values - lim_vals))
 
     floor = float(residuals.min())
     above = residuals > max(10 * floor, 1e-300)
-    n_fit = int(np.argmin(above)) if not above.all() else len(residuals)
-    n_fit = max(n_fit, 2)
-    ns = np.arange(1, n_fit + 1)
-    logr = np.log(residuals[:n_fit])
-    slope, intercept = np.polyfit(ns, logr, 1)
-    pred = slope * ns + intercept
-    ss_res = float(np.sum((logr - pred) ** 2))
-    ss_tot = float(np.sum((logr - logr.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    n_fit = max(int(np.argmin(above)) if not above.all() else above.size, 2)
+    window = residuals[:n_fit]
+    if window.min() > 0:
+        slope, _, r2 = _ls_slope(np.arange(1, n_fit + 1), np.log(window))
+    else:   # the limit is reached: rate exp(-inf) = 0.0
+        slope, r2 = -math.inf, 1.0
     diverged = bool(residuals[-1] > residuals[0] * 10)
-    return ConvergenceDiagnostics(residuals=residuals, rate=float(math.exp(slope)),
+    return ConvergenceDiagnostics(residuals=residuals, rate=math.exp(slope),
                                   r_squared=r2, floor=floor, n_fit=n_fit,
                                   diverged=diverged)
 
@@ -420,8 +420,8 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     seeded random words.  On a fixed grid alone the estimate would stall at
     the grid scale and growth beyond it would be invisible.
 
-    The verdict comes from the fitted slope of log(seminorm) against n over
-    the last half of the run: bounded when |slope| < 1e-3, growing when
+    The verdict comes from the `_ls_slope` fit of log(seminorm) against n
+    over the last half of the run: bounded when |slope| < 1e-3, growing when
     slope > 5e-3 with a positive margin over its standard error.  alpha
     must lie in (0, 1] and n_max be at least 3, so that the fit has two
     points.
@@ -458,7 +458,7 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     half = n_max // 2
     ns = np.arange(half + 1, n_max + 1)
     logv = np.log(norms[half:])
-    slope, stderr = _ls_slope(ns, logv)
+    slope, stderr, _ = _ls_slope(ns, logv)
     if abs(slope) < 1e-3:
         verdict = "bounded"
     elif slope > 5e-3 and slope - 2 * stderr > 0:
@@ -518,16 +518,20 @@ def _cylinder_probe_max(system, p, alpha, words):
 
 
 def _ls_slope(xs, ys):
+    """Least-squares line of ys on xs: (slope, its standard error, R^2), with
+    R^2 = 1 - ss_res / ss_tot, 1.0 when ss_tot is 0."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    n = xs.size
     xm, ym = xs.mean(), ys.mean()
     sxx = float(np.sum((xs - xm) ** 2))
     slope = float(np.sum((xs - xm) * (ys - ym)) / sxx)
     resid = ys - (ym + slope * (xs - xm))
-    var = float(np.sum(resid ** 2)) / max(n - 2, 1)
+    ss_res = float(np.sum(resid ** 2))
+    var = ss_res / max(xs.size - 2, 1)
     stderr = math.sqrt(var / sxx) if sxx > 0 else math.inf
-    return slope, stderr
+    ss_tot = float(np.sum((ys - ym) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, stderr, r2
 
 
 def seminorm_refinement_sweep(make_grid, alpha: float, sizes) -> list:

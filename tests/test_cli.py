@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -317,6 +318,30 @@ MALFORMED = {
 }
 
 
+# a non-finite, overflowing or undefined number: JSON Infinity and NaN, and
+# three strings
+NON_FINITE = {"Infinity": float("inf"), "NaN": float("nan"), "inf": "inf",
+              "1e400": "1e400", "1by0": "1/0"}
+SYSTEM_NUMBERS = ("slope", "intercept", "open_set", "p")
+
+
+def with_number(system, where, value):
+    """A copy of system with one number of kind `where` (one of
+    SYSTEM_NUMBERS) replaced by value."""
+    system = copy.deepcopy(system)
+    if where in ("slope", "intercept"):
+        system["branches"][0][where] = value
+    else:
+        system[where][-1] = value
+    return system
+
+
+MALFORMED.update({
+    f"{where}-{name}-{mode}": ("eval-t", {}, with_number(base, where, value))
+    for where in SYSTEM_NUMBERS for name, value in NON_FINITE.items()
+    for mode, base in (("float", DYADIC), ("rational", RATIONAL))})
+
+
 def write_raw_config(tmp_path, command, params, system):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"system": system, "command": command,
@@ -344,6 +369,21 @@ def test_malformed_system_no_traceback_in_fresh_process(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
+
+
+def test_non_finite_system_number_no_traceback_in_fresh_process(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name in ("slope-Infinity-rational", "intercept-1e400-float",
+                 "slope-1e400-rational", "open_set-Infinity-float"):
+        cfg = write_raw_config(tmp_path, *MALFORMED[name])
+        done = subprocess.run([sys.executable, "-m", "holderlab.cli",
+                               "--config", str(cfg)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, name
+        assert done.stderr.startswith("holderlab: config error:"), name
+        assert "Traceback" not in done.stderr, name
+        assert not (tmp_path / "out").exists(), name
 
 
 def test_exit_code_numeric_failure(tmp_path):
@@ -642,18 +682,21 @@ def fuzz_configs(draw):
     params = {k: draw(valid[k]) for k in names
               if k in PINNED or draw(st.booleans())}
     flags = draw(FLAGS)
-    broken = draw(st.sampled_from(["", "param", "flag"]))
+    broken = draw(st.sampled_from(["", "param", "flag", "system"]))
     if broken == "param":
         params[draw(st.sampled_from(names + ["bogus"]))] = draw(BROKEN)
     elif broken == "flag":
         flags = draw(BROKEN_FLAGS)
-    return command, params, system, flags
+    elif broken == "system":
+        system = with_number(system, draw(st.sampled_from(SYSTEM_NUMBERS)),
+                             draw(st.sampled_from(list(NON_FINITE.values()))))
+    return command, params, system, flags, broken
 
 
 @given(fuzz_configs())
 @settings(max_examples=300, deadline=None)
 def test_fuzz_configs_keep_the_exit_contract(case):
-    command, params, system, flags = case
+    command, params, system, flags, broken = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_raw_config(Path(tmp), command, params, system)
         err = io.StringIO()
@@ -663,6 +706,8 @@ def test_fuzz_configs_keep_the_exit_contract(case):
         event(f"{command} exit {code}")
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if broken == "system":
+            assert code == 1
         if code == 1:
             assert not out.exists()
         if code == 0:

@@ -215,6 +215,18 @@ def test_derived_facts_are_not_inputs(dyadic, quarter):
     assert spectrum(dyadic, quarter, [1.0])[0].g == 0.9499555271883307
 
 
+@pytest.mark.parametrize("slopes, intercepts, open_set", [
+    ((2.0, 2.0), (0.0, -1.0), (0.0, math.inf)),
+    ((math.inf, 2.0), (0.0, -1.0), (0.0, 1.0)),
+])
+def test_validate_rejects_non_finite_numbers(slopes, intercepts, open_set):
+    """An infinite open-set end makes the float slack infinite, so (0, inf)
+    and (0.5, inf) passed as a touch; an infinite slope collapsed window 1
+    to (0, 0).  Both are configuration errors."""
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        validate(affine_system(slopes, intercepts, open_set))
+
+
 def test_validate_rational_is_exact():
     """Fraction preimages are compared exactly: a gap or an overlap of
     1e-15 is one, not a touch."""
@@ -267,6 +279,19 @@ def test_json_rational_mode():
     assert mode == "rational"
     assert p.weights == (Fraction(1, 3), Fraction(2, 3))
     assert system.is_rational
+
+
+def test_json_rational_mode_reads_the_double_a_float_names():
+    """Rational mode reads the JSON float 0.3 as the double it denotes, not
+    as 3/10, which is written "3/10"."""
+    doc = {"branches": [{"slope": 2, "intercept": 0},
+                        {"slope": 2, "intercept": -1}],
+           "open_set": [0, 1], "p": [0.3], "mode": "rational"}
+    _, p, _ = system_from_json(doc)
+    assert p.free == (Fraction(5404319552844595, 18014398509481984),)
+    assert p.free == (Fraction(0.3),) and p.free != (Fraction(3, 10),)
+    _, p, _ = system_from_json(dict(doc, p=["3/10"]))
+    assert p.free == (Fraction(3, 10),)
 
 
 def test_ergodic_sums_affine(dyadic, quarter):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from holderlab import (
     uniform_grid,
 )
 from holderlab.ifs import compactified_gap_factor, cylinder
-from holderlab.transition import _cylinder_probe_max
+from holderlab.transition import _cylinder_probe_max, _ls_slope
 
 
 def rational_dyadic():
@@ -130,6 +131,38 @@ def test_iterate_transition_identity_limit(dyadic, half):
     # smooth symmetric starts can contract faster than the p_max bound
     assert 0.2 < diag.rate <= 0.55
     assert diag.residuals[-1] <= 1e-10
+
+
+def test_iterate_transition_from_its_limit(dyadic, quarter):
+    """A start that already is its limit leaves zero residuals in the fit
+    window: the rate is 0.0 and R^2 finite, with no log-of-zero warning."""
+    nodes = np.linspace(-0.5, 1.5, 1025)
+    starts = [GridFunction(nodes, cdf_values(dyadic, quarter, nodes, tol=1e-14),
+                           0.0, 1.0),
+              GridFunction(nodes, np.zeros_like(nodes), 0.0, 0.0)]
+    for start in starts:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = iterate_transition(dyadic, quarter, start, n_max=10)
+        assert diag.rate == 0.0
+        assert math.isfinite(diag.r_squared)
+    with pytest.raises(ValueError, match="n_max"):
+        iterate_transition(dyadic, quarter, starts[0], n_max=1)
+
+
+def test_ls_slope_r_squared():
+    """`_ls_slope` gives the least-squares slope and R^2 = 1 - ss_res/ss_tot,
+    1.0 for a constant sample."""
+    xs = np.arange(1.0, 6.0)
+    ys = np.array([0.1, 0.9, 2.2, 2.8, 4.1])
+    slope, stderr, r2 = _ls_slope(xs, ys)
+    fit = np.polynomial.polynomial.Polynomial.fit(xs, ys, 1).convert()
+    assert slope == pytest.approx(fit.coef[1], rel=1e-14)
+    ss_res = float(np.sum((ys - fit(xs)) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    assert r2 == pytest.approx(1 - ss_res / ss_tot, rel=1e-14)
+    assert stderr == pytest.approx(math.sqrt(ss_res / 3 / 10.0), rel=1e-12)
+    assert _ls_slope(xs, np.full(5, 2.0)) == (0.0, 0.0, 1.0)
 
 
 def test_holder_seminorm_modes():

@@ -39,10 +39,6 @@ from .thermo import PressureCurve, alpha_endpoints, spectrum
 from .transition import cdf_values, eval_cdf, gap_probe, uniform_grid
 
 
-class CliError(Exception):
-    """Configuration-level problem; maps to exit code 1."""
-
-
 _REQUIRED = object()     # default of a parameter the config must give
 _SEED = ("int", 0, ">= 0")
 _MARGIN = ("num", 0.25, "> -0.5")   # keeps the grid nodes increasing
@@ -80,7 +76,6 @@ PARAMS = {
                  "with_empirical": ("bool", False, ""),
                  "scales": ("num[]", None, "> 0")},
     "conjugacy": {"sample_count": ("int", 1000, ">= 1"),
-                  "tol": ("num", 1e-10, "> 0"),
                   "exclusion": ("num", 1e-6, "> 0"), "seed": _SEED},
     "report": {"tol": ("num", 1e-9, "> 0"),
                "sample_count": ("int", 256, ">= 1"), "seed": _SEED,
@@ -113,33 +108,30 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
     """
     cfg_path = Path(path)
     if not cfg_path.is_file():
-        raise CliError(f"config file not found: {path}")
+        raise ConfigurationError(f"config file not found: {path}")
     try:
         doc = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:    # bad UTF-8 and long ints too
+        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise CliError("config root must be a JSON object")
+        raise ConfigurationError("config root must be a JSON object")
     extra = set(doc) - {"system", "command", "params", "out"}
     if extra:
-        raise CliError(f"unknown config keys {sorted(extra)}")
+        raise ConfigurationError(f"unknown config keys {sorted(extra)}")
     if "system" not in doc or "command" not in doc:
-        raise CliError("config needs 'system' and 'command'")
+        raise ConfigurationError("config needs 'system' and 'command'")
 
     if not isinstance(doc["system"], dict):
-        raise CliError("'system' must be an object")
+        raise ConfigurationError("'system' must be an object")
     sysdoc = dict(doc["system"])
     if mode is not None:
         sysdoc["mode"] = mode
-    try:
-        system, p, eff_mode = system_from_json(sysdoc)
-    except ConfigurationError as exc:
-        raise CliError(str(exc)) from exc
+    system, p, eff_mode = system_from_json(sysdoc)
 
     command = doc["command"]
     if command not in PARAMS:
-        raise CliError(f"unknown command {command!r}; expected one of "
-                       f"{', '.join(PARAMS)}")
+        raise ConfigurationError(f"unknown command {command!r}; expected "
+                                 f"one of {', '.join(PARAMS)}")
     table = PARAMS[command]
     params = _resolve(table, doc.get("params", {}))
     given = {"threads": threads} if seed is None else \
@@ -151,14 +143,14 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
 
     out_dir = out if out is not None else doc.get("out")
     if not isinstance(out_dir, str):
-        raise CliError("output directory missing: set 'out' to a path string "
-                       "or pass --out")
+        raise ConfigurationError("output directory missing: set 'out' to a "
+                                 "path string or pass --out")
     out_dir = Path(out_dir)
     # the nearest existing path must be a directory to make `out` under it
     near = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     if not near.is_dir():
-        raise CliError(f"output directory {out_dir} cannot be made: "
-                       f"{near} is not a directory")
+        raise ConfigurationError(f"output directory {out_dir} cannot be "
+                                 f"made: {near} is not a directory")
     return RunConfig(system=system, p=p, mode=eff_mode, command=command,
                      params=params, out=out_dir,
                      seed=params.get("seed", flags["seed"]))
@@ -167,31 +159,31 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
 def _resolve(table: dict, given, prefix: str = "") -> dict:
     """`given` checked against `table` and filled in with its defaults."""
     if not isinstance(given, dict):
-        raise CliError("'params' must be an object")
+        raise ConfigurationError("'params' must be an object")
     extra = set(given) - set(table)
     if extra:
-        raise CliError("unknown parameters "
-                       f"{[prefix + k for k in sorted(extra)]}")
+        raise ConfigurationError("unknown parameters "
+                                 f"{[prefix + k for k in sorted(extra)]}")
     out = {}
     for name, (kind, default, rng) in table.items():
         value = given.get(name, default)
         if value is _REQUIRED:
-            raise CliError(f"parameter {prefix}{name} is required")
+            raise ConfigurationError(f"parameter {prefix}{name} is required")
         out[name] = None if value is default is None else \
             _value(kind, value, rng, prefix + name)
     return out
 
 
 def _value(kind, value, rng: str, name: str):
-    """value read as `kind` and checked against `rng`; else a CliError."""
+    """value read as `kind` and checked against `rng`."""
     if isinstance(kind, dict):          # a grid layout, or an explicit list
         if isinstance(value, dict):
             return _resolve(kind, value, name + ".")
         kind = "num[]"
     if kind.endswith("[]"):
         if not isinstance(value, list) or not value:
-            raise CliError(f"parameter {name} must be a non-empty list, "
-                           f"got {value!r}")
+            raise ConfigurationError(f"parameter {name} must be a non-empty "
+                                     f"list, got {value!r}")
         return [_value(kind[:-2], v, rng, name) for v in value]
     try:
         if isinstance(value, bool) != (kind == "bool") or \
@@ -205,12 +197,13 @@ def _value(kind, value, rng: str, name: str):
         elif kind != "bool":
             raise ValueError
     except (ValueError, OverflowError):
-        raise CliError(f"parameter {name} must be {_NOUNS[kind]}, "
-                       f"got {value!r}") from None
+        raise ConfigurationError(f"parameter {name} must be {_NOUNS[kind]}, "
+                                 f"got {value!r}") from None
     for op, bound in (cond.split() for cond in rng.split(",") if cond):
         base, _, power = bound.partition("**")
         if not _OPS[op](value, float(base) ** int(power or 1)):
-            raise CliError(f"parameter {name} must be {rng}, got {value!r}")
+            raise ConfigurationError(f"parameter {name} must be {rng}, "
+                                     f"got {value!r}")
     return value
 
 
@@ -280,8 +273,8 @@ def _cmd_eval_c(cfg: RunConfig):
     params = dict(cfg.params, mode=cfg.mode)
     order, free = tuple(params["order"]), cfg.system.branch_count - 1
     if len(order) != free or sum(order) < 1:
-        raise CliError(f"parameter order needs {free} entries with positive "
-                       f"total, got {list(order)}")
+        raise ConfigurationError(f"parameter order needs {free} entries with "
+                                 f"positive total, got {list(order)}")
     # every node walks its own coding, exact or float as the inputs are
     rows = [(x, *eval_derivative_point(cfg.system, cfg.p, order, x,
                                        depth=params["depth"]))
@@ -308,8 +301,9 @@ def _cmd_pressure(cfg: RunConfig):
     betas = cfg.params["beta_grid"]
     if isinstance(betas, dict):
         if not math.isfinite(betas["hi"] - betas["lo"]):
-            raise CliError("parameter beta_grid spans more than a double "
-                           f"holds: {betas['lo']!r} to {betas['hi']!r}")
+            raise ConfigurationError(
+                "parameter beta_grid spans more than a double holds: "
+                f"{betas['lo']!r} to {betas['hi']!r}")
         betas = list(np.linspace(betas["lo"], betas["hi"], betas["count"]))
     params = dict(cfg.params, beta_grid=betas)
     curve = PressureCurve(cfg.system, cfg.p)
@@ -321,7 +315,7 @@ def _cmd_gap(cfg: RunConfig):
     report = gap_probe(cfg.system, cfg.p, **cfg.params)
     rows = [(n, s, v) for n, (s, v) in
             enumerate(zip(report.sup_norms, report.norms))]
-    body = _csv("n,sup_residual,holder_seminorm", rows)
+    body = _csv("n,sup_norm,holder_seminorm", rows)
     verdict = _json_bytes({k: getattr(report, k) for k in
                            ("alpha", "verdict", "slope", "slope_stderr")})
     return [("gap.csv", body, cfg.params), ("gap.json", verdict, cfg.params)]
@@ -349,7 +343,7 @@ def _cmd_conjugacy(cfg: RunConfig):
     worst = conjugacy_residual(cfg.system, cfg.p, **cfg.params)
     return [("conjugacy.json", _json_bytes({
         "max_conjugacy_residual": worst,
-        **{k: cfg.params[k] for k in ("sample_count", "tol", "seed")}}),
+        **{k: cfg.params[k] for k in ("sample_count", "seed")}}),
         cfg.params)]
 
 
@@ -400,10 +394,12 @@ def run(cfg: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ConfigurationError(message)
 
 
 def main(argv=None) -> int:
+    """Parse, load and run a config: exit code 0, or 1 for a
+    ConfigurationError and 2 for any other exception, with one stderr line."""
     parser = _Parser(prog="holderlab",
                      description="Random interval dynamics toolkit")
     parser.add_argument("--config", required=True, help="JSON run config")
@@ -415,14 +411,9 @@ def main(argv=None) -> int:
                         help="accepted for compatibility (>= 1); no effect")
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, out=args.out, seed=args.seed,
-                          mode=args.mode, threads=args.threads)
-    except CliError as exc:
-        print(f"holderlab: config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return run(cfg)
-    except CliError as exc:
+        return run(load_config(args.config, out=args.out, seed=args.seed,
+                               mode=args.mode, threads=args.threads))
+    except ConfigurationError as exc:
         print(f"holderlab: config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # numeric/runtime failure from the modules

@@ -80,29 +80,29 @@ def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
 
 
 def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
-                       seed: int = 0, tol: float = 1e-10,
-                       exclusion: float = 1e-6) -> float:
+                       seed: int = 0, exclusion: float = 1e-6) -> float:
     """Largest violation of the conjugacy identity over sampled points.
 
     Points are the cylinder midpoints of words of 48 symbols drawn
     uniformly at random.  The expanding map f applies the branch of the
     point's first coding symbol, and the identity compares phi_{d-1}(f x)
     with the linear branch applied to phi_d(x), where phi_d is the midpoint
-    of the depth-d coding cylinder in the linear model and tol sets d as in
-    `phi`.  The two sides are equal in exact arithmetic whenever the coding
-    of f x is the coding of x shifted by one symbol, so the residual
-    measures that agreement plus rounding (a few units in the last place);
-    it is not the truncation error of phi, whatever depth tol sets.  Points
-    whose first twelve orbit steps pass within `exclusion` of a
-    preimage-interval endpoint are rejected: there two codings collide and
-    the identity only holds off that countable set.  An `exclusion` too
-    wide for the system rejects (nearly) every draw, so the sampler raises
-    ValueError once it has rejected more than 10 * sample_count + 100
-    draws.  All arithmetic is in float, rational systems and weights
-    included.  Words are drawn, coded and compared as arrays of at most
-    SAMPLE_CHUNK words at a time, non-affine branches included.
+    of the depth-d coding cylinder in the linear model and d is the depth
+    `phi` takes for tol 1e-10.  The two sides are equal in exact arithmetic
+    whenever the coding of f x is the coding of x shifted by one symbol, so
+    the residual measures that agreement plus rounding (a few units in the
+    last place); it is not the truncation error of phi, and no other depth
+    would change what it measures.  Points whose first twelve orbit steps
+    pass within `exclusion` of a preimage-interval endpoint are rejected:
+    there two codings collide and the identity only holds off that
+    countable set.  An `exclusion` too wide for the system rejects (nearly)
+    every draw, so the sampler raises ValueError once it has rejected more
+    than 10 * sample_count + 100 draws.  All arithmetic is in float,
+    rational systems and weights included.  Words are drawn, coded and
+    compared as arrays of at most SAMPLE_CHUNK words at a time, non-affine
+    branches included.
     """
-    depth = _phi_depth(p, tol)
+    depth = _phi_depth(p, 1e-10)
     weights, left = p._float_weights
     worst = 0.0
     for x, sym in _samples(system, sample_count, seed, exclusion):

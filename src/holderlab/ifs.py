@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,7 @@ class OutsideHullError(ValueError):
 
 
 _EPS = np.finfo(float).eps
+_MAX = float(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +323,7 @@ class IFSystem:
 
 def affine_system(slopes, intercepts, open_set) -> IFSystem:
     branches = tuple(Branch.affine(a, b) for a, b in zip(slopes, intercepts))
-    lam = min(float(a) for a in slopes)
-    return IFSystem(branches=branches, open_set=tuple(open_set), expansion=lam)
+    return IFSystem(branches=branches, open_set=tuple(open_set))
 
 
 def attractor_hull(system: IFSystem):
@@ -463,8 +464,8 @@ def validate(system: IFSystem,
              p: Optional[ProbVector] = None) -> ValidationReport:
     """Check monotonicity, expansion, inverse consistency and the ordering
     and disjointness of branch preimages.  Structural impossibilities, a
-    NaN or infinite open-set end, slope or intercept among them, raise
-    ConfigurationError; the disjointness grade is reported, not raised.
+    NaN, infinite or overflowing open-set end, slope or intercept among
+    them, raise ConfigurationError; disjointness is graded, not raised.
     Non-affine branches are sampled at 33 equally spaced points of O.
 
     Preimages with Fraction endpoints are compared exactly.  Float ones get
@@ -476,7 +477,7 @@ def validate(system: IFSystem,
     lo, hi = system.open_set
     numbers = [lo, hi] + [t for br in system.branches if br.is_affine
                           for t in (br.slope, br.intercept)]
-    if not all(-math.inf < t < math.inf for t in numbers):
+    if not all(abs(t) <= _MAX for t in numbers):    # NaN compares False
         raise ConfigurationError("system numbers must be finite")
     if not lo < hi:
         raise ConfigurationError("open interval is empty")
@@ -820,6 +821,9 @@ def _word_derivative(system: IFSystem, word, x):
 # ---------------------------------------------------------------------------
 # JSON round trip
 
+# the decimal exponent of a numeric string, as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
 
 def system_from_json(doc: dict):
     """Build (system, weights, mode) from the canonical JSON layout.
@@ -830,8 +834,9 @@ def system_from_json(doc: dict):
     The last weight is derived, never stored.  Every number is read as
     Fraction(v) (an int, a float, or a string like "1/3"), kept in rational
     mode, where a JSON float is the double it denotes (write "3/10" for
-    three tenths, not 0.3), and made a float in float mode; NaN, inf, "1/0"
-    or a number past the float range is a ConfigurationError in either mode.
+    three tenths, not 0.3), and made a float in float mode; NaN, inf, "1/0",
+    a number past the float range, or a decimal exponent beyond +-9999
+    (which Fraction expands in full) is a ConfigurationError in either mode.
     """
     try:
         mode = doc.get("mode", "float")
@@ -839,6 +844,9 @@ def system_from_json(doc: dict):
             raise ConfigurationError(f"unknown mode {mode!r}")
 
         def conv(v):
+            exp = _EXPONENT.search(v) if isinstance(v, str) else None
+            if exp and abs(int(exp[1])) > 9999:
+                raise ConfigurationError(f"{v!r}: exponent beyond +-9999")
             v = Fraction(v)     # ValueError on NaN, OverflowError on inf
             f = float(v)        # OverflowError past the float range
             return v if mode == "rational" else f

@@ -125,7 +125,7 @@ def test_gap_outputs(tmp_path):
                         "probe_words": 16})
     assert run_cli(cfg) == 0
     lines = (tmp_path / "out" / "gap.csv").read_text().splitlines()
-    assert lines[0] == "n,sup_residual,holder_seminorm"
+    assert lines[0] == "n,sup_norm,holder_seminorm"
     verdict = json.loads((tmp_path / "out" / "gap.json").read_text())
     assert verdict["verdict"] == "growing"
     assert sorted(verdict) == ["alpha", "slope", "slope_stderr", "verdict"]
@@ -145,6 +145,7 @@ def test_conjugacy_and_report(tmp_path):
     assert run_cli(cfg) == 0
     doc = json.loads((tmp_path / "out" / "conjugacy.json").read_text())
     assert doc["max_conjugacy_residual"] <= 1e-9
+    assert sorted(doc) == ["max_conjugacy_residual", "sample_count", "seed"]
     cfg = write_config(tmp_path, "report",
                        {"sample_count": 16, "grid_sizes": [129, 257]})
     assert run_cli(cfg) == 0
@@ -260,6 +261,7 @@ MALFORMED = {
     "exponent-word-len-zero": ("exponent", {"word_len": 0}, DYADIC),
     "eval-t-tol-inf": ("eval-t", {"tol": "inf"}, DYADIC),
     "conjugacy-tol-inf": ("conjugacy", {"tol": "inf"}, DYADIC),
+    "conjugacy-tol-retired": ("conjugacy", {"tol": 1e-10}, DYADIC),
     "conjugacy-exclusion-inf": ("conjugacy", {"exclusion": "inf"}, DYADIC),
     "spectrum-rigidity-tol-inf": ("spectrum", {"rigidity_tol": "inf"}, DYADIC),
     "eval-t-margin-nan": ("eval-t", {"margin": "nan"}, DYADIC),
@@ -342,12 +344,23 @@ MALFORMED.update({
     for mode, base in (("float", DYADIC), ("rational", RATIONAL))})
 
 
-def write_raw_config(tmp_path, command, params, system):
+def write_raw_config(tmp_path, command, params, system, raw=None):
+    """The config as a file in which the bytes raw, if given, replace every
+    string "@raw", quotes included."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"system": system, "command": command,
-                                "params": params,
-                                "out": str(tmp_path / "out")}))
+    text = json.dumps({"system": system, "command": command,
+                       "params": params, "out": str(tmp_path / "out")})
+    path.write_bytes(text.encode().replace(b'"@raw"', raw or b'"@raw"'))
     return path
+
+
+def fresh_cli(cfg, timeout=120):
+    """`python -m holderlab.cli --config cfg` in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "holderlab.cli",
+                           "--config", str(cfg)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -361,29 +374,58 @@ def test_malformed_config_exits_1(tmp_path, capsys, name):
 
 
 def test_malformed_system_no_traceback_in_fresh_process(tmp_path):
-    cfg = write_raw_config(tmp_path, "eval-t", {}, None)
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-m", "holderlab.cli",
-                           "--config", str(cfg)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = fresh_cli(write_raw_config(tmp_path, "eval-t", {}, None))
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
 
 
 def test_non_finite_system_number_no_traceback_in_fresh_process(tmp_path):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
     for name in ("slope-Infinity-rational", "intercept-1e400-float",
                  "slope-1e400-rational", "open_set-Infinity-float"):
-        cfg = write_raw_config(tmp_path, *MALFORMED[name])
-        done = subprocess.run([sys.executable, "-m", "holderlab.cli",
-                               "--config", str(cfg)], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = fresh_cli(write_raw_config(tmp_path, *MALFORMED[name]))
         assert done.returncode == 1, name
         assert done.stderr.startswith("holderlab: config error:"), name
         assert "Traceback" not in done.stderr, name
         assert not (tmp_path / "out").exists(), name
+
+
+# raw bytes that make a config file other than UTF-8 JSON: a byte 0xff, and
+# a JSON integer of 5000 digits, past Python's 4300-digit limit on int
+# strings; each replaces a slope or grid_size
+RAW = {"byte-ff": b"\xff", "5000-digits": b"9" * 5000}
+RAW_PLACES = {"slope": ({}, with_number(DYADIC, "slope", "@raw")),
+              "grid-size": ({"grid_size": "@raw"}, DYADIC)}
+RAW_FILES = {f"{name}-{where}": ("eval-t", params, system, raw)
+             for name, raw in RAW.items()
+             for where, (params, system) in RAW_PLACES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_FILES))
+def test_config_not_utf8_json_exits_1(tmp_path, capsys, name):
+    assert run_cli(write_raw_config(tmp_path, *RAW_FILES[name])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("holderlab: config error: config is not valid JSON")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_not_utf8_json_no_traceback_in_fresh_process(tmp_path):
+    for name in sorted(RAW_FILES):
+        done = fresh_cli(write_raw_config(tmp_path, *RAW_FILES[name]))
+        assert done.returncode == 1, name
+        assert done.stderr.startswith("holderlab: config error:"), name
+        assert "Traceback" not in done.stderr, name
+
+
+def test_long_exponent_exits_1_in_fresh_process(tmp_path):
+    # Fraction would expand 10**999999999 in full, far past the timeout
+    for where in ("p", "intercept", "open_set"):
+        for base in (DYADIC, RATIONAL):
+            system = with_number(base, where, "1e-999999999")
+            done = fresh_cli(write_raw_config(tmp_path, "eval-t", {}, system),
+                             timeout=10)
+            assert done.returncode == 1, (where, base["mode"])
+            assert done.stderr.startswith("holderlab: config error:"), where
+            assert "Traceback" not in done.stderr, where
 
 
 def test_exit_code_numeric_failure(tmp_path):
@@ -672,7 +714,8 @@ BROKEN_FLAGS = st.sampled_from([["--seed", "-1"], ["--seed", "x"],
 
 @st.composite
 def fuzz_configs(draw):
-    """A config with valid parameters, or one broken parameter or flag."""
+    """A config with valid parameters, or one broken parameter, flag,
+    system number or file byte."""
     command = draw(st.sampled_from(sorted(cli.PARAMS)))
     system = draw(st.sampled_from([DYADIC, RATIONAL, THREE]))
     free = len(system["branches"]) - 1
@@ -682,7 +725,8 @@ def fuzz_configs(draw):
     params = {k: draw(valid[k]) for k in names
               if k in PINNED or draw(st.booleans())}
     flags = draw(FLAGS)
-    broken = draw(st.sampled_from(["", "param", "flag", "system"]))
+    broken = draw(st.sampled_from(["", "param", "flag", "system", "file"]))
+    raw = None
     if broken == "param":
         params[draw(st.sampled_from(names + ["bogus"]))] = draw(BROKEN)
     elif broken == "flag":
@@ -690,15 +734,19 @@ def fuzz_configs(draw):
     elif broken == "system":
         system = with_number(system, draw(st.sampled_from(SYSTEM_NUMBERS)),
                              draw(st.sampled_from(list(NON_FINITE.values()))))
-    return command, params, system, flags, broken
+    elif broken == "file":
+        raw = draw(st.sampled_from(list(RAW.values())))
+        system = with_number(system, draw(st.sampled_from(SYSTEM_NUMBERS)),
+                             "@raw")
+    return command, params, system, flags, broken, raw
 
 
 @given(fuzz_configs())
 @settings(max_examples=300, deadline=None)
 def test_fuzz_configs_keep_the_exit_contract(case):
-    command, params, system, flags, broken = case
+    command, params, system, flags, broken, raw = case
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write_raw_config(Path(tmp), command, params, system)
+        cfg = write_raw_config(Path(tmp), command, params, system, raw)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run_cli(cfg, *flags)
@@ -706,7 +754,7 @@ def test_fuzz_configs_keep_the_exit_contract(case):
         event(f"{command} exit {code}")
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
-        if broken == "system":
+        if broken in ("system", "file"):
             assert code == 1
         if code == 1:
             assert not out.exists()

@@ -215,14 +215,22 @@ def test_derived_facts_are_not_inputs(dyadic, quarter):
     assert spectrum(dyadic, quarter, [1.0])[0].g == 0.9499555271883307
 
 
+HUGE = Fraction(10 ** 400)      # past the double range
+TWO, ZERO, ONE = Fraction(2), Fraction(0), Fraction(1)
+
+
 @pytest.mark.parametrize("slopes, intercepts, open_set", [
     ((2.0, 2.0), (0.0, -1.0), (0.0, math.inf)),
     ((math.inf, 2.0), (0.0, -1.0), (0.0, 1.0)),
+    ((HUGE, TWO), (ZERO, -ONE), (ZERO, ONE)),
+    ((TWO, TWO), (ZERO, -HUGE), (ZERO, ONE)),
+    ((TWO, TWO), (ZERO, -ONE), (ZERO, HUGE)),
 ])
 def test_validate_rejects_non_finite_numbers(slopes, intercepts, open_set):
     """An infinite open-set end makes the float slack infinite, so (0, inf)
     and (0.5, inf) passed as a touch; an infinite slope collapsed window 1
-    to (0, 0).  Both are configuration errors."""
+    to (0, 0); a Fraction past the double range raised OverflowError.  All
+    are configuration errors."""
     with pytest.raises(ConfigurationError, match="must be finite"):
         validate(affine_system(slopes, intercepts, open_set))
 
@@ -292,6 +300,22 @@ def test_json_rational_mode_reads_the_double_a_float_names():
     assert p.free == (Fraction(0.3),) and p.free != (Fraction(3, 10),)
     _, p, _ = system_from_json(dict(doc, p=["3/10"]))
     assert p.free == (Fraction(3, 10),)
+
+
+def test_json_refuses_exponents_beyond_9999():
+    """A numeric string's decimal exponent must lie within +-9999, so that
+    Fraction never expands a huge power of ten; both modes."""
+    doc = {"branches": [{"slope": 2, "intercept": 0},
+                        {"slope": 2, "intercept": -1}],
+           "open_set": [0, 1], "p": ["1/4"], "mode": "rational"}
+    _, p, _ = system_from_json(dict(doc, p=["25e-2"]))
+    assert p.free == (Fraction(1, 4),)
+    _, p, _ = system_from_json(dict(doc, p=["1e-9999"]))
+    assert p.free == (Fraction(1, 10 ** 9999),)
+    for mode in ("float", "rational"):
+        for bad in ("1e-10000", "1E+10000", "1e-999_999_999", "2.5e99999"):
+            with pytest.raises(ConfigurationError, match="9999"):
+                system_from_json(dict(doc, mode=mode, p=[bad]))
 
 
 def test_ergodic_sums_affine(dyadic, quarter):

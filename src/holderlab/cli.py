@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,7 +105,8 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
     """Parse and validate the JSON config, applying CLI overrides.
 
     `threads` is checked but has no effect: every command runs on one
-    thread.
+    thread.  An output directory that cannot be a path (a NUL byte, a
+    name too long) or cannot be made is a ConfigurationError.
     """
     cfg_path = Path(path)
     if not cfg_path.is_file():
@@ -146,11 +148,20 @@ def load_config(path: str, out: Optional[str] = None, seed: Optional[int] = None
         raise ConfigurationError("output directory missing: set 'out' to a "
                                  "path string or pass --out")
     out_dir = Path(out_dir)
+    try:    # exists() raises on a name too long, but is False on a NUL byte
+        near = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+        names = [os.fsencode(part) for part in out_dir.parts]
+        limit = os.pathconf(near, "PC_NAME_MAX")
+    except (OSError, ValueError) as exc:    # fsencode: a lone surrogate
+        raise ConfigurationError(f"output directory is not a valid path: "
+                                 f"{exc}") from exc
     # the nearest existing path must be a directory to make `out` under it
-    near = next(d for d in (out_dir, *out_dir.parents) if d.exists())
     if not near.is_dir():
         raise ConfigurationError(f"output directory {out_dir} cannot be "
                                  f"made: {near} is not a directory")
+    if any(b"\0" in name or len(name) > limit for name in names):
+        raise ConfigurationError(f"output directory {str(out_dir)!r} is not "
+                                 f"a valid path")
     return RunConfig(system=system, p=p, mode=eff_mode, command=command,
                      params=params, out=out_dir,
                      seed=params.get("seed", flags["seed"]))

@@ -12,7 +12,7 @@ is decided by comparing the extremal exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,17 +54,17 @@ def _phi_depth(p: ProbVector, tol: float) -> int:
     return max(8, math.ceil(math.log(tol) / math.log(pmax)))
 
 
-def phi(system: IFSystem, p: ProbVector, x, tol: float = 1e-12):
+def phi(system: IFSystem, p: ProbVector, x):
     """Linear-model coordinate of a point, via its symbolic coding.
 
     The cdf walk codes the point deep enough that its coding cylinder in
-    the linear model, [acc, acc + mass], has diameter at most tol, and the
-    cylinder midpoint is returned.  A point inside an attractor gap gets
+    the linear model, [acc, acc + mass], has diameter at most 1e-12, and
+    the cylinder midpoint is returned.  A point inside an attractor gap gets
     the exact common value of the two bracketing codings.  Exact inputs
     (a rational system and rational weights) return exact rationals, as in
     `eval_cdf`.  A NaN x raises ValueError.
     """
-    depth = _phi_depth(p, tol)
+    depth = _phi_depth(p, 1e-12)
     a, b = system._coding.hull
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
@@ -213,16 +213,7 @@ class RigidityReport:
         return self.verdict == "rigid"
 
     def to_json(self) -> dict:
-        return {
-            "alpha_minus": self.alpha_minus,
-            "alpha_plus": self.alpha_plus,
-            "delta": self.delta,
-            "max_conjugacy_residual": self.max_conjugacy_residual,
-            "verdict": self.verdict,
-            "rigid": self.rigid,
-            "seminorm_sweep": list(self.seminorm_sweep),
-            "tol": self.tol,
-        }
+        return dict(asdict(self), rigid=self.rigid)
 
 
 def rigidity_report(system: IFSystem, p: ProbVector, tol: float = 1e-9,

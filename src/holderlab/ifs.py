@@ -151,14 +151,25 @@ class Branch:
 
 @dataclass(frozen=True)
 class ProbVector:
-    """Positive weights p_1 .. p_{s+1} summing to one.
-
-    Constructed from the first s entries; the last weight is always derived
-    as 1 minus their sum, which keeps rational-mode vectors exactly
-    normalised and float-mode vectors normalised to the last bit.
+    """Weights p_1 .. p_{s+1} in (0, 1) summing to one: exactly when all
+    are Fractions, else within len * eps (by `math.fsum`); ConfigurationError
+    otherwise.  `of` takes the first s and derives the last as 1 minus their
+    sum, which keeps rational-mode vectors exactly normalised and float-mode
+    vectors normalised to the last bits.
     """
 
     weights: tuple
+
+    def __post_init__(self):
+        weights = self.weights
+        if not all(0 < w < 1 for w in weights):
+            raise ConfigurationError(f"weights must lie in (0, 1), got {weights}")
+        if all(isinstance(w, Fraction) for w in weights):
+            normalised = sum(weights) == 1
+        else:
+            normalised = abs(math.fsum(weights) - 1) <= len(weights) * _EPS
+        if not normalised:
+            raise ConfigurationError(f"weights must sum to 1, got {weights}")
 
     @staticmethod
     def of(*free) -> "ProbVector":
@@ -167,12 +178,7 @@ class ProbVector:
         if not free:
             raise ConfigurationError("need at least one free weight")
         one = Fraction(1) if any(isinstance(v, Fraction) for v in free) else 1
-        last = one - sum(free)
-        weights = tuple(free) + (last,)
-        for w in weights:
-            if not 0 < w < 1:
-                raise ConfigurationError(f"weights must lie in (0, 1), got {weights}")
-        return ProbVector(weights)
+        return ProbVector(tuple(free) + (one - sum(free),))
 
     def __len__(self):
         return len(self.weights)
@@ -463,10 +469,12 @@ class ValidationReport:
 def validate(system: IFSystem,
              p: Optional[ProbVector] = None) -> ValidationReport:
     """Check monotonicity, expansion, inverse consistency and the ordering
-    and disjointness of branch preimages.  Structural impossibilities, a
-    NaN, infinite or overflowing open-set end, slope or intercept among
-    them, raise ConfigurationError; disjointness is graded, not raised.
-    Non-affine branches are sampled at 33 equally spaced points of O.
+    and disjointness of branch preimages, and that p, if given, has one
+    weight per branch (`ProbVector` checks the weights themselves).
+    Structural impossibilities, a NaN, infinite or overflowing open-set
+    end, slope or intercept among them, raise ConfigurationError;
+    disjointness is graded, not raised.  Non-affine branches are sampled
+    at 33 equally spaced points of O.
 
     Preimages with Fraction endpoints are compared exactly.  Float ones get
     a slack of 1e-12 of the width of O plus four units of rounding at the
@@ -538,17 +546,9 @@ def validate(system: IFSystem,
             checks.append((f"preimages {i + 1},{i + 2} separated", True,
                            f"gap {float(gap):.6g}"))
 
-    if p is not None:
-        if len(p) != system.branch_count:
-            raise ConfigurationError(
-                f"got {len(p)} weights for {system.branch_count} branches")
-        total = sum(p.weights)
-        exact = p.is_rational
-        norm_ok = (total == 1) if exact else abs(total - 1) <= 1e-15
-        checks.append(("weights normalised", norm_ok, f"sum {total}"))
-        pos_ok = all(0 < w < 1 for w in p.weights)
-        checks.append(("weights inside (0, 1)", pos_ok,
-                       " ".join(str(float(w)) for w in p.weights)))
+    if p is not None and len(p) != system.branch_count:
+        raise ConfigurationError(
+            f"got {len(p)} weights for {system.branch_count} branches")
 
     ok = inside and ordered and osc and all(c[1] for c in checks)
     return ValidationReport(checks=tuple(checks), osc=osc and inside and ordered,

@@ -218,9 +218,9 @@ def _settle(done, idx, carried, out):
     return idx[keep], tuple(c[keep] for c in carried)
 
 
-def cdf_grid(system: IFSystem, p: ProbVector, size: int = 4097) -> GridFunction:
-    """The cdf at tol 1e-13 on `uniform_grid`'s nodes (margin 0.25)."""
-    nodes = uniform_grid(system, size)
+def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:
+    """The cdf at tol 1e-13 on `uniform_grid`'s 4097 nodes (margin 0.25)."""
+    nodes = uniform_grid(system)
     return GridFunction(nodes, cdf_values(system, p, nodes, tol=1e-13),
                         boundary_left=0.0, boundary_right=1.0)
 
@@ -286,27 +286,24 @@ def iterate_transition(system: IFSystem, p: ProbVector, h0: GridFunction,
 # Hoelder seminorm over grids
 
 
-def holder_seminorm(h: GridFunction, alpha: float, mode: str = "pairs",
-                    include_boundary: bool = True, block: int = 64) -> float:
+def holder_seminorm(h: GridFunction, alpha: float,
+                    mode: str = "pairs") -> float:
     """Largest ratio |h(x) - h(y)| / d(x, y)^alpha over grid node pairs.
 
     mode "pairs" returns the exact maximum over all pairs, mode "adjacent"
-    only over neighbours (a fast lower bound).  The two virtual boundary
-    points at plus/minus infinity join the scan unless include_boundary is
-    False.  "pairs" cuts the compactified nodes into blocks of `block` nodes,
-    scans each block against itself, then scans block pairs in descending
-    order of a certified bound on their ratios until the bound falls below
-    the running best.  Every ratio it computes is the one an all-pairs scan
-    computes, so the maximum is bit-identical to that scan.  Raises
-    ValueError if a scanned value is not finite.
+    only over neighbours (a fast lower bound).  The virtual points at minus
+    and plus infinity, with values boundary_left and boundary_right, always
+    join the scan.  "pairs" cuts the compactified nodes into blocks of
+    `_BLOCK` nodes, scans each block against itself, then scans block pairs
+    in descending order of a certified bound on their ratios until the
+    bound falls below the running best.  Every ratio it computes is the one
+    an all-pairs scan computes, so the maximum is bit-identical to that
+    scan.  Raises ValueError if a scanned value is not finite.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    pos = compactify(h.nodes)
-    vals = h.values
-    if include_boundary:
-        pos = np.concatenate([[-1.0], pos, [1.0]])
-        vals = np.concatenate([[h.boundary_left], h.values, [h.boundary_right]])
+    pos = np.concatenate([[-1.0], compactify(h.nodes), [1.0]])
+    vals = np.concatenate([[h.boundary_left], h.values, [h.boundary_right]])
     if not np.all(np.isfinite(vals)):
         raise ValueError("holder_seminorm needs finite values")
     if mode == "adjacent":
@@ -316,9 +313,7 @@ def holder_seminorm(h: GridFunction, alpha: float, mode: str = "pairs",
         return float(np.max(dv[good] / dd[good] ** alpha)) if good.any() else 0.0
     if mode != "pairs":
         raise ValueError(f"unknown mode {mode!r}")
-    if block < 1:
-        raise ValueError("block must be positive")
-    return _pairs_max(pos, vals, alpha, block)
+    return _pairs_max(pos, vals, alpha, _BLOCK)
 
 
 # a block pair is skipped only when its bound lies below the running best by
@@ -327,6 +322,7 @@ _PRUNE_SLACK = 1e-12
 # node pairs compared per vectorised call; each temporary of a chunk takes
 # 8 bytes a pair, and 256 KB ones ran `holder_seminorm` faster than 2 MB ones
 _CHUNK_PAIRS = 1 << 15
+_BLOCK = 64     # nodes per block of the "pairs" scan
 
 
 def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,

@@ -354,12 +354,12 @@ def write_raw_config(tmp_path, command, params, system, raw=None):
     return path
 
 
-def fresh_cli(cfg, timeout=120):
-    """`python -m holderlab.cli --config cfg` in a fresh interpreter."""
+def fresh_cli(cfg, *flags, timeout=120):
+    """`python -m holderlab.cli --config cfg *flags` in a fresh interpreter."""
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-m", "holderlab.cli",
-                           "--config", str(cfg)], env=env,
+                           "--config", str(cfg), *flags], env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 
@@ -496,7 +496,14 @@ def _refuse(cfg):
     raise AssertionError("the command ran")
 
 
-@pytest.mark.parametrize("out", ["afile", "afile/sub", 5])
+# Path.exists is False on a NUL byte or a lone surrogate and raises on a
+# name too long, and a long name under a missing parent fails only when it
+# is made
+@pytest.mark.parametrize("out", [
+    "afile", "afile/sub", 5, pytest.param("o\0x", id="nul-byte"),
+    pytest.param("o\ud800x", id="lone-surrogate"),
+    pytest.param("a" * 300, id="long-name"),
+    pytest.param("missing/" + "a" * 300, id="long-name-under-missing")])
 def test_out_that_cannot_be_a_directory_exits_1(tmp_path, monkeypatch,
                                                 capsys, out):
     (tmp_path / "afile").write_text("not a directory")
@@ -509,6 +516,19 @@ def test_out_that_cannot_be_a_directory_exits_1(tmp_path, monkeypatch,
     assert capsys.readouterr().err.startswith("holderlab: config error:")
     assert (tmp_path / "afile").read_text() == "not a directory"
     assert not (tmp_path / "cache").exists()
+
+
+def test_out_that_cannot_be_a_path_exits_1_in_fresh_process(tmp_path):
+    doc = {"system": DYADIC, "command": "eval-t", "params": {},
+           "out": str(tmp_path) + "/o\0x"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for flags in [(), ("--out", str(tmp_path / ("a" * 300)))]:
+        done = fresh_cli(cfg, *flags)
+        assert done.returncode == 1, flags
+        assert done.stderr.startswith("holderlab: config error:"), flags
+        assert "Traceback" not in done.stderr, flags
+        assert not (tmp_path / "cache").exists(), flags
 
 
 # small parameters for every command

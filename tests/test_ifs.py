@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from holderlab import (
@@ -129,7 +129,7 @@ def test_walk_one_branch_at_ties_and_gaps(dyadic, cantor, quarter):
             (0.0, 0.25 ** depth)
         assert eval_derivative_point(dyadic, quarter, (1,), x,
                                      depth=depth)[0] == 0.0
-        assert value - 1e-6 < phi(dyadic, quarter, x, tol=1e-6) < value
+        assert value - 1e-6 < phi(dyadic, quarter, x) < value
     # in a gap every walk stops with the first branch left of the point
     for x in (0.4, 0.65):
         assert encode(cantor, x, 5) == EncodeResult((), True)
@@ -252,8 +252,27 @@ def test_validate_rational_is_exact():
 
 
 def test_validate_flags_bad_weights(dyadic):
-    rep = validate(dyadic, ProbVector((1.2, -0.2)))
-    assert not rep.ok
+    # a vector is refused where it is built, so validate never sees one
+    for weights in [(1.2, -0.2), (0.3, 0.3),
+                    (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10 ** 12))]:
+        with pytest.raises(ConfigurationError):
+            ProbVector(weights)
+    with pytest.raises(ConfigurationError, match="3 weights for 2 branches"):
+        validate(dyadic, ProbVector.of(0.2, 0.3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.lists(st.floats(2.0 ** -40, 1.0), min_size=2, max_size=8),
+       exact=st.booleans())
+def test_of_builds_every_vector_in_range(raw, exact):
+    """`of` derives the last weight as 1 minus the others, so its vector
+    meets the constructor's sum check whenever that weight lies in (0, 1)."""
+    total = math.fsum(raw)
+    free = [Fraction(r) / Fraction(total) if exact else r / total
+            for r in raw[:-1]]
+    last = (Fraction(1) if exact else 1) - sum(free)
+    assume(all(0 < w < 1 for w in free) and 0 < last < 1)
+    assert ProbVector.of(*free).weights == (*free, last)
 
 
 def test_json_roundtrip(dyadic, quarter):
@@ -407,6 +426,19 @@ def test_out_of_range_symbols_raise(name, bad):
 
 def test_distortion_constant_affine(dyadic):
     assert distortion_constant(dyadic, depth=6) == 1.0
+
+
+def test_distortion_constant_nonaffine():
+    """Bounded distortion on the bent system: |f''/f'| <= 2/3 on (0, 1),
+    and the orbits of two points of a depth-n cylinder stay in cylinders
+    of depths n, .., 1, at most (2/3)^depth wide, so the log of every ratio
+    is at most 2/3 * sum_m (2/3)^m = 4/3."""
+    system = _bent()
+    values = [distortion_constant(system, depth) for depth in range(1, 9)]
+    assert values[0] > 1.0
+    assert all(b >= a for a, b in zip(values, values[1:]))
+    assert values[-1] < math.exp(4 / 3)
+    assert distortion_constant(system, 8) == values[-1]
 
 
 def test_compactified_metric():

@@ -23,7 +23,7 @@ from holderlab import (
     uniform_grid,
 )
 from holderlab.ifs import compactified_gap_factor, cylinder
-from holderlab.transition import _cylinder_probe_max, _ls_slope
+from holderlab.transition import _cylinder_probe_max, _ls_slope, _pairs_max
 
 
 def rational_dyadic():
@@ -108,7 +108,9 @@ def test_functional_equation_on_aligned_grid(dyadic, quarter):
 def test_cdf_grid_and_uniform_grid(dyadic, quarter):
     nodes = uniform_grid(dyadic, size=257)
     assert nodes[0] == -0.25 and nodes[-1] == 1.25
-    g = cdf_grid(dyadic, quarter, size=257)
+    g = cdf_grid(dyadic, quarter)
+    assert np.array_equal(g.nodes, uniform_grid(dyadic))
+    assert g.nodes.size == 4097 and g.nodes[0] == -0.25
     assert g.boundary_left == 0.0 and g.boundary_right == 1.0
     assert np.all(np.diff(g.values) >= 0)
 
@@ -173,8 +175,6 @@ def test_holder_seminorm_modes():
     assert 0 < adj <= pairs
     with pytest.raises(ValueError):
         holder_seminorm(h, 1.0, mode="bogus")
-    with pytest.raises(ValueError):
-        holder_seminorm(h, 1.0, block=0)
     # a non-finite value is an error in both modes, not a skipped node
     nodes = np.linspace(0.0, 1.0, 200)
     values = nodes.copy()
@@ -239,9 +239,16 @@ def random_grid(n, seed, node_kind, value_kind):
        block=st.sampled_from([1, 3, 64, 1000]))
 def test_pairs_seminorm_equals_brute_force(n, seed, node_kind, value_kind,
                                            alpha, include_boundary, block):
+    # the pruned kernel at any block size, with and without the points at
+    # minus and plus infinity; holder_seminorm always scans them
     h = random_grid(n, seed, node_kind, value_kind)
-    got = holder_seminorm(h, alpha, "pairs", include_boundary, block)
+    pos, vals = compactify(h.nodes), h.values
+    if include_boundary:
+        pos = np.concatenate([[-1.0], pos, [1.0]])
+        vals = np.concatenate([[h.boundary_left], vals, [h.boundary_right]])
+    got = _pairs_max(pos, vals, alpha, block)
     assert got == brute_seminorm(h, alpha, include_boundary)
+    assert holder_seminorm(h, alpha) == brute_seminorm(h, alpha, True)
 
 
 SYSTEMS = {

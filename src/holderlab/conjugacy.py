@@ -3,10 +3,10 @@
 Every weight vector induces a full-branch linear system whose branch i has
 slope 1/p_i and maps [sum_{j<i} p_j, sum_{j<=i} p_j] onto [0, 1].  The limit
 cdf of the original system, restricted to its attractor, conjugates the
-original dynamics to this model.  The coordinate map is computed through
-the symbolic coding, on the coding walk that the cdf evaluator shares, the
-conjugacy identity is checked on sampled points, and the rigidity dichotomy
-is decided by comparing the extremal exponents.
+original dynamics to this model.  The coordinate map is that cdf, read off
+`eval_cdf`'s certified interval, the conjugacy identity is checked on
+sampled points, and the rigidity dichotomy is decided by comparing the
+extremal exponents.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ifs import IFSystem, OutsideHullError, ProbVector, _apply_branches, \
-    _coding_for, _cylinder_maps, _walk, _walk_weights, _windows_of, \
-    affine_system, pi_approx
+    _cylinder_maps, _windows_of, affine_system, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, _orbit_start, _orbit_tables, \
-    cdf_values, holder_seminorm, uniform_grid
+    cdf_values, eval_cdf, holder_seminorm, uniform_grid
 
 # rejected draws conjugacy_residual allows per requested sample, plus a
 # fixed allowance
@@ -55,28 +54,20 @@ def _phi_depth(p: ProbVector, tol: float) -> int:
 
 
 def phi(system: IFSystem, p: ProbVector, x):
-    """Linear-model coordinate of a point, via its symbolic coding.
+    """Linear-model coordinate of a point: the stationary cdf at x.
 
-    The cdf walk codes the point deep enough that its coding cylinder in
-    the linear model, [acc, acc + mass], has diameter at most 1e-12, and
-    the cylinder midpoint is returned.  A point inside an attractor gap gets
-    the exact common value of the two bracketing codings.  Exact inputs
-    (a rational system and rational weights) return exact rationals, as in
-    `eval_cdf`.  A NaN x raises ValueError.
+    The value is the midpoint of the interval that `eval_cdf` certifies at
+    its default tol 1e-12, i.e. of a linear-model cylinder at most 1e-12
+    wide, so it is exact wherever `eval_cdf` is: at hull endpoints, at
+    points parked on them and inside attractor gaps.  Exact inputs (a
+    rational system and rational weights) return exact rationals.  A point
+    outside the attractor hull raises OutsideHullError, a NaN x ValueError.
     """
-    depth = _phi_depth(p, 1e-12)
     a, b = system._coding.hull
     if x < a or x > b:
         raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
-    q = _walk_weights(system, p)
-    left = q._left
-    acc, mass = q._unit
-    for _, sym, gap in _walk(*_coding_for(system, x), depth):
-        acc += mass * left[sym - 1]
-        if gap:
-            return acc
-        mass *= q[sym]
-    return acc + mass / 2
+    value, bound = eval_cdf(system, p, x)
+    return value + type(value)(bound) / 2
 
 
 def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
@@ -87,8 +78,8 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     uniformly at random.  The expanding map f applies the branch of the
     point's first coding symbol, and the identity compares phi_{d-1}(f x)
     with the linear branch applied to phi_d(x), where phi_d is the midpoint
-    of the depth-d coding cylinder in the linear model and d is the depth
-    `phi` takes for tol 1e-10.  The two sides are equal in exact arithmetic
+    of the depth-d coding cylinder in the linear model and d is
+    `_phi_depth(p, 1e-10)`.  The two sides are equal in exact arithmetic
     whenever the coding of f x is the coding of x shifted by one symbol, so
     the residual measures that agreement plus rounding (a few units in the
     last place); it is not the truncation error of phi, and no other depth

@@ -373,6 +373,33 @@ def test_malformed_config_exits_1(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+# config documents of the wrong shape, each made from a valid one, and the
+# message each gets
+WRONG_SHAPE = {
+    "root-list": (lambda doc: [], "config root must be a JSON object"),
+    "extra-key": (lambda doc: dict(doc, outt="x"),
+                  "unknown config keys ['outt']"),
+    "no-command": (lambda doc: {k: v for k, v in doc.items()
+                                if k != "command"},
+                   "config needs 'system' and 'command'"),
+    "params-list": (lambda doc: dict(doc, params=[]),
+                    "'params' must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPE))
+def test_config_of_wrong_shape_exits_1(tmp_path, capsys, name):
+    reshape, message = WRONG_SHAPE[name]
+    doc = {"system": DYADIC, "command": "eval-t", "params": {},
+           "out": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(reshape(doc)))
+    assert run_cli(cfg) == 1
+    # one line, so no traceback
+    assert capsys.readouterr().err == f"holderlab: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_malformed_system_no_traceback_in_fresh_process(tmp_path):
     done = fresh_cli(write_raw_config(tmp_path, "eval-t", {}, None))
     assert done.returncode == 1

@@ -87,6 +87,23 @@ def test_attractor_hull(dyadic, cantor):
     assert attractor_hull(shifted) == (-1.0, 2.0)
 
 
+def test_custom_branch_fixed_points_by_bisection(quarter):
+    # on O = (-0.25, 1.25) the fixed points 0 and 1 of 3x and 3x - 2 lie
+    # inside O, so the hull comes from bisecting branch(x) - x
+    b1 = Branch.custom(fn=lambda x: 3 * x, dfn=lambda x: 3.0,
+                       inv=lambda y: y / 3)
+    b2 = Branch.custom(fn=lambda x: 3 * x - 2, dfn=lambda x: 3.0,
+                       inv=lambda y: (y + 2) / 3)
+    system = validated(IFSystem(branches=(b1, b2), open_set=(-0.25, 1.25),
+                                expansion=3.0))
+    a, b = attractor_hull(system)
+    assert abs(a) <= 1e-15 and abs(b - 1) <= 1e-15
+    twin = affine_system((3.0, 3.0), (0.0, -2.0), (-0.25, 1.25))
+    xs = np.linspace(-0.1, 1.1, 101)
+    assert np.max(np.abs(cdf_values(system, quarter, xs)
+                         - cdf_values(twin, quarter, xs))) <= 1e-12
+
+
 def test_encode_examples(dyadic, cantor):
     assert encode(dyadic, 0.25, 2).word == (1, 1)  # tie resolves downward
     assert encode(dyadic, 1.0, 3).word == (2, 2, 2)
@@ -129,7 +146,7 @@ def test_walk_one_branch_at_ties_and_gaps(dyadic, cantor, quarter):
             (0.0, 0.25 ** depth)
         assert eval_derivative_point(dyadic, quarter, (1,), x,
                                      depth=depth)[0] == 0.0
-        assert value - 1e-6 < phi(dyadic, quarter, x) < value
+        assert phi(dyadic, quarter, x) == value
     # in a gap every walk stops with the first branch left of the point
     for x in (0.4, 0.65):
         assert encode(cantor, x, 5) == EncodeResult((), True)

@@ -429,16 +429,21 @@ def bent_system():
 @pytest.mark.parametrize("w", [0.2, 0.55, 0.8])
 def test_nonaffine_root_matches_bisection(w):
     system, p, level = bent_system(), ProbVector.of(w), 5
-    for beta in (-2.0, 0.0, 1.0, 2.5):
+    # at beta 400 the root lies below -64, where the solver's bracket
+    # starts, so the solver doubles its bracket first
+    cases = [(beta, -64.0, dict(abs=1e-13)) for beta in (-2.0, 0.0, 1.0, 2.5)]
+    for beta, start, close in cases + [(400.0, -1024.0, dict(rel=1e-15))]:
         def mid(t):
             return 0.5 * sum(pressure(system, p, t, beta, level=level))
-        lo, hi = -64.0, 64.0
+        lo, hi = start, 64.0
         assert mid(lo) >= 0 > mid(hi)
         for _ in range(200):
             m = 0.5 * (lo + hi)
             lo, hi = (m, hi) if mid(m) >= 0 else (lo, m)
         root = solve_pressure_root(system, p, beta, level=level)
-        assert root == pytest.approx(lo, abs=1e-13)
+        assert root == pytest.approx(lo, **close)
+        if beta == 400.0:
+            assert root < -64.0
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: the sandwich takes "

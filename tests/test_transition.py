@@ -301,10 +301,17 @@ def test_gap_probe_dichotomy(dyadic, quarter):
                     probe_words=32)
     high = gap_probe(dyadic, quarter, 0.60, n_max=40, grid_size=2049,
                      probe_words=32)
+    # just above the critical exponent log2(4/3) the growth is too slow
+    # for either verdict
+    alpha = math.log2(4 / 3) + 0.005
+    edge = gap_probe(dyadic, quarter, alpha, n_max=40, grid_size=2049,
+                     probe_words=32)
     assert low.verdict == "bounded"
     assert high.verdict == "growing"
+    assert edge.verdict == "inconclusive"
     # the growth rate of the seminorm iterates is log(p_max * 2^alpha)
     assert high.slope == pytest.approx(math.log(0.75 * 2 ** 0.6), abs=1e-3)
+    assert edge.slope == pytest.approx(math.log(0.75 * 2 ** alpha), abs=1e-8)
 
 
 def test_gap_probe_rejects_custom_branches(quarter):

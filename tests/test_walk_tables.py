@@ -25,7 +25,6 @@ from holderlab import (
     phi,
     validated,
 )
-from holderlab.conjugacy import _phi_depth
 from holderlab.ifs import hull_preimages
 
 # (slopes, intercepts, open set) of rational systems; "half" has a rational
@@ -100,17 +99,6 @@ def reference_encode(name, x, depth):
     return tuple(word), False
 
 
-def reference_phi(name, p, x):
-    w = [F(v) for v in p.weights]
-    acc, mass = F(0), F(1)
-    for _, k, gap in reference_steps(name, x, _phi_depth(p, 1e-12)):
-        acc += mass * sum(w[:k])
-        if gap:
-            return acc
-        mass *= w[k]
-    return acc + mass / 2
-
-
 @st.composite
 def exact_cases(draw):
     name = draw(st.sampled_from(sorted(SYSTEMS)))
@@ -141,17 +129,23 @@ def test_exact_walk_matches_reference(case):
         result = encode(system, x, 40)
         assert (result.word, result.gap) == reference_encode(name, x, 40)
         value = phi(system, p, x)
-        assert value == reference_phi(name, p, x) and type(value) is F
+        ref_value, ref_bound = reference_cdf(name, p, x, 1e-12)
+        assert value == ref_value + F(ref_bound) / 2 and type(value) is F
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_exact_walk_at_cylinder_endpoints(name):
-    """Cylinder endpoints park on a hull endpoint: bound 0 either way."""
+    """Cylinder endpoints park on a hull endpoint: bound 0 either way, and
+    phi returns the exact cdf value wherever the bound is 0."""
     system = rational_system(name)
     p = ProbVector.of(*[F(1, system.branch_count)] * (system.branch_count - 1))
     for u, v in hull_preimages(system):
         for x in (u, v, (u + v) / 2, u + (v - u) / 7):
-            assert eval_cdf(system, p, x) == reference_cdf(name, p, x, 1e-12)
+            value, bound = eval_cdf(system, p, x)
+            assert (value, bound) == reference_cdf(name, p, x, 1e-12)
+            if bound == 0:
+                coordinate = phi(system, p, x)
+                assert coordinate == value and type(coordinate) is F
 
 
 def test_float_and_exact_twins_keep_their_types():

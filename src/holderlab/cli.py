@@ -76,8 +76,7 @@ PARAMS = {
                  "count": ("int", 32, ">= 1"), "seed": _SEED,
                  "with_empirical": ("bool", False, ""),
                  "scales": ("num[]", None, "> 0")},
-    "conjugacy": {"sample_count": ("int", 1000, ">= 1"),
-                  "exclusion": ("num", 1e-6, "> 0"), "seed": _SEED},
+    "conjugacy": {"sample_count": ("int", 1000, ">= 1"), "seed": _SEED},
     "report": {"tol": ("num", 1e-9, "> 0"),
                "sample_count": ("int", 256, ">= 1"), "seed": _SEED,
                "grid_sizes": ("int[]", [1025, 2049, 4097], ">= 2")},

@@ -25,10 +25,9 @@ from .transition import GridFunction, _orbit_start, _orbit_tables, \
 # rejected draws conjugacy_residual allows per requested sample, plus a
 # fixed allowance
 REJECTS_PER_SAMPLE, REJECTS_ALLOWED = 10, 100
-# symbols per sampled word, orbit steps checked against the exclusion
-# radius, and the most words drawn and coded in one array pass, which keeps
-# memory flat for any sample count
-WORD_LEN, EXCLUSION_STEPS, SAMPLE_CHUNK = 48, 12, 4096
+# symbols per sampled word, and the most words drawn and coded in one array
+# pass, which keeps memory flat for any sample count
+WORD_LEN, SAMPLE_CHUNK = 48, 4096
 
 
 def linear_model(p: ProbVector) -> IFSystem:
@@ -71,7 +70,7 @@ def phi(system: IFSystem, p: ProbVector, x):
 
 
 def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
-                       seed: int = 0, exclusion: float = 1e-6) -> float:
+                       seed: int = 0) -> float:
     """Largest violation of the conjugacy identity over sampled points.
 
     Points are the cylinder midpoints of words of 48 symbols drawn
@@ -79,16 +78,15 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     point's first coding symbol, and the identity compares phi_{d-1}(f x)
     with the linear branch applied to phi_d(x), where phi_d is the midpoint
     of the depth-d coding cylinder in the linear model and d is
-    `_phi_depth(p, 1e-10)`.  The two sides are equal in exact arithmetic
-    whenever the coding of f x is the coding of x shifted by one symbol, so
-    the residual measures that agreement plus rounding (a few units in the
-    last place); it is not the truncation error of phi, and no other depth
-    would change what it measures.  Points whose first twelve orbit steps
-    pass within `exclusion` of a preimage-interval endpoint are rejected:
-    there two codings collide and the identity only holds off that
-    countable set.  An `exclusion` too wide for the system rejects (nearly)
-    every draw, so the sampler raises ValueError once it has rejected more
-    than 10 * sample_count + 100 draws.  All arithmetic is in float,
+    `_phi_depth(p, 1e-10)`.  Both sides are read off one float orbit: the
+    walk of f x steps the very points the walk of x steps after its first
+    symbol, so the coding of f x is always the coding of x shifted by one
+    symbol, and the residual measures the rounding of the accumulation (a
+    few units in the last place); it is not the truncation error of phi,
+    and no other depth would change what it measures.  A draw whose point
+    starts outside every hull window has no first symbol and is drawn
+    again; the sampler raises ValueError once it has rejected more than
+    10 * sample_count + 100 draws.  All arithmetic is in float,
     rational systems and weights included.  Words are drawn, coded and
     compared as arrays of at most SAMPLE_CHUNK words at a time, non-affine
     branches included.
@@ -96,7 +94,7 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     depth = _phi_depth(p, 1e-10)
     weights, left = p._float_weights
     worst = 0.0
-    for x, sym in _samples(system, sample_count, seed, exclusion):
+    for x, sym in _samples(system, sample_count, seed):
         if not x.size:
             continue
         lhs = _coordinates(system, p, _apply_branches(system, sym - 1, x),
@@ -107,8 +105,7 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     return worst
 
 
-def _samples(system: IFSystem, sample_count: int, seed: int,
-             exclusion: float):
+def _samples(system: IFSystem, sample_count: int, seed: int):
     """Accepted sample points of conjugacy_residual and their first coding
     symbols, as (x, sym) array chunks in draw order.
 
@@ -123,17 +120,16 @@ def _samples(system: IFSystem, sample_count: int, seed: int,
         m = min(SAMPLE_CHUNK, sample_count - produced)
         words = rng.choice(system.symbols(), size=(m, WORD_LEN))
         x = _midpoints(system, words)
-        sym = _first_symbols(system, x, exclusion)
-        ok = sym > 0
+        k, ok = _windows_of(system, x)
         bad = rejected + np.cumsum(~ok)
         if bad[-1] > allowed:
-            k = int(np.argmax(bad > allowed))  # the draw that went over
-            raise ValueError(f"exclusion {exclusion} rejected {bad[k]} draws "
-                             f"for {produced + np.count_nonzero(ok[:k])} "
-                             f"samples")
+            i = int(np.argmax(bad > allowed))  # the draw that went over
+            raise ValueError(f"rejected {bad[i]} draws outside every hull "
+                             f"window for {produced + np.count_nonzero(ok[:i])}"
+                             f" samples")
         rejected = int(bad[-1])
         produced += int(np.count_nonzero(ok))
-        yield x[ok], sym[ok]
+        yield x[ok], k[ok] + 1
 
 
 def _midpoints(system: IFSystem, words: np.ndarray) -> np.ndarray:
@@ -151,33 +147,6 @@ def _midpoints(system: IFSystem, words: np.ndarray) -> np.ndarray:
     c, d = c[:, -1], d[:, -1]
     lo, hi = (c * float(v) + d for v in system.open_set)
     return lo + (hi - lo) / 2
-
-
-def _first_symbols(system: IFSystem, x: np.ndarray,
-                   exclusion: float) -> np.ndarray:
-    """First coding symbol of every point, 0 where the point is rejected.
-
-    The walk takes its windows from `_windows_of`, the rule of `_walk`.  A
-    point is rejected when it starts in a gap or when an orbit point of its
-    first EXCLUSION_STEPS lies within `exclusion` of its window's edges; a
-    gap later on ends its walk, as no collision lies ahead.
-    """
-    u, v = system._float_windows
-    first = np.zeros(x.size, dtype=int)
-    live, y = np.arange(x.size), x
-    for step in range(EXCLUSION_STEPS):
-        k, window = _windows_of(system, y)
-        k = np.minimum(k, v.size - 1)
-        clear = window & ~(np.minimum(y - u[k], v[k] - y) < exclusion)
-        if step == 0:
-            first[live[clear]] = k[clear] + 1
-        else:
-            first[live[window & ~clear]] = 0
-        live, y, k = live[clear], y[clear], k[clear]
-        if not live.size:
-            break
-        y = _apply_branches(system, k, y)
-    return first
 
 
 def _coordinates(system: IFSystem, p: ProbVector, xs: np.ndarray,

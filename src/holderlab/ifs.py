@@ -401,9 +401,18 @@ def _coding_table(system: IFSystem) -> _Coding:
                    maps=maps, branches=system.branches, lattice=lattice)
 
 
+def _checked_weights(system: IFSystem, p: ProbVector) -> ProbVector:
+    """p itself; ConfigurationError unless it has one weight per branch."""
+    if len(p) != system.branch_count:
+        raise ConfigurationError(
+            f"got {len(p)} weights for {system.branch_count} branches")
+    return p
+
+
 def _walk_weights(system: IFSystem, p: ProbVector) -> ProbVector:
     """The weights in a coding walk's arithmetic: p when the system and the
     weights are both rational (the walk is exact), else p's float twin."""
+    p = _checked_weights(system, p)
     return p if system.is_rational and p.is_rational else p.as_floats()
 
 
@@ -546,9 +555,8 @@ def validate(system: IFSystem,
             checks.append((f"preimages {i + 1},{i + 2} separated", True,
                            f"gap {float(gap):.6g}"))
 
-    if p is not None and len(p) != system.branch_count:
-        raise ConfigurationError(
-            f"got {len(p)} weights for {system.branch_count} branches")
+    if p is not None:
+        _checked_weights(system, p)
 
     ok = inside and ordered and osc and all(c[1] for c in checks)
     return ValidationReport(checks=tuple(checks), osc=osc and inside and ordered,
@@ -735,7 +743,8 @@ def _birkhoff(system: IFSystem, p: ProbVector, words: np.ndarray, mids=None):
     one `cumsum`.  A non-affine branch's derivative is taken at the suffix
     midpoints `mids` of `_suffix_midpoints`, computed if not given."""
     idx = words - 1
-    log_p = np.array([math.log(float(w)) for w in p.weights])
+    log_p = np.array([math.log(float(w))
+                      for w in _checked_weights(system, p).weights])
     if system.is_affine:
         phi = np.array([-math.log(float(br.slope))
                         for br in system.branches])[idx]

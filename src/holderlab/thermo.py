@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector
+from .ifs import IFSystem, ProbVector, _checked_weights
 
 _BETA_BRACKET = 60.0
 _MAX_LEVEL = 18
@@ -44,7 +44,8 @@ _STEP_TOL = 1e-12
 def _log_weights_slopes(system: IFSystem, p: ProbVector):
     if not system.is_affine:
         raise NotImplementedError("equilibrium weights need affine branches")
-    lw = np.array([math.log(float(w)) for w in p.weights])
+    lw = np.array([math.log(float(w))
+                   for w in _checked_weights(system, p).weights])
     ls = np.array([math.log(float(b.slope)) for b in system.branches])
     return lw, ls
 
@@ -92,7 +93,8 @@ def _sandwich(system, p, level):
     lo_sum, hi_sum = memo[level]
     syms = system.symbols()
     s = len(syms)
-    logp = np.array([math.log(float(p[i])) for i in syms])
+    logp = np.array([math.log(float(w))
+                     for w in _checked_weights(system, p).weights])
     psi_sum = np.zeros(1)
     for k in range(level):
         psi_sum = np.repeat(psi_sum, s) + np.tile(logp, s ** k)

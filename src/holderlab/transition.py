@@ -26,6 +26,7 @@ from .ifs import (
     _apply_branches,
     _birkhoff,
     _branch_on_array,
+    _checked_weights,
     _coding_for,
     _cylinder_maps,
     _walk,
@@ -176,7 +177,7 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     tol 0, n calls of one step give the bits of one call of n steps.
     """
     a, b = (float(t) for t in system._coding.hull)
-    weights, cum = p._float_weights
+    weights, cum = _checked_weights(system, p)._float_weights
     idx = np.flatnonzero(state[2] > tol)
     y, acc, mass = (o[idx] for o in state)
     for _ in range(max_depth):
@@ -232,6 +233,7 @@ def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:
 def apply_transition(system: IFSystem, p: ProbVector,
                      h: GridFunction) -> GridFunction:
     """One averaging step (M h)(x) = sum_i p_i h(f_i(x)) on the grid."""
+    _checked_weights(system, p)
     new = np.zeros_like(h.values)
     for i in system.symbols():
         new += float(p[i]) * h(_branch_on_array(system.branch(i), h.nodes))

@@ -1,14 +1,16 @@
-"""The optional parameters of the package's public names.
+"""The optional parameters of the package's public names and the CLI's
+config parameters.
 
 Every option doubles the configurations that tests and benchmarks must
-cover, so the count is pinned: a change that adds one updates it here and
-names the caller outside the tests that needs a value other than the
-default.
+cover, so the counts are pinned: a change that adds one updates it here
+and names the caller outside the tests that needs a value other than the
+default, or, for a CLI parameter, the config that needs it.
 """
 
 import inspect
 
 import holderlab
+from holderlab import cli
 
 
 def optional_parameters(kind):
@@ -29,5 +31,9 @@ def optional_parameters(kind):
 def test_option_census():
     functions = optional_parameters(inspect.isfunction)
     classes = optional_parameters(inspect.isclass)
-    assert sum(map(len, functions.values())) == 37, functions
+    assert sum(map(len, functions.values())) == 36, functions
     assert sum(map(len, classes.values())) == 11, classes
+
+
+def test_cli_parameter_census():
+    assert sum(map(len, cli.PARAMS.values())) == 29, cli.PARAMS

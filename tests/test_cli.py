@@ -262,7 +262,7 @@ MALFORMED = {
     "eval-t-tol-inf": ("eval-t", {"tol": "inf"}, DYADIC),
     "conjugacy-tol-inf": ("conjugacy", {"tol": "inf"}, DYADIC),
     "conjugacy-tol-retired": ("conjugacy", {"tol": 1e-10}, DYADIC),
-    "conjugacy-exclusion-inf": ("conjugacy", {"exclusion": "inf"}, DYADIC),
+    "conjugacy-exclusion-retired": ("conjugacy", {"exclusion": 1e-6}, DYADIC),
     "spectrum-rigidity-tol-inf": ("spectrum", {"rigidity_tol": "inf"}, DYADIC),
     "eval-t-margin-nan": ("eval-t", {"margin": "nan"}, DYADIC),
     "eval-t-margin-nan-rational": ("eval-t", {"margin": "nan"}, RATIONAL),
@@ -480,15 +480,6 @@ def test_overflowing_pressure_root_prints_one_line(tmp_path):
     assert done.returncode == 2
     assert done.stderr == ("holderlab: ValueError: pressure root overflows "
                            "a double\n")
-
-
-def test_conjugacy_wide_exclusion_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "conjugacy",
-                       {"sample_count": 4, "exclusion": 0.5})
-    assert run_cli(cfg) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("holderlab: ValueError:")
-    assert "Traceback" not in err
 
 
 def test_spectrum_empty_level_set_is_empty_cells(tmp_path):
@@ -744,7 +735,6 @@ VALID = {
     "with_empirical": st.booleans(),
     "scales": st.lists(st.floats(1e-6, 1e-2), min_size=1, max_size=3),
     "sample_count": st.integers(1, 8),
-    "exclusion": st.floats(1e-9, 1.0),
     "grid_sizes": st.lists(st.integers(2, 65), min_size=1, max_size=2),
 }
 # always given: the required keys, and the cost-bearing ones kept small

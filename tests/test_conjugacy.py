@@ -19,7 +19,7 @@ from holderlab import (
     validated,
 )
 from holderlab import conjugacy
-from holderlab.ifs import _walk, hull_preimages, pi_approx
+from holderlab.ifs import _walk, pi_approx
 
 
 def test_linear_model_halves():
@@ -93,52 +93,46 @@ def test_conjugacy_residuals(dyadic, cantor, quarter, half):
     assert conjugacy_residual(cantor, quarter, 200, seed=3) <= 1e-9
 
 
-def test_conjugacy_residual_gives_up_on_wide_exclusion(dyadic, cantor,
-                                                      quarter):
-    # every dyadic point lies within 0.5 of a preimage endpoint; on the
-    # Cantor system 0.05 rejects nearly every draw
-    with pytest.raises(ValueError, match="rejected"):
-        conjugacy_residual(dyadic, quarter, 4, exclusion=0.5)
-    with pytest.raises(ValueError, match="rejected"):
-        conjugacy_residual(cantor, quarter, 50, exclusion=0.05)
+def test_conjugacy_residual_gives_up_on_gap_starts(monkeypatch):
+    # O is wider than the hull (0, 1), so one-symbol cylinders of O have
+    # their midpoints -0.056 and 0.694 outside both windows [0, 0.25] and
+    # [0.75, 1]: every draw starts in a gap and is drawn again
+    system = validated(affine_system((4.0, 4.0), (0.0, -3.0), (-1.5, 1.05)))
+    p = ProbVector.of(0.3)
+    assert conjugacy_residual(system, p, 5) <= 1e-15
+    monkeypatch.setattr(conjugacy, "WORD_LEN", 1)
+    with pytest.raises(ValueError, match="rejected 151 draws") as info:
+        conjugacy_residual(system, p, 5)
+    assert "exclusion" not in str(info.value)
 
 
 THREE = affine_system((3.0, 3.0, 3.0), (0.0, -1.0, -2.0), (0.0, 1.0))
 
 
-def _one_word_at_a_time(system, count, seed, exclusion):
+def _one_word_at_a_time(system, count, seed):
     """Sample points and first symbols drawn one word per call, each point
-    its word's pi_approx and checked on the scalar coding walk."""
+    its word's pi_approx and its symbol the first step of the scalar coding
+    walk; a point that starts in a gap is skipped."""
     rng = np.random.Generator(np.random.Philox(seed))
-    pre = hull_preimages(system)
     xs, syms = [], []
     while len(xs) < count:
         word = tuple(int(s) for s in rng.choice(system.symbols(), size=48))
         x = pi_approx(system, word)[0]
-        first = None
-        for y, sym, gap in _walk(system._coding, x, 12):
-            if gap:
-                break
-            u, v = pre[sym - 1]
-            if min(y - u, v - y) < exclusion:
-                first = None
-                break
-            first = first or sym
-        if first is not None:
+        (_, sym, gap), = _walk(system._coding, x, 1)
+        if not gap:
             xs.append(x)
-            syms.append(first)
+            syms.append(sym)
     return np.array(xs), np.array(syms)
 
 
-@pytest.mark.parametrize("exclusion", [1e-6, 0.02])
 @pytest.mark.parametrize("name", ["dyadic", "cantor", "three"])
 def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
-                                              name, exclusion):
+                                              name):
     system = {"dyadic": dyadic, "cantor": cantor, "three": THREE}[name]
-    ref_x, ref_sym = _one_word_at_a_time(system, 60, 11, exclusion)
+    ref_x, ref_sym = _one_word_at_a_time(system, 60, 11)
     # small chunks split the draws across many rng calls
     monkeypatch.setattr(conjugacy, "SAMPLE_CHUNK", 7)
-    chunks = list(conjugacy._samples(system, 60, 11, exclusion))
+    chunks = list(conjugacy._samples(system, 60, 11))
     assert all(x.size <= 7 for x, _ in chunks)
     x = np.concatenate([c[0] for c in chunks])
     sym = np.concatenate([c[1] for c in chunks])

@@ -67,6 +67,8 @@ def test_emp_exponent_floor_guard():
     evaluate = lambda xs: np.zeros_like(np.asarray(xs, dtype=float))
     with pytest.raises(ValueError):
         emp_exponent(evaluate, 0.5, [1e-2, 1e-3, 1e-4])
+    with pytest.raises(ValueError, match="no scales given"):
+        emp_exponent(evaluate, 0.5, [])
 
 
 def test_sample_typical_reproducible(dyadic, quarter):
@@ -77,6 +79,8 @@ def test_sample_typical_reproducible(dyadic, quarter):
     assert c.words != a.words
     assert a.alpha_predicted == pytest.approx(1.2075187496394217, abs=1e-12)
     assert a.seed == 42
+    with pytest.raises(ValueError, match="word_len"):
+        sample_typical(dyadic, quarter, 0.0, word_len=0, count=5)
 
 
 def test_spectrum_experiment_rows(dyadic, quarter):
@@ -90,6 +94,7 @@ def test_spectrum_experiment_rows(dyadic, quarter):
         assert math.isnan(r["emp_mean"])
         assert r["count"] == 16
     assert rows[0]["seed"] == 9 and rows[1]["seed"] == 10
+    assert spectrum_experiment(dyadic, quarter, []) == []
 
 
 @pytest.mark.parametrize("sizes", [{"count": 0}, {"word_len": 0}])

@@ -11,25 +11,38 @@ from holderlab import (
     Branch,
     ConfigurationError,
     EncodeResult,
+    GridFunction,
     IFSystem,
     OutsideHullError,
     PressureCurve,
     ProbVector,
     affine_system,
+    alpha_endpoints,
+    apply_transition,
     attractor_hull,
     cdf_values,
     compactified_distance,
     compactify,
+    conjugacy_residual,
     cylinder,
+    cylinder_increment,
+    derivative_grids,
     distortion_constant,
     dyn_exponent,
     encode,
     ergodic_sums,
     eval_cdf,
     eval_derivative_point,
+    gap_probe,
+    iterate_transition,
     phi,
     pi_approx,
+    pressure,
+    rigidity_report,
+    sample_typical,
+    solve_pressure_root,
     spectrum,
+    spectrum_experiment,
     system_from_json,
     system_to_json,
     validate,
@@ -44,6 +57,8 @@ def test_affine_branch_roundtrip():
     assert b.inverse(0.5) == 0.75
     assert b.derivative(0.3) == 2.0
     assert b.is_affine
+    with pytest.raises(ConfigurationError, match="slope > 1"):
+        Branch.affine(1.0, 0.0)
 
 
 def test_custom_branch_roundtrip():
@@ -167,6 +182,8 @@ def test_encode_pi_roundtrip(dyadic):
 def test_probvector_basics():
     p = ProbVector.of(0.25)
     assert p[1] == 0.25 and p[2] == 0.75
+    with pytest.raises(ConfigurationError, match="at least one free weight"):
+        ProbVector.of()
     assert p.free == (0.25,)
     assert p.mass((1, 2)) == pytest.approx(0.1875)
     assert p.left_mass(2) == pytest.approx(0.25)
@@ -276,6 +293,63 @@ def test_validate_flags_bad_weights(dyadic):
             ProbVector(weights)
     with pytest.raises(ConfigurationError, match="3 weights for 2 branches"):
         validate(dyadic, ProbVector.of(0.2, 0.3))
+
+
+def _unit_grid():
+    return GridFunction(np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 9),
+                        boundary_left=0.0, boundary_right=1.0)
+
+
+# every public function that reads weights, called on a system and a
+# vector; `order` has one entry per free weight of the system
+WEIGHT_READERS = {
+    "eval_cdf": lambda s, p, order: eval_cdf(s, p, 0.7),
+    "cdf_values": lambda s, p, order: cdf_values(s, p, [0.3, 0.7]),
+    "phi": lambda s, p, order: phi(s, p, 0.7),
+    "eval_derivative_point": lambda s, p, order: eval_derivative_point(
+        s, p, order, 0.7, depth=8),
+    "cylinder_increment": lambda s, p, order: cylinder_increment(
+        s, p, (1, 2), order),
+    "derivative_grids": lambda s, p, order: derivative_grids(
+        s, p, order, np.linspace(0.0, 1.0, 9), terms=4),
+    "apply_transition": lambda s, p, order: apply_transition(
+        s, p, _unit_grid()),
+    "iterate_transition": lambda s, p, order: iterate_transition(
+        s, p, _unit_grid(), n_max=3),
+    "gap_probe": lambda s, p, order: gap_probe(
+        s, p, 0.5, n_max=3, grid_size=9, probe_words=0),
+    "conjugacy_residual": lambda s, p, order: conjugacy_residual(s, p, 4),
+    "ergodic_sums": lambda s, p, order: ergodic_sums(s, p, (1, 2)),
+    "dyn_exponent": lambda s, p, order: dyn_exponent(s, p, (1, 2, 1)),
+    "pressure": lambda s, p, order: pressure(s, p, 1.0, 1.0),
+    "solve_pressure_root": lambda s, p, order: solve_pressure_root(
+        s, p, 1.0),
+    "alpha_endpoints": lambda s, p, order: alpha_endpoints(s, p),
+    "spectrum": lambda s, p, order: spectrum(s, p, [1.0]),
+    "sample_typical": lambda s, p, order: sample_typical(
+        s, p, 1.0, word_len=4, count=2),
+    "spectrum_experiment": lambda s, p, order: spectrum_experiment(
+        s, p, [1.0], word_len=4, count=2),
+    "rigidity_report": lambda s, p, order: rigidity_report(
+        s, p, sample_count=4, grid_sizes=(9,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHT_READERS))
+@pytest.mark.parametrize("case", ["3-on-dyadic", "2-on-gaps3"])
+def test_weight_count_mismatch_raises(name, case, dyadic):
+    # a vector with a weight too many or too few used to be read past its
+    # end or broadcast against the branches, and return a wrong number
+    gaps3 = affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0))
+    system, p, message = {
+        "3-on-dyadic": (dyadic, ProbVector.of(0.2, 0.3),
+                        "got 3 weights for 2 branches"),
+        "2-on-gaps3": (gaps3, ProbVector.of(0.25),
+                       "got 2 weights for 3 branches"),
+    }[case]
+    order = (1,) + (0,) * (system.branch_count - 2)
+    with pytest.raises(ConfigurationError, match=message):
+        WEIGHT_READERS[name](system, p, order)
 
 
 @settings(max_examples=300, deadline=None)

@@ -42,6 +42,8 @@ def test_step_matrix_layout():
                        [[0.25, 0, 0], [1, 0.25, 0], [0, 2, 0.25]])
     assert np.allclose(m2.astype(float),
                        [[0.75, 0, 0], [-1, 0.75, 0], [0, -2, 0.75]])
+    with pytest.raises(ValueError, match="out of range"):
+        step_matrix(3, p, (1,))
 
 
 def test_cocycle_closed_forms_exact():
@@ -50,6 +52,8 @@ def test_cocycle_closed_forms_exact():
     assert A.entry((1,), (0,)) == Fraction(8, 3)  # 1/p1 - 1/p2
     A = cocycle_matrix((1,) * 50, p, (1,), normalized=True)
     assert A.entry((1,), (0,)) == 50 * Fraction(4)
+    with pytest.raises(ValueError, match="empty word"):
+        cocycle_matrix((), p, (1,))
 
 
 def test_cocycle_triangular_unit_diagonal():
@@ -92,6 +96,8 @@ def test_point_eval_matches_fd(dyadic):
         for x, f in zip(xs, fd):
             val, err = eval_derivative_point(dyadic, p, order, x)
             assert val == pytest.approx(f, abs=5e-6)
+    with pytest.raises(ValueError, match="zero order"):
+        eval_derivative_point(dyadic, p, (0,), 0.5)
 
 
 def test_mixed_partial_three_branches():
@@ -126,6 +132,9 @@ def test_derivative_grids_match_point_eval(dyadic):
     for i in (64, 200, 301, 466):
         val, _ = eval_derivative_point(dyadic, p, (1,), nodes[i])
         assert dg.grid.values[i] == pytest.approx(val, abs=1e-9)
+    # two terms are too few to extrapolate the tail from
+    short = derivative_grids(dyadic, p, (1,), nodes, terms=2)[(1,)]
+    assert short.tail_estimate == math.inf and short.converged is False
 
 
 def test_eval_derivative_grid_wrapper(dyadic, quarter):

@@ -38,6 +38,8 @@ def test_pressure_root_anchors(dyadic, quarter):
     # beta = 2 pins t to log2(5/8)
     assert solve_pressure_root(dyadic, quarter, 2.0) == pytest.approx(
         math.log(5 / 8) / math.log(2), abs=1e-12)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        solve_pressure_root(dyadic, quarter, math.inf)
 
 
 def test_ternary_dimension():
@@ -107,6 +109,8 @@ def test_spectrum_empty_marker(dyadic, quarter):
     assert pt.empty and math.isnan(pt.g)
     pt = spectrum_point(curve, 0.1)
     assert pt.empty
+    with pytest.raises(ValueError, match="alpha must not be NaN"):
+        spectrum(dyadic, quarter, [math.nan])
 
 
 def test_duality_round_trip(dyadic, quarter):
@@ -139,6 +143,9 @@ def test_sandwich_matches_affine_closed_form(quarter):
     assert hi == pytest.approx(exact, abs=1e-12)
     root = solve_pressure_root(system, quarter, 0.0, level=6)
     assert root == pytest.approx(1.0, abs=1e-9)
+    # the spectrum needs the closed-form Gibbs weights of affine branches
+    with pytest.raises(NotImplementedError):
+        spectrum(system, quarter, [1.0])
 
 
 def random_affine(k, seed):

@@ -53,6 +53,8 @@ def test_boundary_clamps(dyadic, quarter):
     assert eval_cdf(dyadic, quarter, 0.0) == (0.0, 0.0)
     assert eval_cdf(dyadic, quarter, 1.0) == (1.0, 0.0)
     assert eval_cdf(dyadic, quarter, 1.5) == (1.0, 0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        eval_cdf(dyadic, quarter, 0.5, tol=0)
 
 
 def test_monotone_nondecreasing(dyadic, quarter):
@@ -175,6 +177,13 @@ def test_holder_seminorm_modes():
     assert 0 < adj <= pairs
     with pytest.raises(ValueError):
         holder_seminorm(h, 1.0, mode="bogus")
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ValueError, match="alpha must lie"):
+            holder_seminorm(h, alpha)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GridFunction(nodes[::-1], nodes)
+    with pytest.raises(ValueError, match="equal length"):
+        GridFunction(nodes, nodes[1:])
     # a non-finite value is an error in both modes, not a skipped node
     nodes = np.linspace(0.0, 1.0, 200)
     values = nodes.copy()

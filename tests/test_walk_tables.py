@@ -25,7 +25,7 @@ from holderlab import (
     phi,
     validated,
 )
-from holderlab.ifs import hull_preimages
+from holderlab.ifs import _LATTICE_TABLES, hull_preimages
 
 # (slopes, intercepts, open set) of rational systems; "half" has a rational
 # intercept and "threehalves" a non-integer slope, which keeps its walk on
@@ -191,6 +191,18 @@ def test_float_and_exact_twins_keep_their_types():
         float_weights = cylinder_increment(dyadic, fp, word).entries
         assert exact_weights.dtype == float_weights.dtype == float
         assert np.array_equal(exact_weights, float_weights)
+
+
+def test_lattice_memo_starts_over_when_full():
+    """Each lattice scale of a rational walk keeps one integer table on
+    the system; past _LATTICE_TABLES scales the memo is emptied and refilled,
+    and every value still equals that of a system that never held one."""
+    system = rational_system("cantor")
+    p = ProbVector.of(F(1, 4))
+    xs = [F(1, d) for d in range(3, 73)]
+    values = [eval_cdf(system, p, x) for x in xs]
+    assert values == [eval_cdf(rational_system("cantor"), p, x) for x in xs]
+    assert len(system._lattice_codings) == len(xs) - _LATTICE_TABLES
 
 
 def test_hull_preimages_returns_a_fresh_list(cantor):

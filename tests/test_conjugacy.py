@@ -19,7 +19,8 @@ from holderlab import (
     validated,
 )
 from holderlab import conjugacy
-from holderlab.ifs import _walk, pi_approx
+from holderlab.ifs import _walk, _windows_of, hull_preimages, \
+    pi_approx
 
 
 def test_linear_model_halves():
@@ -125,9 +126,24 @@ def _one_word_at_a_time(system, count, seed):
     return np.array(xs), np.array(syms)
 
 
+def _near_edge_words(system, margin, seed):
+    """One word per symbol s and hull end: s, then enough copies of the
+    first (or last) symbol that the cylinder lies within margin of the left
+    (or right) edge of window s, then a random tail.  The first and last
+    branches of the systems here fix the hull ends."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    slope = min(b.slope for b in system.branches)
+    n = math.ceil(-math.log(margin) / math.log(slope))
+    syms = system.symbols()
+    return np.array([[s] + [e] * n
+                     + [int(t) for t in rng.choice(syms, size=47 - n)]
+                     for s in syms for e in (syms[0], syms[-1])])
+
+
+@pytest.mark.parametrize("margin", [1e-6, 0.02])
 @pytest.mark.parametrize("name", ["dyadic", "cantor", "three"])
 def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
-                                              name):
+                                              name, margin):
     system = {"dyadic": dyadic, "cantor": cantor, "three": THREE}[name]
     ref_x, ref_sym = _one_word_at_a_time(system, 60, 11)
     # small chunks split the draws across many rng calls
@@ -138,6 +154,25 @@ def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
     sym = np.concatenate([c[1] for c in chunks])
     assert np.array_equal(sym, ref_sym)
     np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-15)
+    # draws within margin of a window edge, which the retired exclusion
+    # drew again, keep the one-word point and symbol, and the identity holds
+    # there on phi, which reads no sampled orbit
+    p = ProbVector.of(0.25, 0.375) if name == "three" else ProbVector.of(0.25)
+    weights, left = p._float_weights
+    words = _near_edge_words(system, margin, 11)
+    x = conjugacy._midpoints(system, words)
+    k, ok = _windows_of(system, x)
+    assert ok.all()
+    for word, xb, s in zip(words.tolist(), x, k + 1):
+        xr = pi_approx(system, tuple(word))[0]
+        (_, sym, gap), = _walk(system._coding, xr, 1)
+        assert not gap and sym == s == word[0]
+        assert abs(xb - xr) <= 1e-15
+        u, v = hull_preimages(system)[s - 1]
+        assert min(xb - u, v - xb) < margin
+        fx = system.branches[s - 1](xb)
+        rhs = (phi(system, p, xb) - left[s - 1]) / weights[s - 1]
+        assert abs(phi(system, p, fx) - rhs) <= 1e-10
 
 
 def test_residual_does_not_depend_on_chunk_size(monkeypatch, cantor,

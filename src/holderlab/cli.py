@@ -265,7 +265,7 @@ def _thermo_summary(cfg: RunConfig, ep):
         "alpha_plus": ep.alpha_plus,
         "alpha_zero": ep.alpha_zero,
         "delta": ep.delta,
-        "rigidity": bool(ep.alpha_plus - ep.alpha_minus <= rigidity_tol),
+        "rigidity": ep.is_rigid(rigidity_tol),
     }), {"rigidity_tol": rigidity_tol})
 
 

@@ -181,14 +181,14 @@ def rigidity_report(system: IFSystem, p: ProbVector, tol: float = 1e-9,
                     grid_sizes=(1025, 2049, 4097)) -> RigidityReport:
     """Rigidity dichotomy with conjugacy and seminorm evidence.
 
-    The verdict compares the extremal exponents: equality within tol means
-    the coordinate change is as smooth as the dimension allows, otherwise
-    it is singular.  The Hoelder seminorm of the cdf at the dimension
-    exponent is measured across grid refinements as corroboration (bounded
-    in the rigid case, growing otherwise).
+    The verdict is `Endpoints.is_rigid(tol)`: extremal exponents equal
+    within tol mean the coordinate change is as smooth as the dimension
+    allows, otherwise it is singular.  The Hoelder seminorm of the cdf at
+    the dimension exponent is measured across grid refinements as
+    corroboration (bounded in the rigid case, growing otherwise).
     """
     ep = alpha_endpoints(system, p)
-    rigid = (ep.alpha_plus - ep.alpha_minus) <= tol
+    rigid = ep.is_rigid(tol)
     residual = conjugacy_residual(system, p, sample_count, seed=seed)
 
     sweep = []

@@ -229,6 +229,12 @@ class Endpoints:
     delta: float
     surrogate_spread: float = 0.0  # disagreement of the large-beta probes
 
+    def is_rigid(self, tol: float) -> bool:
+        """The rigidity rule: the extremal exponents agree within tol, so
+        the coordinate change onto the linear model is as smooth as the
+        dimension allows."""
+        return bool(self.alpha_plus - self.alpha_minus <= tol)
+
 
 def alpha_endpoints(system: IFSystem, p: ProbVector) -> Endpoints:
     """Extremal and typical regularity exponents plus the attractor dimension.

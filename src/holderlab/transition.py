@@ -325,6 +325,8 @@ _PRUNE_SLACK = 1e-12
 # 8 bytes a pair, and 256 KB ones ran `holder_seminorm` faster than 2 MB ones
 _CHUNK_PAIRS = 1 << 15
 _BLOCK = 64     # nodes per block of the "pairs" scan
+_SUB_BLOCK = 16  # nodes per block of a gap probe's subsample scan
+_SUB_STEP = 8    # block pairs per vectorised call of that scan
 
 
 def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
@@ -405,6 +407,27 @@ def _ramp(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
     return 0.5 * (1 - np.cos(np.pi * u))
 
 
+def _ramp_iterates(system, p, nodes, a, b):
+    """Exact values at the nodes of the operator iterates of `_ramp`, one
+    step of the coding walk each, without end; each step overwrites the
+    array it yields.  A decided node (mass 0) keeps acc + 0 * ramp = acc
+    as its value, so only the undecided nodes `live` are stepped and
+    ramped, with the bits of stepping them all."""
+    state = _orbit_start(system, nodes)
+    vals = state[1].copy()
+    live = np.flatnonzero(state[2] > 0)
+    state = tuple(o[live] for o in state)
+    while True:
+        _orbit_tables(system, p, state, tol=0.0, max_depth=1)
+        y, acc, mass = state
+        vals[live] = acc + mass * _ramp(y, a, b)
+        held = mass > 0
+        if np.count_nonzero(held) < held.size:
+            live = live[held]
+            state = tuple(o[held] for o in state)
+        yield vals
+
+
 def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
               grid_size: int = 8193, margin: float = 0.25,
               probe_words: int = 64, seed: int = 0) -> GapProbeReport:
@@ -442,16 +465,11 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
                                                size=(probe_words, n_max))])
     cylinder_best = _cylinder_probe_max(system, p, alpha, words)
 
-    # exact iterate values at the nodes, one step of the coding walk each
-    state = _orbit_start(system, nodes)
     norms = np.zeros(n_max)
     sups = np.zeros(n_max)
-    for n in range(n_max):
-        _orbit_tables(system, p, state, tol=0.0, max_depth=1)
-        y, acc, mass = state
-        vals = acc + mass * _ramp(y, a, b)
+    for n, vals in zip(range(n_max), _ramp_iterates(system, p, nodes, a, b)):
         sups[n] = float(np.max(np.abs(vals)))
-        norms[n] = max(pair_scan(vals), float(cylinder_best[n]))
+        norms[n] = pair_scan(vals, float(cylinder_best[n]))
 
     half = n_max // 2
     ns = np.arange(half + 1, n_max + 1)
@@ -470,28 +488,58 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
 
 def _pair_scan(pos, alpha, sub):
     """The grid part of a gap probe's seminorm, as a function of the node
-    values: the largest ratio over adjacent node pairs, over the pairs of
-    the subsample `sub`, and against the virtual boundary points at minus
-    and plus infinity (values 0 and 1).  The `** alpha` denominators depend
-    on the nodes alone, so they are paid once per probe, not once per step.
+    values and a running best: the largest ratio over adjacent node pairs,
+    over the pairs of the subsample `sub`, and against the virtual boundary
+    points at minus and plus infinity (values 0 and 1).  The `** alpha`
+    denominators depend on the nodes alone, so they are paid once per
+    probe, not once per step.
+
+    The subsample and the two virtual points are cut into blocks of
+    `_SUB_BLOCK`.  A block pair's ratios are at most its value spread over
+    its smallest denominator, also after rounding, which is monotone in
+    both operands.  So block pairs are scanned in descending order of that
+    bound until it is at or below the best, and the maximum is the one of
+    scanning every pair.
     """
     dd = np.diff(pos)
     adjacent = np.flatnonzero(dd > 0)
     adjacent_den = dd[adjacent] ** alpha
     ps = pos[sub]
-    i, j = np.nonzero(ps[None, :] - ps[:, None] > 0)
-    sub_den = (ps[j] - ps[i]) ** alpha
-    left_den = (ps + 1.0) ** alpha
-    right_den = (1.0 - ps) ** alpha
+    # den[r, c] over the points -inf, the subsample and +inf (values 0,
+    # vals[sub] and 1): the pair's denominator, at [r, c] and [c, r] for two
+    # subsample points, at r < c for a virtual one; inf where no pair is
+    # scanned (equal positions, -inf with +inf, the padding): ratio 0
+    m = ps.size + 2
+    nb = -(-m // _SUB_BLOCK)
+    den = np.full((nb * _SUB_BLOCK,) * 2, np.inf)
+    inner = den[1:m - 1, 1:m - 1]
+    dpos = ps[None, :] - ps[:, None]
+    ahead = dpos > 0
+    inner[ahead] = dpos[ahead] ** alpha
+    inner[...] = np.minimum(inner, inner.T)
+    den[0, 1:m - 1] = (ps + 1.0) ** alpha
+    den[1:m - 1, m - 1] = (1.0 - ps) ** alpha
+    bi, bj = np.triu_indices(nb)
+    blocks = den.reshape(nb, _SUB_BLOCK, nb, _SUB_BLOCK)[bi, :, bj]
+    min_den = blocks.min(axis=(1, 2))
+    # the value 1 of +inf, repeated over the padding
+    right = np.ones(nb * _SUB_BLOCK - m + 1)
 
-    def scan(vals):
+    def scan(vals, best):
         dv = np.abs(np.diff(vals))[adjacent]
-        best = float(np.max(dv / adjacent_den)) if adjacent.size else 0.0
-        vs = vals[sub]
-        if i.size:
-            best = max(best, float((np.abs(vs[j] - vs[i]) / sub_den).max()))
-        return max(best, float((np.abs(vs) / left_den).max()),
-                   float((np.abs(1.0 - vs) / right_den).max()))
+        if adjacent.size:
+            best = max(best, float(np.max(dv / adjacent_den)))
+        vb = np.concatenate([[0.0], vals[sub], right]).reshape(nb, _SUB_BLOCK)
+        lo, hi = vb.min(axis=1), vb.max(axis=1)
+        bound = np.maximum(hi[bj] - lo[bi], hi[bi] - lo[bj]) / min_den
+        order = np.argsort(-bound, kind="stable")
+        for s in range(0, order.size, _SUB_STEP):
+            if not bound[order[s]] > best:
+                break
+            sel = order[s:s + _SUB_STEP]
+            dv = np.abs(vb[bj[sel]][:, None, :] - vb[bi[sel]][:, :, None])
+            best = max(best, float((dv / blocks[sel]).max()))
+        return best
 
     return scan
 

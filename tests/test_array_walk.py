@@ -21,8 +21,15 @@ from holderlab import (
     validated,
 )
 from holderlab.conjugacy import conjugacy_residual
-from holderlab.ifs import hull_preimages
-from holderlab.transition import _orbit_start, _orbit_tables
+from holderlab.ifs import compactify, hull_preimages
+from holderlab.transition import (
+    _orbit_start,
+    _orbit_tables,
+    _pair_scan,
+    _ramp,
+    _ramp_iterates,
+    uniform_grid,
+)
 
 
 def _bent_system():
@@ -130,9 +137,129 @@ def test_one_step_calls_match_one_walk(case, steps):
             assert got.tobytes() == want.tobytes(), n
 
 
+def _all_pairs_scan(pos, alpha, sub, vals):
+    """gap_probe's grid seminorm before its subsample scan was pruned: every
+    adjacent pair, every pair of the subsample, and the subsample against
+    the virtual points at minus and plus infinity (values 0 and 1)."""
+    dd = np.diff(pos)
+    adjacent = np.flatnonzero(dd > 0)
+    dv = np.abs(np.diff(vals))[adjacent]
+    best = float(np.max(dv / dd[adjacent] ** alpha)) if adjacent.size else 0.0
+    ps, vs = pos[sub], vals[sub]
+    i, j = np.nonzero(ps[None, :] - ps[:, None] > 0)
+    if i.size:
+        best = max(best, float((np.abs(vs[j] - vs[i])
+                                / (ps[j] - ps[i]) ** alpha).max()))
+    return max(best, float((np.abs(vs) / (ps + 1.0) ** alpha).max()),
+               float((np.abs(1.0 - vs) / (1.0 - ps) ** alpha).max()))
+
+
+@st.composite
+def plateau_values(draw, size):
+    """size values built from segments: constant runs, 0 and 1 plateaus,
+    steps, ties among a few levels and free values, repeated to fill."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    level = st.sampled_from([0.0, 1.0, 0.5, 0.25]) | st.floats(0.0, 1.0)
+    segments = draw(st.lists(st.tuples(
+        st.sampled_from(["const", "zero", "one", "step", "ties", "free"]),
+        st.integers(1, 300), level, level), min_size=1, max_size=8))
+    parts = []
+    for kind, run, lo, hi in segments:
+        if kind == "step":
+            parts.append(np.r_[np.full(run // 2, lo), np.full(run - run // 2,
+                                                              hi)])
+        elif kind == "ties":
+            parts.append(rng.choice([lo, hi, 0.5], size=run))
+        elif kind == "free":
+            parts.append(rng.uniform(0.0, 1.0, size=run))
+        else:
+            parts.append(np.full(run, {"const": lo, "zero": 0.0,
+                                       "one": 1.0}[kind]))
+    return np.resize(np.concatenate(parts), size)
+
+
+@st.composite
+def scan_cases(draw):
+    """A probe system and its grid, of fewer nodes than the 257 of the
+    subsample (repeated indices) or more, the number of steps to walk it,
+    and for the scan: the compactified nodes, perhaps with equal and swapped
+    neighbours as compactify gives huge nodes, and drawn node values."""
+    system = SYSTEMS[draw(st.sampled_from(sorted(SYSTEMS)))]
+    size = draw(st.sampled_from([2, 3, 100, 256, 257, 258, 1000])
+                | st.integers(2, 600))
+    nodes = uniform_grid(system, size, draw(st.floats(-0.4, 0.4)))
+    pos = compactify(nodes)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        tie = rng.integers(1, size, size=draw(st.integers(0, 30)))
+        pos[tie] = pos[tie - 1]
+        swap = rng.integers(0, size, size=(2, draw(st.integers(0, 30))))
+        swap[1] = np.minimum(swap[0] + rng.integers(1, 40, swap.shape[1]),
+                             size - 1)
+        pos[swap[0]], pos[swap[1]] = pos[swap[1]], pos[swap[0]]
+    vals = draw(plateau_values(size))
+    if size > 257 and draw(st.booleans()):
+        # linear between the subsample nodes: the adjacent pairs no longer
+        # set the maximum, the subsample pairs do
+        sub = np.linspace(0, size - 1, 257).astype(int)
+        vals = np.interp(np.arange(size), sub, vals[sub])
+    return dict(
+        system=system,
+        p=ProbVector.of(*(draw(st.integers(1, 31)) / 64
+                          for _ in range(system.branch_count - 1))),
+        nodes=nodes,
+        pos=pos,
+        alpha=draw(st.sampled_from([1.0, 0.5]) | st.floats(0.05, 1.0)),
+        steps=draw(st.integers(1, 30)),
+        vals=vals,
+        start=draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1 - 1e-9, 1.0, 2.0])
+                   | st.floats(0.0, 2.0)),
+    )
+
+
+def _falling_step_case():
+    """Subsample values that fall from 0.6 to 0.4 where one block of the
+    scan ends, linear between the subsample nodes: the maximum lies in a
+    block pair whose values fall."""
+    system = SYSTEMS["cantor"]
+    nodes = uniform_grid(system, 1000, 0.0)
+    sub = np.linspace(0, 999, 257).astype(int)
+    vals = np.interp(np.arange(1000), sub,
+                     np.where(np.arange(257) < 143, 0.6, 0.4))
+    return dict(system=system, p=ProbVector.of(0.5), nodes=nodes,
+                pos=compactify(nodes), alpha=0.5, steps=1, vals=vals,
+                start=0.99)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scan_cases())
+@example(case=_falling_step_case())
+def test_pruned_pair_scan_and_live_steps_match_full_ones(case):
+    system, p, nodes, pos = (case[k] for k in ("system", "p", "nodes", "pos"))
+    sub = np.linspace(0, nodes.size - 1, 257).astype(int)
+    scan = _pair_scan(pos, case["alpha"], sub)
+    # stepping only the undecided nodes gives the iterates of stepping all
+    a, b = (float(t) for t in attractor_hull(system))
+    state = _orbit_start(system, nodes)
+    live = _ramp_iterates(system, p, nodes, a, b)
+    for n in range(case["steps"]):
+        _orbit_tables(system, p, state, tol=0.0, max_depth=1)
+        y, acc, mass = state
+        want = acc + mass * _ramp(y, a, b)
+        assert next(live).tobytes() == want.tobytes(), n
+    # the pruned scan gives the float of scanning every pair, from a running
+    # best below, at or above that maximum; one ulp below, only the block
+    # pairs holding the maximum can raise it
+    for vals in (want, case["vals"]):
+        full = _all_pairs_scan(pos, case["alpha"], sub, vals)
+        for best in (0.0, case["start"] * full, math.nextafter(full, 0.0)):
+            assert scan(vals, best).hex() == max(full, best).hex(), best
+
+
 # gap_probe and conjugacy_residual outputs recorded, as float.hex(), before
 # the array walk took its one-searchsorted window rule and the pair scan
-# its once-per-probe denominators
+# its once-per-probe denominators; the last five gap_probe cases before
+# the probe stepped only its undecided nodes and pruned its subsample scan
 GAP_CASES = [
     ("dyadic", (0.25,), 0.6, dict(n_max=12, grid_size=1025, probe_words=8,
                                   seed=3)),
@@ -140,6 +267,20 @@ GAP_CASES = [
                                  seed=1)),
     ("gaps3", (0.2, 0.5), 0.5, dict(n_max=8, grid_size=777, probe_words=0,
                                     seed=0)),
+    # at 3001 nodes the dyadic nodes are not short dyadics, so they stay
+    # undecided for about 50 steps; alpha_minus is 0.415 here
+    ("dyadic", (0.25,), 0.3, dict(n_max=50, grid_size=3001, probe_words=64,
+                                  seed=7)),
+    ("dyadic", (0.25,), 0.6, dict(n_max=40, grid_size=3001, probe_words=64,
+                                  seed=9)),
+    # alpha_minus is 0.325 for the middle third, 0.631 for gaps3
+    ("cantor", (0.3,), 0.6, dict(n_max=40, grid_size=4097, probe_words=64,
+                                 seed=11)),
+    ("gaps3", (0.2, 0.5), 0.45, dict(n_max=60, grid_size=8193,
+                                     probe_words=64, seed=5)),
+    # margin -0.3: no node lies outside the hull, so the sup stays below 1
+    ("cantor", (0.4,), 0.2, dict(n_max=40, grid_size=6001, margin=-0.3,
+                                 probe_words=64, seed=2)),
 ]
 GAP_NORMS = [
     ["0x1.3abae88758fe3p+1", "0x1.846d25582cb07p+1", "0x1.cb20119922811p+1",
@@ -153,11 +294,119 @@ GAP_NORMS = [
     ["0x1.a58c8c91c2db4p+0", "0x1.9cfb31a872dedp+0", "0x1.9c3ce715a2413p+0",
      "0x1.9abde05fc9f0dp+0", "0x1.9abb5cef85cd1p+0", "0x1.9ac6ba4d0bfd1p+0",
      "0x1.9acd87f64908fp+0", "0x1.9ad72e6a9cc62p+0"],
+    ["0x1.50a25a00abee1p+0", "0x1.5d536a97b3396p+0", "0x1.65841cc22b1aap+0",
+     "0x1.65cdf80642d32p+0", "0x1.68240dee98d70p+0", "0x1.69191cca03226p+0",
+     "0x1.691a931b37f28p+0", "0x1.6949311199e44p+0", "0x1.6951d7de31e9bp+0",
+     "0x1.6966e7bd2fb52p+0", "0x1.697b4618f24a0p+0", "0x1.697b4650d6a2bp+0",
+     "0x1.697b472ea59bfp+0", "0x1.697b4a8a39c86p+0", "0x1.697b565c65593p+0",
+     "0x1.697b684c28e33p+0", "0x1.697b69a65d388p+0", "0x1.697b6cea20289p+0",
+     "0x1.697b6cec8f857p+0", "0x1.697b6cf5a0f28p+0", "0x1.697b6d10bc763p+0",
+     "0x1.697b6d10fa643p+0", "0x1.697b6d11b0298p+0", "0x1.697b6d13a2dd7p+0",
+     "0x1.697b6d1793604p+0", "0x1.697b6d1861703p+0", "0x1.697b6d1906693p+0",
+     "0x1.697b6d1953c9ep+0", "0x1.697b6d195b957p+0", "0x1.697b6d196e8fap+0",
+     "0x1.697b6d1980e9ep+0", "0x1.697b6d1980ea1p+0", "0x1.697b6d1980eadp+0",
+     "0x1.697b6d1980edep+0", "0x1.697b6d1980f88p+0", "0x1.697b6d198108ap+0",
+     "0x1.697b6d198109ep+0", "0x1.697b6d19810cdp+0", "0x1.697b6d19810cdp+0",
+     "0x1.697b6d19810cep+0", "0x1.697b6d19810d0p+0", "0x1.697b6d19810d0p+0",
+     "0x1.697b6d19810d0p+0", "0x1.697b6d19810d0p+0", "0x1.697b6d19810d0p+0",
+     "0x1.697b6d19810d0p+0", "0x1.697b6d19810d0p+0", "0x1.697b6d19810d0p+0",
+     "0x1.697b6d19810d0p+0", "0x1.697b6d19810d0p+0"],
+    ["0x1.3abaa2c66579ap+1", "0x1.8463c703fc944p+1", "0x1.cb38700490b22p+1",
+     "0x1.086255abad14cp+2", "0x1.2b93a0304575cp+2", "0x1.597113051b37ap+2",
+     "0x1.67dfd706afe0bp+2", "0x1.9994eee30bd38p+2", "0x1.d1e175c06c7f7p+2",
+     "0x1.08e19d84770fcp+3", "0x1.2d286a293d7ddp+3", "0x1.5660a7be216d6p+3",
+     "0x1.853989d0a170cp+3", "0x1.ba79526b82ab9p+3", "0x1.f700dded97a13p+3",
+     "0x1.1de7bfd5cf63dp+4", "0x1.4503a695140e7p+4", "0x1.7178f8da1dc41p+4",
+     "0x1.a403118079e6dp+4", "0x1.dd76e82f7c552p+4", "0x1.0f6349f73e3adp+5",
+     "0x1.3482a3f419fbfp+5", "0x1.5eb5edb242d7bp+5", "0x1.8eaef818b5878p+5",
+     "0x1.c537e6a08a36bp+5", "0x1.019b418c9f720p+6", "0x1.24d802f522fa6p+6",
+     "0x1.4ce6b161b5223p+6", "0x1.7a7015ed70138p+6", "0x1.ae341028e6bfdp+6",
+     "0x1.e90cbe947f017p+6", "0x1.15f90ad8c9565p+7", "0x1.3bfefa657c4d9p+7",
+     "0x1.673864d3a48ebp+7", "0x1.985b6b58adbb0p+7", "0x1.d03718e8025d7p+7",
+     "0x1.07db654c13c8fp+8", "0x1.2bf307ae80913p+8", "0x1.54fa87b4fdf6ep+8",
+     "0x1.839ec6e53af9fp+8"],
+    ["0x1.8c08ba73b312cp+1", "0x1.1f22ed2c81d23p+2", "0x1.8bba2847fcbabp+2",
+     "0x1.edad893517f9bp+2", "0x1.4d32da03635acp+3", "0x1.c343eb2f0bc64p+3",
+     "0x1.316a866cac832p+4", "0x1.9d55d403aaafap+4", "0x1.17ad4521f264ep+5",
+     "0x1.7a785fd538ff1p+5", "0x1.0014399ad3dd1p+6", "0x1.5a8895081b7f7p+6",
+     "0x1.d4f058491af6bp+6", "0x1.3d4a5deb904b7p+7", "0x1.ad5dc09de9dbep+7",
+     "0x1.2283dc23a225bp+8", "0x1.89220a9ba9cb3p+8", "0x1.09ffc925015d0p+9",
+     "0x1.67f515d3090fcp+9", "0x1.e71aab82f2fc9p+9", "0x1.4994d49788d18p+10",
+     "0x1.bdffa0ed2ea5fp+10", "0x1.2dc4cbdc028e7p+11", "0x1.985c9a67b182fp+11",
+     "0x1.144d9b1ec1b47p+12", "0x1.75e6a7e7d026fp+12", "0x1.f9f91c5fffc94p+12",
+     "0x1.56592c486b819p+13", "0x1.cf46707c998f6p+13", "0x1.397554acdb7b9p+14",
+     "0x1.a82e2ece33d36p+14", "0x1.1f019b6ad0bc6p+15", "0x1.8462802836815p+15",
+     "0x1.06c95582741bep+16", "0x1.639c1efa16f91p+16", "0x1.e1389381847d6p+16",
+     "0x1.4599c96715993p+17", "0x1.b89ca176b16c5p+17", "0x1.2a1fbf57a45c2p+18",
+     "0x1.936df9cd0f60cp+18"],
+    ["0x1.871628d508c9cp+0", "0x1.80948bb3aa0a4p+0", "0x1.7f8ad2e9e8f9ep+0",
+     "0x1.7e5015368f542p+0", "0x1.7df6c010211f9p+0", "0x1.7e0a81fa991eap+0",
+     "0x1.7e0e339ee4475p+0", "0x1.7e100c7109dbap+0", "0x1.7e10f8da1ca5dp+0",
+     "0x1.7e116f0ea60aep+0", "0x1.7e11aa28eabd7p+0", "0x1.7e11c7b60d16bp+0",
+     "0x1.7e11d67c9e436p+0", "0x1.7e11dddfe6d9ap+0", "0x1.7e11e1918b24dp+0",
+     "0x1.7e11e36a5d4a6p+0", "0x1.7e11e456c65d3p+0", "0x1.7e11e4ccfae69p+0",
+     "0x1.7e11e508152b4p+0", "0x1.7e11e525a24d9p+0", "0x1.7e11e53468dedp+0",
+     "0x1.7e11e53bcc276p+0", "0x1.7e11e53f7dcbbp+0", "0x1.7e11e541569ddp+0",
+     "0x1.7e11e5424306ep+0", "0x1.7e11e542b93b7p+0", "0x1.7e11e542f455bp+0",
+     "0x1.7e11e54311e2dp+0", "0x1.7e11e54320a97p+0", "0x1.7e11e543280cbp+0",
+     "0x1.7e11e5432bbe5p+0", "0x1.7e11e5432d972p+0", "0x1.7e11e5432e839p+0",
+     "0x1.7e11e5432ef9cp+0", "0x1.7e11e5432f34ep+0", "0x1.7e11e5432f527p+0",
+     "0x1.7e11e5432f612p+0", "0x1.7e11e5432f689p+0", "0x1.7e11e5432f6c4p+0",
+     "0x1.7e11e5432f6e2p+0", "0x1.7e11e5432f6f0p+0", "0x1.7e11e5432f6f8p+0",
+     "0x1.7e11e5432f6fbp+0", "0x1.7e11e5432f6fdp+0", "0x1.7e11e5432f6fep+0",
+     "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0",
+     "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0",
+     "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0",
+     "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0",
+     "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0"],
+    ["0x1.e6e1128320d30p-1", "0x1.75230e786bc7cp-1", "0x1.8f8c73cd84608p-1",
+     "0x1.8b0b55cf06dfbp-1", "0x1.855283feac3d0p-1", "0x1.868e349cdcd43p-1",
+     "0x1.896253cb46f10p-1", "0x1.891fe863bc3b6p-1", "0x1.88cb88bef40a8p-1",
+     "0x1.88ddb7c879815p-1", "0x1.89076d64bf838p-1", "0x1.890399ff58e9ap-1",
+     "0x1.88febddba4364p-1", "0x1.88ffc9fcf53b9p-1", "0x1.89023104bb000p-1",
+     "0x1.8901f89af28eep-1", "0x1.8901b0f15d45fp-1", "0x1.8901c0631abd3p-1",
+     "0x1.8901e3d018960p-1", "0x1.8901e0903ff5fp-1", "0x1.8901dc6f8b3a1p-1",
+     "0x1.8901dd5347d23p-1", "0x1.8901df5da76a3p-1", "0x1.8901df2dbdf2ep-1",
+     "0x1.8901def0dfb44p-1", "0x1.8901defdff547p-1", "0x1.8901df1c15702p-1",
+     "0x1.8901df1955c54p-1", "0x1.8901df15d202cp-1", "0x1.8901df169a9edp-1",
+     "0x1.8901df1852d94p-1", "0x1.8901df1836bb8p-1", "0x1.8901df180056dp-1",
+     "0x1.8901df182a97bp-1", "0x1.8901df181f07ep-1", "0x1.8901df1826a3dp-1",
+     "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1",
+     "0x1.8901df1826a3dp-1"],
 ]
 GAP_SLOPES = [
     ("0x1.029a2bd1ac119p-3", "0x1.8995a81508661p-10", "growing"),
     ("0x1.43b1dda281fbdp-1", "0x1.7d7774cf79555p-15", "growing"),
     ("0x1.67fd7742c1800p-14", "0x1.787c1c9e24c00p-18", "bounded"),
+     ("0x1.905837ed186b2p-39", "0x1.0cc394bde58cep-40", "bounded"),
+     ("0x1.0690fe2fc7515p-3", "0x1.2c6e2f27e5abep-30", "growing"),
+     ("0x1.35c0934be242cp-2", "0x1.fb5a8d7a4fb52p-43", "growing"),
+     ("0x1.e7267fea215fcp-46", "0x1.2e86979776559p-47", "bounded"),
+     ("0x1.38a6c54ce5700p-29", "0x1.03d8983fd4ab0p-30", "bounded"),
+]
+ONE = (1.0).hex()
+GAP_SUPS = [
+    [ONE] * 12,
+    [ONE] * 10,
+    [ONE] * 8,
+    [ONE] * 50,
+    [ONE] * 40,
+    [ONE] * 40,
+    [ONE] * 60,
+    ["0x1.a8a2ac13d6699p-2", "0x1.cc40c1368f488p-2", "0x1.f97f928c2f9d1p-2",
+     "0x1.efbf4e8e8dbc9p-2", "0x1.d9616f1536897p-2", "0x1.db6ea2ae5afc6p-2",
+     "0x1.de09ce472731bp-2", "0x1.dd7a05581541dp-2", "0x1.dc3035e9770c7p-2",
+     "0x1.dc4e7652f398fp-2", "0x1.dc74e42681384p-2", "0x1.dc6c9bf4b077ap-2",
+     "0x1.dc599cb490700p-2", "0x1.dc5b5ac890f5dp-2", "0x1.dc5d9171381ecp-2",
+     "0x1.dc5d1751ad492p-2", "0x1.dc5bff3221809p-2", "0x1.dc5c18e3d19d2p-2",
+     "0x1.dc5c39878b52bp-2", "0x1.dc5c327ec27ebp-2", "0x1.dc5c225c2d2c5p-2",
+     "0x1.dc5c23d70b002p-2", "0x1.dc5c25b856e04p-2", "0x1.dc5c255097ea9p-2",
+     "0x1.dc5c2462ae18cp-2", "0x1.dc5c247876c91p-2", "0x1.dc5c249437a4bp-2",
+     "0x1.dc5c248e24fefp-2", "0x1.dc5c24807b9c6p-2", "0x1.dc5c24818fa00p-2",
+     "0x1.dc5c248340dd6p-2", "0x1.dc5c2482663fep-2", "0x1.dc5c248241396p-2",
+     "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2",
+     "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2",
+     "0x1.dc5c248241396p-2"],
 ]
 RESIDUAL_CASES = [
     ("dyadic", (0.25,), 200, 5, "0x1.8000000000000p-52"),
@@ -167,12 +416,14 @@ RESIDUAL_CASES = [
 
 
 def test_gap_probe_pinned_bits():
-    for (name, free, alpha, kwargs), norms, (slope, stderr, verdict) in zip(
-            GAP_CASES, GAP_NORMS, GAP_SLOPES):
+    assert len(GAP_CASES) == len(GAP_NORMS) == len(GAP_SLOPES) \
+        == len(GAP_SUPS)
+    for (name, free, alpha, kwargs), norms, sups, (slope, stderr, verdict) \
+            in zip(GAP_CASES, GAP_NORMS, GAP_SUPS, GAP_SLOPES):
         report = gap_probe(SYSTEMS[name], ProbVector.of(*free), alpha,
                            **kwargs)
         assert [float(v).hex() for v in report.norms] == norms, name
-        assert report.sup_norms.tolist() == [1.0] * len(norms), name
+        assert [float(v).hex() for v in report.sup_norms] == sups, name
         assert float(report.slope).hex() == slope, name
         assert float(report.slope_stderr).hex() == stderr, name
         assert report.verdict == verdict

@@ -153,6 +153,27 @@ def test_conjugacy_and_report(tmp_path):
     assert doc["verdict"] == "non-rigid"
 
 
+def test_rigidity_rule_at_its_tolerance(tmp_path):
+    # summary.json and rigidity.json share one rule, alpha_plus - alpha_minus
+    # <= tol: rigid at tol equal to the difference, not one ulp below it
+    cfg = write_config(tmp_path, "spectrum", {"alpha_grid": {"count": 5}})
+    assert run_cli(cfg) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    diff = summary["alpha_plus"] - summary["alpha_minus"]
+    for tol, rigid in ((diff, True), (np.nextafter(diff, 0.0), False)):
+        cfg = write_config(tmp_path, "spectrum", {
+            "alpha_grid": {"count": 5}, "rigidity_tol": float(tol)})
+        assert run_cli(cfg) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["rigidity"] is rigid
+        cfg = write_config(tmp_path, "report", {
+            "tol": float(tol), "sample_count": 16, "grid_sizes": [129, 257]})
+        assert run_cli(cfg) == 0
+        doc = json.loads((tmp_path / "out" / "rigidity.json").read_text())
+        assert doc["rigid"] is rigid
+        assert doc["verdict"] == ("rigid" if rigid else "non-rigid")
+
+
 def test_manifest_lists_every_file(tmp_path):
     cfg = write_config(tmp_path, "spectrum", {"alpha_grid": {"count": 5}})
     assert run_cli(cfg) == 0

@@ -323,6 +323,24 @@ def test_gap_probe_dichotomy(dyadic, quarter):
     assert edge.slope == pytest.approx(math.log(0.75 * 2 ** alpha), abs=1e-8)
 
 
+@pytest.mark.parametrize("slopes, shifts, free, alpha", [
+    ((2.0, 2.0), (0.0, -1.0), (0.25,), 0.6),
+    ((2.0, 2.0), (0.0, -1.0), (0.25,), 0.3),
+    ((3.0, 3.0), (0.0, -2.0), (0.3,), 0.9),
+    ((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.2, 0.5), 0.8),
+])
+def test_gap_probe_slope_is_the_closed_form_rate(slopes, shifts, free,
+                                                 alpha):
+    # for affine branches the alpha-seminorm of the iterates grows at slope
+    # max(0, max_i log(p_i * a_i^alpha)): 0 below alpha_minus
+    system = affine_system(slopes, shifts, (0.0, 1.0))
+    p = ProbVector.of(*free)
+    rate = max(0.0, max(math.log(float(p[i]) * a ** alpha)
+                        for i, a in zip(system.symbols(), slopes)))
+    report = gap_probe(system, p, alpha, n_max=40, grid_size=2049)
+    assert abs(report.slope - rate) <= 1e-8
+
+
 def test_gap_probe_rejects_custom_branches(quarter):
     from holderlab import Branch, IFSystem
     b1 = Branch.custom(fn=lambda x: 3 * x, dfn=lambda x: 3.0,

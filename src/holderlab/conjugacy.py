@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ifs import IFSystem, OutsideHullError, ProbVector, _apply_branches, \
+from .ifs import IFSystem, ProbVector, _apply_branches, _check_in_hull, \
     _cylinder_maps, _windows_of, affine_system, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, _orbit_start, _orbit_tables, \
@@ -62,9 +62,7 @@ def phi(system: IFSystem, p: ProbVector, x):
     rational system and rational weights) return exact rationals.  A point
     outside the attractor hull raises OutsideHullError, a NaN x ValueError.
     """
-    a, b = system._coding.hull
-    if x < a or x > b:
-        raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
+    _check_in_hull(system, x)
     value, bound = eval_cdf(system, p, x)
     return value + type(value)(bound) / 2
 

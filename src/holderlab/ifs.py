@@ -622,6 +622,14 @@ class EncodeResult:
     gap: bool  # True when the point fell into a gap before reaching depth
 
 
+def _check_in_hull(system: IFSystem, x) -> None:
+    """Raise OutsideHullError if x lies outside the attractor hull.  A NaN x
+    passes, as it passes every hull test, and `_coding_for` refuses it."""
+    a, b = system._coding.hull
+    if x < a or x > b:
+        raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
+
+
 def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     """Symbolic coding of x to the given depth.
 
@@ -629,9 +637,7 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     A point inside a gap of the attractor gets the word of the deepest
     cylinder containing it and gap=True.  A NaN x raises ValueError.
     """
-    a, b = system._coding.hull
-    if x < a or x > b:
-        raise OutsideHullError(f"{x} outside attractor hull [{a}, {b}]")
+    _check_in_hull(system, x)
     word = []
     for _, sym, gap in _walk(*_coding_for(system, x), depth):
         if gap:

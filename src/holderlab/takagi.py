@@ -338,13 +338,12 @@ def _source_grid(system, p, m, grids) -> GridFunction:
     s = system.branch_count - 1
     nodes = grids[(0,) * s].grid.nodes
     vals = np.zeros_like(nodes)
-    last = system.branch(s + 1)
+    fl = _branch_on_array(system.branch(s + 1), nodes)
     for j in range(s):
         if m[j] == 0:
             continue
         below = grids[m[:j] + (m[j] - 1,) + m[j + 1:]].grid
         fj = _branch_on_array(system.branch(j + 1), nodes)
-        fl = _branch_on_array(last, nodes)
         vals += m[j] * (below(fj) - below(fl))
     return GridFunction(nodes, vals, 0.0, 0.0)
 

@@ -296,11 +296,11 @@ def holder_seminorm(h: GridFunction, alpha: float,
     only over neighbours (a fast lower bound).  The virtual points at minus
     and plus infinity, with values boundary_left and boundary_right, always
     join the scan.  "pairs" cuts the compactified nodes into blocks of
-    `_BLOCK` nodes, scans each block against itself, then scans block pairs
-    in descending order of a certified bound on their ratios until the
-    bound falls below the running best.  Every ratio it computes is the one
-    an all-pairs scan computes, so the maximum is bit-identical to that
-    scan.  Raises ValueError if a scanned value is not finite.
+    `_BLOCK` nodes and scans block pairs, a block with itself first, in
+    descending order of a certified bound on their ratios until the bound
+    falls below the running best.  Every ratio it computes is the one an
+    all-pairs scan computes, so the maximum is bit-identical to that scan.
+    Raises ValueError if a scanned value is not finite.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -332,59 +332,63 @@ _SUB_STEP = 8    # block pairs per vectorised call of that scan
 def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
                block: int) -> float:
     """Exact max of |vals_j - vals_i| / (pos_j - pos_i)^alpha over index pairs
-    i < j with pos_j > pos_i, by certified pruning of block pairs.
+    i < j with pos_j > pos_i, by `_pruned_max` over block pairs I <= J.
 
     pos is nondecreasing up to rounding: compactify can put a huge node one
     ulp below its left neighbour, so the bounds take each block's extreme
     positions rather than its first and last."""
-    n = pos.size
-    if n < 2:
-        return 0.0
-    nb = -(-n // block)
+    nb = -(-pos.size // block)
     # repeating the last node in the padding only repeats existing pairs
-    pad = (0, nb * block - n)
+    pad = (0, nb * block - pos.size)
     bpos = np.pad(pos, pad, mode="edge").reshape(nb, block)
     bval = np.pad(vals, pad, mode="edge").reshape(nb, block)
-    step = max(1, _CHUNK_PAIRS // (block * block))
-
-    best = 0.0
-    vmin, vmax = bval.min(axis=1), bval.max(axis=1)
-    # every ratio inside a block of equal values is 0 (outside the hull, in
-    # a gap), which cannot raise the best
-    diag = np.flatnonzero(vmax > vmin)
-    for s in range(0, diag.size, step):
-        best = _block_pairs_max(bpos, bval, diag[s:s + step],
-                                diag[s:s + step], alpha, best, same=True)
-
-    # blocks I < J: every pair gains at most the widest value spread across
-    # them and lies at least the gap between them apart; blocks that touch
-    # or overlap have no gap and are always scanned
-    bi, bj = np.triu_indices(nb, k=1)
-    spread = np.maximum(vmax[bj] - vmin[bi], vmax[bi] - vmin[bj])
+    # every pair of blocks I < J lies at least the gap between them apart;
+    # a block and itself, and blocks that touch or overlap, have no gap
+    bi, bj = np.triu_indices(nb)
     gap = bpos.min(axis=1)[bj] - bpos.max(axis=1)[bi]
+    # inside one block only its pairs r < c count
+    ahead = ~np.tri(block, dtype=bool)
+
+    def den(sel):
+        dd = bpos[bj[sel]][:, None, :] - bpos[bi[sel]][:, :, None]
+        keep = dd > 0
+        keep[bi[sel] == bj[sel]] &= ahead
+        return np.power(dd, alpha, out=np.full(dd.shape, np.inf), where=keep)
+
+    # a block pair of no gap has bound spread / 0: inf, or nan when it has
+    # no spread, and then all its ratios are 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = spread / np.maximum(gap, 0.0) ** alpha
-    bound[spread == 0] = 0.0
-    cand = np.flatnonzero(bound > best * (1 - _PRUNE_SLACK))
-    cand = cand[np.argsort(-bound[cand], kind="stable")]
+        return _pruned_max(bval, bi, bj, np.maximum(gap, 0.0) ** alpha, den,
+                           max(1, _CHUNK_PAIRS // (block * block)), 0.0)
+
+
+def _pruned_max(vb, bi, bj, lower, den, step, best):
+    """Running max, from `best`, of |vb[J, c] - vb[I, r]| / den(sel)[k, r, c]
+    over the block pairs (I, J) = (bi[k], bj[k]) of the blocks of values vb,
+    k in sel: den(sel) gives the caller's denominators, inf where a node
+    pair is not scanned, and lower[k] bounds block pair k's denominators
+    from below.
+
+    A block pair's ratios are at most its value spread over lower[k].  Block
+    pairs are scanned `step` at a time in descending order of that bound,
+    so those of no finite bound first, until the bound is at or below the
+    best by the relative margin `_PRUNE_SLACK`, which covers a lower[k] that
+    rounding puts above a denominator.  So the maximum is the one of
+    scanning every block pair.  A block pair of no spread has bound 0, or
+    nan over lower 0, and is never scanned: its ratios are all 0.
+    """
+    # the ufuncs' reduce skips the fixed cost of ndarray.min on small blocks
+    lo, hi = np.minimum.reduce(vb, axis=1), np.maximum.reduce(vb, axis=1)
+    bound = np.maximum(hi[bj] - lo[bi], hi[bi] - lo[bj]) / lower
+    cand = np.nonzero(bound > best * (1 - _PRUNE_SLACK))[0]
+    if cand.size > step:  # one chunk is scanned whole, in any order
+        cand = cand[np.argsort(-bound[cand])]
     for s in range(0, cand.size, step):
         if not bound[cand[s]] > best * (1 - _PRUNE_SLACK):
             break
         sel = cand[s:s + step]
-        best = _block_pairs_max(bpos, bval, bi[sel], bj[sel], alpha, best)
-    return best
-
-
-def _block_pairs_max(bpos, bval, bi, bj, alpha, best, same=False):
-    """Running max over the node pairs of block pairs (bi[k], bj[k]), bi < bj,
-    or bi == bj when `same`, with the ratio expression of an all-pairs scan."""
-    dd = bpos[bj][:, None, :] - bpos[bi][:, :, None]
-    dv = np.abs(bval[bj][:, None, :] - bval[bi][:, :, None])
-    keep = dd > 0
-    if same:
-        keep &= np.triu(np.ones(dd.shape[1:], dtype=bool), k=1)
-    if keep.any():
-        best = max(best, float((dv[keep] / dd[keep] ** alpha).max()))
+        dv = np.abs(vb[bj[sel]][:, None, :] - vb[bi[sel]][:, :, None])
+        best = max(best, float((dv / den(sel)).max()))
     return best
 
 
@@ -495,11 +499,8 @@ def _pair_scan(pos, alpha, sub):
     probe, not once per step.
 
     The subsample and the two virtual points are cut into blocks of
-    `_SUB_BLOCK`.  A block pair's ratios are at most its value spread over
-    its smallest denominator, also after rounding, which is monotone in
-    both operands.  So block pairs are scanned in descending order of that
-    bound until it is at or below the best, and the maximum is the one of
-    scanning every pair.
+    `_SUB_BLOCK`, whose pairs `_pruned_max` scans with each block pair's
+    smallest denominator as its lower bound.
     """
     dd = np.diff(pos)
     adjacent = np.flatnonzero(dd > 0)
@@ -522,24 +523,19 @@ def _pair_scan(pos, alpha, sub):
     bi, bj = np.triu_indices(nb)
     blocks = den.reshape(nb, _SUB_BLOCK, nb, _SUB_BLOCK)[bi, :, bj]
     min_den = blocks.min(axis=(1, 2))
-    # the value 1 of +inf, repeated over the padding
-    right = np.ones(nb * _SUB_BLOCK - m + 1)
+    # the blocks of values: 0 at -inf, 1 at +inf and over the padding, and
+    # in between vals[sub], which each scan writes in place
+    vb = np.ones((nb, _SUB_BLOCK))
+    vb[0, 0] = 0.0
+    sub_vals = vb.reshape(-1)[1:m - 1]
 
     def scan(vals, best):
         dv = np.abs(np.diff(vals))[adjacent]
         if adjacent.size:
             best = max(best, float(np.max(dv / adjacent_den)))
-        vb = np.concatenate([[0.0], vals[sub], right]).reshape(nb, _SUB_BLOCK)
-        lo, hi = vb.min(axis=1), vb.max(axis=1)
-        bound = np.maximum(hi[bj] - lo[bi], hi[bi] - lo[bj]) / min_den
-        order = np.argsort(-bound, kind="stable")
-        for s in range(0, order.size, _SUB_STEP):
-            if not bound[order[s]] > best:
-                break
-            sel = order[s:s + _SUB_STEP]
-            dv = np.abs(vb[bj[sel]][:, None, :] - vb[bi[sel]][:, :, None])
-            best = max(best, float((dv / blocks[sel]).max()))
-        return best
+        sub_vals[:] = vals[sub]
+        return _pruned_max(vb, bi, bj, min_den, blocks.__getitem__,
+                           _SUB_STEP, best)
 
     return scan
 

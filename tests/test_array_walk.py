@@ -1,11 +1,13 @@
 """The array coding walk behind `cdf_values`, `gap_probe` and the
 conjugacy residual: values that do not depend on the batch or on how the
 steps are split between calls, agreement with the scalar walk of
-`eval_cdf`, and outputs pinned to recorded bits."""
+`eval_cdf`, agreement with the stationary measure, and outputs pinned to
+recorded bits."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from holderlab import (
     validated,
 )
 from holderlab.conjugacy import conjugacy_residual
-from holderlab.ifs import compactify, hull_preimages
+from holderlab.ifs import _suffix_midpoints, compactify, hull_preimages
 from holderlab.transition import (
     _orbit_start,
     _orbit_tables,
@@ -135,6 +137,56 @@ def test_one_step_calls_match_one_walk(case, steps):
         _orbit_tables(system, p, whole, tol=0.0, max_depth=n)
         for got, want in zip(stepped, whole):
             assert got.tobytes() == want.tobytes(), n
+
+
+# The cdf T against the stationary measure mu it is the cdf of, by an oracle
+# that walks no point: the probability integral transform.  A word of
+# symbol law p codes a mu-distributed point X, and T(X) is uniform on
+# [0, 1].  The midpoint of the word's depth-48 cylinder lies in the cylinder
+# of X, across which T rises by the cylinder's mass, so the KS distance of T
+# at the midpoints to the uniform law is at most the DKW bound (Massart's
+# constant) plus the largest sampled cylinder mass, except with probability
+# PIT_DELTA.  Seeds and weights were fixed before the first run.
+PIT_DELTA = 1e-6
+PIT_SEED = 17
+# free weights and word count; the bent system's midpoints are walked word
+# by word, so it draws fewer words
+PIT_CASES = {
+    "dyadic": ((0.3,), 20000),
+    "cantor": ((0.4,), 20000),
+    "gaps3": ((0.2, 0.5), 20000),
+    "bent": ((0.35,), 5000),
+}
+
+
+def _pit_distance(name, swapped=False):
+    """KS distance of the cdf at the cylinder midpoints of drawn words to the
+    uniform law, and its bound; `swapped` draws the words with the weights
+    reversed, a planted fault."""
+    free, n = PIT_CASES[name]
+    system, p = SYSTEMS[name], ProbVector.of(*free)
+    weights = np.array([float(w) for w in p.weights])
+    law = weights[::-1] if swapped else weights
+    words = np.random.default_rng(PIT_SEED).choice(
+        law.size, size=(n, 48), p=law) + 1
+    mids = _suffix_midpoints(system, words)[:, 0].astype(float)
+    u = np.sort(cdf_values(system, p, mids))
+    k = np.arange(1, n + 1)
+    ks = max(float(np.max(k / n - u)), float(np.max(u - (k - 1) / n)))
+    mass = math.exp(float(np.log(weights)[words - 1].sum(axis=1).max()))
+    return ks, math.sqrt(math.log(2 / PIT_DELTA) / (2 * n)) + mass
+
+
+@pytest.mark.parametrize("name", sorted(PIT_CASES))
+def test_cdf_is_the_cdf_of_the_stationary_measure(name):
+    ks, bound = _pit_distance(name)
+    assert ks <= bound, (ks, bound)
+
+
+@pytest.mark.parametrize("name", sorted(PIT_CASES))
+def test_stationary_measure_oracle_sees_swapped_weights(name):
+    ks, bound = _pit_distance(name, swapped=True)
+    assert ks > bound, (ks, bound)
 
 
 def _all_pairs_scan(pos, alpha, sub, vals):

@@ -326,6 +326,11 @@ class IFSystem:
         by cylinder level."""
         return {}
 
+    @cached_property
+    def _memo(self) -> dict:
+        """Tables other modules derive from this system, by plain keys."""
+        return {}
+
 
 def affine_system(slopes, intercepts, open_set) -> IFSystem:
     branches = tuple(Branch.affine(a, b) for a, b in zip(slopes, intercepts))

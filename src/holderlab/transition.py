@@ -141,7 +141,17 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
     """Vectorised eval_cdf over an array of points; tol may be 0.  A NaN
-    point raises ValueError, as in `eval_cdf`."""
+    point raises ValueError, as in `eval_cdf`.
+
+    Every system stops where `eval_cdf` stops and carries its bits, except
+    that at tol > 0 a system whose every float step is exact walks L
+    symbols per step (`_orbit_tables` gives the qualification and its
+    proof: affine, slopes 2^k, intercepts 0 or Sterbenz-exact over their
+    windows, composed intercepts floats).  Such a walk decides a point
+    only at the end of a block, so it may stop up to L - 1 symbols later,
+    with a smaller undecided mass: its value lies within `eval_cdf`'s bound
+    of `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A value never
+    depends on the other points of the batch."""
     xs = np.asarray(xs, dtype=float)
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
@@ -175,33 +185,95 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     never stepped again, here or in a later call, as in `eval_cdf`.  So a
     point's values do not depend on the other points of the batch, and at
     tol 0, n calls of one step give the bits of one call of n steps.
+
+    At tol > 0, on a system that qualifies (below), each step takes L
+    symbols: L is the largest length with d^L <= `_CYLINDERS`, d the
+    branch count.  One `searchsorted` on the level-L breakpoints, with an
+    equality test, finds y's region (`_Cylinders`), and the step adds
+    mass * acc_w, multiplies mass by m_w and maps y to A_w * y + B_w.  The
+    symbols max_depth leaves after its last whole block take the
+    one-symbol step, as does every call at tol 0 and every system that
+    does not qualify, with the bits described above.  A point is decided
+    only at the end of a block, so it may stop up to L - 1 symbols later
+    than `eval_cdf` and carry a smaller undecided mass.
+
+    A system qualifies when it is affine with L >= 2, every slope is 2^k,
+    every slope and intercept is a float, and on the float window [u, v]
+    of each branch y -> s y + c either c = 0, or s y and -c share a sign
+    and lie within a factor of two of each other at y = u and y = v, hence
+    on all of [u, v]; and every composed intercept B_w is a float.  Then:
+
+    1. Every one-symbol step is exact: s y scales by a power of two, and
+       s y + c = s y - (-c) is exact by Sterbenz's lemma.  So the float
+       orbit is the exact orbit of the float point, and along a word w it
+       is the real A_w y + B_w, A_w the product of the slopes.
+    2. A step's decisions compare y with the hull ends and the window
+       edges, the set E.  `_cylinder_geometry` takes E as the breakpoints
+       of one symbol, and as those of n symbols E and t' = fl((t - c) / s)
+       for every breakpoint t of n - 1 symbols and every branch s y + c
+       whose window holds t'.  A float y of that window below t' lies
+       below the real (t - c) / s, of which t' is the nearest float, so
+       s y + c < t, exactly; likewise above.  So, by induction on n, the
+       floats strictly between two adjacent breakpoints of n symbols make
+       one first decision and map into one region of n - 1 symbols: they
+       take one path, and each breakpoint is a region of its own.
+    3. So fl(A_w y + B_w) is the L-th orbit point of every float y of a
+       region: A_w y is exact, and the real sum is that orbit point, a
+       float.  A region's A_w and B_w are read off two of its floats
+       after n symbols: A_w is the ratio of two powers of two, exact, and
+       B_w = y_1 - A_w r_1 is exact because B_w is a float, which
+       `_cylinder_geometry` checks by an exact error term (Knuth's
+       TwoSum).  A region of one float keeps its point.  The floats are
+       walked by the one-symbol step for n = 1 and, for n > 1, by the
+       tables of ceil(n / 2) and floor(n / 2) symbols in turn, which by
+       the above give the same points.
+    4. The one-symbol table's acc_w and m_w come from walking the first
+       float of each of its regions with the weights at tol 0, so every
+       table inherits the tie, gap and parking rules of the one-symbol
+       step; two halves compose as acc_1 + m_1 acc_2 and m_1 m_2.  These
+       round differently from L one-symbol steps, so a block agrees with
+       them up to rounding, not bit for bit.
     """
     a, b = (float(t) for t in system._coding.hull)
     weights, cum = _checked_weights(system, p)._float_weights
+    table = _cylinders(system, p) if tol > 0 else None
+    blocks, rest = 0, max_depth
+    if table:
+        cyl, acc_w, mass_w = table
+        blocks, rest = divmod(max_depth, cyl.length)
     idx = np.flatnonzero(state[2] > tol)
     y, acc, mass = (o[idx] for o in state)
-    for _ in range(max_depth):
+    for step in range(blocks + rest):
         if not idx.size:
             break
-        # an orbit parked on a hull endpoint is decided: at a all of its
-        # mass drifts down, at b all of it drifts up; count_nonzero asks
-        # "any?" at a third of the fixed cost of any() on small arrays
-        at_b = y == b
-        parked = at_b | (y == a)
-        if np.count_nonzero(parked):
-            acc[at_b] += mass[at_b]
-            mass[parked] = 0.0
-            idx, (y, acc, mass) = _settle(parked, idx, (y, acc, mass), state)
-        k, inside = _windows_of(system, y)
-        # in a gap, the branches whose windows lie left of y escape up
-        acc = acc + mass * cum[k]
-        if np.count_nonzero(inside) < inside.size:
-            gap = ~inside
-            mass[gap] = 0.0
-            idx, (y, acc, mass) = _settle(gap, idx, (y, acc, mass), state)
-            k = k[inside]
-        mass = mass * weights[k]
-        y = _apply_branches(system, k, y)
+        if step < blocks:
+            r = np.searchsorted(cyl.keys, y, side="right")
+            acc = acc + mass * acc_w[r]
+            mass = mass * mass_w[r]
+            y = cyl.slope[r] * y + cyl.intercept[r]
+        else:
+            # an orbit parked on a hull endpoint is decided: at a all of
+            # its mass drifts down, at b all of it drifts up; count_nonzero
+            # asks "any?" at a third of the fixed cost of any() on small
+            # arrays
+            at_b = y == b
+            parked = at_b | (y == a)
+            if np.count_nonzero(parked):
+                acc[at_b] += mass[at_b]
+                mass[parked] = 0.0
+                idx, (y, acc, mass) = _settle(parked, idx, (y, acc, mass),
+                                              state)
+            k, inside = _windows_of(system, y)
+            # in a gap, the branches whose windows lie left of y escape up
+            acc = acc + mass * cum[k]
+            if np.count_nonzero(inside) < inside.size:
+                gap = ~inside
+                mass[gap] = 0.0
+                idx, (y, acc, mass) = _settle(gap, idx, (y, acc, mass),
+                                              state)
+                k = k[inside]
+            mass = mass * weights[k]
+            y = _apply_branches(system, k, y)
         done = mass <= tol
         if np.count_nonzero(done):
             idx, (y, acc, mass) = _settle(done, idx, (y, acc, mass), state)
@@ -219,6 +291,157 @@ def _settle(done, idx, carried, out):
     return idx[keep], tuple(c[keep] for c in carried)
 
 
+# words per table of the L-symbol walk: L is the largest length whose d^L
+# words number at most this, d the branch count
+_CYLINDERS = 256
+
+
+@dataclass(frozen=True, eq=False)
+class _Cylinders:
+    """The regions of n symbols of a system's walk (`_orbit_tables`).
+
+    With t the sorted breakpoints of length n, keys interleaves t with the
+    float after each, so `searchsorted(keys, y, "right")` is 2i + 1 at
+    y = t_i, 2i + 2 between t_i and t_{i+1} (or right of the last) and 0
+    left of t_0: every breakpoint is a region of its own.  n one-symbol
+    steps map every float y of region r to slope[r] * y + intercept[r], bit
+    for bit.  A point they decide stays where they decide it: in a gap, on
+    a hull end or outside the hull, where the one-symbol step decides it
+    at once in place, so every table maps it to itself.  reps holds the
+    first float of each region.  For n > 1 the table is two tables of
+    ceil(n / 2) and floor(n / 2) symbols in turn (parts), and index[j]
+    holds the region in parts[j] of each region's first float on its way.
+    """
+
+    length: int
+    keys: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+    reps: np.ndarray
+    parts: tuple
+    index: tuple
+
+
+def _cylinders(system: IFSystem, p: ProbVector):
+    """(`_Cylinders` of L symbols, acc_w, m_w), or None unless the system
+    qualifies: acc_w and m_w are the escaped and the undecided mass of each
+    region's L one-symbol steps from mass 1.  The geometry is built once
+    per system, the masses once per weights instance."""
+    memo = system._memo
+    if "cylinders" not in memo:
+        memo["cylinders"] = _cylinder_geometry(system, p)
+    cyl = memo["cylinders"]
+    return cyl and (cyl,) + _cylinder_masses(system, p, cyl)
+
+
+def _cylinder_masses(system: IFSystem, p: ProbVector, cyl: _Cylinders):
+    """(acc_w, m_w) of cyl's regions, built once per weights instance: at
+    one symbol, its first floats walked by the one-symbol step with p at
+    tol 0, whose tie, gap and parking rules so decide them; above, the
+    masses of its two parts, composed."""
+    key = ("cylinders", cyl)
+    if key not in p._memo:
+        if cyl.parts:
+            (acc1, mass1), (acc2, mass2) = (_cylinder_masses(system, p, part)
+                                            for part in cyl.parts)
+            i, j = cyl.index
+            masses = acc1[i] + mass1[i] * acc2[j], mass1[i] * mass2[j]
+        else:
+            masses = _one_step(system, p, cyl.reps)[1:]
+        p._memo[key] = masses
+    return p._memo[key]
+
+
+def _one_step(system: IFSystem, p: ProbVector, points: np.ndarray) -> tuple:
+    """(y, acc, mass) after one one-symbol step at tol 0 from mass 1, in
+    read-only arrays."""
+    state = (points.copy(), np.zeros(points.size), np.ones(points.size))
+    _orbit_tables(system, p, state, 0.0, 1)
+    for o in state:
+        o.flags.writeable = False
+    return state
+
+
+def _cylinder_geometry(system: IFSystem, p: ProbVector):
+    """The `_Cylinders` of L symbols of `_orbit_tables`' proof, or None for
+    a system that does not qualify.  Only the one-symbol table walks its
+    floats, with p: at tol 0 their paths do not depend on the weights."""
+    d = system.branch_count
+    length = 1
+    while d ** (length + 1) <= _CYLINDERS:
+        length += 1
+    if length < 2 or not system.is_affine:
+        return None
+    slopes, intercepts = system._float_maps
+    u, v = system._float_windows
+    for br, s, c, lo, hi in zip(system.branches, slopes.tolist(),
+                                intercepts.tolist(), u.tolist(), v.tolist()):
+        if br.slope != s or br.intercept != c or math.frexp(s)[0] != 0.5:
+            return None
+        # Sterbenz: s y and -c within a factor of two at both window ends
+        if c and not all(min(-c / 2, -2 * c) <= s * t <= max(-c / 2, -2 * c)
+                         for t in (lo, hi)):
+            return None
+    a, b = (float(t) for t in system._coding.hull)
+    # the breakpoints of n symbols: the hull ends and window edges, and
+    # their preimages inside each window under the breakpoints of n - 1
+    edges = np.concatenate([[a, b], u[:-1], v])
+    levels = [edges]
+    for _ in range(length - 1):
+        pre = (levels[-1] - intercepts[:, None]) / slopes[:, None]
+        levels.append(np.concatenate(
+            [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]]))
+    tables = {}
+
+    def table(n):
+        """The `_Cylinders` of n symbols, built once, or None when a
+        composed intercept is not a float."""
+        if n in tables:
+            return tables[n]
+        ends = np.unique(levels[n - 1])
+        keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
+        # the first float of each region, and a second one: the two floats
+        # before t_0 for region 0, the two after t_i for region 2i + 2 when
+        # both lie below t_{i+1}, else the first again
+        reps = np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
+        second = np.nextafter(reps, math.inf)
+        second[0] = np.nextafter(reps[0], -math.inf)
+        second[1::2] = reps[1::2]
+        upper = np.append(ends[1:], math.inf)
+        second[2::2] = np.where(second[2::2] < upper, second[2::2],
+                                reps[2::2])
+        y = np.concatenate([reps, second])
+        parts, index = (), []
+        if n == 1:
+            y = _one_step(system, p, y)[0]
+        else:
+            parts = (table((n + 1) // 2), table(n // 2))
+            if None in parts:
+                return None
+            for part in parts:
+                r = np.searchsorted(part.keys, y, side="right")
+                index.append(r[:reps.size])
+                y = part.slope[r] * y + part.intercept[r]
+        m = reps.size
+        y1, dr = y[:m], second - reps
+        slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
+        term = -slope * reps
+        intercept = y1 + term
+        # TwoSum: the rounding error of y1 + term, exactly; 0 iff B_w is a
+        # float, else the system does not qualify
+        back = intercept - y1
+        if np.any((y1 - (intercept - back)) + (term - back)):
+            tables[n] = None
+            return None
+        for o in (keys, slope, intercept, reps) + tuple(index):
+            o.flags.writeable = False
+        tables[n] = _Cylinders(n, keys, slope, intercept, reps, parts,
+                               tuple(index))
+        return tables[n]
+
+    return table(length)
+
+
 def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:
     """The cdf at tol 1e-13 on `uniform_grid`'s 4097 nodes (margin 0.25)."""
     nodes = uniform_grid(system)
@@ -233,11 +456,26 @@ def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:
 def apply_transition(system: IFSystem, p: ProbVector,
                      h: GridFunction) -> GridFunction:
     """One averaging step (M h)(x) = sum_i p_i h(f_i(x)) on the grid."""
+    return h.with_values(_averaged(h, h.values,
+                                   _branch_images(system, p, h.nodes)))
+
+
+def _branch_images(system: IFSystem, p: ProbVector, nodes) -> list:
+    """(p_i, f_i(nodes)) for every branch, the weight as a float."""
     _checked_weights(system, p)
-    new = np.zeros_like(h.values)
-    for i in system.symbols():
-        new += float(p[i]) * h(_branch_on_array(system.branch(i), h.nodes))
-    return h.with_values(new)
+    return [(float(p[i]), _branch_on_array(system.branch(i), nodes))
+            for i in system.symbols()]
+
+
+def _averaged(h: GridFunction, values: np.ndarray, images: list):
+    """sum_i p_i g(f_i(x)) at h's nodes, g the interpolant of values on
+    h's nodes with h's boundary values: one operator step, whose images
+    of the nodes come from `_branch_images`."""
+    new = np.zeros_like(values)
+    for w, fy in images:
+        new += w * np.interp(fy, h.nodes, values, left=h.boundary_left,
+                             right=h.boundary_right)
+    return new
 
 
 @dataclass(frozen=True)
@@ -264,11 +502,12 @@ def iterate_transition(system: IFSystem, p: ProbVector, h0: GridFunction,
         raise ValueError("n_max must be at least 2")
     lim_vals = (h0.boundary_right - h0.boundary_left) \
         * cdf_values(system, p, h0.nodes, tol=1e-14) + h0.boundary_left
-    h = h0
+    images = _branch_images(system, p, h0.nodes)
+    vals = h0.values
     residuals = np.empty(n_max)
     for n in range(n_max):
-        h = apply_transition(system, p, h)
-        residuals[n] = np.max(np.abs(h.values - lim_vals))
+        vals = _averaged(h0, vals, images)
+        residuals[n] = np.max(np.abs(vals - lim_vals))
 
     floor = float(residuals.min())
     above = residuals > max(10 * floor, 1e-300)

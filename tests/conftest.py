@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from holderlab import ProbVector, affine_system
+from holderlab import Branch, IFSystem, ProbVector, affine_system, validated
 
 acceptance_lines = []
 
@@ -25,6 +27,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def dyadic():
     """Two full branches of slope 2 on (0, 1)."""
     return affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+
+
+def bent_system():
+    """A quadratic left branch 2.5x - 0.5x^2 (slope 1.5 to 2.5 on its
+    window) and the affine 2x - 1, both as callables, so the walks call the
+    maps on arrays and the pressure takes the cylinder sandwich.  Module
+    level tables call this function; tests take the `bent` fixture."""
+    return validated(IFSystem(branches=(
+        Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
+                      dfn=lambda x: 2.5 - x,
+                      inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y)),
+        Branch.custom(fn=lambda x: 2.0 * x - 1.0, dfn=lambda x: 2.0,
+                      inv=lambda y: (y + 1.0) / 2.0)),
+        open_set=(0.0, 1.0), expansion=1.5))
+
+
+@pytest.fixture
+def bent():
+    return bent_system()
 
 
 @pytest.fixture

@@ -1,30 +1,34 @@
 """The array coding walk behind `cdf_values`, `gap_probe` and the
 conjugacy residual: values that do not depend on the batch or on how the
 steps are split between calls, agreement with the scalar walk of
-`eval_cdf`, agreement with the stationary measure, and outputs pinned to
-recorded bits."""
+`eval_cdf` (its bits, or its bound where systems of exact steps walk L
+symbols at once), agreement with the stationary measure, and outputs
+pinned to recorded bits."""
 
+import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import bent_system
 from holderlab import (
-    Branch,
-    IFSystem,
     ProbVector,
     affine_system,
     attractor_hull,
     cdf_values,
+    cylinder,
     eval_cdf,
     gap_probe,
-    validated,
 )
 from holderlab.conjugacy import conjugacy_residual
 from holderlab.ifs import _suffix_midpoints, compactify, hull_preimages
 from holderlab.transition import (
+    _cylinders,
     _orbit_start,
     _orbit_tables,
     _pair_scan,
@@ -34,23 +38,11 @@ from holderlab.transition import (
 )
 
 
-def _bent_system():
-    """A quadratic left branch 2.5x - 0.5x^2 and the affine 2x - 1, both as
-    callables, so the walks call the maps on arrays."""
-    return validated(IFSystem(branches=(
-        Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
-                      dfn=lambda x: 2.5 - x,
-                      inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y)),
-        Branch.custom(fn=lambda x: 2.0 * x - 1.0, dfn=lambda x: 2.0,
-                      inv=lambda y: (y + 1.0) / 2.0)),
-        open_set=(0.0, 1.0), expansion=1.5))
-
-
 SYSTEMS = {
     "dyadic": affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0)),
     "cantor": affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0)),
     "gaps3": affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0)),
-    "bent": _bent_system(),
+    "bent": bent_system(),
 }
 
 
@@ -137,6 +129,94 @@ def test_one_step_calls_match_one_walk(case, steps):
         _orbit_tables(system, p, whole, tol=0.0, max_depth=n)
         for got, want in zip(stepped, whole):
             assert got.tobytes() == want.tobytes(), n
+
+
+# Systems whose every float step is exact, as (slopes, intercepts) on (0, 1):
+# at tol > 0 their walk takes L symbols per lookup, L the largest length
+# with d^L <= 256.  The middle third, gaps3 and bent keep one symbol.
+EXACT_STEP = {
+    "dyadic": ((2, 2), (0, -1)),
+    "four": ((4, 4, 4, 4), (0, -1, -2, -3)),
+    "gapped": ((4, 4), (0, -3)),
+}
+
+
+def _exact_step_system(name, num=float):
+    slopes, intercepts = EXACT_STEP[name]
+    return affine_system(tuple(map(num, slopes)), tuple(map(num, intercepts)),
+                         (num(0), num(1)))
+
+
+@functools.cache
+def _level_breakpoints(name):
+    """The ends of every cylinder of length L, from the exact system."""
+    exact = _exact_step_system(name, Fraction)
+    d = exact.branch_count
+    length = max(n for n in range(1, 9) if d ** n <= 256)
+    words = itertools.product(range(1, d + 1), repeat=length)
+    return sorted({float(t) for w in words for t in cylinder(exact, w)})
+
+
+@st.composite
+def exact_step_cases(draw):
+    """A system of exact steps, weights in 64ths and a uniform grid."""
+    name = draw(st.sampled_from(sorted(EXACT_STEP)))
+    d = len(EXACT_STEP[name][0])
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=d - 1,
+                                max_size=d - 1, unique=True)))
+    spread = st.floats(-0.3, 1.3, allow_nan=False)
+    return dict(name=name,
+                free=tuple(hi - lo for lo, hi in zip([0] + cuts, cuts)),
+                grid=draw(st.tuples(spread, spread, st.integers(2, 300))))
+
+
+# seed and explicit examples fixed before the first run
+@seed(20261019)
+@settings(max_examples=8, deadline=None)
+@given(case=exact_step_cases(), tol=st.sampled_from([1e-12, 1e-14]))
+@example(case=dict(name="dyadic", free=(19,), grid=(-0.3, 1.3, 257)),
+         tol=1e-14)
+@example(case=dict(name="four", free=(8, 16, 24), grid=(-0.25, 1.25, 101)),
+         tol=1e-12)
+@example(case=dict(name="gapped", free=(48,), grid=(0.0, 1.0, 300)),
+         tol=1e-14)
+def test_exact_step_walk_within_eval_cdf_bound(case, tol):
+    # every level-L breakpoint and both float neighbours, the hull ends,
+    # points outside the hull and a uniform grid: each value lies within
+    # eval_cdf's bound of eval_cdf at the same float, within tol of the
+    # exact cdf walk at Fraction(x), and is the value of its point alone
+    system = _exact_step_system(case["name"])
+    exact = _exact_step_system(case["name"], Fraction)
+    p = ProbVector.of(*(k / 64 for k in case["free"]))
+    q = ProbVector.of(*(Fraction(k, 64) for k in case["free"]))
+    assert _cylinders(system, p) is not None
+    ends = _level_breakpoints(case["name"])
+    xs = np.array(
+        ends + [math.nextafter(t, d) for t in ends
+                for d in (-math.inf, math.inf)]
+        + [-0.5, -1e-9, 1 + 1e-9, 1.5] + np.linspace(*case["grid"]).tolist())
+    values = cdf_values(system, p, xs, tol=tol)
+    for i, (x, v) in enumerate(zip(xs.tolist(), values.tolist())):
+        alone = cdf_values(system, p, xs[i:i + 1], tol=tol)[0]
+        assert alone.tobytes() == values[i].tobytes(), x
+        want, bound = eval_cdf(system, p, x, tol=tol)
+        assert abs(v - want) <= bound + 1e-15, (x, v, want, bound)
+        value, _ = eval_cdf(exact, q, Fraction(x), tol=tol)
+        assert abs(Fraction(v) - value) <= tol, (x, v, float(value))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-14])
+@pytest.mark.parametrize("name, free", [("bent", (0.35,)), ("cantor", (0.3,)),
+                                        ("gaps3", (0.2, 0.5))])
+def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
+    system, p = SYSTEMS[name], ProbVector.of(*free)
+    assert _cylinders(system, p) is None
+    a, b = (float(t) for t in attractor_hull(system))
+    xs = np.concatenate([
+        np.linspace(a - 0.25 * (b - a), b + 0.25 * (b - a), 2001),
+        np.random.default_rng(3).uniform(a - 0.1, b + 0.1, 500)])
+    assert cdf_values(system, p, xs, tol=tol).tolist() \
+        == [eval_cdf(system, p, x, tol=tol)[0] for x in xs.tolist()]
 
 
 # The cdf T against the stationary measure mu it is the cdf of, by an oracle

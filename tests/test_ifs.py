@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import bent_system
 from holderlab import (
     Branch,
     ConfigurationError,
@@ -434,18 +435,6 @@ def test_ergodic_sums_affine(dyadic, quarter):
     assert s_psi[2] == pytest.approx(math.log(0.25) + 2 * math.log(0.75))
 
 
-def _bent():
-    """A quadratic left branch 2.5x - 0.5x^2 and the affine 2x - 1, both as
-    callables."""
-    return IFSystem(branches=(
-        Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
-                      dfn=lambda x: 2.5 - x,
-                      inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y)),
-        Branch.custom(fn=lambda x: 2 * x - 1, dfn=lambda x: 2.0,
-                      inv=lambda y: (y + 1) / 2)),
-        open_set=(0.0, 1.0), expansion=1.5)
-
-
 def _gaps3(num):
     return affine_system((num(4), num(3), num(4)), (num(0), num(-1), num(-3)),
                          (num(0), num(1)))
@@ -457,15 +446,15 @@ WORD_SYSTEMS = {
     "float": (_gaps3(float), ProbVector.of(0.25, 0.5)),
     "fraction": (_gaps3(Fraction),
                  ProbVector.of(Fraction(1, 4), Fraction(1, 2))),
-    "bent": (_bent(), ProbVector.of(0.25)),
+    "bent": (bent_system(), ProbVector.of(0.25)),
 }
 
 
 def test_ergodic_sums_match_suffix_cylinders(quarter):
     # a quadratic left branch: derivatives at the midpoint of each suffix
     # cylinder, as pi_approx defines it; affine systems take their slopes
-    cases = [(_bent(), quarter)] + [WORD_SYSTEMS[k] for k in ("float",
-                                                              "fraction")]
+    cases = [(bent_system(), quarter)] + [WORD_SYSTEMS[k]
+                                          for k in ("float", "fraction")]
     rng = np.random.default_rng(3)
     for (system, p), n in itertools.product(cases, (1, 2, 50)):
         word = tuple(int(s) for s in
@@ -519,12 +508,12 @@ def test_distortion_constant_affine(dyadic):
     assert distortion_constant(dyadic, depth=6) == 1.0
 
 
-def test_distortion_constant_nonaffine():
+def test_distortion_constant_nonaffine(bent):
     """Bounded distortion on the bent system: |f''/f'| <= 2/3 on (0, 1),
     and the orbits of two points of a depth-n cylinder stay in cylinders
     of depths n, .., 1, at most (2/3)^depth wide, so the log of every ratio
     is at most 2/3 * sum_m (2/3)^m = 4/3."""
-    system = _bent()
+    system = bent
     values = [distortion_constant(system, depth) for depth in range(1, 9)]
     assert values[0] > 1.0
     assert all(b >= a for a, b in zip(values, values[1:]))

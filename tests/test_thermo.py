@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bent_system
 from holderlab import (
     Branch,
     IFSystem,
@@ -421,21 +422,9 @@ def test_sandwich_builds_each_level_once():
         assert fresh_calls[0] == per_level[level]
 
 
-def bent_system():
-    """A quadratic left branch (slope 1.5 to 2.5) beside the branch 2x - 1,
-    both as callables, so the pressure takes the cylinder sandwich."""
-    left = Branch.custom(fn=lambda x: 2.5 * x - 0.5 * x * x,
-                         dfn=lambda x: 2.5 - x,
-                         inv=lambda y: 2.5 - math.sqrt(6.25 - 2.0 * y))
-    right = Branch.custom(fn=lambda x: 2.0 * x - 1.0, dfn=lambda x: 2.0,
-                          inv=lambda y: (y + 1.0) / 2.0)
-    return IFSystem(branches=(left, right), open_set=(0.0, 1.0),
-                    expansion=1.5)
-
-
 @pytest.mark.parametrize("w", [0.2, 0.55, 0.8])
-def test_nonaffine_root_matches_bisection(w):
-    system, p, level = bent_system(), ProbVector.of(w), 5
+def test_nonaffine_root_matches_bisection(bent, w):
+    system, p, level = bent, ProbVector.of(w), 5
     # at beta 400 the root lies below -64, where the solver's bracket
     # starts, so the solver doubles its bracket first
     cases = [(beta, -64.0, dict(abs=1e-13)) for beta in (-2.0, 0.0, 1.0, 2.5)]
@@ -457,11 +446,11 @@ def test_nonaffine_root_matches_bisection(w):
                    "each symbol's derivative on the cylinder of the whole "
                    "word, not of its suffix, so its bounds do not nest "
                    "(ROADMAP, known defects)")
-def test_nonaffine_pressure_bounds_nest():
+def test_nonaffine_pressure_bounds_nest(bent):
     # the attractor of bent_system has a gap, (0.4384, 0.5), so its
     # dimension t(0) lies below 1, and true bounds on the root of the
     # pressure nest as the level grows
-    system, p = bent_system(), ProbVector.of(0.3)
+    system, p = bent, ProbVector.of(0.3)
     roots = []
     for level in (4, 7, 10):
         bounds = _sandwich(system, p, level)

@@ -316,20 +316,40 @@ class IFSystem:
         return u, v
 
     @cached_property
-    def _lattice_codings(self) -> dict:
-        """Integer coding tables of a rational system, by lattice scale."""
-        return {}
+    def _key(self) -> tuple:
+        """The system's typed value, the key of its `_TABLES` entry: every
+        field of every branch, the open set and the expansion, by `_typed`."""
+        return (tuple(tuple(map(_typed, (br.slope, br.intercept, br.fn,
+                                         br.dfn, br.inv)))
+                      for br in self.branches),
+                tuple(map(_typed, self.open_set)), _typed(self.expansion))
 
-    @cached_property
-    def _sandwich_sums(self) -> dict:
-        """Derivative sums of the pressure sandwich (`thermo._sandwich`),
-        by cylinder level."""
-        return {}
 
-    @cached_property
-    def _memo(self) -> dict:
-        """Tables other modules derive from this system, by plain keys."""
-        return {}
+def _typed(t):
+    """t as part of a `_TABLES` key: a callable as itself, so equal only
+    where the system's own == holds (a function is equal to itself alone);
+    anything else as its type and repr, so that 3, 3.0 and Fraction(3), or
+    0.0 and -0.0, which compare equal, stay apart."""
+    return t if callable(t) else (type(t), repr(t))
+
+
+# Tables other modules derive from a system alone, by plain keys: the
+# L-symbol geometry of `transition._cylinders` ("cylinders"), the derivative
+# sums of `thermo._sandwich` (("sandwich", level)) and the integer coding
+# tables of `_coding_for` ("lattice", by scale).  Equal systems rebuilt per
+# job or run share one entry; more systems than this start the memo over.
+_SYSTEM_TABLES = 64
+_TABLES: dict = {}
+
+
+def _system_tables(system: IFSystem) -> dict:
+    """The system's entry of `_TABLES`, made empty on first use."""
+    tables = _TABLES.get(system._key)
+    if tables is None:
+        if len(_TABLES) >= _SYSTEM_TABLES:
+            _TABLES.clear()
+        tables = _TABLES[system._key] = {}
+    return tables
 
 
 def affine_system(slopes, intercepts, open_set) -> IFSystem:
@@ -421,7 +441,7 @@ def _walk_weights(system: IFSystem, p: ProbVector) -> ProbVector:
     return p if system.is_rational and p.is_rational else p.as_floats()
 
 
-# integer tables kept per system; more scales than this start the memo over
+# integer tables kept per system; more scales than this start its memo over
 _LATTICE_TABLES = 64
 
 
@@ -444,7 +464,7 @@ def _coding_for(system: IFSystem, x):
     if coding.lattice is None:
         return coding, x
     q = math.lcm(coding.lattice, x.denominator)
-    memo = system._lattice_codings
+    memo = _system_tables(system).setdefault("lattice", {})
     table = memo.get(q)
     if table is None:
         if len(memo) >= _LATTICE_TABLES:

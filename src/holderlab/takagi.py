@@ -24,7 +24,7 @@ import numpy as np
 
 from .ifs import IFSystem, ProbVector, _branch_on_array, _checked_word, \
     _coding_for, _walk, _walk_weights
-from .transition import GridFunction, apply_transition, cdf_values
+from .transition import GridFunction, _averaged, _branch_images, cdf_values
 
 # ---------------------------------------------------------------------------
 # multi-index bookkeeping
@@ -305,18 +305,19 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
     zero_order = (0,) * len(order)
     out[zero_order] = DerivativeGrid(grid=base, order=zero_order, terms=0,
                                      tail_estimate=0.0, converged=True)
+    images = _branch_images(system, pf, nodes)
     for m in index_set(order):
         if m == zero_order:
             continue
         source = _source_grid(system, pf, m, out)
         total = source.values.copy()
-        term = source
-        sups = [float(np.max(np.abs(term.values)))]
+        term = source.values
+        sups = [float(np.max(np.abs(term)))]
         used = 1
         for _ in range(terms - 1):
-            term = apply_transition(system, pf, term)
-            total += term.values
-            sups.append(float(np.max(np.abs(term.values))))
+            term = _averaged(source, term, images)
+            total += term
+            sups.append(float(np.max(np.abs(term))))
             used += 1
             if sups[-1] < 1e-12:
                 break

@@ -14,7 +14,7 @@ once: a Newton climb in t for the roots, and for the Legendre points one
 Newton in the pair (beta, g), which finds the minimiser and its root
 together.  Other systems fall back to a cylinder sandwich, whose midpoint is
 also convex and decreasing in t, and the same Newton climb to its root; the
-sandwich's derivative sums are built once per system and level.
+sandwich's derivative sums are built once per system value and level.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _checked_weights
+from .ifs import IFSystem, ProbVector, _checked_weights, _system_tables
 
 _BETA_BRACKET = 60.0
 _MAX_LEVEL = 18
@@ -82,15 +82,16 @@ def _sandwich(system, p, level):
     of the smallest branch derivative over the cylinder (sampled at its ends
     and midpoint), and the log weights.  None depends on t or beta, so they
     are built once and every evaluation is two log-sum-exps over arrays.
-    The derivative sums depend on the system alone and are kept on it, one
-    pair per level; the weight sums are rebuilt from p on every call.
-    The slope of each bound is the Gibbs average of its derivative sum.
+    The derivative sums depend on the system alone and are shared by equal
+    systems (`_system_tables`), one pair per level; the weight sums are
+    rebuilt from p on every call.  The slope of each bound is the Gibbs
+    average of its derivative sum.
     """
     level = min(int(level), _MAX_LEVEL)
-    memo = system._sandwich_sums
-    if level not in memo:
-        memo[level] = _derivative_sums(system, level)
-    lo_sum, hi_sum = memo[level]
+    memo = _system_tables(system)
+    if ("sandwich", level) not in memo:
+        memo["sandwich", level] = _derivative_sums(system, level)
+    lo_sum, hi_sum = memo["sandwich", level]
     syms = system.symbols()
     s = len(syms)
     logp = np.array([math.log(float(w))

@@ -29,6 +29,7 @@ from .ifs import (
     _checked_weights,
     _coding_for,
     _cylinder_maps,
+    _system_tables,
     _walk,
     _walk_weights,
     _windows_of,
@@ -326,8 +327,9 @@ def _cylinders(system: IFSystem, p: ProbVector):
     """(`_Cylinders` of L symbols, acc_w, m_w), or None unless the system
     qualifies: acc_w and m_w are the escaped and the undecided mass of each
     region's L one-symbol steps from mass 1.  The geometry is built once
-    per system, the masses once per weights instance."""
-    memo = system._memo
+    per system value (`_system_tables`), the masses once per weights
+    instance."""
+    memo = _system_tables(system)
     if "cylinders" not in memo:
         memo["cylinders"] = _cylinder_geometry(system, p)
     cyl = memo["cylinders"]
@@ -398,7 +400,10 @@ def _cylinder_geometry(system: IFSystem, p: ProbVector):
         composed intercept is not a float."""
         if n in tables:
             return tables[n]
-        ends = np.unique(levels[n - 1])
+        # np.unique's sorted distinct floats, without the numpy.ma import
+        # that np.unique makes on its first call
+        ends = np.sort(levels[n - 1])
+        ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
         keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
         # the first float of each region, and a second one: the two floats
         # before t_0 for region 0, the two after t_i for region 2i + 2 when

@@ -8,7 +8,11 @@ pinned to recorded bits."""
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +221,23 @@ def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
         np.random.default_rng(3).uniform(a - 0.1, b + 0.1, 500)])
     assert cdf_values(system, p, xs, tol=tol).tolist() \
         == [eval_cdf(system, p, x, tol=tol)[0] for x in xs.tolist()]
+
+
+def test_exact_step_tables_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, some 15 ms of a fresh
+    # process; the L-symbol tables of a dyadic walk make no such call
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from holderlab import ProbVector, affine_system, cdf_values\n"
+            "dyadic = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))\n"
+            "cdf_values(dyadic, ProbVector.of(0.3), np.linspace(0, 1, 65))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = Path(cdf_values.__code__.co_filename).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # The cdf T against the stationary measure mu it is the cdf of, by an oracle

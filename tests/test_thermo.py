@@ -20,6 +20,7 @@ from holderlab import (
     spectrum_experiment,
     spectrum_point,
 )
+from holderlab.ifs import _TABLES
 from holderlab.thermo import _gibbs, _log_weights_slopes, _sandwich
 
 LOG43_LOG2 = 0.4150374992788437      # log(4/3)/log 2
@@ -420,6 +421,63 @@ def test_sandwich_builds_each_level_once():
             for t, beta in ((0.0, 0.0), (0.9, 1.0), (-1.5, 2.5)):
                 assert kept(t, beta) == new(t, beta)
         assert fresh_calls[0] == per_level[level]
+
+
+# the bent branches as module-level callables, with one count of the
+# derivative calls: systems built from them are equal, as separately built
+# systems of one config are
+_BENT_DFN_CALLS = [0]
+
+
+def _bent_fn(x):
+    return 2.5 * x - 0.5 * x * x
+
+
+def _bent_dfn(x):
+    _BENT_DFN_CALLS[0] += 1
+    return 2.5 - x
+
+
+def _bent_inv(y):
+    return 2.5 - math.sqrt(6.25 - 2.0 * y)
+
+
+def _right_fn(x):
+    return 2.0 * x - 1.0
+
+
+def _right_dfn(x):
+    _BENT_DFN_CALLS[0] += 1
+    return 2.0
+
+
+def _right_inv(y):
+    return (y + 1.0) / 2.0
+
+
+def module_bent_system():
+    return IFSystem(branches=(Branch.custom(_bent_fn, _bent_dfn, _bent_inv),
+                              Branch.custom(_right_fn, _right_dfn, _right_inv)),
+                    open_set=(0.0, 1.0), expansion=1.5)
+
+
+def test_equal_bent_systems_build_the_sums_once():
+    """Two separately built, equal bent systems share their derivative
+    sums: the second builds no level, and gives the first one's bits."""
+    first, second = module_bent_system(), module_bent_system()
+    assert first is not second and first == second
+    _TABLES.pop(first._key, None)
+    p = ProbVector.of(0.3)
+    before = _BENT_DFN_CALLS[0]
+    kept = _sandwich(first, p, 7)
+    root = solve_pressure_root(first, p, 0.0, level=7)
+    assert _BENT_DFN_CALLS[0] > before
+    before = _BENT_DFN_CALLS[0]
+    shared = _sandwich(second, p, 7)
+    assert solve_pressure_root(second, p, 0.0, level=7) == root
+    assert _BENT_DFN_CALLS[0] == before
+    for t, beta in ((0.0, 0.0), (0.9, 1.0), (-1.5, 2.5)):
+        assert shared(t, beta) == kept(t, beta)
 
 
 @pytest.mark.parametrize("w", [0.2, 0.55, 0.8])

@@ -1,5 +1,5 @@
 """The coding tables behind the scalar walks: exact walks at rational points
-against a reference Fraction walk, the per-instance caches, and the
+against a reference Fraction walk, the tables shared by equal systems, and the
 per-point fallback of the array walk for branch maps that reject arrays."""
 
 import math
@@ -25,7 +25,8 @@ from holderlab import (
     phi,
     validated,
 )
-from holderlab.ifs import _LATTICE_TABLES, hull_preimages
+from holderlab.ifs import _LATTICE_TABLES, _SYSTEM_TABLES, _TABLES, \
+    _system_tables, hull_preimages
 
 # (slopes, intercepts, open set) of rational systems; "half" has a rational
 # intercept and "threehalves" a non-integer slope, which keeps its walk on
@@ -194,15 +195,70 @@ def test_float_and_exact_twins_keep_their_types():
 
 
 def test_lattice_memo_starts_over_when_full():
-    """Each lattice scale of a rational walk keeps one integer table on
-    the system; past _LATTICE_TABLES scales the memo is emptied and refilled,
-    and every value still equals that of a system that never held one."""
+    """Each lattice scale of a rational walk keeps one integer table in the
+    system's entry; past _LATTICE_TABLES scales that memo is emptied and
+    refilled, and every value still equals that of a walk that starts from
+    an empty memo."""
     system = rational_system("cantor")
     p = ProbVector.of(F(1, 4))
     xs = [F(1, d) for d in range(3, 73)]
-    values = [eval_cdf(system, p, x) for x in xs]
-    assert values == [eval_cdf(rational_system("cantor"), p, x) for x in xs]
-    assert len(system._lattice_codings) == len(xs) - _LATTICE_TABLES
+    expect = []
+    for x in xs:
+        _TABLES.clear()
+        expect.append(eval_cdf(system, p, x))
+    _TABLES.clear()
+    assert [eval_cdf(system, p, x) for x in xs] == expect
+    assert len(_system_tables(system)["lattice"]) == len(xs) - _LATTICE_TABLES
+
+
+def test_float_and_exact_twins_never_share_tables():
+    """The exact cantor system and its float twin compare equal and hash
+    alike, yet only the exact one has a lattice: each keeps its own entry,
+    and the exact walk at 1/3 stays exact after the float one has run."""
+    fs = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0))
+    rs = rational_system("cantor")
+    assert fs == rs and hash(fs) == hash(rs)
+    assert _system_tables(fs) is not _system_tables(rs)
+    p = ProbVector.of(F(1, 4))
+    assert eval_cdf(fs, p, 1 / 3) == (0.25, 0.0)
+    value, bound = eval_cdf(rs, p, F(1, 3))
+    assert (value, bound) == (F(1, 4), 0.0) and type(value) is F
+    assert "lattice" in _system_tables(rs)
+    assert "lattice" not in _system_tables(fs)
+
+
+def test_signed_zero_intercepts_never_share_tables():
+    """Intercepts 0.0 and -0.0 compare equal, but a table keyed by the
+    system's typed value keeps them apart; the values agree bit for bit."""
+    xs = np.linspace(-0.25, 1.25, 97)
+    p = ProbVector.of(0.3)
+    plus = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+    minus = affine_system((2.0, 2.0), (-0.0, -1.0), (0.0, 1.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    assert _system_tables(plus) is not _system_tables(minus)
+    assert np.array_equal(cdf_values(plus, p, xs), cdf_values(minus, p, xs))
+    assert _system_tables(plus)["cylinders"] is not \
+        _system_tables(minus)["cylinders"]
+
+
+def test_system_memo_starts_over_when_full():
+    """Equal systems share one entry; past _SYSTEM_TABLES distinct systems
+    the memo is emptied and refilled, and no value changes."""
+    xs = np.linspace(-0.25, 1.25, 97)
+    p = ProbVector.of(0.3)
+    # one hull and one walk, _SYSTEM_TABLES + 1 open sets
+    systems = [affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0 + k / 64))
+               for k in range(_SYSTEM_TABLES + 1)]
+    _TABLES.clear()
+    expect = cdf_values(systems[0], p, xs)
+    first = _system_tables(systems[0])["cylinders"]
+    twin = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+    assert _system_tables(twin)["cylinders"] is first
+    for system in systems[1:]:
+        assert np.array_equal(cdf_values(system, p, xs), expect)
+    assert list(_TABLES) == [systems[-1]._key]
+    assert np.array_equal(cdf_values(systems[0], p, xs), expect)
+    assert _system_tables(systems[0])["cylinders"] is not first
 
 
 def test_hull_preimages_returns_a_fresh_list(cantor):

@@ -14,7 +14,8 @@ once: a Newton climb in t for the roots, and for the Legendre points one
 Newton in the pair (beta, g), which finds the minimiser and its root
 together.  Other systems fall back to a cylinder sandwich, whose midpoint is
 also convex and decreasing in t, and the same Newton climb to its root; the
-sandwich's derivative sums are built once per system value and level.
+sandwich's derivative sums are built once per system value and level, its
+weight sums once per weights instance and level.
 """
 
 from __future__ import annotations
@@ -84,21 +85,23 @@ def _sandwich(system, p, level):
     are built once and every evaluation is two log-sum-exps over arrays.
     The derivative sums depend on the system alone and are shared by equal
     systems (`_system_tables`), one pair per level; the weight sums are
-    rebuilt from p on every call.  The slope of each bound is the Gibbs
-    average of its derivative sum.
+    built once per weights instance and level.  The slope of each bound is
+    the Gibbs average of its derivative sum.
     """
     level = min(int(level), _MAX_LEVEL)
     memo = _system_tables(system)
     if ("sandwich", level) not in memo:
         memo["sandwich", level] = _derivative_sums(system, level)
     lo_sum, hi_sum = memo["sandwich", level]
-    syms = system.symbols()
-    s = len(syms)
-    logp = np.array([math.log(float(w))
-                     for w in _checked_weights(system, p).weights])
-    psi_sum = np.zeros(1)
-    for k in range(level):
-        psi_sum = np.repeat(psi_sum, s) + np.tile(logp, s ** k)
+    key = ("sandwich", level)
+    if key not in _checked_weights(system, p)._memo:
+        logp = np.array([math.log(float(w)) for w in p.weights])
+        psi_sum = np.zeros(1)
+        for _ in range(level):
+            psi_sum = np.add.outer(psi_sum, logp).ravel()
+        psi_sum.flags.writeable = False
+        p._memo[key] = psi_sum
+    psi_sum = p._memo[key]
 
     def bounds(t, beta):
         # phi < 0, so t >= 0 widens one way and t < 0 the other; the sums

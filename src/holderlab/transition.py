@@ -98,13 +98,13 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     orbit escapes to plus infinity before the orbit of x leaves resolution.
     Stops once the undecided cylinder mass drops to tol, or exactly when the
     orbit parks on a hull endpoint, which happens at every cylinder endpoint
-    in rational arithmetic.  Returns (value, error_bound); a NaN x raises
-    ValueError.  With a rational system and weights, the accumulated and
+    in rational arithmetic.  Returns (value, error_bound); a NaN x, or a
+    tol that is not > 0, raises ValueError.  With a rational system and weights, the accumulated and
     the undecided mass after k steps are kept as integer numerators over
     d^k, d the common denominator of the weights, and the value is one
     Fraction at the end.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     a, b = system._coding.hull
     q = _walk_weights(system, p)
@@ -142,17 +142,20 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
     """Vectorised eval_cdf over an array of points; tol may be 0.  A NaN
-    point raises ValueError, as in `eval_cdf`.
+    point, or a NaN or negative tol, raises ValueError.
 
     Every system stops where `eval_cdf` stops and carries its bits, except
     that at tol > 0 a system whose every float step is exact walks L
     symbols per step (`_orbit_tables` gives the qualification and its
     proof: affine, slopes 2^k, intercepts 0 or Sterbenz-exact over their
-    windows, composed intercepts floats).  Such a walk decides a point
-    only at the end of a block, so it may stop up to L - 1 symbols later,
-    with a smaller undecided mass: its value lies within `eval_cdf`'s bound
-    of `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A value never
+    windows, composed intercepts floats).  A block's masses are the bits
+    of L one-symbol steps, but such a walk decides a point only at the end
+    of a block, so it may stop up to L - 1 symbols later, with a smaller
+    undecided mass: its value lies within `eval_cdf`'s bound of
+    `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A value never
     depends on the other points of the batch."""
+    if not tol >= 0:
+        raise ValueError("tol must be 0 or positive")
     xs = np.asarray(xs, dtype=float)
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
@@ -202,7 +205,8 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     every slope and intercept is a float, and on the float window [u, v]
     of each branch y -> s y + c either c = 0, or s y and -c share a sign
     and lie within a factor of two of each other at y = u and y = v, hence
-    on all of [u, v]; and every composed intercept B_w is a float.  Then:
+    on all of [u, v]; and every composed intercept B_w of L symbols is a
+    float.  Then:
 
     1. Every one-symbol step is exact: s y scales by a power of two, and
        s y + c = s y - (-c) is exact by Sterbenz's lemma.  So the float
@@ -220,20 +224,23 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        take one path, and each breakpoint is a region of its own.
     3. So fl(A_w y + B_w) is the L-th orbit point of every float y of a
        region: A_w y is exact, and the real sum is that orbit point, a
-       float.  A region's A_w and B_w are read off two of its floats
-       after n symbols: A_w is the ratio of two powers of two, exact, and
-       B_w = y_1 - A_w r_1 is exact because B_w is a float, which
-       `_cylinder_geometry` checks by an exact error term (Knuth's
-       TwoSum).  A region of one float keeps its point.  The floats are
-       walked by the one-symbol step for n = 1 and, for n > 1, by the
-       tables of ceil(n / 2) and floor(n / 2) symbols in turn, which by
-       the above give the same points.
-    4. The one-symbol table's acc_w and m_w come from walking the first
-       float of each of its regions with the weights at tol 0, so every
-       table inherits the tie, gap and parking rules of the one-symbol
-       step; two halves compose as acc_1 + m_1 acc_2 and m_1 m_2.  These
-       round differently from L one-symbol steps, so a block agrees with
-       them up to rounding, not bit for bit.
+       float.  A region's A_w and B_w are read off its first float and a
+       second one after L one-symbol steps: A_w is the ratio of two
+       powers of two, exact, and B_w = y_1 - A_w r_1 is exact because B_w
+       is a float, which `_cylinder_geometry` checks by an exact error
+       term (Knuth's TwoSum).  A region of one float keeps its point.
+    4. By 2, every float of a one-symbol region makes the decision of its
+       first float, and every float of a level-L region takes the path
+       of its first float through the one-symbol regions, which
+       `_cylinder_geometry` records.  acc_w and m_w start at 0 and 1 and
+       fold the one-symbol step's masses (acc_1, m_1) at those first
+       floats along that path: acc <- acc + mass acc_1[r], then
+       mass <- mass m_1[r].  These are the operations of the one-symbol
+       step, whose acc_1 and m_1 from mass 1 are exactly its terms:
+       cum[k] and weights[k], cum[k] and 0 in a gap, 1 or 0 and 0 on a
+       hull end.  A decided point (mass 0) adds 0 to acc.  So a block
+       carries the bits of L one-symbol steps, with their tie, gap and
+       parking rules.
     """
     a, b = (float(t) for t in system._coding.hull)
     weights, cum = _checked_weights(system, p)._float_weights
@@ -241,7 +248,7 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     blocks, rest = 0, max_depth
     if table:
         cyl, acc_w, mass_w = table
-        blocks, rest = divmod(max_depth, cyl.length)
+        blocks, rest = divmod(max_depth, len(cyl.path))
     idx = np.flatnonzero(state[2] > tol)
     y, acc, mass = (o[idx] for o in state)
     for step in range(blocks + rest):
@@ -299,59 +306,53 @@ _CYLINDERS = 256
 
 @dataclass(frozen=True, eq=False)
 class _Cylinders:
-    """The regions of n symbols of a system's walk (`_orbit_tables`).
+    """The regions of L symbols of a system's walk (`_orbit_tables`).
 
-    With t the sorted breakpoints of length n, keys interleaves t with the
+    With t the sorted level-L breakpoints, keys interleaves t with the
     float after each, so `searchsorted(keys, y, "right")` is 2i + 1 at
     y = t_i, 2i + 2 between t_i and t_{i+1} (or right of the last) and 0
-    left of t_0: every breakpoint is a region of its own.  n one-symbol
+    left of t_0: every breakpoint is a region of its own.  L one-symbol
     steps map every float y of region r to slope[r] * y + intercept[r], bit
     for bit.  A point they decide stays where they decide it: in a gap, on
     a hull end or outside the hull, where the one-symbol step decides it
-    at once in place, so every table maps it to itself.  reps holds the
-    first float of each region.  For n > 1 the table is two tables of
-    ceil(n / 2) and floor(n / 2) symbols in turn (parts), and index[j]
-    holds the region in parts[j] of each region's first float on its way.
+    at once in place, so the table maps it to itself.  firsts holds the
+    first float of each region of one symbol, and path, an L x regions
+    array, the one-symbol region of each region's first float before each
+    of its L steps.
     """
 
-    length: int
     keys: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
-    reps: np.ndarray
-    parts: tuple
-    index: tuple
+    firsts: np.ndarray
+    path: np.ndarray
 
 
 def _cylinders(system: IFSystem, p: ProbVector):
-    """(`_Cylinders` of L symbols, acc_w, m_w), or None unless the system
-    qualifies: acc_w and m_w are the escaped and the undecided mass of each
-    region's L one-symbol steps from mass 1.  The geometry is built once
-    per system value (`_system_tables`), the masses once per weights
-    instance."""
+    """(`_Cylinders`, acc_w, m_w), or None unless the system qualifies:
+    acc_w and m_w are the escaped and the undecided mass of each region's
+    L one-symbol steps from mass 1, bit for bit.  The geometry is built once
+    per system value (`_system_tables`).  The masses are built once per
+    weights instance: the one-symbol step's masses at `firsts`, folded along
+    each region's path by that step's own operations."""
     memo = _system_tables(system)
     if "cylinders" not in memo:
         memo["cylinders"] = _cylinder_geometry(system, p)
     cyl = memo["cylinders"]
-    return cyl and (cyl,) + _cylinder_masses(system, p, cyl)
-
-
-def _cylinder_masses(system: IFSystem, p: ProbVector, cyl: _Cylinders):
-    """(acc_w, m_w) of cyl's regions, built once per weights instance: at
-    one symbol, its first floats walked by the one-symbol step with p at
-    tol 0, whose tie, gap and parking rules so decide them; above, the
-    masses of its two parts, composed."""
+    if cyl is None:
+        return None
     key = ("cylinders", cyl)
     if key not in p._memo:
-        if cyl.parts:
-            (acc1, mass1), (acc2, mass2) = (_cylinder_masses(system, p, part)
-                                            for part in cyl.parts)
-            i, j = cyl.index
-            masses = acc1[i] + mass1[i] * acc2[j], mass1[i] * mass2[j]
-        else:
-            masses = _one_step(system, p, cyl.reps)[1:]
-        p._memo[key] = masses
-    return p._memo[key]
+        _, acc1, mass1 = _one_step(system, p, cyl.firsts)
+        steps = zip(acc1[cyl.path], mass1[cyl.path])
+        acc, mass = next(steps)  # the first step, from acc 0 and mass 1
+        for a, m in steps:
+            # the one-symbol step's acc + mass * acc_1 and mass * m_1,
+            # written into the gathered rows
+            acc = np.add(acc, np.multiply(mass, a, out=a), out=a)
+            mass = np.multiply(mass, m, out=m)
+        p._memo[key] = acc, mass
+    return (cyl,) + p._memo[key]
 
 
 def _one_step(system: IFSystem, p: ProbVector, points: np.ndarray) -> tuple:
@@ -364,10 +365,23 @@ def _one_step(system: IFSystem, p: ProbVector, points: np.ndarray) -> tuple:
     return state
 
 
+def _regions(breakpoints: np.ndarray) -> tuple:
+    """(keys, firsts) of the regions that breakpoints cut: keys as in
+    `_Cylinders`, firsts the first float of each region (the float before
+    t_0 for region 0)."""
+    # np.unique's sorted distinct floats, without the numpy.ma import that
+    # np.unique makes on its first call
+    ends = np.sort(breakpoints)
+    ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
+    keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
+    return keys, np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
+
+
 def _cylinder_geometry(system: IFSystem, p: ProbVector):
     """The `_Cylinders` of L symbols of `_orbit_tables`' proof, or None for
-    a system that does not qualify.  Only the one-symbol table walks its
-    floats, with p: at tol 0 their paths do not depend on the weights."""
+    a system that does not qualify.  Its floats are walked by the
+    one-symbol step with p from mass 1 at each step: at tol 0 their paths do
+    not depend on the weights."""
     d = system.branch_count
     length = 1
     while d ** (length + 1) <= _CYLINDERS:
@@ -385,66 +399,41 @@ def _cylinder_geometry(system: IFSystem, p: ProbVector):
                          for t in (lo, hi)):
             return None
     a, b = (float(t) for t in system._coding.hull)
-    # the breakpoints of n symbols: the hull ends and window edges, and
-    # their preimages inside each window under the breakpoints of n - 1
-    edges = np.concatenate([[a, b], u[:-1], v])
-    levels = [edges]
+    # the breakpoints of L symbols: the hull ends and window edges, and
+    # their preimages inside each window under the breakpoints of L - 1
+    edges = breaks = np.concatenate([[a, b], u[:-1], v])
     for _ in range(length - 1):
-        pre = (levels[-1] - intercepts[:, None]) / slopes[:, None]
-        levels.append(np.concatenate(
-            [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]]))
-    tables = {}
-
-    def table(n):
-        """The `_Cylinders` of n symbols, built once, or None when a
-        composed intercept is not a float."""
-        if n in tables:
-            return tables[n]
-        # np.unique's sorted distinct floats, without the numpy.ma import
-        # that np.unique makes on its first call
-        ends = np.sort(levels[n - 1])
-        ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
-        keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
-        # the first float of each region, and a second one: the two floats
-        # before t_0 for region 0, the two after t_i for region 2i + 2 when
-        # both lie below t_{i+1}, else the first again
-        reps = np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
-        second = np.nextafter(reps, math.inf)
-        second[0] = np.nextafter(reps[0], -math.inf)
-        second[1::2] = reps[1::2]
-        upper = np.append(ends[1:], math.inf)
-        second[2::2] = np.where(second[2::2] < upper, second[2::2],
-                                reps[2::2])
-        y = np.concatenate([reps, second])
-        parts, index = (), []
-        if n == 1:
-            y = _one_step(system, p, y)[0]
-        else:
-            parts = (table((n + 1) // 2), table(n // 2))
-            if None in parts:
-                return None
-            for part in parts:
-                r = np.searchsorted(part.keys, y, side="right")
-                index.append(r[:reps.size])
-                y = part.slope[r] * y + part.intercept[r]
-        m = reps.size
-        y1, dr = y[:m], second - reps
-        slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
-        term = -slope * reps
-        intercept = y1 + term
-        # TwoSum: the rounding error of y1 + term, exactly; 0 iff B_w is a
-        # float, else the system does not qualify
-        back = intercept - y1
-        if np.any((y1 - (intercept - back)) + (term - back)):
-            tables[n] = None
-            return None
-        for o in (keys, slope, intercept, reps) + tuple(index):
-            o.flags.writeable = False
-        tables[n] = _Cylinders(n, keys, slope, intercept, reps, parts,
-                               tuple(index))
-        return tables[n]
-
-    return table(length)
+        pre = (breaks - intercepts[:, None]) / slopes[:, None]
+        breaks = np.concatenate(
+            [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]])
+    keys1, firsts = _regions(edges)
+    keys, reps = _regions(breaks)
+    # a second float of each region: the two floats before t_0 for region
+    # 0, the two after t_i for region 2i + 2 when both lie below t_{i+1},
+    # else the first again
+    second = np.nextafter(reps, math.inf)
+    second[0] = np.nextafter(reps[0], -math.inf)
+    second[1::2] = reps[1::2]
+    upper = np.append(keys[2::2], math.inf)
+    second[2::2] = np.where(second[2::2] < upper, second[2::2], reps[2::2])
+    m = reps.size
+    y, path = np.concatenate([reps, second]), []
+    for _ in range(length):
+        path.append(np.searchsorted(keys1, y[:m], side="right"))
+        y = _one_step(system, p, y)[0]
+    y1, dr = y[:m], second - reps
+    slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
+    term = -slope * reps
+    intercept = y1 + term
+    # TwoSum: the rounding error of y1 + term, exactly; 0 iff B_w is a
+    # float, else the system does not qualify
+    back = intercept - y1
+    if np.any((y1 - (intercept - back)) + (term - back)):
+        return None
+    path = np.array(path)
+    for o in (keys, slope, intercept, firsts, path):
+        o.flags.writeable = False
+    return _Cylinders(keys, slope, intercept, firsts, path)
 
 
 def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:

@@ -30,7 +30,14 @@ from holderlab import (
     gap_probe,
 )
 from holderlab.conjugacy import conjugacy_residual
-from holderlab.ifs import _suffix_midpoints, compactify, hull_preimages
+from holderlab.ifs import (
+    _coding_for,
+    _suffix_midpoints,
+    _walk,
+    _windows_of,
+    compactify,
+    hull_preimages,
+)
 from holderlab.transition import (
     _cylinders,
     _orbit_start,
@@ -209,11 +216,49 @@ def test_exact_step_walk_within_eval_cdf_bound(case, tol):
         assert abs(Fraction(v) - value) <= tol, (x, v, float(value))
 
 
+# weights in 64ths compose without rounding in any order; 0.3 and 0.1
+# round, so only the one-symbol steps' own order gives their bits
+@pytest.mark.parametrize("name, free", [
+    ("dyadic", (19 / 64,)), ("dyadic", (0.5,)), ("dyadic", (0.3,)),
+    ("four", (5 / 64, 16 / 64, 24 / 64)), ("four", (0.1, 0.3, 0.2)),
+    ("gapped", (48 / 64,))])
+def test_exact_step_table_is_l_one_symbol_steps(name, free):
+    # each level-L region's masses are the bits of L one-symbol steps from
+    # mass 1 at its first float, and its map sends the first, the second
+    # and the last float of every region to its L-th one-symbol orbit point
+    # (as a float: the region of a breakpoint 0.0 holds -0.0 too, which the
+    # walk parks as it is and the map sends to 0.0)
+    system, p = _exact_step_system(name), ProbVector.of(*free)
+    cyl, acc_w, mass_w = _cylinders(system, p)
+    length = max(n for n in range(1, 9) if system.branch_count ** n <= 256)
+    firsts = np.concatenate([[np.nextafter(cyl.keys[0], -math.inf)],
+                             cyl.keys])
+    state = (firsts.copy(), np.zeros(firsts.size), np.ones(firsts.size))
+    _orbit_tables(system, p, state, tol=0.0, max_depth=length)
+    assert acc_w.tobytes() == state[1].tobytes()
+    assert mass_w.tobytes() == state[2].tobytes()
+    ys = np.concatenate([firsts, np.nextafter(firsts, math.inf),
+                         np.nextafter(firsts[:1], -math.inf),
+                         np.nextafter(cyl.keys, -math.inf)])
+    r = np.searchsorted(cyl.keys, ys, side="right")
+    state = (ys.copy(), np.zeros(ys.size), np.ones(ys.size))
+    _orbit_tables(system, p, state, tol=0.0, max_depth=length)
+    assert (cyl.slope[r] * ys + cyl.intercept[r]).tolist() \
+        == state[0].tolist()
+
+
+# 2x and 2x - c on (0, c): every float step is exact (Sterbenz), but the
+# composed intercepts, such as -3c of two symbols, are not floats
+WIDE_C = 1 + 2 ** -52
+WIDE = affine_system((2.0, 2.0), (0.0, -WIDE_C), (0.0, WIDE_C))
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-14])
 @pytest.mark.parametrize("name, free", [("bent", (0.35,)), ("cantor", (0.3,)),
-                                        ("gaps3", (0.2, 0.5))])
+                                        ("gaps3", (0.2, 0.5)),
+                                        ("wide", (0.3,))])
 def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
-    system, p = SYSTEMS[name], ProbVector.of(*free)
+    system, p = {**SYSTEMS, "wide": WIDE}[name], ProbVector.of(*free)
     assert _cylinders(system, p) is None
     a, b = (float(t) for t in attractor_hull(system))
     xs = np.concatenate([
@@ -221,6 +266,24 @@ def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
         np.random.default_rng(3).uniform(a - 0.1, b + 0.1, 500)])
     assert cdf_values(system, p, xs, tol=tol).tolist() \
         == [eval_cdf(system, p, x, tol=tol)[0] for x in xs.tolist()]
+
+
+def test_orbit_right_of_every_window_is_a_gap():
+    # x is the right edge of window 1, and fl(3x) lies one float above the
+    # hull's right end b: the walk's next point is right of every window
+    system = affine_system((3.0, 2.0), (0.0, -1.765207077218265),
+                           (0.0, 1.990870174183882))
+    x = 0.5884023590727551
+    b = float(attractor_hull(system)[1])
+    assert x == hull_preimages(system)[0][1] and 3 * x > b
+    (_, first, _), (y, sym, gap) = _walk(*_coding_for(system, x), 2)
+    assert (first, y, sym, gap) == (1, 3 * x, 3, True)
+    k, inside = _windows_of(system, np.array([y]))
+    assert k.tolist() == [2] and inside.tolist() == [False]
+    p = ProbVector.of(0.3)
+    for tol in (1e-12, 1e-14):
+        assert cdf_values(system, p, [x], tol=tol).tolist() \
+            == [eval_cdf(system, p, x, tol=tol)[0]]
 
 
 def test_exact_step_tables_leave_numpy_ma_unimported():

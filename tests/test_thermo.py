@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import bent_system
 from holderlab import (
     Branch,
+    ConfigurationError,
     IFSystem,
     ProbVector,
     PressureCurve,
@@ -478,6 +480,26 @@ def test_equal_bent_systems_build_the_sums_once():
     assert _BENT_DFN_CALLS[0] == before
     for t, beta in ((0.0, 0.0), (0.9, 1.0), (-1.5, 2.5)):
         assert shared(t, beta) == kept(t, beta)
+
+
+def test_sandwich_weight_sums_are_kept_per_weights_instance(bent):
+    """The weight sums of a level are built once per weights instance, as
+    p's log weights summed along every word in order, and the weights are
+    still checked against the system on every call."""
+    p = ProbVector.of(0.3)
+    first = _sandwich(bent, p, 7)
+    kept = p._memo["sandwich", 7]
+    logp = [math.log(0.3), math.log(0.7)]
+    assert kept.tolist() == [sum(logp[i] for i in word) for word
+                             in itertools.product(range(2), repeat=7)]
+    again = _sandwich(bent, p, 7)
+    assert p._memo["sandwich", 7] is kept
+    fresh = _sandwich(bent, ProbVector.of(0.3), 7)
+    for t, beta in ((0.0, 0.0), (0.9, 1.0), (-1.5, 2.5)):
+        assert again(t, beta) == first(t, beta) == fresh(t, beta)
+    gaps3 = affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0))
+    with pytest.raises(ConfigurationError, match="2 weights for 3 branches"):
+        _sandwich(gaps3, p, 7)
 
 
 @pytest.mark.parametrize("w", [0.2, 0.55, 0.8])

@@ -57,6 +57,22 @@ def test_boundary_clamps(dyadic, quarter):
         eval_cdf(dyadic, quarter, 0.5, tol=0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, -math.inf])
+def test_nan_or_negative_tol_is_refused(dyadic, quarter, tol):
+    # a NaN tol compares False with every mass, so cdf_values once gave 0
+    # at every interior point
+    xs = [-0.5, 0.3, 0.7, 1.5]
+    with pytest.raises(ValueError, match="tol must be 0 or positive"):
+        cdf_values(dyadic, quarter, xs, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        eval_cdf(dyadic, quarter, 0.3, tol=tol)
+    # tol 0 stays open to cdf_values: the float orbits of 0.3 and 0.7 park
+    # on a hull end after finitely many exact doublings
+    for x, v in zip(xs, cdf_values(dyadic, quarter, xs, tol=0.0).tolist()):
+        want, bound = eval_cdf(dyadic, quarter, x, tol=1e-15)
+        assert abs(v - want) <= bound
+
+
 def test_monotone_nondecreasing(dyadic, quarter):
     xs = np.sort(np.random.default_rng(1).uniform(-0.2, 1.2, 400))
     vals = cdf_values(dyadic, quarter, xs, tol=1e-13)

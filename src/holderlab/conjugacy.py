@@ -37,18 +37,14 @@ def linear_model(p: ProbVector) -> IFSystem:
     branch preimage intervals tile [0, 1] and touch at shared endpoints.
     Rational weights give exact rational branches.
     """
-    left, one = p._unit
-    slopes, intercepts = [], []
-    for w in p.weights:
-        slopes.append(one / w)
-        intercepts.append(-left / w)
-        left = left + w
-    return affine_system(tuple(slopes), tuple(intercepts), (0, 1))
+    one, pairs = p._unit[1], tuple(zip(p.weights, p._left))
+    return affine_system(tuple(one / w for w, _ in pairs),
+                         tuple(-left / w for w, left in pairs), (0, 1))
 
 
 def _phi_depth(p: ProbVector, tol: float) -> int:
     """Coding depth at which every linear-model cylinder is at most tol wide."""
-    pmax = max(float(w) for w in p.weights)
+    pmax = max(p.as_floats().weights)
     return max(8, math.ceil(math.log(tol) / math.log(pmax)))
 
 

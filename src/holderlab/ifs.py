@@ -17,6 +17,7 @@ the hull.  Words use 1-based symbols.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -178,7 +179,10 @@ class ProbVector:
         if not free:
             raise ConfigurationError("need at least one free weight")
         one = Fraction(1) if any(isinstance(v, Fraction) for v in free) else 1
-        return ProbVector(tuple(free) + (one - sum(free),))
+        # one addition at a time, as `_left` adds: `sum` of floats is
+        # compensated from Python 3.12 on
+        *_, total = itertools.accumulate(free)
+        return ProbVector(tuple(free) + (one - total,))
 
     def __len__(self):
         return len(self.weights)
@@ -200,8 +204,10 @@ class ProbVector:
         return m
 
     def left_mass(self, symbol: int):
-        """Total weight of symbols strictly below the given one."""
-        return sum(self.weights[: symbol - 1], self._unit[0])
+        """Total weight of symbols strictly below the given one.  ValueError
+        unless the symbol is an integer in 1..len(self) + 1."""
+        (symbol,) = _checked_word((symbol,), len(self) + 1)
+        return self._left[symbol - 1]
 
     @cached_property
     def is_rational(self) -> bool:
@@ -218,8 +224,9 @@ class ProbVector:
 
     @cached_property
     def _left(self) -> tuple:
-        """left_mass of the symbols 1 .. len + 1."""
-        return tuple(self.left_mass(sym) for sym in range(1, len(self) + 2))
+        """left_mass of the symbols 1 .. len + 1: the weights added one at
+        a time, left to right, from 0 in their own arithmetic."""
+        return tuple(itertools.accumulate(self.weights, initial=self._unit[0]))
 
     @cached_property
     def _numerators(self):
@@ -233,10 +240,11 @@ class ProbVector:
 
     @cached_property
     def _float_weights(self) -> tuple:
-        """Read-only float arrays of the weights and of their cumulative sums
-        from 0, whose entry k is the mass of the symbols left of symbol k + 1."""
-        weights = np.array([float(w) for w in self.weights])
-        cum = np.concatenate([[0.0], np.cumsum(weights)])
+        """Read-only float arrays of the weights of `as_floats()` and of its
+        left masses, whose entry k is the mass of the symbols left of
+        symbol k + 1."""
+        floats = self.as_floats()
+        weights, cum = np.array(floats.weights), np.array(floats._left)
         weights.flags.writeable = cum.flags.writeable = False
         return weights, cum
 
@@ -246,12 +254,14 @@ class ProbVector:
         return {}
 
     def as_floats(self) -> "ProbVector":
-        """This vector in floats: itself, or its float twin, built once."""
+        """This vector in floats, as every float computation reads it:
+        itself, or its float twin, built once as float mode builds one: the
+        free weights rounded, the last weight 1 minus their sum."""
         return self._float_twin if self.is_rational else self
 
     @cached_property
     def _float_twin(self) -> "ProbVector":
-        return ProbVector.of(*[float(w) for w in self.weights[:-1]])
+        return ProbVector.of(*[float(w) for w in self.free])
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +784,10 @@ def _birkhoff(system: IFSystem, p: ProbVector, words: np.ndarray, mids=None):
     one `cumsum`.  A non-affine branch's derivative is taken at the suffix
     midpoints `mids` of `_suffix_midpoints`, computed if not given."""
     idx = words - 1
-    log_p = np.array([math.log(float(w))
-                      for w in _checked_weights(system, p).weights])
+    log_p = np.array([math.log(w) for w in
+                      _checked_weights(system, p).as_floats().weights])
     if system.is_affine:
-        phi = np.array([-math.log(float(br.slope))
-                        for br in system.branches])[idx]
+        phi = np.array([-math.log(a) for a in system._float_maps[0]])[idx]
     else:
         mids = _suffix_midpoints(system, words) if mids is None else mids
         phi = np.array([[-math.log(system.branch(sym).derivative(x))
@@ -826,7 +835,6 @@ def distortion_constant(system: IFSystem, depth: int) -> float:
     """
     if system.is_affine or depth == 0:
         return 1.0
-    import itertools
     import random
 
     rng = random.Random(7)

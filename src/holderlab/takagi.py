@@ -379,7 +379,7 @@ def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
         raise NotImplementedError("finite differences cover total order <= 2")
     tol = min(1e-13, h ** (total + 1) * 1e-3)
     xs = np.asarray(xs, dtype=float)
-    free = [float(w) for w in p.free]
+    free = p.as_floats().free
 
     def term(stencil):
         moved = [f + k * h for f, (k, _) in zip(free, stencil)]

@@ -45,9 +45,9 @@ _STEP_TOL = 1e-12
 def _log_weights_slopes(system: IFSystem, p: ProbVector):
     if not system.is_affine:
         raise NotImplementedError("equilibrium weights need affine branches")
-    lw = np.array([math.log(float(w))
-                   for w in _checked_weights(system, p).weights])
-    ls = np.array([math.log(float(b.slope)) for b in system.branches])
+    lw = np.array([math.log(w) for w in
+                   _checked_weights(system, p).as_floats().weights])
+    ls = np.array([math.log(a) for a in system._float_maps[0]])
     return lw, ls
 
 
@@ -95,7 +95,7 @@ def _sandwich(system, p, level):
     lo_sum, hi_sum = memo["sandwich", level]
     key = ("sandwich", level)
     if key not in _checked_weights(system, p)._memo:
-        logp = np.array([math.log(float(w)) for w in p.weights])
+        logp = np.array([math.log(w) for w in p.as_floats().weights])
         psi_sum = np.zeros(1)
         for _ in range(level):
             psi_sum = np.add.outer(psi_sum, logp).ravel()

@@ -144,11 +144,12 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
     """Vectorised eval_cdf over an array of points; tol may be 0.  A NaN
     point, or a NaN or negative tol, raises ValueError.
 
-    Every system stops where `eval_cdf` stops and carries its bits, except
-    that at tol > 0 a system whose every float step is exact walks L
-    symbols per step (`_orbit_tables` gives the qualification and its
-    proof: affine, slopes 2^k, intercepts 0 or Sterbenz-exact over their
-    windows, composed intercepts floats).  A block's masses are the bits
+    Every system stops where `eval_cdf` stops and carries its bits, with
+    float weights and with rational ones on a float system (both walks
+    then read `p.as_floats()`), except that at tol > 0 a system whose
+    every float step is exact walks L symbols per step (`_orbit_tables`
+    gives the qualification and its proof: affine, slopes 2^k, intercepts
+    0 or Sterbenz-exact over their windows, composed intercepts floats).  A block's masses are the bits
     of L one-symbol steps, but such a walk decides a point only at the end
     of a block, so it may stop up to L - 1 symbols later, with a smaller
     undecided mass: its value lies within `eval_cdf`'s bound of
@@ -455,10 +456,10 @@ def apply_transition(system: IFSystem, p: ProbVector,
 
 
 def _branch_images(system: IFSystem, p: ProbVector, nodes) -> list:
-    """(p_i, f_i(nodes)) for every branch, the weight as a float."""
-    _checked_weights(system, p)
-    return [(float(p[i]), _branch_on_array(system.branch(i), nodes))
-            for i in system.symbols()]
+    """(p_i, f_i(nodes)) for every branch, p_i from `p.as_floats()`."""
+    weights = _checked_weights(system, p).as_floats().weights
+    return [(w, _branch_on_array(br, nodes))
+            for w, br in zip(weights, system.branches)]
 
 
 def _averaged(h: GridFunction, values: np.ndarray, images: list):

@@ -286,6 +286,41 @@ def test_orbit_right_of_every_window_is_a_gap():
             == [eval_cdf(system, p, x, tol=tol)[0]]
 
 
+@st.composite
+def rational_weight_cases(draw):
+    """A float system without custom branches, free weights k_i / q with
+    q <= 30, and a grid of points around its hull."""
+    name = draw(st.sampled_from(["cantor", "dyadic", "gaps3"]))
+    s = SYSTEMS[name].branch_count - 1
+    q = draw(st.integers(s + 1, 30))
+    ks = draw(st.lists(st.integers(1, q - s), min_size=s, max_size=s)
+              .filter(lambda ks: sum(ks) < q))
+    spread = st.floats(-0.2, 1.2, allow_nan=False)
+    return dict(name=name, free=tuple(Fraction(k, q) for k in ks),
+                grid=(draw(spread), draw(spread), draw(st.integers(2, 200))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=rational_weight_cases(), depth=st.integers(1, 60))
+# 1/3 rounded is 0.3333333333333333, and 1 - that is 0.6666666666666667,
+# not the float nearest to 2/3: the array walk once took the nearest floats
+# and the scalar walk the float twin, 1 ulp apart at 115 of these points
+@example(case=dict(name="cantor", free=(Fraction(1, 3),),
+                   grid=(0.001, 0.999, 2001)), depth=60)
+def test_rational_weights_keep_eval_cdf_bits(case, depth):
+    # both walks read exact weights as `as_floats()`; every mass of 60
+    # steps is above 1e-300, so eval_cdf stops at the depth that tol 0 does
+    system, p = SYSTEMS[case["name"]], ProbVector.of(*case["free"])
+    xs = np.linspace(*case["grid"])
+    values = cdf_values(system, p, xs, tol=0.0, max_depth=depth)
+    assert values.tolist() == [eval_cdf(system, p, x, tol=1e-300,
+                                        max_depth=depth)[0]
+                               for x in xs.tolist()]
+    if _cylinders(system, p) is None:
+        assert cdf_values(system, p, xs, tol=1e-12).tolist() \
+            == [eval_cdf(system, p, x, tol=1e-12)[0] for x in xs.tolist()]
+
+
 def test_exact_step_tables_leave_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, some 15 ms of a fresh
     # process; the L-symbol tables of a dyadic walk make no such call

@@ -153,6 +153,33 @@ def test_conjugacy_and_report(tmp_path):
     assert doc["verdict"] == "non-rigid"
 
 
+@pytest.mark.parametrize("command, params, files", [
+    ("spectrum", {"alpha_grid": {"count": 9}}, ("spectrum.csv",
+                                                "summary.json")),
+    ("pressure", {"beta_grid": {"lo": -2, "hi": 2, "count": 5}},
+     ("pressure.csv",)),
+    ("gap", {"alpha": 0.6, "n_max": 25, "grid_size": 1025,
+             "probe_words": 16}, ("gap.csv", "gap.json")),
+    ("report", {"sample_count": 16, "grid_sizes": [129, 257]},
+     ("rigidity.json",)),
+    ("exponent", {"betas": [-1.0, 0.0, 1.0], "word_len": 20, "count": 2},
+     ("exponent.csv",)),
+    ("conjugacy", {"sample_count": 32}, ("conjugacy.json",)),
+])
+def test_rational_weights_write_the_float_mode_artifacts(tmp_path, command,
+                                                         params, files):
+    # a float computation reads exact weights as their float twin, the
+    # vector a float-mode config of the rounded free weights builds; 7/10
+    # rounds up, and 1 - 0.7 is not the float nearest to 3/10
+    written = {}
+    for system in (dict(RATIONAL, p=["7/10"]), dict(DYADIC, p=[0.7])):
+        out = tmp_path / system["mode"]
+        cfg = write_config(tmp_path, command, params, system=system, out=out)
+        assert run_cli(cfg) == 0
+        written[system["mode"]] = [(out / f).read_bytes() for f in files]
+    assert written["rational"] == written["float"]
+
+
 def test_rigidity_rule_at_its_tolerance(tmp_path):
     # summary.json and rigidity.json share one rule, alpha_plus - alpha_minus
     # <= tol: rigid at tol equal to the difference, not one ulp below it
@@ -244,6 +271,17 @@ def test_cache_corrupt_entry_recovered(tmp_path, caplog):
     # entry is repaired in place afterwards
     assert cache.cached_bytes(key, produce, root=root) == b"payload"
     assert len(calls) == 2
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    path = tmp_path / "entries" / "entry"
+    with pytest.raises(OSError, match="rename refused"):
+        cache._write_atomic(path, b"payload")
+    assert list(path.parent.iterdir()) == []
 
 
 def test_exit_code_config_errors(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,42 @@ def test_probvector_basics():
     assert pr.is_rational
     assert pr.mass((1, 2)) == Fraction(3, 16)
     assert pr.as_floats().weights == (0.25, 0.75)
+
+
+@pytest.mark.parametrize("p", [ProbVector.of(0.5),
+                               ProbVector.of(Fraction(1, 3), Fraction(1, 6))])
+def test_left_mass_of_every_symbol_and_no_other(p):
+    n = len(p)
+    assert [p.left_mass(sym) for sym in range(1, n + 2)] \
+        == [sum(p.weights[:k], p._unit[0]) for k in range(n + 1)]
+    assert p.left_mass(np.int64(n + 1)) == 1
+    for bad in (0, -1, n + 2, 1.5, "1"):
+        with pytest.raises(ValueError, match="symbols must"):
+            p.left_mass(bad)
+
+
+def test_weight_sums_add_one_weight_at_a_time():
+    # sum() of floats is compensated from Python 3.12 on, which would give
+    # 0.6 here; the left masses and the derived last weight keep adding one
+    # weight at a time, as np.cumsum does, on every interpreter
+    p = ProbVector((0.1, 0.2, 0.3, 0.4))
+    assert p._left == (0.0, 0.1, 0.30000000000000004, 0.6000000000000001, 1.0)
+    assert np.array(p._left).tobytes() \
+        == np.concatenate([[0.0], np.cumsum(p.weights)]).tobytes()
+    assert p._float_weights[1].tobytes() == np.array(p._left).tobytes()
+    assert ProbVector.of(0.1, 0.2, 0.3)[4] == 1 - 0.6000000000000001
+
+
+def test_exact_weights_enter_float_computations_as_their_float_twin():
+    # the last weight of the twin is 1 - 0.3333333333333333, one ulp above
+    # the float nearest to 2/3
+    p = ProbVector.of(Fraction(1, 3))
+    twin = p.as_floats()
+    assert twin.weights == (1 / 3, 1 - 1 / 3) != (1 / 3, 2 / 3)
+    assert twin is p.as_floats() and twin.as_floats() is twin
+    weights, left = p._float_weights
+    assert weights.tolist() == list(twin.weights)
+    assert left.tolist() == list(twin._left)
 
 
 def test_validate_grades(dyadic, cantor, quarter):
@@ -519,6 +556,23 @@ def test_distortion_constant_nonaffine(bent):
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] < math.exp(4 / 3)
     assert distortion_constant(system, 8) == values[-1]
+
+
+def test_distortion_constant_samples_long_words(bent, monkeypatch):
+    # 2^13 words of length 13 are more than 4096, so that length draws 4096
+    # words from random.Random(7) instead of enumerating them (about 0.8 s
+    # on a 2-core Xeon VM)
+    lengths = Counter()
+    enumerated = distortion_constant(bent, 8)
+
+    def counted(system, word):
+        lengths[len(word)] += 1
+        return cylinder(system, word)
+
+    monkeypatch.setattr("holderlab.ifs.cylinder", counted)
+    value = distortion_constant(bent, 13)
+    assert lengths == {n: min(2 ** n, 4096) for n in range(1, 14)}
+    assert enumerated <= value < math.exp(4 / 3)
 
 
 def test_compactified_metric():

@@ -137,6 +137,27 @@ def test_derivative_grids_match_point_eval(dyadic):
     assert short.tail_estimate == math.inf and short.converged is False
 
 
+def test_derivative_grid_of_a_zero_order_component():
+    # order (1, 0) has no source term in the second weight, and its grid is
+    # the one that order (1, 1) computes on the way
+    gaps3 = affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0))
+    p, nodes = ProbVector.of(0.2, 0.5), np.linspace(-0.25, 1.25, 193)
+    alone = derivative_grids(gaps3, p, (1, 0), nodes, terms=30)
+    both = derivative_grids(gaps3, p, (1, 1), nodes, terms=30)
+    assert set(alone) == {(0, 0), (1, 0)}
+    for m in alone:
+        assert alone[m].grid.values.tobytes() \
+            == both[m].grid.values.tobytes()
+        assert (alone[m].terms, alone[m].tail_estimate) \
+            == (both[m].terms, both[m].tail_estimate)
+
+
+@pytest.mark.parametrize("sups", [[1.0, 1.0, 1.0], [1.0, 0.5, 0.75],
+                                  [1.0, 2.0, 4.0]])
+def test_tail_of_a_series_that_does_not_decay(sups):
+    assert holderlab.takagi._tail_estimate(sups) == (math.inf, False)
+
+
 def test_eval_derivative_grid_wrapper(dyadic, quarter):
     nodes = np.linspace(-0.5, 1.5, 257)
     dg = eval_derivative_grid(dyadic, quarter, (1,), nodes, terms=50)

@@ -21,7 +21,8 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -307,6 +308,16 @@ class IFSystem:
         return _coding_table(self)
 
     @cached_property
+    def _float_coding(self) -> "_Coding":
+        """The coding table a float point walks on: `_coding`, with the
+        blocks of the L-symbol walk when the system has them
+        (`_Cylinders.blocks`)."""
+        cyl = _cylinder_geometry(self)
+        if cyl is None or cyl.blocks is None:
+            return self._coding
+        return replace(self._coding, blocks=cyl.blocks)
+
+    @cached_property
     def _float_maps(self) -> tuple:
         """Read-only float arrays of the slopes and intercepts, if affine."""
         slopes = np.array([float(br.slope) for br in self.branches])
@@ -410,7 +421,8 @@ class _Coding:
     maps the (slope, intercept) pair of every branch of an affine system
     (None otherwise: the walk then calls the branches).  lattice is set on
     a rational system with integer slopes: the least common denominator of
-    its intercepts.
+    its intercepts.  blocks is set on the table of float points of a system
+    with an L-symbol table: `_Cylinders.blocks`, which `_walk` reads.
     """
 
     hull: tuple
@@ -418,6 +430,7 @@ class _Coding:
     maps: Optional[tuple]
     branches: tuple
     lattice: Optional[int] = None
+    blocks: Optional[tuple] = None
 
 
 def _coding_table(system: IFSystem) -> _Coding:
@@ -462,15 +475,16 @@ def _coding_for(system: IFSystem, x):
     the lattice (1/Q)Z, Q the least common multiple of the denominators of
     x and of the intercepts.  Its walk runs on the integers N = y Q: windows
     [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and hull endpoints a Q
-    (a non-integer one is never met).  Every other x walks on the system's
-    own table.  A NaN x raises ValueError: it passes every hull test and
-    would walk right of every window.
+    (a non-integer one is never met).  A float x walks on
+    `IFSystem._float_coding`, every other x on the system's own table.  A
+    NaN x raises ValueError: it passes every hull test and would walk right
+    of every window.
     """
     coding = system._coding
     if not isinstance(x, (int, Fraction)):
         if x != x:
             raise ValueError("x must not be NaN")
-        return coding, x
+        return (system._float_coding if isinstance(x, float) else coding), x
     if coding.lattice is None:
         return coding, x
     q = math.lcm(coding.lattice, x.denominator)
@@ -626,6 +640,12 @@ def _checked_word(word, count: int) -> tuple:
     return word
 
 
+def _checked_depth(depth) -> None:
+    """ValueError if depth is negative."""
+    if depth < 0:
+        raise ValueError(f"depth must not be negative, got {depth}")
+
+
 def cylinder(system: IFSystem, word: Sequence[int]):
     """Closed interval f_{w_1}^{-1} o ... o f_{w_n}^{-1}(closure of O).
     ValueError unless every symbol is an integer in 1..branch_count."""
@@ -670,8 +690,10 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
 
     Ties at shared cylinder endpoints resolve to the smaller branch index.
     A point inside a gap of the attractor gets the word of the deepest
-    cylinder containing it and gap=True.  A NaN x raises ValueError.
+    cylinder containing it and gap=True.  A NaN x or a negative depth
+    raises ValueError.
     """
+    _checked_depth(depth)
     _check_in_hull(system, x)
     word = []
     for _, sym, gap in _walk(*_coding_for(system, x), depth):
@@ -682,25 +704,48 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
 
 
 def _walk(coding: _Coding, y, depth: int):
-    """Coding walk of y on a table of `_coding_for`: yields (y, sym, gap)
-    for at most depth steps.
+    """Coding walk of y on a table of `_coding_for`: yields (park, sym, gap)
+    for at most depth symbols.
 
-    y is the orbit point before the step, in the table's coordinates, and
-    sym the smallest index whose window holds it; the walk then applies
-    that branch.  In a gap, sym is the first window right of y (len(windows)
-    + 1 right of them all), gap is True and the walk stops.
+    Each symbol is decided at the orbit point before its step: park is -1
+    on the hull's left end, 1 on its right end and 0 elsewhere, and sym is
+    the smallest index whose window holds the point; the walk then applies
+    that branch.  In a gap, sym is the first window right of the point
+    (len(windows) + 1 right of them all), gap is True and the walk stops.
+
+    On a table with blocks (a float point on a system with an L-symbol
+    table) the walk takes L symbols per lookup while at least L are left:
+    one `bisect` on the level-L breakpoints finds the point's region, the
+    walk yields the events of that region's L one-symbol steps, which every
+    float of the region makes (`transition._orbit_tables` proves it), and
+    maps the point to slope * y + intercept, the L-th one-symbol orbit
+    point, bit for bit.  A region's events stop at a gap, which ends the
+    walk, or at a hull end, from whose one-symbol image the walk goes on.
+    The symbols left after the last whole block take the one-symbol step.
+    So every event and orbit point is that of the one-symbol walk.
     """
-    pre, maps, branches = coding.windows, coding.maps, coding.branches
+    (a, b), pre = coding.hull, coding.windows
+    maps, branches = coding.maps, coding.branches
+    if coding.blocks is not None:
+        length, keys, regions = coding.blocks
+        while depth >= length:
+            slope, intercept, events = regions[bisect_right(keys, y)]
+            yield from events
+            if slope is None:
+                return
+            y = slope * y + intercept
+            depth -= len(events)
     for _ in range(depth):
         for sym, (u, v) in enumerate(pre, start=1):
             if y <= v:
                 break
         else:
             sym += 1
+        park = -1 if y == a else 1 if y == b else 0
         if not u <= y <= v:
-            yield y, sym, True
+            yield park, sym, True
             return
-        yield y, sym, False
+        yield park, sym, False
         if maps is None:
             y = branches[sym - 1](y)
         else:
@@ -754,6 +799,165 @@ def _apply_branches(system: IFSystem, idx: np.ndarray,
         if sel.any():
             out[sel] = _branch_on_array(br, y[sel])
     return out
+
+
+# words per table of the L-symbol walk: L is the largest length whose d^L
+# words number at most this, d the branch count
+_CYLINDERS = 256
+
+
+@dataclass(frozen=True, eq=False)
+class _Cylinders:
+    """The regions of L symbols of a system's float walk, read by the array
+    walk `transition._orbit_tables` and by the scalar walk `_walk`, whose
+    qualification and proof `_orbit_tables` gives.
+
+    With t the sorted level-L breakpoints, keys interleaves t with the
+    float after each, so `searchsorted(keys, y, "right")` is 2i + 1 at
+    y = t_i, 2i + 2 between t_i and t_{i+1} (or right of the last) and 0
+    left of t_0: every breakpoint is a region of its own.  L one-symbol
+    steps map every float y of region r to slope[r] * y + intercept[r], bit
+    for bit.  A point they decide stays where they decide it: in a gap or
+    on a hull end, where the one-symbol step of `_orbit_tables` decides it
+    at once in place, so the table maps it to itself.  firsts holds the
+    first float of each region of one symbol, and path, an L x regions
+    array, the one-symbol region of each region's first float before each
+    of its L steps.
+
+    blocks is what `_walk` reads, (L, keys, regions) in Python objects:
+    for each region, its slope, its intercept and the events
+    (park, sym, gap) that the one-symbol walk yields along its path, each
+    made at the first float of its one-symbol region.  A path that reaches
+    a gap keeps its events up to that one and slope None; one that parks
+    on a hull end keeps its events up to that one, slope 0 and as intercept
+    the hull end's one-symbol image.  blocks is None unless the hull ends
+    and window edges of the system's own coding table are floats, as the
+    scalar walk compares with them exactly.
+    """
+
+    keys: np.ndarray
+    slope: np.ndarray
+    intercept: np.ndarray
+    firsts: np.ndarray
+    path: np.ndarray
+    blocks: Optional[tuple]
+
+
+def _cylinder_geometry(system: IFSystem) -> Optional[_Cylinders]:
+    """The system's `_Cylinders`, or None for a system that does not
+    qualify; built once per system value (`_system_tables`)."""
+    memo = _system_tables(system)
+    if "cylinders" not in memo:
+        memo["cylinders"] = _cylinder_table(system)
+    return memo["cylinders"]
+
+
+def _regions(breakpoints: np.ndarray) -> tuple:
+    """(keys, firsts) of the regions that breakpoints cut: keys as in
+    `_Cylinders`, firsts the first float of each region (the float before
+    t_0 for region 0)."""
+    # np.unique's sorted distinct floats, without the numpy.ma import that
+    # np.unique makes on its first call
+    ends = np.sort(breakpoints)
+    ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
+    keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
+    return keys, np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
+
+
+def _float_step(system: IFSystem, y: np.ndarray) -> np.ndarray:
+    """The one-symbol step of `transition._orbit_tables` on the float points
+    y of an affine system, each from mass 1: a point on a hull end or in a
+    gap stays where it is, every other point takes its window's branch."""
+    a, b = (float(t) for t in system._coding.hull)
+    k, inside = _windows_of(system, y)
+    move = inside & (y != a) & (y != b)
+    out = y.copy()
+    out[move] = _apply_branches(system, k[move], y[move])
+    return out
+
+
+def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
+    """The `_Cylinders` of L symbols of `_orbit_tables`' proof, or None for
+    a system that does not qualify."""
+    d = system.branch_count
+    length = 1
+    while d ** (length + 1) <= _CYLINDERS:
+        length += 1
+    if length < 2 or not system.is_affine:
+        return None
+    slopes, intercepts = system._float_maps
+    u, v = system._float_windows
+    for br, s, c, lo, hi in zip(system.branches, slopes.tolist(),
+                                intercepts.tolist(), u.tolist(), v.tolist()):
+        if br.slope != s or br.intercept != c or math.frexp(s)[0] != 0.5:
+            return None
+        # Sterbenz: s y and -c within a factor of two at both window ends
+        if c and not all(min(-c / 2, -2 * c) <= s * t <= max(-c / 2, -2 * c)
+                         for t in (lo, hi)):
+            return None
+    a, b = (float(t) for t in system._coding.hull)
+    # the breakpoints of L symbols: the hull ends and window edges, and
+    # their preimages inside each window under the breakpoints of L - 1
+    edges = breaks = np.concatenate([[a, b], u[:-1], v])
+    for _ in range(length - 1):
+        pre = (breaks - intercepts[:, None]) / slopes[:, None]
+        breaks = np.concatenate(
+            [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]])
+    keys1, firsts = _regions(edges)
+    keys, reps = _regions(breaks)
+    # a second float of each region: the two floats before t_0 for region
+    # 0, the two after t_i for region 2i + 2 when both lie below t_{i+1},
+    # else the first again
+    second = np.nextafter(reps, math.inf)
+    second[0] = np.nextafter(reps[0], -math.inf)
+    second[1::2] = reps[1::2]
+    upper = np.append(keys[2::2], math.inf)
+    second[2::2] = np.where(second[2::2] < upper, second[2::2], reps[2::2])
+    m = reps.size
+    y, path = np.concatenate([reps, second]), []
+    for _ in range(length):
+        path.append(np.searchsorted(keys1, y[:m], side="right"))
+        y = _float_step(system, y)
+    y1, dr = y[:m], second - reps
+    slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
+    term = -slope * reps
+    intercept = y1 + term
+    # TwoSum: the rounding error of y1 + term, exactly; 0 iff B_w is a
+    # float, else the system does not qualify
+    back = intercept - y1
+    if np.any((y1 - (intercept - back)) + (term - back)):
+        return None
+    path = np.array(path)
+    for o in (keys, slope, intercept, firsts, path):
+        o.flags.writeable = False
+    return _Cylinders(keys, slope, intercept, firsts, path,
+                      _walk_blocks(system._coding, keys, slope, intercept,
+                                   firsts, path))
+
+
+def _walk_blocks(coding: _Coding, keys, slope, intercept, firsts, path):
+    """`_Cylinders.blocks` of these arrays, or None unless the hull ends and
+    window edges of coding are floats."""
+    edges = (*coding.hull, *itertools.chain(*coding.windows))
+    if any(float(t) != t for t in edges):
+        return None
+    firsts = firsts.tolist()
+    events = [next(_walk(coding, t, 1)) for t in firsts]
+    regions = []
+    for col, s, c in zip(path.T.tolist(), slope.tolist(), intercept.tolist()):
+        walked = []
+        for i in col:
+            park, sym, gap = event = events[i]
+            walked.append(event)
+            if gap:
+                s = None
+                break
+            if park:
+                ms, mc = coding.maps[sym - 1]
+                s, c = 0.0, ms * firsts[i] + mc
+                break
+        regions.append((s, c, tuple(walked)))
+    return len(path), keys.tolist(), regions
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):

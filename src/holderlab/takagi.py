@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _branch_on_array, _checked_word, \
-    _coding_for, _walk, _walk_weights
+from .ifs import IFSystem, ProbVector, _branch_on_array, _checked_depth, \
+    _checked_word, _coding_for, _walk, _walk_weights
 from .transition import GridFunction, _averaged, _branch_images, cdf_values
 
 # ---------------------------------------------------------------------------
@@ -163,13 +163,21 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
     of x; the tail over the unresolved cylinder is bounded by
     K * mass * depth^|n|, with K the certified polynomial growth constant
     of normalized step products (`growth_constant`) and mass the weight of
-    that cylinder.  Points that land in a gap or park on a hull
-    endpoint resolve exactly (the remaining contribution has closed form);
-    otherwise the walk stops at ``depth``.  A NaN x raises ValueError.
+    that cylinder.  Points that land in a gap or that the walk reports
+    parked on a hull endpoint resolve exactly (the remaining contribution
+    has closed form); otherwise the walk stops at ``depth``.  The walk is
+    `_walk`'s, L symbols per lookup on a system with an L-symbol table.
+    The row of the prefix step product is a list of plain numbers, in the
+    walk's arithmetic (floats, or Fractions when the system and weights
+    are rational), and every row product and sibling term is a left to
+    right sum over the nonzero entries of a step matrix column, so a float
+    value does not depend on a BLAS library.  A NaN x or a negative depth
+    raises ValueError.
     """
     order = _checked_order(system, order)
     if sum(order) == 0:
         raise ValueError("zero order is the cdf itself; use eval_cdf")
+    _checked_depth(depth)
 
     q = _walk_weights(system, p)
     zero, one = q._unit
@@ -178,44 +186,60 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
         return zero, 0.0
 
     table = _derivative_tables(q, order)
-    steps, cols = table["steps"], table["cols"]
+    columns, tail = table["columns"], table["tail"]
     # row `order` of the prefix step product, the only row read; `order`
     # sorts last in its index box
-    r = np.zeros(len(cols[1]), dtype=cols[1].dtype)
-    r[-1] = one
+    r = [zero] * (len(columns[1]) - 1) + [one]
     value, mass = zero, one
-    coding, y0 = _coding_for(system, x)
-    a, b = coding.hull
-    for y, sym, gap in _walk(coding, y0, depth):
-        if y == a:
+    for park, sym, gap in _walk(*_coding_for(system, x), depth):
+        if park:
+            if park > 0:
+                value = value + _dot(r, tail)
             return value, 0.0
-        if y == b:
-            return value + np.dot(r, table["tail"]), 0.0
-        # left siblings; in a gap, the windows left of y
+        # left siblings, each the zero column of its step; in a gap, the
+        # windows left of y
         for j in range(1, sym):
-            value = value + np.dot(r, cols[j])
+            value = value + _dot(r, columns[j][0])
         if gap:
             return value, 0.0
-        r = np.dot(r, steps[sym])
+        r = [_dot(r, col) for col in columns[sym]]
         mass *= q[sym]
     err = table["growth"] * float(mass) * max(depth, 1) ** sum(order)
     return value, err
 
 
+def _dot(row, entries):
+    """row[k] * v summed over the (k, v) entries, left to right from the
+    first term; entries is never empty."""
+    total = None
+    for k, v in entries:
+        term = row[k] * v
+        total = term if total is None else total + term
+    return total
+
+
+def _entries(column) -> tuple:
+    """The nonzero entries of a column as (index, entry) pairs of plain
+    numbers, in index order."""
+    return tuple((k, v) for k, v in enumerate(column.tolist()) if v)
+
+
 def _derivative_tables(q: ProbVector, n_max: tuple) -> dict:
     """Everything the coding walk reads about one weight vector and index
-    box, built once per ProbVector instance, in read-only arrays: the step
-    matrices ("steps") and their zero columns ("cols") in q's own
-    arithmetic, the parked-endpoint tail ("tail") and the growth constant
-    ("growth"), which is a float and comes from q's float twin."""
+    box, built once per ProbVector instance in q's own arithmetic: the
+    step matrices ("steps", read-only arrays), the nonzero entries of each
+    step's columns ("columns": per symbol, per column, by `_entries`; the
+    first is the zero column), those of the parked-endpoint tail ("tail")
+    and the growth constant ("growth"), which is a float and comes from
+    q's float twin."""
     key = ("derivative", n_max)
     table = q._memo.get(key)
     if table is None:
         s = len(n_max)
         steps = {i: step_matrix(i, q, n_max) for i in range(1, s + 2)}
-        cols = {i: m[:, 0].copy() for i, m in steps.items()}
-        tail = _parked_tail(steps[s + 1], sum(cols[j] for j in range(1, s + 1)))
-        for m in (*steps.values(), *cols.values(), tail):
+        tail = _parked_tail(steps[s + 1],
+                            sum(steps[j][:, 0] for j in range(1, s + 1)))
+        for m in steps.values():
             m.flags.writeable = False
         if q.is_rational:
             growth = _derivative_tables(q.as_floats(), n_max)["growth"]
@@ -229,8 +253,10 @@ def _derivative_tables(q: ProbVector, n_max: tuple) -> dict:
                 term = term @ a / r
                 growth = growth + term
             growth = float(growth.max())
-        table = q._memo[key] = {"steps": steps, "cols": cols, "tail": tail,
-                                "growth": growth}
+        table = q._memo[key] = {
+            "steps": steps,
+            "columns": {i: tuple(map(_entries, m.T)) for i, m in steps.items()},
+            "tail": _entries(tail), "growth": growth}
     return table
 
 

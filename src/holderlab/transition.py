@@ -26,10 +26,11 @@ from .ifs import (
     _apply_branches,
     _birkhoff,
     _branch_on_array,
+    _checked_depth,
     _checked_weights,
     _coding_for,
+    _cylinder_geometry,
     _cylinder_maps,
-    _system_tables,
     _walk,
     _walk_weights,
     _windows_of,
@@ -94,18 +95,24 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
              max_depth: int = 100_000):
     """Value of the limit cdf at x with a guaranteed error bound.
 
-    Walks the coding of x, accumulating the mass of branch choices whose
-    orbit escapes to plus infinity before the orbit of x leaves resolution.
-    Stops once the undecided cylinder mass drops to tol, or exactly when the
-    orbit parks on a hull endpoint, which happens at every cylinder endpoint
-    in rational arithmetic.  Returns (value, error_bound); a NaN x, or a
-    tol that is not > 0, raises ValueError.  With a rational system and weights, the accumulated and
-    the undecided mass after k steps are kept as integer numerators over
-    d^k, d the common denominator of the weights, and the value is one
-    Fraction at the end.
+    Walks the coding of x (`_walk`), accumulating the mass of branch
+    choices whose orbit escapes to plus infinity before the orbit of x
+    leaves resolution.  Stops once the undecided cylinder mass drops to
+    tol, or exactly when the walk reports the orbit parked on a hull
+    endpoint, which happens at every cylinder endpoint in rational
+    arithmetic.  Returns (value, error_bound); a NaN x, a tol that is not
+    > 0 or a negative max_depth raises ValueError.  With a rational system
+    and weights, the accumulated and the undecided mass after k steps are
+    kept as integer numerators over d^k, d the common denominator of the
+    weights, and the value is one Fraction at the end.  A float x on a
+    system with an L-symbol table walks L symbols per lookup, with the
+    events of the one-symbol walk, and the accumulation still takes one
+    symbol at a time: the value and bound are those of the one-symbol
+    walk, bit for bit.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    _checked_depth(max_depth)
     a, b = system._coding.hull
     q = _walk_weights(system, p)
     zero, one = q._unit
@@ -118,16 +125,15 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     d, weights, left = num or (1, q.weights, q._left)
     acc, mass = (0, 1) if num else (zero, one)
     scale = 1
-    coding, y0 = _coding_for(system, x)
-    a, b = coding.hull
-    for y, sym, gap in _walk(coding, y0, max_depth):
+    for park, sym, gap in _walk(*_coding_for(system, x), max_depth):
         if float(mass / scale) <= tol:
             break
-        if y == a:
+        if park:
+            # parked on a hull end: all of the mass drifts down at the
+            # left one, up at the right one
+            if park > 0:
+                acc += mass
             mass = 0
-            break
-        if y == b:
-            acc, mass = acc + mass, 0
             break
         # in a gap, the branches whose windows lie left of y escape up
         acc = acc * d + mass * left[sym - 1]
@@ -142,7 +148,8 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
     """Vectorised eval_cdf over an array of points; tol may be 0.  A NaN
-    point, or a NaN or negative tol, raises ValueError.
+    point, a NaN or negative tol, or a negative max_depth raises
+    ValueError.
 
     Every system stops where `eval_cdf` stops and carries its bits, with
     float weights and with rational ones on a float system (both walks
@@ -157,6 +164,7 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
     depends on the other points of the batch."""
     if not tol >= 0:
         raise ValueError("tol must be 0 or positive")
+    _checked_depth(max_depth)
     xs = np.asarray(xs, dtype=float)
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
@@ -214,7 +222,7 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        orbit is the exact orbit of the float point, and along a word w it
        is the real A_w y + B_w, A_w the product of the slopes.
     2. A step's decisions compare y with the hull ends and the window
-       edges, the set E.  `_cylinder_geometry` takes E as the breakpoints
+       edges, the set E.  `ifs._cylinder_table` takes E as the breakpoints
        of one symbol, and as those of n symbols E and t' = fl((t - c) / s)
        for every breakpoint t of n - 1 symbols and every branch s y + c
        whose window holds t'.  A float y of that window below t' lies
@@ -228,12 +236,12 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        float.  A region's A_w and B_w are read off its first float and a
        second one after L one-symbol steps: A_w is the ratio of two
        powers of two, exact, and B_w = y_1 - A_w r_1 is exact because B_w
-       is a float, which `_cylinder_geometry` checks by an exact error
+       is a float, which `ifs._cylinder_table` checks by an exact error
        term (Knuth's TwoSum).  A region of one float keeps its point.
     4. By 2, every float of a one-symbol region makes the decision of its
        first float, and every float of a level-L region takes the path
        of its first float through the one-symbol regions, which
-       `_cylinder_geometry` records.  acc_w and m_w start at 0 and 1 and
+       `ifs._cylinder_table` records.  acc_w and m_w start at 0 and 1 and
        fold the one-symbol step's masses (acc_1, m_1) at those first
        floats along that path: acc <- acc + mass acc_1[r], then
        mass <- mass m_1[r].  These are the operations of the one-symbol
@@ -242,6 +250,15 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        hull end.  A decided point (mass 0) adds 0 to acc.  So a block
        carries the bits of L one-symbol steps, with their tie, gap and
        parking rules.
+    5. The scalar walk `_walk` reads the same regions for a float point
+       (`_Cylinders.blocks`).  Its one-symbol step makes this step's
+       decisions (the window rule, parking on a hull end) with the same
+       float maps, once its table's hull ends and window edges are the
+       floats compared here, which `_Cylinders.blocks` requires.  So by 2
+       and 4 every float of a level-L region makes the events of its first
+       float's path, recorded at the first float of each one-symbol
+       region, and by 3 the walk may jump to A_w y + B_w.  Its consumers
+       keep their one-symbol arithmetic, so they keep their bits.
     """
     a, b = (float(t) for t in system._coding.hull)
     weights, cum = _checked_weights(system, p)._float_weights
@@ -300,51 +317,23 @@ def _settle(done, idx, carried, out):
     return idx[keep], tuple(c[keep] for c in carried)
 
 
-# words per table of the L-symbol walk: L is the largest length whose d^L
-# words number at most this, d the branch count
-_CYLINDERS = 256
-
-
-@dataclass(frozen=True, eq=False)
-class _Cylinders:
-    """The regions of L symbols of a system's walk (`_orbit_tables`).
-
-    With t the sorted level-L breakpoints, keys interleaves t with the
-    float after each, so `searchsorted(keys, y, "right")` is 2i + 1 at
-    y = t_i, 2i + 2 between t_i and t_{i+1} (or right of the last) and 0
-    left of t_0: every breakpoint is a region of its own.  L one-symbol
-    steps map every float y of region r to slope[r] * y + intercept[r], bit
-    for bit.  A point they decide stays where they decide it: in a gap, on
-    a hull end or outside the hull, where the one-symbol step decides it
-    at once in place, so the table maps it to itself.  firsts holds the
-    first float of each region of one symbol, and path, an L x regions
-    array, the one-symbol region of each region's first float before each
-    of its L steps.
-    """
-
-    keys: np.ndarray
-    slope: np.ndarray
-    intercept: np.ndarray
-    firsts: np.ndarray
-    path: np.ndarray
-
-
 def _cylinders(system: IFSystem, p: ProbVector):
     """(`_Cylinders`, acc_w, m_w), or None unless the system qualifies:
     acc_w and m_w are the escaped and the undecided mass of each region's
     L one-symbol steps from mass 1, bit for bit.  The geometry is built once
-    per system value (`_system_tables`).  The masses are built once per
-    weights instance: the one-symbol step's masses at `firsts`, folded along
-    each region's path by that step's own operations."""
-    memo = _system_tables(system)
-    if "cylinders" not in memo:
-        memo["cylinders"] = _cylinder_geometry(system, p)
-    cyl = memo["cylinders"]
+    per system value (`_cylinder_geometry`).  The masses are built once per
+    weights instance: the one-symbol step's masses at `firsts`, from mass 1
+    at tol 0, folded along each region's path by that step's own
+    operations."""
+    cyl = _cylinder_geometry(system)
     if cyl is None:
         return None
     key = ("cylinders", cyl)
     if key not in p._memo:
-        _, acc1, mass1 = _one_step(system, p, cyl.firsts)
+        n = cyl.firsts.size
+        state = (cyl.firsts.copy(), np.zeros(n), np.ones(n))
+        _orbit_tables(system, p, state, 0.0, 1)
+        _, acc1, mass1 = state
         steps = zip(acc1[cyl.path], mass1[cyl.path])
         acc, mass = next(steps)  # the first step, from acc 0 and mass 1
         for a, m in steps:
@@ -354,87 +343,6 @@ def _cylinders(system: IFSystem, p: ProbVector):
             mass = np.multiply(mass, m, out=m)
         p._memo[key] = acc, mass
     return (cyl,) + p._memo[key]
-
-
-def _one_step(system: IFSystem, p: ProbVector, points: np.ndarray) -> tuple:
-    """(y, acc, mass) after one one-symbol step at tol 0 from mass 1, in
-    read-only arrays."""
-    state = (points.copy(), np.zeros(points.size), np.ones(points.size))
-    _orbit_tables(system, p, state, 0.0, 1)
-    for o in state:
-        o.flags.writeable = False
-    return state
-
-
-def _regions(breakpoints: np.ndarray) -> tuple:
-    """(keys, firsts) of the regions that breakpoints cut: keys as in
-    `_Cylinders`, firsts the first float of each region (the float before
-    t_0 for region 0)."""
-    # np.unique's sorted distinct floats, without the numpy.ma import that
-    # np.unique makes on its first call
-    ends = np.sort(breakpoints)
-    ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
-    keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
-    return keys, np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
-
-
-def _cylinder_geometry(system: IFSystem, p: ProbVector):
-    """The `_Cylinders` of L symbols of `_orbit_tables`' proof, or None for
-    a system that does not qualify.  Its floats are walked by the
-    one-symbol step with p from mass 1 at each step: at tol 0 their paths do
-    not depend on the weights."""
-    d = system.branch_count
-    length = 1
-    while d ** (length + 1) <= _CYLINDERS:
-        length += 1
-    if length < 2 or not system.is_affine:
-        return None
-    slopes, intercepts = system._float_maps
-    u, v = system._float_windows
-    for br, s, c, lo, hi in zip(system.branches, slopes.tolist(),
-                                intercepts.tolist(), u.tolist(), v.tolist()):
-        if br.slope != s or br.intercept != c or math.frexp(s)[0] != 0.5:
-            return None
-        # Sterbenz: s y and -c within a factor of two at both window ends
-        if c and not all(min(-c / 2, -2 * c) <= s * t <= max(-c / 2, -2 * c)
-                         for t in (lo, hi)):
-            return None
-    a, b = (float(t) for t in system._coding.hull)
-    # the breakpoints of L symbols: the hull ends and window edges, and
-    # their preimages inside each window under the breakpoints of L - 1
-    edges = breaks = np.concatenate([[a, b], u[:-1], v])
-    for _ in range(length - 1):
-        pre = (breaks - intercepts[:, None]) / slopes[:, None]
-        breaks = np.concatenate(
-            [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]])
-    keys1, firsts = _regions(edges)
-    keys, reps = _regions(breaks)
-    # a second float of each region: the two floats before t_0 for region
-    # 0, the two after t_i for region 2i + 2 when both lie below t_{i+1},
-    # else the first again
-    second = np.nextafter(reps, math.inf)
-    second[0] = np.nextafter(reps[0], -math.inf)
-    second[1::2] = reps[1::2]
-    upper = np.append(keys[2::2], math.inf)
-    second[2::2] = np.where(second[2::2] < upper, second[2::2], reps[2::2])
-    m = reps.size
-    y, path = np.concatenate([reps, second]), []
-    for _ in range(length):
-        path.append(np.searchsorted(keys1, y[:m], side="right"))
-        y = _one_step(system, p, y)[0]
-    y1, dr = y[:m], second - reps
-    slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
-    term = -slope * reps
-    intercept = y1 + term
-    # TwoSum: the rounding error of y1 + term, exactly; 0 iff B_w is a
-    # float, else the system does not qualify
-    back = intercept - y1
-    if np.any((y1 - (intercept - back)) + (term - back)):
-        return None
-    path = np.array(path)
-    for o in (keys, slope, intercept, firsts, path):
-        o.flags.writeable = False
-    return _Cylinders(keys, slope, intercept, firsts, path)
 
 
 def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:

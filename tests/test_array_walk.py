@@ -260,6 +260,7 @@ WIDE = affine_system((2.0, 2.0), (0.0, -WIDE_C), (0.0, WIDE_C))
 def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
     system, p = {**SYSTEMS, "wide": WIDE}[name], ProbVector.of(*free)
     assert _cylinders(system, p) is None
+    assert _coding_for(system, 0.3)[0].blocks is None
     a, b = (float(t) for t in attractor_hull(system))
     xs = np.concatenate([
         np.linspace(a - 0.25 * (b - a), b + 0.25 * (b - a), 2001),
@@ -276,9 +277,9 @@ def test_orbit_right_of_every_window_is_a_gap():
     x = 0.5884023590727551
     b = float(attractor_hull(system)[1])
     assert x == hull_preimages(system)[0][1] and 3 * x > b
-    (_, first, _), (y, sym, gap) = _walk(*_coding_for(system, x), 2)
-    assert (first, y, sym, gap) == (1, 3 * x, 3, True)
-    k, inside = _windows_of(system, np.array([y]))
+    (_, first, _), (park, sym, gap) = _walk(*_coding_for(system, x), 2)
+    assert (first, park, sym, gap) == (1, 0, 3, True)
+    k, inside = _windows_of(system, np.array([3 * x]))
     assert k.tolist() == [2] and inside.tolist() == [False]
     p = ProbVector.of(0.3)
     for tol in (1e-12, 1e-14):

@@ -1,0 +1,182 @@
+"""The scalar coding walk `_walk` behind `encode`, `eval_cdf`, `phi` and
+`eval_derivative_point`: on a system whose every float step is exact it
+takes L symbols per lookup, and its events and every output keep the bits
+of the one-symbol walk, written out here as a reference; a negative depth
+is refused by every entry point, with and without that table."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from holderlab import (
+    OutsideHullError,
+    ProbVector,
+    affine_system,
+    attractor_hull,
+    cdf_values,
+    encode,
+    eval_cdf,
+    eval_derivative_point,
+    phi,
+)
+from holderlab.ifs import _coding_for, _walk, hull_preimages
+from test_array_walk import EXACT_STEP, _exact_step_system, _level_breakpoints
+
+CANTOR = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0))
+
+
+def reference_events(system, x, depth):
+    """The one-symbol walk of a float x, one rule per symbol: park -1 or 1
+    on the left or right hull end, sym the first window whose right edge is
+    at or right of y (one past the last right of them all), a gap when that
+    window starts right of y, which ends the walk; else y -> s y + c."""
+    a, b = (float(t) for t in attractor_hull(system))
+    windows = [(float(u), float(v)) for u, v in hull_preimages(system)]
+    y = x
+    for _ in range(depth):
+        sym = next((k for k, (_, v) in enumerate(windows, 1) if y <= v),
+                   len(windows) + 1)
+        park = -1 if y == a else 1 if y == b else 0
+        gap = sym > len(windows) or not windows[sym - 1][0] <= y
+        yield park, sym, gap
+        if gap:
+            return
+        br = system.branch(sym)
+        y = float(br.slope) * y + float(br.intercept)
+
+
+def reference_cdf(system, p, x, tol, depth):
+    """eval_cdf's accumulation in floats over the reference events."""
+    a, b = (float(t) for t in attractor_hull(system))
+    if x <= a:
+        return 0.0, 0.0
+    if x >= b:
+        return 1.0, 0.0
+    acc, mass = 0.0, 1.0
+    for park, sym, gap in reference_events(system, x, depth):
+        if mass <= tol:
+            break
+        if park:
+            acc, mass = (acc + mass if park > 0 else acc), 0.0
+            break
+        acc = acc + mass * p._left[sym - 1]
+        if gap:
+            mass = 0.0
+            break
+        mass = mass * p[sym]
+    return acc, mass
+
+
+def near(t, ulps):
+    """The float ulps steps from t (up for ulps > 0, down for ulps < 0)."""
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return t
+
+
+@st.composite
+def block_walk_cases(draw):
+    """An exact-step system, float weights, and a point: random, a level-L
+    breakpoint or a float a few ulps from one, a hull end or outside the
+    hull, as a Python float or a numpy float64."""
+    name = draw(st.sampled_from(sorted(EXACT_STEP)))
+    d = len(EXACT_STEP[name][0])
+    cuts = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=d - 1,
+                                max_size=d - 1, unique=True)))
+    free = [hi - lo for lo, hi in zip([0.0] + cuts, cuts)]
+    if min(free + [1 - sum(free)]) < 0.005:
+        free = [1 / d] * (d - 1)
+    x = draw(st.one_of(
+        st.floats(-0.2, 1.2),
+        st.builds(near, st.sampled_from(_level_breakpoints(name)),
+                  st.integers(-4, 4)),
+        st.sampled_from([0.0, -0.0, 1.0]),
+        st.sampled_from([-0.5, -5e-324, near(1.0, 1), 1.5])))
+    if draw(st.booleans()):
+        x = np.float64(x)
+    return dict(name=name, free=tuple(free), x=x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=block_walk_cases(), depth=st.integers(0, 30),
+       tol=st.sampled_from([1e-2, 1e-3, 1e-5, 1e-9, 1e-12, 1e-300]))
+@example(case=dict(name="dyadic", free=(0.3,), x=0.3), depth=19, tol=1e-300)
+@example(case=dict(name="gapped", free=(0.75,), x=0.25), depth=12,
+         tol=1e-300)
+@example(case=dict(name="four", free=(0.1, 0.3, 0.2), x=np.float64(0.75)),
+         depth=9, tol=1e-3)
+def test_block_walk_keeps_the_one_symbol_bits(case, depth, tol):
+    system = _exact_step_system(case["name"])
+    p = ProbVector.of(*case["free"])
+    x = case["x"]
+    coding, y = _coding_for(system, x)
+    assert coding.blocks is not None
+    events = list(reference_events(system, x, depth))
+    # the walk eval_derivative_point reads, and the events of every other
+    assert list(_walk(coding, y, depth)) == events
+    a, b = (float(t) for t in attractor_hull(system))
+    if a <= x <= b:
+        gap = bool(events) and events[-1][2]
+        word = tuple(sym for _, sym, _ in events[:len(events) - gap])
+        got = encode(system, x, depth)
+        assert (got.word, got.gap) == (word, gap)
+        assert all(type(sym) is int for sym in got.word)
+        want = reference_cdf(system, p, x, 1e-12, 100_000)
+        coordinate = phi(system, p, x)
+        assert coordinate == want[0] + want[1] / 2
+        assert type(coordinate) is float
+    else:
+        with pytest.raises(OutsideHullError):
+            encode(system, x, depth)
+        with pytest.raises(OutsideHullError):
+            phi(system, p, x)
+    for want, got in ((reference_cdf(system, p, x, tol, depth),
+                       eval_cdf(system, p, x, tol=tol, max_depth=depth)),
+                      (reference_cdf(system, p, x, tol, 100_000),
+                       eval_cdf(system, p, x, tol=tol))):
+        assert got == want
+        assert [type(v) for v in got] == [float, float]
+
+
+ENTRY_POINTS = {
+    "eval_cdf": lambda s, x, depth: eval_cdf(s, ProbVector.of(0.3), x,
+                                             max_depth=depth),
+    "cdf_values": lambda s, x, depth: cdf_values(s, ProbVector.of(0.3), [x],
+                                                 max_depth=depth),
+    "encode": lambda s, x, depth: encode(s, x, depth),
+    "eval_derivative_point": lambda s, x, depth: eval_derivative_point(
+        s, ProbVector.of(0.3), (1,), x, depth=depth),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_refuses_a_negative_depth(entry, dyadic):
+    # inside the hull, on its ends and outside it, where eval_cdf and
+    # eval_derivative_point return before walking: divmod(-1, 8) is
+    # (-1, 7), and a table walk once took 7 one-symbol steps for depth -1
+    call = ENTRY_POINTS[entry]
+    for x in (0.3, 0.0, 1.0, -0.5, 1.5):
+        for depth in (-1, -3, -8, -9):
+            with pytest.raises(ValueError, match="depth"):
+                call(dyadic, x, depth)
+
+
+@pytest.mark.parametrize("name", ["dyadic", "cantor"])
+def test_negative_depth_with_and_without_the_table(name):
+    # dyadic walks L = 8 symbols per lookup, the middle third one; depth 0
+    # takes no step on either
+    system = {"dyadic": _exact_step_system("dyadic"), "cantor": CANTOR}[name]
+    assert (_coding_for(system, 0.3)[0].blocks is None) == (name == "cantor")
+    for entry, call in ENTRY_POINTS.items():
+        for depth in (-1, -7, -8, -9, -17):
+            with pytest.raises(ValueError, match="depth"):
+                call(system, 0.3, depth)
+    p = ProbVector.of(0.3)
+    assert eval_cdf(system, p, 0.3, max_depth=0) == (0.0, 1.0)
+    assert cdf_values(system, p, [0.3], max_depth=0).tolist() == [0.0]
+    assert encode(system, 0.3, 0).word == ()
+    value, bound = eval_derivative_point(system, p, (1,), 0.3, depth=0)
+    assert value == 0.0 and bound > 0

@@ -22,6 +22,7 @@ from holderlab import (
     index_set,
     step_matrix,
 )
+from test_scalar_walk import reference_events
 
 
 def rational_quarter():
@@ -399,3 +400,131 @@ DYADIC = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
 def test_negative_orders_raise_value_error(call, args):
     with pytest.raises(ValueError, match="non-negative"):
         call(*args)
+
+
+GAPS3 = affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0))
+CANTOR = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0))
+ROW_SYSTEMS = {"dyadic": DYADIC, "cantor": CANTOR, "gaps3": GAPS3}
+
+
+def reference_derivative(system, p, order, x, depth):
+    """eval_derivative_point written out in float: the row of the prefix
+    step product as a list, and every row product, sibling term and parked
+    tail a sum of row[k] * column[k] over the column's nonzero entries,
+    added left to right from the first term, over the events of the
+    one-symbol reference walk."""
+    s = len(order)
+    steps = {i: step_matrix(i, p, order).tolist() for i in range(1, s + 2)}
+    d = len(steps[1])
+
+    def dot(row, column):
+        terms = [row[k] * v for k, v in enumerate(column) if v]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+
+    def column(i, c):
+        return [steps[i][k][c] for k in range(d)]
+
+    # parked on the right hull end: (I - S_last) w = the free zero columns
+    # added, by forward substitution
+    c = [sum(steps[j][k][0] for j in range(1, s + 1)) for k in range(d)]
+    last = steps[s + 1]
+    w = []
+    for i in range(d):
+        acc = c[i]
+        for j in range(i):
+            if last[i][j]:
+                acc = acc - (0.0 - last[i][j]) * w[j]
+        w.append(acc / (1.0 - last[i][i]))
+    a, b = (float(t) for t in system._coding.hull)
+    if x <= a or x >= b:
+        return 0.0, 0.0
+    r = [0.0] * (d - 1) + [1.0]
+    value, mass = 0.0, 1.0
+    for park, sym, gap in reference_events(system, x, depth):
+        if park:
+            return (value + dot(r, w) if park > 0 else value), 0.0
+        for j in range(1, sym):
+            value = value + dot(r, column(j, 0))
+        if gap:
+            return value, 0.0
+        r = [dot(r, column(sym, k)) for k in range(d)]
+        mass *= p[sym]
+    return value, growth_constant(system, p, order) * mass \
+        * max(depth, 1) ** sum(order)
+
+
+ROW_CASES = [("dyadic", (0.3,), (1,)), ("dyadic", (0.3,), (2,)),
+             ("cantor", (19 / 64,), (1,)), ("cantor", (0.3,), (2,)),
+             ("gaps3", (0.2, 0.5), (1, 1))]
+
+
+def _row_points(system):
+    a, b = (float(t) for t in system._coding.hull)
+    edges = [float(t) for w in system._coding.windows for t in w]
+    rng = np.random.default_rng(7)
+    return edges + [0.75, 1 / 3, a - 0.1, b + 0.1] \
+        + rng.uniform(a, b, 60).tolist()
+
+
+@pytest.mark.parametrize("name, free, order", ROW_CASES)
+def test_float_derivative_rows_are_left_to_right_sums(name, free, order):
+    # plain floats, added in one order on every machine: np.dot's BLAS
+    # kernels add 2 to 4 entries in another order, and so round differently
+    system, p = ROW_SYSTEMS[name], ProbVector.of(*free)
+    for x in _row_points(system):
+        for depth in (0, 5, 9, 80):
+            got = eval_derivative_point(system, p, order, x, depth=depth)
+            assert got == reference_derivative(system, p, order, x, depth), x
+            assert [type(v) for v in got] == [float, float]
+
+
+@pytest.mark.parametrize("name, free, order", ROW_CASES)
+def test_float_derivative_within_its_bound_of_the_exact_walk(name, free,
+                                                             order):
+    # at depth 20 the float value lies within its bound of the exact walk
+    # of the same float, taken 40 symbols deep, plus the rounding of its
+    # float sums, which no bound counts: the middle third and gaps3 land in
+    # gaps with bound 0 and a value a fraction of an ulp off.  Weights in
+    # 64ths are their own float twins
+    system = ROW_SYSTEMS[name]
+    exact = affine_system(*([Fraction(v) for v in vals] for vals in (
+        [br.slope for br in system.branches],
+        [br.intercept for br in system.branches], system.open_set)))
+    free = tuple(Fraction(round(f * 64), 64) for f in free)
+    p, q = ProbVector.of(*map(float, free)), ProbVector.of(*free)
+    for x in _row_points(system)[-40:]:
+        value, bound = eval_derivative_point(system, p, order, x, depth=20)
+        ref, ref_bound = eval_derivative_point(exact, q, order, Fraction(x),
+                                               depth=40)
+        assert type(ref) is Fraction
+        rounding = 1e-14 * max(1, abs(ref))
+        assert abs(Fraction(value) - ref) <= bound + ref_bound + rounding, x
+
+
+# recorded before the rows became plain numbers: exact walks add exactly,
+# in any order
+@pytest.mark.parametrize("name, free, order, x, value, bound", [
+    ("dyadic", (19,), (1,), Fraction(3, 10),
+     Fraction(6364617610082207, 9007199254740992), 0.013349260462661161),
+    ("dyadic", (19,), (2,), Fraction(3, 10),
+     Fraction(400223304246733, 140737488355328), 0.44965929979490216),
+    ("dyadic", (19,), (2,), Fraction(3, 4), Fraction(-2), 0.0),
+    ("cantor", (16,), (1,), Fraction(20, 27), Fraction(21, 16), 0.0),
+    ("cantor", (16,), (2,), Fraction(1, 10), Fraction(1249, 512),
+     0.12359619140625),
+    ("gaps3", (16, 24), (1, 1), Fraction(5, 8),
+     Fraction(12070935, 16777216), 0.058659911155700684)])
+def test_exact_derivative_values_unchanged(name, free, order, x, value,
+                                           bound):
+    system = ROW_SYSTEMS[name]
+    exact = affine_system(
+        [Fraction(br.slope) for br in system.branches],
+        [Fraction(br.intercept) for br in system.branches],
+        [Fraction(v) for v in system.open_set])
+    p = ProbVector.of(*(Fraction(k, 64) for k in free))
+    got = eval_derivative_point(exact, p, order, x, depth=10)
+    assert got == (value, bound)
+    assert [type(v) for v in got] == [Fraction, float]

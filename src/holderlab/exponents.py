@@ -5,8 +5,9 @@ a ratio of Birkhoff sums along the coding (exact for affine branches), and
 the empirical one, a log-log oscillation fit over shrinking balls around
 the point.  A sampler draws codings from an equilibrium weight vector so
 the two estimators can be compared against the Legendre prediction across
-inverse temperatures.  The sampler and the experiment driver work on the
-(count, word_len) array of drawn symbols: `ifs._birkhoff` gives every
+inverse temperatures.  The sampler works on the (count, word_len) array of
+drawn symbols, and the experiment driver on the draws of all its
+temperatures stacked into one such array: `ifs._birkhoff` gives every
 Birkhoff sum and `ifs._suffix_midpoints` every sampled point.
 """
 
@@ -200,48 +201,61 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     seed + i, exactly as `sample_typical` does.
 
     Affine systems only, as the Gibbs weights are.  One array solve gives
-    every beta's pressure root t, slope t' and Gibbs weights.  beta itself
+    every beta's pressure root t, slope t' and Gibbs weights q.  beta itself
     minimises t(b) + b*alpha at alpha = -t'(beta), so the Legendre value
-    there is g = t - beta*t', for any beta, with no spectrum solve and no
-    bracket.  Each beta's codings stay one (count, word_len) symbol array,
+    there is the Gibbs measure's entropy over its Lyapunov exponent,
+    g = -sum q log q / sum q log a (0 log 0 = 0), for any beta, with no
+    spectrum solve and no bracket.  That is t - beta*t' in exact arithmetic,
+    without its cancellation at large |beta|.  The draws of all betas are
+    stacked into one (len(betas)*count, word_len) symbol array, beta-major,
     read by `dyn_exponent`'s own kernels, `_birkhoff` and `_liminf`, so the
-    values are its values word by word.  The sampled points are computed
-    only for an evaluator.
+    values are its values word by word; row i takes its statistics from
+    beta i's block of count words.  The sampled points are computed only
+    for an evaluator.
 
     `evaluate` maps an array of points to the array of values there.  It
-    is called once per beta, on the centres and scale clouds of all of
-    that beta's sampled points together, so it must be pointwise: the value
-    at a point may not depend on which other points share the call.
-    `cdf_values` is, because every point walks its own coding.  Raises
-    ValueError unless count and word_len are at least 1.
+    is called once per experiment, on every beta's points: the centres of
+    all sampled points, beta-major, then their scale clouds in the same
+    order.  So it must be pointwise: the value at a point may not depend on
+    which other points share the call.  `cdf_values` is, because every
+    point walks its own coding.  Raises ValueError unless count and
+    word_len are at least 1.
     """
     if count < 1 or word_len < 1:
         raise ValueError("count and word_len must be at least 1")
     betas = [float(b) for b in betas]
     if not betas:
         return []
-    if scales is None:
-        scales = np.geomspace(1e-6, 1e-2, 9)
-    t, t_prime, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
+    lw, ls = _log_weights_slopes(system, p)
+    _, t_prime, _, q = _gibbs(lw, ls, betas)
     alphas = (-t_prime).tolist()
-    gs = (t - np.array(betas) * t_prime).tolist()
+    log_q = np.array([[math.log(w) if w > 0 else 0.0 for w in row]
+                      for row in q.tolist()])
+    # entropy over Lyapunov exponent; + 0.0 writes a zero entropy as +0.0
+    gs = (-(q * log_q).sum(axis=1) / (q * ls).sum(axis=1) + 0.0).tolist()
+    draws = np.concatenate([_draw(system, q_i, word_len, count, seed + i)
+                            for i, q_i in enumerate(q)])
+    s_phi, s_psi = _birkhoff(system, p, draws)
+    dyn = _liminf(s_psi / s_phi)
+    if evaluate is not None:
+        if scales is None:
+            scales = np.geomspace(1e-6, 1e-2, 9)
+        emp = np.array([e.slope for e in _empirical(
+            evaluate, _suffix_midpoints(system, draws)[:, 0], scales)])
     rows = []
     for i, beta in enumerate(betas):
-        draws = _draw(system, q[i], word_len, count, seed + i)
-        s_phi, s_psi = _birkhoff(system, p, draws)
-        dyn = _liminf(s_psi / s_phi)
+        block = slice(i * count, (i + 1) * count)
         if evaluate is not None:
-            emp = np.array([e.slope for e in _empirical(
-                evaluate, _suffix_midpoints(system, draws)[:, 0], scales)])
-            emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
+            emp_mean = float(emp[block].mean())
+            emp_sigma = float(emp[block].std())
         else:
             emp_mean = emp_sigma = float("nan")
         rows.append({
             "beta": beta,
             "alpha_pred": alphas[i],
             "g": gs[i],
-            "dyn_mean": float(dyn.mean()),
-            "dyn_sigma": float(dyn.std()),
+            "dyn_mean": float(dyn[block].mean()),
+            "dyn_sigma": float(dyn[block].std()),
             "emp_mean": emp_mean,
             "emp_sigma": emp_sigma,
             "count": int(count),

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from holderlab import Branch, IFSystem, ProbVector, affine_system, validated
@@ -41,6 +42,16 @@ def bent_system():
         Branch.custom(fn=lambda x: 2.0 * x - 1.0, dfn=lambda x: 2.0,
                       inv=lambda y: (y + 1.0) / 2.0)),
         open_set=(0.0, 1.0), expansion=1.5))
+
+
+def legendre_value(system, q):
+    """The Legendre value at the Gibbs weights q of an affine system: their
+    entropy over their Lyapunov exponent, -sum q log q / sum q log a, with
+    0 log 0 = 0 and a zero written as +0.0."""
+    q = np.asarray(q, dtype=float)
+    log_q = np.array([math.log(w) if w > 0 else 0.0 for w in q.tolist()])
+    log_a = np.array([math.log(float(br.slope)) for br in system.branches])
+    return float(-(q * log_q).sum() / (q * log_a).sum() + 0.0)
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import legendre_value
 from holderlab import (
     PressureCurve,
     ProbVector,
@@ -88,7 +89,7 @@ def test_spectrum_experiment_rows(dyadic, quarter):
                                count=16, seed=9)
     header = ["beta", "alpha_pred", "g", "dyn_mean", "dyn_sigma",
               "emp_mean", "emp_sigma", "count", "seed"]
-    assert [list(r) == header for r in rows]
+    assert all(list(r) == header for r in rows)
     for r in rows:
         assert abs(r["dyn_mean"] - r["alpha_pred"]) < 5 * r["dyn_sigma"] + 0.02
         assert math.isnan(r["emp_mean"])
@@ -111,6 +112,42 @@ def test_spectrum_experiment_with_evaluator(dyadic, half):
     # the identity cdf has empirical exponent 1 everywhere
     assert rows[0]["emp_mean"] == pytest.approx(1.0, abs=1e-2)
     assert rows[0]["emp_sigma"] < 1e-2
+
+
+@pytest.mark.parametrize("betas, count", [
+    ([-1.5, 0.0, 2.0], 5),
+    ([0.5, 0.5, -3.0, 0.5], 3),     # equal betas draw apart, seed + i
+    ([1.0, -2.0], 1),
+])
+@pytest.mark.parametrize("empirical", [False, True])
+@pytest.mark.parametrize("name", ["cantor", "dyadic"])
+def test_stacked_betas_give_the_one_beta_rows(request, name, quarter, betas,
+                                              count, empirical):
+    # every beta's words share one stacked pass and one evaluator call, yet
+    # each row has the bits of a one-beta run with that beta's seed
+    system = request.getfixturevalue(name)
+    scales = np.geomspace(1e-5, 1e-2, 4)
+    calls = []
+
+    def recording(xs):
+        calls.append(np.array(xs))
+        return cdf_values(system, quarter, xs, tol=1e-14)
+
+    run = lambda bs, seed: spectrum_experiment(
+        system, quarter, bs, word_len=40, count=count, seed=seed,
+        evaluate=recording if empirical else None, scales=scales)
+    rows = run(betas, 11)
+    stacked, calls[:] = calls[:], []
+    alone = [run([beta], 11 + i)[0] for i, beta in enumerate(betas)]
+    assert [repr(r) for r in rows] == [repr(r) for r in alone]
+    if not empirical:
+        assert stacked == calls == []
+        return
+    (points,) = stacked
+    assert points.size == len(betas) * count * (1 + 32 * len(scales))
+    # beta-major: every beta's centres, then every beta's scale clouds
+    assert np.array_equal(points, np.concatenate(
+        [c[:count] for c in calls] + [c[count:] for c in calls]))
 
 
 @st.composite
@@ -153,14 +190,19 @@ def reference_ratios(system, p, word):
 
 def reference_rows(system, p, betas, word_len, count, seed, evaluate):
     """spectrum_experiment word by word: per beta one Gibbs solve and the
-    Legendre value t - beta t' at the known minimiser beta, per word
-    pi_approx and ergodic_sums.  That g is also the one spectrum_point
-    finds at alpha = -t'(beta)."""
+    Legendre value at the known minimiser beta, the Gibbs weights' entropy
+    over their Lyapunov exponent, per word pi_approx and ergodic_sums.
+    That g is t - beta t' up to that difference's cancellation, and also
+    the one spectrum_point finds at alpha = -t'(beta)."""
     curve = PressureCurve(system, p)
     rows = []
     for i, beta in enumerate(betas):
         words, alpha = reference_words(system, p, beta, word_len, count,
                                        seed + i)
+        g = legendre_value(system, gibbs_weights(system, p, beta)[0])
+        t, t_prime = curve.t(beta), curve.t_prime(beta)
+        assert abs(g - (t - beta * t_prime)) <= 8 * 2.0 ** -52 * (
+            abs(t) + abs(beta * t_prime))
         dyn = np.array([min(reference_ratios(system, p, w)
                             [math.ceil(word_len / 2) - 1:]) for w in words])
         emp_mean = emp_sigma = math.nan
@@ -169,7 +211,6 @@ def reference_rows(system, p, betas, word_len, count, seed, evaluate):
                 evaluate, [pi_approx(system, w)[0] for w in words],
                 np.geomspace(1e-6, 1e-2, 9))])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
-        g = curve.t(beta) - beta * curve.t_prime(beta)
         assert g == pytest.approx(spectrum_point(curve, alpha).g, abs=1e-12)
         rows.append({"beta": beta, "alpha_pred": alpha, "g": g,
                      "dyn_mean": float(dyn.mean()),

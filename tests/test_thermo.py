@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bent_system
+from conftest import bent_system, legendre_value
 from holderlab import (
     Branch,
     ConfigurationError,
@@ -29,6 +29,7 @@ LOG43_LOG2 = 0.4150374992788437      # log(4/3)/log 2
 LOG2_LOG3 = 0.6309297535714574       # log 2 / log 3
 ALPHA_ZERO_QUARTER = 1.2075187496394217
 GOLDEN_DELTA = 0.6942419136306172    # root of 2^-d + 4^-d = 1
+EPS = 2.0 ** -52
 
 
 def test_pressure_closed_form(dyadic, quarter):
@@ -372,14 +373,54 @@ def test_spectrum_matches_nested_solve(k, seed, skewed, spread, near):
 @settings(max_examples=40, deadline=None)
 def test_spectrum_experiment_g_is_the_legendre_value(k, seed, betas):
     # beta minimises t(b) + b alpha at alpha = -t'(beta), so no bracket
-    # clamps g, not even beyond +-60
+    # clamps g, not even beyond +-60; g is the Gibbs weights' entropy over
+    # their Lyapunov exponent, which is t - beta t' without its cancellation
     system, p = random_affine(k, seed)
     betas = betas + [75.0, -90.0]
-    t, tp, _, _ = _gibbs(*_log_weights_slopes(system, p), betas)
+    t, tp, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
     rows = spectrum_experiment(system, p, betas, word_len=2, count=1)
-    for row, beta, tb, tpb in zip(rows, betas, t, tp):
+    for row, beta, tb, tpb, qb in zip(rows, betas, t, tp, q):
         assert row["alpha_pred"] == -tpb
-        assert row["g"] == tb - beta * tpb
+        assert row["g"] == legendre_value(system, qb)
+        assert abs(row["g"] - (tb - beta * tpb)) <= 8 * EPS * (
+            abs(tb) + abs(beta * tpb))
+
+
+@given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       betas=st.lists(st.one_of(st.floats(-1e300, 1e300),
+                                st.floats(-1e20, 1e20),
+                                st.floats(-1e3, 1e3)),
+                      min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+@example(k=2, seed=0, betas=[1e300, -1e300, 1e18, -1e15, 0.0])
+def test_spectrum_experiment_g_lies_in_the_spectrum_range(k, seed, betas):
+    # t - beta t' cancelled to 32.0 at beta = 1e18 on the middle third;
+    # the entropy form stays in [0, t(0)] at every beta whose root is finite,
+    # up to the roundings of its sums and of t(0): near beta = 0 it lands
+    # up to about 2 eps above t(0), so the check allows 8 eps
+    system, p = random_affine(k, seed)
+    t0 = solve_pressure_root(system, p, 0.0)
+    for row in spectrum_experiment(system, p, betas, word_len=1, count=1):
+        assert math.copysign(1.0, row["g"]) == 1.0
+        assert row["g"] <= t0 * (1 + 8 * EPS)
+
+
+@pytest.mark.parametrize("system, p, beta", [
+    (((3.0, 3.0), (0.0, -2.0)), (0.25,), -1e6),
+    (((3.0, 3.0), (0.0, -2.0)), (0.25,), 1e15),
+    (((3.0, 3.0), (0.0, -2.0)), (0.25,), 1e18),
+    (((3.0, 3.0), (0.0, -2.0)), (0.25,), 1e300),
+    (((2.0, 2.0), (0.0, -1.0)), (7 / 64,), -60.0),
+    (((4.0, 3.0, 4.0), (0.0, -1.0, -3.0)), (0.2, 0.5), -1e15),
+])
+def test_spectrum_experiment_g_at_extreme_beta(system, p, beta):
+    # t - beta t' gave -2.3e-10, 0.03125, 32.0, 3.7e283, -2.8e-14 and 0.25
+    # here; every Gibbs weight but one is below 1e-52, so g is below 1e-50
+    system = affine_system(*system, (0.0, 1.0))
+    (row,) = spectrum_experiment(system, ProbVector.of(*p), [beta],
+                                 word_len=1, count=1)
+    assert 0.0 <= row["g"] < 1e-50
+    assert math.copysign(1.0, row["g"]) == 1.0
 
 
 def counting_bent_system():

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ifs import IFSystem, ProbVector, _apply_branches, _check_in_hull, \
-    _cylinder_maps, _windows_of, affine_system, pi_approx
+    _cylinder_maps, affine_system, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, _orbit_start, _orbit_tables, \
     cdf_values, eval_cdf, holder_seminorm, uniform_grid
@@ -114,7 +114,8 @@ def _samples(system: IFSystem, sample_count: int, seed: int):
         m = min(SAMPLE_CHUNK, sample_count - produced)
         words = rng.choice(system.symbols(), size=(m, WORD_LEN))
         x = _midpoints(system, words)
-        k, ok = _windows_of(system, x)
+        r = np.searchsorted(system._step.keys, x, side="right")
+        k, ok = system._step.window[r], system._step.inside[r]
         bad = rejected + np.cumsum(~ok)
         if bad[-1] > allowed:
             i = int(np.argmax(bad > allowed))  # the draw that went over

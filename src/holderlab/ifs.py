@@ -312,7 +312,7 @@ class IFSystem:
         """The coding table a float point walks on: `_coding`, with the
         blocks of the L-symbol walk when the system has them
         (`_Cylinders.blocks`)."""
-        cyl = _cylinder_geometry(self)
+        cyl = _system_table(self, "cylinders", _cylinder_table)
         if cyl is None or cyl.blocks is None:
             return self._coding
         return replace(self._coding, blocks=cyl.blocks)
@@ -337,6 +337,11 @@ class IFSystem:
         return u, v
 
     @cached_property
+    def _step(self) -> "_Step":
+        """The one-symbol region table, one per system value."""
+        return _system_table(self, "step", _step_table)
+
+    @cached_property
     def _key(self) -> tuple:
         """The system's typed value, the key of its `_TABLES` entry: every
         field of every branch, the open set and the expansion, by `_typed`."""
@@ -354,11 +359,11 @@ def _typed(t):
     return t if callable(t) else (type(t), repr(t))
 
 
-# Tables other modules derive from a system alone, by plain keys: the
-# L-symbol geometry of `transition._cylinders` ("cylinders"), the derivative
-# sums of `thermo._sandwich` (("sandwich", level)) and the integer coding
-# tables of `_coding_for` ("lattice", by scale).  Equal systems rebuilt per
-# job or run share one entry; more systems than this start the memo over.
+# Tables derived from a system alone, by plain keys: the float walks'
+# region tables of one symbol ("step") and of L symbols ("cylinders"), the
+# derivative sums of `thermo._sandwich` (("sandwich", level)) and the
+# integer coding tables of `_coding_for` ("lattice", by scale).  Equal systems
+# rebuilt per job or run share one entry; more systems than this start over.
 _SYSTEM_TABLES = 64
 _TABLES: dict = {}
 
@@ -371,6 +376,14 @@ def _system_tables(system: IFSystem) -> dict:
             _TABLES.clear()
         tables = _TABLES[system._key] = {}
     return tables
+
+
+def _system_table(system: IFSystem, name, build):
+    """The table `name` of the system's entry: build(system), on first use."""
+    tables = _system_tables(system)
+    if name not in tables:
+        tables[name] = build(system)
+    return tables[name]
 
 
 def affine_system(slopes, intercepts, open_set) -> IFSystem:
@@ -753,21 +766,6 @@ def _walk(coding: _Coding, y, depth: int):
             y = slope * y + intercept
 
 
-def _windows_of(system: IFSystem, y: np.ndarray):
-    """`_walk`'s window rule on a float array of points: (k, inside).
-
-    k is the 0-based index of the first hull window whose right edge is at
-    or right of y, found by one `searchsorted` on the right edges, and inside
-    tells whether y lies in that window.  Inside, k is the point's branch
-    (the smaller index at a shared edge); in a gap, k counts the windows left
-    of y, which escape up.  `searchsorted` needs nondecreasing right edges,
-    which `validate` checks ("preimages ordered by branch index").
-    """
-    u, v = system._float_windows
-    k = np.searchsorted(v, y)
-    return k, u[k] <= y
-
-
 def _branch_on_array(br: Branch, y: np.ndarray) -> np.ndarray:
     """br applied to a float array: one call, or one call per point when the
     callable does not return a float array of y's shape."""
@@ -801,6 +799,54 @@ def _apply_branches(system: IFSystem, idx: np.ndarray,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Step:
+    """The regions of one symbol of a system's float walk, read by
+    `transition._orbit_tables`, `_cylinder_table` and `conjugacy._samples`.
+
+    keys and firsts are `_regions`' over the hull ends and window edges, the
+    floats that `_walk`'s rule compares y with, so every float of a region
+    makes the decisions of its first float, which the table holds: window,
+    the 0-based index of the first hull window whose right edge is at or
+    right of it; inside, whether that window holds it (then window is its
+    branch, the smaller index at a shared edge; else it counts the windows
+    left of it, which escape up); park, -1 on the hull's left end, 1 on its
+    right end, else 0.  On an affine system slope and intercept map every
+    float of a region that moves (inside, not parked) by its branch, and
+    every other float to itself (1.0 y + -0.0), bit for bit; else they are
+    None.
+    """
+
+    keys: np.ndarray
+    firsts: np.ndarray
+    window: np.ndarray
+    inside: np.ndarray
+    park: np.ndarray
+    slope: Optional[np.ndarray]
+    intercept: Optional[np.ndarray]
+
+
+def _step_table(system: IFSystem) -> _Step:
+    a, b = (float(t) for t in system._coding.hull)
+    u, v = system._float_windows
+    keys, firsts = _regions(np.concatenate([[a, b], u[:-1], v]))
+    # searchsorted needs the right edges in order, which `validate` checks
+    window = np.searchsorted(v, firsts)
+    inside = u[window] <= firsts
+    park = (firsts == b).astype(int) - (firsts == a)
+    slope = intercept = None
+    if system.is_affine:
+        moves = inside & (park == 0)
+        k = np.minimum(window, v.size - 1)
+        slope = np.where(moves, system._float_maps[0][k], 1.0)
+        intercept = np.where(moves, system._float_maps[1][k], -0.0)
+    table = _Step(keys, firsts, window, inside, park, slope, intercept)
+    for o in vars(table).values():
+        if o is not None:
+            o.flags.writeable = False
+    return table
+
+
 # words per table of the L-symbol walk: L is the largest length whose d^L
 # words number at most this, d the branch count
 _CYLINDERS = 256
@@ -817,12 +863,9 @@ class _Cylinders:
     y = t_i, 2i + 2 between t_i and t_{i+1} (or right of the last) and 0
     left of t_0: every breakpoint is a region of its own.  L one-symbol
     steps map every float y of region r to slope[r] * y + intercept[r], bit
-    for bit.  A point they decide stays where they decide it: in a gap or
-    on a hull end, where the one-symbol step of `_orbit_tables` decides it
-    at once in place, so the table maps it to itself.  firsts holds the
-    first float of each region of one symbol, and path, an L x regions
-    array, the one-symbol region of each region's first float before each
-    of its L steps.
+    for bit; a point they decide, in a gap or on a hull end, stays there, as
+    `_Step` maps it to itself.  path, an L x regions array, holds the
+    `_Step` region of each region's first float before each of its L steps.
 
     blocks is what `_walk` reads, (L, keys, regions) in Python objects:
     for each region, its slope, its intercept and the events
@@ -838,18 +881,8 @@ class _Cylinders:
     keys: np.ndarray
     slope: np.ndarray
     intercept: np.ndarray
-    firsts: np.ndarray
     path: np.ndarray
     blocks: Optional[tuple]
-
-
-def _cylinder_geometry(system: IFSystem) -> Optional[_Cylinders]:
-    """The system's `_Cylinders`, or None for a system that does not
-    qualify; built once per system value (`_system_tables`)."""
-    memo = _system_tables(system)
-    if "cylinders" not in memo:
-        memo["cylinders"] = _cylinder_table(system)
-    return memo["cylinders"]
 
 
 def _regions(breakpoints: np.ndarray) -> tuple:
@@ -862,18 +895,6 @@ def _regions(breakpoints: np.ndarray) -> tuple:
     ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
     keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
     return keys, np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
-
-
-def _float_step(system: IFSystem, y: np.ndarray) -> np.ndarray:
-    """The one-symbol step of `transition._orbit_tables` on the float points
-    y of an affine system, each from mass 1: a point on a hull end or in a
-    gap stays where it is, every other point takes its window's branch."""
-    a, b = (float(t) for t in system._coding.hull)
-    k, inside = _windows_of(system, y)
-    move = inside & (y != a) & (y != b)
-    out = y.copy()
-    out[move] = _apply_branches(system, k[move], y[move])
-    return out
 
 
 def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
@@ -895,15 +916,14 @@ def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
         if c and not all(min(-c / 2, -2 * c) <= s * t <= max(-c / 2, -2 * c)
                          for t in (lo, hi)):
             return None
-    a, b = (float(t) for t in system._coding.hull)
+    step = system._step
     # the breakpoints of L symbols: the hull ends and window edges, and
     # their preimages inside each window under the breakpoints of L - 1
-    edges = breaks = np.concatenate([[a, b], u[:-1], v])
+    edges = breaks = step.keys[::2]
     for _ in range(length - 1):
         pre = (breaks - intercepts[:, None]) / slopes[:, None]
         breaks = np.concatenate(
             [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]])
-    keys1, firsts = _regions(edges)
     keys, reps = _regions(breaks)
     # a second float of each region: the two floats before t_0 for region
     # 0, the two after t_i for region 2i + 2 when both lie below t_{i+1},
@@ -916,8 +936,9 @@ def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
     m = reps.size
     y, path = np.concatenate([reps, second]), []
     for _ in range(length):
-        path.append(np.searchsorted(keys1, y[:m], side="right"))
-        y = _float_step(system, y)
+        r = np.searchsorted(step.keys, y, side="right")
+        path.append(r[:m])
+        y = step.slope[r] * y + step.intercept[r]
     y1, dr = y[:m], second - reps
     slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
     term = -slope * reps
@@ -928,11 +949,11 @@ def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
     if np.any((y1 - (intercept - back)) + (term - back)):
         return None
     path = np.array(path)
-    for o in (keys, slope, intercept, firsts, path):
+    for o in (keys, slope, intercept, path):
         o.flags.writeable = False
-    return _Cylinders(keys, slope, intercept, firsts, path,
+    return _Cylinders(keys, slope, intercept, path,
                       _walk_blocks(system._coding, keys, slope, intercept,
-                                   firsts, path))
+                                   step.firsts, path))
 
 
 def _walk_blocks(coding: _Coding, keys, slope, intercept, firsts, path):

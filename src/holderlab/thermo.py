@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _checked_weights, _system_tables
+from .ifs import IFSystem, ProbVector, _checked_weights, _system_table
 
 _BETA_BRACKET = 60.0
 _MAX_LEVEL = 18
@@ -84,15 +84,13 @@ def _sandwich(system, p, level):
     and midpoint), and the log weights.  None depends on t or beta, so they
     are built once and every evaluation is two log-sum-exps over arrays.
     The derivative sums depend on the system alone and are shared by equal
-    systems (`_system_tables`), one pair per level; the weight sums are
+    systems (`_system_table`), one pair per level; the weight sums are
     built once per weights instance and level.  The slope of each bound is
     the Gibbs average of its derivative sum.
     """
     level = min(int(level), _MAX_LEVEL)
-    memo = _system_tables(system)
-    if ("sandwich", level) not in memo:
-        memo["sandwich", level] = _derivative_sums(system, level)
-    lo_sum, hi_sum = memo["sandwich", level]
+    lo_sum, hi_sum = _system_table(system, ("sandwich", level),
+                                   lambda s: _derivative_sums(s, level))
     key = ("sandwich", level)
     if key not in _checked_weights(system, p)._memo:
         logp = np.array([math.log(w) for w in p.as_floats().weights])

@@ -29,11 +29,11 @@ from .ifs import (
     _checked_depth,
     _checked_weights,
     _coding_for,
-    _cylinder_geometry,
     _cylinder_maps,
+    _cylinder_table,
+    _system_table,
     _walk,
     _walk_weights,
-    _windows_of,
 )
 
 # ---------------------------------------------------------------------------
@@ -151,13 +151,14 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
     point, a NaN or negative tol, or a negative max_depth raises
     ValueError.
 
-    Every system stops where `eval_cdf` stops and carries its bits, with
+    Each step of the walk (`_orbit_tables`) is one region lookup in a
+    table of the floats that `eval_cdf`'s step compares a point with, so
+    every system stops where `eval_cdf` stops and carries its bits, with
     float weights and with rational ones on a float system (both walks
-    then read `p.as_floats()`), except that at tol > 0 a system whose
-    every float step is exact walks L symbols per step (`_orbit_tables`
-    gives the qualification and its proof: affine, slopes 2^k, intercepts
-    0 or Sterbenz-exact over their windows, composed intercepts floats).  A block's masses are the bits
-    of L one-symbol steps, but such a walk decides a point only at the end
+    read `p.as_floats()`), except that at tol > 0 a system whose every
+    float step is exact (affine, slopes 2^k, Sterbenz-exact intercepts,
+    float composed intercepts) takes L symbols per lookup.  Its masses are
+    the bits of L one-symbol steps, but it decides a point only at the end
     of a block, so it may stop up to L - 1 symbols later, with a smaller
     undecided mass: its value lies within `eval_cdf`'s bound of
     `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A value never
@@ -189,26 +190,30 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     """Shared vectorised coding walk, for every system: advances the state
     of `_orbit_start` in place by at most max_depth steps.
 
-    Each step decides every undecided point by `_walk`'s window rule
-    (`_windows_of`: one `searchsorted` on the hull windows' right edges),
-    and applies every branch to the points of its window at once
-    (`_apply_branches`).  The walk carries only the points whose mass is
-    above tol and writes each point back once, when a hull endpoint, a gap
-    or its mass decides it, or after the last step.  A decided point is
-    never stepped again, here or in a later call, as in `eval_cdf`.  So a
-    point's values do not depend on the other points of the batch, and at
-    tol 0, n calls of one step give the bits of one call of n steps.
+    Every step is one region lookup: one `searchsorted` in a region table
+    finds each point's region r, the step adds mass * acc[r] to acc and
+    multiplies mass by m[r], writes back the points whose mass is then at
+    most tol, with the y they had before the step, and maps the others to
+    slope[r] * y + intercept[r] (on custom branches, `_apply_branches` on
+    the region's window).  A decided point is never stepped again, here or
+    in a later call, as in `eval_cdf`.  So a point's values do not depend
+    on the other points of the batch, and at tol 0, n calls of one step give
+    the bits of one call of n steps.
+
+    The one-symbol table (`_Step`, masses of `_one_symbol`) is cut by the
+    hull ends and the window edges, the set E of floats that `_walk`'s rule
+    compares y with, so a region's floats make its first float's decisions;
+    its masses are the terms of `eval_cdf`'s step: cum[k] and weights[k] in
+    window k, cum[k] and 0 in a gap, 1 or 0 and 0 on the right or left end.
 
     At tol > 0, on a system that qualifies (below), each step takes L
     symbols: L is the largest length with d^L <= `_CYLINDERS`, d the
-    branch count.  One `searchsorted` on the level-L breakpoints, with an
-    equality test, finds y's region (`_Cylinders`), and the step adds
-    mass * acc_w, multiplies mass by m_w and maps y to A_w * y + B_w.  The
-    symbols max_depth leaves after its last whole block take the
-    one-symbol step, as does every call at tol 0 and every system that
-    does not qualify, with the bits described above.  A point is decided
-    only at the end of a block, so it may stop up to L - 1 symbols later
-    than `eval_cdf` and carry a smaller undecided mass.
+    branch count, and the table is `_Cylinders` with the masses of
+    `_cylinders`.  The symbols max_depth leaves after its last whole block
+    take the one-symbol step, as does every call at tol 0 and every system
+    that does not qualify.  A point is decided only at the end of a block,
+    so it may stop up to L - 1 symbols later than `eval_cdf` and carry a
+    smaller undecided mass.
 
     A system qualifies when it is affine with L >= 2, every slope is 2^k,
     every slope and intercept is a float, and on the float window [u, v]
@@ -221,16 +226,15 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        s y + c = s y - (-c) is exact by Sterbenz's lemma.  So the float
        orbit is the exact orbit of the float point, and along a word w it
        is the real A_w y + B_w, A_w the product of the slopes.
-    2. A step's decisions compare y with the hull ends and the window
-       edges, the set E.  `ifs._cylinder_table` takes E as the breakpoints
-       of one symbol, and as those of n symbols E and t' = fl((t - c) / s)
-       for every breakpoint t of n - 1 symbols and every branch s y + c
-       whose window holds t'.  A float y of that window below t' lies
-       below the real (t - c) / s, of which t' is the nearest float, so
-       s y + c < t, exactly; likewise above.  So, by induction on n, the
-       floats strictly between two adjacent breakpoints of n symbols make
-       one first decision and map into one region of n - 1 symbols: they
-       take one path, and each breakpoint is a region of its own.
+    2. `ifs._cylinder_table` takes E as the breakpoints of one symbol, and
+       as those of n symbols E and t' = fl((t - c) / s) for every
+       breakpoint t of n - 1 symbols and every branch s y + c whose window
+       holds t'.  A float y of that window below t' lies below the real
+       (t - c) / s, of which t' is the nearest float, so s y + c < t,
+       exactly; likewise above.  So, by induction on n, the floats strictly
+       between two adjacent breakpoints of n symbols make one first
+       decision and map into one region of n - 1 symbols: they take one
+       path, and each breakpoint is a region of its own.
     3. So fl(A_w y + B_w) is the L-th orbit point of every float y of a
        region: A_w y is exact, and the real sum is that orbit point, a
        float.  A region's A_w and B_w are read off its first float and a
@@ -238,16 +242,12 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        powers of two, exact, and B_w = y_1 - A_w r_1 is exact because B_w
        is a float, which `ifs._cylinder_table` checks by an exact error
        term (Knuth's TwoSum).  A region of one float keeps its point.
-    4. By 2, every float of a one-symbol region makes the decision of its
-       first float, and every float of a level-L region takes the path
-       of its first float through the one-symbol regions, which
-       `ifs._cylinder_table` records.  acc_w and m_w start at 0 and 1 and
-       fold the one-symbol step's masses (acc_1, m_1) at those first
-       floats along that path: acc <- acc + mass acc_1[r], then
-       mass <- mass m_1[r].  These are the operations of the one-symbol
-       step, whose acc_1 and m_1 from mass 1 are exactly its terms:
-       cum[k] and weights[k], cum[k] and 0 in a gap, 1 or 0 and 0 on a
-       hull end.  A decided point (mass 0) adds 0 to acc.  So a block
+    4. By 2, every float of a level-L region takes the path of its first
+       float through the one-symbol regions, which `ifs._cylinder_table`
+       records.  acc_w and m_w start at 0 and 1 and fold the one-symbol
+       masses along that path by the one-symbol step's own operations,
+       acc <- acc + mass acc_1[r], then mass <- mass m_1[r]; once a step
+       decides the point (mass 0), the later ones add 0 to acc.  So a block
        carries the bits of L one-symbol steps, with their tie, gap and
        parking rules.
     5. The scalar walk `_walk` reads the same regions for a float point
@@ -260,80 +260,60 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        region, and by 3 the walk may jump to A_w y + B_w.  Its consumers
        keep their one-symbol arithmetic, so they keep their bits.
     """
-    a, b = (float(t) for t in system._coding.hull)
-    weights, cum = _checked_weights(system, p)._float_weights
-    table = _cylinders(system, p) if tol > 0 else None
-    blocks, rest = 0, max_depth
-    if table:
-        cyl, acc_w, mass_w = table
-        blocks, rest = divmod(max_depth, len(cyl.path))
+    one = _one_symbol(system, p)
+    block = _cylinders(system, p) if tol > 0 else None
+    blocks, rest = divmod(max_depth, len(block[0].path)) if block \
+        else (0, max_depth)
     idx = np.flatnonzero(state[2] > tol)
     y, acc, mass = (o[idx] for o in state)
     for step in range(blocks + rest):
         if not idx.size:
             break
-        if step < blocks:
-            r = np.searchsorted(cyl.keys, y, side="right")
-            acc = acc + mass * acc_w[r]
-            mass = mass * mass_w[r]
-            y = cyl.slope[r] * y + cyl.intercept[r]
-        else:
-            # an orbit parked on a hull endpoint is decided: at a all of
-            # its mass drifts down, at b all of it drifts up; count_nonzero
-            # asks "any?" at a third of the fixed cost of any() on small
-            # arrays
-            at_b = y == b
-            parked = at_b | (y == a)
-            if np.count_nonzero(parked):
-                acc[at_b] += mass[at_b]
-                mass[parked] = 0.0
-                idx, (y, acc, mass) = _settle(parked, idx, (y, acc, mass),
-                                              state)
-            k, inside = _windows_of(system, y)
-            # in a gap, the branches whose windows lie left of y escape up
-            acc = acc + mass * cum[k]
-            if np.count_nonzero(inside) < inside.size:
-                gap = ~inside
-                mass[gap] = 0.0
-                idx, (y, acc, mass) = _settle(gap, idx, (y, acc, mass),
-                                              state)
-                k = k[inside]
-            mass = mass * weights[k]
-            y = _apply_branches(system, k, y)
+        table, acc_t, mass_t = block if step < blocks else one
+        r = np.searchsorted(table.keys, y, side="right")
+        acc = acc + mass * acc_t[r]
+        mass = mass * mass_t[r]
         done = mass <= tol
+        # count_nonzero asks "any?" at a third of the cost of any()
         if np.count_nonzero(done):
-            idx, (y, acc, mass) = _settle(done, idx, (y, acc, mass), state)
+            gone, keep = idx[done], ~done
+            for o, c in zip(state, (y, acc, mass)):
+                o[gone] = c[done]
+            idx, y, acc, mass, r = (c[keep] for c in (idx, y, acc, mass, r))
+        y = (_apply_branches(system, table.window[r], y) if table.slope is None
+             else table.slope[r] * y + table.intercept[r])
     for o, c in zip(state, (y, acc, mass)):
         o[idx] = c
 
 
-def _settle(done, idx, carried, out):
-    """Write the carried points marked done to the full arrays out, at their
-    indices idx, and return the indices and arrays of the points carried on."""
-    gone = idx[done]
-    for o, c in zip(out, carried):
-        o[gone] = c[done]
-    keep = ~done
-    return idx[keep], tuple(c[keep] for c in carried)
+def _one_symbol(system: IFSystem, p: ProbVector):
+    """(`_Step`, acc_1, m_1): the system's one-symbol table and its step's
+    escaped and undecided mass of each region from mass 1, built once per
+    weights instance from `p.as_floats()`."""
+    step = system._step
+    if ("step", step) not in p._memo:
+        weights, cum = _checked_weights(system, p)._float_weights
+        # window d, right of every window, never moves: its weight is 0
+        p._memo["step", step] = (
+            np.where(step.park != 0, step.park > 0, cum[step.window]),
+            np.where(step.inside & (step.park == 0),
+                     np.append(weights, 0.0)[step.window], 0.0))
+    return (step,) + p._memo["step", step]
 
 
 def _cylinders(system: IFSystem, p: ProbVector):
     """(`_Cylinders`, acc_w, m_w), or None unless the system qualifies:
     acc_w and m_w are the escaped and the undecided mass of each region's
     L one-symbol steps from mass 1, bit for bit.  The geometry is built once
-    per system value (`_cylinder_geometry`).  The masses are built once per
-    weights instance: the one-symbol step's masses at `firsts`, from mass 1
-    at tol 0, folded along each region's path by that step's own
-    operations."""
-    cyl = _cylinder_geometry(system)
+    per system value (`_system_table`).  The masses are built once per
+    weights instance: `_one_symbol`'s masses folded along each region's
+    path by the one-symbol step's own operations."""
+    cyl = _system_table(system, "cylinders", _cylinder_table)
     if cyl is None:
         return None
     key = ("cylinders", cyl)
     if key not in p._memo:
-        n = cyl.firsts.size
-        state = (cyl.firsts.copy(), np.zeros(n), np.ones(n))
-        _orbit_tables(system, p, state, 0.0, 1)
-        _, acc1, mass1 = state
+        _, acc1, mass1 = _one_symbol(system, p)
         steps = zip(acc1[cyl.path], mass1[cyl.path])
         acc, mass = next(steps)  # the first step, from acc 0 and mass 1
         for a, m in steps:

@@ -1,0 +1,90 @@
+"""Output digests: one SHA-256 per job of a benchmark workload, so that two
+versions of the code can be compared bit for bit.
+
+Pytest does not collect this file (its name does not match `test_*.py`).
+Run it from a checkout, once per version, and compare the listings:
+
+    python tests/output_digest.py grid 1 > grid-1.txt
+    diff old/grid-1.txt new/grid-1.txt
+
+It runs every job of `perfbench.workloads.build_rounds(workload, seed)` in
+order, against the checkout's own `src/`, and prints one line per job: its
+round, its index in the round, its kind and the digest of its output.  The
+digest feeds a float by `float.hex()`, an array by its dtype, its shape and
+its bytes (an object array element by element), a dataclass by its type
+name and then field by field, a list, tuple or dict by its length and then
+item by item, and anything else by its type name and `repr`.  A job that
+raises is digested as its exception's type name and message.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import (  # noqa: E402
+    EvaluateStats, build_rounds, execute)
+
+
+def feed(h, obj) -> None:
+    """Feed obj's bits into the hash h."""
+    if isinstance(obj, np.generic):
+        obj = np.asarray(obj)
+    if isinstance(obj, float):
+        h.update(b"float " + obj.hex().encode())
+    elif isinstance(obj, np.ndarray):
+        h.update(f"array {obj.dtype.str} {obj.shape}".encode())
+        if obj.dtype == object:
+            for item in obj.ravel().tolist():
+                feed(h, item)
+        else:
+            h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        h.update(f"dataclass {type(obj).__name__}".encode())
+        for field in dataclasses.fields(obj):
+            h.update(field.name.encode())
+            feed(h, getattr(obj, field.name))
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"{type(obj).__name__} {len(obj)}".encode())
+        for item in obj:
+            feed(h, item)
+    elif isinstance(obj, dict):
+        h.update(f"dict {len(obj)}".encode())
+        for key, value in obj.items():
+            feed(h, key)
+            feed(h, value)
+    else:
+        h.update(f"{type(obj).__name__} {obj!r}".encode())
+
+
+def digests(workload: str, seed: int):
+    """(round, index, kind, hex digest) of every job, in order."""
+    for r, jobs in enumerate(build_rounds(workload, seed)):
+        for i, job in enumerate(jobs):
+            try:
+                out = execute(job, EvaluateStats())
+            except Exception as exc:  # noqa: BLE001 - a raise is an output
+                out = ("raised", type(exc).__name__, str(exc))
+            h = hashlib.sha256()
+            feed(h, out)
+            yield r, i, job.kind, h.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print("usage: output_digest.py WORKLOAD SEED", file=sys.stderr)
+        return 2
+    for r, i, kind, digest in digests(argv[0], int(argv[1])):
+        print(f"{r} {i} {kind} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,6 +6,7 @@ symbols at once), agreement with the stationary measure, and outputs
 pinned to recorded bits."""
 
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import bent_system
 from holderlab import (
+    GridFunction,
     ProbVector,
     affine_system,
     attractor_hull,
@@ -28,18 +30,19 @@ from holderlab import (
     cylinder,
     eval_cdf,
     gap_probe,
+    iterate_transition,
 )
 from holderlab.conjugacy import conjugacy_residual
 from holderlab.ifs import (
     _coding_for,
     _suffix_midpoints,
     _walk,
-    _windows_of,
     compactify,
     hull_preimages,
 )
 from holderlab.transition import (
     _cylinders,
+    _one_symbol,
     _orbit_start,
     _orbit_tables,
     _pair_scan,
@@ -251,14 +254,20 @@ def test_exact_step_table_is_l_one_symbol_steps(name, free):
 # composed intercepts, such as -3c of two symbols, are not floats
 WIDE_C = 1 + 2 ** -52
 WIDE = affine_system((2.0, 2.0), (0.0, -WIDE_C), (0.0, WIDE_C))
+# 4x - 3 and 4x - 12 on (0.5, 5), hull [1, 4]: slopes 2^2, but on window
+# [1, 1.75] of the first branch 4y reaches 7, more than twice -c = 3, so
+# Sterbenz's lemma does not make its step exact and there is no table
+STERBENZ = affine_system((4.0, 4.0), (-3.0, -12.0), (0.5, 5.0))
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-14])
 @pytest.mark.parametrize("name, free", [("bent", (0.35,)), ("cantor", (0.3,)),
                                         ("gaps3", (0.2, 0.5)),
-                                        ("wide", (0.3,))])
+                                        ("wide", (0.3,)),
+                                        ("sterbenz", (0.3,))])
 def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
-    system, p = {**SYSTEMS, "wide": WIDE}[name], ProbVector.of(*free)
+    system = {**SYSTEMS, "wide": WIDE, "sterbenz": STERBENZ}[name]
+    p = ProbVector.of(*free)
     assert _cylinders(system, p) is None
     assert _coding_for(system, 0.3)[0].blocks is None
     a, b = (float(t) for t in attractor_hull(system))
@@ -279,8 +288,9 @@ def test_orbit_right_of_every_window_is_a_gap():
     assert x == hull_preimages(system)[0][1] and 3 * x > b
     (_, first, _), (park, sym, gap) = _walk(*_coding_for(system, x), 2)
     assert (first, park, sym, gap) == (1, 0, 3, True)
-    k, inside = _windows_of(system, np.array([3 * x]))
-    assert k.tolist() == [2] and inside.tolist() == [False]
+    step = system._step
+    r = np.searchsorted(step.keys, 3 * x, side="right")
+    assert (step.window[r], step.inside[r], step.park[r]) == (2, False, 0)
     p = ProbVector.of(0.3)
     for tol in (1e-12, 1e-14):
         assert cdf_values(system, p, [x], tol=tol).tolist() \
@@ -686,3 +696,96 @@ def test_conjugacy_residual_pinned_bits():
         got = conjugacy_residual(SYSTEMS[name], ProbVector.of(*free), count,
                                  seed=seed)
         assert float(got).hex() == want, name
+
+
+def _digest_nodes(system, depth):
+    """Every breakpoint of up to depth symbols (the hull ends and their
+    preimages under up to depth branches), each with the two floats on
+    either side, and a uniform grid over the hull and a margin."""
+    a, b = (float(t) for t in attractor_hull(system))
+    ends = level = {a, b}
+    for _ in range(depth):
+        level = {float(br.inverse(t)) for br in system.branches for t in level}
+        ends = ends | level
+    nodes = set(np.linspace(a - 0.25 * (b - a), b + 0.25 * (b - a),
+                            1001).tolist())
+    for t in ends:
+        for way in (-math.inf, math.inf):
+            nodes |= {t, math.nextafter(t, way),
+                      math.nextafter(math.nextafter(t, way), way)}
+    return np.array(sorted(nodes))
+
+
+# SHA-256 of the bytes of `cdf_values` at tol 0 and 1e-12 on `_digest_nodes`
+# and of `iterate_transition`'s residuals, recorded when the one-symbol
+# step of the array walk had its own window, gap and parking tests
+OUTPUT_DIGESTS = {
+    "dyadic": (
+        "4da5f104ed6ca49fca62a8fed21b6fced0daa372e3f508c64048647f7d8e955c",
+        "c59162e54f2c90ab79425d892f40d8df74c6d822e09934327b2999bb7d6159c9",
+        "8365461d944a91d0ee8300a9949b5db9e157e2ad676adfd7ae09b2b4e44fdc99"),
+    "cantor": (
+        "19c19497699ffedfc8321c953e0f48151bf7e0ad16edc485046491efd229810e",
+        "4271d55774a06af66058bc6cbdd75127b0562c2616b88592574d41e39f5a2f63",
+        "a3787bcb28bb4cff3753a3bdc7ee4c3d83dca711bd482d685b39acef83a808ae"),
+    "gaps3": (
+        "c395e2bb833d65dbb0b7febbc414d6a5178deea18563b13f9b2a6341cbed0590",
+        "d3fabc21844b7d1304a2edf1983557ab0f2795047ee299b73cfbf7cc7c747d55",
+        "64542c5541d0b1428e923d8b2dfdf45df1b679a39f4e2b506de83d256f6c7bc9"),
+    "bent": (
+        "4059dc1c06769231c8e5a63d349417a2875d04d26070888520c2369ae959deb5",
+        "9d14d0cbd2e9cb347caecbfbd8443c3e0a64a4a4e99f0572858ae3b1e5ebbea0",
+        "371eaa76c5d39b6e7aa6fa0ba157956ab26cfb2af52e0764e86634adbfd19a29"),
+}
+
+
+@pytest.mark.parametrize("name, free", [("dyadic", (0.3,)),
+                                        ("cantor", (0.3,)),
+                                        ("gaps3", (0.2, 0.5)),
+                                        ("bent", (0.35,))])
+def test_array_walk_output_digests(name, free):
+    system, p = SYSTEMS[name], ProbVector.of(*free)
+    nodes = _digest_nodes(system, 5 if system.branch_count > 2 else 8)
+    h0 = GridFunction(uniform_grid(system, 513),
+                      _ramp(uniform_grid(system, 513), 0.0, 1.0), 0.0, 1.0)
+    outputs = [cdf_values(system, p, nodes, tol=0.0),
+               cdf_values(system, p, nodes, tol=1e-12),
+               iterate_transition(system, p, h0, n_max=20).residuals]
+    got = tuple(hashlib.sha256(out.tobytes()).hexdigest() for out in outputs)
+    assert got == OUTPUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, free", [("dyadic", (0.3,)),
+                                        ("cantor", (0.3,)),
+                                        ("gaps3", (0.2, 0.5)),
+                                        ("bent", (0.35,))])
+def test_one_symbol_table_is_the_first_step_of_eval_cdf(name, free):
+    # at the first float of every region inside the hull the table's
+    # masses are eval_cdf's (value, bound) after one step, bit for bit; the
+    # first, second and last float of every region make the decision that
+    # `_walk` makes at the first float and the table holds, and on an
+    # affine system the table maps each to its branch image where the
+    # region moves and to itself elsewhere
+    system, p = SYSTEMS[name], ProbVector.of(*free)
+    step, acc1, mass1 = _one_symbol(system, p)
+    a, b = (float(t) for t in attractor_hull(system))
+    held = (a <= step.firsts) & (step.firsts <= b)
+    assert set(step.park[held].tolist()) == {-1, 0, 1}
+    for x, acc, mass in zip(step.firsts[held].tolist(),
+                            acc1[held].tolist(), mass1[held].tolist()):
+        value, bound = eval_cdf(system, p, x, max_depth=1)
+        assert (acc.hex(), mass.hex()) == (value.hex(), bound.hex()), x
+    lasts = np.nextafter(np.append(step.keys, math.inf), -math.inf)
+    for r, first in enumerate(step.firsts.tolist()):
+        park, sym, gap = next(_walk(system._coding, first, 1))
+        assert (step.park[r], step.window[r] + 1, step.inside[r]) \
+            == (park, sym, not gap), first
+        # -0.0 compares as 0.0, and a map that keeps it is the identity
+        for y in [first, math.nextafter(first, lasts[r]), lasts[r].item()] \
+                + [-0.0] * (first == 0):
+            assert next(_walk(system._coding, y, 1)) == (park, sym, gap), y
+            if step.slope is None:
+                continue
+            moved = system.branch(sym)(y) if not (gap or park) else y
+            assert (step.slope[r] * y + step.intercept[r]).hex() \
+                == moved.hex(), y

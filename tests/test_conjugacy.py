@@ -19,8 +19,7 @@ from holderlab import (
     validated,
 )
 from holderlab import conjugacy
-from holderlab.ifs import _walk, _windows_of, hull_preimages, \
-    pi_approx
+from holderlab.ifs import _walk, hull_preimages, pi_approx
 
 
 def test_linear_model_halves():
@@ -161,7 +160,8 @@ def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
     weights, left = p._float_weights
     words = _near_edge_words(system, margin, 11)
     x = conjugacy._midpoints(system, words)
-    k, ok = _windows_of(system, x)
+    r = np.searchsorted(system._step.keys, x, side="right")
+    k, ok = system._step.window[r], system._step.inside[r]
     assert ok.all()
     for word, xb, s in zip(words.tolist(), x, k + 1):
         xr = pi_approx(system, tuple(word))[0]

@@ -50,7 +50,7 @@ from holderlab import (
     validate,
     validated,
 )
-from holderlab.ifs import _suffix_midpoints
+from holderlab.ifs import _branch_fixed_point, _suffix_midpoints
 
 
 def test_affine_branch_roundtrip():
@@ -119,6 +119,24 @@ def test_custom_branch_fixed_points_by_bisection(quarter):
     xs = np.linspace(-0.1, 1.1, 101)
     assert np.max(np.abs(cdf_values(system, quarter, xs)
                          - cdf_values(twin, quarter, xs))) <= 1e-12
+
+
+def test_custom_branch_fixed_point_after_every_bisection_step():
+    # 3(x - 10^6) + 10^6 + 0.1 has its fixed point at 10^6 - 0.05; near
+    # 10^6 a float step is 1.2e-10, so the bracket never gets below 1e-15
+    # and g never hits 0 exactly: the bisection takes all 200 steps, two
+    # calls for the ends and one per step, and returns the last midpoint
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return 3 * (x - 1e6) + 1e6 + 0.1
+
+    branch = Branch.custom(fn=fn, dfn=lambda x: 3.0,
+                           inv=lambda y: (y - 1e6 - 0.1) / 3 + 1e6)
+    assert _branch_fixed_point(branch, (1e6 - 10, 1e6 + 10)) \
+        == float(1e6 - 0.05)
+    assert len(calls) == 2 + 200
 
 
 def test_encode_examples(dyadic, cantor):

@@ -5,6 +5,7 @@ of the one-symbol walk, written out here as a reference; a negative depth
 is refused by every entry point, with and without that table."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from holderlab import (
     phi,
 )
 from holderlab.ifs import _coding_for, _walk, hull_preimages
+from holderlab.transition import _cylinders
 from test_array_walk import EXACT_STEP, _exact_step_system, _level_breakpoints
 
 CANTOR = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0))
@@ -180,3 +182,27 @@ def test_negative_depth_with_and_without_the_table(name):
     assert encode(system, 0.3, 0).word == ()
     value, bound = eval_derivative_point(system, p, (1,), 0.3, depth=0)
     assert value == 0.0 and bound > 0
+
+
+def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
+    # 4x and 4x - 1 on (0, 1/2) in Fractions: every float step is exact, so
+    # the array walk has an L = 8 table, but the hull end 1/3 is not a
+    # float, so the scalar walk of a float point, which compares with the
+    # Fraction itself, keeps one symbol per step; float eval_cdf, and
+    # cdf_values through its table, lie within their bound of the exact
+    # walk at the same float
+    system = affine_system((Fraction(4), Fraction(4)),
+                           (Fraction(0), Fraction(-1)),
+                           (Fraction(0), Fraction(1, 2)))
+    p, q = ProbVector.of(19 / 64), ProbVector.of(Fraction(19, 64))
+    assert attractor_hull(system) == (0, Fraction(1, 3))
+    cyl, _, _ = _cylinders(system, p)
+    assert len(cyl.path) == 8 and cyl.blocks is None
+    assert _coding_for(system, 0.3)[0].blocks is None
+    xs = np.linspace(-0.05, 0.4, 400)
+    values = cdf_values(system, p, xs, tol=1e-12)
+    for x, v in zip(xs.tolist(), values.tolist()):
+        exact, exact_bound = eval_cdf(system, q, Fraction(x))
+        value, bound = eval_cdf(system, p, x)
+        assert abs(Fraction(value) - exact) <= Fraction(bound) + exact_bound
+        assert abs(Fraction(v) - exact) <= Fraction(1e-12) + exact_bound

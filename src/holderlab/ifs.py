@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -303,19 +303,16 @@ class IFSystem:
 
     @cached_property
     def _coding(self) -> "_Coding":
-        """The coding table, built on first use; a degenerate hull raises
+        """The coding table, one per system value; a degenerate hull raises
         ConfigurationError on every access, as nothing is cached then."""
-        return _coding_table(self)
+        return _system_table(self, "coding", _coding_table)
 
     @cached_property
     def _float_coding(self) -> "_Coding":
-        """The coding table a float point walks on: `_coding`, with the
-        blocks of the L-symbol walk when the system has them
-        (`_Cylinders.blocks`)."""
-        cyl = _system_table(self, "cylinders", _cylinder_table)
-        if cyl is None or cyl.blocks is None:
-            return self._coding
-        return replace(self._coding, blocks=cyl.blocks)
+        """The coding table a float point walks on, one per system value:
+        `_coding`, with the blocks of the L-symbol walk when the system has
+        them (`_Cylinders.blocks`)."""
+        return _system_table(self, "float coding", _float_coding_table)
 
     @cached_property
     def _float_maps(self) -> tuple:
@@ -327,11 +324,9 @@ class IFSystem:
 
     @cached_property
     def _float_windows(self) -> tuple:
-        """Read-only float arrays of the left and right edges of the hull
-        windows.  The left edges end in a NaN, one past the last window, so
-        that `u[k] <= y` is False right of every window."""
+        """Read-only float arrays of the left and right hull window edges."""
         windows = self._coding.windows
-        u = np.array([float(lo) for lo, _ in windows] + [math.nan])
+        u = np.array([float(lo) for lo, _ in windows])
         v = np.array([float(hi) for _, hi in windows])
         u.flags.writeable = v.flags.writeable = False
         return u, v
@@ -359,10 +354,10 @@ def _typed(t):
     return t if callable(t) else (type(t), repr(t))
 
 
-# Tables derived from a system alone, by plain keys: the float walks'
-# region tables of one symbol ("step") and of L symbols ("cylinders"), the
-# derivative sums of `thermo._sandwich` (("sandwich", level)) and the
-# integer coding tables of `_coding_for` ("lattice", by scale).  Equal systems
+# Tables derived from a system alone, by plain keys: the coding tables
+# ("coding", "float coding", "lattice" by scale), the float walks' region
+# tables of one symbol ("step") and of L symbols ("cylinders") and the
+# derivative sums of `thermo._sandwich` (("sandwich", level)).  Equal systems
 # rebuilt per job or run share one entry; more systems than this start over.
 _SYSTEM_TABLES = 64
 _TABLES: dict = {}
@@ -431,17 +426,15 @@ class _Coding:
     """What the coding walk reads, in the coordinates it walks in.
 
     hull is (a, b), windows the hull preimages (u, v) in branch order, and
-    maps the (slope, intercept) pair of every branch of an affine system
-    (None otherwise: the walk then calls the branches).  lattice is set on
-    a rational system with integer slopes: the least common denominator of
-    its intercepts.  blocks is set on the table of float points of a system
-    with an L-symbol table: `_Cylinders.blocks`, which `_walk` reads.
+    table their `_region_table`, in their own arithmetic.  lattice is set
+    on a rational system with integer slopes: the least common denominator
+    of its intercepts.  blocks is set on the table of float points of a
+    system with an L-symbol table: `_Cylinders.blocks`.
     """
 
     hull: tuple
     windows: tuple
-    maps: Optional[tuple]
-    branches: tuple
+    table: tuple
     lattice: Optional[int] = None
     blocks: Optional[tuple] = None
 
@@ -451,15 +444,52 @@ def _coding_table(system: IFSystem) -> _Coding:
     hi = _branch_fixed_point(system.branch(system.branch_count), system.open_set)
     if not lo < hi:
         raise ConfigurationError("degenerate attractor hull")
-    maps = lattice = None
-    if system.is_affine:
-        maps = tuple((br.slope, br.intercept) for br in system.branches)
-        if system.is_rational and all(a.denominator == 1 for a, _ in maps):
-            lattice = math.lcm(*(b.denominator for _, b in maps))
-    return _Coding(hull=(lo, hi),
-                   windows=tuple(br.preimage_interval(lo, hi)
-                                 for br in system.branches),
-                   maps=maps, branches=system.branches, lattice=lattice)
+    windows = tuple(br.preimage_interval(lo, hi) for br in system.branches)
+    maps = tuple((br.slope, br.intercept) if br.is_affine else (br, None)
+                 for br in system.branches)
+    lattice = None
+    if system.is_rational and all(a.denominator == 1 for a, _ in maps):
+        lattice = math.lcm(*(b.denominator for _, b in maps))
+    return _Coding(hull=(lo, hi), windows=windows,
+                   table=_region_table((lo, hi), windows, maps),
+                   lattice=lattice)
+
+
+def _float_coding_table(system: IFSystem) -> _Coding:
+    cyl = _system_table(system, "cylinders", _cylinder_table)
+    return replace(system._coding, blocks=cyl and cyl.blocks)
+
+
+def _region_table(hull, windows, maps) -> tuple:
+    """The one-symbol region table (1, breaks, regions) of `_walk`.
+
+    The window rule decides a symbol at y: park is -1 on the hull's left
+    end, 1 on its right end, else 0; sym is the first window whose right
+    edge is at or right of y (len(windows) + 1 right of them all), and the
+    step is a gap when that window starts right of y.  It compares y with
+    breaks only, the sorted distinct hull ends and window edges, so it
+    decides alike on each region: 2i left of breaks[i] (and right of the
+    one before), 2i + 1 at breaks[i], 2n right of all n.  Each region holds
+    (slope, intercept, events): the rule's event (park, sym, gap) at an
+    exact point of it (a Fraction compares exactly with floats, ints and
+    Fractions) and branch sym's map, (slope, intercept) or (branch, None)
+    on custom branches, from maps; a gap holds None and None.
+    """
+    breaks = sorted({*hull, *itertools.chain(*windows)})
+    exact = [Fraction(t) for t in breaks]
+    points = [exact[0] - 1]
+    for t, t_next in zip(exact, exact[1:] + [exact[-1] + 2]):
+        points += [t, (t + t_next) / 2]
+    (a, b), d = hull, len(windows)
+    regions = []
+    for y in points:
+        sym = next((k for k, (_, v) in enumerate(windows, 1) if y <= v),
+                   d + 1)
+        gap = sym > d or y < windows[sym - 1][0]
+        event = (-1 if y == a else 1 if y == b else 0), sym, gap
+        regions.append((None, None, (event,)) if gap
+                       else (*maps[sym - 1], (event,)))
+    return 1, breaks, regions
 
 
 def _checked_weights(system: IFSystem, p: ProbVector) -> ProbVector:
@@ -482,16 +512,16 @@ _LATTICE_TABLES = 64
 
 
 def _coding_for(system: IFSystem, x):
-    """The table to walk x on, and x in its coordinates.
+    """The coding table to walk x on, and x in its coordinates.
 
     A rational x on a rational system with integer slopes has its orbit on
     the lattice (1/Q)Z, Q the least common multiple of the denominators of
-    x and of the intercepts.  Its walk runs on the integers N = y Q: windows
-    [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and hull endpoints a Q
-    (a non-integer one is never met).  A float x walks on
-    `IFSystem._float_coding`, every other x on the system's own table.  A
-    NaN x raises ValueError: it passes every hull test and would walk right
-    of every window.
+    x and of the intercepts.  Its walk runs on the integers N = y Q, with a
+    table per Q: windows [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and
+    hull endpoints a Q (a non-integer one is never met).  A float x walks on
+    `IFSystem._float_coding` (exact edges on a rational system), every
+    other x on the system's own table.  A NaN x raises ValueError: it
+    passes every hull test and would walk right of every window.
     """
     coding = system._coding
     if not isinstance(x, (int, Fraction)):
@@ -506,20 +536,22 @@ def _coding_for(system: IFSystem, x):
     if table is None:
         if len(memo) >= _LATTICE_TABLES:
             memo.clear()
-        table = memo[q] = _scaled_coding(coding, q)
+        table = memo[q] = _scaled_coding(system, q)
     return table, x.numerator * (q // x.denominator)
 
 
-def _scaled_coding(coding: _Coding, q: int) -> _Coding:
+def _scaled_coding(system: IFSystem, q: int) -> _Coding:
     def scaled(t):
         t = t * q
         return t.numerator if t.denominator == 1 else t
 
-    return _Coding(hull=tuple(scaled(t) for t in coding.hull),
-                   windows=tuple((math.ceil(u * q), math.floor(v * q))
-                                 for u, v in coding.windows),
-                   maps=tuple((int(a), int(b * q)) for a, b in coding.maps),
-                   branches=coding.branches)
+    hull = tuple(scaled(t) for t in system._coding.hull)
+    windows = tuple((math.ceil(u * q), math.floor(v * q))
+                    for u, v in system._coding.windows)
+    maps = tuple((int(br.slope), int(br.intercept * q))
+                 for br in system.branches)
+    return _Coding(hull=hull, windows=windows,
+                   table=_region_table(hull, windows, maps))
 
 
 # ---------------------------------------------------------------------------
@@ -720,50 +752,25 @@ def _walk(coding: _Coding, y, depth: int):
     """Coding walk of y on a table of `_coding_for`: yields (park, sym, gap)
     for at most depth symbols.
 
-    Each symbol is decided at the orbit point before its step: park is -1
-    on the hull's left end, 1 on its right end and 0 elsewhere, and sym is
-    the smallest index whose window holds the point; the walk then applies
-    that branch.  In a gap, sym is the first window right of the point
-    (len(windows) + 1 right of them all), gap is True and the walk stops.
-
-    On a table with blocks (a float point on a system with an L-symbol
-    table) the walk takes L symbols per lookup while at least L are left:
-    one `bisect` on the level-L breakpoints finds the point's region, the
-    walk yields the events of that region's L one-symbol steps, which every
-    float of the region makes (`transition._orbit_tables` proves it), and
-    maps the point to slope * y + intercept, the L-th one-symbol orbit
-    point, bit for bit.  A region's events stop at a gap, which ends the
-    walk, or at a hull end, from whose one-symbol image the walk goes on.
-    The symbols left after the last whole block take the one-symbol step.
-    So every event and orbit point is that of the one-symbol walk.
+    Each symbol is decided at the orbit point before its step by the window
+    rule of `_region_table`, and every step is one region lookup in a table
+    (L, breaks, regions): a `bisect` on the breaks finds y's region, the
+    walk yields its events, stops at a gap and maps y.  With blocks (a
+    float point on a system with an L-symbol table) it takes L symbols per
+    lookup while at least L are left, with the events of the one-symbol
+    walk and its L-th orbit point, bit for bit (`transition._orbit_tables`
+    proves it); then one symbol per lookup in `_Coding.table`.
     """
-    (a, b), pre = coding.hull, coding.windows
-    maps, branches = coding.maps, coding.branches
-    if coding.blocks is not None:
-        length, keys, regions = coding.blocks
+    for length, breaks, regions in filter(None, (coding.blocks, coding.table)):
         while depth >= length:
-            slope, intercept, events = regions[bisect_right(keys, y)]
+            i = bisect_left(breaks, y)
+            slope, intercept, events = \
+                regions[2 * i + (i < len(breaks) and breaks[i] == y)]
             yield from events
             if slope is None:
                 return
-            y = slope * y + intercept
+            y = slope(y) if intercept is None else slope * y + intercept
             depth -= len(events)
-    for _ in range(depth):
-        for sym, (u, v) in enumerate(pre, start=1):
-            if y <= v:
-                break
-        else:
-            sym += 1
-        park = -1 if y == a else 1 if y == b else 0
-        if not u <= y <= v:
-            yield park, sym, True
-            return
-        yield park, sym, False
-        if maps is None:
-            y = branches[sym - 1](y)
-        else:
-            slope, intercept = maps[sym - 1]
-            y = slope * y + intercept
 
 
 def _branch_on_array(br: Branch, y: np.ndarray) -> np.ndarray:
@@ -801,24 +808,23 @@ def _apply_branches(system: IFSystem, idx: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class _Step:
-    """The regions of one symbol of a system's float walk, read by
-    `transition._orbit_tables`, `_cylinder_table` and `conjugacy._samples`.
+    """The regions of one symbol of a system's float image (hull ends,
+    window edges and maps in floats), read by `transition._orbit_tables`,
+    `_cylinder_table` and `conjugacy._samples`.
 
-    keys and firsts are `_regions`' over the hull ends and window edges, the
-    floats that `_walk`'s rule compares y with, so every float of a region
-    makes the decisions of its first float, which the table holds: window,
-    the 0-based index of the first hull window whose right edge is at or
-    right of it; inside, whether that window holds it (then window is its
-    branch, the smaller index at a shared edge; else it counts the windows
-    left of it, which escape up); park, -1 on the hull's left end, 1 on its
-    right end, else 0.  On an affine system slope and intercept map every
-    float of a region that moves (inside, not parked) by its branch, and
-    every other float to itself (1.0 y + -0.0), bit for bit; else they are
-    None.
+    table is its `_region_table`; keys are `_regions`' of its breaks, and
+    each region's event gives window, the 0-based index of the first hull
+    window whose right edge is at or right of it; inside, whether that
+    window holds it (then window is its branch, the smaller index at a
+    shared edge; else it counts the windows left of it, which escape up);
+    park, -1 on the hull's left end, 1 on its right end, else 0.  On an
+    affine system slope and intercept map every float of a region that
+    moves (inside, not parked) by its branch, and every other float to
+    itself (1.0 y + -0.0), bit for bit; else they are None.
     """
 
+    table: tuple
     keys: np.ndarray
-    firsts: np.ndarray
     window: np.ndarray
     inside: np.ndarray
     park: np.ndarray
@@ -827,24 +833,24 @@ class _Step:
 
 
 def _step_table(system: IFSystem) -> _Step:
-    a, b = (float(t) for t in system._coding.hull)
+    hull = tuple(float(t) for t in system._coding.hull)
     u, v = system._float_windows
-    keys, firsts = _regions(np.concatenate([[a, b], u[:-1], v]))
-    # searchsorted needs the right edges in order, which `validate` checks
-    window = np.searchsorted(v, firsts)
-    inside = u[window] <= firsts
-    park = (firsts == b).astype(int) - (firsts == a)
+    maps = tuple((float(br.slope), float(br.intercept)) if br.is_affine
+                 else (br, None) for br in system.branches)
+    table = _region_table(hull, tuple(zip(u.tolist(), v.tolist())), maps)
+    keys, _ = _regions(np.array(table[1]))
+    park, sym, gap = map(np.array, zip(*(e for _, _, (e,) in table[2])))
+    window, inside = sym - 1, ~gap
     slope = intercept = None
     if system.is_affine:
         moves = inside & (park == 0)
         k = np.minimum(window, v.size - 1)
         slope = np.where(moves, system._float_maps[0][k], 1.0)
         intercept = np.where(moves, system._float_maps[1][k], -0.0)
-    table = _Step(keys, firsts, window, inside, park, slope, intercept)
-    for o in vars(table).values():
+    for o in (keys, window, inside, park, slope, intercept):
         if o is not None:
             o.flags.writeable = False
-    return table
+    return _Step(table, keys, window, inside, park, slope, intercept)
 
 
 # words per table of the L-symbol walk: L is the largest length whose d^L
@@ -867,15 +873,14 @@ class _Cylinders:
     `_Step` maps it to itself.  path, an L x regions array, holds the
     `_Step` region of each region's first float before each of its L steps.
 
-    blocks is what `_walk` reads, (L, keys, regions) in Python objects:
-    for each region, its slope, its intercept and the events
-    (park, sym, gap) that the one-symbol walk yields along its path, each
-    made at the first float of its one-symbol region.  A path that reaches
+    blocks is the region table (L, breaks, regions) of `_walk`, breaks the
+    level-L breakpoints: each region's slope, intercept and the events
+    (park, sym, gap) of `_Step.table` along its path.  A path that reaches
     a gap keeps its events up to that one and slope None; one that parks
     on a hull end keeps its events up to that one, slope 0 and as intercept
-    the hull end's one-symbol image.  blocks is None unless the hull ends
-    and window edges of the system's own coding table are floats, as the
-    scalar walk compares with them exactly.
+    the hull end's one-symbol image.  blocks is None unless the system's
+    own coding table has the breaks of its float image, as the scalar walk
+    compares with them exactly.
     """
 
     keys: np.ndarray
@@ -923,7 +928,7 @@ def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
     for _ in range(length - 1):
         pre = (breaks - intercepts[:, None]) / slopes[:, None]
         breaks = np.concatenate(
-            [edges, pre[(u[:-1, None] <= pre) & (pre <= v[:, None])]])
+            [edges, pre[(u[:, None] <= pre) & (pre <= v[:, None])]])
     keys, reps = _regions(breaks)
     # a second float of each region: the two floats before t_0 for region
     # 0, the two after t_i for region 2i + 2 when both lie below t_{i+1},
@@ -951,34 +956,29 @@ def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
     path = np.array(path)
     for o in (keys, slope, intercept, path):
         o.flags.writeable = False
-    return _Cylinders(keys, slope, intercept, path,
-                      _walk_blocks(system._coding, keys, slope, intercept,
-                                   step.firsts, path))
+    blocks = None
+    if system._coding.table[1] == step.table[1]:
+        blocks = _walk_blocks(step.table, keys, slope, intercept, path)
+    return _Cylinders(keys, slope, intercept, path, blocks)
 
 
-def _walk_blocks(coding: _Coding, keys, slope, intercept, firsts, path):
-    """`_Cylinders.blocks` of these arrays, or None unless the hull ends and
-    window edges of coding are floats."""
-    edges = (*coding.hull, *itertools.chain(*coding.windows))
-    if any(float(t) != t for t in edges):
-        return None
-    firsts = firsts.tolist()
-    events = [next(_walk(coding, t, 1)) for t in firsts]
+def _walk_blocks(one: tuple, keys, slope, intercept, path) -> tuple:
+    """`_Cylinders.blocks` of these arrays, on the one-symbol table one."""
+    _, ends, steps = one
     regions = []
     for col, s, c in zip(path.T.tolist(), slope.tolist(), intercept.tolist()):
-        walked = []
-        for i in col:
-            park, sym, gap = event = events[i]
-            walked.append(event)
-            if gap:
-                s = None
+        events = []
+        for r in col:
+            step_slope, step_intercept, (event,) = steps[r]
+            events.append(event)
+            if step_slope is None:      # a gap
+                s = c = None
                 break
-            if park:
-                ms, mc = coding.maps[sym - 1]
-                s, c = 0.0, ms * firsts[i] + mc
+            if event[0]:                # parked on the hull end ends[r // 2]
+                s, c = 0.0, step_slope * ends[r // 2] + step_intercept
                 break
-        regions.append((s, c, tuple(walked)))
-    return len(path), keys.tolist(), regions
+        regions.append((s, c, tuple(events)))
+    return len(path), keys[::2].tolist(), regions
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):

@@ -201,9 +201,9 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     the bits of one call of n steps.
 
     The one-symbol table (`_Step`, masses of `_one_symbol`) is cut by the
-    hull ends and the window edges, the set E of floats that `_walk`'s rule
-    compares y with, so a region's floats make its first float's decisions;
-    its masses are the terms of `eval_cdf`'s step: cum[k] and weights[k] in
+    float hull ends and window edges, the set E of floats that the window
+    rule compares y with, so a region's floats make its one decision; its
+    masses are the terms of `eval_cdf`'s step: cum[k] and weights[k] in
     window k, cum[k] and 0 in a gap, 1 or 0 and 0 on the right or left end.
 
     At tol > 0, on a system that qualifies (below), each step takes L
@@ -251,14 +251,14 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        carries the bits of L one-symbol steps, with their tie, gap and
        parking rules.
     5. The scalar walk `_walk` reads the same regions for a float point
-       (`_Cylinders.blocks`).  Its one-symbol step makes this step's
+       (`_Cylinders.blocks`).  Its one-symbol table makes this step's
        decisions (the window rule, parking on a hull end) with the same
-       float maps, once its table's hull ends and window edges are the
-       floats compared here, which `_Cylinders.blocks` requires.  So by 2
-       and 4 every float of a level-L region makes the events of its first
-       float's path, recorded at the first float of each one-symbol
-       region, and by 3 the walk may jump to A_w y + B_w.  Its consumers
-       keep their one-symbol arithmetic, so they keep their bits.
+       float maps once its breaks are E, which `_Cylinders.blocks`
+       requires: both are then `_Step.table`, whose regions' events and
+       maps the blocks read.  So by 2 and 4 every float of a level-L
+       region makes the events of its path, and by 3 the walk may jump to
+       A_w y + B_w.  Its consumers keep their one-symbol arithmetic, so
+       they keep their bits.
     """
     one = _one_symbol(system, p)
     block = _cylinders(system, p) if tol > 0 else None

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -52,6 +53,36 @@ def legendre_value(system, q):
     log_q = np.array([math.log(w) if w > 0 else 0.0 for w in q.tolist()])
     log_a = np.array([math.log(float(br.slope)) for br in system.branches])
     return float(-(q * log_q).sum() / (q * log_a).sum() + 0.0)
+
+
+def legendre_reference(system, p, beta, digits=50):
+    """(t - beta t', |t| + |beta t'|) at the pressure root t(beta) of an
+    affine system, as floats, from t and t' solved in `decimal` at this
+    many digits: the logs of the float weights and slopes the library reads
+    (`as_floats()` and `float(slope)`), Newton on sum exp(beta log p_i -
+    t log a_i) = 1 from the left end of the root's bracket, where every
+    term is at least 1, and t' = <log p>_q / <log a>_q at the Gibbs weights
+    q.  The reference carries no double's rounding, so a bound of a few
+    eps of the scale covers a computed t - beta t'."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        lw = [decimal.Decimal(w).ln() for w in p.as_floats().weights]
+        ls = [decimal.Decimal(float(br.slope)).ln() for br in system.branches]
+        b = decimal.Decimal(beta)
+        t = min(b * w / s for w, s in zip(lw, ls))
+        tiny = decimal.Decimal(10) ** (10 - digits)
+        for _ in range(10_000):
+            q = [(b * w - t * s).exp() for w, s in zip(lw, ls)]
+            step = (sum(q) - 1) / sum(s * e for s, e in zip(ls, q))
+            t += step
+            if abs(step) <= tiny * (1 + abs(t)):
+                break
+        else:
+            raise AssertionError(f"no pressure root at beta {beta}")
+        q = [(b * w - t * s).exp() for w, s in zip(lw, ls)]
+        tp = sum(e * w for e, w in zip(q, lw)) \
+            / sum(e * s for e, s in zip(q, ls))
+        return float(t - b * tp), float(abs(t) + abs(b * tp))
 
 
 @pytest.fixture

@@ -35,6 +35,7 @@ from holderlab import (
 from holderlab.conjugacy import conjugacy_residual
 from holderlab.ifs import (
     _coding_for,
+    _regions,
     _suffix_midpoints,
     _walk,
     compactify,
@@ -765,18 +766,24 @@ def test_one_symbol_table_is_the_first_step_of_eval_cdf(name, free):
     # first, second and last float of every region make the decision that
     # `_walk` makes at the first float and the table holds, and on an
     # affine system the table maps each to its branch image where the
-    # region moves and to itself elsewhere
+    # region moves and to itself elsewhere; a region between two adjacent
+    # floats holds no float, and no walk reads it
     system, p = SYSTEMS[name], ProbVector.of(*free)
     step, acc1, mass1 = _one_symbol(system, p)
+    _, firsts = _regions(step.keys[::2])
+    filled = np.searchsorted(step.keys, firsts, side="right") \
+        == np.arange(firsts.size)
     a, b = (float(t) for t in attractor_hull(system))
-    held = (a <= step.firsts) & (step.firsts <= b)
+    held = filled & (a <= firsts) & (firsts <= b)
     assert set(step.park[held].tolist()) == {-1, 0, 1}
-    for x, acc, mass in zip(step.firsts[held].tolist(),
+    for x, acc, mass in zip(firsts[held].tolist(),
                             acc1[held].tolist(), mass1[held].tolist()):
         value, bound = eval_cdf(system, p, x, max_depth=1)
         assert (acc.hex(), mass.hex()) == (value.hex(), bound.hex()), x
     lasts = np.nextafter(np.append(step.keys, math.inf), -math.inf)
-    for r, first in enumerate(step.firsts.tolist()):
+    for r, first in enumerate(firsts.tolist()):
+        if not filled[r]:
+            continue
         park, sym, gap = next(_walk(system._coding, first, 1))
         assert (step.park[r], step.window[r] + 1, step.inside[r]) \
             == (park, sym, not gap), first

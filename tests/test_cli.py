@@ -376,6 +376,14 @@ MALFORMED = {
     "pressure-beta-span-overflow-rational": (
         "pressure", {"beta_grid": {"lo": -1e308, "hi": 1e308, "count": 3}},
         RATIONAL),
+    "mode-decimal": ("eval-t", {}, dict(DYADIC, mode="decimal")),
+    "open-set-three-numbers": ("eval-t", {},
+                               dict(DYADIC, open_set=[0.0, 0.5, 1.0])),
+    "open-set-reversed": ("eval-t", {}, dict(DYADIC, open_set=[1.0, 0.0])),
+    "two-free-weights-two-branches": ("eval-t", {},
+                                      dict(DYADIC, p=[0.25, 0.25])),
+    "missing-weights": ("eval-t", {},
+                        {k: v for k, v in DYADIC.items() if k != "p"}),
 }
 
 

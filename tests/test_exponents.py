@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import legendre_value
+from conftest import legendre_reference, legendre_value
 from holderlab import (
     PressureCurve,
     ProbVector,
@@ -192,17 +192,17 @@ def reference_rows(system, p, betas, word_len, count, seed, evaluate):
     """spectrum_experiment word by word: per beta one Gibbs solve and the
     Legendre value at the known minimiser beta, the Gibbs weights' entropy
     over their Lyapunov exponent, per word pi_approx and ergodic_sums.
-    That g is t - beta t' up to that difference's cancellation, and also
-    the one spectrum_point finds at alpha = -t'(beta)."""
+    That g is t - beta t' of 50-digit t and t' (`legendre_reference`)
+    within 8 eps of their scale, and also the one spectrum_point finds at
+    alpha = -t'(beta)."""
     curve = PressureCurve(system, p)
     rows = []
     for i, beta in enumerate(betas):
         words, alpha = reference_words(system, p, beta, word_len, count,
                                        seed + i)
         g = legendre_value(system, gibbs_weights(system, p, beta)[0])
-        t, t_prime = curve.t(beta), curve.t_prime(beta)
-        assert abs(g - (t - beta * t_prime)) <= 8 * 2.0 ** -52 * (
-            abs(t) + abs(beta * t_prime))
+        g_ref, scale = legendre_reference(system, p, beta)
+        assert abs(g - g_ref) <= 8 * 2.0 ** -52 * scale
         dyn = np.array([min(reference_ratios(system, p, w)
                             [math.ceil(word_len / 2) - 1:]) for w in words])
         emp_mean = emp_sigma = math.nan

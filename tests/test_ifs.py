@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -137,6 +138,54 @@ def test_custom_branch_fixed_point_after_every_bisection_step():
     assert _branch_fixed_point(branch, (1e6 - 10, 1e6 + 10)) \
         == float(1e6 - 0.05)
     assert len(calls) == 2 + 200
+
+
+def _custom(fn, dfn=lambda x: 2.0, inv=lambda y: y / 2):
+    return Branch.custom(fn=fn, dfn=dfn, inv=inv)
+
+
+_RIGHT = _custom(lambda x: 2 * x - 1, inv=lambda y: (y + 1) / 2)
+
+# a system the library refuses, how it is reached, and the refusal
+REFUSED = {
+    "custom branch without a fixed point": (
+        lambda: attractor_hull(IFSystem(
+            branches=(_custom(lambda x: 2 * x + 5, inv=lambda y: (y - 5) / 2),
+                      _RIGHT), open_set=(0.0, 1.0))),
+        "no fixed point"),
+    "affine slope below the expansion bound": (
+        lambda: validate(IFSystem(
+            branches=(Branch.affine(2.0, 0.0), Branch.affine(2.0, -1.0)),
+            open_set=(0.0, 1.0), expansion=2.5)),
+        "slope 2.0 below expansion bound 2.5"),
+    "custom branch not increasing": (
+        lambda: validate(IFSystem(
+            branches=(_custom(lambda x: 0.5 - 2 * x), _RIGHT),
+            open_set=(0.0, 1.0))),
+        "not strictly increasing"),
+    "custom derivative below the expansion bound": (
+        lambda: validate(IFSystem(
+            branches=(_custom(lambda x: 2 * x, dfn=lambda x: 1.0), _RIGHT),
+            open_set=(0.0, 1.0), expansion=2.0)),
+        "derivative sample 1.0 below expansion bound 2.0"),
+    "custom inverse off by 0.01": (
+        lambda: validate(IFSystem(
+            branches=(_custom(lambda x: 2 * x, inv=lambda y: y / 2 + 0.01),
+                      _RIGHT), open_set=(0.0, 1.0))),
+        "inverse round-trip error"),
+    "order of two components on two branches": (
+        lambda: eval_derivative_point(
+            affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0)),
+            ProbVector.of(0.25), (1, 1), 0.3),
+        "order needs 1 components, got 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refusals(name):
+    call, message = REFUSED[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_encode_examples(dyadic, cantor):

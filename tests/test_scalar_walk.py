@@ -1,9 +1,14 @@
 """The scalar coding walk `_walk` behind `encode`, `eval_cdf`, `phi` and
-`eval_derivative_point`: on a system whose every float step is exact it
-takes L symbols per lookup, and its events and every output keep the bits
-of the one-symbol walk, written out here as a reference; a negative depth
-is refused by every entry point, with and without that table."""
+`eval_derivative_point`: on every table it reads (float systems with and
+without an L-symbol table, rational points on lattice and non-lattice
+rational systems, float points on rational systems, custom branches) its
+events are those of the window rule, written out here as a reference in
+the table's own arithmetic; on a system whose every float step is exact it
+takes L symbols per lookup and every output keeps the bits of the
+one-symbol walk; a negative depth is refused by every entry point, with
+and without that table."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import bent_system
 from holderlab import (
     OutsideHullError,
     ProbVector,
     affine_system,
     attractor_hull,
     cdf_values,
+    cylinder,
     encode,
     eval_cdf,
     eval_derivative_point,
@@ -26,17 +33,23 @@ from holderlab import (
 from holderlab.ifs import _coding_for, _walk, hull_preimages
 from holderlab.transition import _cylinders
 from test_array_walk import EXACT_STEP, _exact_step_system, _level_breakpoints
+from test_walk_tables import rational_system
 
 CANTOR = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0))
 
 
 def reference_events(system, x, depth):
-    """The one-symbol walk of a float x, one rule per symbol: park -1 or 1
-    on the left or right hull end, sym the first window whose right edge is
-    at or right of y (one past the last right of them all), a gap when that
-    window starts right of y, which ends the walk; else y -> s y + c."""
-    a, b = (float(t) for t in attractor_hull(system))
-    windows = [(float(u), float(v)) for u, v in hull_preimages(system)]
+    """The one-symbol walk of x, one rule per symbol: park -1 or 1 on the
+    left or right hull end, sym the first window whose right edge is at or
+    right of y (one past the last right of them all), a gap when that
+    window starts right of y, which ends the walk; else y -> f_sym(y).
+
+    It runs in the system's own numbers: a float system compares with float
+    edges, a rational one with exact edges, and the branch maps x in its own
+    type (Fraction * float is a float), so a float x on a rational system is
+    compared exactly and mapped in floats."""
+    a, b = attractor_hull(system)
+    windows = hull_preimages(system)
     y = x
     for _ in range(depth):
         sym = next((k for k, (_, v) in enumerate(windows, 1) if y <= v),
@@ -46,8 +59,7 @@ def reference_events(system, x, depth):
         yield park, sym, gap
         if gap:
             return
-        br = system.branch(sym)
-        y = float(br.slope) * y + float(br.intercept)
+        y = system.branch(sym)(y)
 
 
 def reference_cdf(system, p, x, tol, depth):
@@ -206,3 +218,83 @@ def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
         value, bound = eval_cdf(system, p, x)
         assert abs(Fraction(value) - exact) <= Fraction(bound) + exact_bound
         assert abs(Fraction(v) - exact) <= Fraction(1e-12) + exact_bound
+
+
+# the tables `_walk` reads: float systems without an L-symbol table;
+# rational systems, whose rational points walk a lattice (integer
+# slopes) or Fractions (a slope of 3/2) and whose float points compare with
+# the exact edges (the dyadic edges of "exact half" are floats, so its float
+# points take L symbols per lookup); custom branches
+TABLE_SYSTEMS = {
+    "cantor": CANTOR,
+    "gaps3": affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0)),
+    "exact cantor": rational_system("cantor"),
+    "exact half": rational_system("half"),
+    "exact gaps3": rational_system("gaps3"),
+    "threehalves": rational_system("threehalves"),
+    "bent": bent_system(),
+}
+
+
+def _table_ends(system):
+    """Hull ends and the ends of every cylinder of up to 3 symbols, in the
+    system's own numbers: the points that park or sit on a window edge."""
+    a, b = attractor_hull(system)
+    words = [w for n in (1, 2, 3)
+             for w in itertools.product(system.symbols(), repeat=n)]
+    return sorted({a, b} | {t for w in words for t in cylinder(system, w)})
+
+
+@st.composite
+def table_cases(draw):
+    """A system of TABLE_SYSTEMS and a point in the arithmetic of one of
+    its tables: a Fraction (rational systems only) or a float, random, at a
+    cylinder end or a few ulps from one, or outside the hull."""
+    name = draw(st.sampled_from(sorted(TABLE_SYSTEMS)))
+    system = TABLE_SYSTEMS[name]
+    a, b = attractor_hull(system)
+    ends = _table_ends(system)
+    if system.is_rational and draw(st.booleans()):
+        x = draw(st.one_of(
+            st.sampled_from(ends),
+            st.fractions(a - Fraction(1, 10), b + Fraction(1, 10),
+                         max_denominator=10 ** 4)))
+    else:
+        x = draw(st.one_of(
+            st.floats(float(a) - 0.1, float(b) + 0.1),
+            st.builds(near, st.sampled_from([float(t) for t in ends]),
+                      st.integers(-3, 3))))
+    return name, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=table_cases(), depth=st.integers(0, 40))
+# float(2/3) lies below the exact window edge 2/3: a gap on the exact edges
+@example(case=("exact cantor", 2 / 3), depth=5)
+@example(case=("exact cantor", Fraction(2, 3)), depth=5)
+@example(case=("exact half", Fraction(1, 6)), depth=40)
+@example(case=("threehalves", Fraction(1, 3)), depth=40)
+@example(case=("bent", 0.5), depth=40)
+def test_walk_is_the_window_rule_on_every_table(case, depth):
+    name, x = case
+    system = TABLE_SYSTEMS[name]
+    coding, y = _coding_for(system, x)
+    # rational points of integer-slope systems walk on the integers
+    lattice = isinstance(x, Fraction) and name.startswith("exact")
+    assert (type(y) is int) == lattice
+    assert list(_walk(coding, y, depth)) \
+        == list(reference_events(system, x, depth))
+
+
+def test_float_point_on_a_rational_system_walks_the_exact_edges():
+    # 3x and 3x - 2 on (0, 1) in Fractions: float(2/3) lies below the
+    # window edge 2/3, so the walk of that float, which compares with the
+    # Fraction itself, finds a gap; the float image of the system, which
+    # the array walk reads, rounds that edge to the same float and files
+    # the point inside window 2
+    system = TABLE_SYSTEMS["exact cantor"]
+    x = 2 / 3
+    assert list(_walk(*_coding_for(system, x), 5)) == [(0, 2, True)]
+    step = system._step
+    r = np.searchsorted(step.keys, x, side="right")
+    assert (step.window[r], step.inside[r], step.park[r]) == (1, True, 0)

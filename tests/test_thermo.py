@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bent_system, legendre_value
+from conftest import bent_system, legendre_reference, legendre_value
 from holderlab import (
     Branch,
     ConfigurationError,
@@ -371,19 +371,24 @@ def test_spectrum_matches_nested_solve(k, seed, skewed, spread, near):
 @given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
        betas=st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
+# against `_gibbs`'s own t - beta t', whose roundings reach about 22 eps of
+# the scale, these missed the 8-eps bound
+@example(k=2, seed=79, betas=[14.21875])
+@example(k=2, seed=173974, betas=[75.0])
 def test_spectrum_experiment_g_is_the_legendre_value(k, seed, betas):
     # beta minimises t(b) + b alpha at alpha = -t'(beta), so no bracket
     # clamps g, not even beyond +-60; g is the Gibbs weights' entropy over
-    # their Lyapunov exponent, which is t - beta t' without its cancellation
+    # their Lyapunov exponent, which is t - beta t' without its cancellation,
+    # here t and t' of 50 digits
     system, p = random_affine(k, seed)
     betas = betas + [75.0, -90.0]
-    t, tp, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
+    _, tp, _, q = _gibbs(*_log_weights_slopes(system, p), betas)
     rows = spectrum_experiment(system, p, betas, word_len=2, count=1)
-    for row, beta, tb, tpb, qb in zip(rows, betas, t, tp, q):
+    for row, beta, tpb, qb in zip(rows, betas, tp, q):
         assert row["alpha_pred"] == -tpb
         assert row["g"] == legendre_value(system, qb)
-        assert abs(row["g"] - (tb - beta * tpb)) <= 8 * EPS * (
-            abs(tb) + abs(beta * tpb))
+        g, scale = legendre_reference(system, p, beta)
+        assert abs(row["g"] - g) <= 8 * EPS * scale
 
 
 @given(k=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),

@@ -211,6 +211,21 @@ def test_lattice_memo_starts_over_when_full():
     assert len(_system_tables(system)["lattice"]) == len(xs) - _LATTICE_TABLES
 
 
+def coding_tables(system):
+    """The coding tables of the scalar walk kept per system value: the
+    system's own and the one of float points, and their one-symbol region
+    tables."""
+    return (system._coding, system._float_coding, system._coding.table,
+            system._float_coding.table)
+
+
+def shared(s, t):
+    """Whether two systems hold the same coding tables, or none alike."""
+    pairs = [u is v for u, v in zip(coding_tables(s), coding_tables(t))]
+    assert all(pairs) or not any(pairs)
+    return all(pairs)
+
+
 def test_float_and_exact_twins_never_share_tables():
     """The exact cantor system and its float twin compare equal and hash
     alike, yet only the exact one has a lattice: each keeps its own entry,
@@ -219,6 +234,9 @@ def test_float_and_exact_twins_never_share_tables():
     rs = rational_system("cantor")
     assert fs == rs and hash(fs) == hash(rs)
     assert _system_tables(fs) is not _system_tables(rs)
+    assert not shared(fs, rs)
+    # the float twin's edges are rounded, the exact ones are not
+    assert fs._coding.table[1] != rs._coding.table[1]
     p = ProbVector.of(F(1, 4))
     assert eval_cdf(fs, p, 1 / 3) == (0.25, 0.0)
     value, bound = eval_cdf(rs, p, F(1, 3))
@@ -236,6 +254,7 @@ def test_signed_zero_intercepts_never_share_tables():
     minus = affine_system((2.0, 2.0), (-0.0, -1.0), (0.0, 1.0))
     assert plus == minus and hash(plus) == hash(minus)
     assert _system_tables(plus) is not _system_tables(minus)
+    assert not shared(plus, minus)
     assert np.array_equal(cdf_values(plus, p, xs), cdf_values(minus, p, xs))
     assert _system_tables(plus)["cylinders"] is not \
         _system_tables(minus)["cylinders"]
@@ -254,6 +273,9 @@ def test_system_memo_starts_over_when_full():
     first = _system_tables(systems[0])["cylinders"]
     twin = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
     assert _system_tables(twin)["cylinders"] is first
+    # and the coding tables of the scalar walk, the L-symbol one included
+    assert shared(twin, systems[0])
+    assert twin._float_coding.blocks is first.blocks is not None
     for system in systems[1:]:
         assert np.array_equal(cdf_values(system, p, xs), expect)
     assert list(_TABLES) == [systems[-1]._key]

@@ -91,16 +91,21 @@ def emp_exponent(evaluate: Callable, x: float,
     whose oscillation is at or below the floor 1e-13 are dropped before the
     `transition._ls_slope` fit of log oscillation against log r.  The centre
     and all clouds go to `evaluate` in one call, so it must be pointwise
-    (see `spectrum_experiment`).
+    (see `spectrum_experiment`).  ValueError unless two scales with
+    distinct logs survive the floor.
     """
-    return _empirical(evaluate, [x], scales)[0]
+    scales, oscs = _empirical(evaluate, [x], scales)
+    return _fit(x, scales, oscs[0])
 
 
-def _empirical(evaluate, xs, scales) -> list:
-    """emp_exponent at every point of xs, from one call of evaluate."""
+def _empirical(evaluate, xs, scales):
+    """Scales, largest first, and the (points, scales) oscillations around
+    xs from one evaluate call; ValueError unless two log scales differ."""
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
         raise ValueError("no scales given")
+    if len(set(np.log(scales).tolist())) < 2:
+        raise ValueError("fewer than two distinct scales given")
     offs = _offsets(tuple(scales))
     xs = np.asarray(xs, dtype=float).reshape(-1)
     centres = xs[:, None, None]
@@ -109,7 +114,19 @@ def _empirical(evaluate, xs, scales) -> list:
                       dtype=float)
     fx = vals[:xs.size, None, None]
     oscs = np.max(np.abs(vals[xs.size:].reshape(clouds.shape) - fx), axis=2)
-    return [_fit(x, scales, row) for x, row in zip(xs, oscs)]
+    return scales, oscs
+
+
+def _slopes(xs, scales, oscs) -> np.ndarray:
+    """`_fit(x, scales, row).slope` for every point x of the array xs and
+    its row of oscs, with the same bits: the rows whose every oscillation
+    clears _FLOOR in one row-wise `_ls_slope`, the others by `_fit`."""
+    full = np.all(oscs > _FLOOR, axis=1)
+    slopes = np.empty(len(oscs))
+    slopes[full] = _ls_slope(np.log(scales), np.log(oscs[full]))[0]
+    slopes[~full] = [_fit(x, scales, row).slope
+                     for x, row in zip(xs[~full], oscs[~full])]
+    return slopes
 
 
 @functools.lru_cache(maxsize=16)
@@ -125,25 +142,20 @@ def _offsets(scales: tuple) -> np.ndarray:
 def _fit(x, scales, oscs) -> EmpiricalExponent:
     """Log-log `_ls_slope` fit of one point's oscillations, one per scale;
     the ones at or below _FLOOR are dropped."""
-    used, kept, dropped = [], [], []
-    for r, osc in zip(scales, oscs):
-        osc = float(osc)
-        if osc <= _FLOOR:
-            dropped.append(r)
-            continue
-        used.append(r)
-        kept.append(osc)
-
-    if len(used) < 2:
-        raise ValueError("fewer than two scales survive the error floor; "
-                         "raise the scales or lower the floor")
-    logs_r, logs_o = np.log(used), np.log(kept)
+    oscs = list(map(float, oscs))
+    dropped = tuple(r for r, osc in zip(scales, oscs) if osc <= _FLOOR)
+    used = [r for r, osc in zip(scales, oscs) if not osc <= _FLOOR]
+    kept = [osc for osc in oscs if not osc <= _FLOOR]
+    logs_r, logs_o = np.log(used).tolist(), np.log(kept).tolist()
+    if len(set(logs_r)) < 2:
+        raise ValueError("fewer than two distinct scales survive the error "
+                         "floor; raise the scales or lower the floor")
     ratios = tuple(lo / lr for lr, lo in zip(logs_r, logs_o))
     return EmpiricalExponent(x=float(x), scales=tuple(used),
                              oscillations=tuple(kept), ratios=ratios,
                              slope=_ls_slope(logs_r, logs_o)[0],
                              window_min=min(ratios[len(ratios) // 2:]),
-                             dropped=tuple(dropped))
+                             dropped=dropped)
 
 
 @dataclass(frozen=True)
@@ -240,8 +252,8 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     if evaluate is not None:
         if scales is None:
             scales = np.geomspace(1e-6, 1e-2, 9)
-        emp = np.array([e.slope for e in _empirical(
-            evaluate, _suffix_midpoints(system, draws)[:, 0], scales)])
+        xs = _suffix_midpoints(system, draws)[:, 0]
+        emp = _slopes(xs, *_empirical(evaluate, xs, scales))
     rows = []
     for i, beta in enumerate(betas):
         block = slice(i * count, (i + 1) * count)

@@ -16,6 +16,11 @@ together.  Other systems fall back to a cylinder sandwich, whose midpoint is
 also convex and decreasing in t, and the same Newton climb to its root; the
 sandwich's derivative sums are built once per system value and level, its
 weight sums once per weights instance and level.
+
+The affine solves keep their arrays branch-major, so each sum or max over
+the branches runs on contiguous rows and adds the branches left to right.
+Up to 7 branches that is numpy's order along a row, bit for bit; a row of
+8 or more it adds in pairs, so there the two layouts may differ in a bit.
 """
 
 from __future__ import annotations
@@ -144,23 +149,25 @@ def _gibbs(lw, ls, betas):
     term is >= 0, so the pressure there is >= 0 and Newton from t0 climbs
     monotonically to the root.  With q the Gibbs weights at the root,
     t' = <log p>_q / <log a>_q and t'' = Var_q(log p - t' log a) / <log a>_q.
-    Returns (t, t', t'', q).  A beta so large that the root overflows a
-    double raises ValueError.
+    Its arrays are branch-major (module docstring), but q is returned as
+    (betas, branches).  Returns (t, t', t'', q).  A beta so large that the
+    root overflows a double raises ValueError.
     """
-    b = np.asarray(betas, dtype=float).reshape(-1, 1)
+    b = np.asarray(betas, dtype=float).reshape(-1)
     if not np.all(np.isfinite(b)):
         raise ValueError("beta must be finite")
-    bl = b * lw
+    lw, ls = lw[:, None], ls[:, None]
+    bl = lw * b
     # a root beyond the largest double overflows here; the finite check
     # below turns that into the one ValueError
     with np.errstate(over="ignore", invalid="ignore"):
-        t = np.min(bl / ls, axis=1)
+        t = np.min(bl / ls, axis=0)
         for _ in range(_NEWTON_MAX):
-            v = bl - t[:, None] * ls
-            m = v.max(axis=1)
-            e = np.exp(v - m[:, None])
-            s = e.sum(axis=1)
-            step = (m + np.log(s)) * s / (e * ls).sum(axis=1)
+            v = bl - ls * t
+            m = v.max(axis=0)
+            e = np.exp(v - m)
+            s = e.sum(axis=0)
+            step = (m + np.log(s)) * s / (e * ls).sum(axis=0)
             nt = t + step
             move = (step > 0) & (nt != t)
             if not move.any():
@@ -168,17 +175,17 @@ def _gibbs(lw, ls, betas):
             t = np.where(move, nt, t)
     if not np.all(np.isfinite(t)):
         raise ValueError("pressure root overflows a double")
-    logq = bl - t[:, None] * ls
-    m = logq.max(axis=1, keepdims=True)
-    logq -= m + np.log(np.exp(logq - m).sum(axis=1, keepdims=True))
+    logq = bl - ls * t
+    m = logq.max(axis=0)
+    logq -= m + np.log(np.exp(logq - m).sum(axis=0))
     q = np.exp(logq)
-    q /= q.sum(axis=1, keepdims=True)
-    qls = (q * ls).sum(axis=1)
-    tp = (q * lw).sum(axis=1) / qls
-    w = lw - tp[:, None] * ls
-    w -= (q * w).sum(axis=1, keepdims=True)
-    tpp = (q * w * w).sum(axis=1) / qls
-    return t, tp, tpp, q
+    q /= q.sum(axis=0)
+    qls = (q * ls).sum(axis=0)
+    tp = (q * lw).sum(axis=0) / qls
+    w = lw - ls * tp
+    w -= (q * w).sum(axis=0)
+    tpp = (q * w * w).sum(axis=0) / qls
+    return t, tp, tpp, q.T
 
 
 def solve_pressure_root(system: IFSystem, p: ProbVector, beta: float,
@@ -279,7 +286,7 @@ class PressureCurve:
         lw, ls = _log_weights_slopes(self.system, self.p)
         b = np.asarray(betas, dtype=float).reshape(-1)
         t, tp, _, _ = _gibbs(lw, ls, b)
-        return [(float(x), float(y), float(z)) for x, y, z in zip(b, t, tp)]
+        return list(zip(b.tolist(), t.tolist(), tp.tolist()))
 
 
 @dataclass(frozen=True)
@@ -332,10 +339,8 @@ def spectrum(system: IFSystem, p: ProbVector,
     beta[at_hi], g[at_hi] = B, thi + B * a[at_hi]
     beta[at_lo], g[at_lo] = -B, tlo - B * a[at_lo]
     beta[inner], g[inner] = _argmin(lw, ls, a[inner], t0, tp0)
-    clamped = at_hi | at_lo
-    return [SpectrumPoint(alpha=float(x), g=float(y), beta_argmin=float(z),
-                          empty=bool(e), clamped=bool(c))
-            for x, y, z, e, c in zip(a, g, beta, empty, clamped)]
+    return list(map(SpectrumPoint, *(v.tolist() for v in (
+        a, g, beta, empty, at_hi | at_lo))))
 
 
 def _argmin(lw, ls, a, t0, tp0):
@@ -358,11 +363,12 @@ def _argmin(lw, ls, a, t0, tp0):
     instead, put on the root by `_gibbs`, whose slope moves a bracket end,
     so a row that keeps leaving halves its bracket.  Each exponent iterates
     on its own until its Newton step is at most _STEP_TOL in beta and in g;
-    that step is taken, clipped to the bracket.
+    that step is taken, clipped to the bracket.  Arrays are branch-major.
     """
     B = _BETA_BRACKET
-    c = lw + a[:, None] * ls
-    margin = np.ptp(c, axis=1) * np.ptp(ls) / (4 * ls.min())
+    lsc = ls[:, None]
+    c = lw[:, None] + lsc * a
+    margin = np.ptp(c, axis=0) * np.ptp(ls) / (4 * ls.min())
     beta = np.zeros(a.shape)
     g = np.full(a.shape, t0)
     lo = np.where(tp0 + a < 0, 0.0, -B)
@@ -371,18 +377,18 @@ def _argmin(lw, ls, a, t0, tp0):
     for _ in range(_NEWTON_MAX):
         if not todo.size:
             break
-        b, h, cc = beta[todo], g[todo], c[todo]
-        v = b[:, None] * cc - h[:, None] * ls
-        m = v.max(axis=1)
-        e = np.exp(v - m[:, None])
-        s = e.sum(axis=1)
-        q = e / s[:, None]
+        b, h, cc = beta[todo], g[todo], c[:, todo]
+        v = cc * b - lsc * h
+        m = v.max(axis=0)
+        e = np.exp(v - m)
+        s = e.sum(axis=0)
+        q = e / s
         f1 = m + np.log(s)
-        f2 = (q * cc).sum(axis=1)
-        dc = cc - f2[:, None]
-        var = (q * dc * dc).sum(axis=1)
-        cov = (q * dc * ls).sum(axis=1)
-        mls = (q * ls).sum(axis=1)
+        f2 = (q * cc).sum(axis=0)
+        dc = cc - f2
+        var = (q * dc * dc).sum(axis=0)
+        cov = (q * dc * lsc).sum(axis=0)
+        mls = (q * lsc).sum(axis=0)
         sure = np.abs(f2) > np.abs(f1) * margin[todo]
         lo[todo] = np.where(sure & (f2 < 0), b, lo[todo])
         hi[todo] = np.where(sure & (f2 > 0), b, hi[todo])

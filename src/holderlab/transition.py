@@ -683,19 +683,21 @@ def _cylinder_probe_max(system, p, alpha, words):
 
 def _ls_slope(xs, ys):
     """Least-squares line of ys on xs: (slope, its standard error, R^2), with
-    R^2 = 1 - ss_res / ss_tot, 1.0 when ss_tot is 0."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    xm, ym = xs.mean(), ys.mean()
+    R^2 = 1 - ss_res / ss_tot, 1.0 when ss_tot is 0.  Rows of ys over one xs
+    give lists of the three, each row fitted along the last axis by the
+    pairwise sums of its own 1-D fit, so with that fit's bits."""
+    xs, ys = (np.asarray(v, dtype=float) for v in (xs, ys))
+    xm, ym = xs.mean(), ys.mean(axis=-1, keepdims=True)
     sxx = float(np.sum((xs - xm) ** 2))
-    slope = float(np.sum((xs - xm) * (ys - ym)) / sxx)
-    resid = ys - (ym + slope * (xs - xm))
-    ss_res = float(np.sum(resid ** 2))
+    slope = np.sum((xs - xm) * (ys - ym), axis=-1) / sxx
+    resid = ys - (ym + slope[..., None] * (xs - xm))
+    ss_res = np.sum(resid ** 2, axis=-1)
     var = ss_res / max(xs.size - 2, 1)
-    stderr = math.sqrt(var / sxx) if sxx > 0 else math.inf
-    ss_tot = float(np.sum((ys - ym) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return slope, stderr, r2
+    stderr = np.sqrt(var / sxx) if sxx > 0 else np.full_like(var, math.inf)
+    ss_tot = np.sum((ys - ym) ** 2, axis=-1)
+    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_tot),
+                         where=ss_tot > 0)
+    return slope.tolist(), stderr.tolist(), r2.tolist()
 
 
 def seminorm_refinement_sweep(make_grid, alpha: float, sizes) -> list:

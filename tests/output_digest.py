@@ -4,17 +4,21 @@ versions of the code can be compared bit for bit.
 Pytest does not collect this file (its name does not match `test_*.py`).
 Run it from a checkout, once per version, and compare the listings:
 
-    python tests/output_digest.py grid 1 > grid-1.txt
-    diff old/grid-1.txt new/grid-1.txt
+    python tests/output_digest.py grid 1 2 > grid.txt
+    diff old/grid.txt new/grid.txt
 
-It runs every job of `perfbench.workloads.build_rounds(workload, seed)` in
-order, against the checkout's own `src/`, and prints one line per job: its
-round, its index in the round, its kind and the digest of its output.  The
-digest feeds a float by `float.hex()`, an array by its dtype, its shape and
-its bytes (an object array element by element), a dataclass by its type
-name and then field by field, a list, tuple or dict by its length and then
-item by item, and anything else by its type name and `repr`.  A job that
-raises is digested as its exception's type name and message.
+For each seed in turn it runs every job of
+`perfbench.workloads.build_rounds(workload, seed)` in order, against the
+checkout's own `src/`, and prints one line per job: its round, its index in
+the round, its kind and the digest of its output.  A last line, `listing`
+and the SHA-256 of all the job lines before it (newlines included),
+compares whole runs at a glance; running the seeds one at a time and
+hashing their job lines concatenated in seed order gives the same value.
+The digest feeds a float by `float.hex()`, an array by its dtype, its
+shape and its bytes (an object array element by element), a dataclass by
+its type name and then field by field, a list, tuple or dict by its length
+and then item by item, and anything else by its type name and `repr`.  A
+job that raises is digested as its exception's type name and message.
 """
 
 from __future__ import annotations
@@ -78,11 +82,17 @@ def digests(workload: str, seed: int):
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: output_digest.py WORKLOAD SEED", file=sys.stderr)
+    if len(argv) < 2:
+        print("usage: output_digest.py WORKLOAD SEED [SEED ...]",
+              file=sys.stderr)
         return 2
-    for r, i, kind, digest in digests(argv[0], int(argv[1])):
-        print(f"{r} {i} {kind} {digest}")
+    listing = hashlib.sha256()
+    for seed in argv[1:]:
+        for r, i, kind, digest in digests(argv[0], int(seed)):
+            line = f"{r} {i} {kind} {digest}\n"
+            listing.update(line.encode())
+            sys.stdout.write(line)
+    print(f"listing {listing.hexdigest()}")
     return 0
 
 

@@ -530,6 +530,17 @@ def test_exit_code_numeric_failure(tmp_path):
     assert run_cli(cfg) == 2
 
 
+def test_duplicate_scales_exit_2_with_no_csv(tmp_path, capsys):
+    # two equal scales fit no slope, so no NaN cells may be written
+    cfg = write_config(tmp_path, "exponent",
+                       {"betas": [0.0], "word_len": 20, "count": 2,
+                        "with_empirical": True, "scales": [0.001, 0.001]})
+    assert run_cli(cfg) == 2
+    assert capsys.readouterr().err == ("holderlab: ValueError: fewer than "
+                                       "two distinct scales given\n")
+    assert not (tmp_path / "out" / "exponent.csv").exists()
+
+
 def test_overflowing_pressure_root_exits_2(tmp_path, capsys):
     # a finite beta whose root t(beta) lies beyond the largest double
     cfg = write_config(tmp_path, "pressure", {"beta_grid": [1e308]})

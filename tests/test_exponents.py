@@ -22,7 +22,7 @@ from holderlab import (
     spectrum_experiment,
     spectrum_point,
 )
-from holderlab.exponents import _empirical
+from holderlab.exponents import _FLOOR, _fit, _slopes
 
 
 def test_dyn_exponent_periodic_exact(cantor, quarter):
@@ -70,6 +70,66 @@ def test_emp_exponent_floor_guard():
         emp_exponent(evaluate, 0.5, [1e-2, 1e-3, 1e-4])
     with pytest.raises(ValueError, match="no scales given"):
         emp_exponent(evaluate, 0.5, [])
+
+
+def test_emp_exponent_needs_two_distinct_scales():
+    # scales with one log between them leave sxx = 0 in the fit, whose
+    # slope is then NaN; 1e-3 and the next float have the same log
+    evaluate = lambda xs: np.sqrt(np.abs(np.asarray(xs, dtype=float)))
+    for scales in ([1e-3, 1e-3], [1e-3], [1e-3, math.nextafter(1e-3, 1)]):
+        with pytest.raises(ValueError, match="fewer than two distinct"):
+            emp_exponent(evaluate, 0.5, scales)
+        with pytest.raises(ValueError, match="fewer than two distinct"):
+            spectrum_experiment(affine_system((2.0, 2.0), (0.0, -1.0),
+                                              (0.0, 1.0)), ProbVector.of(0.3),
+                                [0.0], word_len=4, count=2,
+                                evaluate=evaluate, scales=scales)
+    # two equal scales survive the floor only where a third is dropped
+    with pytest.raises(ValueError, match="fewer than two distinct"):
+        _fit(0.5, [1e-2, 1e-2, 1e-3], [0.1, 0.1, 0.0])
+
+
+def test_emp_exponent_fields_are_floats(dyadic, half):
+    evaluate = lambda xs: cdf_values(dyadic, half, xs, tol=1e-15)
+    est = emp_exponent(evaluate, 0.4371, np.geomspace(1e-6, 1e-2, 5))
+    fields = est.scales + est.oscillations + est.ratios + est.dropped
+    assert all(type(v) is float for v in fields + (est.x, est.slope,
+                                                   est.window_min))
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_row_wise_fits_have_the_bits_of_fit(n, seed):
+    # every scale count the fits meet: the rows that keep every scale are
+    # fitted row-wise, and numpy must sum each row as it sums the 1-D fit's
+    # arrays; the rows that drop a scale, at or just below the floor, stay
+    # on _fit, which raises when fewer than two distinct scales survive
+    rng = np.random.default_rng(seed)
+    scales = sorted(10.0 ** rng.uniform(-7, -1, n), reverse=True)
+    if n > 2 and rng.random() < 0.2:   # _empirical needs 2 distinct
+        scales[1] = scales[0]
+    rows = 1 + rng.integers(8)
+    alpha = rng.uniform(0.2, 2.0, (rows, 1))
+    oscs = np.array(scales) ** alpha * np.exp(rng.normal(0, 0.5, (rows, n)))
+    for row in oscs[1:]:
+        if rng.random() < 0.5:
+            at = rng.integers(n, size=rng.integers(1, n + 1))
+            row[at] = rng.choice([_FLOOR, _FLOOR / 2, 0.0,
+                                  math.nextafter(_FLOOR, 1.0)], at.size)
+    xs = rng.uniform(0.0, 1.0, rows)
+    slopes, errors = {}, set()
+    for i, (x, row) in enumerate(zip(xs, oscs)):
+        try:
+            slopes[i] = _fit(x, scales, row).slope
+        except ValueError as exc:
+            errors.add(str(exc))
+    for exc in errors:
+        with pytest.raises(ValueError, match=re.escape(exc)):
+            _slopes(xs, scales, oscs)
+    fit = list(slopes)
+    got = _slopes(xs[fit], scales, oscs[fit]).tolist()
+    assert [v.hex() for v in got] == [slopes[i].hex() for i in fit]
 
 
 def test_sample_typical_reproducible(dyadic, quarter):
@@ -191,7 +251,8 @@ def reference_ratios(system, p, word):
 def reference_rows(system, p, betas, word_len, count, seed, evaluate):
     """spectrum_experiment word by word: per beta one Gibbs solve and the
     Legendre value at the known minimiser beta, the Gibbs weights' entropy
-    over their Lyapunov exponent, per word pi_approx and ergodic_sums.
+    over their Lyapunov exponent, per word pi_approx, ergodic_sums and
+    emp_exponent.
     That g is t - beta t' of 50-digit t and t' (`legendre_reference`)
     within 8 eps of their scale, and also the one spectrum_point finds at
     alpha = -t'(beta)."""
@@ -207,9 +268,9 @@ def reference_rows(system, p, betas, word_len, count, seed, evaluate):
                             [math.ceil(word_len / 2) - 1:]) for w in words])
         emp_mean = emp_sigma = math.nan
         if evaluate is not None:
-            emp = np.array([e.slope for e in _empirical(
-                evaluate, [pi_approx(system, w)[0] for w in words],
-                np.geomspace(1e-6, 1e-2, 9))])
+            emp = np.array([emp_exponent(
+                evaluate, pi_approx(system, w)[0],
+                np.geomspace(1e-6, 1e-2, 9)).slope for w in words])
             emp_mean, emp_sigma = float(emp.mean()), float(emp.std())
         assert g == pytest.approx(spectrum_point(curve, alpha).g, abs=1e-12)
         rows.append({"beta": beta, "alpha_pred": alpha, "g": g,

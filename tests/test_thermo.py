@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -591,3 +592,70 @@ def test_nonaffine_pressure_bounds_nest(bent):
     for (lo, hi), (inner_lo, inner_hi) in zip(roots, roots[1:]):
         assert lo <= inner_lo <= inner_hi <= hi, roots
     assert solve_pressure_root(system, p, 0.0) < 1
+
+
+# Affine systems of 2, 3, 4 and 7 branches for the digests below.  The
+# first four have slopes from 1.25 to 200 and weights down to 1e-5, so the
+# Legendre Newton leaves its bracket at some exponents of every one of them;
+# the golden system is rigid, so its spectrum ties to beta = 0.
+DIGEST_SYSTEMS = {
+    "two": (((1.25, 200.0), (0.0, -199.0)), (0.99999,)),
+    "three": (((1.25, 200.0, 40.0), (0.0, -160.0, -32.2)), (0.99, 1e-5)),
+    "four": (((1.25, 160.0, 10.0, 40.0), (0.0, -128.0, -9.0625, -37.25)),
+             (0.9, 1e-5, 0.05)),
+    "seven": (((8.0,) * 7, tuple(-float(k) for k in range(7))),
+              (1e-5, 0.1, 0.15, 0.2, 0.1, 0.3)),
+    "golden": (((2.0, 4.0), (0.0, -3.0)), ((math.sqrt(5) - 1) / 2,)),
+}
+
+# SHA-256 of the repr of the outputs of `spectrum_layer_outputs`, recorded
+# when `_gibbs` and `_argmin` stored their arrays row-major (betas by
+# branches) and `spectrum_experiment` fitted every sampled point on its own
+SPECTRUM_DIGESTS = {
+    "two":
+        "bbe3e18beb4fb0b135d99b13854547a703bc78d3f38c92dde41732cc6113bacb",
+    "three":
+        "35e25e1ba445c04e9dbc8489300b52bfaaa0713fff6f1e69ec09384c515d4ec6",
+    "four":
+        "938f444a6b5b5d4d2a794533cd25899b7237ce9050dc9bef3f8b996a4bf4365a",
+    "seven":
+        "dd27f2ee33d35d28a9817197c499dcc0a09bb81f972526b7cd58cf77533383cd",
+    "golden":
+        "99322e60e8e4a28fe616549bf13e032a8618553222a571a58258ef194da21981",
+}
+
+
+def spectrum_layer_outputs(system, p):
+    """The spectrum layer's outputs on one system, every float exactly in
+    its repr: the spectrum over a grid that reaches every branch of the
+    solve (empty, tie, clamped at either end of the bracket, inner), the
+    pressure samples, the endpoints, Gibbs weights, and experiments without
+    an evaluator, with a smooth one and with one rounded to 1e-5, whose
+    finest scales often see no oscillation and are dropped."""
+    ep = alpha_endpoints(system, p)
+    lo, hi = ep.alpha_minus, ep.alpha_plus
+    w = hi - lo
+    alphas = ([lo + u * w for u in np.linspace(-0.05, 1.05, 23).tolist()]
+              + [lo, hi, ep.alpha_zero, lo - 2e-9, hi + 2e-9]
+              + [end + d for end in (lo, hi) for d in (1e-10, -1e-10, 1e-6,
+                                                      -1e-6, 1e-3 * w,
+                                                      -1e-3 * w)])
+    betas = [-250.0, -60.0, -7.5, -1.0, 0.0, 0.5, 1.0, 2.0, 13.0, 60.0,
+             250.0]
+    gibbs = [gibbs_weights(system, p, b) for b in (-20.0, 0.0, 1.0, 20.0)]
+    experiments = [
+        spectrum_experiment(system, p, [-4.0, 0.0, 1.0, 3.5], word_len=24,
+                            count=8, seed=5, evaluate=evaluate)
+        for evaluate in (None, lambda x: np.sqrt(np.abs(x - 1 / 3)),
+                         lambda x: np.round(np.sqrt(np.abs(x)), 5))]
+    return (spectrum(system, p, alphas), PressureCurve(system, p).samples(
+        betas), ep, [(q.tolist(), tp) for q, tp in gibbs], experiments)
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SYSTEMS))
+def test_spectrum_layer_output_digests(name):
+    maps, weights = DIGEST_SYSTEMS[name]
+    system = affine_system(*maps, (0.0, 1.0))
+    outputs = spectrum_layer_outputs(system, ProbVector.of(*weights))
+    got = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert got == SPECTRUM_DIGESTS[name]

@@ -115,7 +115,7 @@ def _samples(system: IFSystem, sample_count: int, seed: int):
         words = rng.choice(system.symbols(), size=(m, WORD_LEN))
         x = _midpoints(system, words)
         r = np.searchsorted(system._step.keys, x, side="right")
-        k, ok = system._step.window[r], system._step.inside[r]
+        k, ok = system._step.window[0][r], system._step.inside[0][r]
         bad = rejected + np.cumsum(~ok)
         if bad[-1] > allowed:
             i = int(np.argmax(bad > allowed))  # the draw that went over

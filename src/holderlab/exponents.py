@@ -91,8 +91,9 @@ def emp_exponent(evaluate: Callable, x: float,
     whose oscillation is at or below the floor 1e-13 are dropped before the
     `transition._ls_slope` fit of log oscillation against log r.  The centre
     and all clouds go to `evaluate` in one call, so it must be pointwise
-    (see `spectrum_experiment`).  ValueError unless two scales with
-    distinct logs survive the floor.
+    (see `spectrum_experiment`).  ValueError unless every scale is a
+    finite number above 0 and two scales with distinct logs survive the
+    floor.
     """
     scales, oscs = _empirical(evaluate, [x], scales)
     return _fit(x, scales, oscs[0])
@@ -100,10 +101,14 @@ def emp_exponent(evaluate: Callable, x: float,
 
 def _empirical(evaluate, xs, scales):
     """Scales, largest first, and the (points, scales) oscillations around
-    xs from one evaluate call; ValueError unless two log scales differ."""
+    xs from one evaluate call; ValueError unless every scale is finite
+    and above 0 and two log scales differ."""
     scales = sorted((float(r) for r in scales), reverse=True)
     if not scales:
         raise ValueError("no scales given")
+    for r in scales:
+        if not 0 < r < math.inf:
+            raise ValueError(f"scale {r} is not a finite number above 0")
     if len(set(np.log(scales).tolist())) < 2:
         raise ValueError("fewer than two distinct scales given")
     offs = _offsets(tuple(scales))
@@ -231,7 +236,8 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     order.  So it must be pointwise: the value at a point may not depend on
     which other points share the call.  `cdf_values` is, because every
     point walks its own coding.  Raises ValueError unless count and
-    word_len are at least 1.
+    word_len are at least 1, and, with an evaluator, on a scale that
+    `emp_exponent` refuses.
     """
     if count < 1 or word_len < 1:
         raise ValueError("count and word_len must be at least 1")

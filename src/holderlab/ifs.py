@@ -22,7 +22,7 @@ import math
 import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -115,11 +115,11 @@ class Branch:
     def custom(fn, dfn, inv):
         """Non-affine branch from its map, derivative and inverse.
 
-        The array coding walk (`cdf_values`, `conjugacy_residual`,
-        `apply_transition`) calls fn once on a float array of points; when
-        fn does not return a float array of that shape (it uses math.sqrt or
-        a Python `if`, say), fn is called once per point instead.  dfn and
-        inv are only called on scalars.
+        The array coding walk (`cdf_values`, `conjugacy_residual`) and the
+        interpolating operator (`apply_transition`) call fn once on a float
+        array of points; when fn does not return a float array of that
+        shape (it uses math.sqrt or a Python `if`, say), fn is called once
+        per point instead.  dfn and inv are only called on scalars.
         """
         return Branch(fn=fn, dfn=dfn, inv=inv)
 
@@ -308,11 +308,12 @@ class IFSystem:
         return _system_table(self, "coding", _coding_table)
 
     @cached_property
-    def _float_coding(self) -> "_Coding":
-        """The coding table a float point walks on, one per system value:
-        `_coding`, with the blocks of the L-symbol walk when the system has
-        them (`_Cylinders.blocks`)."""
-        return _system_table(self, "float coding", _float_coding_table)
+    def _float_walk(self) -> tuple:
+        """The region tables of `_walk` that a float point walks on, longest
+        first: the L-symbol table's, when the scalar walk reads it, then the
+        system's own one-symbol table."""
+        walk = self._cylinders and self._cylinders.walk
+        return (walk, self._coding.table) if walk else (self._coding.table,)
 
     @cached_property
     def _float_maps(self) -> tuple:
@@ -332,9 +333,15 @@ class IFSystem:
         return u, v
 
     @cached_property
-    def _step(self) -> "_Step":
-        """The one-symbol region table, one per system value."""
+    def _step(self) -> "_FloatTable":
+        """The one-symbol float region table, one per system value."""
         return _system_table(self, "step", _step_table)
+
+    @property
+    def _cylinders(self) -> Optional["_FloatTable"]:
+        """The L-symbol float region table, or None unless the system
+        qualifies; read from `_TABLES` on every access."""
+        return _system_table(self, "cylinders", _cylinder_table)
 
     @cached_property
     def _key(self) -> tuple:
@@ -355,10 +362,10 @@ def _typed(t):
 
 
 # Tables derived from a system alone, by plain keys: the coding tables
-# ("coding", "float coding", "lattice" by scale), the float walks' region
-# tables of one symbol ("step") and of L symbols ("cylinders") and the
-# derivative sums of `thermo._sandwich` (("sandwich", level)).  Equal systems
-# rebuilt per job or run share one entry; more systems than this start over.
+# ("coding", "lattice" by scale), the `_FloatTable`s of one symbol ("step")
+# and of L symbols ("cylinders") and the derivative sums of
+# `thermo._sandwich` (("sandwich", level)).  Equal systems rebuilt per job
+# or run share one entry; more systems than this start over.
 _SYSTEM_TABLES = 64
 _TABLES: dict = {}
 
@@ -428,15 +435,13 @@ class _Coding:
     hull is (a, b), windows the hull preimages (u, v) in branch order, and
     table their `_region_table`, in their own arithmetic.  lattice is set
     on a rational system with integer slopes: the least common denominator
-    of its intercepts.  blocks is set on the table of float points of a
-    system with an L-symbol table: `_Cylinders.blocks`.
+    of its intercepts.
     """
 
     hull: tuple
     windows: tuple
     table: tuple
     lattice: Optional[int] = None
-    blocks: Optional[tuple] = None
 
 
 def _coding_table(system: IFSystem) -> _Coding:
@@ -453,11 +458,6 @@ def _coding_table(system: IFSystem) -> _Coding:
     return _Coding(hull=(lo, hi), windows=windows,
                    table=_region_table((lo, hi), windows, maps),
                    lattice=lattice)
-
-
-def _float_coding_table(system: IFSystem) -> _Coding:
-    cyl = _system_table(system, "cylinders", _cylinder_table)
-    return replace(system._coding, blocks=cyl and cyl.blocks)
 
 
 def _region_table(hull, windows, maps) -> tuple:
@@ -512,35 +512,36 @@ _LATTICE_TABLES = 64
 
 
 def _coding_for(system: IFSystem, x):
-    """The coding table to walk x on, and x in its coordinates.
+    """The region tables of `_walk` to walk x on, longest first, and x in
+    their coordinates.
 
     A rational x on a rational system with integer slopes has its orbit on
     the lattice (1/Q)Z, Q the least common multiple of the denominators of
     x and of the intercepts.  Its walk runs on the integers N = y Q, with a
     table per Q: windows [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and
     hull endpoints a Q (a non-integer one is never met).  A float x walks on
-    `IFSystem._float_coding` (exact edges on a rational system), every
-    other x on the system's own table.  A NaN x raises ValueError: it
-    passes every hull test and would walk right of every window.
+    `IFSystem._float_walk` (exact edges on a rational system), every other
+    x on the system's own table.  A NaN x raises ValueError: it passes
+    every hull test and would walk right of every window.
     """
+    if x != x:
+        raise ValueError("x must not be NaN")
+    if isinstance(x, float):
+        return system._float_walk, x
     coding = system._coding
-    if not isinstance(x, (int, Fraction)):
-        if x != x:
-            raise ValueError("x must not be NaN")
-        return (system._float_coding if isinstance(x, float) else coding), x
-    if coding.lattice is None:
-        return coding, x
+    if not isinstance(x, (int, Fraction)) or coding.lattice is None:
+        return (coding.table,), x
     q = math.lcm(coding.lattice, x.denominator)
     memo = _system_tables(system).setdefault("lattice", {})
     table = memo.get(q)
     if table is None:
         if len(memo) >= _LATTICE_TABLES:
             memo.clear()
-        table = memo[q] = _scaled_coding(system, q)
-    return table, x.numerator * (q // x.denominator)
+        table = memo[q] = _scaled_table(system, q)
+    return (table,), x.numerator * (q // x.denominator)
 
 
-def _scaled_coding(system: IFSystem, q: int) -> _Coding:
+def _scaled_table(system: IFSystem, q: int) -> tuple:
     def scaled(t):
         t = t * q
         return t.numerator if t.denominator == 1 else t
@@ -550,8 +551,7 @@ def _scaled_coding(system: IFSystem, q: int) -> _Coding:
                     for u, v in system._coding.windows)
     maps = tuple((int(br.slope), int(br.intercept * q))
                  for br in system.branches)
-    return _Coding(hull=hull, windows=windows,
-                   table=_region_table(hull, windows, maps))
+    return _region_table(hull, windows, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -748,20 +748,21 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     return EncodeResult(word=tuple(word), gap=False)
 
 
-def _walk(coding: _Coding, y, depth: int):
-    """Coding walk of y on a table of `_coding_for`: yields (park, sym, gap)
-    for at most depth symbols.
+def _walk(tables: tuple, y, depth: int):
+    """Coding walk of y on the region tables of `_coding_for`: yields
+    (park, sym, gap) for at most depth symbols.
 
     Each symbol is decided at the orbit point before its step by the window
     rule of `_region_table`, and every step is one region lookup in a table
     (L, breaks, regions): a `bisect` on the breaks finds y's region, the
-    walk yields its events, stops at a gap and maps y.  With blocks (a
-    float point on a system with an L-symbol table) it takes L symbols per
-    lookup while at least L are left, with the events of the one-symbol
-    walk and its L-th orbit point, bit for bit (`transition._orbit_tables`
-    proves it); then one symbol per lookup in `_Coding.table`.
+    walk yields its events, stops at a gap and maps y.  Each table, longest
+    first, takes its L symbols per lookup while at least L are left.  An
+    L-symbol table (a float point on a system with an exact-step
+    `_FloatTable`) gives the events of the one-symbol walk and its L-th
+    orbit point, bit for bit (`transition._orbit_tables` proves it); the
+    last table is the one-symbol `_Coding.table`.
     """
-    for length, breaks, regions in filter(None, (coding.blocks, coding.table)):
+    for length, breaks, regions in tables:
         while depth >= length:
             i = bisect_left(breaks, y)
             slope, intercept, events = \
@@ -807,50 +808,78 @@ def _apply_branches(system: IFSystem, idx: np.ndarray,
 
 
 @dataclass(frozen=True, eq=False)
-class _Step:
-    """The regions of one symbol of a system's float image (hull ends,
-    window edges and maps in floats), read by `transition._orbit_tables`,
-    `_cylinder_table` and `conjugacy._samples`.
+class _FloatTable:
+    """The regions of L symbols of a system's float walk (hull ends, window
+    edges and maps in floats): one symbol on every system
+    (`IFSystem._step`), L on a system whose every float step is exact
+    (`IFSystem._cylinders`, whose qualification and proof
+    `transition._orbit_tables` gives).
 
-    table is its `_region_table`; keys are `_regions`' of its breaks, and
-    each region's event gives window, the 0-based index of the first hull
-    window whose right edge is at or right of it; inside, whether that
-    window holds it (then window is its branch, the smaller index at a
+    With t the sorted breakpoints, keys interleaves t with the float after
+    each, so `searchsorted(keys, y, "right")` is 2i + 1 at y = t_i, 2i + 2
+    between t_i and t_{i+1} (or right of the last) and 0 left of t_0:
+    every breakpoint is a region of its own.
+
+    park, window and inside (L x regions) are the one-symbol decisions of
+    each region's first float at its L steps, by the window rule of
+    `_region_table`: window, the 0-based index of the first hull window
+    whose right edge is at or right of the orbit point; inside, whether
+    that window holds it (then window is its branch, the smaller index at a
     shared edge; else it counts the windows left of it, which escape up);
     park, -1 on the hull's left end, 1 on its right end, else 0.  On an
-    affine system slope and intercept map every float of a region that
-    moves (inside, not parked) by its branch, and every other float to
-    itself (1.0 y + -0.0), bit for bit; else they are None.
+    affine system slope[r] * y + intercept[r] is the L-th orbit point of
+    every float y of region r, bit for bit, where a decided point (in a gap
+    or on a hull end) stays put (1.0 y + -0.0); else both are None.
+
+    walk is set on an L-symbol table when the system's own coding table
+    has the breaks of its float image, which the scalar walk compares with
+    exactly: the region table (L, t, regions) of `_walk`, each region with
+    its slope, intercept and the events (park, sym, gap) of its decisions
+    up to a gap (then slope None) or a parking (then slope 0 and as
+    intercept the hull end's one-symbol image).
     """
 
-    table: tuple
     keys: np.ndarray
+    park: np.ndarray
     window: np.ndarray
     inside: np.ndarray
-    park: np.ndarray
     slope: Optional[np.ndarray]
     intercept: Optional[np.ndarray]
+    walk: Optional[tuple] = None
+
+    def __post_init__(self):
+        for o in vars(self).values():
+            if isinstance(o, np.ndarray):
+                o.flags.writeable = False
+
+    @cached_property
+    def terms(self) -> tuple:
+        """Indices of each step's terms of `eval_cdf`: the escaped mass in
+        the left masses and [0, 1], the undecided mass in the weights and
+        [0], both L x regions."""
+        escaped = np.where(self.park == 0, self.window,
+                           np.where(self.park > 0, -1, -2))
+        undecided = np.where(self.inside & (self.park == 0), self.window, -1)
+        return escaped, undecided
 
 
-def _step_table(system: IFSystem) -> _Step:
-    hull = tuple(float(t) for t in system._coding.hull)
+def _step_table(system: IFSystem) -> _FloatTable:
     u, v = system._float_windows
-    maps = tuple((float(br.slope), float(br.intercept)) if br.is_affine
-                 else (br, None) for br in system.branches)
-    table = _region_table(hull, tuple(zip(u.tolist(), v.tolist())), maps)
-    keys, _ = _regions(np.array(table[1]))
-    park, sym, gap = map(np.array, zip(*(e for _, _, (e,) in table[2])))
+    # only the events are read, so the maps are left out
+    _, breaks, regions = _region_table(
+        tuple(float(t) for t in system._coding.hull),
+        tuple(zip(u.tolist(), v.tolist())), ((None, None),) * u.size)
+    keys, _ = _regions(np.array(breaks))
+    park, sym, gap = map(np.array, zip(*(e for _, _, (e,) in regions)))
     window, inside = sym - 1, ~gap
     slope = intercept = None
     if system.is_affine:
-        moves = inside & (park == 0)
-        k = np.minimum(window, v.size - 1)
-        slope = np.where(moves, system._float_maps[0][k], 1.0)
-        intercept = np.where(moves, system._float_maps[1][k], -0.0)
-    for o in (keys, window, inside, park, slope, intercept):
-        if o is not None:
-            o.flags.writeable = False
-    return _Step(table, keys, window, inside, park, slope, intercept)
+        # the branch of a region that moves, else the identity
+        moves = np.where(inside & (park == 0), window, -1)
+        slope = np.append(system._float_maps[0], 1.0)[moves]
+        intercept = np.append(system._float_maps[1], -0.0)[moves]
+    return _FloatTable(keys, park[None], window[None], inside[None], slope,
+                       intercept)
 
 
 # words per table of the L-symbol walk: L is the largest length whose d^L
@@ -858,41 +887,9 @@ def _step_table(system: IFSystem) -> _Step:
 _CYLINDERS = 256
 
 
-@dataclass(frozen=True, eq=False)
-class _Cylinders:
-    """The regions of L symbols of a system's float walk, read by the array
-    walk `transition._orbit_tables` and by the scalar walk `_walk`, whose
-    qualification and proof `_orbit_tables` gives.
-
-    With t the sorted level-L breakpoints, keys interleaves t with the
-    float after each, so `searchsorted(keys, y, "right")` is 2i + 1 at
-    y = t_i, 2i + 2 between t_i and t_{i+1} (or right of the last) and 0
-    left of t_0: every breakpoint is a region of its own.  L one-symbol
-    steps map every float y of region r to slope[r] * y + intercept[r], bit
-    for bit; a point they decide, in a gap or on a hull end, stays there, as
-    `_Step` maps it to itself.  path, an L x regions array, holds the
-    `_Step` region of each region's first float before each of its L steps.
-
-    blocks is the region table (L, breaks, regions) of `_walk`, breaks the
-    level-L breakpoints: each region's slope, intercept and the events
-    (park, sym, gap) of `_Step.table` along its path.  A path that reaches
-    a gap keeps its events up to that one and slope None; one that parks
-    on a hull end keeps its events up to that one, slope 0 and as intercept
-    the hull end's one-symbol image.  blocks is None unless the system's
-    own coding table has the breaks of its float image, as the scalar walk
-    compares with them exactly.
-    """
-
-    keys: np.ndarray
-    slope: np.ndarray
-    intercept: np.ndarray
-    path: np.ndarray
-    blocks: Optional[tuple]
-
-
 def _regions(breakpoints: np.ndarray) -> tuple:
     """(keys, firsts) of the regions that breakpoints cut: keys as in
-    `_Cylinders`, firsts the first float of each region (the float before
+    `_FloatTable`, firsts the first float of each region (the float before
     t_0 for region 0)."""
     # np.unique's sorted distinct floats, without the numpy.ma import that
     # np.unique makes on its first call
@@ -902,8 +899,8 @@ def _regions(breakpoints: np.ndarray) -> tuple:
     return keys, np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
 
 
-def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
-    """The `_Cylinders` of L symbols of `_orbit_tables`' proof, or None for
+def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
+    """The `_FloatTable` of L symbols of `_orbit_tables`' proof, or None for
     a system that does not qualify."""
     d = system.branch_count
     length = 1
@@ -953,32 +950,37 @@ def _cylinder_table(system: IFSystem) -> Optional[_Cylinders]:
     back = intercept - y1
     if np.any((y1 - (intercept - back)) + (term - back)):
         return None
-    path = np.array(path)
-    for o in (keys, slope, intercept, path):
-        o.flags.writeable = False
-    blocks = None
-    if system._coding.table[1] == step.table[1]:
-        blocks = _walk_blocks(step.table, keys, slope, intercept, path)
-    return _Cylinders(keys, slope, intercept, path, blocks)
+    # the one-symbol decisions along each region's path
+    park, window, inside = (o[0][np.array(path)]
+                            for o in (step.park, step.window, step.inside))
+    walk = None
+    if system._coding.table[1] == step.keys[::2].tolist():
+        walk = _walk_blocks(system, keys, slope, intercept, park, window,
+                            inside)
+    return _FloatTable(keys, park, window, inside, slope, intercept, walk)
 
 
-def _walk_blocks(one: tuple, keys, slope, intercept, path) -> tuple:
-    """`_Cylinders.blocks` of these arrays, on the one-symbol table one."""
-    _, ends, steps = one
+def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
+                 inside) -> tuple:
+    """`_FloatTable.walk` of an L-symbol table's arrays: a parked region's
+    image is its window's float map at the hull end."""
+    ends = [float(t) for t in system._coding.hull]
+    slopes, intercepts = (o.tolist() for o in system._float_maps)
     regions = []
-    for col, s, c in zip(path.T.tolist(), slope.tolist(), intercept.tolist()):
+    for s, c, *path in zip(slope.tolist(), intercept.tolist(),
+                           park.T.tolist(), window.T.tolist(),
+                           inside.T.tolist()):
         events = []
-        for r in col:
-            step_slope, step_intercept, (event,) = steps[r]
-            events.append(event)
-            if step_slope is None:      # a gap
+        for parked, k, held in zip(*path):
+            events.append((parked, k + 1, not held))
+            if not held:                # a gap
                 s = c = None
                 break
-            if event[0]:                # parked on the hull end ends[r // 2]
-                s, c = 0.0, step_slope * ends[r // 2] + step_intercept
+            if parked:                  # on a hull end
+                s, c = 0.0, slopes[k] * ends[parked > 0] + intercepts[k]
                 break
         regions.append((s, c, tuple(events)))
-    return len(path), keys[::2].tolist(), regions
+    return len(park), keys[::2].tolist(), regions
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):
@@ -1056,8 +1058,9 @@ def distortion_constant(system: IFSystem, depth: int) -> float:
     Equals 1.0 exactly for affine systems.  For others the supremum is taken
     over 5 equally spaced points of each cylinder, enumerating all words of
     a length when there are at most 4096 of them and otherwise drawing 4096
-    words from `random.Random(7)`.
+    words from `random.Random(7)`.  A negative depth raises ValueError.
     """
+    _checked_depth(depth)
     if system.is_affine or depth == 0:
         return 1.0
     import random

@@ -397,8 +397,11 @@ def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
     product over the free weights of the integer central stencils of their
     orders, divided by 2^(number of first orders) h^|order|.  The cdf is
     evaluated at the fixed tolerance min(1e-13, 1e-3 h^(|order|+1)), so
-    stencil cancellation keeps clear of evaluator noise.
+    stencil cancellation keeps clear of evaluator noise.  ValueError on an
+    h that is 0 or not finite.
     """
+    if h == 0 or not math.isfinite(h):
+        raise ValueError(f"h must be finite and nonzero, got {h}")
     order = _checked_order(system, order)
     total = sum(order)
     if total not in (1, 2):

@@ -62,7 +62,8 @@ def pressure(system: IFSystem, p: ProbVector, t: float, beta: float,
 
     Affine systems are exact and return equal bounds.  Otherwise the
     pressure is sandwiched through cylinder sums at the given depth
-    (capped at 18), using the derivative range over each cylinder.
+    (at least 1, capped at 18), using the derivative range over each
+    cylinder.
     """
     if system.is_affine:
         lw, ls = _log_weights_slopes(system, p)
@@ -91,9 +92,11 @@ def _sandwich(system, p, level):
     The derivative sums depend on the system alone and are shared by equal
     systems (`_system_table`), one pair per level; the weight sums are
     built once per weights instance and level.  The slope of each bound is
-    the Gibbs average of its derivative sum.
+    the Gibbs average of its derivative sum.  ValueError on a level below 1.
     """
     level = min(int(level), _MAX_LEVEL)
+    if level < 1:
+        raise ValueError(f"level must be at least 1, got {level}")
     lo_sum, hi_sum = _system_table(system, ("sandwich", level),
                                    lambda s: _derivative_sums(s, level))
     key = ("sandwich", level)

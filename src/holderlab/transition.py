@@ -30,8 +30,6 @@ from .ifs import (
     _checked_weights,
     _coding_for,
     _cylinder_maps,
-    _cylinder_table,
-    _system_table,
     _walk,
     _walk_weights,
 )
@@ -200,20 +198,20 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     on the other points of the batch, and at tol 0, n calls of one step give
     the bits of one call of n steps.
 
-    The one-symbol table (`_Step`, masses of `_one_symbol`) is cut by the
-    float hull ends and window edges, the set E of floats that the window
-    rule compares y with, so a region's floats make its one decision; its
+    The one-symbol table (`IFSystem._step`, an `ifs._FloatTable` whose
+    masses `_masses` folds once per weights instance) is cut by the float
+    hull ends and window edges, the set E of floats that the window rule
+    compares y with, so a region's floats make its one decision; its
     masses are the terms of `eval_cdf`'s step: cum[k] and weights[k] in
     window k, cum[k] and 0 in a gap, 1 or 0 and 0 on the right or left end.
 
     At tol > 0, on a system that qualifies (below), each step takes L
     symbols: L is the largest length with d^L <= `_CYLINDERS`, d the
-    branch count, and the table is `_Cylinders` with the masses of
-    `_cylinders`.  The symbols max_depth leaves after its last whole block
-    take the one-symbol step, as does every call at tol 0 and every system
-    that does not qualify.  A point is decided only at the end of a block,
-    so it may stop up to L - 1 symbols later than `eval_cdf` and carry a
-    smaller undecided mass.
+    branch count, and the table is `IFSystem._cylinders`.  The symbols
+    max_depth leaves after its last whole block take the one-symbol step,
+    as does every call at tol 0 and every system that does not qualify.
+    A point is decided only at the end of a block, so it may stop up to
+    L - 1 symbols later than `eval_cdf` and carry a smaller undecided mass.
 
     A system qualifies when it is affine with L >= 2, every slope is 2^k,
     every slope and intercept is a float, and on the float window [u, v]
@@ -243,27 +241,28 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        is a float, which `ifs._cylinder_table` checks by an exact error
        term (Knuth's TwoSum).  A region of one float keeps its point.
     4. By 2, every float of a level-L region takes the path of its first
-       float through the one-symbol regions, which `ifs._cylinder_table`
-       records.  acc_w and m_w start at 0 and 1 and fold the one-symbol
-       masses along that path by the one-symbol step's own operations,
-       acc <- acc + mass acc_1[r], then mass <- mass m_1[r]; once a step
-       decides the point (mass 0), the later ones add 0 to acc.  So a block
+       float through the one-symbol regions, along which
+       `ifs._cylinder_table` gathers the one-symbol decisions into the
+       table's L rows.  `_masses` starts acc_w and m_w at 0 and 1 and folds
+       the terms of those rows by the one-symbol step's own operations,
+       acc <- acc + mass acc_1, then mass <- mass m_1; once a step decides
+       the point (mass 0), the later ones add 0 to acc.  So a block
        carries the bits of L one-symbol steps, with their tie, gap and
        parking rules.
     5. The scalar walk `_walk` reads the same regions for a float point
-       (`_Cylinders.blocks`).  Its one-symbol table makes this step's
-       decisions (the window rule, parking on a hull end) with the same
-       float maps once its breaks are E, which `_Cylinders.blocks`
-       requires: both are then `_Step.table`, whose regions' events and
-       maps the blocks read.  So by 2 and 4 every float of a level-L
-       region makes the events of its path, and by 3 the walk may jump to
-       A_w y + B_w.  Its consumers keep their one-symbol arithmetic, so
-       they keep their bits.
+       (`_FloatTable.walk`).  Its one-symbol table `_Coding.table` makes
+       this step's decisions (the window rule, parking on a hull end) with
+       the same float maps once its breaks are E, which `_FloatTable.walk`
+       requires; the walk's events are the gathered decisions, and a
+       parked region maps to its window's float image of the hull end.  So
+       by 2 and 4 every float of a level-L region makes the events of its
+       path, and by 3 the walk may jump to A_w y + B_w.  Its consumers
+       keep their one-symbol arithmetic, so they keep their bits.
     """
-    one = _one_symbol(system, p)
-    block = _cylinders(system, p) if tol > 0 else None
-    blocks, rest = divmod(max_depth, len(block[0].path)) if block \
-        else (0, max_depth)
+    one = _masses(system, p, system._step)
+    cyl = system._cylinders if tol > 0 else None
+    block = cyl and _masses(system, p, cyl)
+    blocks, rest = divmod(max_depth, len(cyl.park)) if cyl else (0, max_depth)
     idx = np.flatnonzero(state[2] > tol)
     y, acc, mass = (o[idx] for o in state)
     for step in range(blocks + rest):
@@ -280,49 +279,31 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
             for o, c in zip(state, (y, acc, mass)):
                 o[gone] = c[done]
             idx, y, acc, mass, r = (c[keep] for c in (idx, y, acc, mass, r))
-        y = (_apply_branches(system, table.window[r], y) if table.slope is None
+        y = (_apply_branches(system, table.window[0][r], y)
+             if table.slope is None
              else table.slope[r] * y + table.intercept[r])
     for o, c in zip(state, (y, acc, mass)):
         o[idx] = c
 
 
-def _one_symbol(system: IFSystem, p: ProbVector):
-    """(`_Step`, acc_1, m_1): the system's one-symbol table and its step's
-    escaped and undecided mass of each region from mass 1, built once per
-    weights instance from `p.as_floats()`."""
-    step = system._step
-    if ("step", step) not in p._memo:
+def _masses(system: IFSystem, p: ProbVector, table) -> tuple:
+    """(table, acc_w, m_w) of an `ifs._FloatTable`: the escaped and the
+    undecided mass of each region's L one-symbol steps from mass 1, bit
+    for bit, built once per weights instance from `p.as_floats()` by
+    folding each step's terms (`_FloatTable.terms`) with the one-symbol
+    step's own operations."""
+    masses = p._memo.get(table)
+    if masses is None:
         weights, cum = _checked_weights(system, p)._float_weights
-        # window d, right of every window, never moves: its weight is 0
-        p._memo["step", step] = (
-            np.where(step.park != 0, step.park > 0, cum[step.window]),
-            np.where(step.inside & (step.park == 0),
-                     np.append(weights, 0.0)[step.window], 0.0))
-    return (step,) + p._memo["step", step]
-
-
-def _cylinders(system: IFSystem, p: ProbVector):
-    """(`_Cylinders`, acc_w, m_w), or None unless the system qualifies:
-    acc_w and m_w are the escaped and the undecided mass of each region's
-    L one-symbol steps from mass 1, bit for bit.  The geometry is built once
-    per system value (`_system_table`).  The masses are built once per
-    weights instance: `_one_symbol`'s masses folded along each region's
-    path by the one-symbol step's own operations."""
-    cyl = _system_table(system, "cylinders", _cylinder_table)
-    if cyl is None:
-        return None
-    key = ("cylinders", cyl)
-    if key not in p._memo:
-        _, acc1, mass1 = _one_symbol(system, p)
-        steps = zip(acc1[cyl.path], mass1[cyl.path])
+        steps = zip(np.append(cum, [0.0, 1.0])[table.terms[0]],
+                    np.append(weights, 0.0)[table.terms[1]])
         acc, mass = next(steps)  # the first step, from acc 0 and mass 1
         for a, m in steps:
-            # the one-symbol step's acc + mass * acc_1 and mass * m_1,
             # written into the gathered rows
             acc = np.add(acc, np.multiply(mass, a, out=a), out=a)
             mass = np.multiply(mass, m, out=m)
-        p._memo[key] = acc, mass
-    return (cyl,) + p._memo[key]
+        masses = p._memo[table] = acc, mass
+    return (table,) + masses
 
 
 def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:
@@ -570,13 +551,15 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     The verdict comes from the `_ls_slope` fit of log(seminorm) against n
     over the last half of the run: bounded when |slope| < 1e-3, growing when
     slope > 5e-3 with a positive margin over its standard error.  alpha
-    must lie in (0, 1] and n_max be at least 3, so that the fit has two
-    points.
+    must lie in (0, 1], n_max be at least 3, so that the fit has two
+    points, and grid_size at least 2.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     if not system.is_affine:
         raise NotImplementedError("gap probe requires affine branches")
     rng = np.random.default_rng(np.random.Philox(key=seed))

@@ -19,6 +19,14 @@ shape and its bytes (an object array element by element), a dataclass by
 its type name and then field by field, a list, tuple or dict by its length
 and then item by item, and anything else by its type name and `repr`.  A
 job that raises is digested as its exception's type name and message.
+
+    python tests/output_digest.py --check
+
+runs grid, pointwise and spectrum over seeds 1-4, compares each listing
+with the one recorded in `LISTINGS`, and exits 1 naming each workload that
+differs (about 45 s on one core).  The hashes can depend on the numpy
+build; on a mismatch, diff the listings of two checkouts.  A change that
+alters outputs on purpose records the new listings here.
 """
 
 from __future__ import annotations
@@ -35,6 +43,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import (  # noqa: E402
     EvaluateStats, build_rounds, execute)
+
+# the listing of each workload over the seeds CHECK_SEEDS
+CHECK_SEEDS = (1, 2, 3, 4)
+LISTINGS = {
+    "grid": "5d471b02786b382bb5a624c27c78b0943199ebd45a231217f43c7674c1f4ca7e",
+    "pointwise":
+        "d3468d47d9b3680b4378a758a37d3b0e09386d30e3c4d5f809bbe3568873afcb",
+    "spectrum":
+        "6662ea6043faf53ea74cff59b7c416ab930613844c7cd20dde6039fc0a5f8910",
+}
 
 
 def feed(h, obj) -> None:
@@ -81,18 +99,42 @@ def digests(workload: str, seed: int):
             yield r, i, job.kind, h.hexdigest()
 
 
+def listing(workload: str, seeds, out=None) -> str:
+    """The hex SHA-256 of the job lines of every seed in turn, each line
+    also written to out when given."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        for r, i, kind, digest in digests(workload, int(seed)):
+            line = f"{r} {i} {kind} {digest}\n"
+            h.update(line.encode())
+            if out is not None:
+                out.write(line)
+    return h.hexdigest()
+
+
+def check() -> int:
+    """0 when every recorded listing is reproduced, else 1, naming each
+    workload that differs on stderr."""
+    failed = 0
+    for workload, want in LISTINGS.items():
+        got = listing(workload, CHECK_SEEDS)
+        if got == want:
+            print(f"{workload} ok")
+        else:
+            failed = 1
+            print(f"{workload} differs: listing {got}, recorded {want}",
+                  file=sys.stderr)
+    return failed
+
+
 def main(argv) -> int:
+    if argv == ["--check"]:
+        return check()
     if len(argv) < 2:
-        print("usage: output_digest.py WORKLOAD SEED [SEED ...]",
+        print("usage: output_digest.py WORKLOAD SEED [SEED ...] | --check",
               file=sys.stderr)
         return 2
-    listing = hashlib.sha256()
-    for seed in argv[1:]:
-        for r, i, kind, digest in digests(argv[0], int(seed)):
-            line = f"{r} {i} {kind} {digest}\n"
-            listing.update(line.encode())
-            sys.stdout.write(line)
-    print(f"listing {listing.hexdigest()}")
+    print(f"listing {listing(argv[0], argv[1:], sys.stdout)}")
     return 0
 
 

@@ -42,8 +42,7 @@ from holderlab.ifs import (
     hull_preimages,
 )
 from holderlab.transition import (
-    _cylinders,
-    _one_symbol,
+    _masses,
     _orbit_start,
     _orbit_tables,
     _pair_scan,
@@ -204,7 +203,7 @@ def test_exact_step_walk_within_eval_cdf_bound(case, tol):
     exact = _exact_step_system(case["name"], Fraction)
     p = ProbVector.of(*(k / 64 for k in case["free"]))
     q = ProbVector.of(*(Fraction(k, 64) for k in case["free"]))
-    assert _cylinders(system, p) is not None
+    assert system._cylinders is not None
     ends = _level_breakpoints(case["name"])
     xs = np.array(
         ends + [math.nextafter(t, d) for t in ends
@@ -233,7 +232,7 @@ def test_exact_step_table_is_l_one_symbol_steps(name, free):
     # (as a float: the region of a breakpoint 0.0 holds -0.0 too, which the
     # walk parks as it is and the map sends to 0.0)
     system, p = _exact_step_system(name), ProbVector.of(*free)
-    cyl, acc_w, mass_w = _cylinders(system, p)
+    cyl, acc_w, mass_w = _masses(system, p, system._cylinders)
     length = max(n for n in range(1, 9) if system.branch_count ** n <= 256)
     firsts = np.concatenate([[np.nextafter(cyl.keys[0], -math.inf)],
                              cyl.keys])
@@ -269,8 +268,8 @@ STERBENZ = affine_system((4.0, 4.0), (-3.0, -12.0), (0.5, 5.0))
 def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
     system = {**SYSTEMS, "wide": WIDE, "sterbenz": STERBENZ}[name]
     p = ProbVector.of(*free)
-    assert _cylinders(system, p) is None
-    assert _coding_for(system, 0.3)[0].blocks is None
+    assert system._cylinders is None
+    assert _coding_for(system, 0.3)[0] == (system._coding.table,)
     a, b = (float(t) for t in attractor_hull(system))
     xs = np.concatenate([
         np.linspace(a - 0.25 * (b - a), b + 0.25 * (b - a), 2001),
@@ -291,7 +290,8 @@ def test_orbit_right_of_every_window_is_a_gap():
     assert (first, park, sym, gap) == (1, 0, 3, True)
     step = system._step
     r = np.searchsorted(step.keys, 3 * x, side="right")
-    assert (step.window[r], step.inside[r], step.park[r]) == (2, False, 0)
+    assert (step.window[0][r], step.inside[0][r], step.park[0][r]) \
+        == (2, False, 0)
     p = ProbVector.of(0.3)
     for tol in (1e-12, 1e-14):
         assert cdf_values(system, p, [x], tol=tol).tolist() \
@@ -328,7 +328,7 @@ def test_rational_weights_keep_eval_cdf_bits(case, depth):
     assert values.tolist() == [eval_cdf(system, p, x, tol=1e-300,
                                         max_depth=depth)[0]
                                for x in xs.tolist()]
-    if _cylinders(system, p) is None:
+    if system._cylinders is None:
         assert cdf_values(system, p, xs, tol=1e-12).tolist() \
             == [eval_cdf(system, p, x, tol=1e-12)[0] for x in xs.tolist()]
 
@@ -769,13 +769,13 @@ def test_one_symbol_table_is_the_first_step_of_eval_cdf(name, free):
     # region moves and to itself elsewhere; a region between two adjacent
     # floats holds no float, and no walk reads it
     system, p = SYSTEMS[name], ProbVector.of(*free)
-    step, acc1, mass1 = _one_symbol(system, p)
+    step, acc1, mass1 = _masses(system, p, system._step)
     _, firsts = _regions(step.keys[::2])
     filled = np.searchsorted(step.keys, firsts, side="right") \
         == np.arange(firsts.size)
     a, b = (float(t) for t in attractor_hull(system))
     held = filled & (a <= firsts) & (firsts <= b)
-    assert set(step.park[held].tolist()) == {-1, 0, 1}
+    assert set(step.park[0][held].tolist()) == {-1, 0, 1}
     for x, acc, mass in zip(firsts[held].tolist(),
                             acc1[held].tolist(), mass1[held].tolist()):
         value, bound = eval_cdf(system, p, x, max_depth=1)
@@ -784,13 +784,14 @@ def test_one_symbol_table_is_the_first_step_of_eval_cdf(name, free):
     for r, first in enumerate(firsts.tolist()):
         if not filled[r]:
             continue
-        park, sym, gap = next(_walk(system._coding, first, 1))
-        assert (step.park[r], step.window[r] + 1, step.inside[r]) \
+        park, sym, gap = next(_walk((system._coding.table,), first, 1))
+        assert (step.park[0][r], step.window[0][r] + 1, step.inside[0][r]) \
             == (park, sym, not gap), first
         # -0.0 compares as 0.0, and a map that keeps it is the identity
         for y in [first, math.nextafter(first, lasts[r]), lasts[r].item()] \
                 + [-0.0] * (first == 0):
-            assert next(_walk(system._coding, y, 1)) == (park, sym, gap), y
+            assert next(_walk((system._coding.table,), y, 1)) \
+                == (park, sym, gap), y
             if step.slope is None:
                 continue
             moved = system.branch(sym)(y) if not (gap or park) else y

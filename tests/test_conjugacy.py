@@ -118,7 +118,7 @@ def _one_word_at_a_time(system, count, seed):
     while len(xs) < count:
         word = tuple(int(s) for s in rng.choice(system.symbols(), size=48))
         x = pi_approx(system, word)[0]
-        (_, sym, gap), = _walk(system._coding, x, 1)
+        (_, sym, gap), = _walk((system._coding.table,), x, 1)
         if not gap:
             xs.append(x)
             syms.append(sym)
@@ -161,11 +161,11 @@ def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
     words = _near_edge_words(system, margin, 11)
     x = conjugacy._midpoints(system, words)
     r = np.searchsorted(system._step.keys, x, side="right")
-    k, ok = system._step.window[r], system._step.inside[r]
+    k, ok = system._step.window[0][r], system._step.inside[0][r]
     assert ok.all()
     for word, xb, s in zip(words.tolist(), x, k + 1):
         xr = pi_approx(system, tuple(word))[0]
-        (_, sym, gap), = _walk(system._coding, xr, 1)
+        (_, sym, gap), = _walk((system._coding.table,), xr, 1)
         assert not gap and sym == s == word[0]
         assert abs(xb - xr) <= 1e-15
         u, v = hull_preimages(system)[s - 1]

@@ -89,6 +89,21 @@ def test_emp_exponent_needs_two_distinct_scales():
         _fit(0.5, [1e-2, 1e-2, 1e-3], [0.1, 0.1, 0.0])
 
 
+@pytest.mark.parametrize("scale", [-1e-3, 0.0, math.inf, math.nan])
+def test_scales_must_be_finite_and_above_zero(dyadic, scale):
+    # each once made numpy warn (log of a negative, divide by zero,
+    # inf - inf) and fit a NaN slope; a NaN scale passed the distinct-logs
+    # check and fitted a NaN slope without a word
+    evaluate = lambda xs: np.sqrt(np.abs(np.asarray(xs, dtype=float)))
+    scales = [1e-2, scale, 1e-4]
+    message = re.escape(f"scale {scale} is not a finite number above 0")
+    with pytest.raises(ValueError, match=message):
+        emp_exponent(evaluate, 0.5, scales)
+    with pytest.raises(ValueError, match=message):
+        spectrum_experiment(dyadic, ProbVector.of(0.3), [0.0], word_len=4,
+                            count=2, evaluate=evaluate, scales=scales)
+
+
 def test_emp_exponent_fields_are_floats(dyadic, half):
     evaluate = lambda xs: cdf_values(dyadic, half, xs, tol=1e-15)
     est = emp_exponent(evaluate, 0.4371, np.geomspace(1e-6, 1e-2, 5))

@@ -25,13 +25,13 @@ from holderlab import (
     attractor_hull,
     cdf_values,
     cylinder,
+    distortion_constant,
     encode,
     eval_cdf,
     eval_derivative_point,
     phi,
 )
 from holderlab.ifs import _coding_for, _walk, hull_preimages
-from holderlab.transition import _cylinders
 from test_array_walk import EXACT_STEP, _exact_step_system, _level_breakpoints
 from test_walk_tables import rational_system
 
@@ -126,11 +126,11 @@ def test_block_walk_keeps_the_one_symbol_bits(case, depth, tol):
     system = _exact_step_system(case["name"])
     p = ProbVector.of(*case["free"])
     x = case["x"]
-    coding, y = _coding_for(system, x)
-    assert coding.blocks is not None
+    tables, y = _coding_for(system, x)
+    assert tables == (system._cylinders.walk, system._coding.table)
     events = list(reference_events(system, x, depth))
     # the walk eval_derivative_point reads, and the events of every other
-    assert list(_walk(coding, y, depth)) == events
+    assert list(_walk(tables, y, depth)) == events
     a, b = (float(t) for t in attractor_hull(system))
     if a <= x <= b:
         gap = bool(events) and events[-1][2]
@@ -163,6 +163,8 @@ ENTRY_POINTS = {
     "encode": lambda s, x, depth: encode(s, x, depth),
     "eval_derivative_point": lambda s, x, depth: eval_derivative_point(
         s, ProbVector.of(0.3), (1,), x, depth=depth),
+    # no walk, but the same refusal: it returned 1.0 for depth -1
+    "distortion_constant": lambda s, x, depth: distortion_constant(s, depth),
 }
 
 
@@ -183,7 +185,7 @@ def test_negative_depth_with_and_without_the_table(name):
     # dyadic walks L = 8 symbols per lookup, the middle third one; depth 0
     # takes no step on either
     system = {"dyadic": _exact_step_system("dyadic"), "cantor": CANTOR}[name]
-    assert (_coding_for(system, 0.3)[0].blocks is None) == (name == "cantor")
+    assert len(_coding_for(system, 0.3)[0]) == (1 if name == "cantor" else 2)
     for entry, call in ENTRY_POINTS.items():
         for depth in (-1, -7, -8, -9, -17):
             with pytest.raises(ValueError, match="depth"):
@@ -208,9 +210,9 @@ def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
                            (Fraction(0), Fraction(1, 2)))
     p, q = ProbVector.of(19 / 64), ProbVector.of(Fraction(19, 64))
     assert attractor_hull(system) == (0, Fraction(1, 3))
-    cyl, _, _ = _cylinders(system, p)
-    assert len(cyl.path) == 8 and cyl.blocks is None
-    assert _coding_for(system, 0.3)[0].blocks is None
+    cyl = system._cylinders
+    assert len(cyl.park) == 8 and cyl.walk is None
+    assert _coding_for(system, 0.3)[0] == (system._coding.table,)
     xs = np.linspace(-0.05, 0.4, 400)
     values = cdf_values(system, p, xs, tol=1e-12)
     for x, v in zip(xs.tolist(), values.tolist()):
@@ -278,11 +280,11 @@ def table_cases(draw):
 def test_walk_is_the_window_rule_on_every_table(case, depth):
     name, x = case
     system = TABLE_SYSTEMS[name]
-    coding, y = _coding_for(system, x)
+    tables, y = _coding_for(system, x)
     # rational points of integer-slope systems walk on the integers
     lattice = isinstance(x, Fraction) and name.startswith("exact")
     assert (type(y) is int) == lattice
-    assert list(_walk(coding, y, depth)) \
+    assert list(_walk(tables, y, depth)) \
         == list(reference_events(system, x, depth))
 
 
@@ -297,4 +299,5 @@ def test_float_point_on_a_rational_system_walks_the_exact_edges():
     assert list(_walk(*_coding_for(system, x), 5)) == [(0, 2, True)]
     step = system._step
     r = np.searchsorted(step.keys, x, side="right")
-    assert (step.window[r], step.inside[r], step.park[r]) == (1, True, 0)
+    assert (step.window[0][r], step.inside[0][r], step.park[0][r]) \
+        == (1, True, 0)

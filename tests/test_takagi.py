@@ -101,6 +101,13 @@ def test_point_eval_matches_fd(dyadic):
         eval_derivative_point(dyadic, p, (0,), 0.5)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_fd_derivative_refuses_a_zero_or_infinite_step(dyadic, h):
+    # h = 0 divided by zero after numpy's "invalid value" warning
+    with pytest.raises(ValueError, match="h must be finite and nonzero"):
+        fd_derivative(dyadic, ProbVector.of(0.3), (1,), [0.5], h=h)
+
+
 def test_mixed_partial_three_branches():
     system = affine_system((3.0, 3.0, 3.0), (0.0, -1.0, -2.0), (0.0, 1.0))
     p = ProbVector.of(0.3, 0.3)

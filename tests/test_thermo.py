@@ -38,6 +38,17 @@ def test_pressure_closed_form(dyadic, quarter):
     assert lo == hi == pytest.approx(math.log(0.5), abs=1e-15)
 
 
+@pytest.mark.parametrize("level", [0, -3])
+def test_sandwich_level_must_be_at_least_one(bent, quarter, level):
+    # the sandwich divides its sums by the level: level 0 divided by
+    # zero, and level -3 summed no cylinders, so pressure gave (-0.0, -0.0)
+    # and the root solve divided by a zero slope
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        pressure(bent, quarter, 1.0, 1.0, level=level)
+    with pytest.raises(ValueError, match="level must be at least 1"):
+        solve_pressure_root(bent, quarter, 1.0, level=level)
+
+
 def test_pressure_root_anchors(dyadic, quarter):
     assert abs(solve_pressure_root(dyadic, quarter, 1.0)) <= 1e-13
     assert solve_pressure_root(dyadic, quarter, 0.0) == pytest.approx(1.0, abs=1e-13)

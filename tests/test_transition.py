@@ -317,6 +317,10 @@ def test_gap_probe_rejects_bad_inputs(dyadic, quarter):
     for n_max in (0, 1, 2):
         with pytest.raises(ValueError):
             gap_probe(dyadic, quarter, 0.5, n_max=n_max, grid_size=129)
+    # 0 nodes raised IndexError, and 1 node gave a verdict
+    for grid_size in (0, 1):
+        with pytest.raises(ValueError, match="grid_size"):
+            gap_probe(dyadic, quarter, 0.5, n_max=10, grid_size=grid_size)
     report = gap_probe(dyadic, quarter, 0.5, n_max=3, grid_size=129)
     assert math.isfinite(report.slope)
 

@@ -212,11 +212,9 @@ def test_lattice_memo_starts_over_when_full():
 
 
 def coding_tables(system):
-    """The coding tables of the scalar walk kept per system value: the
-    system's own and the one of float points, and their one-symbol region
-    tables."""
-    return (system._coding, system._float_coding, system._coding.table,
-            system._float_coding.table)
+    """The coding tables of the walks kept per system value: the system's
+    own and its one-symbol region table, and the one-symbol float table."""
+    return system._coding, system._coding.table, system._step
 
 
 def shared(s, t):
@@ -273,9 +271,10 @@ def test_system_memo_starts_over_when_full():
     first = _system_tables(systems[0])["cylinders"]
     twin = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
     assert _system_tables(twin)["cylinders"] is first
-    # and the coding tables of the scalar walk, the L-symbol one included
+    # and the coding tables of both walks, the L-symbol one included
     assert shared(twin, systems[0])
-    assert twin._float_coding.blocks is first.blocks is not None
+    assert twin._cylinders is first and first.walk is not None
+    assert twin._float_walk[0] is first.walk
     for system in systems[1:]:
         assert np.array_equal(cdf_values(system, p, xs), expect)
     assert list(_TABLES) == [systems[-1]._key]

@@ -352,9 +352,7 @@ def _cmd_exponent(cfg: RunConfig):
 def _cmd_conjugacy(cfg: RunConfig):
     worst = conjugacy_residual(cfg.system, cfg.p, **cfg.params)
     return [("conjugacy.json", _json_bytes({
-        "max_conjugacy_residual": worst,
-        **{k: cfg.params[k] for k in ("sample_count", "seed")}}),
-        cfg.params)]
+        "max_conjugacy_residual": worst, **cfg.params}), cfg.params)]
 
 
 def _cmd_report(cfg: RunConfig):

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ifs import IFSystem, ProbVector, _apply_branches, _check_in_hull, \
-    _cylinder_maps, affine_system, pi_approx
+    _checked_least, _cylinder_maps, affine_system, pi_approx
 from .thermo import alpha_endpoints
 from .transition import GridFunction, _orbit_start, _orbit_tables, \
     cdf_values, eval_cdf, holder_seminorm, uniform_grid
@@ -83,8 +83,9 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     10 * sample_count + 100 draws.  All arithmetic is in float,
     rational systems and weights included.  Words are drawn, coded and
     compared as arrays of at most SAMPLE_CHUNK words at a time, non-affine
-    branches included.
+    branches included.  ValueError unless sample_count is at least 1.
     """
+    _checked_least("sample_count", sample_count, 1)
     depth = _phi_depth(p, 1e-10)
     weights, left = p._float_weights
     worst = 0.0
@@ -180,8 +181,13 @@ def rigidity_report(system: IFSystem, p: ProbVector, tol: float = 1e-9,
     within tol mean the coordinate change is as smooth as the dimension
     allows, otherwise it is singular.  The Hoelder seminorm of the cdf at
     the dimension exponent is measured across grid refinements as
-    corroboration (bounded in the rigid case, growing otherwise).
+    corroboration (bounded in the rigid case, growing otherwise).  ValueError
+    unless tol > 0, sample_count >= 1 and grid_sizes non-empty, each >= 2.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be above 0, got {tol}")
+    if not grid_sizes or min(grid_sizes) < 2:
+        raise ValueError("grid_sizes must be non-empty sizes of at least 2")
     ep = alpha_endpoints(system, p)
     rigid = ep.is_rigid(tol)
     residual = conjugacy_residual(system, p, sample_count, seed=seed)

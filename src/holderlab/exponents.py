@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _birkhoff, _checked_word, \
-    _suffix_midpoints, compactified_distance
+from .ifs import IFSystem, ProbVector, _birkhoff, _checked_least, \
+    _checked_word, _suffix_midpoints, compactified_distance
 from .thermo import _gibbs, _log_weights_slopes, gibbs_weights
 from .transition import _ls_slope
 
@@ -91,10 +91,12 @@ def emp_exponent(evaluate: Callable, x: float,
     whose oscillation is at or below the floor 1e-13 are dropped before the
     `transition._ls_slope` fit of log oscillation against log r.  The centre
     and all clouds go to `evaluate` in one call, so it must be pointwise
-    (see `spectrum_experiment`).  ValueError unless every scale is a
-    finite number above 0 and two scales with distinct logs survive the
-    floor.
+    (see `spectrum_experiment`).  ValueError unless x is a finite number,
+    every scale is a finite number above 0 and two scales with distinct
+    logs survive the floor.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be a finite number, got {x}")
     scales, oscs = _empirical(evaluate, [x], scales)
     return _fit(x, scales, oscs[0])
 
@@ -183,10 +185,10 @@ def sample_typical(system: IFSystem, p: ProbVector, beta: float,
     based Philox keyed by `seed`, echoed back for reproducibility.  The
     words are drawn as one (count, word_len) array, and the points, the
     `pi_approx` midpoints of their cylinders, come from `_suffix_midpoints`.
-    Raises ValueError unless word_len is at least 1.
+    Raises ValueError unless count and word_len are at least 1.
     """
-    if word_len < 1:
-        raise ValueError("word_len must be at least 1")
+    _checked_least("count", count, 1)
+    _checked_least("word_len", word_len, 1)
     q, t_prime = gibbs_weights(system, p, beta)
     draws = _draw(system, q, word_len, count, seed)
     return TypicalSamples(beta=float(beta), alpha_predicted=-t_prime,
@@ -239,8 +241,8 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     word_len are at least 1, and, with an evaluator, on a scale that
     `emp_exponent` refuses.
     """
-    if count < 1 or word_len < 1:
-        raise ValueError("count and word_len must be at least 1")
+    _checked_least("count", count, 1)
+    _checked_least("word_len", word_len, 1)
     betas = [float(b) for b in betas]
     if not betas:
         return []

@@ -685,10 +685,10 @@ def _checked_word(word, count: int) -> tuple:
     return word
 
 
-def _checked_depth(depth) -> None:
-    """ValueError if depth is negative."""
-    if depth < 0:
-        raise ValueError(f"depth must not be negative, got {depth}")
+def _checked_least(name: str, value, low) -> None:
+    """ValueError naming the argument unless value >= low (a NaN is not)."""
+    if not value >= low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 def cylinder(system: IFSystem, word: Sequence[int]):
@@ -738,7 +738,7 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     cylinder containing it and gap=True.  A NaN x or a negative depth
     raises ValueError.
     """
-    _checked_depth(depth)
+    _checked_least("depth", depth, 0)
     _check_in_hull(system, x)
     word = []
     for _, sym, gap in _walk(*_coding_for(system, x), depth):
@@ -829,7 +829,8 @@ class _FloatTable:
     park, -1 on the hull's left end, 1 on its right end, else 0.  On an
     affine system slope[r] * y + intercept[r] is the L-th orbit point of
     every float y of region r, bit for bit, where a decided point (in a gap
-    or on a hull end) stays put (1.0 y + -0.0); else both are None.
+    or on a hull end) stays put (1.0 y + -0.0), slope[r] the product of the
+    one-symbol slopes along the path; else both are None.
 
     walk is set on an L-symbol table when the system's own coding table
     has the breaks of its float image, which the scalar walk compares with
@@ -900,8 +901,9 @@ def _regions(breakpoints: np.ndarray) -> tuple:
 
 
 def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
-    """The `_FloatTable` of L symbols of `_orbit_tables`' proof, or None for
-    a system that does not qualify."""
+    """The `_FloatTable` of L symbols of `_orbit_tables`' proof, its slopes
+    the products of the one-symbol slopes along the path of each region's
+    first float, or None for a system that does not qualify."""
     d = system.branch_count
     length = 1
     while d ** (length + 1) <= _CYLINDERS:
@@ -927,31 +929,25 @@ def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
         breaks = np.concatenate(
             [edges, pre[(u[:, None] <= pre) & (pre <= v[:, None])]])
     keys, reps = _regions(breaks)
-    # a second float of each region: the two floats before t_0 for region
-    # 0, the two after t_i for region 2i + 2 when both lie below t_{i+1},
-    # else the first again
-    second = np.nextafter(reps, math.inf)
-    second[0] = np.nextafter(reps[0], -math.inf)
-    second[1::2] = reps[1::2]
-    upper = np.append(keys[2::2], math.inf)
-    second[2::2] = np.where(second[2::2] < upper, second[2::2], reps[2::2])
-    m = reps.size
-    y, path = np.concatenate([reps, second]), []
+    y, path = reps, []
     for _ in range(length):
         r = np.searchsorted(step.keys, y, side="right")
-        path.append(r[:m])
+        path.append(r)
         y = step.slope[r] * y + step.intercept[r]
-    y1, dr = y[:m], second - reps
-    slope = np.divide(y[m:] - y1, dr, out=np.zeros(m), where=dr != 0)
+    # A_w: the product of the one-symbol slopes along the path (powers of
+    # two: exact); 0 on a region right of t_0 whose next float is a key
+    path = np.array(path)
+    slope = step.slope[path].prod(axis=0)
+    slope[1:][np.nextafter(keys, math.inf) == np.append(keys[1:], math.inf)] = 0
     term = -slope * reps
-    intercept = y1 + term
-    # TwoSum: the rounding error of y1 + term, exactly; 0 iff B_w is a
+    intercept = y + term
+    # TwoSum: the rounding error of y + term, exactly; 0 iff B_w is a
     # float, else the system does not qualify
-    back = intercept - y1
-    if np.any((y1 - (intercept - back)) + (term - back)):
+    back = intercept - y
+    if np.any((y - (intercept - back)) + (term - back)):
         return None
     # the one-symbol decisions along each region's path
-    park, window, inside = (o[0][np.array(path)]
+    park, window, inside = (o[0][path]
                             for o in (step.park, step.window, step.inside))
     walk = None
     if system._coding.table[1] == step.keys[::2].tolist():
@@ -1060,7 +1056,7 @@ def distortion_constant(system: IFSystem, depth: int) -> float:
     a length when there are at most 4096 of them and otherwise drawing 4096
     words from `random.Random(7)`.  A negative depth raises ValueError.
     """
-    _checked_depth(depth)
+    _checked_least("depth", depth, 0)
     if system.is_affine or depth == 0:
         return 1.0
     import random

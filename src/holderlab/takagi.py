@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ifs import IFSystem, ProbVector, _branch_on_array, _checked_depth, \
+from .ifs import ConfigurationError, IFSystem, ProbVector, _checked_least, \
     _checked_word, _coding_for, _walk, _walk_weights
 from .transition import GridFunction, _averaged, _branch_images, cdf_values
 
@@ -141,10 +141,11 @@ def cylinder_increment(system: IFSystem, p: ProbVector, word: Sequence[int],
     The base difference vector at the hull endpoints has -1 in the zero
     slot and 0 elsewhere (cdf drops from 1 to 0 going left), so the cylinder
     vector is minus the zero column of the word's step-matrix product, in
-    the arithmetic that `eval_derivative_point` walks in.
+    the arithmetic that `eval_derivative_point` walks in.  ValueError
+    unless n_max has one non-negative component per free weight.
     """
-    if n_max is None:
-        n_max = (2,) * (system.branch_count - 1)
+    n_max = _checked_order(system, (2,) * (system.branch_count - 1)
+                           if n_max is None else n_max)
     coc = cocycle_matrix(word, _walk_weights(system, p), n_max)
     return IncrementVector(indices=coc.indices, entries=-coc.matrix[:, 0],
                            word=tuple(word))
@@ -177,7 +178,7 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
     order = _checked_order(system, order)
     if sum(order) == 0:
         raise ValueError("zero order is the cdf itself; use eval_cdf")
-    _checked_depth(depth)
+    _checked_least("depth", depth, 0)
 
     q = _walk_weights(system, p)
     zero, one = q._unit
@@ -335,22 +336,20 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
     for m in index_set(order):
         if m == zero_order:
             continue
-        source = _source_grid(system, pf, m, out)
+        source = _source_grid(m, out, images)
         total = source.values.copy()
         term = source.values
         sups = [float(np.max(np.abs(term)))]
-        used = 1
         for _ in range(terms - 1):
             term = _averaged(source, term, images)
             total += term
             sups.append(float(np.max(np.abs(term))))
-            used += 1
             if sups[-1] < 1e-12:
                 break
         tail, converged = _tail_estimate(sups)
         out[m] = DerivativeGrid(
-            grid=GridFunction(nodes, total, 0.0, 0.0), order=m, terms=used,
-            tail_estimate=tail, converged=converged)
+            grid=GridFunction(nodes, total, 0.0, 0.0), order=m,
+            terms=len(sups), tail_estimate=tail, converged=converged)
     return out
 
 
@@ -361,17 +360,15 @@ def eval_derivative_grid(system: IFSystem, p: ProbVector, order, nodes,
         tuple(int(v) for v in order)]
 
 
-def _source_grid(system, p, m, grids) -> GridFunction:
-    s = system.branch_count - 1
-    nodes = grids[(0,) * s].grid.nodes
+def _source_grid(m, grids, images) -> GridFunction:
+    """The order-m source on the branch images f_i(nodes) of `_branch_images`:
+    sum_j m_j (D_{m - e_j}(f_j x) - D_{m - e_j}(f_last x))."""
+    nodes = grids[(0,) * len(m)].grid.nodes
     vals = np.zeros_like(nodes)
-    fl = _branch_on_array(system.branch(s + 1), nodes)
-    for j in range(s):
-        if m[j] == 0:
-            continue
-        below = grids[m[:j] + (m[j] - 1,) + m[j + 1:]].grid
-        fj = _branch_on_array(system.branch(j + 1), nodes)
-        vals += m[j] * (below(fj) - below(fl))
+    for j, (_, fj) in enumerate(images[:-1]):
+        if m[j]:
+            below = grids[m[:j] + (m[j] - 1,) + m[j + 1:]].grid
+            vals += m[j] * (below(fj) - below(images[-1][1]))
     return GridFunction(nodes, vals, 0.0, 0.0)
 
 
@@ -398,7 +395,7 @@ def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
     orders, divided by 2^(number of first orders) h^|order|.  The cdf is
     evaluated at the fixed tolerance min(1e-13, 1e-3 h^(|order|+1)), so
     stencil cancellation keeps clear of evaluator noise.  ValueError on an
-    h that is 0 or not finite.
+    h that is 0 or not finite, or that moves a weight out of (0, 1).
     """
     if h == 0 or not math.isfinite(h):
         raise ValueError(f"h must be finite and nonzero, got {h}")
@@ -409,14 +406,14 @@ def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
     tol = min(1e-13, h ** (total + 1) * 1e-3)
     xs = np.asarray(xs, dtype=float)
     free = p.as_floats().free
-
-    def term(stencil):
-        moved = [f + k * h for f, (k, _) in zip(free, stencil)]
-        return math.prod(c for _, c in stencil) * cdf_values(
-            system, ProbVector.of(*moved), xs, tol=tol)
-
-    stencils = itertools.product(*(_STENCILS[n] for n in order))
-    return sum(map(term, stencils)) / (2 ** order.count(1) * h ** total)
+    try:    # (stencil weight, moved weights) per stencil point
+        moved = [(math.prod(c for _, c in st),
+                  ProbVector.of(*[f + k * h for f, (k, _) in zip(free, st)]))
+                 for st in itertools.product(*(_STENCILS[n] for n in order))]
+    except ConfigurationError:
+        raise ValueError(f"h = {h} moves a weight out of (0, 1)") from None
+    return sum(c * cdf_values(system, q, xs, tol=tol) for c, q in moved) \
+        / (2 ** order.count(1) * h ** total)
 
 
 # (offset in steps of h, integer weight) of the central stencil per order

@@ -26,7 +26,7 @@ from .ifs import (
     _apply_branches,
     _birkhoff,
     _branch_on_array,
-    _checked_depth,
+    _checked_least,
     _checked_weights,
     _coding_for,
     _cylinder_maps,
@@ -77,10 +77,11 @@ class GridFunction:
 
 def uniform_grid(system: IFSystem, size: int = 4097,
                  margin: float = 0.25) -> np.ndarray:
-    """Uniform nodes spanning the attractor hull plus a margin on each side,
-    the margin given as a fraction of the hull diameter."""
-    a, b = attractor_hull(system)
-    a, b = float(a), float(b)
+    """Uniform nodes over the attractor hull and a margin on each side, a
+    fraction of the hull diameter above -0.5 (else ValueError)."""
+    if not margin > -0.5:
+        raise ValueError(f"margin must be above -0.5, got {margin}")
+    a, b = (float(t) for t in attractor_hull(system))
     pad = margin * (b - a)
     return np.linspace(a - pad, b + pad, size)
 
@@ -110,7 +111,7 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    _checked_depth(max_depth)
+    _checked_least("max_depth", max_depth, 0)
     a, b = system._coding.hull
     q = _walk_weights(system, p)
     zero, one = q._unit
@@ -163,7 +164,7 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
     depends on the other points of the batch."""
     if not tol >= 0:
         raise ValueError("tol must be 0 or positive")
-    _checked_depth(max_depth)
+    _checked_least("max_depth", max_depth, 0)
     xs = np.asarray(xs, dtype=float)
     if np.isnan(xs).any():
         raise ValueError("x must not be NaN")
@@ -235,11 +236,12 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        path, and each breakpoint is a region of its own.
     3. So fl(A_w y + B_w) is the L-th orbit point of every float y of a
        region: A_w y is exact, and the real sum is that orbit point, a
-       float.  A region's A_w and B_w are read off its first float and a
-       second one after L one-symbol steps: A_w is the ratio of two
-       powers of two, exact, and B_w = y_1 - A_w r_1 is exact because B_w
-       is a float, which `ifs._cylinder_table` checks by an exact error
-       term (Knuth's TwoSum).  A region of one float keeps its point.
+       float.  A region's A_w is the product of the one-symbol slopes
+       along the path of its first float r_1 (a decided step's is 1),
+       powers of two, exact; B_w = y_1 - A_w r_1, y_1 the L-th orbit point
+       of r_1, is exact because B_w is a float, which `ifs._cylinder_table`
+       checks by an exact error term (Knuth's TwoSum).  A region of one
+       float keeps its point (A_w = 0).
     4. By 2, every float of a level-L region takes the path of its first
        float through the one-symbol regions, along which
        `ifs._cylinder_table` gathers the one-symbol decisions into the
@@ -362,8 +364,7 @@ def iterate_transition(system: IFSystem, p: ProbVector, h0: GridFunction,
     pre-floor segment (at least two steps, so n_max >= 2).  A zero residual
     there means the iterates reached the limit: rate 0.0 and R^2 1.0.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    _checked_least("n_max", n_max, 2)
     lim_vals = (h0.boundary_right - h0.boundary_left) \
         * cdf_values(system, p, h0.nodes, tol=1e-14) + h0.boundary_left
     images = _branch_images(system, p, h0.nodes)
@@ -551,15 +552,14 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     The verdict comes from the `_ls_slope` fit of log(seminorm) against n
     over the last half of the run: bounded when |slope| < 1e-3, growing when
     slope > 5e-3 with a positive margin over its standard error.  alpha
-    must lie in (0, 1], n_max be at least 3, so that the fit has two
-    points, and grid_size at least 2.
+    must lie in (0, 1], n_max be at least 3 (a fit needs two points),
+    grid_size at least 2, probe_words at least 0 and margin above -0.5.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    _checked_least("n_max", n_max, 3)
+    _checked_least("grid_size", grid_size, 2)
+    _checked_least("probe_words", probe_words, 0)
     if not system.is_affine:
         raise NotImplementedError("gap probe requires affine branches")
     rng = np.random.default_rng(np.random.Philox(key=seed))

@@ -38,6 +38,7 @@ from holderlab.ifs import (
     _regions,
     _suffix_midpoints,
     _walk,
+    _walk_blocks,
     compactify,
     hull_preimages,
 )
@@ -276,6 +277,80 @@ def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
         np.random.default_rng(3).uniform(a - 0.1, b + 0.1, 500)])
     assert cdf_values(system, p, xs, tol=tol).tolist() \
         == [eval_cdf(system, p, x, tol=tol)[0] for x in xs.tolist()]
+
+
+# Exact-step systems as (slopes, intercepts, open set), each built in floats
+# or in Fractions, whose L-symbol table must match `_reference_cylinders`
+TABLE_SYSTEMS = {
+    "dyadic": ((2, 2), (0, -1), (0, 1)),
+    "four": ((4, 4, 4, 4), (0, -1, -2, -3), (0, 1)),
+    "gapped": ((4, 4), (0, -3), (0, 1)),
+    "eights": ((8, 8, 8), (0, -3, -7), (0, 1)),
+    "mixed": ((2, 4), (0, -3), (0, 1)),
+    "sixteens": ((16, 16), (0, -15), (0, 1)),
+    "half": ((2, 2), (0, Fraction(-1, 2)), (0, Fraction(1, 2))),
+}
+
+
+def _reference_cylinders(system):
+    """The L-symbol table as two floats per region give it: its keys from
+    the float ends of every exact cylinder of L symbols, the first and a
+    second float of each region walked L one-symbol steps, the slope the
+    quotient of the images' difference by the floats' (0 on a region of
+    one float), the intercept the first image minus slope times the first
+    float, and the decisions along the first float's path."""
+    length = max(n for n in range(1, 9) if system.branch_count ** n <= 256)
+    exact = affine_system(*(tuple(map(Fraction, t)) for t in (
+        [br.slope for br in system.branches],
+        [br.intercept for br in system.branches], system.open_set)))
+    ends = {float(t) for w in itertools.product(exact.symbols(), repeat=length)
+            for t in cylinder(exact, w)}
+    keys, firsts = _regions(np.array(sorted(ends)))
+    # the float before the first for region 0, the next float for an even
+    # region when the region holds it, else the first again
+    seconds = np.nextafter(firsts, math.inf)
+    seconds[0] = np.nextafter(firsts[0], -math.inf)
+    seconds[1::2] = firsts[1::2]
+    upper = np.append(keys[2::2], math.inf)
+    seconds[2::2] = np.where(seconds[2::2] < upper, seconds[2::2],
+                             firsts[2::2])
+    step, y, path = system._step, np.concatenate([firsts, seconds]), []
+    for _ in range(length):
+        r = np.searchsorted(step.keys, y, side="right")
+        path.append(r[:firsts.size])
+        y = step.slope[r] * y + step.intercept[r]
+    images, dr = y.reshape(2, -1), seconds - firsts
+    slope = np.divide(images[1] - images[0], dr, out=np.zeros(dr.size),
+                      where=dr != 0)
+    intercept = images[0] + -slope * firsts
+    park, window, inside = (o[0][np.array(path)]
+                            for o in (step.park, step.window, step.inside))
+    walk = None
+    if system._coding.table[1] == step.keys[::2].tolist():
+        walk = _walk_blocks(system, keys, slope, intercept, park, window,
+                            inside)
+    return dict(keys=keys, park=park, window=window, inside=inside,
+                slope=slope, intercept=intercept, walk=walk)
+
+
+@pytest.mark.parametrize("name, num", [
+    ("dyadic", float), ("dyadic", Fraction), ("four", float),
+    ("gapped", float), ("eights", float), ("mixed", float),
+    ("sixteens", float), ("half", Fraction)])
+def test_cylinder_table_matches_the_two_float_reference(name, num):
+    slopes, intercepts, open_set = TABLE_SYSTEMS[name]
+    system = affine_system(*(tuple(map(num, t))
+                             for t in (slopes, intercepts, open_set)))
+    cyl = system._cylinders
+    assert cyl is not None
+    for field, want in _reference_cylinders(system).items():
+        got = getattr(cyl, field)
+        if field == "walk":     # repr tells -0.0 from 0.0
+            assert repr(got) == repr(want)
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), field
+    assert STERBENZ._cylinders is None
 
 
 def test_orbit_right_of_every_window_is_a_gap():

@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import hashlib
+import inspect
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +19,11 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from holderlab import cache, cli
-from holderlab.ifs import system_from_json
+from holderlab.conjugacy import conjugacy_residual, rigidity_report
+from holderlab.exponents import spectrum_experiment
+from holderlab.ifs import ConfigurationError, system_from_json
 from holderlab.takagi import eval_derivative_point
+from holderlab.transition import gap_probe
 
 DYADIC = {
     "branches": [{"slope": 2.0, "intercept": 0.0},
@@ -729,6 +734,57 @@ def test_readme_lists_every_parameter():
         command, name = (c.strip(" `") for c in line.split("|")[1:3])
         listed.setdefault(command, set()).add(name)
     assert listed == {c: set(t) for c, t in cli.PARAMS.items()}
+
+
+# the commands whose parameters pass straight to one library entry point,
+# with small valid arguments for it
+ENTRY_POINTS = {
+    "gap": (gap_probe, dict(alpha=0.5, n_max=3, grid_size=9, probe_words=0)),
+    "conjugacy": (conjugacy_residual, dict(sample_count=4)),
+    "report": (rigidity_report, dict(sample_count=4, grid_sizes=[9])),
+    "exponent": (spectrum_experiment, dict(
+        betas=[0.0], word_len=4, count=2, scales=[1e-2, 1e-3],
+        evaluate=lambda xs: np.sqrt(np.abs(np.asarray(xs, dtype=float))))),
+}
+
+
+def _outside(kind, rng):
+    """The first value outside each bound of a CLI range, and NaN for a
+    number; in a list of one for a list kind."""
+    scalar = kind.removesuffix("[]")
+    values = [math.nan] if scalar == "num" else []
+    for op, bound in (cond.split() for cond in rng.split(",") if cond):
+        base, _, power = bound.partition("**")
+        b = float(base) ** int(power or 1)
+        if scalar == "int":
+            b = int(b)
+            values.append({">=": b - 1, ">": b, "<": b, "<=": b + 1}[op])
+        else:
+            below, above = (math.nextafter(b, d) for d in (-math.inf, math.inf))
+            values.append({">=": below, ">": b, "<": b, "<=": above}[op])
+    return [[v] for v in values] if kind.endswith("[]") else values
+
+
+CLI_REFUSALS = [
+    pytest.param(command, name, value, id=f"{command}-{name}-{value}")
+    for command, (entry, _) in ENTRY_POINTS.items()
+    for name, (kind, _, rng) in cli.PARAMS[command].items()
+    if name in inspect.signature(entry).parameters
+    for value in _outside(kind, rng)
+] + [pytest.param("report", "grid_sizes", [], id="report-grid_sizes-[]")]
+
+
+@pytest.mark.parametrize("command, name, value", CLI_REFUSALS)
+def test_library_refuses_what_the_cli_refuses(command, name, value):
+    # margins of -0.5 and below, NaN or a tol of 0 once gave a result, as
+    # did counts of 0 and empty or one-node grid lists
+    kind, _, rng = cli.PARAMS[command][name]
+    with pytest.raises(ConfigurationError):
+        cli._value(kind, value, rng, name)
+    entry, valid = ENTRY_POINTS[command]
+    system, p, _ = system_from_json(DYADIC)
+    with pytest.raises(ValueError):
+        entry(system, p, **dict(valid, **{name: value}))
 
 
 def test_import_loads_no_scipy():

@@ -104,6 +104,21 @@ def test_scales_must_be_finite_and_above_zero(dyadic, scale):
                             count=2, evaluate=evaluate, scales=scales)
 
 
+def test_emp_exponent_refuses_a_point_that_is_not_finite():
+    # a NaN point fitted a NaN slope without a word
+    evaluate = lambda xs: np.sqrt(np.abs(np.asarray(xs, dtype=float)))
+    for x in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            emp_exponent(evaluate, x, [1e-2, 1e-3])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_typical_refuses_a_count_below_one(dyadic, count):
+    # 0 gave no samples, -1 numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match="count"):
+        sample_typical(dyadic, ProbVector.of(0.3), 0.0, count=count)
+
+
 def test_emp_exponent_fields_are_floats(dyadic, half):
     evaluate = lambda xs: cdf_values(dyadic, half, xs, tol=1e-15)
     est = emp_exponent(evaluate, 0.4371, np.geomspace(1e-6, 1e-2, 5))

@@ -108,6 +108,18 @@ def test_fd_derivative_refuses_a_zero_or_infinite_step(dyadic, h):
         fd_derivative(dyadic, ProbVector.of(0.3), (1,), [0.5], h=h)
 
 
+def test_fd_derivative_names_a_step_that_moves_a_weight_out(dyadic):
+    # the refusal named the moved weights (-0.2, 1.2), not h
+    with pytest.raises(ValueError, match="h = 0.5 moves a weight"):
+        fd_derivative(dyadic, ProbVector.of(0.3), (1,), [0.5], h=0.5)
+
+
+def test_cylinder_increment_refuses_a_box_of_another_length(dyadic):
+    # two components for one free weight raised IndexError
+    with pytest.raises(ValueError, match="components"):
+        cylinder_increment(dyadic, ProbVector.of(0.3), (1, 2), n_max=(1, 1))
+
+
 def test_mixed_partial_three_branches():
     system = affine_system((3.0, 3.0, 3.0), (0.0, -1.0, -2.0), (0.0, 1.0))
     p = ProbVector.of(0.3, 0.3)

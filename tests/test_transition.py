@@ -321,6 +321,15 @@ def test_gap_probe_rejects_bad_inputs(dyadic, quarter):
     for grid_size in (0, 1):
         with pytest.raises(ValueError, match="grid_size"):
             gap_probe(dyadic, quarter, 0.5, n_max=10, grid_size=grid_size)
+    # these margins gave reversed, collapsed or NaN nodes and a verdict from
+    # the cylinder probes alone; -3 probe words ran as 0
+    for margin in (-0.5, -0.7, math.nan):
+        with pytest.raises(ValueError, match="margin"):
+            gap_probe(dyadic, quarter, 0.5, n_max=10, grid_size=129,
+                      margin=margin)
+    with pytest.raises(ValueError, match="probe_words"):
+        gap_probe(dyadic, quarter, 0.5, n_max=10, grid_size=129,
+                  probe_words=-3)
     report = gap_probe(dyadic, quarter, 0.5, n_max=3, grid_size=129)
     assert math.isfinite(report.slope)
 

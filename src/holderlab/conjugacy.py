@@ -83,9 +83,11 @@ def conjugacy_residual(system: IFSystem, p: ProbVector, sample_count: int,
     10 * sample_count + 100 draws.  All arithmetic is in float,
     rational systems and weights included.  Words are drawn, coded and
     compared as arrays of at most SAMPLE_CHUNK words at a time, non-affine
-    branches included.  ValueError unless sample_count is at least 1.
+    branches included.  ValueError unless sample_count is at least 1 and
+    seed at least 0.
     """
     _checked_least("sample_count", sample_count, 1)
+    _checked_least("seed", seed, 0)
     depth = _phi_depth(p, 1e-10)
     weights, left = p._float_weights
     worst = 0.0
@@ -182,7 +184,8 @@ def rigidity_report(system: IFSystem, p: ProbVector, tol: float = 1e-9,
     allows, otherwise it is singular.  The Hoelder seminorm of the cdf at
     the dimension exponent is measured across grid refinements as
     corroboration (bounded in the rigid case, growing otherwise).  ValueError
-    unless tol > 0, sample_count >= 1 and grid_sizes non-empty, each >= 2.
+    unless tol > 0, sample_count >= 1, seed >= 0 and grid_sizes non-empty,
+    each >= 2.
     """
     if not tol > 0:
         raise ValueError(f"tol must be above 0, got {tol}")

@@ -185,10 +185,12 @@ def sample_typical(system: IFSystem, p: ProbVector, beta: float,
     based Philox keyed by `seed`, echoed back for reproducibility.  The
     words are drawn as one (count, word_len) array, and the points, the
     `pi_approx` midpoints of their cylinders, come from `_suffix_midpoints`.
-    Raises ValueError unless count and word_len are at least 1.
+    Raises ValueError unless count and word_len are at least 1 and seed
+    at least 0.
     """
     _checked_least("count", count, 1)
     _checked_least("word_len", word_len, 1)
+    _checked_least("seed", seed, 0)
     q, t_prime = gibbs_weights(system, p, beta)
     draws = _draw(system, q, word_len, count, seed)
     return TypicalSamples(beta=float(beta), alpha_predicted=-t_prime,
@@ -238,11 +240,12 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     order.  So it must be pointwise: the value at a point may not depend on
     which other points share the call.  `cdf_values` is, because every
     point walks its own coding.  Raises ValueError unless count and
-    word_len are at least 1, and, with an evaluator, on a scale that
-    `emp_exponent` refuses.
+    word_len are at least 1 and seed at least 0, and, with an evaluator,
+    on a scale that `emp_exponent` refuses.
     """
     _checked_least("count", count, 1)
     _checked_least("word_len", word_len, 1)
+    _checked_least("seed", seed, 0)
     betas = [float(b) for b in betas]
     if not betas:
         return []

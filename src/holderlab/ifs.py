@@ -189,8 +189,15 @@ class ProbVector:
         return len(self.weights)
 
     def __getitem__(self, symbol: int):
-        """Weight of a 1-based symbol."""
+        """Weight of a 1-based symbol; IndexError outside 1..len(self)."""
+        if not 1 <= symbol <= len(self.weights):
+            raise IndexError(
+                f"symbol {symbol} outside 1..{len(self.weights)}")
         return self.weights[symbol - 1]
+
+    def __iter__(self):
+        """The weights, symbol 1 first, as `tuple` and numpy read them."""
+        return iter(self.weights)
 
     @property
     def free(self) -> tuple:
@@ -460,6 +467,20 @@ def _coding_table(system: IFSystem) -> _Coding:
                    lattice=lattice)
 
 
+class _Events(tuple):
+    """The events (park, sym, gap) of one region of a `_walk` table, in
+    order, and as `symbols` the syms of those that are not a gap (only the
+    last event can be one), which `encode` extends its word by."""
+
+    def __new__(cls, events):
+        self = super().__new__(cls, events)
+        self.symbols = tuple(sym for _, sym, gap in self if not gap)
+        return self
+
+
+_NO_EVENTS = _Events(())
+
+
 def _region_table(hull, windows, maps) -> tuple:
     """The one-symbol region table (1, breaks, regions) of `_walk`.
 
@@ -487,8 +508,8 @@ def _region_table(hull, windows, maps) -> tuple:
                    d + 1)
         gap = sym > d or y < windows[sym - 1][0]
         event = (-1 if y == a else 1 if y == b else 0), sym, gap
-        regions.append((None, None, (event,)) if gap
-                       else (*maps[sym - 1], (event,)))
+        regions.append((None, None, _Events((event,))) if gap
+                       else (*maps[sym - 1], _Events((event,))))
     return 1, breaks, regions
 
 
@@ -740,34 +761,35 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
     """
     _checked_least("depth", depth, 0)
     _check_in_hull(system, x)
-    word = []
-    for _, sym, gap in _walk(*_coding_for(system, x), depth):
-        if gap:
-            return EncodeResult(word=tuple(word), gap=True)
-        word.append(sym)
-    return EncodeResult(word=tuple(word), gap=False)
+    word, events = [], _NO_EVENTS
+    for events in _walk(*_coding_for(system, x), depth):
+        word += events.symbols
+    return EncodeResult(tuple(word), len(events.symbols) < len(events))
 
 
 def _walk(tables: tuple, y, depth: int):
-    """Coding walk of y on the region tables of `_coding_for`: yields
-    (park, sym, gap) for at most depth symbols.
+    """Coding walk of y on the region tables of `_coding_for`: yields the
+    events (park, sym, gap) of at most depth symbols, one tuple of them
+    per region lookup.
 
     Each symbol is decided at the orbit point before its step by the window
     rule of `_region_table`, and every step is one region lookup in a table
     (L, breaks, regions): a `bisect` on the breaks finds y's region, the
-    walk yields its events, stops at a gap and maps y.  Each table, longest
-    first, takes its L symbols per lookup while at least L are left.  An
-    L-symbol table (a float point on a system with an exact-step
-    `_FloatTable`) gives the events of the one-symbol walk and its L-th
-    orbit point, bit for bit (`transition._orbit_tables` proves it); the
-    last table is the one-symbol `_Coding.table`.
+    walk yields the region's events, an `_Events`, and maps y (or stops,
+    at a gap).  Each table, longest first, takes its L symbols per lookup
+    while at least L are left.  An L-symbol table (a float point on a
+    system with an exact-step `_FloatTable`) gives the events of the
+    one-symbol walk and its L-th orbit point, bit for bit
+    (`transition._orbit_tables` proves it); the last table is the
+    one-symbol `_Coding.table`.
     """
     for length, breaks, regions in tables:
+        n = len(breaks)
         while depth >= length:
             i = bisect_left(breaks, y)
             slope, intercept, events = \
-                regions[2 * i + (i < len(breaks) and breaks[i] == y)]
-            yield from events
+                regions[2 * i + 1 if i < n and breaks[i] == y else 2 * i]
+            yield events
             if slope is None:
                 return
             y = slope(y) if intercept is None else slope * y + intercept
@@ -975,7 +997,7 @@ def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
             if parked:                  # on a hull end
                 s, c = 0.0, slopes[k] * ends[parked > 0] + intercepts[k]
                 break
-        regions.append((s, c, tuple(events)))
+        regions.append((s, c, _Events(events)))
     return len(park), keys[::2].tolist(), regions
 
 

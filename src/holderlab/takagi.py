@@ -145,7 +145,7 @@ def cylinder_increment(system: IFSystem, p: ProbVector, word: Sequence[int],
     unless n_max has one non-negative component per free weight.
     """
     n_max = _checked_order(system, (2,) * (system.branch_count - 1)
-                           if n_max is None else n_max)
+                           if n_max is None else n_max, "n_max")
     coc = cocycle_matrix(word, _walk_weights(system, p), n_max)
     return IncrementVector(indices=coc.indices, entries=-coc.matrix[:, 0],
                            word=tuple(word))
@@ -187,52 +187,66 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
         return zero, 0.0
 
     table = _derivative_tables(q, order)
-    columns, tail = table["columns"], table["tail"]
+    columns, siblings = table["columns"], table["siblings"]
+    weights = q.weights
     # row `order` of the prefix step product, the only row read; `order`
     # sorts last in its index box
     r = [zero] * (len(columns[1]) - 1) + [one]
     value, mass = zero, one
-    for park, sym, gap in _walk(*_coding_for(system, x), depth):
-        if park:
-            if park > 0:
-                value = value + _dot(r, tail)
-            return value, 0.0
-        # left siblings, each the zero column of its step; in a gap, the
-        # windows left of y
-        for j in range(1, sym):
-            value = value + _dot(r, columns[j][0])
-        if gap:
-            return value, 0.0
-        r = [_dot(r, col) for col in columns[sym]]
-        mass *= q[sym]
+    for events in _walk(*_coding_for(system, x), depth):
+        for park, sym, gap in events:
+            if park:
+                if park > 0:
+                    value = value + _dot(r, table["tail"])
+                return value, 0.0
+            # left siblings, each the zero column of its step; in a gap,
+            # the windows left of y.  Each sum is `_dot`'s, written out, as
+            # a call per sum costs more than the sum on a short column
+            for k, v, rest in siblings[sym]:
+                t = r[k] * v
+                for k, v in rest:
+                    t = t + r[k] * v
+                value = value + t
+            if gap:
+                return value, 0.0
+            row = []
+            for k, v, rest in columns[sym]:
+                t = r[k] * v
+                for k, v in rest:
+                    t = t + r[k] * v
+                row.append(t)
+            r = row
+            mass *= weights[sym - 1]
     err = table["growth"] * float(mass) * max(depth, 1) ** sum(order)
     return value, err
 
 
-def _dot(row, entries):
-    """row[k] * v summed over the (k, v) entries, left to right from the
-    first term; entries is never empty."""
-    total = None
-    for k, v in entries:
-        term = row[k] * v
-        total = term if total is None else total + term
+def _dot(row, column):
+    """row[k] * v summed over the nonzero entries (k, v) of a `_column`,
+    left to right from the first term."""
+    k, v, rest = column
+    total = row[k] * v
+    for k, v in rest:
+        total = total + row[k] * v
     return total
 
 
-def _entries(column) -> tuple:
-    """The nonzero entries of a column as (index, entry) pairs of plain
-    numbers, in index order."""
-    return tuple((k, v) for k, v in enumerate(column.tolist()) if v)
+def _column(column) -> tuple:
+    """The nonzero entries (k, v) of a column as plain numbers in index
+    order, split as (k, v, rest): the first entry, which every column of
+    a step and the parked tail have, and the entries after it."""
+    (k, v), *rest = ((k, v) for k, v in enumerate(column.tolist()) if v)
+    return k, v, tuple(rest)
 
 
 def _derivative_tables(q: ProbVector, n_max: tuple) -> dict:
     """Everything the coding walk reads about one weight vector and index
     box, built once per ProbVector instance in q's own arithmetic: the
-    step matrices ("steps", read-only arrays), the nonzero entries of each
-    step's columns ("columns": per symbol, per column, by `_entries`; the
-    first is the zero column), those of the parked-endpoint tail ("tail")
-    and the growth constant ("growth"), which is a float and comes from
-    q's float twin."""
+    step matrices ("steps", read-only arrays); per symbol the columns of
+    its step ("columns") and the zero columns of the steps of the symbols
+    below it ("siblings"), and the parked-endpoint tail ("tail"), each by
+    `_column`; and the growth constant ("growth"), which is a float and
+    comes from q's float twin."""
     key = ("derivative", n_max)
     table = q._memo.get(key)
     if table is None:
@@ -256,8 +270,13 @@ def _derivative_tables(q: ProbVector, n_max: tuple) -> dict:
             growth = float(growth.max())
         table = q._memo[key] = {
             "steps": steps,
-            "columns": {i: tuple(map(_entries, m.T)) for i, m in steps.items()},
-            "tail": _entries(tail), "growth": growth}
+            "columns": {i: tuple(map(_column, m.T))
+                        for i, m in steps.items()},
+            # a gap right of every window has the symbol s + 2
+            "siblings": {i: tuple(_column(steps[j][:, 0])
+                                  for j in range(1, i))
+                         for i in range(1, len(steps) + 2)},
+            "tail": _column(tail), "growth": growth}
     return table
 
 
@@ -420,13 +439,14 @@ def fd_derivative(system: IFSystem, p: ProbVector, order: Sequence[int], xs,
 _STENCILS = {0: ((0, 1),), 1: ((1, 1), (-1, -1)), 2: ((1, 1), (0, -2), (-1, 1))}
 
 
-def _checked_order(system: IFSystem, order: Sequence[int]) -> tuple:
+def _checked_order(system: IFSystem, order: Sequence[int],
+                   name: str = "order") -> tuple:
     """The multi-index as a tuple of ints, one per free weight; ValueError
-    on a wrong length or a negative component."""
+    on a wrong length, naming the argument, or on a negative component."""
     order = _checked_box(order)
     s = system.branch_count - 1
     if len(order) != s:
-        raise ValueError(f"order needs {s} components, got {len(order)}")
+        raise ValueError(f"{name} needs {s} components, got {len(order)}")
     return order
 
 

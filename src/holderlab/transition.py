@@ -78,7 +78,9 @@ class GridFunction:
 def uniform_grid(system: IFSystem, size: int = 4097,
                  margin: float = 0.25) -> np.ndarray:
     """Uniform nodes over the attractor hull and a margin on each side, a
-    fraction of the hull diameter above -0.5 (else ValueError)."""
+    fraction of the hull diameter above -0.5; ValueError unless size is at
+    least 2 and the margin in range."""
+    _checked_least("size", size, 2)
     if not margin > -0.5:
         raise ValueError(f"margin must be above -0.5, got {margin}")
     a, b = (float(t) for t in attractor_hull(system))
@@ -124,23 +126,27 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     d, weights, left = num or (1, q.weights, q._left)
     acc, mass = (0, 1) if num else (zero, one)
     scale = 1
-    for park, sym, gap in _walk(*_coding_for(system, x), max_depth):
-        if float(mass / scale) <= tol:
-            break
-        if park:
-            # parked on a hull end: all of the mass drifts down at the
-            # left one, up at the right one
-            if park > 0:
-                acc += mass
-            mass = 0
-            break
-        # in a gap, the branches whose windows lie left of y escape up
-        acc = acc * d + mass * left[sym - 1]
-        scale *= d
-        if gap:
-            mass = 0
-            break
-        mass *= weights[sym - 1]
+    for events in _walk(*_coding_for(system, x), max_depth):
+        for park, sym, gap in events:
+            if float(mass / scale) <= tol:
+                break
+            if park:
+                # parked on a hull end: all of the mass drifts down at the
+                # left one, up at the right one
+                if park > 0:
+                    acc += mass
+                mass = 0
+                break
+            # in a gap, the branches whose windows lie left of y escape up
+            acc = acc * d + mass * left[sym - 1]
+            scale *= d
+            if gap:
+                mass = 0
+                break
+            mass *= weights[sym - 1]
+        else:
+            continue
+        break
     return (Fraction(acc, scale) if num else acc), float(mass / scale)
 
 
@@ -553,13 +559,17 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     over the last half of the run: bounded when |slope| < 1e-3, growing when
     slope > 5e-3 with a positive margin over its standard error.  alpha
     must lie in (0, 1], n_max be at least 3 (a fit needs two points),
-    grid_size at least 2, probe_words at least 0 and margin above -0.5.
+    grid_size at least 2, probe_words at least 0, margin above -0.5 and
+    seed in 0 .. 2**128 - 1, the Philox keys.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     _checked_least("n_max", n_max, 3)
     _checked_least("grid_size", grid_size, 2)
     _checked_least("probe_words", probe_words, 0)
+    _checked_least("seed", seed, 0)
+    if not seed < 2 ** 128:
+        raise ValueError(f"seed must be below 2**128, got {seed}")
     if not system.is_affine:
         raise NotImplementedError("gap probe requires affine branches")
     rng = np.random.default_rng(np.random.Philox(key=seed))

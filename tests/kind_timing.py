@@ -1,0 +1,118 @@
+"""Per-kind time ratios of two checkouts on one benchmark workload.
+
+Pytest does not collect this file (its name does not match `test_*.py`).
+Run it from any checkout with the two checkouts to compare, old first:
+
+    python tests/kind_timing.py OLD NEW pointwise 1 2 3 4
+
+It copies each checkout's `src/holderlab` into a temporary directory under
+its own package name, imports both into this one process, and runs every
+job of `perfbench.workloads.build_rounds(workload, seed)` on both copies
+back to back, twice each, in the order old, new, new, old on even jobs and
+new, old, old, new on odd jobs.  A machine whose speed drifts between
+minutes slows both copies' runs of a job alike, so the ratios below keep
+little of that drift.  The jobs run through this checkout's
+`perfbench.workloads.execute`, with its module global `hl` pointed at one
+copy for each run; no file is written outside the temporary directory,
+and the oracles are not run.
+
+It prints, per (kind, system), the job count, the summed job times of each
+copy (both runs of each job) and their ratio new/old, then the ratio of
+the whole time, of the median job time and of the workload's tail
+percentile of job time (`perfbench.run.TAIL_PCT`).
+"""
+
+from __future__ import annotations
+
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+NAMES = ("holderlab_old", "holderlab_new")
+
+
+def load_copies(checkouts, tmp: Path) -> list:
+    """The package of each checkout's `src/holderlab`, copied into tmp and
+    imported under its name in NAMES."""
+    sys.path.insert(0, str(tmp))
+    packages = []
+    for name, checkout in zip(NAMES, checkouts):
+        shutil.copytree(Path(checkout) / "src" / "holderlab", tmp / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        packages.append(importlib.import_module(name))
+    return packages
+
+
+def job_times(workloads, packages, workload: str, seeds) -> list:
+    """((kind, system), old seconds, new seconds) of every job of the seeds
+    in turn, each job run twice on both packages, back to back."""
+    rows = []
+    n = 0
+    for seed in seeds:
+        for jobs in workloads.build_rounds(workload, int(seed)):
+            for job in jobs:
+                times = [0.0, 0.0]
+                for side in ((0, 1, 1, 0) if n % 2 == 0 else (1, 0, 0, 1)):
+                    workloads.hl = packages[side]
+                    start = time.perf_counter()
+                    try:
+                        workloads.execute(job, workloads.EvaluateStats())
+                    except Exception:  # noqa: BLE001 - a raise is timed too
+                        pass
+                    times[side] += time.perf_counter() - start
+                n += 1
+                system = job.params.get(
+                    "system", "bent" if "nonaffine" in job.kind else "-")
+                rows.append(((job.kind, system), *times))
+    return rows
+
+
+def report(rows, tail_pct: int) -> None:
+    groups = defaultdict(lambda: [0, 0.0, 0.0])
+    for key, old, new in rows:
+        g = groups[key]
+        g[0] += 1
+        g[1] += old
+        g[2] += new
+    print(f"{'kind':24} {'system':8} {'jobs':>5} {'old ms':>9} "
+          f"{'new ms':>9} {'new/old':>8}")
+    for (kind, system), (count, old, new) in sorted(groups.items()):
+        print(f"{kind:24} {system:8} {count:5d} {old * 1e3:9.1f} "
+              f"{new * 1e3:9.1f} {new / old:8.3f}")
+    old = [r[1] for r in rows]
+    new = [r[2] for r in rows]
+    print(f"total   {sum(new) / sum(old):.3f}")
+    print(f"p50     {statistics.median(new) / statistics.median(old):.3f}")
+    print(f"p{tail_pct}     "
+          f"{np.percentile(new, tail_pct) / np.percentile(old, tail_pct):.3f}")
+
+
+def main(argv) -> int:
+    if len(argv) < 4:
+        print("usage: kind_timing.py OLD NEW WORKLOAD SEED [SEED ...]",
+              file=sys.stderr)
+        return 2
+    old, new, workload, *seeds = argv
+    with tempfile.TemporaryDirectory() as tmp:
+        packages = load_copies((old, new), Path(tmp))
+        # perfbench.workloads imports holderlab by name: let it find a copy
+        sys.modules["holderlab"] = packages[0]
+        sys.path.insert(0, str(ROOT))
+        from perfbench import workloads
+        from perfbench.run import TAIL_PCT
+
+        rows = job_times(workloads, packages, workload, seeds)
+    report(rows, TAIL_PCT[workload])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

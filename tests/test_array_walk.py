@@ -361,7 +361,8 @@ def test_orbit_right_of_every_window_is_a_gap():
     x = 0.5884023590727551
     b = float(attractor_hull(system)[1])
     assert x == hull_preimages(system)[0][1] and 3 * x > b
-    (_, first, _), (park, sym, gap) = _walk(*_coding_for(system, x), 2)
+    (_, first, _), (park, sym, gap) = itertools.chain.from_iterable(
+        _walk(*_coding_for(system, x), 2))
     assert (first, park, sym, gap) == (1, 0, 3, True)
     step = system._step
     r = np.searchsorted(step.keys, 3 * x, side="right")
@@ -859,14 +860,15 @@ def test_one_symbol_table_is_the_first_step_of_eval_cdf(name, free):
     for r, first in enumerate(firsts.tolist()):
         if not filled[r]:
             continue
-        park, sym, gap = next(_walk((system._coding.table,), first, 1))
+        park, sym, gap = next(itertools.chain.from_iterable(
+            _walk((system._coding.table,), first, 1)))
         assert (step.park[0][r], step.window[0][r] + 1, step.inside[0][r]) \
             == (park, sym, not gap), first
         # -0.0 compares as 0.0, and a map that keeps it is the identity
         for y in [first, math.nextafter(first, lasts[r]), lasts[r].item()] \
                 + [-0.0] * (first == 0):
-            assert next(_walk((system._coding.table,), y, 1)) \
-                == (park, sym, gap), y
+            assert next(itertools.chain.from_iterable(
+                _walk((system._coding.table,), y, 1))) == (park, sym, gap), y
             if step.slope is None:
                 continue
             moved = system.branch(sym)(y) if not (gap or park) else y

@@ -783,7 +783,8 @@ def test_library_refuses_what_the_cli_refuses(command, name, value):
         cli._value(kind, value, rng, name)
     entry, valid = ENTRY_POINTS[command]
     system, p, _ = system_from_json(DYADIC)
-    with pytest.raises(ValueError):
+    # an out-of-range seed reached numpy, whose message does not name it
+    with pytest.raises(ValueError, match="seed" if name == "seed" else None):
         entry(system, p, **dict(valid, **{name: value}))
 
 

@@ -119,6 +119,15 @@ def test_sample_typical_refuses_a_count_below_one(dyadic, count):
         sample_typical(dyadic, ProbVector.of(0.3), 0.0, count=count)
 
 
+def test_sampling_refuses_a_negative_seed(dyadic):
+    # numpy's Philox said "expected non-negative integer"
+    p = ProbVector.of(0.3)
+    with pytest.raises(ValueError, match="seed"):
+        sample_typical(dyadic, p, 0.0, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        spectrum_experiment(dyadic, p, [0.0], seed=-1)
+
+
 def test_emp_exponent_fields_are_floats(dyadic, half):
     evaluate = lambda xs: cdf_values(dyadic, half, xs, tol=1e-15)
     est = emp_exponent(evaluate, 0.4371, np.geomspace(1e-6, 1e-2, 5))

@@ -263,6 +263,20 @@ def test_probvector_basics():
     assert pr.as_floats().weights == (0.25, 0.75)
 
 
+def test_probvector_reads_its_weights_and_no_other():
+    # p[0] was the last weight, so iteration and numpy read one weight too
+    # many: (0.7, 0.3, 0.7)
+    p = ProbVector.of(0.3)
+    assert tuple(p) == (0.3, 0.7)
+    assert np.asarray(p).tolist() == [0.3, 0.7]
+    exact = ProbVector.of(Fraction(3, 10))
+    assert tuple(exact) == (Fraction(3, 10), Fraction(7, 10))
+    for q in (p, exact):
+        for bad in (0, 3, -1):
+            with pytest.raises(IndexError, match="symbol"):
+                q[bad]
+
+
 @pytest.mark.parametrize("p", [ProbVector.of(0.5),
                                ProbVector.of(Fraction(1, 3), Fraction(1, 6))])
 def test_left_mass_of_every_symbol_and_no_other(p):

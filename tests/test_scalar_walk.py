@@ -10,6 +10,7 @@ and without that table."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +30,13 @@ from holderlab import (
     encode,
     eval_cdf,
     eval_derivative_point,
+    growth_constant,
     phi,
+    step_matrix,
 )
+from holderlab import ifs
 from holderlab.ifs import _coding_for, _walk, hull_preimages
+from holderlab.takagi import _parked_tail
 from test_array_walk import EXACT_STEP, _exact_step_system, _level_breakpoints
 from test_walk_tables import rational_system
 
@@ -130,7 +135,8 @@ def test_block_walk_keeps_the_one_symbol_bits(case, depth, tol):
     assert tables == (system._cylinders.walk, system._coding.table)
     events = list(reference_events(system, x, depth))
     # the walk eval_derivative_point reads, and the events of every other
-    assert list(_walk(tables, y, depth)) == events
+    assert list(itertools.chain.from_iterable(_walk(tables, y, depth))) \
+        == events
     a, b = (float(t) for t in attractor_hull(system))
     if a <= x <= b:
         gap = bool(events) and events[-1][2]
@@ -284,7 +290,7 @@ def test_walk_is_the_window_rule_on_every_table(case, depth):
     # rational points of integer-slope systems walk on the integers
     lattice = isinstance(x, Fraction) and name.startswith("exact")
     assert (type(y) is int) == lattice
-    assert list(_walk(tables, y, depth)) \
+    assert list(itertools.chain.from_iterable(_walk(tables, y, depth))) \
         == list(reference_events(system, x, depth))
 
 
@@ -296,8 +302,194 @@ def test_float_point_on_a_rational_system_walks_the_exact_edges():
     # the point inside window 2
     system = TABLE_SYSTEMS["exact cantor"]
     x = 2 / 3
-    assert list(_walk(*_coding_for(system, x), 5)) == [(0, 2, True)]
+    assert list(itertools.chain.from_iterable(
+        _walk(*_coding_for(system, x), 5))) == [(0, 2, True)]
     step = system._step
     r = np.searchsorted(step.keys, x, side="right")
     assert (step.window[0][r], step.inside[0][r], step.park[0][r]) \
         == (1, True, 0)
+
+
+# the walk takes one region lookup at a time, and each of its three
+# consumers takes one lookup's events at a time: every output keeps the
+# bits of one event at a time, written out here in the walk's arithmetic
+EVALUATOR_SYSTEMS = dict(TABLE_SYSTEMS, **{
+    "dyadic": _exact_step_system("dyadic"),
+    "exact dyadic": rational_system("dyadic"),
+    # fl(3x) at the right edge of window 1 lies one float above the hull's
+    # right end b: a gap of the symbol past the last window, whose left
+    # siblings are the zero columns of every step
+    "escape": affine_system((3.0, 2.0), (0.0, -1.765207077218265),
+                            (0.0, 1.990870174183882))})
+ESCAPE_X = 0.5884023590727551
+
+
+def reference_encode(system, x, depth):
+    events = list(reference_events(system, x, depth))
+    gap = bool(events) and events[-1][2]
+    return tuple(sym for _, sym, _ in events[:len(events) - gap]), gap
+
+
+def reference_exact_cdf(system, q, x, tol, depth):
+    """eval_cdf over the reference events in q's own arithmetic."""
+    zero, one = q._unit
+    a, b = attractor_hull(system)
+    if x <= a:
+        return zero, 0.0
+    if x >= b:
+        return one, 0.0
+    acc, mass = zero, one
+    for park, sym, gap in reference_events(system, x, depth):
+        if float(mass) <= tol:
+            break
+        if park:
+            acc, mass = (acc + mass if park > 0 else acc), zero
+            break
+        acc = acc + mass * q._left[sym - 1]
+        if gap:
+            mass = zero
+            break
+        mass = mass * q.weights[sym - 1]
+    return acc, float(mass)
+
+
+def reference_dot(row, column):
+    """row[k] * column[k] over the nonzero entries, added left to right
+    from the first term: the order of `takagi._dot`."""
+    total = None
+    for k, v in enumerate(column):
+        if v:
+            term = row[k] * v
+            total = term if total is None else total + term
+    return total
+
+
+def reference_derivative(system, p, q, order, x, depth):
+    """eval_derivative_point over the reference events in q's own
+    arithmetic, one event at a time."""
+    s = len(order)
+    steps = {i: step_matrix(i, q, order) for i in range(1, s + 2)}
+    columns = {i: m.T.tolist() for i, m in steps.items()}
+    tail = _parked_tail(steps[s + 1],
+                        sum(steps[j][:, 0] for j in range(1, s + 1))).tolist()
+    zero, one = q._unit
+    a, b = attractor_hull(system)
+    if x <= a or x >= b:
+        return zero, 0.0
+    r = [zero] * (len(tail) - 1) + [one]
+    value, mass = zero, one
+    for park, sym, gap in reference_events(system, x, depth):
+        if park:
+            return (value + reference_dot(r, tail) if park > 0
+                    else value), 0.0
+        for j in range(1, sym):
+            value = value + reference_dot(r, columns[j][0])
+        if gap:
+            return value, 0.0
+        r = [reference_dot(r, col) for col in columns[sym]]
+        mass = mass * q.weights[sym - 1]
+    return value, growth_constant(system, p, order) * float(mass) \
+        * max(depth, 1) ** sum(order)
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A system of EVALUATOR_SYSTEMS, weights in 64ths (Fractions on a
+    rational system, or floats), an order of the system's weight count and
+    a point as in `table_cases` or a dyadic float, whose orbit under 2x and
+    2x - 1 parks on the hull end 1."""
+    name = draw(st.sampled_from(sorted(EVALUATOR_SYSTEMS)))
+    system = EVALUATOR_SYSTEMS[name]
+    s = system.branch_count - 1
+    free = draw(st.lists(st.integers(1, 63 // (s + 1)), min_size=s,
+                         max_size=s))
+    exact = system.is_rational and draw(st.booleans())
+    p = ProbVector.of(*(Fraction(f, 64) if exact else f / 64 for f in free))
+    order = draw(st.sampled_from([(1,), (2,)] if s == 1 else [(1, 1), (2, 1)]))
+    a, b = attractor_hull(system)
+    ends = _table_ends(system)
+    if system.is_rational and draw(st.booleans()):
+        x = draw(st.one_of(
+            st.sampled_from(ends),
+            st.fractions(a - Fraction(1, 10), b + Fraction(1, 10),
+                         max_denominator=10 ** 4)))
+    else:
+        x = draw(st.one_of(
+            st.floats(float(a) - 0.1, float(b) + 0.1),
+            st.builds(near, st.sampled_from([float(t) for t in ends]),
+                      st.integers(-3, 3)),
+            st.integers(1, 2 ** 60 - 1).map(lambda k: k / 2 ** 60)))
+    return name, p, order, x
+
+
+def _same(got, want):
+    return got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=evaluator_cases(), depth=st.integers(0, 160),
+       tol=st.sampled_from([1e-3, 1e-12, 1e-300]))
+# parked on 1 after 51 symbols, with 99 left of the depth
+@example(case=("dyadic", ProbVector.of(0.3), (2,), 0.5 + 2 ** -50),
+         depth=150, tol=1e-300)
+@example(case=("gaps3", ProbVector.of(0.25, 0.5), (2, 1), 0.5), depth=90,
+         tol=1e-300)
+@example(case=("exact gaps3", ProbVector.of(Fraction(1, 4), Fraction(1, 2)),
+               (1, 1), Fraction(1, 2)), depth=90, tol=1e-300)
+@example(case=("bent", ProbVector.of(0.3), (1,), 0.75), depth=80, tol=1e-12)
+@example(case=("escape", ProbVector.of(0.3), (1,), ESCAPE_X), depth=2,
+         tol=1e-300)
+@example(case=("escape", ProbVector.of(0.3), (2,), ESCAPE_X), depth=2,
+         tol=1e-300)
+def test_evaluators_keep_the_bits_of_one_event_at_a_time(case, depth, tol):
+    name, p, order, x = case
+    system = EVALUATOR_SYSTEMS[name]
+    q = p if system.is_rational and p.is_rational else p.as_floats()
+    a, b = attractor_hull(system)
+    if a <= x <= b:
+        got = encode(system, x, depth)
+        assert (got.word, got.gap) == reference_encode(system, x, depth)
+        assert all(type(sym) is int for sym in got.word)
+    else:
+        with pytest.raises(OutsideHullError):
+            encode(system, x, depth)
+    assert _same(eval_cdf(system, p, x, tol=tol, max_depth=depth),
+                 reference_exact_cdf(system, q, x, tol, depth))
+    assert _same(eval_derivative_point(system, p, order, x, depth=depth),
+                 reference_derivative(system, p, q, order, x, depth))
+
+
+def test_a_parked_point_ends_the_evaluators_walk(monkeypatch):
+    # a float orbit of 2x, 2x - 1 parks on the hull end 1 within 53
+    # symbols plus the size of its binary exponent; eval_cdf and
+    # eval_derivative_point return at the first park event, so a depth of
+    # 10**9 takes the lookups that reach the park and builds nothing of its
+    # length
+    system = _exact_step_system("dyadic")
+    lookups = []
+    bisect_left = ifs.bisect_left
+    monkeypatch.setattr(ifs, "bisect_left",
+                        lambda *args: lookups.append(args) or bisect_left(
+                            *args))
+    p = ProbVector.of(0.3)
+    # the walk and derivative tables are built once, before any is traced
+    eval_cdf(system, p, 0.75, tol=1e-300, max_depth=1)
+    eval_derivative_point(system, p, (1,), 0.75, depth=1)
+    for x in (0.75, 1 - 2 ** -8, 0.5 + 2 ** -50, 1 - 2 ** -53):
+        lookups.clear()
+        tracemalloc.start()
+        try:
+            cdf = eval_cdf(system, p, x, tol=1e-300, max_depth=10 ** 9)
+            derivative = eval_derivative_point(system, p, (1,), x,
+                                               depth=10 ** 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 5, x
+        # at most 7 lookups of 8 symbols reach the park, in each evaluator
+        assert len(lookups) <= 2 * 7, x
+        assert cdf == reference_cdf(system, p, x, 1e-300, 100), x
+        assert cdf[1] == 0.0 and derivative[1] == 0.0, x
+        assert derivative == reference_derivative(system, p, p, (1,), x,
+                                                  100), x
+

@@ -115,8 +115,9 @@ def test_fd_derivative_names_a_step_that_moves_a_weight_out(dyadic):
 
 
 def test_cylinder_increment_refuses_a_box_of_another_length(dyadic):
-    # two components for one free weight raised IndexError
-    with pytest.raises(ValueError, match="components"):
+    # two components for one free weight raised IndexError, then named
+    # `order`
+    with pytest.raises(ValueError, match="n_max needs 1 components"):
         cylinder_increment(dyadic, ProbVector.of(0.3), (1, 2), n_max=(1, 1))
 
 

@@ -133,6 +133,13 @@ def test_cdf_grid_and_uniform_grid(dyadic, quarter):
     assert np.all(np.diff(g.values) >= 0)
 
 
+@pytest.mark.parametrize("size", [1, 0, -3])
+def test_uniform_grid_refuses_a_size_below_two(dyadic, size):
+    # size 1 gave the one node -0.25, size 0 an empty array
+    with pytest.raises(ValueError, match="size"):
+        uniform_grid(dyadic, size)
+
+
 def test_iterate_transition_contracts(dyadic, quarter):
     nodes = np.linspace(-0.25, 1.25, 1025)
     start = GridFunction(nodes, np.clip(nodes, 0, 1), 0.0, 1.0)

@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -316,11 +316,10 @@ class IFSystem:
 
     @cached_property
     def _float_walk(self) -> tuple:
-        """The region tables of `_walk` that a float point walks on, longest
-        first: the L-symbol table's, when the scalar walk reads it, then the
-        system's own one-symbol table."""
-        walk = self._cylinders and self._cylinders.walk
-        return (walk, self._coding.table) if walk else (self._coding.table,)
+        """The region table of `_walk` that a float point walks on: the
+        L-symbol table's, when the scalar walk reads it, else the system's
+        own one-symbol table."""
+        return self._cylinders and self._cylinders.walk or self._coding.table
 
     @cached_property
     def _float_maps(self) -> tuple:
@@ -469,20 +468,19 @@ def _coding_table(system: IFSystem) -> _Coding:
 
 class _Events(tuple):
     """The events (park, sym, gap) of one region of a `_walk` table, in
-    order, and as `symbols` the syms of those that are not a gap (only the
-    last event can be one), which `encode` extends its word by."""
+    order.  A region of `_FloatTable.walk` also holds as `prefixes` the
+    `_Events` of its first k events, k = 0 .. len - 1, which `_walk` yields
+    when k symbols are left."""
 
-    def __new__(cls, events):
-        self = super().__new__(cls, events)
-        self.symbols = tuple(sym for _, sym, gap in self if not gap)
-        return self
-
-
-_NO_EVENTS = _Events(())
+    @cached_property
+    def symbols(self) -> tuple:
+        """The syms of the events that are not a gap (only the last event
+        can be one), which `encode` extends its word by."""
+        return tuple(sym for _, sym, gap in self if not gap)
 
 
 def _region_table(hull, windows, maps) -> tuple:
-    """The one-symbol region table (1, breaks, regions) of `_walk`.
+    """The one-symbol region table (breaks, regions) of `_walk`.
 
     The window rule decides a symbol at y: park is -1 on the hull's left
     end, 1 on its right end, else 0; sym is the first window whose right
@@ -510,7 +508,7 @@ def _region_table(hull, windows, maps) -> tuple:
         event = (-1 if y == a else 1 if y == b else 0), sym, gap
         regions.append((None, None, _Events((event,))) if gap
                        else (*maps[sym - 1], _Events((event,))))
-    return 1, breaks, regions
+    return breaks, regions
 
 
 def _checked_weights(system: IFSystem, p: ProbVector) -> ProbVector:
@@ -533,25 +531,28 @@ _LATTICE_TABLES = 64
 
 
 def _coding_for(system: IFSystem, x):
-    """The region tables of `_walk` to walk x on, longest first, and x in
-    their coordinates.
+    """The region table of `_walk` to walk x on, and x in its coordinates.
 
-    A rational x on a rational system with integer slopes has its orbit on
-    the lattice (1/Q)Z, Q the least common multiple of the denominators of
-    x and of the intercepts.  Its walk runs on the integers N = y Q, with a
-    table per Q: windows [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and
-    hull endpoints a Q (a non-integer one is never met).  A float x walks on
-    `IFSystem._float_walk` (exact edges on a rational system), every other
-    x on the system's own table.  A NaN x raises ValueError: it passes
-    every hull test and would walk right of every window.
+    A float x on a rational system is the rational Fraction(x), which it
+    equals, and walks exactly as that Fraction does.  A rational x on a
+    rational system with integer slopes has its orbit on the lattice
+    (1/Q)Z, Q the least common multiple of the denominators of x and of
+    the intercepts.  Its walk runs on the integers N = y Q, with a table
+    per Q: windows [ceil(u Q), floor(v Q)], maps N -> a N + b Q, and hull
+    endpoints a Q (a non-integer one is never met).  A float x on any
+    other system walks on `IFSystem._float_walk`, every other x on the
+    system's own table.  A NaN x raises ValueError: it passes every hull
+    test and would walk right of every window.
     """
     if x != x:
         raise ValueError("x must not be NaN")
     if isinstance(x, float):
-        return system._float_walk, x
+        if not system.is_rational:
+            return system._float_walk, x
+        x = Fraction(x)
     coding = system._coding
     if not isinstance(x, (int, Fraction)) or coding.lattice is None:
-        return (coding.table,), x
+        return coding.table, x
     q = math.lcm(coding.lattice, x.denominator)
     memo = _system_tables(system).setdefault("lattice", {})
     table = memo.get(q)
@@ -559,7 +560,7 @@ def _coding_for(system: IFSystem, x):
         if len(memo) >= _LATTICE_TABLES:
             memo.clear()
         table = memo[q] = _scaled_table(system, q)
-    return (table,), x.numerator * (q // x.denominator)
+    return table, x.numerator * (q // x.denominator)
 
 
 def _scaled_table(system: IFSystem, q: int) -> tuple:
@@ -707,7 +708,12 @@ def _checked_word(word, count: int) -> tuple:
 
 
 def _checked_least(name: str, value, low) -> None:
-    """ValueError naming the argument unless value >= low (a NaN is not)."""
+    """ValueError naming the argument unless value is an integer (one that
+    `operator.index` takes) of at least low."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if not value >= low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
 
@@ -756,44 +762,46 @@ def encode(system: IFSystem, x, depth: int) -> EncodeResult:
 
     Ties at shared cylinder endpoints resolve to the smaller branch index.
     A point inside a gap of the attractor gets the word of the deepest
-    cylinder containing it and gap=True.  A NaN x or a negative depth
-    raises ValueError.
+    cylinder containing it and gap=True.  A NaN x, or a depth that is not
+    an integer of at least 0, raises ValueError.
     """
     _checked_least("depth", depth, 0)
     _check_in_hull(system, x)
-    word, events = [], _NO_EVENTS
+    word, events = [], ()
     for events in _walk(*_coding_for(system, x), depth):
         word += events.symbols
-    return EncodeResult(tuple(word), len(events.symbols) < len(events))
+    # only the last event can be a gap
+    return EncodeResult(tuple(word), bool(events) and events[-1][2])
 
 
-def _walk(tables: tuple, y, depth: int):
-    """Coding walk of y on the region tables of `_coding_for`: yields the
+def _walk(table: tuple, y, depth: int):
+    """Coding walk of y on the region table of `_coding_for`: yields the
     events (park, sym, gap) of at most depth symbols, one tuple of them
     per region lookup.
 
     Each symbol is decided at the orbit point before its step by the window
-    rule of `_region_table`, and every step is one region lookup in a table
-    (L, breaks, regions): a `bisect` on the breaks finds y's region, the
+    rule of `_region_table`, and every step is one region lookup in the
+    table (breaks, regions): a `bisect` on the breaks finds y's region, the
     walk yields the region's events, an `_Events`, and maps y (or stops,
-    at a gap).  Each table, longest first, takes its L symbols per lookup
-    while at least L are left.  An L-symbol table (a float point on a
-    system with an exact-step `_FloatTable`) gives the events of the
-    one-symbol walk and its L-th orbit point, bit for bit
-    (`transition._orbit_tables` proves it); the last table is the
-    one-symbol `_Coding.table`.
+    at a gap).  A region of the one-symbol tables holds one event; one of
+    an L-symbol table (`_FloatTable.walk`, a float point on a system with
+    an exact-step `_FloatTable`) holds the events of the one-symbol walk up
+    to its L-th orbit point, bit for bit (`transition._orbit_tables` proves
+    it).  When fewer symbols are left than the region holds, the walk
+    yields its first ones, `_Events.prefixes`, and stops: every float of
+    the region takes that one path.
     """
-    for length, breaks, regions in tables:
-        n = len(breaks)
-        while depth >= length:
-            i = bisect_left(breaks, y)
-            slope, intercept, events = \
-                regions[2 * i + 1 if i < n and breaks[i] == y else 2 * i]
-            yield events
-            if slope is None:
-                return
-            y = slope(y) if intercept is None else slope * y + intercept
-            depth -= len(events)
+    breaks, regions = table
+    n = len(breaks)
+    while depth > 0:
+        i = bisect_left(breaks, y)
+        slope, intercept, events = \
+            regions[2 * i + 1 if i < n and breaks[i] == y else 2 * i]
+        depth -= len(events)
+        yield events if depth >= 0 else events.prefixes[depth]
+        if slope is None:
+            return
+        y = slope(y) if intercept is None else slope * y + intercept
 
 
 def _branch_on_array(br: Branch, y: np.ndarray) -> np.ndarray:
@@ -856,10 +864,12 @@ class _FloatTable:
 
     walk is set on an L-symbol table when the system's own coding table
     has the breaks of its float image, which the scalar walk compares with
-    exactly: the region table (L, t, regions) of `_walk`, each region with
+    exactly: the region table (t, regions) of `_walk`, each region with
     its slope, intercept and the events (park, sym, gap) of its decisions
     up to a gap (then slope None) or a parking (then slope 0 and as
-    intercept the hull end's one-symbol image).
+    intercept the hull end's one-symbol image).  A float point walks it
+    alone, to any depth: the first k events of a region, its `prefixes`,
+    are the one-symbol walk's for every float of it.
     """
 
     keys: np.ndarray
@@ -889,7 +899,7 @@ class _FloatTable:
 def _step_table(system: IFSystem) -> _FloatTable:
     u, v = system._float_windows
     # only the events are read, so the maps are left out
-    _, breaks, regions = _region_table(
+    breaks, regions = _region_table(
         tuple(float(t) for t in system._coding.hull),
         tuple(zip(u.tolist(), v.tolist())), ((None, None),) * u.size)
     keys, _ = _regions(np.array(breaks))
@@ -972,7 +982,7 @@ def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
     park, window, inside = (o[0][path]
                             for o in (step.park, step.window, step.inside))
     walk = None
-    if system._coding.table[1] == step.keys[::2].tolist():
+    if system._coding.table[0] == step.keys[::2].tolist():
         walk = _walk_blocks(system, keys, slope, intercept, park, window,
                             inside)
     return _FloatTable(keys, park, window, inside, slope, intercept, walk)
@@ -981,9 +991,11 @@ def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
 def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
                  inside) -> tuple:
     """`_FloatTable.walk` of an L-symbol table's arrays: a parked region's
-    image is its window's float map at the hull end."""
+    image is its window's float map at the hull end, and every region
+    holds its `_Events.prefixes`."""
     ends = [float(t) for t in system._coding.hull]
     slopes, intercepts = (o.tolist() for o in system._float_maps)
+    prefix = cache(_Events)     # one per distinct prefix, shared by regions
     regions = []
     for s, c, *path in zip(slope.tolist(), intercept.tolist(),
                            park.T.tolist(), window.T.tolist(),
@@ -997,8 +1009,10 @@ def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
             if parked:                  # on a hull end
                 s, c = 0.0, slopes[k] * ends[parked > 0] + intercepts[k]
                 break
-        regions.append((s, c, _Events(events)))
-    return len(park), keys[::2].tolist(), regions
+        events = _Events(events)
+        events.prefixes = tuple(prefix(events[:k]) for k in range(len(events)))
+        regions.append((s, c, events))
+    return keys[::2].tolist(), regions
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):
@@ -1076,7 +1090,8 @@ def distortion_constant(system: IFSystem, depth: int) -> float:
     Equals 1.0 exactly for affine systems.  For others the supremum is taken
     over 5 equally spaced points of each cylinder, enumerating all words of
     a length when there are at most 4096 of them and otherwise drawing 4096
-    words from `random.Random(7)`.  A negative depth raises ValueError.
+    words from `random.Random(7)`.  A depth that is not an integer of at
+    least 0 raises ValueError.
     """
     _checked_least("depth", depth, 0)
     if system.is_affine or depth == 0:

@@ -167,13 +167,14 @@ def eval_derivative_point(system: IFSystem, p: ProbVector, order: Sequence[int],
     that cylinder.  Points that land in a gap or that the walk reports
     parked on a hull endpoint resolve exactly (the remaining contribution
     has closed form); otherwise the walk stops at ``depth``.  The walk is
-    `_walk`'s, L symbols per lookup on a system with an L-symbol table.
+    `_walk`'s, L symbols per lookup on a system with an L-symbol table; a
+    float x on a rational system walks as the Fraction it equals.
     The row of the prefix step product is a list of plain numbers, in the
     walk's arithmetic (floats, or Fractions when the system and weights
     are rational), and every row product and sibling term is a left to
     right sum over the nonzero entries of a step matrix column, so a float
-    value does not depend on a BLAS library.  A NaN x or a negative depth
-    raises ValueError.
+    value does not depend on a BLAS library.  A NaN x, or a depth that is
+    not an integer of at least 0, raises ValueError.
     """
     order = _checked_order(system, order)
     if sum(order) == 0:

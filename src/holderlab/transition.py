@@ -102,14 +102,15 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
     tol, or exactly when the walk reports the orbit parked on a hull
     endpoint, which happens at every cylinder endpoint in rational
     arithmetic.  Returns (value, error_bound); a NaN x, a tol that is not
-    > 0 or a negative max_depth raises ValueError.  With a rational system
-    and weights, the accumulated and the undecided mass after k steps are
-    kept as integer numerators over d^k, d the common denominator of the
-    weights, and the value is one Fraction at the end.  A float x on a
-    system with an L-symbol table walks L symbols per lookup, with the
-    events of the one-symbol walk, and the accumulation still takes one
-    symbol at a time: the value and bound are those of the one-symbol
-    walk, bit for bit.
+    > 0 or a max_depth that is not an integer of at least 0 raises
+    ValueError.  With a rational system and weights, the accumulated and
+    the undecided mass after k steps are kept as integer numerators over
+    d^k, d the common denominator of the weights, and the value is one
+    Fraction at the end.  A float x on a rational system walks as the
+    Fraction it equals.  A float x on a system with an L-symbol table walks
+    L symbols per lookup, with the events of the one-symbol walk, and the
+    accumulation still takes one symbol at a time: the value and bound are
+    those of the one-symbol walk, bit for bit.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -153,21 +154,23 @@ def eval_cdf(system: IFSystem, p: ProbVector, x, tol: float = 1e-12,
 def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
                max_depth: int = 100_000) -> np.ndarray:
     """Vectorised eval_cdf over an array of points; tol may be 0.  A NaN
-    point, a NaN or negative tol, or a negative max_depth raises
-    ValueError.
+    point, a NaN or negative tol, or a max_depth that is not an integer of
+    at least 0 raises ValueError.
 
     Each step of the walk (`_orbit_tables`) is one region lookup in a
     table of the floats that `eval_cdf`'s step compares a point with, so
-    every system stops where `eval_cdf` stops and carries its bits, with
-    float weights and with rational ones on a float system (both walks
-    read `p.as_floats()`), except that at tol > 0 a system whose every
+    every system that is not rational stops where `eval_cdf` stops and
+    carries its bits, with float weights and with rational ones (both
+    walks read `p.as_floats()`), except that at tol > 0 a system whose every
     float step is exact (affine, slopes 2^k, Sterbenz-exact intercepts,
     float composed intercepts) takes L symbols per lookup.  Its masses are
     the bits of L one-symbol steps, but it decides a point only at the end
     of a block, so it may stop up to L - 1 symbols later, with a smaller
     undecided mass: its value lies within `eval_cdf`'s bound of
-    `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A value never
-    depends on the other points of the batch."""
+    `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A rational
+    system's points walk its float image here, where `eval_cdf` walks each
+    float exactly.  A value never depends on the other points of the
+    batch."""
     if not tol >= 0:
         raise ValueError("tol must be 0 or positive")
     _checked_least("max_depth", max_depth, 0)
@@ -258,14 +261,18 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        carries the bits of L one-symbol steps, with their tie, gap and
        parking rules.
     5. The scalar walk `_walk` reads the same regions for a float point
-       (`_FloatTable.walk`).  Its one-symbol table `_Coding.table` makes
-       this step's decisions (the window rule, parking on a hull end) with
-       the same float maps once its breaks are E, which `_FloatTable.walk`
-       requires; the walk's events are the gathered decisions, and a
-       parked region maps to its window's float image of the hull end.  So
-       by 2 and 4 every float of a level-L region makes the events of its
-       path, and by 3 the walk may jump to A_w y + B_w.  Its consumers
-       keep their one-symbol arithmetic, so they keep their bits.
+       on a system that is not rational (`_FloatTable.walk`), and no other
+       table.  The one-symbol table `_Coding.table` makes this step's
+       decisions (the window rule, parking on a hull end) with the same
+       float maps once its breaks are E, which `_FloatTable.walk` requires;
+       the walk's events are the gathered decisions, and a parked region
+       maps to its window's float image of the hull end.  So by 2 and 4
+       every float of a level-L region makes the events of its path, and
+       by 3 the walk may jump to A_w y + B_w.  With k < L symbols left it
+       yields the region's first k events and stops: by 2 they are the
+       first k one-symbol events of every float of the region.  Its
+       consumers keep their one-symbol arithmetic, so they keep their
+       bits.
     """
     one = _masses(system, p, system._step)
     cyl = system._cylinders if tol > 0 else None

@@ -10,7 +10,9 @@ Run it from a checkout, once per version, and compare the listings:
 For each seed in turn it runs every job of
 `perfbench.workloads.build_rounds(workload, seed)` in order, against the
 checkout's own `src/`, and prints one line per job: its round, its index in
-the round, its kind and the digest of its output.  A last line, `listing`
+the round, its kind and the digest of its output.  The `cli` workload runs
+every config of `perfbench.clijobs.build_rounds(seed)` in this process, by
+`cli_digests`, and its kind is the config's key.  A last line, `listing`
 and the SHA-256 of all the job lines before it (newlines included),
 compares whole runs at a glance; running the seeds one at a time and
 hashing their job lines concatenated in seed order gives the same value.
@@ -22,9 +24,9 @@ job that raises is digested as its exception's type name and message.
 
     python tests/output_digest.py --check
 
-runs grid, pointwise and spectrum over seeds 1-4, compares each listing
-with the one recorded in `LISTINGS`, and exits 1 naming each workload that
-differs (about 45 s on one core).  The hashes can depend on the numpy
+runs grid, pointwise, spectrum and cli over seeds 1-4, compares each
+listing with the one recorded in `LISTINGS`, and exits 1 naming each
+workload that differs (about 45 s on one core).  The hashes can depend on the numpy
 build; on a mismatch, diff the listings of two checkouts.  A change that
 alters outputs on purpose records the new listings here.
 """
@@ -34,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from perfbench import clijobs  # noqa: E402
 from perfbench.workloads import (  # noqa: E402
     EvaluateStats, build_rounds, execute)
 
@@ -52,6 +56,7 @@ LISTINGS = {
         "d3468d47d9b3680b4378a758a37d3b0e09386d30e3c4d5f809bbe3568873afcb",
     "spectrum":
         "6662ea6043faf53ea74cff59b7c416ab930613844c7cd20dde6039fc0a5f8910",
+    "cli": "1e6b811a6140425fa76de0fb76774a0e6fea9624f38cf1c48efbac98a7fa5a04",
 }
 
 
@@ -88,6 +93,9 @@ def feed(h, obj) -> None:
 
 def digests(workload: str, seed: int):
     """(round, index, kind, hex digest) of every job, in order."""
+    if workload == "cli":
+        yield from cli_digests(seed)
+        return
     for r, jobs in enumerate(build_rounds(workload, seed)):
         for i, job in enumerate(jobs):
             try:
@@ -97,6 +105,25 @@ def digests(workload: str, seed: int):
             h = hashlib.sha256()
             feed(h, out)
             yield r, i, job.kind, h.hexdigest()
+
+
+def cli_digests(seed: int):
+    """(round, index, config key, hex digest) of every `cli` job, in order:
+    each runs through `clijobs.run_in_process` with `holderlab.cli.main`
+    in a temporary directory whose cache is empty at the seed's start, and
+    its digest feeds the exit code and every artifact's name and bytes
+    (`manifest.json` included), not its stderr."""
+    from holderlab.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for r, jobs in enumerate(clijobs.build_rounds(seed)):
+            for i, job in enumerate(jobs):
+                _, result = clijobs.run_in_process(
+                    job, work / f"{r}-{i}", work / "cache", main)
+                h = hashlib.sha256()
+                feed(h, (result.code, result.artifacts))
+                yield r, i, job.key, h.hexdigest()
 
 
 def listing(workload: str, seeds, out=None) -> str:

@@ -270,7 +270,7 @@ def test_systems_without_exact_steps_keep_eval_cdf_bits(name, free, tol):
     system = {**SYSTEMS, "wide": WIDE, "sterbenz": STERBENZ}[name]
     p = ProbVector.of(*free)
     assert system._cylinders is None
-    assert _coding_for(system, 0.3)[0] == (system._coding.table,)
+    assert _coding_for(system, 0.3)[0] == system._coding.table
     a, b = (float(t) for t in attractor_hull(system))
     xs = np.concatenate([
         np.linspace(a - 0.25 * (b - a), b + 0.25 * (b - a), 2001),
@@ -326,7 +326,7 @@ def _reference_cylinders(system):
     park, window, inside = (o[0][np.array(path)]
                             for o in (step.park, step.window, step.inside))
     walk = None
-    if system._coding.table[1] == step.keys[::2].tolist():
+    if system._coding.table[0] == step.keys[::2].tolist():
         walk = _walk_blocks(system, keys, slope, intercept, park, window,
                             inside)
     return dict(keys=keys, park=park, window=window, inside=inside,
@@ -861,14 +861,14 @@ def test_one_symbol_table_is_the_first_step_of_eval_cdf(name, free):
         if not filled[r]:
             continue
         park, sym, gap = next(itertools.chain.from_iterable(
-            _walk((system._coding.table,), first, 1)))
+            _walk(system._coding.table, first, 1)))
         assert (step.park[0][r], step.window[0][r] + 1, step.inside[0][r]) \
             == (park, sym, not gap), first
         # -0.0 compares as 0.0, and a map that keeps it is the identity
         for y in [first, math.nextafter(first, lasts[r]), lasts[r].item()] \
                 + [-0.0] * (first == 0):
             assert next(itertools.chain.from_iterable(
-                _walk((system._coding.table,), y, 1))) == (park, sym, gap), y
+                _walk(system._coding.table, y, 1))) == (park, sym, gap), y
             if step.slope is None:
                 continue
             moved = system.branch(sym)(y) if not (gap or park) else y

@@ -120,7 +120,7 @@ def _one_word_at_a_time(system, count, seed):
         word = tuple(int(s) for s in rng.choice(system.symbols(), size=48))
         x = pi_approx(system, word)[0]
         (_, sym, gap), = chain.from_iterable(
-            _walk((system._coding.table,), x, 1))
+            _walk(system._coding.table, x, 1))
         if not gap:
             xs.append(x)
             syms.append(sym)
@@ -168,7 +168,7 @@ def test_batched_samples_match_one_word_draws(monkeypatch, dyadic, cantor,
     for word, xb, s in zip(words.tolist(), x, k + 1):
         xr = pi_approx(system, tuple(word))[0]
         (_, sym, gap), = chain.from_iterable(
-            _walk((system._coding.table,), xr, 1))
+            _walk(system._coding.table, xr, 1))
         assert not gap and sym == s == word[0]
         assert abs(xb - xr) <= 1e-15
         u, v = hull_preimages(system)[s - 1]

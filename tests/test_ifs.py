@@ -3,6 +3,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from holderlab import (
     spectrum_experiment,
     system_from_json,
     system_to_json,
+    uniform_grid,
     validate,
     validated,
 )
@@ -667,3 +669,53 @@ def test_compactified_metric():
     assert compactified_distance(1.0, 1.0) == 0.0
     d = compactified_distance(0.0, 1.0)
     assert 0 < d < 1.0
+
+
+# every count a public function refuses below a least value, passed value
+# in a call that is valid otherwise (`ifs._checked_least`)
+COUNTS = {
+    ("encode", "depth"): lambda s, p, v: encode(s, 0.3, v),
+    ("distortion_constant", "depth"):
+        lambda s, p, v: distortion_constant(s, v),
+    ("eval_cdf", "max_depth"): lambda s, p, v: eval_cdf(s, p, 0.3,
+                                                         max_depth=v),
+    ("cdf_values", "max_depth"): lambda s, p, v: cdf_values(s, p, [0.3],
+                                                            max_depth=v),
+    ("eval_derivative_point", "depth"):
+        lambda s, p, v: eval_derivative_point(s, p, (1,), 0.3, depth=v),
+    ("uniform_grid", "size"): lambda s, p, v: uniform_grid(s, v),
+    ("iterate_transition", "n_max"):
+        lambda s, p, v: iterate_transition(s, p, _unit_grid(), n_max=v),
+    **{("gap_probe", name): lambda s, p, v, name=name: gap_probe(
+        s, p, 0.5, **dict(dict(n_max=3, grid_size=9, probe_words=0, seed=0),
+                          **{name: v}))
+       for name in ("n_max", "grid_size", "probe_words", "seed")},
+    **{("conjugacy_residual", name): lambda s, p, v, name=name:
+       conjugacy_residual(s, p, **dict(dict(sample_count=4, seed=0),
+                                       **{name: v}))
+       for name in ("sample_count", "seed")},
+    **{(entry.__name__, name):
+       lambda s, p, v, entry=entry, args=args, name=name: entry(
+           s, p, *args, **dict(dict(word_len=4, count=2, seed=0),
+                               **{name: v}))
+       for entry, args in ((sample_typical, (1.0,)),
+                           (spectrum_experiment, ([1.0],)))
+       for name in ("count", "word_len", "seed")},
+}
+
+
+def test_counts_and_depths_must_be_integers(dyadic):
+    # 10.5 once walked 10 symbols (eval_cdf, encode, and
+    # eval_derivative_point, which sized its bound with 10.5) or raised
+    # numpy's or range's TypeError, which named no argument
+    p = ProbVector.of(0.3)
+    for (entry, name), call in COUNTS.items():
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call(dyadic, p, 10.5)
+        call(dyadic, p, 10 if name != "seed" else 7)
+    # and the table names every check in the package
+    src = Path(encode.__code__.co_filename).parent
+    checks = [m for path in src.glob("*.py")
+              for m in re.findall(r'_checked_least\("(\w+)"',
+                                  path.read_text())]
+    assert sorted(checks) == sorted(name for _, name in COUNTS)

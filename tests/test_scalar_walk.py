@@ -1,10 +1,11 @@
 """The scalar coding walk `_walk` behind `encode`, `eval_cdf`, `phi` and
 `eval_derivative_point`: on every table it reads (float systems with and
-without an L-symbol table, rational points on lattice and non-lattice
-rational systems, float points on rational systems, custom branches) its
-events are those of the window rule, written out here as a reference in
-the table's own arithmetic; on a system whose every float step is exact it
-takes L symbols per lookup and every output keeps the bits of the
+without an L-symbol table, rational and float points on lattice and
+non-lattice rational systems, custom branches) its events are those of
+the window rule, written out here as a reference in the table's own
+arithmetic; on a system whose every float step is exact it takes L
+symbols per lookup, and a last lookup that holds more symbols than are
+left yields the first of them, so every output keeps the bits of the
 one-symbol walk; a negative depth is refused by every entry point, with
 and without that table."""
 
@@ -50,12 +51,11 @@ def reference_events(system, x, depth):
     window starts right of y, which ends the walk; else y -> f_sym(y).
 
     It runs in the system's own numbers: a float system compares with float
-    edges, a rational one with exact edges, and the branch maps x in its own
-    type (Fraction * float is a float), so a float x on a rational system is
-    compared exactly and mapped in floats."""
+    edges and maps in floats, a rational one walks x exactly, a float x as
+    the Fraction it equals."""
     a, b = attractor_hull(system)
     windows = hull_preimages(system)
-    y = x
+    y = Fraction(x) if system.is_rational else x
     for _ in range(depth):
         sym = next((k for k, (_, v) in enumerate(windows, 1) if y <= v),
                    len(windows) + 1)
@@ -131,11 +131,11 @@ def test_block_walk_keeps_the_one_symbol_bits(case, depth, tol):
     system = _exact_step_system(case["name"])
     p = ProbVector.of(*case["free"])
     x = case["x"]
-    tables, y = _coding_for(system, x)
-    assert tables == (system._cylinders.walk, system._coding.table)
+    table, y = _coding_for(system, x)
+    assert table == system._cylinders.walk
     events = list(reference_events(system, x, depth))
     # the walk eval_derivative_point reads, and the events of every other
-    assert list(itertools.chain.from_iterable(_walk(tables, y, depth))) \
+    assert list(itertools.chain.from_iterable(_walk(table, y, depth))) \
         == events
     a, b = (float(t) for t in attractor_hull(system))
     if a <= x <= b:
@@ -191,7 +191,9 @@ def test_negative_depth_with_and_without_the_table(name):
     # dyadic walks L = 8 symbols per lookup, the middle third one; depth 0
     # takes no step on either
     system = {"dyadic": _exact_step_system("dyadic"), "cantor": CANTOR}[name]
-    assert len(_coding_for(system, 0.3)[0]) == (1 if name == "cantor" else 2)
+    assert _coding_for(system, 0.3)[0] == (system._coding.table
+                                           if name == "cantor"
+                                           else system._cylinders.walk)
     for entry, call in ENTRY_POINTS.items():
         for depth in (-1, -7, -8, -9, -17):
             with pytest.raises(ValueError, match="depth"):
@@ -204,13 +206,27 @@ def test_negative_depth_with_and_without_the_table(name):
     assert value == 0.0 and bound > 0
 
 
+def test_one_lookup_per_block_and_one_for_what_is_left():
+    # 0.3 on dyadic neither parks nor meets a gap within 48 symbols: a walk
+    # of d symbols takes ceil(d / 8) lookups of the L = 8 table, the last
+    # one cut to the d mod 8 symbols left, and no one-symbol lookup
+    system, x = _exact_step_system("dyadic"), 0.3
+    for depth in range(49):
+        lookups = list(_walk(*_coding_for(system, x), depth))
+        assert len(lookups) == -(-depth // 8), depth
+        assert list(itertools.chain.from_iterable(lookups)) \
+            == list(reference_events(system, x, depth)), depth
+        assert encode(system, x, depth).word \
+            == reference_encode(system, x, depth)[0]
+
+
 def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
     # 4x and 4x - 1 on (0, 1/2) in Fractions: every float step is exact, so
     # the array walk has an L = 8 table, but the hull end 1/3 is not a
-    # float, so the scalar walk of a float point, which compares with the
-    # Fraction itself, keeps one symbol per step; float eval_cdf, and
-    # cdf_values through its table, lie within their bound of the exact
-    # walk at the same float
+    # float, so that table has no scalar form; the scalar walk of a float
+    # point is the exact walk of the Fraction it equals, on the lattice;
+    # float eval_cdf, and cdf_values through its table, lie within their
+    # bound of the exact walk at the same float
     system = affine_system((Fraction(4), Fraction(4)),
                            (Fraction(0), Fraction(-1)),
                            (Fraction(0), Fraction(1, 2)))
@@ -218,7 +234,7 @@ def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
     assert attractor_hull(system) == (0, Fraction(1, 3))
     cyl = system._cylinders
     assert len(cyl.park) == 8 and cyl.walk is None
-    assert _coding_for(system, 0.3)[0] == (system._coding.table,)
+    assert _coding_for(system, 0.3) == _coding_for(system, Fraction(0.3))
     xs = np.linspace(-0.05, 0.4, 400)
     values = cdf_values(system, p, xs, tol=1e-12)
     for x, v in zip(xs.tolist(), values.tolist()):
@@ -229,10 +245,8 @@ def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
 
 
 # the tables `_walk` reads: float systems without an L-symbol table;
-# rational systems, whose rational points walk a lattice (integer
-# slopes) or Fractions (a slope of 3/2) and whose float points compare with
-# the exact edges (the dyadic edges of "exact half" are floats, so its float
-# points take L symbols per lookup); custom branches
+# rational systems, whose points (a float as the Fraction it equals) walk
+# a lattice (integer slopes) or Fractions (a slope of 3/2); custom branches
 TABLE_SYSTEMS = {
     "cantor": CANTOR,
     "gaps3": affine_system((4.0, 3.0, 4.0), (0.0, -1.0, -3.0), (0.0, 1.0)),
@@ -286,18 +300,18 @@ def table_cases(draw):
 def test_walk_is_the_window_rule_on_every_table(case, depth):
     name, x = case
     system = TABLE_SYSTEMS[name]
-    tables, y = _coding_for(system, x)
-    # rational points of integer-slope systems walk on the integers
-    lattice = isinstance(x, Fraction) and name.startswith("exact")
+    table, y = _coding_for(system, x)
+    # every point of an integer-slope rational system walks on the integers
+    lattice = name.startswith("exact")
     assert (type(y) is int) == lattice
-    assert list(itertools.chain.from_iterable(_walk(tables, y, depth))) \
+    assert list(itertools.chain.from_iterable(_walk(table, y, depth))) \
         == list(reference_events(system, x, depth))
 
 
 def test_float_point_on_a_rational_system_walks_the_exact_edges():
     # 3x and 3x - 2 on (0, 1) in Fractions: float(2/3) lies below the
-    # window edge 2/3, so the walk of that float, which compares with the
-    # Fraction itself, finds a gap; the float image of the system, which
+    # window edge 2/3, so the walk of that float, the exact walk of the
+    # Fraction it equals, finds a gap; the float image of the system, which
     # the array walk reads, rounds that edge to the same float and files
     # the point inside window 2
     system = TABLE_SYSTEMS["exact cantor"]
@@ -441,6 +455,10 @@ def _same(got, want):
          tol=1e-300)
 @example(case=("escape", ProbVector.of(0.3), (2,), ESCAPE_X), depth=2,
          tol=1e-300)
+# the float orbit of this float under 3x/2 and 3x - 2 once ended its word
+# in 2, where the exact walk of the same float ends in 1
+@example(case=("threehalves", ProbVector.of(Fraction(1, 64)), (1,),
+               0.8617199044741201), depth=52, tol=1e-300)
 def test_evaluators_keep_the_bits_of_one_event_at_a_time(case, depth, tol):
     name, p, order, x = case
     system = EVALUATOR_SYSTEMS[name]
@@ -493,3 +511,54 @@ def test_a_parked_point_ends_the_evaluators_walk(monkeypatch):
         assert derivative == reference_derivative(system, p, p, (1,), x,
                                                   100), x
 
+
+
+# 2x, 3x and 5x in Fractions, each branch onto [0, 1]
+SLOPE_SYSTEMS = {
+    slope: affine_system((Fraction(slope),) * len(intercepts),
+                         tuple(map(Fraction, intercepts)),
+                         (Fraction(0), Fraction(1)))
+    for slope, intercepts in ((2, (0, -1)), (3, (0, -2)), (5, (0, -2, -4)))}
+
+
+@st.composite
+def floats_on_rational_systems(draw):
+    """A system of SLOPE_SYSTEMS, weights in 64ths (Fractions or floats)
+    and a float within a few ulps of k/2^m or k/3^m, m <= 7."""
+    system = SLOPE_SYSTEMS[draw(st.sampled_from(sorted(SLOPE_SYSTEMS)))]
+    s = system.branch_count - 1
+    free = draw(st.lists(st.integers(1, 63 // (s + 1)), min_size=s,
+                         max_size=s))
+    exact = draw(st.booleans())
+    p = ProbVector.of(*(Fraction(f, 64) if exact else f / 64 for f in free))
+    n = draw(st.sampled_from([2, 3])) ** draw(st.integers(0, 7))
+    x = near(draw(st.integers(0, n)) / n, draw(st.integers(-3, 3)))
+    return system, p, x
+
+
+def _outcome(call, x):
+    """call(x) and the type of each value, or the hull error it raises."""
+    try:
+        got = call(x)
+    except OutsideHullError:
+        return OutsideHullError
+    return got, [type(v) for v in (got if isinstance(got, tuple) else (got,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=floats_on_rational_systems(), depth=st.integers(0, 60))
+# float(1/3) on the middle third once walked its float orbit, which 3x
+# rounds onto 1: eval_cdf gave 3/10 with bound 0, 1.6e-6 off the exact value
+@example(case=(SLOPE_SYSTEMS[3], ProbVector.of(Fraction(3, 10)), 1 / 3),
+         depth=60)
+def test_a_float_on_a_rational_system_walks_as_its_fraction(case, depth):
+    # every scalar evaluator: the same value, bound and types at x as at
+    # the Fraction x equals
+    system, p, x = case
+    order = (1,) * (system.branch_count - 1)
+    for call in (lambda t: eval_cdf(system, p, t, max_depth=depth),
+                 lambda t: phi(system, p, t),
+                 lambda t: encode(system, t, depth),
+                 lambda t: eval_derivative_point(system, p, order, t,
+                                                 depth=depth)):
+        assert _outcome(call, x) == _outcome(call, Fraction(x)), x

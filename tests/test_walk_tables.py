@@ -234,7 +234,7 @@ def test_float_and_exact_twins_never_share_tables():
     assert _system_tables(fs) is not _system_tables(rs)
     assert not shared(fs, rs)
     # the float twin's edges are rounded, the exact ones are not
-    assert fs._coding.table[1] != rs._coding.table[1]
+    assert fs._coding.table[0] != rs._coding.table[0]
     p = ProbVector.of(F(1, 4))
     assert eval_cdf(fs, p, 1 / 3) == (0.25, 0.0)
     value, bound = eval_cdf(rs, p, F(1, 3))
@@ -274,7 +274,7 @@ def test_system_memo_starts_over_when_full():
     # and the coding tables of both walks, the L-symbol one included
     assert shared(twin, systems[0])
     assert twin._cylinders is first and first.walk is not None
-    assert twin._float_walk[0] is first.walk
+    assert twin._float_walk is first.walk
     for system in systems[1:]:
         assert np.array_equal(cdf_values(system, p, xs), expect)
     assert list(_TABLES) == [systems[-1]._key]

@@ -89,11 +89,13 @@ def emp_exponent(evaluate: Callable, x: float,
     geometric offsets on each side spanning three decades below r; the
     oscillation is the largest deviation from the centre value.  Scales
     whose oscillation is at or below the floor 1e-13 are dropped before the
-    `transition._ls_slope` fit of log oscillation against log r.  The centre
-    and all clouds go to `evaluate` in one call, so it must be pointwise
-    (see `spectrum_experiment`).  ValueError unless x is a finite number,
-    every scale is a finite number above 0 and two scales with distinct
-    logs survive the floor.
+    `transition._ls_slope` fit of log oscillation against log r.  The
+    clouds of all scales share their points: `evaluate` gets, in one call,
+    x - o for every distinct offset o of the scales from the largest down,
+    x itself and x + o from the smallest up, each distinct float once, so
+    it must be pointwise (see `spectrum_experiment`).  ValueError unless x
+    is a finite number, every scale is a finite number above 0 and two
+    scales with distinct logs survive the floor.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be a finite number, got {x}")
@@ -113,14 +115,22 @@ def _empirical(evaluate, xs, scales):
             raise ValueError(f"scale {r} is not a finite number above 0")
     if len(set(np.log(scales).tolist())) < 2:
         raise ValueError("fewer than two distinct scales given")
-    offs = _offsets(tuple(scales))
+    offs, index = _offsets(tuple(scales))
+    m = offs.size
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    centres = xs[:, None, None]
-    clouds = np.concatenate((centres - offs, centres + offs), axis=2)
-    vals = np.asarray(evaluate(np.concatenate((xs, clouds.ravel()))),
-                      dtype=float)
-    fx = vals[:xs.size, None, None]
-    oscs = np.max(np.abs(vals[xs.size:].reshape(clouds.shape) - fx), axis=2)
+    centres = xs[:, None]
+    # each point's row ascends: x - o from the largest o down, x, x + o
+    points = np.concatenate((centres - offs[::-1], centres, centres + offs),
+                            axis=1)
+    # offsets closer than the spacing of floats at x give one float, which
+    # is evaluated once: equal points are neighbours in a row
+    new = np.ones(points.shape, dtype=bool)
+    new[:, 1:] = points[:, 1:] != points[:, :-1]
+    place = np.cumsum(new.ravel()).reshape(points.shape) - 1
+    vals = np.asarray(evaluate(points[new]), dtype=float)[place]
+    # each scale's cloud: its offsets below x, then above x
+    clouds = np.concatenate((m - 1 - index, m + 1 + index), axis=1)
+    oscs = np.max(np.abs(vals[:, clouds] - vals[:, m, None, None]), axis=2)
     return scales, oscs
 
 
@@ -137,13 +147,19 @@ def _slopes(xs, scales, oscs) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _offsets(scales: tuple) -> np.ndarray:
-    """Read-only (scales, m) array of the cloud offsets, m geometric steps
-    over the three decades below each radius, m = _POINTS_PER_SCALE // 2."""
+def _offsets(scales: tuple) -> tuple:
+    """(offsets, index) of the clouds: offsets the read-only sorted
+    distinct cloud offsets of all the scales, index the read-only
+    (scales, m) array of each scale's m offsets' places in it, m geometric
+    steps over the three decades below each radius, m = _POINTS_PER_SCALE
+    // 2.  Scales that share offsets, as the default half-decade ladder's
+    do (144 offsets, 80 distinct), share their places."""
     m = _POINTS_PER_SCALE // 2
     offs = np.array([np.geomspace(r * 1e-3, r, m) for r in scales])
-    offs.flags.writeable = False
-    return offs
+    distinct, index = np.unique(offs, return_inverse=True)
+    index = index.reshape(offs.shape)
+    distinct.flags.writeable = index.flags.writeable = False
+    return distinct, index
 
 
 def _fit(x, scales, oscs) -> EmpiricalExponent:
@@ -235,10 +251,13 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     for an evaluator.
 
     `evaluate` maps an array of points to the array of values there.  It
-    is called once per experiment, on every beta's points: the centres of
-    all sampled points, beta-major, then their scale clouds in the same
-    order.  So it must be pointwise: the value at a point may not depend on
-    which other points share the call.  `cdf_values` is, because every
+    is called once per experiment, on every beta's points: for every
+    sampled point x in turn, beta-major, the ascending distinct floats
+    among x - o, x and x + o, o over the distinct cloud offsets of all the
+    scales (80 for the nine default scales, whose half-decade steps share
+    offsets), and each scale's oscillation is read off its own 32 of them
+    (`emp_exponent`).  So it must be pointwise: the value at a point may
+    not depend on which other points share the call.  `cdf_values` is, because every
     point walks its own coding.  Raises ValueError unless count and
     word_len are at least 1 and seed at least 0, and, with an evaluator,
     on a scale that `emp_exponent` refuses.

@@ -317,9 +317,9 @@ class IFSystem:
     @cached_property
     def _float_walk(self) -> tuple:
         """The region table of `_walk` that a float point walks on: the
-        L-symbol table's, when the scalar walk reads it, else the system's
-        own one-symbol table."""
-        return self._cylinders and self._cylinders.walk or self._coding.table
+        scalar form of the L-symbol table (`_walk_table`), built on first
+        read, when it has one, else the system's own one-symbol table."""
+        return _system_table(self, "walk", _walk_table) or self._coding.table
 
     @cached_property
     def _float_maps(self) -> tuple:
@@ -369,7 +369,8 @@ def _typed(t):
 
 # Tables derived from a system alone, by plain keys: the coding tables
 # ("coding", "lattice" by scale), the `_FloatTable`s of one symbol ("step")
-# and of L symbols ("cylinders") and the derivative sums of
+# and of L symbols ("cylinders"), the scalar form of the latter ("walk")
+# and the derivative sums of
 # `thermo._sandwich` (("sandwich", level)).  Equal systems rebuilt per job
 # or run share one entry; more systems than this start over.
 _SYSTEM_TABLES = 64
@@ -468,7 +469,7 @@ def _coding_table(system: IFSystem) -> _Coding:
 
 class _Events(tuple):
     """The events (park, sym, gap) of one region of a `_walk` table, in
-    order.  A region of `_FloatTable.walk` also holds as `prefixes` the
+    order.  A region of `_walk_table`'s table also holds as `prefixes` the
     `_Events` of its first k events, k = 0 .. len - 1, which `_walk` yields
     when k symbols are left."""
 
@@ -784,8 +785,8 @@ def _walk(table: tuple, y, depth: int):
     table (breaks, regions): a `bisect` on the breaks finds y's region, the
     walk yields the region's events, an `_Events`, and maps y (or stops,
     at a gap).  A region of the one-symbol tables holds one event; one of
-    an L-symbol table (`_FloatTable.walk`, a float point on a system with
-    an exact-step `_FloatTable`) holds the events of the one-symbol walk up
+    an L-symbol table (`_walk_table`'s, a float point on a system with an
+    exact-step `_FloatTable`) holds the events of the one-symbol walk up
     to its L-th orbit point, bit for bit (`transition._orbit_tables` proves
     it).  When fewer symbols are left than the region holds, the walk
     yields its first ones, `_Events.prefixes`, and stops: every float of
@@ -860,16 +861,8 @@ class _FloatTable:
     affine system slope[r] * y + intercept[r] is the L-th orbit point of
     every float y of region r, bit for bit, where a decided point (in a gap
     or on a hull end) stays put (1.0 y + -0.0), slope[r] the product of the
-    one-symbol slopes along the path; else both are None.
-
-    walk is set on an L-symbol table when the system's own coding table
-    has the breaks of its float image, which the scalar walk compares with
-    exactly: the region table (t, regions) of `_walk`, each region with
-    its slope, intercept and the events (park, sym, gap) of its decisions
-    up to a gap (then slope None) or a parking (then slope 0 and as
-    intercept the hull end's one-symbol image).  A float point walks it
-    alone, to any depth: the first k events of a region, its `prefixes`,
-    are the one-symbol walk's for every float of it.
+    one-symbol slopes along the path; else both are None.  The scalar
+    walk reads an L-symbol table in its own form, `_walk_table`'s.
     """
 
     keys: np.ndarray
@@ -878,7 +871,6 @@ class _FloatTable:
     inside: np.ndarray
     slope: Optional[np.ndarray]
     intercept: Optional[np.ndarray]
-    walk: Optional[tuple] = None
 
     def __post_init__(self):
         for o in vars(self).values():
@@ -981,18 +973,33 @@ def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
     # the one-symbol decisions along each region's path
     park, window, inside = (o[0][path]
                             for o in (step.park, step.window, step.inside))
-    walk = None
-    if system._coding.table[0] == step.keys[::2].tolist():
-        walk = _walk_blocks(system, keys, slope, intercept, park, window,
-                            inside)
-    return _FloatTable(keys, park, window, inside, slope, intercept, walk)
+    return _FloatTable(keys, park, window, inside, slope, intercept)
+
+
+def _walk_table(system: IFSystem) -> Optional[tuple]:
+    """The L-symbol table (`IFSystem._cylinders`) in the form the scalar
+    walk reads, by `_walk_blocks`, or None when the system has no L-symbol
+    table or its own coding table lacks the breaks of the table's float
+    image, which the scalar walk compares with exactly.  Only a float
+    point's walk reads it, so it is built on the first read of
+    `IFSystem._float_walk`, not with the array table."""
+    cyl = system._cylinders
+    if cyl is None \
+            or system._coding.table[0] != system._step.keys[::2].tolist():
+        return None
+    return _walk_blocks(system, cyl.keys, cyl.slope, cyl.intercept, cyl.park,
+                        cyl.window, cyl.inside)
 
 
 def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
                  inside) -> tuple:
-    """`_FloatTable.walk` of an L-symbol table's arrays: a parked region's
-    image is its window's float map at the hull end, and every region
-    holds its `_Events.prefixes`."""
+    """The region table (t, regions) of `_walk` of an L-symbol table's
+    arrays, each region with its slope, intercept and the events (park,
+    sym, gap) of its decisions up to a gap (then slope None) or a parking
+    (then slope 0 and as intercept the hull end's one-symbol image: its
+    window's float map at the hull end).  A float point walks it alone, to
+    any depth: the first k events of a region, its `_Events.prefixes`, are
+    the one-symbol walk's for every float of it."""
     ends = [float(t) for t in system._coding.hull]
     slopes, intercepts = (o.tolist() for o in system._float_maps)
     prefix = cache(_Events)     # one per distinct prefix, shared by regions

@@ -12,6 +12,7 @@ It is also the unique bounded fixed point of M with boundary values 0 and 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -196,7 +197,10 @@ def _orbit_start(system: IFSystem, xs: np.ndarray):
 def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
                   max_depth: int) -> None:
     """Shared vectorised coding walk, for every system: advances the state
-    of `_orbit_start` in place by at most max_depth steps.
+    of `_orbit_start` in place by at most max_depth steps.  The step loop
+    itself is the generator `_orbit_steps`, which this function runs until
+    its last step or until no point is undecided; the gap probe's
+    `_ramp_iterates` steps the same generator one iterate at a time.
 
     Every step is one region lookup: one `searchsorted` in a region table
     finds each point's region r, the step adds mass * acc[r] to acc and
@@ -261,10 +265,10 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        carries the bits of L one-symbol steps, with their tie, gap and
        parking rules.
     5. The scalar walk `_walk` reads the same regions for a float point
-       on a system that is not rational (`_FloatTable.walk`), and no other
+       on a system that is not rational (`ifs._walk_table`), and no other
        table.  The one-symbol table `_Coding.table` makes this step's
        decisions (the window rule, parking on a hull end) with the same
-       float maps once its breaks are E, which `_FloatTable.walk` requires;
+       float maps once its breaks are E, which `ifs._walk_table` requires;
        the walk's events are the gathered decisions, and a parked region
        maps to its window's float image of the hull end.  So by 2 and 4
        every float of a level-L region makes the events of its path, and
@@ -274,31 +278,51 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        consumers keep their one-symbol arithmetic, so they keep their
        bits.
     """
+    for idx, *_ in _orbit_steps(system, p, state, tol, max_depth):
+        if not idx.size:
+            break
+
+
+def _orbit_steps(system: IFSystem, p: ProbVector, state: tuple, tol: float,
+                 max_depth: int):
+    """The one step loop of the array walk (`_orbit_tables` gives its
+    rules and proof), as a generator: after each of at most max_depth
+    steps it yields (idx, y, acc, mass) of the undecided points, compact,
+    idx their indices into the state, and it keeps yielding empty arrays
+    once no point is undecided.  The decided points are written back into
+    the state as they are decided, and the undecided ones when the steps
+    run out; the caller must not change the yielded arrays."""
     one = _masses(system, p, system._step)
     cyl = system._cylinders if tol > 0 else None
     block = cyl and _masses(system, p, cyl)
     blocks, rest = divmod(max_depth, len(cyl.park)) if cyl else (0, max_depth)
-    idx = np.flatnonzero(state[2] > tol)
-    y, acc, mass = (o[idx] for o in state)
+    ys, accs, masses = state
+    idx = np.flatnonzero(masses > tol)
+    y, acc, mass = ys[idx], accs[idx], masses[idx]
     for step in range(blocks + rest):
-        if not idx.size:
-            break
-        table, acc_t, mass_t = block if step < blocks else one
-        r = np.searchsorted(table.keys, y, side="right")
-        acc = acc + mass * acc_t[r]
-        mass = mass * mass_t[r]
-        done = mass <= tol
-        # count_nonzero asks "any?" at a third of the cost of any()
-        if np.count_nonzero(done):
-            gone, keep = idx[done], ~done
-            for o, c in zip(state, (y, acc, mass)):
-                o[gone] = c[done]
-            idx, y, acc, mass, r = (c[keep] for c in (idx, y, acc, mass, r))
-        y = (_apply_branches(system, table.window[0][r], y)
-             if table.slope is None
-             else table.slope[r] * y + table.intercept[r])
-    for o, c in zip(state, (y, acc, mass)):
-        o[idx] = c
+        if idx.size:
+            table, acc_t, mass_t = block if step < blocks else one
+            r = table.keys.searchsorted(y, side="right")
+            acc = acc + mass * acc_t[r]
+            mass = mass * mass_t[r]
+            done = mass <= tol
+            # count_nonzero asks "any?" at a third of the cost of any()
+            if np.count_nonzero(done):
+                k = done.nonzero()[0]
+                gone = idx[k]
+                ys[gone] = y[k]
+                accs[gone] = acc[k]
+                masses[gone] = mass[k]
+                keep = (~done).nonzero()[0]
+                idx, y, acc, mass, r = (c[keep]
+                                        for c in (idx, y, acc, mass, r))
+            y = (_apply_branches(system, table.window[0][r], y)
+                 if table.slope is None
+                 else table.slope[r] * y + table.intercept[r])
+        yield idx, y, acc, mass
+    ys[idx] = y
+    accs[idx] = acc
+    masses[idx] = mass
 
 
 def _masses(system: IFSystem, p: ProbVector, table) -> tuple:
@@ -532,20 +556,16 @@ def _ramp_iterates(system, p, nodes, a, b):
     """Exact values at the nodes of the operator iterates of `_ramp`, one
     step of the coding walk each, without end; each step overwrites the
     array it yields.  A decided node (mass 0) keeps acc + 0 * ramp = acc
-    as its value, so only the undecided nodes `live` are stepped and
-    ramped, with the bits of stepping them all."""
+    as its value, which the walk writes into the state's acc array when it
+    decides the node, so that array holds the values and only the
+    undecided nodes that `_orbit_steps` yields are ramped, with the bits
+    of stepping them all."""
     state = _orbit_start(system, nodes)
-    vals = state[1].copy()
-    live = np.flatnonzero(state[2] > 0)
-    state = tuple(o[live] for o in state)
-    while True:
-        _orbit_tables(system, p, state, tol=0.0, max_depth=1)
-        y, acc, mass = state
-        vals[live] = acc + mass * _ramp(y, a, b)
-        held = mass > 0
-        if np.count_nonzero(held) < held.size:
-            live = live[held]
-            state = tuple(o[held] for o in state)
+    vals = state[1]
+    # sys.maxsize steps: without end
+    for idx, y, acc, mass in _orbit_steps(system, p, state, 0.0,
+                                          sys.maxsize):
+        vals[idx] = acc + mass * _ramp(y, a, b)
         yield vals
 
 

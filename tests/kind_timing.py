@@ -19,7 +19,9 @@ and the oracles are not run.
 It prints, per (kind, system), the job count, the summed job times of each
 copy (both runs of each job) and their ratio new/old, then the ratio of
 the whole time, of the median job time and of the workload's tail
-percentile of job time (`perfbench.run.TAIL_PCT`).
+percentile of job time (`perfbench.run.TAIL_PCT`).  A job with the
+parameter `empirical` set, a `spectrum_experiment` that calls an
+evaluator, is listed under its kind with `/emp` appended.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ def job_times(workloads, packages, workload: str, seeds) -> list:
                 n += 1
                 system = job.params.get(
                     "system", "bent" if "nonaffine" in job.kind else "-")
-                rows.append(((job.kind, system), *times))
+                kind = job.kind + ("/emp" if job.params.get("empirical")
+                                   else "")
+                rows.append(((kind, system), *times))
     return rows
 
 

@@ -344,7 +344,7 @@ def test_cylinder_table_matches_the_two_float_reference(name, num):
     cyl = system._cylinders
     assert cyl is not None
     for field, want in _reference_cylinders(system).items():
-        got = getattr(cyl, field)
+        got = system._float_walk if field == "walk" else getattr(cyl, field)
         if field == "walk":     # repr tells -0.0 from 0.0
             assert repr(got) == repr(want)
         else:
@@ -620,6 +620,11 @@ GAP_CASES = [
     # margin -0.3: no node lies outside the hull, so the sup stays below 1
     ("cantor", (0.4,), 0.2, dict(n_max=40, grid_size=6001, margin=-0.3,
                                  probe_words=64, seed=2)),
+    # five dyadic nodes on the hull, all decided after 3 steps: the walk
+    # must go on yielding to n_max; recorded before the probe stepped the
+    # walk's own step loop
+    ("dyadic", (0.25,), 0.6, dict(n_max=10, grid_size=5, margin=0.0,
+                                  probe_words=8, seed=4)),
 ]
 GAP_NORMS = [
     ["0x1.3abae88758fe3p+1", "0x1.846d25582cb07p+1", "0x1.cb20119922811p+1",
@@ -712,6 +717,10 @@ GAP_NORMS = [
      "0x1.8901df182a97bp-1", "0x1.8901df181f07ep-1", "0x1.8901df1826a3dp-1",
      "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1",
      "0x1.8901df1826a3dp-1"],
+    ["0x1.194b83df25dc4p+1", "0x1.5ec26800b0c2dp+1", "0x1.9f976386b4aedp+1",
+     "0x1.e1d36697d7e58p+1", "0x1.1482328db047ap+2", "0x1.3bd3702dd9d4dp+2",
+     "0x1.67dfd706afe0bp+2", "0x1.9994eee30bd38p+2", "0x1.d1e175c06c7f7p+2",
+     "0x1.08e19d84770fcp+3"],
 ]
 GAP_SLOPES = [
     ("0x1.029a2bd1ac119p-3", "0x1.8995a81508661p-10", "growing"),
@@ -722,6 +731,7 @@ GAP_SLOPES = [
      ("0x1.35c0934be242cp-2", "0x1.fb5a8d7a4fb52p-43", "growing"),
      ("0x1.e7267fea215fcp-46", "0x1.2e86979776559p-47", "bounded"),
      ("0x1.38a6c54ce5700p-29", "0x1.03d8983fd4ab0p-30", "bounded"),
+     ("0x1.08bc196364076p-3", "0x1.eec1e4b8866b8p-13", "growing"),
 ]
 ONE = (1.0).hex()
 GAP_SUPS = [
@@ -746,6 +756,7 @@ GAP_SUPS = [
      "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2",
      "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2", "0x1.dc5c248241396p-2",
      "0x1.dc5c248241396p-2"],
+    [ONE] * 10,
 ]
 RESIDUAL_CASES = [
     ("dyadic", (0.25,), 200, 5, "0x1.8000000000000p-52"),

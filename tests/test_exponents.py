@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import legendre_reference, legendre_value
@@ -22,7 +22,7 @@ from holderlab import (
     spectrum_experiment,
     spectrum_point,
 )
-from holderlab.exponents import _FLOOR, _fit, _slopes
+from holderlab.exponents import _FLOOR, _empirical, _fit, _slopes
 
 
 def test_dyn_exponent_periodic_exact(cantor, quarter):
@@ -243,10 +243,71 @@ def test_stacked_betas_give_the_one_beta_rows(request, name, quarter, betas,
         assert stacked == calls == []
         return
     (points,) = stacked
-    assert points.size == len(betas) * count * (1 + 32 * len(scales))
-    # beta-major: every beta's centres, then every beta's scale clouds
-    assert np.array_equal(points, np.concatenate(
-        [c[:count] for c in calls] + [c[count:] for c in calls]))
+    # beta-major, every sampled point x in turn: x - o for every distinct
+    # cloud offset o (36 of this decade ladder's 64), x and x + o, as
+    # ascending floats, none passed twice for one x (np.unique)
+    offsets = np.unique([np.geomspace(r * 1e-3, r, 16) for r in scales])
+    xs = [x for i, beta in enumerate(betas) for x in sample_typical(
+        system, quarter, beta, word_len=40, count=count, seed=11 + i).points]
+    assert offsets.size == 36 and np.array_equal(points, np.concatenate(
+        [np.unique(np.r_[x - offsets, x, x + offsets]) for x in xs]))
+
+
+def _cloud_oscillations(evaluate, xs, scales):
+    """Reference for `_empirical`: every scale's own 32-point cloud, x - o
+    and x + o for its 16 geometric offsets o over the three decades below
+    it, evaluated alone, and the largest deviation from the value at x."""
+    oscs = np.empty((len(xs), len(scales)))
+    for i, x in enumerate(xs):
+        fx = evaluate(np.array([x]))[0]
+        for k, r in enumerate(sorted(scales, reverse=True)):
+            offs = np.geomspace(r * 1e-3, r, 16)
+            cloud = np.concatenate((x - offs, x + offs))
+            oscs[i, k] = np.max(np.abs(evaluate(cloud) - fx))
+    return oscs
+
+
+@st.composite
+def cloud_scales(draw):
+    """Scale sets whose clouds share offsets (half-decade and decade
+    ladders, as the default nine scales), share none (drawn floats), or
+    repeat a scale; each holds two scales of distinct logs."""
+    kind = draw(st.sampled_from(["half-decade", "decade", "apart"]))
+    if kind == "apart":
+        scales = draw(st.lists(st.floats(1e-9, 0.5), min_size=2, max_size=6,
+                               unique=True))
+    else:
+        lo, n = 10.0 ** draw(st.integers(-9, -2)), draw(st.integers(2, 9))
+        step = 0.5 if kind == "half-decade" else 1.0
+        scales = np.geomspace(lo, lo * 10 ** (step * (n - 1)), n).tolist()
+    if draw(st.booleans()):
+        scales.append(draw(st.sampled_from(scales)))
+    assume(len(set(np.log(scales).tolist())) >= 2)
+    return scales
+
+
+@settings(max_examples=60, deadline=None)
+@example(scales=np.geomspace(1e-6, 1e-2, 9).tolist(), xs=[0.3, 0.75],
+         weight=19, name="cantor")
+@given(scales=cloud_scales(),
+       xs=st.lists(st.floats(-0.5, 1.5) | st.sampled_from(
+           [0.0, 1e-300, 1 / 3, 0.5, 1 - 2 ** -53, 1e6]),
+           min_size=1, max_size=5),
+       weight=st.integers(1, 63),
+       name=st.sampled_from(["cantor", "dyadic"]))
+def test_shared_cloud_points_give_each_clouds_oscillations(scales, xs, weight,
+                                                           name):
+    # the clouds of all scales share their distinct points, each evaluated
+    # once; every oscillation is still that of the scale's own 32 points
+    system = affine_system((3.0, 3.0), (0.0, -2.0), (0.0, 1.0)) \
+        if name == "cantor" else affine_system((2.0, 2.0), (0.0, -1.0),
+                                               (0.0, 1.0))
+    p = ProbVector.of(weight / 64)
+    evaluate = lambda pts: cdf_values(system, p, pts, tol=1e-14)
+    got_scales, oscs = _empirical(evaluate, xs, scales)
+    assert got_scales == sorted(map(float, scales), reverse=True)
+    want = _cloud_oscillations(evaluate, xs, scales)
+    assert oscs.shape == want.shape and oscs.tobytes() == want.tobytes()
 
 
 @st.composite

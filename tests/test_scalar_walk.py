@@ -132,7 +132,7 @@ def test_block_walk_keeps_the_one_symbol_bits(case, depth, tol):
     p = ProbVector.of(*case["free"])
     x = case["x"]
     table, y = _coding_for(system, x)
-    assert table == system._cylinders.walk
+    assert table == system._float_walk != system._coding.table
     events = list(reference_events(system, x, depth))
     # the walk eval_derivative_point reads, and the events of every other
     assert list(itertools.chain.from_iterable(_walk(table, y, depth))) \
@@ -193,7 +193,7 @@ def test_negative_depth_with_and_without_the_table(name):
     system = {"dyadic": _exact_step_system("dyadic"), "cantor": CANTOR}[name]
     assert _coding_for(system, 0.3)[0] == (system._coding.table
                                            if name == "cantor"
-                                           else system._cylinders.walk)
+                                           else system._float_walk)
     for entry, call in ENTRY_POINTS.items():
         for depth in (-1, -7, -8, -9, -17):
             with pytest.raises(ValueError, match="depth"):
@@ -233,7 +233,7 @@ def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
     p, q = ProbVector.of(19 / 64), ProbVector.of(Fraction(19, 64))
     assert attractor_hull(system) == (0, Fraction(1, 3))
     cyl = system._cylinders
-    assert len(cyl.park) == 8 and cyl.walk is None
+    assert len(cyl.park) == 8 and system._float_walk is system._coding.table
     assert _coding_for(system, 0.3) == _coding_for(system, Fraction(0.3))
     xs = np.linspace(-0.05, 0.4, 400)
     values = cdf_values(system, p, xs, tol=1e-12)

@@ -273,8 +273,9 @@ def test_system_memo_starts_over_when_full():
     assert _system_tables(twin)["cylinders"] is first
     # and the coding tables of both walks, the L-symbol one included
     assert shared(twin, systems[0])
-    assert twin._cylinders is first and first.walk is not None
-    assert twin._float_walk is first.walk
+    assert twin._cylinders is first
+    assert twin._float_walk is systems[0]._float_walk \
+        is _system_tables(twin)["walk"] is not twin._coding.table
     for system in systems[1:]:
         assert np.array_equal(cdf_values(system, p, xs), expect)
     assert list(_TABLES) == [systems[-1]._key]

@@ -369,8 +369,8 @@ def _typed(t):
 
 # Tables derived from a system alone, by plain keys: the coding tables
 # ("coding", "lattice" by scale), the `_FloatTable`s of one symbol ("step")
-# and of L symbols ("cylinders"), the scalar form of the latter ("walk")
-# and the derivative sums of
+# and of L symbols ("cylinders"), the scalar form of the latter ("walk"),
+# the `validate` report ("validate") and the derivative sums of
 # `thermo._sandwich` (("sandwich", level)).  Equal systems rebuilt per job
 # or run share one entry; more systems than this start over.
 _SYSTEM_TABLES = 64
@@ -388,10 +388,13 @@ def _system_tables(system: IFSystem) -> dict:
 
 
 def _system_table(system: IFSystem, name, build):
-    """The table `name` of the system's entry: build(system), on first use."""
-    tables = _system_tables(system)
-    if name not in tables:
-        tables[name] = build(system)
+    """The table `name` of the system's entry: build(system), on first use.
+    A build that raises stores nothing and leaves no entry behind."""
+    tables = _TABLES.get(system._key)
+    if tables is None or name not in tables:
+        table = build(system)
+        tables = _system_tables(system)
+        tables[name] = table
     return tables[name]
 
 
@@ -607,7 +610,19 @@ def validate(system: IFSystem,
     magnitude of O's endpoints, which the inverse round trip of non-affine
     branches also gets: so an overlap is told from a touch at any scale of
     O, and rounding far from the origin is not an overlap.
+
+    The report of a system value is built once (`_system_table`), so equal
+    systems built apart share it; a system that raises raises on every
+    call, and p is checked on every call.
     """
+    report = _system_table(system, "validate", _validation_report)
+    if p is not None:
+        _checked_weights(system, p)
+    return report
+
+
+def _validation_report(system: IFSystem) -> ValidationReport:
+    """`validate`'s report of the system, or its ConfigurationError."""
     lo, hi = system.open_set
     numbers = [lo, hi] + [t for br in system.branches if br.is_affine
                           for t in (br.slope, br.intercept)]
@@ -671,9 +686,6 @@ def validate(system: IFSystem,
         else:
             checks.append((f"preimages {i + 1},{i + 2} separated", True,
                            f"gap {float(gap):.6g}"))
-
-    if p is not None:
-        _checked_weights(system, p)
 
     ok = inside and ordered and osc and all(c[1] for c in checks)
     return ValidationReport(checks=tuple(checks), osc=osc and inside and ordered,

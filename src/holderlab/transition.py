@@ -67,9 +67,10 @@ class GridFunction:
                          left=self.boundary_left, right=self.boundary_right)
 
     def cell_oscillation(self) -> float:
-        """Max jump between adjacent nodes; a bound scale for interpolation
-        error of monotone-structured data read through this grid."""
-        return float(np.max(np.abs(np.diff(self.values))))
+        """Max jump between adjacent nodes, 0.0 on one node; a bound scale
+        for interpolation error of monotone-structured data read through
+        this grid."""
+        return float(np.max(np.abs(np.diff(self.values)), initial=0.0))
 
     def with_values(self, values) -> "GridFunction":
         return GridFunction(self.nodes, values, self.boundary_left,
@@ -436,12 +437,14 @@ def holder_seminorm(h: GridFunction, alpha: float,
     mode "pairs" returns the exact maximum over all pairs, mode "adjacent"
     only over neighbours (a fast lower bound).  The virtual points at minus
     and plus infinity, with values boundary_left and boundary_right, always
-    join the scan.  "pairs" cuts the compactified nodes into blocks of
-    `_BLOCK` nodes and scans block pairs, a block with itself first, in
-    descending order of a certified bound on their ratios until the bound
-    falls below the running best.  Every ratio it computes is the one an
-    all-pairs scan computes, so the maximum is bit-identical to that scan.
-    Raises ValueError if a scanned value is not finite.
+    join the scan.  "pairs" (`_pairs_max`) starts from the adjacent maximum,
+    cuts the compactified nodes into blocks of `_BLOCK` nodes and those into
+    sub-blocks of `_FINE`, and scans block pairs in descending order of a
+    certified bound on their ratios until the bound falls below the running
+    best; of a scanned block pair it computes the ratios of the sub-block
+    pairs whose own bound lies above the best.  Every ratio it computes is
+    the one an all-pairs scan computes, so the maximum is bit-identical to
+    that scan.  Raises ValueError if a scanned value is not finite.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -450,86 +453,178 @@ def holder_seminorm(h: GridFunction, alpha: float,
     if not np.all(np.isfinite(vals)):
         raise ValueError("holder_seminorm needs finite values")
     if mode == "adjacent":
-        dv = np.abs(np.diff(vals))
-        dd = np.diff(pos)
-        good = dd > 0
-        return float(np.max(dv[good] / dd[good] ** alpha)) if good.any() else 0.0
+        return _adjacent(pos, alpha)(vals)
     if mode != "pairs":
         raise ValueError(f"unknown mode {mode!r}")
-    return _pairs_max(pos, vals, alpha, _BLOCK)
+    return _pairs_max(pos, vals, alpha, _BLOCK, _FINE)
 
 
 # a block pair is skipped only when its bound lies below the running best by
 # this relative margin, since libm pow is not monotone to the last bit
 _PRUNE_SLACK = 1e-12
-# node pairs compared per vectorised call; each temporary of a chunk takes
-# 8 bytes a pair, and 256 KB ones ran `holder_seminorm` faster than 2 MB ones
+# node pairs of the block pairs of one round of the "pairs" scan; each
+# temporary takes 8 bytes a node pair, and 256 KB ones ran faster than 2 MB
 _CHUNK_PAIRS = 1 << 15
 _BLOCK = 64     # nodes per block of the "pairs" scan
-_SUB_BLOCK = 16  # nodes per block of a gap probe's subsample scan
-_SUB_STEP = 8    # block pairs per vectorised call of that scan
+_FINE = 8       # nodes per sub-block of the "pairs" scan
+_SUB_BLOCK = 16  # points per block of a gap probe's subsample scan
+_SUB_STEP = 2    # block pairs per row and round of that scan
+
+
+def _adjacent(pos: np.ndarray, alpha: float):
+    """The largest ratio |vals_{i+1} - vals_i| / (pos_{i+1} - pos_i)^alpha
+    over the neighbours with pos_{i+1} > pos_i, 0.0 if there are none, as a
+    function of vals: the denominators are paid once."""
+    dd = pos[1:] - pos[:-1]
+    good = dd > 0
+    # on a grid without ties every pair counts: no gather
+    good = slice(None) if good.all() else good.nonzero()[0]
+    den = dd[good] ** alpha
+
+    def ratio(vals):
+        if not den.size:
+            return 0.0
+        dv = np.subtract(vals[1:], vals[:-1])
+        dv = np.abs(dv, out=dv)[good]
+        return float(np.maximum.reduce(np.divide(dv, den, out=dv)))
+
+    return ratio
 
 
 def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
-               block: int) -> float:
+               block: int, fine: int) -> float:
     """Exact max of |vals_j - vals_i| / (pos_j - pos_i)^alpha over index pairs
-    i < j with pos_j > pos_i, by `_pruned_max` over block pairs I <= J.
+    i < j with pos_j > pos_i, by `_pruned_max` over blocks of `block` nodes
+    and their sub-blocks of `fine` nodes (fine divides block), from the
+    adjacent maximum.
 
     pos is nondecreasing up to rounding: compactify can put a huge node one
-    ulp below its left neighbour, so the bounds take each block's extreme
-    positions rather than its first and last."""
+    ulp below its left neighbour, so the bounds take each block's and each
+    sub-block's extreme positions rather than its first and last."""
     nb = -(-pos.size // block)
     # repeating the last node in the padding only repeats existing pairs
-    pad = (0, nb * block - pos.size)
-    bpos = np.pad(pos, pad, mode="edge").reshape(nb, block)
-    bval = np.pad(vals, pad, mode="edge").reshape(nb, block)
-    # every pair of blocks I < J lies at least the gap between them apart;
-    # a block and itself, and blocks that touch or overlap, have no gap
-    bi, bj = np.triu_indices(nb)
-    gap = bpos.min(axis=1)[bj] - bpos.max(axis=1)[bi]
-    # inside one block only its pairs r < c count
-    ahead = ~np.tri(block, dtype=bool)
+    pad = nb * block - pos.size
+    ppos, pvals = (np.concatenate([x, np.full(pad, x[-1])])
+                   for x in (pos, vals))
+    fpos = ppos.reshape(-1, fine)
+    gaps = {size: _gaps(ppos.reshape(-1, size)) for size in (block, fine)}
+    # inside one sub-block only its pairs r < c count
+    ahead = ~np.tri(fine, dtype=bool)
 
-    def den(sel):
-        dd = bpos[bj[sel]][:, None, :] - bpos[bi[sel]][:, :, None]
+    def lower(i, j, size):
+        first, last, inner = gaps[size]
+        return np.where(i == j, inner[i],
+                        np.maximum(first[j] - last[i], 0.0)) ** alpha
+
+    def den(i, j):
+        dd = fpos[j][:, None, :] - fpos[i][:, :, None]
         keep = dd > 0
-        keep[bi[sel] == bj[sel]] &= ahead
-        return np.power(dd, alpha, out=np.full(dd.shape, np.inf), where=keep)
+        keep[i == j] &= ahead
+        # a power over every entry runs faster than a masked one, and over
+        # |dd| it takes no slow path for a negative base
+        return np.where(keep, np.abs(dd) ** alpha, np.inf)
 
-    # a block pair of no gap has bound spread / 0: inf, or nan when it has
-    # no spread, and then all its ratios are 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _pruned_max(bval, bi, bj, np.maximum(gap, 0.0) ** alpha, den,
-                           max(1, _CHUNK_PAIRS // (block * block)), 0.0)
+    best = _pruned_max(pvals.reshape(1, nb, block), fine, lower, den,
+                       max(1, _CHUNK_PAIRS // (block * block)),
+                       [_adjacent(pos, alpha)(vals)])
+    return float(best[0])
 
 
-def _pruned_max(vb, bi, bj, lower, den, step, best):
-    """Running max, from `best`, of |vb[J, c] - vb[I, r]| / den(sel)[k, r, c]
-    over the block pairs (I, J) = (bi[k], bj[k]) of the blocks of values vb,
-    k in sel: den(sel) gives the caller's denominators, inf where a node
-    pair is not scanned, and lower[k] bounds block pair k's denominators
-    from below.
+def _gaps(bpos: np.ndarray):
+    """(first, last, inner) of blocks of positions (blocks, nodes): their
+    smallest and largest position, and a lower bound on the distance of the
+    pairs r < c - 1 of one block, the smallest sum of two adjacent steps, 0
+    in a block whose positions fall somewhere.
 
-    A block pair's ratios are at most its value spread over lower[k].  Block
-    pairs are scanned `step` at a time in descending order of that bound,
-    so those of no finite bound first, until the bound is at or below the
-    best by the relative margin `_PRUNE_SLACK`, which covers a lower[k] that
-    rounding puts above a denominator.  So the maximum is the one of
-    scanning every block pair.  A block pair of no spread has bound 0, or
-    nan over lower 0, and is never scanned: its ratios are all 0.
+    Pairs I < J of blocks lie at least first[J] - last[I] apart: a block
+    and itself, and blocks that touch or overlap, have no gap.  An adjacent
+    pair never raises the adjacent maximum, the start of the scan, so a
+    block with itself only needs the bound of its other pairs."""
+    cols = _columns(bpos)
+    steps = cols[1:] - cols[:-1]
+    inner = np.minimum.reduce(steps[1:] + steps[:-1], initial=np.inf)
+    falls = np.minimum.reduce(steps, initial=0.0) < 0
+    return (np.minimum.reduce(cols), np.maximum.reduce(cols),
+            np.where(falls, 0.0, inner))
+
+
+def _columns(blocks: np.ndarray) -> np.ndarray:
+    """The blocks (..., nodes) as a contiguous array (nodes, ...): numpy
+    reduces a short last axis one row at a time, many times slower than
+    its first axis."""
+    return np.moveaxis(blocks, -1, 0).copy()
+
+
+def _pruned_max(vb, fine, lower, den, step, best) -> np.ndarray:
+    """Running maxima of pair ratios, one per row of the value blocks vb
+    (rows, blocks, nodes), each from the row's entry of `best`: the one
+    kernel that prunes and computes the pair ratios of both Hoelder
+    seminorm scans.
+
+    Every block pair I <= J is cut into its pairs (i, j), i <= j, of
+    sub-blocks of `fine` nodes (fine divides nodes), numbered along the
+    row; a sub-block pair's ratios are |fv[j, c] - fv[i, r]| over
+    den(i, j)[k, r, c], fv the row's sub-blocks of values and k the pair's
+    place in the arrays i and j given to den, which is inf where a node
+    pair is not scanned.  lower(i, j, size) bounds from below the
+    denominators of the pairs of blocks (size nodes) or of sub-blocks
+    (size fine) that can raise the row's start best.
+
+    A block pair's ratios are at most its value spread over its lower
+    bound, and so are a sub-block pair's.  Each row's block pairs above
+    its best go in descending order of that bound, the first into round 0,
+    the next `step` into round 1, and so on.  A round drops the block pairs
+    no longer above the row's best by the relative margin `_PRUNE_SLACK`,
+    which covers a lower bound that rounding puts above a denominator,
+    splits the others into sub-block pairs, and computes the ratios of
+    those whose own bound clears the row's best by the same margin; a round
+    with no block pair left ends the scan, as later rounds hold smaller
+    bounds.  So each row's maximum is the one of scanning its every pair.
+    A pair of blocks or sub-blocks of no spread has bound 0, or nan over a
+    lower bound 0, and is never scanned: its ratios are all 0.
     """
-    # the ufuncs' reduce skips the fixed cost of ndarray.min on small blocks
-    lo, hi = np.minimum.reduce(vb, axis=1), np.maximum.reduce(vb, axis=1)
-    bound = np.maximum(hi[bj] - lo[bi], hi[bi] - lo[bj]) / lower
-    cand = np.nonzero(bound > best * (1 - _PRUNE_SLACK))[0]
-    if cand.size > step:  # one chunk is scanned whole, in any order
-        cand = cand[np.argsort(-bound[cand])]
-    for s in range(0, cand.size, step):
-        if not bound[cand[s]] > best * (1 - _PRUNE_SLACK):
-            break
-        sel = cand[s:s + step]
-        dv = np.abs(vb[bj[sel]][:, None, :] - vb[bi[sel]][:, :, None])
-        best = max(best, float((dv / den(sel)).max()))
+    rows, nb, size = vb.shape
+    g = size // fine
+    best = np.array(best, dtype=float)
+    cols = _columns(vb)
+    lo, hi = np.minimum.reduce(cols), np.maximum.reduce(cols)
+    fv = vb.reshape(rows, nb * g, fine)
+    cols = _columns(fv)
+    flo, fhi = np.minimum.reduce(cols), np.maximum.reduce(cols)
+    bi, bj = np.triu_indices(nb)
+    # a block pair's sub-block pairs (a, c), a <= c in a block with itself
+    a, c = np.divmod(np.arange(g * g), g)
+    upper = a <= c
+    shrink = 1 - _PRUNE_SLACK
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.maximum(hi[:, bj] - lo[:, bi],
+                           hi[:, bi] - lo[:, bj]) / lower(bi, bj, size)
+        row, pair = np.nonzero(bound > best[:, None] * shrink)
+        top = bound[row, pair]
+        # per row (nonzero keeps rows ascending) largest bound first: a
+        # row's first block pair goes into round 0, its next `step` into
+        # round 1, and so on
+        order = np.argsort(-top)
+        # a counting sort of the rows, stable, keeps each row's order
+        order = order[np.argsort(row[order].astype(np.min_scalar_type(rows)),
+                                 kind="stable")]
+        row, pair, top = row[order], pair[order], top[order]
+        rank = np.arange(row.size) - row.searchsorted(row)
+        rnd = (rank + step - 1) // step
+        for t in range(rnd.max(initial=-1) + 1):
+            now = (rnd == t) & (top > best[row] * shrink)
+            # a round of no live block pair leaves none in later rounds
+            if not np.count_nonzero(now):
+                break
+            r, k = row[now], pair[now]
+            u, v = ((bi[k] < bj[k])[:, None] | upper).nonzero()
+            r, k = r[u], k[u]
+            i, j = bi[k] * g + a[v], bj[k] * g + c[v]
+            clear = (np.maximum(fhi[r, j] - flo[r, i], fhi[r, i] - flo[r, j])
+                     / lower(i, j, fine)) > best[r] * shrink
+            r, i, j = r[clear], i[clear], j[clear]
+            dv = np.abs(fv[r, j][:, None, :] - fv[r, i][:, :, None])
+            np.maximum.at(best, r, (dv / den(i, j)).max(axis=(1, 2)))
     return best
 
 
@@ -580,7 +675,10 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     pairs of depth-n cylinders whose scale shrinks with the iterate, picked
     per step as the heaviest mass-to-diameter words among constant and
     seeded random words.  On a fixed grid alone the estimate would stall at
-    the grid scale and growth beyond it would be invisible.
+    the grid scale and growth beyond it would be invisible.  Each iterate's
+    best starts at its cylinder and adjacent maxima, its 257 subsample
+    values are kept as one row, and after the walk one pruned scan
+    (`_pair_scan`) takes the subsample pairs of every row at once.
 
     The verdict comes from the `_ls_slope` fit of log(seminorm) against n
     over the last half of the run: bounded when |slope| < 1e-3, growing when
@@ -602,8 +700,9 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     rng = np.random.default_rng(np.random.Philox(key=seed))
     a, b = (float(t) for t in attractor_hull(system))
     nodes = uniform_grid(system, grid_size, margin)
-    pair_scan = _pair_scan(compactify(nodes), alpha,
-                           np.linspace(0, nodes.size - 1, 257).astype(int))
+    pos = compactify(nodes)
+    adjacent = _adjacent(pos, alpha)
+    sub = np.linspace(0, nodes.size - 1, 257).astype(int)
     s_count = system.branch_count
     words = np.repeat(np.arange(1, s_count + 1)[:, None], n_max, axis=1)
     if probe_words > 0:
@@ -611,11 +710,16 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
                                                size=(probe_words, n_max))])
     cylinder_best = _cylinder_probe_max(system, p, alpha, words)
 
-    norms = np.zeros(n_max)
+    # each iterate's best over its cylinder and adjacent pairs, and its
+    # subsample values as one row of the scan after the walk
+    best = cylinder_best.copy()
+    rows = np.empty((n_max, sub.size))
     sups = np.zeros(n_max)
     for n, vals in zip(range(n_max), _ramp_iterates(system, p, nodes, a, b)):
         sups[n] = float(np.max(np.abs(vals)))
-        norms[n] = pair_scan(vals, float(cylinder_best[n]))
+        best[n] = max(best[n], adjacent(vals))
+        rows[n] = vals[sub]
+    norms = _pair_scan(pos, alpha, sub, rows, best)
 
     half = n_max // 2
     ns = np.arange(half + 1, n_max + 1)
@@ -632,54 +736,44 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
                           verdict=verdict)
 
 
-def _pair_scan(pos, alpha, sub):
-    """The grid part of a gap probe's seminorm, as a function of the node
-    values and a running best: the largest ratio over adjacent node pairs,
-    over the pairs of the subsample `sub`, and against the virtual boundary
-    points at minus and plus infinity (values 0 and 1).  The `** alpha`
+def _pair_scan(pos, alpha, sub, rows, best):
+    """The subsample part of a gap probe's seminorm, for all its iterates
+    at once: per row of subsample values (the values at the nodes `sub`,
+    one row per iterate), the largest ratio over the pairs of the subsample
+    and against the virtual boundary points at minus and plus infinity
+    (values 0 and 1), from that row's entry of `best`.  The `** alpha`
     denominators depend on the nodes alone, so they are paid once per
-    probe, not once per step.
-
-    The subsample and the two virtual points are cut into blocks of
-    `_SUB_BLOCK`, whose pairs `_pruned_max` scans with each block pair's
-    smallest denominator as its lower bound.
+    probe, and the block pairs of every row are pruned in one `_pruned_max`
+    pass, with each block pair's smallest denominator as its lower bound.
     """
-    dd = np.diff(pos)
-    adjacent = np.flatnonzero(dd > 0)
-    adjacent_den = dd[adjacent] ** alpha
-    ps = pos[sub]
-    # den[r, c] over the points -inf, the subsample and +inf (values 0,
-    # vals[sub] and 1): the pair's denominator, at [r, c] and [c, r] for two
-    # subsample points, at r < c for a virtual one; inf where no pair is
-    # scanned (equal positions, -inf with +inf, the padding): ratio 0
-    m = ps.size + 2
+    # the points -inf, the subsample and +inf at positions -1, pos[sub] and
+    # 1 (values 0, the row and 1), in blocks of _SUB_BLOCK; the padding's
+    # nan positions pair with nothing
+    m = sub.size + 2
     nb = -(-m // _SUB_BLOCK)
-    den = np.full((nb * _SUB_BLOCK,) * 2, np.inf)
-    inner = den[1:m - 1, 1:m - 1]
-    dpos = ps[None, :] - ps[:, None]
-    ahead = dpos > 0
-    inner[ahead] = dpos[ahead] ** alpha
-    inner[...] = np.minimum(inner, inner.T)
-    den[0, 1:m - 1] = (ps + 1.0) ** alpha
-    den[1:m - 1, m - 1] = (1.0 - ps) ** alpha
+    ps = np.full(nb * _SUB_BLOCK, np.nan)
+    ps[:m] = np.r_[-1.0, pos[sub], 1.0]
+    ps = ps.reshape(nb, _SUB_BLOCK)
     bi, bj = np.triu_indices(nb)
-    blocks = den.reshape(nb, _SUB_BLOCK, nb, _SUB_BLOCK)[bi, :, bj]
-    min_den = blocks.min(axis=(1, 2))
-    # the blocks of values: 0 at -inf, 1 at +inf and over the padding, and
-    # in between vals[sub], which each scan writes in place
-    vb = np.ones((nb, _SUB_BLOCK))
-    vb[0, 0] = 0.0
-    sub_vals = vb.reshape(-1)[1:m - 1]
-
-    def scan(vals, best):
-        dv = np.abs(np.diff(vals))[adjacent]
-        if adjacent.size:
-            best = max(best, float(np.max(dv / adjacent_den)))
-        sub_vals[:] = vals[sub]
-        return _pruned_max(vb, bi, bj, min_den, blocks.__getitem__,
-                           _SUB_STEP, best)
-
-    return scan
+    # the denominators of each block pair, r < c in a block with itself;
+    # inf where no pair is scanned (equal positions, the padding, -inf with
+    # +inf): ratio 0
+    dd = np.abs(ps[bj][:, None, :] - ps[bi][:, :, None])
+    keep = dd > 0
+    keep[bi == bj] &= ~np.tri(_SUB_BLOCK, dtype=bool)
+    keep[(bi == 0) & (bj == nb - 1), 0, (m - 1) % _SUB_BLOCK] = False
+    den = np.where(keep, dd ** alpha, np.inf)
+    lowest = np.minimum.reduce(den.reshape(bi.size, -1), axis=1)
+    # the place in den of the pair of blocks i <= j
+    place = np.zeros((nb, nb), dtype=int)
+    place[bi, bj] = np.arange(bi.size)
+    # 0 at -inf, 1 at +inf and over the padding, the rows in between
+    vb = np.ones((len(rows), nb * _SUB_BLOCK))
+    vb[:, 0] = 0.0
+    vb[:, 1:m - 1] = rows
+    return _pruned_max(vb.reshape(-1, nb, _SUB_BLOCK), _SUB_BLOCK,
+                       lambda i, j, size: lowest[place[i, j]],
+                       lambda i, j: den[place[i, j]], _SUB_STEP, best)
 
 
 def _cylinder_probe_max(system, p, alpha, words):

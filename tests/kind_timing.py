@@ -4,6 +4,7 @@ Pytest does not collect this file (its name does not match `test_*.py`).
 Run it from any checkout with the two checkouts to compare, old first:
 
     python tests/kind_timing.py OLD NEW pointwise 1 2 3 4
+    python tests/kind_timing.py OLD NEW grid 1 2 --kind holder_seminorm
 
 It copies each checkout's `src/holderlab` into a temporary directory under
 its own package name, imports both into this one process, and runs every
@@ -14,7 +15,9 @@ minutes slows both copies' runs of a job alike, so the ratios below keep
 little of that drift.  The jobs run through this checkout's
 `perfbench.workloads.execute`, with its module global `hl` pointed at one
 copy for each run; no file is written outside the temporary directory,
-and the oracles are not run.
+and the oracles are not run.  With `--kind K` (repeatable) only the jobs
+of those kinds run: a small kind's ratio read among the other jobs carries
+effects of the jobs run before it.
 
 It prints, per (kind, system), the job count, the summed job times of each
 copy (both runs of each job) and their ratio new/old, then the ratio of
@@ -26,6 +29,7 @@ evaluator, is listed under its kind with `/emp` appended.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import shutil
 import statistics
@@ -53,14 +57,17 @@ def load_copies(checkouts, tmp: Path) -> list:
     return packages
 
 
-def job_times(workloads, packages, workload: str, seeds) -> list:
+def job_times(workloads, packages, workload: str, seeds, kinds) -> list:
     """((kind, system), old seconds, new seconds) of every job of the seeds
-    in turn, each job run twice on both packages, back to back."""
+    in turn whose kind is in kinds (all jobs if kinds is empty), each job
+    run twice on both packages, back to back."""
     rows = []
     n = 0
     for seed in seeds:
-        for jobs in workloads.build_rounds(workload, int(seed)):
+        for jobs in workloads.build_rounds(workload, seed):
             for job in jobs:
+                if kinds and job.kind not in kinds:
+                    continue
                 times = [0.0, 0.0]
                 for side in ((0, 1, 1, 0) if n % 2 == 0 else (1, 0, 0, 1)):
                     workloads.hl = packages[side]
@@ -100,11 +107,16 @@ def report(rows, tail_pct: int) -> None:
 
 
 def main(argv) -> int:
-    if len(argv) < 4:
-        print("usage: kind_timing.py OLD NEW WORKLOAD SEED [SEED ...]",
-              file=sys.stderr)
-        return 2
-    old, new, workload, *seeds = argv
+    parser = argparse.ArgumentParser(
+        description="per-kind time ratios of two checkouts")
+    parser.add_argument("old")
+    parser.add_argument("new")
+    parser.add_argument("workload")
+    parser.add_argument("seeds", nargs="+", type=int)
+    parser.add_argument("--kind", action="append", default=[],
+                        help="time only this kind's jobs (repeatable)")
+    args = parser.parse_args(argv)
+    old, new, workload, seeds = args.old, args.new, args.workload, args.seeds
     with tempfile.TemporaryDirectory() as tmp:
         packages = load_copies((old, new), Path(tmp))
         # perfbench.workloads imports holderlab by name: let it find a copy
@@ -113,7 +125,12 @@ def main(argv) -> int:
         from perfbench import workloads
         from perfbench.run import TAIL_PCT
 
-        rows = job_times(workloads, packages, workload, seeds)
+        rows = job_times(workloads, packages, workload, seeds,
+                         set(args.kind))
+    if not rows:
+        print(f"no {workload} job of kind {', '.join(args.kind)}",
+              file=sys.stderr)
+        return 2
     report(rows, TAIL_PCT[workload])
     return 0
 

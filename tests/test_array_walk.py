@@ -43,6 +43,7 @@ from holderlab.ifs import (
     hull_preimages,
 )
 from holderlab.transition import (
+    _adjacent,
     _masses,
     _orbit_start,
     _orbit_tables,
@@ -575,24 +576,37 @@ def _falling_step_case():
 @example(case=_falling_step_case())
 def test_pruned_pair_scan_and_live_steps_match_full_ones(case):
     system, p, nodes, pos = (case[k] for k in ("system", "p", "nodes", "pos"))
+    alpha = case["alpha"]
     sub = np.linspace(0, nodes.size - 1, 257).astype(int)
-    scan = _pair_scan(pos, case["alpha"], sub)
     # stepping only the undecided nodes gives the iterates of stepping all
     a, b = (float(t) for t in attractor_hull(system))
     state = _orbit_start(system, nodes)
     live = _ramp_iterates(system, p, nodes, a, b)
+    iterates = []
     for n in range(case["steps"]):
         _orbit_tables(system, p, state, tol=0.0, max_depth=1)
         y, acc, mass = state
         want = acc + mass * _ramp(y, a, b)
         assert next(live).tobytes() == want.tobytes(), n
-    # the pruned scan gives the float of scanning every pair, from a running
-    # best below, at or above that maximum; one ulp below, only the block
-    # pairs holding the maximum can raise it
-    for vals in (want, case["vals"]):
-        full = _all_pairs_scan(pos, case["alpha"], sub, vals)
-        for best in (0.0, case["start"] * full, math.nextafter(full, 0.0)):
-            assert scan(vals, best).hex() == max(full, best).hex(), best
+        iterates.append(want)
+    # one batched scan gives each row the float of scanning every pair of
+    # its values, from a start best below, at or above that maximum, and
+    # the probe's seed, the adjacent maximum; one ulp below, only the block
+    # pairs holding the maximum can raise it.  The first row starts above
+    # every other row's maximum, so a best that leaks between rows shows.
+    adjacent = _adjacent(pos, alpha)
+    fulls = [_all_pairs_scan(pos, alpha, sub, vals)
+             for vals in iterates + [case["vals"]]]
+    cases = [(case["vals"], fulls[-1], 2 * max(fulls) + 1.0)]
+    cases += [(vals, full, best)
+              for vals, full in zip(iterates + [case["vals"]], fulls)
+              for best in (0.0, case["start"] * full,
+                           math.nextafter(full, 0.0))]
+    got = _pair_scan(
+        pos, alpha, sub, np.array([vals[sub] for vals, _, _ in cases]),
+        np.array([max(best, adjacent(vals)) for vals, _, best in cases]))
+    assert ([v.hex() for v in got]
+            == [max(full, best).hex() for _, full, best in cases])
 
 
 # gap_probe and conjugacy_residual outputs recorded, as float.hex(), before

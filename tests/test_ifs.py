@@ -53,7 +53,7 @@ from holderlab import (
     validate,
     validated,
 )
-from holderlab.ifs import _branch_fixed_point, _suffix_midpoints
+from holderlab.ifs import _TABLES, _branch_fixed_point, _suffix_midpoints
 
 
 def test_affine_branch_roundtrip():
@@ -414,6 +414,21 @@ def test_validate_flags_bad_weights(dyadic):
             ProbVector(weights)
     with pytest.raises(ConfigurationError, match="3 weights for 2 branches"):
         validate(dyadic, ProbVector.of(0.2, 0.3))
+
+
+def test_validate_keeps_one_report_per_system_value(dyadic):
+    # equal systems built apart share one report
+    twin = affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0))
+    assert twin is not dyadic and validate(twin) is validate(dyadic)
+    # the weights are checked on every call, after a memo hit too
+    with pytest.raises(ConfigurationError, match="3 weights for 2 branches"):
+        validate(twin, ProbVector.of(0.2, 0.3))
+    # a system that fails raises on every call and stores nothing
+    bad = affine_system((2.0,), (0.0,), (0.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="two branches"):
+            validate(bad)
+    assert bad._key not in _TABLES
 
 
 def _unit_grid():

@@ -22,6 +22,7 @@ from holderlab import (
     seminorm_refinement_sweep,
     uniform_grid,
 )
+from holderlab import transition
 from holderlab.ifs import compactified_gap_factor, cylinder
 from holderlab.transition import _cylinder_probe_max, _ls_slope, _pairs_max
 
@@ -218,6 +219,12 @@ def test_holder_seminorm_modes():
         holder_seminorm(GridFunction(nodes, nodes, 0.0, np.inf), 0.5)
 
 
+def test_cell_oscillation_of_one_node_is_zero():
+    # one node has no adjacent pair, so no jump
+    assert GridFunction([0.5], [0.3]).cell_oscillation() == 0.0
+    assert GridFunction([0.5, 1.0], [0.3, -0.2]).cell_oscillation() == 0.5
+
+
 def brute_seminorm(h, alpha, include_boundary):
     """All-pairs scan: the reference the pruned "pairs" mode must equal."""
     pos = np.array([compactify(float(x)) for x in h.nodes])
@@ -260,27 +267,74 @@ def random_grid(n, seed, node_kind, value_kind):
 @settings(max_examples=150, deadline=None)
 # compactify puts some huge nodes one ulp below their left neighbour
 @example(n=479, seed=1, node_kind="huge", value_kind="wild", alpha=1.0,
-         include_boundary=True, block=3)
+         include_boundary=True, sizes=(3, 3))
+@example(n=479, seed=1, node_kind="huge", value_kind="wild", alpha=1.0,
+         include_boundary=True, sizes=(6, 3))
 @example(n=122, seed=3681911326, node_kind="huge", value_kind="tied",
-         alpha=1.0, include_boundary=True, block=1000)
+         alpha=1.0, include_boundary=True, sizes=(1000, 1000))
 @given(n=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1),
        node_kind=st.sampled_from(["uniform", "random", "huge"]),
        value_kind=st.sampled_from(["monotone", "constant", "tied", "wild"]),
        alpha=st.floats(0.0, 1.0, exclude_min=True),
        include_boundary=st.booleans(),
-       block=st.sampled_from([1, 3, 64, 1000]))
+       sizes=st.sampled_from([(1, 1), (3, 1), (3, 3), (6, 3), (12, 4),
+                              (64, 8), (64, 64), (64, 1), (1000, 8),
+                              (1000, 1000)]))
 def test_pairs_seminorm_equals_brute_force(n, seed, node_kind, value_kind,
-                                           alpha, include_boundary, block):
-    # the pruned kernel at any block size, with and without the points at
-    # minus and plus infinity; holder_seminorm always scans them
+                                           alpha, include_boundary, sizes):
+    # the two-level pruned kernel at any block and sub-block size, with and
+    # without the points at minus and plus infinity; holder_seminorm always
+    # scans them
     h = random_grid(n, seed, node_kind, value_kind)
     pos, vals = compactify(h.nodes), h.values
     if include_boundary:
         pos = np.concatenate([[-1.0], pos, [1.0]])
         vals = np.concatenate([[h.boundary_left], vals, [h.boundary_right]])
-    got = _pairs_max(pos, vals, alpha, block)
+    got = _pairs_max(pos, vals, alpha, *sizes)
     assert got == brute_seminorm(h, alpha, include_boundary)
     assert holder_seminorm(h, alpha) == brute_seminorm(h, alpha, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 600), seed=st.integers(0, 2 ** 32 - 1),
+       node_kind=st.sampled_from(["uniform", "random", "huge"]),
+       value_kind=st.sampled_from(["monotone", "tied", "wild"]),
+       alpha=st.floats(0.05, 1.0),
+       sizes=st.sampled_from([(6, 3), (12, 4), (64, 8), (64, 16)]))
+def test_pairs_scan_pays_only_sub_block_pairs_above_the_best(
+        n, seed, node_kind, value_kind, alpha, sizes):
+    # the ratios of a pair of distinct sub-blocks are computed only when
+    # their own bound, value spread over (gap between their extreme
+    # positions)^alpha, lies above the start best, the adjacent maximum
+    block, fine = sizes
+    h = random_grid(n, seed, node_kind, value_kind)
+    pos = np.concatenate([[-1.0], compactify(h.nodes), [1.0]])
+    vals = np.concatenate([[h.boundary_left], h.values, [h.boundary_right]])
+    scanned, start = [], []
+    kernel = transition._pruned_max
+
+    def recorded(vb, fine, lower, den, step, best):
+        start.append(best[0])
+        return kernel(vb, fine, lower,
+                      lambda i, j: scanned.append((i, j)) or den(i, j),
+                      step, best)
+
+    transition._pruned_max = recorded
+    try:
+        got = _pairs_max(pos, vals, alpha, block, fine)
+    finally:
+        transition._pruned_max = kernel
+    assert got == brute_seminorm(h, alpha, True)
+    pad = -pos.size % block
+    fpos, fval = (np.concatenate([x, np.full(pad, x[-1])]).reshape(-1, fine)
+                  for x in (pos, vals))
+    for i, j in scanned:
+        i, j = i[i < j], j[i < j]
+        spread = np.maximum(fval[j].max(1) - fval[i].min(1),
+                            fval[i].max(1) - fval[j].min(1))
+        gap = np.maximum(fpos[j].min(1) - fpos[i].max(1), 0.0)
+        with np.errstate(divide="ignore"):
+            assert (spread / gap ** alpha > start[0] * (1 - 1e-9)).all()
 
 
 SYSTEMS = {

@@ -24,7 +24,8 @@ import numpy as np
 
 from .ifs import ConfigurationError, IFSystem, ProbVector, _checked_least, \
     _checked_word, _coding_for, _walk, _walk_weights
-from .transition import GridFunction, _averaged, _branch_images, cdf_values
+from .transition import GridFunction, _branch_images, _freeze_order, \
+    _iterates, _read, cdf_values
 
 # ---------------------------------------------------------------------------
 # multi-index bookkeeping
@@ -353,17 +354,18 @@ def derivative_grids(system: IFSystem, p: ProbVector, order: Sequence[int],
     out[zero_order] = DerivativeGrid(grid=base, order=zero_order, terms=0,
                                      tail_estimate=0.0, converged=True)
     images = _branch_images(system, pf, nodes)
+    # the nodes each term computes, shared by every order
+    stepped = _freeze_order(images, nodes.size)
     for m in index_set(order):
         if m == zero_order:
             continue
         source = _source_grid(m, out, images)
         total = source.values.copy()
-        term = source.values
-        sups = [float(np.max(np.abs(term)))]
-        for _ in range(terms - 1):
-            term = _averaged(source, term, images)
+        sups = [float(np.abs(source.values).max())]
+        for _, (term, _, _) in zip(range(terms - 1),
+                                   _iterates(source, images, *stepped)):
             total += term
-            sups.append(float(np.max(np.abs(term))))
+            sups.append(float(np.abs(term).max()))
             if sups[-1] < 1e-12:
                 break
         tail, converged = _tail_estimate(sups)
@@ -382,13 +384,14 @@ def eval_derivative_grid(system: IFSystem, p: ProbVector, order, nodes,
 
 def _source_grid(m, grids, images) -> GridFunction:
     """The order-m source on the branch images f_i(nodes) of `_branch_images`:
-    sum_j m_j (D_{m - e_j}(f_j x) - D_{m - e_j}(f_last x))."""
+    sum_j m_j (D_{m - e_j}(f_j x) - D_{m - e_j}(f_last x)), each D read at
+    the images' stencils by `_read`."""
     nodes = grids[(0,) * len(m)].grid.nodes
     vals = np.zeros_like(nodes)
-    for j, (_, fj) in enumerate(images[:-1]):
-        if m[j]:
-            below = grids[m[:j] + (m[j] - 1,) + m[j + 1:]].grid
-            vals += m[j] * (below(fj) - below(images[-1][1]))
+    for j, mj in enumerate(m):
+        if mj:
+            read = _read(grids[m[:j] + (mj - 1,) + m[j + 1:]].grid, images)
+            vals += mj * (read[j] - read[-1])
     return GridFunction(nodes, vals, 0.0, 0.0)
 
 

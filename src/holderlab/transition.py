@@ -11,6 +11,7 @@ It is also the unique bounded fixed point of M with boundary values 0 and 1.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -359,27 +360,216 @@ def cdf_grid(system: IFSystem, p: ProbVector) -> GridFunction:
 
 def apply_transition(system: IFSystem, p: ProbVector,
                      h: GridFunction) -> GridFunction:
-    """One averaging step (M h)(x) = sum_i p_i h(f_i(x)) on the grid."""
-    return h.with_values(_averaged(h, h.values,
-                                   _branch_images(system, p, h.nodes)))
+    """One averaging step (M h)(x) = sum_i p_i h(f_i(x)) on the grid, with
+    `GridFunction.__call__`'s bits; ValueError on a grid of no node or with
+    a value or boundary that is not finite."""
+    _checked_grid(h)
+    n = h.nodes.size
+    values, _, _ = next(_iterates(h, _branch_images(system, p, h.nodes),
+                                  np.arange(n), [n]))
+    return h.with_values(values)
 
 
-def _branch_images(system: IFSystem, p: ProbVector, nodes) -> list:
-    """(p_i, f_i(nodes)) for every branch, p_i from `p.as_floats()`."""
-    weights = _checked_weights(system, p).as_floats().weights
-    return [(w, _branch_on_array(br, nodes))
-            for w, br in zip(weights, system.branches)]
+def _checked_grid(h: GridFunction) -> None:
+    """ValueError unless h's values and boundaries are finite."""
+    if not (np.isfinite(h.values).all() and math.isfinite(h.boundary_left)
+            and math.isfinite(h.boundary_right)):
+        raise ValueError("the grid needs finite values and boundaries")
 
 
-def _averaged(h: GridFunction, values: np.ndarray, images: list):
-    """sum_i p_i g(f_i(x)) at h's nodes, g the interpolant of values on
-    h's nodes with h's boundary values: one operator step, whose images
-    of the nodes come from `_branch_images`."""
-    new = np.zeros_like(values)
-    for w, fy in images:
-        new += w * np.interp(fy, h.nodes, values, left=h.boundary_left,
-                             right=h.boundary_right)
-    return new
+def _branch_images(system: IFSystem, p: ProbVector, nodes) -> tuple:
+    """(w, jv, js, dx, odd): the weights p_i of `p.as_floats()` as a column
+    and the stencil (`_stencil`) of the branch images f_i(nodes), one row
+    per branch."""
+    weights = _checked_weights(system, p)._float_weights[0]
+    images = np.array([_branch_on_array(br, nodes) for br in system.branches])
+    return (weights[:, None], *_stencil(nodes, images))
+
+
+def _stencil(nodes: np.ndarray, y: np.ndarray) -> tuple:
+    """(jv, js, dx, odd) of the points y (any shape) on the n nodes:
+    np.interp's value at y of the values g with boundaries l and r is
+    slopes[js] * dx + [g..., l, r][jv], slopes = [diff(g) / diff(nodes)...,
+    -0.0], np.interp's own slope expression.
+
+    A point strictly between nodes j and j + 1 reads jv = js = j and
+    dx = y - nodes[j], which is np.interp's formula.  Every other point
+    reads the -0.0 slope (js = n - 1) with dx = 0.0, and x + (-0.0) is x
+    for every x: a point on node j reads jv = j (the last node too), one
+    left of the nodes jv = n and one right of them n + 1.  With finite
+    values the formula gives np.interp's float, unless np.interp falls back
+    on its NaN branch: at a NaN point, and across a spacing that is not
+    finite (an infinite node, or two that overflow), where the formula can
+    make inf times 0.  Those points are odd: odd is None, or their flat
+    places in y and the points, which `_interpolated` reads through
+    np.interp.  ValueError on no node."""
+    n = nodes.size
+    if not n:
+        raise ValueError("the grid needs at least one node")
+    j = nodes.searchsorted(y, side="right") - 1
+    at = nodes[np.maximum(j, 0)]
+    inside = (j < n - 1) & (y > at)
+    jv = np.where(y > nodes[-1], n + 1, np.where(j < 0, n, j))
+    js = np.where(inside, j, n - 1)
+    with _silent():
+        dx = np.where(inside, y - at, 0.0)
+        spacing = nodes[1:] - nodes[:-1]
+    odd = np.isnan(y)
+    if not np.isfinite(spacing).all():
+        odd |= ~np.isfinite(np.append(spacing, 0.0)[js])
+    odd = odd.ravel().nonzero()[0]
+    if not odd.size:
+        return jv, js, dx, None
+    # the formula's float at an odd point is replaced, and 0 * 0 is silent
+    js.flat[odd], dx.flat[odd] = n - 1, 0.0
+    return jv, js, dx, (odd, y.flat[odd])
+
+
+def _interpolated(h: GridFunction, ext: np.ndarray, slopes: np.ndarray,
+                  stencil: tuple) -> np.ndarray:
+    """np.interp's values of h's interpolant at the points of the stencil
+    (w, jv, js, dx, odd), in jv's shape, from ext = [values..., left,
+    right] and slopes = [diff(values) / diff(nodes)..., -0.0] of h's nodes
+    (`_reads`).  Call it under `_silent()`."""
+    _, jv, js, dx, odd = stencil
+    r = slopes[js] * dx + ext[jv]
+    if odd:
+        k, y = odd
+        r.flat[k] = h.with_values(ext[:-2])(y)
+    return r
+
+
+def _read(h: GridFunction, stencils: tuple) -> np.ndarray:
+    """h's interpolant at the points of the stencils, with np.interp's
+    bits: `_interpolated` of h's values."""
+    with _silent():
+        return _interpolated(h, *_reads(h), stencils)
+
+
+def _silent():
+    """np.interp's silence, for the stencils and their reads: no warning
+    where a spacing, a slope or the formula overflows, or where a slope is
+    inf / inf across a spacing that is not finite.  Entering the context
+    costs about a microsecond, a tenth of a step on a few hundred nodes."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _reads(h: GridFunction):
+    """(ext, slopes) of h: what `_interpolated` reads.  Call it under
+    `_silent()`."""
+    ext = np.concatenate([h.values, [h.boundary_left, h.boundary_right]])
+    slopes = np.full(h.values.size, -0.0)
+    np.divide(ext[1:-2] - ext[:-3], h.nodes[1:] - h.nodes[:-1],
+              out=slopes[:-1])
+    return ext, slopes
+
+
+# a freeze round that leaves out fewer than 1 / _ROUND_GAIN of the nodes
+# still stepped ends the rounds: runs take 40 to 80 steps
+_ROUND_GAIN = 64
+
+
+def _freeze_order(stencils: tuple, n: int):
+    """(order, sizes): the n nodes in the order in which `_iterates` steps
+    them, and sizes[t] the number of nodes that step t computes, the last
+    one at every later step; step t computes the nodes order[:sizes[t]].
+
+    A node is final once the nodes its stencils read are final: the node
+    jv and, where it interpolates (js < n - 1), jv + 1; a boundary constant
+    (jv = n or n + 1) always is.  Let F be the final nodes before step t;
+    their values stay fixed from then on.  A node of step t whose reads
+    all lie in F gets a value that every later step would compute again
+    from the same floats, so it is final after step t, and the later steps
+    leave it out.  The rule reads the stencils alone, not the values, so
+    it runs here once, before any step: round t finds the nodes final
+    after step t, and F only grows.  The rounds end at the first that
+    leaves out fewer than 1 / `_ROUND_GAIN` of the nodes still stepped;
+    the nodes it would have left out are stepped on, and a final node
+    stepped again keeps its bits.  The order puts the nodes still stepped
+    at the end first, ascending, then the nodes of each round, the last
+    round first, so the nodes of a step are a prefix of the order.  A
+    stencil with odd points (`_stencil`) indexes the nodes in their own
+    order, so then every node is stepped."""
+    todo = np.arange(n)
+    _, jv, js, _, odd = stencils
+    if odd:
+        return todo, [n]
+    # the reads of every branch: jv, then jv + 1 where it interpolates
+    reads = np.concatenate([jv, jv + (js < n - 1)])
+    final = np.zeros(n + 2, dtype=bool)
+    final[n:] = True
+    rounds, sizes = [], [n]
+    while True:
+        ready = np.logical_and.reduce(final[reads])
+        done = todo[ready]
+        # a round costs about one step over the nodes still stepped, and
+        # saves at most one of them per later step for each node it finds
+        if done.size * _ROUND_GAIN < todo.size:
+            break
+        rounds.append(done)
+        final[done] = True
+        keep = (~ready).nonzero()[0]
+        todo, reads = todo[keep], reads.take(keep, 1)
+        sizes.append(todo.size)
+    return np.concatenate([todo] + rounds[::-1]), sizes
+
+
+def _iterates(h: GridFunction, stencils: tuple, order: np.ndarray,
+              sizes: list):
+    """The iterates of the operator from h, sum_i p_i g(f_i(x)) at h's
+    nodes with g the interpolant of the last iterate and h's boundary
+    values, the images f_i(nodes) read by their stencils (`_branch_images`),
+    without end: the one step loop of `apply_transition`, `iterate_transition`
+    and the Neumann series of `takagi.derivative_grids`.  Step t computes
+    the nodes order[:sizes[t]] (the last size at every later step), which
+    `_freeze_order` gives, or every node, in order, with (arange(n), [n]).
+
+    After each step it yields (values, new, keep): values the iterate at
+    every node, new the step's values at order[:new.size], and keep the
+    number of them that the next step computes again; the others are
+    final.  So every step gives every node the bits of stepping them all.
+    A step recomputes only the slopes of the intervals between the lowest
+    and the highest node that the last step computed: the others read two
+    final values.  The next step overwrites values; the caller must not
+    change either array."""
+    n = h.nodes.size
+    with _silent():
+        ext, slopes = _reads(h)
+        width = h.nodes[1:] - h.nodes[:-1]
+    # an iterate's values are averages of interpolants, within a few ulps
+    # of the largest |value| or |boundary|, and its slopes at most twice
+    # that over the least spacing: below these bounds no step overflows,
+    # and it can skip `_silent()`'s context
+    quiet = np.abs(ext).max() <= 1e300 * min(1.0, width.min(initial=1.0))
+    silent = contextlib.nullcontext if quiet else _silent
+    values = ext[:-2]
+    w, jv, js, dx, odd = stencils
+    cols = w, jv.take(order, 1), js.take(order, 1), dx.take(order, 1), odd
+    idx = order
+
+    def span(s):
+        """The views of `_reads`' slope expression over the intervals s."""
+        return ext[1:-2][s], ext[:-3][s], width[s], slopes[:-1][s]
+
+    # the intervals whose slopes this step and the next recompute
+    now, after = span(slice(0)), span(slice(n))
+    rest = iter(sizes[1:])
+    while True:
+        upper, lower, dw, out = now
+        with silent():
+            np.divide(upper - lower, dw, out=out)
+            new = np.zeros(idx.size)
+            for term in w * _interpolated(h, ext, slopes, cols):
+                new += term
+        ext[idx] = new
+        now = after
+        keep = next(rest, idx.size)
+        yield values, new, keep
+        if keep < idx.size:
+            idx = idx[:keep]
+            cols = (w, *(c[:, :keep].copy() for c in cols[1:4]), odd)
+            after = span(slice(max(idx.min() - 1, 0), idx.max() + 1)
+                         if keep else slice(0))
 
 
 @dataclass(frozen=True)
@@ -400,17 +590,29 @@ def iterate_transition(system: IFSystem, p: ProbVector, h0: GridFunction,
     The residual sequence decays geometrically until it hits the resolution
     floor of the grid; the decay factor is fitted by `_ls_slope` on the
     pre-floor segment (at least two steps, so n_max >= 2).  A zero residual
-    there means the iterates reached the limit: rate 0.0 and R^2 1.0.
+    there means the iterates reached the limit: rate 0.0 and R^2 1.0.  A
+    grid of no node, or with a value or boundary that is not finite, raises
+    ValueError.  The iterates are `apply_transition`'s, bit for bit, but
+    each step computes only the nodes that `_iterates` still steps; a
+    residual is the max of their deviations and of the running max of the
+    final ones, which is the max over every node.
     """
     _checked_least("n_max", n_max, 2)
-    lim_vals = (h0.boundary_right - h0.boundary_left) \
+    _checked_grid(h0)
+    lim = (h0.boundary_right - h0.boundary_left) \
         * cdf_values(system, p, h0.nodes, tol=1e-14) + h0.boundary_left
-    images = _branch_images(system, p, h0.nodes)
-    vals = h0.values
+    stencils = _branch_images(system, p, h0.nodes)
+    order, sizes = _freeze_order(stencils, h0.nodes.size)
+    lim = lim[order]
     residuals = np.empty(n_max)
-    for n in range(n_max):
-        vals = _averaged(h0, vals, images)
-        residuals[n] = np.max(np.abs(vals - lim_vals))
+    # the largest deviation of a node whose value is final
+    final = -math.inf
+    for n, (_, new, keep) in zip(range(n_max),
+                                 _iterates(h0, stencils, order, sizes)):
+        dev = np.abs(new - lim[:new.size])
+        residuals[n] = np.maximum.reduce(dev, initial=final)
+        if keep < new.size:
+            final = np.maximum.reduce(dev[keep:], initial=final)
 
     floor = float(residuals.min())
     above = residuals > max(10 * floor, 1e-300)

@@ -20,8 +20,11 @@ of those kinds run: a small kind's ratio read among the other jobs carries
 effects of the jobs run before it.
 
 It prints, per (kind, system), the job count, the summed job times of each
-copy (both runs of each job) and their ratio new/old, then the ratio of
-the whole time, of the median job time and of the workload's tail
+copy (both runs of each job) and their ratio new/old; then the same per
+(kind, size octave) over the jobs with a grid size (the parameter `n` or
+`grid_size`), octave k holding the sizes 2^k to 2^(k+1) - 1, so that a
+change that gains on large grids and loses on small ones shows; then the
+ratio of the whole time, of the median job time and of the workload's tail
 percentile of job time (`perfbench.run.TAIL_PCT`).  A job with the
 parameter `empirical` set, a `spectrum_experiment` that calls an
 evaluator, is listed under its kind with `/emp` appended.
@@ -58,9 +61,10 @@ def load_copies(checkouts, tmp: Path) -> list:
 
 
 def job_times(workloads, packages, workload: str, seeds, kinds) -> list:
-    """((kind, system), old seconds, new seconds) of every job of the seeds
-    in turn whose kind is in kinds (all jobs if kinds is empty), each job
-    run twice on both packages, back to back."""
+    """((kind, system, octave), old seconds, new seconds) of every job of
+    the seeds in turn whose kind is in kinds (all jobs if kinds is empty),
+    each job run twice on both packages, back to back; octave is the size
+    octave of `octave`."""
     rows = []
     n = 0
     for seed in seeds:
@@ -82,22 +86,35 @@ def job_times(workloads, packages, workload: str, seeds, kinds) -> list:
                     "system", "bent" if "nonaffine" in job.kind else "-")
                 kind = job.kind + ("/emp" if job.params.get("empirical")
                                    else "")
-                rows.append(((kind, system), *times))
+                rows.append(((kind, system, octave(job.params)), *times))
     return rows
 
 
+def octave(params) -> int | None:
+    """k for a job whose grid size (`n`, else `grid_size`) lies in
+    2^k .. 2^(k+1) - 1, None for a job without one."""
+    size = params.get("n", params.get("grid_size"))
+    return None if size is None else int(size).bit_length() - 1
+
+
 def report(rows, tail_pct: int) -> None:
-    groups = defaultdict(lambda: [0, 0.0, 0.0])
-    for key, old, new in rows:
-        g = groups[key]
-        g[0] += 1
-        g[1] += old
-        g[2] += new
-    print(f"{'kind':24} {'system':8} {'jobs':>5} {'old ms':>9} "
-          f"{'new ms':>9} {'new/old':>8}")
-    for (kind, system), (count, old, new) in sorted(groups.items()):
-        print(f"{kind:24} {system:8} {count:5d} {old * 1e3:9.1f} "
-              f"{new * 1e3:9.1f} {new / old:8.3f}")
+    for title, column, label in (("system", 1, str),
+                                 ("octave", 2, lambda k: f"2^{k}")):
+        groups = defaultdict(lambda: [0, 0.0, 0.0])
+        for key, old, new in rows:
+            if key[column] is None:
+                continue
+            g = groups[key[0], key[column]]
+            g[0] += 1
+            g[1] += old
+            g[2] += new
+        if not groups:
+            continue
+        print(f"{'kind':24} {title:8} {'jobs':>5} {'old ms':>9} "
+              f"{'new ms':>9} {'new/old':>8}")
+        for (kind, group), (count, old, new) in sorted(groups.items()):
+            print(f"{kind:24} {label(group):8} {count:5d} {old * 1e3:9.1f} "
+                  f"{new * 1e3:9.1f} {new / old:8.3f}")
     old = [r[1] for r in rows]
     new = [r[2] for r in rows]
     print(f"total   {sum(new) / sum(old):.3f}")

@@ -28,6 +28,7 @@ from holderlab import (
     attractor_hull,
     cdf_values,
     cylinder,
+    derivative_grids,
     eval_cdf,
     gap_probe,
     iterate_transition,
@@ -855,6 +856,38 @@ def test_array_walk_output_digests(name, free):
                iterate_transition(system, p, h0, n_max=20).residuals]
     got = tuple(hashlib.sha256(out.tobytes()).hexdigest() for out in outputs)
     assert got == OUTPUT_DIGESTS[name]
+
+
+# SHA-256 of `derivative_grids` on `_digest_nodes` at depth 4 (every grid
+# of the box in key order: its key, terms, tail estimate and convergence,
+# then the bytes of its values), recorded while the operator read its
+# branch images through np.interp
+DERIVATIVE_DIGESTS = {
+    ("dyadic", (1,)):
+        "44c751cb4cd2cf86d07701a82b778066d4d110d16801153ef7adcec39a79320a",
+    ("dyadic", (2,)):
+        "bf11cbad580d2be02fd6ae0a6499eedd4621b8bba2393bd060d5647d55695a2a",
+    ("cantor", (1,)):
+        "ca2fa0e6e3cd272bad5eddb79b6503b56dda52bc17c9ffe95cf625f7e1fac6f7",
+    ("cantor", (2,)):
+        "09dfa2123d25050633fd4bd069b3f60320cec7ac81f9be675b107e176b78563b",
+    ("gaps3", (1, 1)):
+        "99bc5e3accd616687c0a38b5293eede8d1037ab1136fa9b8ddfe95ab3fe7333f",
+}
+
+
+@pytest.mark.parametrize("name, order", sorted(DERIVATIVE_DIGESTS))
+def test_derivative_grids_pinned_bits(name, order):
+    free = {"dyadic": (0.3,), "cantor": (0.3,), "gaps3": (0.2, 0.5)}[name]
+    grids = derivative_grids(SYSTEMS[name], ProbVector.of(*free), order,
+                             _digest_nodes(SYSTEMS[name], 4))
+    h = hashlib.sha256()
+    for m in sorted(grids):
+        g = grids[m]
+        h.update(repr((m, g.terms, g.tail_estimate.hex(),
+                       g.converged)).encode())
+        h.update(g.grid.values.tobytes())
+    assert h.hexdigest() == DERIVATIVE_DIGESTS[name, order]
 
 
 @pytest.mark.parametrize("name, free", [("dyadic", (0.3,)),

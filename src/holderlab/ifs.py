@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -345,8 +345,9 @@ class IFSystem:
 
     @property
     def _cylinders(self) -> Optional["_FloatTable"]:
-        """The L-symbol float region table, or None unless the system
-        qualifies; read from `_TABLES` on every access."""
+        """The L-symbol float region table, or None on a system with a
+        custom or a decreasing branch (`_cylinder_table`); read from
+        `_TABLES` on every access."""
         return _system_table(self, "cylinders", _cylinder_table)
 
     @cached_property
@@ -797,12 +798,14 @@ def _walk(table: tuple, y, depth: int):
     table (breaks, regions): a `bisect` on the breaks finds y's region, the
     walk yields the region's events, an `_Events`, and maps y (or stops,
     at a gap).  A region of the one-symbol tables holds one event; one of
-    an L-symbol table (`_walk_table`'s, a float point on a system with an
-    exact-step `_FloatTable`) holds the events of the one-symbol walk up
-    to its L-th orbit point, bit for bit (`transition._orbit_tables` proves
-    it).  When fewer symbols are left than the region holds, the walk
-    yields its first ones, `_Events.prefixes`, and stops: every float of
-    the region takes that one path.
+    an L-symbol table (`_walk_table`'s, a float point on an affine system
+    that is not rational) holds the events of the one-symbol walk up to its
+    L-th orbit point, bit for bit, and maps y there by its composed A_w and
+    B_w or by a replay of its L float steps, a callable held as a custom
+    branch is, with intercept None (`transition._orbit_tables` proves it).
+    When fewer symbols are left than the region holds, the walk yields its
+    first ones, `_Events.prefixes`, and stops: every float of the region
+    takes that one path.
     """
     breaks, regions = table
     n = len(breaks)
@@ -854,14 +857,13 @@ def _apply_branches(system: IFSystem, idx: np.ndarray,
 class _FloatTable:
     """The regions of L symbols of a system's float walk (hull ends, window
     edges and maps in floats): one symbol on every system
-    (`IFSystem._step`), L on a system whose every float step is exact
-    (`IFSystem._cylinders`, whose qualification and proof
-    `transition._orbit_tables` gives).
+    (`IFSystem._step`), L on every affine system with increasing branches
+    (`IFSystem._cylinders`, whose proof `transition._orbit_tables` gives).
 
-    With t the sorted breakpoints, keys interleaves t with the float after
-    each, so `searchsorted(keys, y, "right")` is 2i + 1 at y = t_i, 2i + 2
-    between t_i and t_{i+1} (or right of the last) and 0 left of t_0:
-    every breakpoint is a region of its own.
+    keys are sorted cuts, and `searchsorted(keys, y, "right")` is y's
+    region: i for the floats [keys[i - 1], keys[i]), 0 left of keys[0].
+    The one-symbol keys interleave the sorted breakpoints t with the float
+    after each, so that every breakpoint is a region of its own.
 
     park, window and inside (L x regions) are the one-symbol decisions of
     each region's first float at its L steps, by the window rule of
@@ -870,11 +872,14 @@ class _FloatTable:
     that window holds it (then window is its branch, the smaller index at a
     shared edge; else it counts the windows left of it, which escape up);
     park, -1 on the hull's left end, 1 on its right end, else 0.  On an
-    affine system slope[r] * y + intercept[r] is the L-th orbit point of
-    every float y of region r, bit for bit, where a decided point (in a gap
-    or on a hull end) stays put (1.0 y + -0.0), slope[r] the product of the
-    one-symbol slopes along the path; else both are None.  The scalar
-    walk reads an L-symbol table in its own form, `_walk_table`'s.
+    affine system the maps (`maps`) send every float y of region r to its
+    L-th orbit point, bit for bit, where a decided point (in a gap or on a
+    hull end) stays put (1.0 y + -0.0): slope[r] * y + intercept[r], with
+    slope[r] the product of the one-symbol slopes along the path, where
+    every float step is exact; elsewhere slope and intercept are L x
+    regions, the one-symbol maps along each region's path, which a step
+    replays.  On custom branches both are None.  The scalar walk reads an
+    L-symbol table in its own form, `_walk_table`'s.
     """
 
     keys: np.ndarray
@@ -888,6 +893,16 @@ class _FloatTable:
         for o in vars(self).values():
             if isinstance(o, np.ndarray):
                 o.flags.writeable = False
+
+    @cached_property
+    def maps(self) -> tuple:
+        """The rows (s, c) of slope and intercept, which a step applies to
+        y in turn, y <- s[r] y + c[r]: one row, or L on a replay table;
+        none on custom branches."""
+        if self.slope is None:
+            return ()
+        return tuple(zip(np.atleast_2d(self.slope),
+                         np.atleast_2d(self.intercept)))
 
     @cached_property
     def terms(self) -> tuple:
@@ -924,28 +939,145 @@ def _step_table(system: IFSystem) -> _FloatTable:
 _CYLINDERS = 256
 
 
+def _distinct(floats: np.ndarray) -> np.ndarray:
+    """np.unique's sorted distinct floats, without the numpy.ma import that
+    np.unique makes on its first call."""
+    ends = np.sort(floats)
+    return ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
+
+
 def _regions(breakpoints: np.ndarray) -> tuple:
     """(keys, firsts) of the regions that breakpoints cut: keys as in
-    `_FloatTable`, firsts the first float of each region (the float before
-    t_0 for region 0)."""
-    # np.unique's sorted distinct floats, without the numpy.ma import that
-    # np.unique makes on its first call
-    ends = np.sort(breakpoints)
-    ends = ends[np.concatenate([[True], ends[1:] != ends[:-1]])]
+    `_step_table`, each breakpoint then the float after it, and firsts the
+    first float of each region (the float before t_0 for region 0)."""
+    ends = _distinct(breakpoints)
     keys = np.column_stack([ends, np.nextafter(ends, math.inf)]).ravel()
     return keys, np.concatenate([[np.nextafter(ends[0], -math.inf)], keys])
 
 
-def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
-    """The `_FloatTable` of L symbols of `_orbit_tables`' proof, its slopes
-    the products of the one-symbol slopes along the path of each region's
-    first float, or None for a system that does not qualify."""
+# the bits of -0.0: `_ordinal` counts the negative floats down from it
+_NEG = np.int64(-2 ** 63)
+
+
+def _ordinal(y: np.ndarray) -> np.ndarray:
+    """The floats y as int64s in their order: adjacent floats differ by 1,
+    and 0.0 and -0.0 both give 0."""
+    bits = y.view(np.int64)
+    return np.where(bits < 0, _NEG - bits, bits)
+
+
+def _float_of(o: np.ndarray) -> np.ndarray:
+    """The floats of `_ordinal`s (0.0 for 0)."""
+    return np.where(o < 0, _NEG - o, o).view(float)
+
+
+def _least(s, c, t, lo, hi) -> np.ndarray:
+    """Per entry, the least float y of (lo, hi] with fl(s y + c) >= t, for
+    arrays whose every entry has s > 0, one such y, and fl(s lo + c) < t.
+
+    The float step is monotone, so the floats that reach t form an upper
+    end of [lo, hi], and a bisection on `_ordinal`s finds its least one.
+    It starts from the bracket of fl((t - c) / s) and the floats two
+    either side, which holds the answer unless rounding moves it further;
+    then it starts from (lo, hi]."""
+    def reaches(o, k):
+        return s[k] * _float_of(o) + c[k] >= t[k]
+
+    everyone = slice(None)
+    olo, ohi = _ordinal(lo), _ordinal(hi)
+    with np.errstate(over="ignore"):
+        guess = _ordinal(np.clip((t - c) / s, lo, hi))
+    # below fails to reach t, above reaches it
+    below, above = np.maximum(guess - 2, olo), np.minimum(guess + 2, ohi)
+    below = np.where(reaches(below, everyone), olo, below)
+    above = np.where(reaches(above, everyone), above, ohi)
+    live = (above - below > 1).nonzero()[0]
+    while live.size:
+        lo_o, hi_o = below[live], above[live]
+        # the floor of the mean, without an overflow
+        mid = (lo_o >> 1) + (hi_o >> 1) + (lo_o & hi_o & 1)
+        ok = reaches(mid, live)
+        above[live[ok]] = mid[ok]
+        below[live[~ok]] = mid[~ok]
+        live = live[above[live] - below[live] > 1]
+    return _float_of(above)
+
+
+def _level_cuts(step: "_FloatTable", length: int) -> np.ndarray:
+    """The sorted cuts of the regions of `length` symbols: the floats at
+    which the one-symbol path of a float can change (`_cylinder_table`).
+
+    Level 1 cuts at the one-symbol keys.  Level n adds, for each one-symbol
+    region that moves, with map y -> s y + c on its floats [lo, hi], and for
+    each cut t of level n - 1 with fl(s lo + c) < t <= fl(s hi + c), the
+    least float of the region whose one-symbol image reaches t (`_least`).
+    A region that does not move keeps its point, so it makes one decision
+    L times and needs no cut."""
+    keys = step.keys
+    # a region that moves lies between two keys (regions 0 and len(keys)
+    # lie outside the hull), and one between equal keys, where a breakpoint
+    # is the float after another, holds no float
+    moves = step.inside[0] & (step.park[0] == 0)
+    moves[1:-1] &= keys[:-1] < keys[1:]
+    moving = moves.nonzero()[0]
+    lo, hi = keys[moving - 1], np.nextafter(keys[moving], -math.inf)
+    s, c = step.slope[moving], step.intercept[moving]
+    image_lo, image_hi = s * lo + c, s * hi + c
+    cuts = keys
+    for _ in range(length - 1):
+        first = cuts.searchsorted(image_lo, side="right")
+        counts = cuts.searchsorted(image_hi, side="right") - first
+        which = np.repeat(np.arange(moving.size), counts)
+        # the cuts first[k] .. first[k] + counts[k] - 1 of each region k
+        at = np.arange(which.size) + np.repeat(
+            first - np.cumsum(counts) + counts, counts)
+        cuts = _distinct(np.concatenate([keys, _least(
+            s[which], c[which], cuts[at], lo[which], hi[which])]))
+    return cuts
+
+
+def _cylinder_table(system: IFSystem) -> Optional["_FloatTable"]:
+    """The `_FloatTable` of L symbols of `_orbit_tables`' proof, or None
+    on a system with a custom or a decreasing branch, or with more than 16
+    branches (L = 1).
+
+    Its keys are the cuts of `_level_cuts`, and every float of a region
+    takes the one-symbol path of the region's first float, along which the
+    table gathers the decisions.  Its maps are A_w and B_w on a system
+    whose every float step is exact (`_composed`), else the path's L
+    one-symbol maps, which a block step replays."""
     d = system.branch_count
     length = 1
     while d ** (length + 1) <= _CYLINDERS:
         length += 1
-    if length < 2 or not system.is_affine:
+    if length < 2 or not system.is_affine \
+            or not (system._float_maps[0] > 0).all():
         return None
+    step = system._step
+    keys = _level_cuts(step, length)
+    firsts = np.concatenate([[np.nextafter(keys[0], -math.inf)], keys])
+    y, path = firsts, []
+    for _ in range(length):
+        r = np.searchsorted(step.keys, y, side="right")
+        path.append(r)
+        y = step.slope[r] * y + step.intercept[r]
+    path = np.array(path)
+    maps = _composed(system, keys, firsts, path, y) \
+        or (step.slope[path], step.intercept[path])
+    # the one-symbol decisions along each region's path
+    park, window, inside = (o[0][path]
+                            for o in (step.park, step.window, step.inside))
+    return _FloatTable(keys, park, window, inside, *maps)
+
+
+def _composed(system: IFSystem, keys, firsts, path, images) -> Optional[tuple]:
+    """(A_w, B_w) of the regions of an L-symbol table, with firsts, paths
+    and L-th orbit points images of their first floats, on a system whose
+    every float step is exact and whose every B_w is a float; else None.
+
+    The steps are exact when every slope and intercept is a float, every
+    slope is 2^k, and on each float window y -> s y + c has c = 0 or s y
+    and -c within a factor of two at both ends (Sterbenz's lemma)."""
     slopes, intercepts = system._float_maps
     u, v = system._float_windows
     for br, s, c, lo, hi in zip(system.branches, slopes.tolist(),
@@ -957,35 +1089,18 @@ def _cylinder_table(system: IFSystem) -> Optional[_FloatTable]:
                          for t in (lo, hi)):
             return None
     step = system._step
-    # the breakpoints of L symbols: the hull ends and window edges, and
-    # their preimages inside each window under the breakpoints of L - 1
-    edges = breaks = step.keys[::2]
-    for _ in range(length - 1):
-        pre = (breaks - intercepts[:, None]) / slopes[:, None]
-        breaks = np.concatenate(
-            [edges, pre[(u[:, None] <= pre) & (pre <= v[:, None])]])
-    keys, reps = _regions(breaks)
-    y, path = reps, []
-    for _ in range(length):
-        r = np.searchsorted(step.keys, y, side="right")
-        path.append(r)
-        y = step.slope[r] * y + step.intercept[r]
     # A_w: the product of the one-symbol slopes along the path (powers of
     # two: exact); 0 on a region right of t_0 whose next float is a key
-    path = np.array(path)
     slope = step.slope[path].prod(axis=0)
     slope[1:][np.nextafter(keys, math.inf) == np.append(keys[1:], math.inf)] = 0
-    term = -slope * reps
-    intercept = y + term
-    # TwoSum: the rounding error of y + term, exactly; 0 iff B_w is a
-    # float, else the system does not qualify
-    back = intercept - y
-    if np.any((y - (intercept - back)) + (term - back)):
+    term = -slope * firsts
+    intercept = images + term
+    # TwoSum: the rounding error of images + term, exactly; 0 iff B_w is a
+    # float
+    back = intercept - images
+    if np.any((images - (intercept - back)) + (term - back)):
         return None
-    # the one-symbol decisions along each region's path
-    park, window, inside = (o[0][path]
-                            for o in (step.park, step.window, step.inside))
-    return _FloatTable(keys, park, window, inside, slope, intercept)
+    return slope, intercept
 
 
 def _walk_table(system: IFSystem) -> Optional[tuple]:
@@ -1003,20 +1118,39 @@ def _walk_table(system: IFSystem) -> Optional[tuple]:
                         cyl.window, cyl.inside)
 
 
+def _replay(maps: tuple, y):
+    """y after the one-symbol maps (s, c) in turn, y <- s y + c."""
+    for s, c in maps:
+        y = s * y + c
+    return y
+
+
 def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
                  inside) -> tuple:
-    """The region table (t, regions) of `_walk` of an L-symbol table's
-    arrays, each region with its slope, intercept and the events (park,
-    sym, gap) of its decisions up to a gap (then slope None) or a parking
-    (then slope 0 and as intercept the hull end's one-symbol image: its
-    window's float map at the hull end).  A float point walks it alone, to
-    any depth: the first k events of a region, its `_Events.prefixes`, are
-    the one-symbol walk's for every float of it."""
+    """The region table (breaks, regions) of `_walk` of an L-symbol table's
+    arrays, each region with its map and the events (park, sym, gap) of
+    its decisions up to a gap (then slope None) or a parking (then slope 0
+    and as intercept the hull end's one-symbol image: its window's float
+    map at the hull end).  A region whose L steps all move maps y by its
+    A_w and B_w, or, on a replay table (slope and intercept L x regions),
+    by a `_replay` of its L maps, as (callable, None).  A float point walks
+    the table alone, to any depth: the first k events of a region, its
+    `_Events.prefixes`, are the one-symbol walk's for every float of it.
+
+    Search-right region i holds the floats [keys[i - 1], keys[i]), and
+    `_walk` reads a break t at its own slot and the floats between t and
+    the next break at the slot after.  So a key t is a break, with slots
+    for its region and, when the next key is the float after t (t's
+    region holds t alone), for the next region, whose key is then no
+    break; else both slots are t's region.  On keys that interleave
+    breakpoints with the float after each, the breaks are every other key
+    and slot j is region j."""
     ends = [float(t) for t in system._coding.hull]
     slopes, intercepts = (o.tolist() for o in system._float_maps)
+    replay = slope.ndim > 1
     prefix = cache(_Events)     # one per distinct prefix, shared by regions
     regions = []
-    for s, c, *path in zip(slope.tolist(), intercept.tolist(),
+    for s, c, *path in zip(slope.T.tolist(), intercept.T.tolist(),
                            park.T.tolist(), window.T.tolist(),
                            inside.T.tolist()):
         events = []
@@ -1028,10 +1162,22 @@ def _walk_blocks(system: IFSystem, keys, slope, intercept, park, window,
             if parked:                  # on a hull end
                 s, c = 0.0, slopes[k] * ends[parked > 0] + intercepts[k]
                 break
+        else:
+            if replay:
+                s, c = partial(_replay, tuple(zip(s, c))), None
         events = _Events(events)
         events.prefixes = tuple(prefix(events[:k]) for k in range(len(events)))
         regions.append((s, c, events))
-    return keys[::2].tolist(), regions
+    cuts, breaks, slots = keys.tolist(), [], regions[:1]
+    k = 0
+    while k < len(cuts):
+        t = cuts[k]
+        breaks.append(t)
+        paired = k + 1 < len(cuts) \
+            and cuts[k + 1] == math.nextafter(t, math.inf)
+        slots += [regions[k + 1], regions[k + 1 + paired]]
+        k += 1 + paired
+    return breaks, slots
 
 
 def pi_approx(system: IFSystem, word: Sequence[int]):

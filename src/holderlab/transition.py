@@ -58,7 +58,8 @@ class GridFunction:
         values = np.asarray(self.values, dtype=float)
         if nodes.ndim != 1 or nodes.shape != values.shape:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(nodes) > 0):
+        # a comparison, not np.diff: nodes 1e308 apart overflow a spacing
+        if not np.all(nodes[1:] > nodes[:-1]):
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
@@ -162,18 +163,21 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
 
     Each step of the walk (`_orbit_tables`) is one region lookup in a
     table of the floats that `eval_cdf`'s step compares a point with, so
-    every system that is not rational stops where `eval_cdf` stops and
-    carries its bits, with float weights and with rational ones (both
-    walks read `p.as_floats()`), except that at tol > 0 a system whose every
-    float step is exact (affine, slopes 2^k, Sterbenz-exact intercepts,
-    float composed intercepts) takes L symbols per lookup.  Its masses are
-    the bits of L one-symbol steps, but it decides a point only at the end
-    of a block, so it may stop up to L - 1 symbols later, with a smaller
-    undecided mass: its value lies within `eval_cdf`'s bound of
-    `eval_cdf`'s value, but it is not `eval_cdf`'s float.  A rational
-    system's points walk its float image here, where `eval_cdf` walks each
-    float exactly.  A value never depends on the other points of the
-    batch."""
+    at tol 0, and on a system without an L-symbol table (a custom branch,
+    or more than 16 branches), every system that is not rational stops
+    where `eval_cdf` stops and carries its bits, with float weights and
+    with rational ones (both walks read `p.as_floats()`).  At tol > 0 an
+    affine system takes L symbols per lookup on the same float orbit: by
+    composed maps where every float step is exact (slopes 2^k,
+    Sterbenz-exact intercepts, float composed intercepts), else by
+    replaying the region's L float steps.  Its masses are the bits of L
+    one-symbol steps, but it decides a point only at the end of a block,
+    so it may stop up to L - 1 symbols later, with a smaller undecided
+    mass: its value lies within `eval_cdf`'s bound of `eval_cdf`'s value,
+    up to a few ulps of rounding, but it is not `eval_cdf`'s float.  A
+    rational system's points walk its float image here, where `eval_cdf`
+    walks each float exactly.  A value never depends on the other points
+    of the batch."""
     if not tol >= 0:
         raise ValueError("tol must be 0 or positive")
     _checked_least("max_depth", max_depth, 0)
@@ -207,9 +211,10 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     Every step is one region lookup: one `searchsorted` in a region table
     finds each point's region r, the step adds mass * acc[r] to acc and
     multiplies mass by m[r], writes back the points whose mass is then at
-    most tol, with the y they had before the step, and maps the others to
-    slope[r] * y + intercept[r] (on custom branches, `_apply_branches` on
-    the region's window).  A decided point is never stepped again, here or
+    most tol, with the y they had before the step, and maps the others by
+    the region's maps, y <- s[r] y + c[r] for each row (s, c) of
+    `ifs._FloatTable.maps` (on custom branches, `_apply_branches` on the
+    region's window).  A decided point is never stepped again, here or
     in a later call, as in `eval_cdf`.  So a point's values do not depend
     on the other points of the batch, and at tol 0, n calls of one step give
     the bits of one call of n steps.
@@ -221,64 +226,60 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     masses are the terms of `eval_cdf`'s step: cum[k] and weights[k] in
     window k, cum[k] and 0 in a gap, 1 or 0 and 0 on the right or left end.
 
-    At tol > 0, on a system that qualifies (below), each step takes L
-    symbols: L is the largest length with d^L <= `_CYLINDERS`, d the
-    branch count, and the table is `IFSystem._cylinders`.  The symbols
+    At tol > 0, on an affine system with increasing branches, each step
+    takes L symbols: L is the largest length with d^L <= `_CYLINDERS`, d
+    the branch count, and the table is `IFSystem._cylinders`.  The symbols
     max_depth leaves after its last whole block take the one-symbol step,
-    as does every call at tol 0 and every system that does not qualify.
-    A point is decided only at the end of a block, so it may stop up to
-    L - 1 symbols later than `eval_cdf` and carry a smaller undecided mass.
+    as does every call at tol 0 and every system with a custom branch or
+    more than 16 branches.  A point is decided only at the end of a block,
+    so it may stop up to L - 1 symbols later than `eval_cdf` and carry a
+    smaller undecided mass.
 
-    A system qualifies when it is affine with L >= 2, every slope is 2^k,
-    every slope and intercept is a float, and on the float window [u, v]
-    of each branch y -> s y + c either c = 0, or s y and -c share a sign
-    and lie within a factor of two of each other at y = u and y = v, hence
-    on all of [u, v]; and every composed intercept B_w of L symbols is a
-    float.  Then:
-
-    1. Every one-symbol step is exact: s y scales by a power of two, and
-       s y + c = s y - (-c) is exact by Sterbenz's lemma.  So the float
-       orbit is the exact orbit of the float point, and along a word w it
-       is the real A_w y + B_w, A_w the product of the slopes.
-    2. `ifs._cylinder_table` takes E as the breakpoints of one symbol, and
-       as those of n symbols E and t' = fl((t - c) / s) for every
-       breakpoint t of n - 1 symbols and every branch s y + c whose window
-       holds t'.  A float y of that window below t' lies below the real
-       (t - c) / s, of which t' is the nearest float, so s y + c < t,
-       exactly; likewise above.  So, by induction on n, the floats strictly
-       between two adjacent breakpoints of n symbols make one first
-       decision and map into one region of n - 1 symbols: they take one
-       path, and each breakpoint is a region of its own.
-    3. So fl(A_w y + B_w) is the L-th orbit point of every float y of a
-       region: A_w y is exact, and the real sum is that orbit point, a
-       float.  A region's A_w is the product of the one-symbol slopes
-       along the path of its first float r_1 (a decided step's is 1),
-       powers of two, exact; B_w = y_1 - A_w r_1, y_1 the L-th orbit point
-       of r_1, is exact because B_w is a float, which `ifs._cylinder_table`
-       checks by an exact error term (Knuth's TwoSum).  A region of one
-       float keeps its point (A_w = 0).
-    4. By 2, every float of a level-L region takes the path of its first
-       float through the one-symbol regions, along which
-       `ifs._cylinder_table` gathers the one-symbol decisions into the
-       table's L rows.  `_masses` starts acc_w and m_w at 0 and 1 and folds
-       the terms of those rows by the one-symbol step's own operations,
+    1. The one-symbol step y -> fl(s y + c) of a region that moves is
+       monotone, since s > 0 and rounding is monotone, and so is a region
+       lookup.  So for each cut t of L - 1 symbols the floats of a
+       one-symbol region whose image reaches t form an upper end of the
+       region.  `ifs._level_cuts` cuts at the least float of each such end
+       (found by bisection on the floats' order, checked with the step
+       itself) and at the one-symbol keys; a region that does not move
+       keeps its point.  So, by induction on the level, every float of a
+       region of L symbols makes the L one-symbol decisions of the region's
+       first float and steps by the same L maps: it takes one path.
+    2. `ifs._cylinder_table` gathers the one-symbol decisions along that
+       path into the table's L rows, and its maps.  On a system whose every
+       float step is exact (every slope 2^k, every slope and intercept a
+       float, and on the float window [u, v] of each branch either c = 0,
+       or s y and -c share a sign and lie within a factor of two of each
+       other at u and v, hence on [u, v], by Sterbenz's lemma) the float
+       orbit along a word w is the real A_w y + B_w, A_w the product of
+       the slopes, powers of two, so A_w y is exact; where every B_w =
+       y_1 - A_w r_1 (y_1 the L-th orbit point of the first float r_1) is
+       a float, which a TwoSum error term checks exactly, fl(A_w y + B_w)
+       is the L-th orbit point of every float y of the region, and the
+       table keeps A_w and B_w (a region of one float keeps its point,
+       A_w = 0).  Everywhere else it keeps the path's L maps (s, c), and a
+       block replays them, y <- s y + c, which is the float orbit by 1.
+    3. `_masses` starts acc_w and m_w at 0 and 1 and folds the terms of
+       the gathered rows by the one-symbol step's own operations,
        acc <- acc + mass acc_1, then mass <- mass m_1; once a step decides
-       the point (mass 0), the later ones add 0 to acc.  So a block
-       carries the bits of L one-symbol steps, with their tie, gap and
-       parking rules.
-    5. The scalar walk `_walk` reads the same regions for a float point
+       the point (mass 0), the later ones add 0 to acc.  So a block's
+       masses are the bits of L one-symbol steps from mass 1, with their
+       tie, gap and parking rules; the walk multiplies them into its
+       running masses in one step, so its sums lie within a few ulps of
+       `eval_cdf`'s beyond the undecided mass.
+    4. The scalar walk `_walk` reads the same regions for a float point
        on a system that is not rational (`ifs._walk_table`), and no other
        table.  The one-symbol table `_Coding.table` makes this step's
        decisions (the window rule, parking on a hull end) with the same
-       float maps once its breaks are E, which `ifs._walk_table` requires;
-       the walk's events are the gathered decisions, and a parked region
-       maps to its window's float image of the hull end.  So by 2 and 4
-       every float of a level-L region makes the events of its path, and
-       by 3 the walk may jump to A_w y + B_w.  With k < L symbols left it
-       yields the region's first k events and stops: by 2 they are the
-       first k one-symbol events of every float of the region.  Its
-       consumers keep their one-symbol arithmetic, so they keep their
-       bits.
+       float maps once its breaks are the float hull ends and window
+       edges, which `ifs._walk_table` requires; the walk's events are the
+       gathered decisions, and a parked region maps to its window's float
+       image of the hull end.  So by 1 every float of a region makes the
+       events of its path, and by 2 the walk may jump to its L-th orbit
+       point.  With k < L symbols left it yields the region's first k
+       events and stops: by 1 they are the first k one-symbol events of
+       every float of the region.  Its consumers keep their one-symbol
+       arithmetic, so they keep their bits.
     """
     for idx, *_ in _orbit_steps(system, p, state, tol, max_depth):
         if not idx.size:
@@ -318,9 +319,10 @@ def _orbit_steps(system: IFSystem, p: ProbVector, state: tuple, tol: float,
                 keep = (~done).nonzero()[0]
                 idx, y, acc, mass, r = (c[keep]
                                         for c in (idx, y, acc, mass, r))
-            y = (_apply_branches(system, table.window[0][r], y)
-                 if table.slope is None
-                 else table.slope[r] * y + table.intercept[r])
+            if table.slope is None:
+                y = _apply_branches(system, table.window[0][r], y)
+            for s, c in table.maps:
+                y = s[r] * y + c[r]
         yield idx, y, acc, mass
     ys[idx] = y
     accs[idx] = acc

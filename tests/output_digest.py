@@ -29,6 +29,13 @@ listing with the one recorded in `LISTINGS`, and exits 1 naming each
 workload that differs (about 45 s on one core).  The hashes can depend on the numpy
 build; on a mismatch, diff the listings of two checkouts.  A change that
 alters outputs on purpose records the new listings here.
+
+    python tests/output_digest.py --compare old/grid.txt new/grid.txt
+
+reads two listings of one workload, named after it, and prints per kind
+the number of jobs whose digests differ out of the kind's jobs, `ok` for a
+kind that keeps every digest; it exits 1 when any job differs, and 2 when
+the two listings do not hold the same jobs in the same order.
 """
 
 from __future__ import annotations
@@ -51,12 +58,12 @@ from perfbench.workloads import (  # noqa: E402
 # the listing of each workload over the seeds CHECK_SEEDS
 CHECK_SEEDS = (1, 2, 3, 4)
 LISTINGS = {
-    "grid": "5d471b02786b382bb5a624c27c78b0943199ebd45a231217f43c7674c1f4ca7e",
+    "grid": "c2acfe90c3eff3f330d953b880e91fd3fe23c364b24a177ab50fb0f3ec05aac5",
     "pointwise":
-        "d3468d47d9b3680b4378a758a37d3b0e09386d30e3c4d5f809bbe3568873afcb",
+        "4b31ed92133ffe11f91110d520475becd670896a3c050357ceef3914875a23ee",
     "spectrum":
-        "6662ea6043faf53ea74cff59b7c416ab930613844c7cd20dde6039fc0a5f8910",
-    "cli": "1e6b811a6140425fa76de0fb76774a0e6fea9624f38cf1c48efbac98a7fa5a04",
+        "143d644bf850e08c0332792f7a028723bf181f2ee5c9763c739f3dae480be636",
+    "cli": "302424d44d8129235b7e912b66902c1325ad0f5ef8cc72180c89ba0e0d28f9f2",
 }
 
 
@@ -154,12 +161,37 @@ def check() -> int:
     return failed
 
 
+def compare(old: str, new: str) -> int:
+    """Print the changed jobs per (workload, kind) of two listing files of
+    one workload, the workload named by the old file's stem; 0 when no job
+    changed, 1 when some did, 2 when the files list different jobs."""
+    jobs = []
+    for path in (old, new):
+        lines = Path(path).read_text().splitlines()
+        jobs.append([line.split() for line in lines
+                     if not line.startswith("listing ")])
+    if [j[:3] for j in jobs[0]] != [j[:3] for j in jobs[1]]:
+        print(f"{old} and {new} list different jobs", file=sys.stderr)
+        return 2
+    workload = Path(old).stem
+    counts = {}
+    for (*job, was), (*_, now) in zip(*jobs):
+        changed, total = counts.get(job[2], (0, 0))
+        counts[job[2]] = changed + (was != now), total + 1
+    for kind, (changed, total) in counts.items():
+        print(f"{workload} {kind} "
+              + (f"{changed} of {total} jobs differ" if changed else "ok"))
+    return 1 if any(changed for changed, _ in counts.values()) else 0
+
+
 def main(argv) -> int:
     if argv == ["--check"]:
         return check()
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) < 2:
-        print("usage: output_digest.py WORKLOAD SEED [SEED ...] | --check",
-              file=sys.stderr)
+        print("usage: output_digest.py WORKLOAD SEED [SEED ...] | --check"
+              " | --compare OLD NEW", file=sys.stderr)
         return 2
     print(f"listing {listing(argv[0], argv[1:], sys.stdout)}")
     return 0

@@ -1,11 +1,11 @@
 """The scalar coding walk `_walk` behind `encode`, `eval_cdf`, `phi` and
-`eval_derivative_point`: on every table it reads (float systems with and
-without an L-symbol table, rational and float points on lattice and
-non-lattice rational systems, custom branches) its events are those of
-the window rule, written out here as a reference in the table's own
-arithmetic; on a system whose every float step is exact it takes L
-symbols per lookup, and a last lookup that holds more symbols than are
-left yields the first of them, so every output keeps the bits of the
+`eval_derivative_point`: on every table it reads (float systems whose
+L-symbol table composes or replays their float steps, rational and float
+points on lattice and non-lattice rational systems, custom branches) its
+events are those of the window rule, written out here as a reference in
+the table's own arithmetic; on an affine float system it takes L symbols
+per lookup, and a last lookup that holds more symbols than are left
+yields the first of them, so every output keeps the bits of the
 one-symbol walk; a negative depth is refused by every entry point, with
 and without that table."""
 
@@ -186,14 +186,16 @@ def test_every_entry_point_refuses_a_negative_depth(entry, dyadic):
                 call(dyadic, x, depth)
 
 
-@pytest.mark.parametrize("name", ["dyadic", "cantor"])
+@pytest.mark.parametrize("name", ["dyadic", "cantor", "bent"])
 def test_negative_depth_with_and_without_the_table(name):
-    # dyadic walks L = 8 symbols per lookup, the middle third one; depth 0
-    # takes no step on either
-    system = {"dyadic": _exact_step_system("dyadic"), "cantor": CANTOR}[name]
+    # dyadic walks L = 8 composed symbols per lookup, the middle third L = 8
+    # replayed ones and the bent system one; depth 0 takes no step on any
+    system = {"dyadic": _exact_step_system("dyadic"), "cantor": CANTOR,
+              "bent": bent_system()}[name]
     assert _coding_for(system, 0.3)[0] == (system._coding.table
-                                           if name == "cantor"
+                                           if name == "bent"
                                            else system._float_walk)
+    assert (system._float_walk is system._coding.table) == (name == "bent")
     for entry, call in ENTRY_POINTS.items():
         for depth in (-1, -7, -8, -9, -17):
             with pytest.raises(ValueError, match="depth"):
@@ -244,7 +246,8 @@ def test_table_without_walk_blocks_when_a_hull_end_is_not_a_float():
         assert abs(Fraction(v) - exact) <= Fraction(1e-12) + exact_bound
 
 
-# the tables `_walk` reads: float systems without an L-symbol table;
+# the tables `_walk` reads: float systems whose L-symbol table replays its
+# float steps;
 # rational systems, whose points (a float as the Fraction it equals) walk
 # a lattice (integer slopes) or Fractions (a slope of 3/2); custom branches
 TABLE_SYSTEMS = {

@@ -219,6 +219,16 @@ def test_holder_seminorm_modes():
         holder_seminorm(GridFunction(nodes, nodes, 0.0, np.inf), 0.5)
 
 
+def test_grid_order_check_takes_any_float_spacing():
+    # nodes more than the largest double apart: np.diff overflowed to inf
+    # with a RuntimeWarning, an error here; a NaN node is still refused
+    h = GridFunction([-1e308, 1e308], [0.0, 1.0])
+    assert h.nodes.tolist() == [-1e308, 1e308]
+    for nodes in ([0.0, math.nan, 1.0], [math.nan, 0.0], [1e308, -1e308]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GridFunction(nodes, [0.0] * len(nodes))
+
+
 def test_cell_oscillation_of_one_node_is_zero():
     # one node has no adjacent pair, so no jump
     assert GridFunction([0.5], [0.3]).cell_oscillation() == 0.0

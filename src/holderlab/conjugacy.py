@@ -117,7 +117,7 @@ def _samples(system: IFSystem, sample_count: int, seed: int):
         m = min(SAMPLE_CHUNK, sample_count - produced)
         words = rng.choice(system.symbols(), size=(m, WORD_LEN))
         x = _midpoints(system, words)
-        r = np.searchsorted(system._step.keys, x, side="right")
+        r = system._step.region(x)
         k, ok = system._step.window[0][r], system._step.inside[0][r]
         bad = rejected + np.cumsum(~ok)
         if bad[-1] > allowed:

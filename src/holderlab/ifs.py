@@ -860,10 +860,12 @@ class _FloatTable:
     (`IFSystem._step`), L on every affine system with increasing branches
     (`IFSystem._cylinders`, whose proof `transition._orbit_tables` gives).
 
-    keys are sorted cuts, and `searchsorted(keys, y, "right")` is y's
-    region: i for the floats [keys[i - 1], keys[i]), 0 left of keys[0].
+    keys are sorted distinct cuts, and `searchsorted(keys, y, "right")` is
+    y's region: i for the floats [keys[i - 1], keys[i]), 0 left of keys[0].
     The one-symbol keys interleave the sorted breakpoints t with the float
-    after each, so that every breakpoint is a region of its own.
+    after each, so that every breakpoint is a region of its own.  `region`
+    is that lookup, by a bucket index on a table of more than
+    `_INDEXED_KEYS` keys and a call of at least `_INDEXED_POINTS` points.
 
     park, window and inside (L x regions) are the one-symbol decisions of
     each region's first float at its L steps, by the window rule of
@@ -894,6 +896,60 @@ class _FloatTable:
             if isinstance(o, np.ndarray):
                 o.flags.writeable = False
 
+    def region(self, y: np.ndarray) -> np.ndarray:
+        """searchsorted(keys, y, "right"), the region of each point y.
+
+        The bucket index (`_index`) gives most points their region by two
+        gathers: a point whose bucket holds no key lies right of every key
+        of the lower buckets and left of every key of the higher ones, and
+        only the points whose bucket holds a key take a binary search
+        (about 2% of the grid benchmark's lookups).  A table of at most
+        `_INDEXED_KEYS` keys (the one-symbol tables) and a call on fewer
+        than `_INDEXED_POINTS` points keep `searchsorted`, which is faster
+        there (the constants give the measurements)."""
+        index = self._index
+        if index is None or y.size < _INDEXED_POINTS:
+            return self.keys.searchsorted(y, side="right")
+        lo, hi, scale, start = index
+        r = start[_bucket(y, lo, hi, scale)]
+        fall = (r < 0).nonzero()[0]
+        if fall.size:
+            r[fall] = self.keys.searchsorted(y[fall], side="right")
+        return r
+
+    @cached_property
+    def _index(self) -> Optional[tuple]:
+        """(lo, hi, scale, start) of the bucket index, None on a table of
+        at most `_INDEXED_KEYS` keys or whose keys span more than the
+        largest float.
+
+        There are K buckets, K the power of two at or below
+        `_BUCKETS_PER_KEY` times the key count, and y's bucket is
+        `_bucket`'s floor(fl(fl(clip(y, lo, hi) - lo) * scale)), with lo
+        and hi the first and the last key and scale K / (hi - lo), moved
+        down by ulps until hi's bucket is below K.  Clipping, a
+        subtraction and a multiplication by scale > 0, each rounded to
+        nearest, and the floor are each monotone, and the keys are
+        bucketed by the same expression, so every key of a lower bucket
+        than y's lies at or left of y, and every key of a higher one right
+        of it.  start[b] is, where bucket b holds no key, the number of
+        keys in the buckets below b, which is then y's region; it is -1
+        where the bucket holds one.  The first and the last bucket hold
+        keys, so a point left of lo or right of hi (or NaN, which fmax and
+        fmin clip to lo) takes the binary search."""
+        keys = self.keys
+        lo, hi = float(keys[0]), float(keys[-1])
+        if keys.size <= _INDEXED_KEYS or hi - lo == math.inf:
+            return None
+        count = 1 << (keys.size * _BUCKETS_PER_KEY).bit_length() - 1
+        scale = count / (hi - lo)
+        while (hi - lo) * scale >= count:
+            scale = math.nextafter(scale, 0.0)
+        held = np.bincount(_bucket(keys, lo, hi, scale), minlength=count)
+        start = np.where(held > 0, -1, np.cumsum(held) - held)
+        start.flags.writeable = False
+        return lo, hi, scale, start
+
     @cached_property
     def maps(self) -> tuple:
         """The rows (s, c) of slope and intercept, which a step applies to
@@ -913,6 +969,31 @@ class _FloatTable:
                            np.where(self.park > 0, -1, -2))
         undecided = np.where(self.inside & (self.park == 0), self.window, -1)
         return escaped, undecided
+
+
+# `_FloatTable.region`: a table of more keys than this gets a bucket index
+# of about _BUCKETS_PER_KEY buckets per key, which a call on at least
+# _INDEXED_POINTS points reads.  Measured on the walk's own lookups (grid
+# seeds 1-2, a 2-core Xeon): on the one-symbol tables (6-12 keys) the
+# index took 1.02-1.7 times searchsorted's time, on the L-symbol tables
+# (514-616 keys) 0.24-0.52 times, and no table in between occurs.  Below
+# 64 points the index's dozen numpy calls cost 2.2-13 times the search on
+# grid, spectrum and pointwise calls, at 64-255 points 0.82-1.39 times,
+# and from 256 every workload gains (0.47-0.90); 32 buckets per key was
+# the fastest of 4-128 on all three L-symbol tables: fewer leave more
+# points to the search, more make start outgrow the cache.
+_INDEXED_KEYS = 64
+_INDEXED_POINTS = 256
+_BUCKETS_PER_KEY = 32
+
+
+def _bucket(y: np.ndarray, lo: float, hi: float, scale: float) -> np.ndarray:
+    """The bucket of each point y of a `_FloatTable._index`."""
+    t = np.fmax(y, lo)
+    np.fmin(t, hi, out=t)
+    t -= lo
+    t *= scale
+    return t.astype(np.intp)
 
 
 def _step_table(system: IFSystem) -> _FloatTable:
@@ -1058,7 +1139,7 @@ def _cylinder_table(system: IFSystem) -> Optional["_FloatTable"]:
     firsts = np.concatenate([[np.nextafter(keys[0], -math.inf)], keys])
     y, path = firsts, []
     for _ in range(length):
-        r = np.searchsorted(step.keys, y, side="right")
+        r = step.region(y)
         path.append(r)
         y = step.slope[r] * y + step.intercept[r]
     path = np.array(path)

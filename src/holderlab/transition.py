@@ -177,7 +177,10 @@ def cdf_values(system: IFSystem, p: ProbVector, xs, tol: float = 1e-12,
     up to a few ulps of rounding, but it is not `eval_cdf`'s float.  A
     rational system's points walk its float image here, where `eval_cdf`
     walks each float exactly.  A value never depends on the other points
-    of the batch."""
+    of the batch.  A region lookup is searchsorted(keys, y, "right") in
+    the table's cuts, read off a bucket index for most points of a large
+    step on an L-symbol table (note 5 of `_orbit_tables`), which changes
+    no bit."""
     if not tol >= 0:
         raise ValueError("tol must be 0 or positive")
     _checked_least("max_depth", max_depth, 0)
@@ -208,8 +211,9 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     its last step or until no point is undecided; the gap probe's
     `_ramp_iterates` steps the same generator one iterate at a time.
 
-    Every step is one region lookup: one `searchsorted` in a region table
-    finds each point's region r, the step adds mass * acc[r] to acc and
+    Every step is one region lookup: `ifs._FloatTable.region` finds each
+    point's region r, searchsorted(keys, y, "right") in the table's sorted
+    cuts, and the step adds mass * acc[r] to acc and
     multiplies mass by m[r], writes back the points whose mass is then at
     most tol, with the y they had before the step, and maps the others by
     the region's maps, y <- s[r] y + c[r] for each row (s, c) of
@@ -280,6 +284,18 @@ def _orbit_tables(system: IFSystem, p: ProbVector, state: tuple, tol: float,
        events and stops: by 1 they are the first k one-symbol events of
        every float of the region.  Its consumers keep their one-symbol
        arithmetic, so they keep their bits.
+    5. The lookup is exact, so the index it reads changes no bit.  On a
+       table of more than 64 keys and a step on at least 256 points it
+       reads a bucket index: about 32 equal buckets per key over
+       [keys[0], keys[-1]], and y's bucket floor(fl(fl(clip(y) - keys[0])
+       * scale)), a chain of monotone roundings, by which the keys are
+       bucketed too.  So every key of a lower bucket than y's is at most
+       y and every key of a higher one exceeds it, and where y's bucket
+       holds no key its region is the number of keys below that bucket,
+       one gather; the rest take the binary search.  The one-symbol tables
+       (6-12 keys) and small steps keep the binary search, which is faster
+       there; the constants of `ifs._FloatTable.region` give the
+       measurements.
     """
     for idx, *_ in _orbit_steps(system, p, state, tol, max_depth):
         if not idx.size:
@@ -294,7 +310,10 @@ def _orbit_steps(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     idx their indices into the state, and it keeps yielding empty arrays
     once no point is undecided.  The decided points are written back into
     the state as they are decided, and the undecided ones when the steps
-    run out; the caller must not change the yielded arrays."""
+    run out; the caller must not change the yielded arrays.  A step finds
+    the regions by `ifs._FloatTable.region` (note 5 of `_orbit_tables`):
+    by the bucket index on an L-symbol table and a step on at least 256
+    points, else by `searchsorted`."""
     one = _masses(system, p, system._step)
     cyl = system._cylinders if tol > 0 else None
     block = cyl and _masses(system, p, cyl)
@@ -305,7 +324,7 @@ def _orbit_steps(system: IFSystem, p: ProbVector, state: tuple, tol: float,
     for step in range(blocks + rest):
         if idx.size:
             table, acc_t, mass_t = block if step < blocks else one
-            r = table.keys.searchsorted(y, side="right")
+            r = table.region(y)
             acc = acc + mass * acc_t[r]
             mass = mass * mass_t[r]
             done = mass <= tol

@@ -17,7 +17,11 @@ little of that drift.  The jobs run through this checkout's
 copy for each run; no file is written outside the temporary directory,
 and the oracles are not run.  With `--kind K` (repeatable) only the jobs
 of those kinds run: a small kind's ratio read among the other jobs carries
-effects of the jobs run before it.
+effects of the jobs run before it.  Before the timed runs, the first job
+of each (kind, system) runs once on each copy, untimed: what a process
+builds once and keeps (the tables of a system, their scalar forms and
+region indices) is then built before any job is timed, and not charged to
+whichever job happens to run first.
 
 It prints, per (kind, system), the job count, the summed job times of each
 copy (both runs of each job) and their ratio new/old; then the same per
@@ -63,31 +67,45 @@ def load_copies(checkouts, tmp: Path) -> list:
 def job_times(workloads, packages, workload: str, seeds, kinds) -> list:
     """((kind, system, octave), old seconds, new seconds) of every job of
     the seeds in turn whose kind is in kinds (all jobs if kinds is empty),
-    each job run twice on both packages, back to back; octave is the size
-    octave of `octave`."""
+    each job run twice on both packages, back to back, after the first job
+    of each (kind, system) has run once on each package untimed; octave is
+    the size octave of `octave`."""
+    jobs = [job for seed in seeds
+            for jobs in workloads.build_rounds(workload, seed)
+            for job in jobs if not kinds or job.kind in kinds]
+    firsts = {}
+    for job in jobs:
+        firsts.setdefault(label(job), job)
+    for job in firsts.values():
+        for package in packages:
+            run(workloads, package, job)
     rows = []
-    n = 0
-    for seed in seeds:
-        for jobs in workloads.build_rounds(workload, seed):
-            for job in jobs:
-                if kinds and job.kind not in kinds:
-                    continue
-                times = [0.0, 0.0]
-                for side in ((0, 1, 1, 0) if n % 2 == 0 else (1, 0, 0, 1)):
-                    workloads.hl = packages[side]
-                    start = time.perf_counter()
-                    try:
-                        workloads.execute(job, workloads.EvaluateStats())
-                    except Exception:  # noqa: BLE001 - a raise is timed too
-                        pass
-                    times[side] += time.perf_counter() - start
-                n += 1
-                system = job.params.get(
-                    "system", "bent" if "nonaffine" in job.kind else "-")
-                kind = job.kind + ("/emp" if job.params.get("empirical")
-                                   else "")
-                rows.append(((kind, system, octave(job.params)), *times))
+    for n, job in enumerate(jobs):
+        times = [0.0, 0.0]
+        for side in ((0, 1, 1, 0) if n % 2 == 0 else (1, 0, 0, 1)):
+            start = time.perf_counter()
+            run(workloads, packages[side], job)
+            times[side] += time.perf_counter() - start
+        rows.append(((*label(job), octave(job.params)), *times))
     return rows
+
+
+def label(job) -> tuple:
+    """(kind, system) of a job: a `spectrum_experiment` that calls an
+    evaluator is listed as `spectrum_experiment/emp`, and a job without a
+    system as `bent` on a non-affine kind, else `-`."""
+    system = job.params.get(
+        "system", "bent" if "nonaffine" in job.kind else "-")
+    return job.kind + ("/emp" if job.params.get("empirical") else ""), system
+
+
+def run(workloads, package, job) -> None:
+    """One run of job on package, through this checkout's workloads."""
+    workloads.hl = package
+    try:
+        workloads.execute(job, workloads.EvaluateStats())
+    except Exception:  # noqa: BLE001 - a raise is timed too
+        pass
 
 
 def octave(params) -> int | None:

@@ -36,6 +36,9 @@ from holderlab import (
 )
 from holderlab.conjugacy import conjugacy_residual
 from holderlab.ifs import (
+    _INDEXED_KEYS,
+    _INDEXED_POINTS,
+    _bucket,
     _coding_for,
     _regions,
     _suffix_midpoints,
@@ -370,6 +373,40 @@ def test_cylinder_table_matches_the_two_float_reference(name, num):
     replay = STERBENZ._cylinders
     assert replay.slope.shape == replay.intercept.shape \
         == (8, replay.keys.size + 1)
+
+
+@pytest.mark.parametrize("name", ["dyadic", "four", "gapped", "cantor",
+                                  "gaps3", "wide", "bent"])
+def test_region_lookup_is_searchsorted(name):
+    # the bucket index of `_FloatTable.region` against np.searchsorted, on
+    # the one-symbol and the L-symbol table, at every key and the floats
+    # beside it, at signed zeros, infinities, huge floats and NaN, and at
+    # uniform draws, in one call above the point cut-off and in calls below
+    system = {**SYSTEMS, "wide": WIDE}.get(name) or affine_system(
+        *TABLE_SYSTEMS[name])
+    rng = np.random.default_rng(23)
+    tables = [system._step, system._cylinders]
+    assert (tables[1] is None) == (name == "bent")
+    for table in filter(None, tables):
+        keys = table.keys
+        assert (table._index is None) == (keys.size <= _INDEXED_KEYS)
+        span = keys[-1] - keys[0]
+        ys = np.concatenate([
+            keys, np.nextafter(keys, -math.inf), np.nextafter(keys, math.inf),
+            [0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, math.nan],
+            rng.uniform(keys[0] - 0.25 * span, keys[-1] + 0.25 * span, 20000)])
+        rng.shuffle(ys)
+        want = np.searchsorted(keys, ys, side="right")
+        assert table.region(ys).tolist() == want.tolist()
+        small = np.arange(0, ys.size, _INDEXED_POINTS - 1)
+        assert np.concatenate([table.region(c) for c in np.split(
+            ys, small[1:])]).tolist() == want.tolist()
+        if table._index is not None:
+            # both kinds of bucket are met: a point whose bucket holds a
+            # key, and one read off the index alone
+            lo, hi, scale, start = table._index
+            held = start[_bucket(ys, lo, hi, scale)] < 0
+            assert 0 < np.count_nonzero(held) < ys.size
 
 
 def test_orbit_right_of_every_window_is_a_gap():

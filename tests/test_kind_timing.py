@@ -1,6 +1,6 @@
-"""The kind filter and the size octaves of the opt-in per-kind timing
-script `tests/kind_timing.py`, on stand-in jobs: no package is copied or
-run."""
+"""The kind filter, the untimed warm-up and the size octaves of the opt-in
+per-kind timing script `tests/kind_timing.py`, on stand-in jobs: no
+package is copied or run."""
 
 from types import SimpleNamespace
 
@@ -20,10 +20,38 @@ def test_kind_filter_times_only_those_kinds():
     assert [key for key, _, _ in rows] == [("a", "dyadic", None),
                                            ("a", "dyadic", None),
                                            ("c", "dyadic", None)]
-    # each job runs twice on each side, back to back
-    assert ran == ["a"] * 8 + ["c"] * 4
+    # one untimed run of each (kind, system) on each side, then each job
+    # twice on each side, back to back
+    assert ran == ["a"] * 2 + ["c"] * 2 + ["a"] * 8 + ["c"] * 4
     rows = kind_timing.job_times(workloads, ("old", "new"), "grid", [1], set())
     assert [key[0] for key, _, _ in rows] == ["a", "b", "a", "c"]
+
+
+def test_each_kind_and_system_warms_both_copies_before_timing():
+    jobs = [SimpleNamespace(kind=kind, params=params, name=i)
+            for i, (kind, params) in enumerate([
+                ("a", {"system": "dyadic"}), ("a", {"system": "dyadic"}),
+                ("a", {"system": "cantor"}), ("b", {"system": "dyadic"}),
+                ("b", {"system": "dyadic", "empirical": True})])]
+    ran = []
+    workloads = SimpleNamespace(
+        build_rounds=lambda workload, seed: [jobs[:2], jobs[2:]] if seed == 1
+        else [],
+        execute=lambda job, stats: ran.append((job.name, workloads.hl)),
+        EvaluateStats=lambda: None, hl=None)
+    rows = kind_timing.job_times(workloads, ("old", "new"), "grid", [1, 2],
+                                 set())
+    # the first job of each (kind, system), once on each copy, untimed;
+    # a job with an evaluator is a kind of its own
+    assert ran[:8] == [(name, side) for name in (0, 2, 3, 4)
+                       for side in ("old", "new")]
+    # then every job, twice on each copy, in alternating order
+    assert ran[8:] == [(name, side) for name in range(5) for side in (
+        ("old", "new", "new", "old") if name % 2 == 0
+        else ("new", "old", "old", "new"))]
+    assert [key for key, _, _ in rows] == [
+        ("a", "dyadic", None), ("a", "dyadic", None), ("a", "cantor", None),
+        ("b", "dyadic", None), ("b/emp", "dyadic", None)]
 
 
 def test_jobs_group_by_size_octave(capsys):

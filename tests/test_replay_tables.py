@@ -4,7 +4,8 @@ orbit's one-symbol path changes, so every float of a region makes the
 region's L decisions and its maps give the L-th float orbit point, bit for
 bit; the array walk that reads it stays within `eval_cdf`'s bound plus
 `ROUNDING`, and at tol 0 keeps `eval_cdf`'s bits.  A system with a
-decreasing branch gets no table."""
+decreasing branch gets no table.  The walk's step counts, and the points
+its region lookups send to the binary search, are pinned."""
 
 import math
 
@@ -21,6 +22,7 @@ from holderlab import (
     cdf_values,
     eval_cdf,
 )
+from holderlab.ifs import _INDEXED_POINTS, _bucket
 from holderlab.transition import _orbit_start, _orbit_steps
 
 # What an L-symbol value may lie beyond `eval_cdf`'s bound: a block adds
@@ -96,6 +98,7 @@ def test_every_float_of_a_region_takes_its_path(system, key):
     length = len(cyl.park)
     ys = _test_points(system, cyl, np.random.default_rng(key))
     r = np.searchsorted(cyl.keys, ys, side="right")
+    assert cyl.region(ys).tolist() == r.tolist()
     (park, window, inside), images = _one_symbol_paths(system, ys, length)
     assert np.array_equal(park, cyl.park[:, r])
     assert np.array_equal(window, cyl.window[:, r])
@@ -167,3 +170,34 @@ def test_block_walk_step_counts():
             if not idx.size:
                 break
         assert steps == want, name
+
+
+# The same walks, and dyadic's at weights (0.3, 0.7): the points that the
+# steps look up, and those of them that take `_FloatTable.region`'s binary
+# search, in a call on fewer than _INDEXED_POINTS points or in a bucket
+# that holds a key.  Dyadic's nodes are multiples of 3 / 2^17, whose orbits
+# land on its cuts, so 46% of its points search; 3.3% of cantor's and 2.1%
+# of gaps3's do
+SEARCH_PINS = {"cantor": (45481, 1485), "gaps3": (81008, 1684),
+               "dyadic": (120107, 55256)}
+
+
+def test_block_walk_binary_search_counts():
+    walks = {name: (system, free) for name, (system, free, _)
+             in WORK_PINS.items()}
+    walks["dyadic"] = (affine_system((2.0, 2.0), (0.0, -1.0), (0.0, 1.0)),
+                       (0.3,))
+    for name, (system, free) in walks.items():
+        lo, hi, scale, start = system._cylinders._index
+        state = _orbit_start(system, np.linspace(-0.25, 1.25, 65537))
+        y = state[0][state[2] > 1e-12]
+        lookups = searched = 0
+        for idx, after, *_ in _orbit_steps(system, ProbVector.of(*free),
+                                           state, 1e-12, 100_000):
+            lookups += y.size
+            searched += y.size if y.size < _INDEXED_POINTS else \
+                np.count_nonzero(start[_bucket(y, lo, hi, scale)] < 0)
+            if not idx.size:
+                break
+            y = after
+        assert (lookups, searched) == SEARCH_PINS[name], name

@@ -39,11 +39,13 @@ def dyn_exponent(system: IFSystem, p: ProbVector, word) -> ExponentTrace:
 
     The k-th ratio divides the weight sum by the log-derivative sum over the
     first k symbols; the liminf estimate takes the worst ratio over prefix
-    lengths in [n/2, n].  Orbit points are recovered from tail cylinders
-    (stable under the contractions) rather than by iterating the expanding
-    map forward, and their distances to the open-set boundary are reported
-    as an overlap diagnostic.  ValueError unless every symbol is an integer
-    in 1..branch_count.
+    lengths in [n/2, n], a minimum of noisy ratios that lies below their
+    limit, while `spectrum_experiment` reads the last ratio, k = n, the
+    Birkhoff estimate of that limit.  Orbit points are recovered from tail
+    cylinders (stable under the contractions) rather than by iterating the
+    expanding map forward, and their distances to the open-set boundary are
+    reported as an overlap diagnostic.  ValueError unless every symbol is an
+    integer in 1..branch_count.
     """
     word = _checked_word(word, system.branch_count)
     if not word:
@@ -57,13 +59,8 @@ def dyn_exponent(system: IFSystem, p: ProbVector, word) -> ExponentTrace:
              for y in mids[0].tolist()]
     return ExponentTrace(word=word, ratios=tuple(ratios.tolist()),
                          boundary_distances=tuple(dists),
-                         liminf_estimate=float(_liminf(ratios)))
-
-
-def _liminf(ratios: np.ndarray):
-    """Smallest Birkhoff ratio over the back half [n/2, n] of the prefix
-    lengths n, along the last axis."""
-    return ratios[..., math.ceil(ratios.shape[-1] / 2) - 1:].min(axis=-1)
+                         liminf_estimate=float(
+                             ratios[math.ceil(ratios.size / 2) - 1:].min()))
 
 
 @dataclass(frozen=True)
@@ -245,10 +242,16 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     spectrum solve and no bracket.  That is t - beta*t' in exact arithmetic,
     without its cancellation at large |beta|.  The draws of all betas are
     stacked into one (len(betas)*count, word_len) symbol array, beta-major,
-    read by `dyn_exponent`'s own kernels, `_birkhoff` and `_liminf`, so the
-    values are its values word by word; row i takes its statistics from
-    beta i's block of count words.  The sampled points are computed only
-    for an evaluator.
+    read by `dyn_exponent`'s own kernel, `_birkhoff`.  A word's dynamical
+    exponent is its last ratio S_n psi / S_n phi, which is
+    `dyn_exponent(...).ratios[-1]` bit for bit; row i's `dyn_mean` and
+    `dyn_sigma` are the mean and standard deviation of those of beta i's
+    block of count words.  At a Gibbs-typical point the ratios converge to
+    alpha_pred (Birkhoff's ergodic theorem), and the last one is within
+    O(1/word_len) of it on average: a ratio of sums, with no bias when
+    every slope is equal.  The back-half minimum `liminf_estimate` lies
+    below the limit by construction, so it is not the statistic here.  The
+    sampled points are computed only for an evaluator.
 
     `evaluate` maps an array of points to the array of values there.  It
     is called once per experiment, on every beta's points: for every
@@ -278,7 +281,7 @@ def spectrum_experiment(system: IFSystem, p: ProbVector,
     draws = np.concatenate([_draw(system, q_i, word_len, count, seed + i)
                             for i, q_i in enumerate(q)])
     s_phi, s_psi = _birkhoff(system, p, draws)
-    dyn = _liminf(s_psi / s_phi)
+    dyn = s_psi[:, -1] / s_phi[:, -1]
     if evaluate is not None:
         if scales is None:
             scales = np.geomspace(1e-6, 1e-2, 9)

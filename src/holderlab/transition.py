@@ -660,14 +660,13 @@ def holder_seminorm(h: GridFunction, alpha: float,
     mode "pairs" returns the exact maximum over all pairs, mode "adjacent"
     only over neighbours (a fast lower bound).  The virtual points at minus
     and plus infinity, with values boundary_left and boundary_right, always
-    join the scan.  "pairs" (`_pairs_max`) starts from the adjacent maximum,
-    cuts the compactified nodes into blocks of `_BLOCK` nodes and those into
-    sub-blocks of `_FINE`, and scans block pairs in descending order of a
-    certified bound on their ratios until the bound falls below the running
-    best; of a scanned block pair it computes the ratios of the sub-block
-    pairs whose own bound lies above the best.  Every ratio it computes is
-    the one an all-pairs scan computes, so the maximum is bit-identical to
-    that scan.  Raises ValueError if a scanned value is not finite.
+    join the scan.  "pairs" is `_pairs_max` on one row, the scan the gap
+    probe runs on its subsample rows: from the adjacent maximum, over blocks
+    of `_BLOCK` compactified nodes cut into sub-blocks of `_FINE`, it
+    computes only the ratios of the sub-block pairs whose certified bound
+    lies above the running best, each the float an all-pairs scan computes,
+    so the maximum is bit-identical to that scan.  Raises ValueError if a
+    scanned value is not finite.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -679,25 +678,27 @@ def holder_seminorm(h: GridFunction, alpha: float,
         return _adjacent(pos, alpha)(vals)
     if mode != "pairs":
         raise ValueError(f"unknown mode {mode!r}")
-    return _pairs_max(pos, vals, alpha, _BLOCK, _FINE)
+    return float(_pairs_max(pos, vals[None], alpha, _BLOCK, _FINE, _STEP,
+                            [0.0])[0])
 
 
 # a block pair is skipped only when its bound lies below the running best by
 # this relative margin, since libm pow is not monotone to the last bit
 _PRUNE_SLACK = 1e-12
-# node pairs of the block pairs of one round of the "pairs" scan; each
-# temporary takes 8 bytes a node pair, and 256 KB ones ran faster than 2 MB
-_CHUNK_PAIRS = 1 << 15
 _BLOCK = 64     # nodes per block of the "pairs" scan
 _FINE = 8       # nodes per sub-block of the "pairs" scan
-_SUB_BLOCK = 16  # points per block of a gap probe's subsample scan
+# block pairs per round of the "pairs" scan: 8 * 64^2 node pairs, whose
+# 256 KB temporaries ran faster than 2 MB ones
+_STEP = 8
+_SUB_BLOCK = 16  # points per block and sub-block of a gap probe's scan
 _SUB_STEP = 2    # block pairs per row and round of that scan
 
 
 def _adjacent(pos: np.ndarray, alpha: float):
     """The largest ratio |vals_{i+1} - vals_i| / (pos_{i+1} - pos_i)^alpha
     over the neighbours with pos_{i+1} > pos_i, 0.0 if there are none, as a
-    function of vals: the denominators are paid once."""
+    function of vals, along its last axis (a float for one row): the
+    denominators are paid once."""
     dd = pos[1:] - pos[:-1]
     good = dd > 0
     # on a grid without ties every pair counts: no gather
@@ -705,30 +706,42 @@ def _adjacent(pos: np.ndarray, alpha: float):
     den = dd[good] ** alpha
 
     def ratio(vals):
-        if not den.size:
-            return 0.0
-        dv = np.subtract(vals[1:], vals[:-1])
-        dv = np.abs(dv, out=dv)[good]
-        return float(np.maximum.reduce(np.divide(dv, den, out=dv)))
+        dv = np.subtract(vals[..., 1:], vals[..., :-1])
+        dv = np.abs(dv, out=dv)[..., good]
+        top = np.maximum.reduce(np.divide(dv, den, out=dv), axis=-1,
+                                initial=0.0)
+        return top if top.ndim else float(top)
 
     return ratio
 
 
-def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
-               block: int, fine: int) -> float:
-    """Exact max of |vals_j - vals_i| / (pos_j - pos_i)^alpha over index pairs
-    i < j with pos_j > pos_i, by `_pruned_max` over blocks of `block` nodes
-    and their sub-blocks of `fine` nodes (fine divides block), from the
-    adjacent maximum.
+def _pairs_max(pos: np.ndarray, rows: np.ndarray, alpha: float, block: int,
+               fine: int, step: int, best) -> np.ndarray:
+    """Per row of values rows (rows, points), the exact max of
+    |v_j - v_i| / (pos_j - pos_i)^alpha over the index pairs i < j with
+    pos_j > pos_i and the row's entry of best: the one builder of both
+    Hoelder seminorm scans, `holder_seminorm` on one row and a gap probe's
+    subsample rows, whose compactified positions pos both callers give
+    with the virtual points -1 and 1 in place.
+
+    Each row starts from its entry of best or its own adjacent maximum,
+    whichever is larger; then `_pruned_max` scans blocks of `block` points
+    and their sub-blocks of `fine` (fine divides block), `step` block pairs
+    per row and round, bounded by `_gaps`.  The `** alpha` denominators are
+    built only for the sub-block pairs a round reads, once per round for
+    all the rows that read them.
 
     pos is nondecreasing up to rounding: compactify can put a huge node one
     ulp below its left neighbour, so the bounds take each block's and each
     sub-block's extreme positions rather than its first and last."""
+    # a row's adjacent maximum joins its start, so a block with itself needs
+    # only the bound of its other pairs (`_gaps`)
+    best = np.maximum(best, _adjacent(pos, alpha)(rows))
     nb = -(-pos.size // block)
-    # repeating the last node in the padding only repeats existing pairs
+    # repeating the last point in the padding only repeats existing pairs
     pad = nb * block - pos.size
-    ppos, pvals = (np.concatenate([x, np.full(pad, x[-1])])
-                   for x in (pos, vals))
+    ppos = np.concatenate([pos, np.full(pad, pos[-1])])
+    vb = np.concatenate([rows, np.repeat(rows[:, -1:], pad, axis=1)], axis=1)
     fpos = ppos.reshape(-1, fine)
     gaps = {size: _gaps(ppos.reshape(-1, size)) for size in (block, fine)}
     # inside one sub-block only its pairs r < c count
@@ -739,7 +752,7 @@ def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
         return np.where(i == j, inner[i],
                         np.maximum(first[j] - last[i], 0.0)) ** alpha
 
-    def den(i, j):
+    def tiles(i, j):
         dd = fpos[j][:, None, :] - fpos[i][:, :, None]
         keep = dd > 0
         keep[i == j] &= ahead
@@ -747,10 +760,15 @@ def _pairs_max(pos: np.ndarray, vals: np.ndarray, alpha: float,
         # |dd| it takes no slow path for a negative base
         return np.where(keep, np.abs(dd) ** alpha, np.inf)
 
-    best = _pruned_max(pvals.reshape(1, nb, block), fine, lower, den,
-                       max(1, _CHUNK_PAIRS // (block * block)),
-                       [_adjacent(pos, alpha)(vals)])
-    return float(best[0])
+    def den(i, j):
+        if len(rows) == 1:
+            return tiles(i, j)
+        # the rows that read one sub-block pair in a round share its tile
+        pairs, back = np.unique(i * len(fpos) + j, return_inverse=True)
+        return tiles(*np.divmod(pairs, len(fpos)))[back]
+
+    return _pruned_max(vb.reshape(len(rows), nb, block), fine, lower, den,
+                       step, best)
 
 
 def _gaps(bpos: np.ndarray):
@@ -780,9 +798,9 @@ def _columns(blocks: np.ndarray) -> np.ndarray:
 
 def _pruned_max(vb, fine, lower, den, step, best) -> np.ndarray:
     """Running maxima of pair ratios, one per row of the value blocks vb
-    (rows, blocks, nodes), each from the row's entry of `best`: the one
-    kernel that prunes and computes the pair ratios of both Hoelder
-    seminorm scans.
+    (rows, blocks, nodes), each from the row's entry of `best`: the kernel
+    that prunes and computes the pair ratios of `_pairs_max`, the one
+    Hoelder seminorm scan.
 
     Every block pair I <= J is cut into its pairs (i, j), i <= j, of
     sub-blocks of `fine` nodes (fine divides nodes), numbered along the
@@ -900,8 +918,10 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     seeded random words.  On a fixed grid alone the estimate would stall at
     the grid scale and growth beyond it would be invisible.  Each iterate's
     best starts at its cylinder and adjacent maxima, its 257 subsample
-    values are kept as one row, and after the walk one pruned scan
-    (`_pair_scan`) takes the subsample pairs of every row at once.
+    values, between 0 and 1 at the virtual points at minus and plus
+    infinity, are kept as one row, and after the walk `_pairs_max`, the
+    scan of `holder_seminorm`, takes the pairs of every row at once, the
+    pair of the two virtual points included.
 
     The verdict comes from the `_ls_slope` fit of log(seminorm) against n
     over the last half of the run: bounded when |slope| < 1e-3, growing when
@@ -926,6 +946,10 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     pos = compactify(nodes)
     adjacent = _adjacent(pos, alpha)
     sub = np.linspace(0, nodes.size - 1, 257).astype(int)
+    # the virtual points at minus and plus infinity, values 0 and 1, around
+    # the subsample
+    rows = np.zeros((n_max, sub.size + 2))
+    rows[:, -1] = 1.0
     s_count = system.branch_count
     words = np.repeat(np.arange(1, s_count + 1)[:, None], n_max, axis=1)
     if probe_words > 0:
@@ -936,13 +960,13 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     # each iterate's best over its cylinder and adjacent pairs, and its
     # subsample values as one row of the scan after the walk
     best = cylinder_best.copy()
-    rows = np.empty((n_max, sub.size))
     sups = np.zeros(n_max)
     for n, vals in zip(range(n_max), _ramp_iterates(system, p, nodes, a, b)):
         sups[n] = float(np.max(np.abs(vals)))
         best[n] = max(best[n], adjacent(vals))
-        rows[n] = vals[sub]
-    norms = _pair_scan(pos, alpha, sub, rows, best)
+        rows[n, 1:-1] = vals[sub]
+    norms = _pairs_max(np.r_[-1.0, pos[sub], 1.0], rows, alpha, _SUB_BLOCK,
+                       _SUB_BLOCK, _SUB_STEP, best)
 
     half = n_max // 2
     ns = np.arange(half + 1, n_max + 1)
@@ -957,46 +981,6 @@ def gap_probe(system: IFSystem, p: ProbVector, alpha: float, n_max: int = 60,
     return GapProbeReport(alpha=alpha, norms=norms, sup_norms=sups,
                           slope=float(slope), slope_stderr=float(stderr),
                           verdict=verdict)
-
-
-def _pair_scan(pos, alpha, sub, rows, best):
-    """The subsample part of a gap probe's seminorm, for all its iterates
-    at once: per row of subsample values (the values at the nodes `sub`,
-    one row per iterate), the largest ratio over the pairs of the subsample
-    and against the virtual boundary points at minus and plus infinity
-    (values 0 and 1), from that row's entry of `best`.  The `** alpha`
-    denominators depend on the nodes alone, so they are paid once per
-    probe, and the block pairs of every row are pruned in one `_pruned_max`
-    pass, with each block pair's smallest denominator as its lower bound.
-    """
-    # the points -inf, the subsample and +inf at positions -1, pos[sub] and
-    # 1 (values 0, the row and 1), in blocks of _SUB_BLOCK; the padding's
-    # nan positions pair with nothing
-    m = sub.size + 2
-    nb = -(-m // _SUB_BLOCK)
-    ps = np.full(nb * _SUB_BLOCK, np.nan)
-    ps[:m] = np.r_[-1.0, pos[sub], 1.0]
-    ps = ps.reshape(nb, _SUB_BLOCK)
-    bi, bj = np.triu_indices(nb)
-    # the denominators of each block pair, r < c in a block with itself;
-    # inf where no pair is scanned (equal positions, the padding, -inf with
-    # +inf): ratio 0
-    dd = np.abs(ps[bj][:, None, :] - ps[bi][:, :, None])
-    keep = dd > 0
-    keep[bi == bj] &= ~np.tri(_SUB_BLOCK, dtype=bool)
-    keep[(bi == 0) & (bj == nb - 1), 0, (m - 1) % _SUB_BLOCK] = False
-    den = np.where(keep, dd ** alpha, np.inf)
-    lowest = np.minimum.reduce(den.reshape(bi.size, -1), axis=1)
-    # the place in den of the pair of blocks i <= j
-    place = np.zeros((nb, nb), dtype=int)
-    place[bi, bj] = np.arange(bi.size)
-    # 0 at -inf, 1 at +inf and over the padding, the rows in between
-    vb = np.ones((len(rows), nb * _SUB_BLOCK))
-    vb[:, 0] = 0.0
-    vb[:, 1:m - 1] = rows
-    return _pruned_max(vb.reshape(-1, nb, _SUB_BLOCK), _SUB_BLOCK,
-                       lambda i, j, size: lowest[place[i, j]],
-                       lambda i, j: den[place[i, j]], _SUB_STEP, best)
 
 
 def _cylinder_probe_max(system, p, alpha, words):

@@ -24,14 +24,23 @@ region indices) is then built before any job is timed, and not charged to
 whichever job happens to run first.
 
 It prints, per (kind, system), the job count, the summed job times of each
-copy (both runs of each job) and their ratio new/old; then the same per
-(kind, size octave) over the jobs with a grid size (the parameter `n` or
-`grid_size`), octave k holding the sizes 2^k to 2^(k+1) - 1, so that a
-change that gains on large grids and loses on small ones shows; then the
-ratio of the whole time, of the median job time and of the workload's tail
-percentile of job time (`perfbench.run.TAIL_PCT`).  A job with the
-parameter `empirical` set, a `spectrum_experiment` that calls an
-evaluator, is listed under its kind with `/emp` appended.
+copy (both runs of each job), their ratio new/old and an A/A ratio; then
+the same per (kind, size octave) over the jobs with a grid size (the
+parameter `n` or `grid_size`), octave k holding the sizes 2^k to
+2^(k+1) - 1, so that a change that gains on large grids and loses on small
+ones shows; then the ratio of the whole time, of the median job time and
+of the workload's tail percentile of job time (`perfbench.run.TAIL_PCT`),
+each with its A/A ratio.  A job with the parameter `empirical` set, a
+`spectrum_experiment` that calls an evaluator, is listed under its kind
+with `/emp` appended.
+
+The A/A ratio is the noise floor of new/old: it splits each job's four
+runs into two halves of one run of each copy, A the old copy's first run
+and the new copy's second, B the other two, and divides A's time by B's.
+A difference between the copies adds to both halves alike, and the halves
+take the run positions in turn as the two copies do, so A/A reads what
+new/old would read if the copies were one: a new/old of 1.05 beside an
+A/A of 0.96 or 1.04 is no evidence either way.
 """
 
 from __future__ import annotations
@@ -65,11 +74,13 @@ def load_copies(checkouts, tmp: Path) -> list:
 
 
 def job_times(workloads, packages, workload: str, seeds, kinds) -> list:
-    """((kind, system, octave), old seconds, new seconds) of every job of
-    the seeds in turn whose kind is in kinds (all jobs if kinds is empty),
-    each job run twice on both packages, back to back, after the first job
-    of each (kind, system) has run once on each package untimed; octave is
-    the size octave of `octave`."""
+    """((kind, system, octave), old seconds, new seconds, A seconds,
+    B seconds) of every job of the seeds in turn whose kind is in kinds
+    (all jobs if kinds is empty), each job run twice on both packages, back
+    to back, after the first job of each (kind, system) has run once on
+    each package untimed; octave is the size octave of `octave`, and A and
+    B are the halves of the A/A ratio (old's first run and new's second,
+    old's second and new's first)."""
     jobs = [job for seed in seeds
             for jobs in workloads.build_rounds(workload, seed)
             for job in jobs if not kinds or job.kind in kinds]
@@ -81,12 +92,14 @@ def job_times(workloads, packages, workload: str, seeds, kinds) -> list:
             run(workloads, package, job)
     rows = []
     for n, job in enumerate(jobs):
-        times = [0.0, 0.0]
+        times = ([], [])
         for side in ((0, 1, 1, 0) if n % 2 == 0 else (1, 0, 0, 1)):
             start = time.perf_counter()
             run(workloads, packages[side], job)
-            times[side] += time.perf_counter() - start
-        rows.append(((*label(job), octave(job.params)), *times))
+            times[side].append(time.perf_counter() - start)
+        (old1, old2), (new1, new2) = times
+        rows.append(((*label(job), octave(job.params)), old1 + old2,
+                     new1 + new2, old1 + new2, old2 + new1))
     return rows
 
 
@@ -118,27 +131,27 @@ def octave(params) -> int | None:
 def report(rows, tail_pct: int) -> None:
     for title, column, label in (("system", 1, str),
                                  ("octave", 2, lambda k: f"2^{k}")):
-        groups = defaultdict(lambda: [0, 0.0, 0.0])
-        for key, old, new in rows:
+        groups = defaultdict(lambda: [0, 0.0, 0.0, 0.0, 0.0])
+        for key, *times in rows:
             if key[column] is None:
                 continue
             g = groups[key[0], key[column]]
             g[0] += 1
-            g[1] += old
-            g[2] += new
+            for k, t in enumerate(times, 1):
+                g[k] += t
         if not groups:
             continue
         print(f"{'kind':24} {title:8} {'jobs':>5} {'old ms':>9} "
-              f"{'new ms':>9} {'new/old':>8}")
-        for (kind, group), (count, old, new) in sorted(groups.items()):
+              f"{'new ms':>9} {'new/old':>8} {'A/A':>6}")
+        for (kind, group), (count, old, new, a, b) in sorted(groups.items()):
             print(f"{kind:24} {label(group):8} {count:5d} {old * 1e3:9.1f} "
-                  f"{new * 1e3:9.1f} {new / old:8.3f}")
-    old = [r[1] for r in rows]
-    new = [r[2] for r in rows]
-    print(f"total   {sum(new) / sum(old):.3f}")
-    print(f"p50     {statistics.median(new) / statistics.median(old):.3f}")
-    print(f"p{tail_pct}     "
-          f"{np.percentile(new, tail_pct) / np.percentile(old, tail_pct):.3f}")
+                  f"{new * 1e3:9.1f} {new / old:8.3f} {a / b:6.3f}")
+    old, new, a, b = ([r[k] for r in rows] for k in range(1, 5))
+    for name, stat in (("total", sum), ("p50", statistics.median),
+                       (f"p{tail_pct}",
+                        lambda t: np.percentile(t, tail_pct))):
+        print(f"{name:7} {stat(new) / stat(old):.3f}   "
+              f"A/A {stat(a) / stat(b):.3f}")
 
 
 def main(argv) -> int:

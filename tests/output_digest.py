@@ -62,8 +62,8 @@ LISTINGS = {
     "pointwise":
         "4b31ed92133ffe11f91110d520475becd670896a3c050357ceef3914875a23ee",
     "spectrum":
-        "143d644bf850e08c0332792f7a028723bf181f2ee5c9763c739f3dae480be636",
-    "cli": "302424d44d8129235b7e912b66902c1325ad0f5ef8cc72180c89ba0e0d28f9f2",
+        "dc49bc9f48cf6c29069f76760bf968f7bc925080fcd8d4bd5e15e43bdbab60e9",
+    "cli": "fd7f27273abb124624e5219d139fb8398c425ff07a565096af139f4363403362",
 }
 
 

@@ -52,7 +52,9 @@ from holderlab.transition import (
     _masses,
     _orbit_start,
     _orbit_tables,
-    _pair_scan,
+    _pairs_max,
+    _SUB_BLOCK,
+    _SUB_STEP,
     _ramp,
     _ramp_iterates,
     uniform_grid,
@@ -533,20 +535,20 @@ def test_stationary_measure_oracle_sees_swapped_weights(name):
 
 
 def _all_pairs_scan(pos, alpha, sub, vals):
-    """gap_probe's grid seminorm before its subsample scan was pruned: every
-    adjacent pair, every pair of the subsample, and the subsample against
-    the virtual points at minus and plus infinity (values 0 and 1)."""
+    """gap_probe's grid seminorm with every pair scanned: every adjacent
+    pair, and every index pair i < j with pos_j > pos_i of the subsample
+    between the virtual points at minus and plus infinity (values 0 and 1),
+    those two points' own pair included."""
     dd = np.diff(pos)
     adjacent = np.flatnonzero(dd > 0)
     dv = np.abs(np.diff(vals))[adjacent]
     best = float(np.max(dv / dd[adjacent] ** alpha)) if adjacent.size else 0.0
-    ps, vs = pos[sub], vals[sub]
-    i, j = np.nonzero(ps[None, :] - ps[:, None] > 0)
-    if i.size:
-        best = max(best, float((np.abs(vs[j] - vs[i])
-                                / (ps[j] - ps[i]) ** alpha).max()))
-    return max(best, float((np.abs(vs) / (ps + 1.0) ** alpha).max()),
-               float((np.abs(1.0 - vs) / (1.0 - ps) ** alpha).max()))
+    ps, vs = np.r_[-1.0, pos[sub], 1.0], np.r_[0.0, vals[sub], 1.0]
+    i, j = np.triu_indices(ps.size, 1)
+    keep = ps[j] > ps[i]
+    i, j = i[keep], j[keep]
+    return max(best, float((np.abs(vs[j] - vs[i])
+                            / (ps[j] - ps[i]) ** alpha).max()))
 
 
 @st.composite
@@ -626,9 +628,21 @@ def _falling_step_case():
                 start=0.99)
 
 
+def _virtual_pair_case():
+    """Values (1 + pos) / 2, linear in the compactified position: at alpha
+    0.5 every pair of distinct points but the virtual points at minus and
+    plus infinity, 2 apart, has a ratio below that pair's 1 / 2**0.5."""
+    system = SYSTEMS["cantor"]
+    nodes = uniform_grid(system, 300, 0.2)
+    pos = compactify(nodes)
+    return dict(system=system, p=ProbVector.of(0.5), nodes=nodes, pos=pos,
+                alpha=0.5, steps=1, vals=(1.0 + pos) / 2.0, start=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=scan_cases())
 @example(case=_falling_step_case())
+@example(case=_virtual_pair_case())
 def test_pruned_pair_scan_and_live_steps_match_full_ones(case):
     system, p, nodes, pos = (case[k] for k in ("system", "p", "nodes", "pos"))
     alpha = case["alpha"]
@@ -657,8 +671,10 @@ def test_pruned_pair_scan_and_live_steps_match_full_ones(case):
               for vals, full in zip(iterates + [case["vals"]], fulls)
               for best in (0.0, case["start"] * full,
                            math.nextafter(full, 0.0))]
-    got = _pair_scan(
-        pos, alpha, sub, np.array([vals[sub] for vals, _, _ in cases]),
+    got = _pairs_max(
+        np.r_[-1.0, pos[sub], 1.0],
+        np.array([np.r_[0.0, vals[sub], 1.0] for vals, _, _ in cases]),
+        alpha, _SUB_BLOCK, _SUB_BLOCK, _SUB_STEP,
         np.array([max(best, adjacent(vals)) for vals, _, best in cases]))
     assert ([v.hex() for v in got]
             == [max(full, best).hex() for _, full, best in cases])
@@ -667,7 +683,9 @@ def test_pruned_pair_scan_and_live_steps_match_full_ones(case):
 # gap_probe and conjugacy_residual outputs recorded, as float.hex(), before
 # the array walk took its one-searchsorted window rule and the pair scan
 # its once-per-probe denominators; the last five gap_probe cases before
-# the probe stepped only its undecided nodes and pruned its subsample scan
+# the probe stepped only its undecided nodes and pruned its subsample scan;
+# the margin -0.3 case's norms and slope re-recorded when the pair of the
+# virtual points at minus and plus infinity joined the scan
 GAP_CASES = [
     ("dyadic", (0.25,), 0.6, dict(n_max=12, grid_size=1025, probe_words=8,
                                   seed=3)),
@@ -772,20 +790,9 @@ GAP_NORMS = [
      "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0",
      "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0",
      "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0", "0x1.7e11e5432f6ffp+0"],
-    ["0x1.e6e1128320d30p-1", "0x1.75230e786bc7cp-1", "0x1.8f8c73cd84608p-1",
-     "0x1.8b0b55cf06dfbp-1", "0x1.855283feac3d0p-1", "0x1.868e349cdcd43p-1",
-     "0x1.896253cb46f10p-1", "0x1.891fe863bc3b6p-1", "0x1.88cb88bef40a8p-1",
-     "0x1.88ddb7c879815p-1", "0x1.89076d64bf838p-1", "0x1.890399ff58e9ap-1",
-     "0x1.88febddba4364p-1", "0x1.88ffc9fcf53b9p-1", "0x1.89023104bb000p-1",
-     "0x1.8901f89af28eep-1", "0x1.8901b0f15d45fp-1", "0x1.8901c0631abd3p-1",
-     "0x1.8901e3d018960p-1", "0x1.8901e0903ff5fp-1", "0x1.8901dc6f8b3a1p-1",
-     "0x1.8901dd5347d23p-1", "0x1.8901df5da76a3p-1", "0x1.8901df2dbdf2ep-1",
-     "0x1.8901def0dfb44p-1", "0x1.8901defdff547p-1", "0x1.8901df1c15702p-1",
-     "0x1.8901df1955c54p-1", "0x1.8901df15d202cp-1", "0x1.8901df169a9edp-1",
-     "0x1.8901df1852d94p-1", "0x1.8901df1836bb8p-1", "0x1.8901df180056dp-1",
-     "0x1.8901df182a97bp-1", "0x1.8901df181f07ep-1", "0x1.8901df1826a3dp-1",
-     "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1",
-     "0x1.8901df1826a3dp-1"],
+    # 2**-0.2, the ratio of the virtual points at minus and plus infinity,
+    # from the second iterate on (`test_gap_probe_scans_the_virtual_pair`)
+    ["0x1.e6e1128320d30p-1"] + ["0x1.bdb8cdadbe120p-1"] * 39,
     ["0x1.194b83df25dc4p+1", "0x1.5ec26800b0c2dp+1", "0x1.9f976386b4aedp+1",
      "0x1.e1d36697d7e58p+1", "0x1.1482328db047ap+2", "0x1.3bd3702dd9d4dp+2",
      "0x1.67dfd706afe0bp+2", "0x1.9994eee30bd38p+2", "0x1.d1e175c06c7f7p+2",
@@ -799,7 +806,7 @@ GAP_SLOPES = [
      ("0x1.0690fe2fc7515p-3", "0x1.2c6e2f27e5abep-30", "growing"),
      ("0x1.35c0934be242cp-2", "0x1.fb5a8d7a4fb52p-43", "growing"),
      ("0x1.e7267fea215fcp-46", "0x1.2e86979776559p-47", "bounded"),
-     ("0x1.38a6c54ce5700p-29", "0x1.03d8983fd4ab0p-30", "bounded"),
+     ("0x0.0p+0", "0x0.0p+0", "bounded"),
      ("0x1.08bc196364076p-3", "0x1.eec1e4b8866b8p-13", "growing"),
 ]
 ONE = (1.0).hex()
@@ -832,6 +839,42 @@ RESIDUAL_CASES = [
     ("cantor", (0.4,), 150, 2, "0x1.c000000000000p-51"),
     ("gaps3", (0.2, 0.5), 120, 9, "0x1.4000000000000p-50"),
 ]
+
+
+# the margin -0.3 case's norms before the pair of the virtual points at
+# minus and plus infinity joined the probe's scan
+MARGIN_NORMS_WITHOUT_VIRTUAL_PAIR = [
+    "0x1.e6e1128320d30p-1", "0x1.75230e786bc7cp-1", "0x1.8f8c73cd84608p-1",
+    "0x1.8b0b55cf06dfbp-1", "0x1.855283feac3d0p-1", "0x1.868e349cdcd43p-1",
+    "0x1.896253cb46f10p-1", "0x1.891fe863bc3b6p-1", "0x1.88cb88bef40a8p-1",
+    "0x1.88ddb7c879815p-1", "0x1.89076d64bf838p-1", "0x1.890399ff58e9ap-1",
+    "0x1.88febddba4364p-1", "0x1.88ffc9fcf53b9p-1", "0x1.89023104bb000p-1",
+    "0x1.8901f89af28eep-1", "0x1.8901b0f15d45fp-1", "0x1.8901c0631abd3p-1",
+    "0x1.8901e3d018960p-1", "0x1.8901e0903ff5fp-1", "0x1.8901dc6f8b3a1p-1",
+    "0x1.8901dd5347d23p-1", "0x1.8901df5da76a3p-1", "0x1.8901df2dbdf2ep-1",
+    "0x1.8901def0dfb44p-1", "0x1.8901defdff547p-1", "0x1.8901df1c15702p-1",
+    "0x1.8901df1955c54p-1", "0x1.8901df15d202cp-1", "0x1.8901df169a9edp-1",
+    "0x1.8901df1852d94p-1", "0x1.8901df1836bb8p-1", "0x1.8901df180056dp-1",
+    "0x1.8901df182a97bp-1", "0x1.8901df181f07ep-1", "0x1.8901df1826a3dp-1",
+    "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1", "0x1.8901df1826a3dp-1",
+    "0x1.8901df1826a3dp-1",
+]
+
+
+def test_gap_probe_scans_the_virtual_pair():
+    # with margin -0.3 no node lies outside the hull, so no subsample pair
+    # reaches the pair of the virtual points, 2 apart with values 0 and 1:
+    # each norm is the larger of its value without that pair and 2**-alpha
+    k = next(k for k, case in enumerate(GAP_CASES)
+             if case[3].get("margin") == -0.3)
+    name, free, alpha, kwargs = GAP_CASES[k]
+    norms = gap_probe(SYSTEMS[name], ProbVector.of(*free), alpha,
+                      **kwargs).norms
+    before = [float.fromhex(v) for v in MARGIN_NORMS_WITHOUT_VIRTUAL_PAIR]
+    assert norms.tolist() == [max(v, 1.0 / 2.0 ** alpha) for v in before]
+    changed = [v for v, w in zip(norms.tolist(), before) if v != w]
+    assert len(changed) == 39
+    assert changed == [1.0 / 2.0 ** alpha] * 39
 
 
 def test_gap_probe_pinned_bits():

@@ -621,18 +621,20 @@ DIGEST_SYSTEMS = {
 
 # SHA-256 of the repr of the outputs of `spectrum_layer_outputs`, recorded
 # when `_gibbs` and `_argmin` stored their arrays row-major (betas by
-# branches) and `spectrum_experiment` fitted every sampled point on its own
+# branches) and `spectrum_experiment` fitted every sampled point on its own;
+# re-recorded when `dyn_mean` and `dyn_sigma` took each word's last
+# Birkhoff ratio in place of its back-half minimum, every other output kept
 SPECTRUM_DIGESTS = {
     "two":
-        "bbe3e18beb4fb0b135d99b13854547a703bc78d3f38c92dde41732cc6113bacb",
+        "eafa244d4f4070099846b49084b97e832de1db774cf7ff0b65da46d75ac0748d",
     "three":
-        "35e25e1ba445c04e9dbc8489300b52bfaaa0713fff6f1e69ec09384c515d4ec6",
+        "b9ef268c2f372f0bf21f55518f3c404dec9987121ab775b26339f2190a252bed",
     "four":
-        "938f444a6b5b5d4d2a794533cd25899b7237ce9050dc9bef3f8b996a4bf4365a",
+        "3357b3925cd8adc6a6ed8e81e20ff00312f87e33e20e14c732263640e865a3c3",
     "seven":
-        "dd27f2ee33d35d28a9817197c499dcc0a09bb81f972526b7cd58cf77533383cd",
+        "09eba948ffd6498c968c46d28368be2f2f2e90233adf02d15a065ae7e3f117a3",
     "golden":
-        "99322e60e8e4a28fe616549bf13e032a8618553222a571a58258ef194da21981",
+        "213bd27026f96d3794f922454889fc21fe8e58d4fda5427bdc62713b352c6137",
 }
 
 
